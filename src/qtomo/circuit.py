@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import HADAMARD, SIGMA, QuadratureRule, check_density, cnot_matrix, kron3
-from .model import (
-    OptimizationResult,
-    default_rule,
-    minimize_with_restarts,
-    qttf_from_transfer,
-)
+from .model import OptimizationResult, minimize_with_restarts, qttf_from_transfer
 
 __all__ = [
     "REFERENCE_OPTIMUM",
@@ -46,6 +41,9 @@ _IDENTITY2 = np.eye(2, dtype=complex)
 # Register layout (A, S, B); qubit 0 is the leftmost factor.
 _CNOT_S_TO_A = cnot_matrix(control=1, target=0)
 _CNOT_S_TO_B = cnot_matrix(control=1, target=2)
+
+# x-basis readout of both meters, applied after the block unitary.
+_READOUT = kron3(HADAMARD, _IDENTITY2, HADAMARD)
 
 
 def u3(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -118,7 +116,7 @@ def simulate_circuit_probabilities(rho0: np.ndarray, unitary: np.ndarray) -> np.
     rho0 = check_density(rho0)
     plus = np.full((2, 2), 0.5, dtype=complex)
     rho = kron3(plus, rho0, plus)
-    full = kron3(HADAMARD, _IDENTITY2, HADAMARD) @ unitary
+    full = _READOUT @ unitary
     final = full @ rho @ full.conj().T
     diag = np.real(np.diagonal(final))
     probs = np.empty(4)
@@ -128,8 +126,21 @@ def simulate_circuit_probabilities(rho0: np.ndarray, unitary: np.ndarray) -> np.
     return probs
 
 
+def _kraus_transfer(unitary: np.ndarray) -> np.ndarray:
+    """Transfer matrix read off the four system-side Kraus operators.
+
+    K_(a,b) = <a,b|_meters (H x I x H) U |+>_A |+>_B, E_q = K_q^dag K_q
+    with q = 2a + b, and T[q, mu] = Tr(E_q sigma_mu) / 2.
+    """
+    # axes (a, s, b, a', s', b'); summing a' and b' applies both |+> inputs
+    blocks = (_READOUT @ unitary).reshape((2,) * 6).sum(axis=(3, 5)) / 2.0
+    kraus = blocks.transpose(0, 2, 1, 3).reshape(4, 2, 2)
+    effects = np.einsum("qji,qjk->qik", kraus.conj(), kraus)
+    return 0.5 * np.einsum("qik,mki->qm", effects, SIGMA).real
+
+
 def build_circuit(params, half_angle: bool = True) -> CircuitModel:
-    """Assemble the circuit and extract its transfer matrix.
+    """Assemble the circuit and read its transfer matrix off the Kraus map.
 
     Parameters
     ----------
@@ -146,18 +157,11 @@ def build_circuit(params, half_angle: bool = True) -> CircuitModel:
     if arr.shape != (12,):
         raise ValueError("expected 12 circuit parameters")
     unitary = _block_unitary(arr, half_angle)
-
-    def probs(rho: np.ndarray) -> np.ndarray:
-        return simulate_circuit_probabilities(rho, unitary)
-
-    eye = np.eye(2, dtype=complex)
-    column0 = probs(0.5 * eye)
-    tmat = np.empty((4, 4))
-    tmat[:, 0] = column0
-    for mu in (1, 2, 3):
-        tmat[:, mu] = probs(0.5 * (eye + SIGMA[mu])) - column0
     return CircuitModel(
-        params=tuple(arr), half_angle=half_angle, unitary=unitary, _tmat=tmat
+        params=tuple(arr),
+        half_angle=half_angle,
+        unitary=unitary,
+        _tmat=_kraus_transfer(unitary),
     )
 
 
@@ -171,9 +175,10 @@ def qttf_circuit(
     rule: QuadratureRule | None = None,
     half_angle: bool = True,
 ) -> float:
-    """Pure-state average of Tr(F^-1) for the circuit at these parameters."""
-    if rule is None:
-        rule = default_rule()
+    """Pure-state average of Tr(F^-1) for the circuit at these parameters.
+
+    Exact unless a quadrature rule is passed (see qttf_from_transfer).
+    """
     model = build_circuit(params, half_angle=half_angle)
     return qttf_from_transfer(model.transfer_matrix(), rule)
 
@@ -187,12 +192,11 @@ def optimize_circuit(
     """Minimize the circuit qTTF over all twelve parameters.
 
     Nelder-Mead from uniform starts in [0, 2 pi]^12.  The landscape is
-    benign enough that most restarts land on the global value 8.0.
+    benign enough that most restarts land on the global value 8.0.  The
+    objective is the exact qTTF unless a quadrature rule is passed.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    if rule is None:
-        rule = default_rule()
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, 2.0 * math.pi, size=(restarts, 12))
 

@@ -39,6 +39,7 @@ from .estimators import (
     linear_inversion,
     log_likelihood,
     radial_clip,
+    require_invertible,
     rho_r_mle,
 )
 from .harness import (
@@ -48,7 +49,12 @@ from .harness import (
     run_full_experiment,
     run_single_experiment,
 )
-from .model import SingularInformationError, fisher_from_transfer, fisher_matrix_form
+from .model import (
+    SingularInformationError,
+    fisher_from_transfer,
+    fisher_matrix_form,
+    qttf_from_transfer,
+)
 from .single import max_error_single, qttf_single, two_design_average
 from .twometer import (
     REFERENCE_COUPLINGS,
@@ -60,6 +66,10 @@ from .twometer import (
 )
 
 _TABLE_1_THETAS = (math.pi / 2.0, 2.0 * math.pi / 3.0, math.pi)
+
+# Reference rule for the identity suite's exact-vs-quadrature check, built
+# once: the suite runs often and the rule costs as much as the check.
+_CHECK_RULE = make_quadrature(16, 16)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,12 +118,15 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _meta(command: str, seed=None, quad=None) -> dict:
+def _check_shots(shots: int) -> None:
+    if shots < 1:
+        raise ValueError(f"--shots must be at least 1, got {shots}")
+
+
+def _meta(command: str, seed=None) -> dict:
     meta = {"version": __version__, "command": command}
     if seed is not None:
         meta["seed"] = seed
-    if quad is not None:
-        meta["quad"] = f"{quad[0]}x{quad[1]}"
     return meta
 
 
@@ -163,8 +176,11 @@ def cmd_qttf_sweep(args) -> int:
 def cmd_optimize(args) -> int:
     if args.format != "json":
         raise ValueError("optimize emits JSON")
-    quad = _parse_quad(args.quad)
-    rule = make_quadrature(*quad)
+    # exact qTTF by default; --quad optimizes the quadrature reference
+    quad = rule = None
+    if args.quad is not None:
+        quad = _parse_quad(args.quad)
+        rule = make_quadrature(*quad)
     if args.model == "two-meter":
         restarts = args.restarts if args.restarts is not None else 20
         result = optimize_two_meter(restarts=restarts, seed=args.seed, rule=rule)
@@ -176,8 +192,10 @@ def cmd_optimize(args) -> int:
     if not math.isfinite(result.value):
         sys.stderr.write("optimization failed: objective singular everywhere\n")
         return 2
+    meta = _meta("optimize", seed=args.seed)
+    meta["quad"] = f"{quad[0]}x{quad[1]}" if quad else "exact"
     payload = {
-        "meta": _meta("optimize", seed=args.seed, quad=quad),
+        "meta": meta,
         "model": args.model,
         "best_value": result.value,
         "best_params": list(result.params),
@@ -241,6 +259,7 @@ def _table_full_rows(model, estimator, shots, repeats, seed):
 def cmd_reproduce_table(args) -> int:
     if args.format != "csv":
         raise ValueError("reproduce-table emits CSV")
+    _check_shots(args.shots)
     if args.table == 1:
         header, rows = _table_1_rows(args.shots, args.repeats, args.seed)
     elif args.table == 2:
@@ -456,6 +475,17 @@ def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> di
 
     record("estimator_variance", 1e-8, estimator_variance_check)
 
+    def qttf_exact_check():
+        # closed-form qTTF against the quadrature average, relative; both
+        # read the claimed matrices, and a singular one gives nan (a fail)
+        gaps = []
+        for tmat in tmats:
+            exact = qttf_from_transfer(tmat)
+            gaps.append(abs(exact - qttf_from_transfer(tmat, _CHECK_RULE)) / exact)
+        return np.max(gaps)
+
+    record("qttf_exact_vs_quadrature", 1e-9, qttf_exact_check)
+
     return {
         "checks": checks,
         "all_pass": all(entry["pass"] for entry in checks.values()),
@@ -475,6 +505,7 @@ def cmd_check_identities(args) -> int:
 def cmd_estimate(args) -> int:
     if args.format != "json":
         raise ValueError("estimate emits JSON")
+    _check_shots(args.shots)
     model = _build_model(args)
     tmat = model.transfer_matrix()
     truth = _parse_state(args.state) if args.state else None
@@ -520,6 +551,8 @@ def cmd_estimate(args) -> int:
             "s0_deviation": result.s0_deviation,
         }
     else:
+        # a singular model has no unique maximum: refused, as by linear
+        cond = require_invertible(tmat)
         result = rho_r_mle(freqs, tmat)
         bloch = result.bloch
         physical = True
@@ -527,7 +560,7 @@ def cmd_estimate(args) -> int:
             "iterations": result.iterations,
             "converged": result.converged,
             "floored_probabilities": result.floored_probabilities,
-            "condition_number": model.condition_number,
+            "condition_number": cond,
         }
         diagnostics["log_likelihood"] = log_likelihood(freqs, tmat @ bloch)
 
@@ -564,7 +597,9 @@ def build_parser() -> _Parser:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if quad:
             p.add_argument(
-                "--quad", default="64", help="quadrature order N or N1,N2"
+                "--quad", default=None,
+                help="optimize the quadrature average of order N or N1,N2 "
+                     "instead of the exact qTTF",
             )
 
     p = sub.add_parser(
@@ -634,14 +669,15 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # numerical errors first: NonInvertibleModelError is also a ValueError
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except (SingularInformationError, NonInvertibleModelError, ArithmeticError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
+    except (ValueError, OSError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ Everything here is plain complex linear algebra on 2x2 (and, via helpers,
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,6 @@ __all__ = [
     "kron3",
     "cnot_matrix",
     "check_density",
-    "worker_count",
 ]
 
 # Pauli basis, sigma_0 .. sigma_3.
@@ -260,12 +258,3 @@ def cnot_matrix(control: int, target: int, n_qubits: int = 3) -> np.ndarray:
         out[jdx, idx] = 1.0
     return out
 
-
-def worker_count() -> int:
-    """Worker cap for parallel sections, from QTOMO_THREADS (default 1)."""
-    raw = os.environ.get("QTOMO_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(n, 1)

@@ -6,15 +6,16 @@ a physical state at the cost of slow convergence near pure states.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SIGMA, bloch_from_state, density_from_bloch
+from .model import CONDITION_LIMIT
 
 __all__ = [
     "NonInvertibleModelError",
+    "require_invertible",
     "MleConfig",
     "LinearInversionResult",
     "MleResult",
@@ -23,9 +24,6 @@ __all__ = [
     "radial_clip",
     "log_likelihood",
 ]
-
-# Transfer matrices at least this ill-conditioned are rejected outright.
-_CONDITION_LIMIT = 1e12
 
 # Model probabilities are floored here inside the MLE iteration so empty
 # outcome cells cannot blow up the ratio P/P_model.
@@ -39,7 +37,7 @@ class NonInvertibleModelError(ValueError):
         self.condition_number = condition_number
         super().__init__(
             f"transfer matrix condition number {condition_number:.3e} "
-            f"exceeds {_CONDITION_LIMIT:.0e}"
+            f"exceeds {CONDITION_LIMIT:.0e}"
         )
 
 
@@ -83,6 +81,14 @@ def _check_frequencies(freqs: np.ndarray) -> np.ndarray:
     return freqs
 
 
+def require_invertible(tmat: np.ndarray) -> float:
+    """cond(T), or NonInvertibleModelError when it reaches CONDITION_LIMIT."""
+    cond = float(np.linalg.cond(tmat))
+    if not cond < CONDITION_LIMIT:
+        raise NonInvertibleModelError(cond)
+    return cond
+
+
 def linear_inversion(freqs: np.ndarray, tmat: np.ndarray) -> LinearInversionResult:
     """Solve T S = P for the Bloch vector.
 
@@ -92,9 +98,7 @@ def linear_inversion(freqs: np.ndarray, tmat: np.ndarray) -> LinearInversionResu
     ball; nothing is projected silently.
     """
     freqs = _check_frequencies(freqs)
-    cond = float(np.linalg.cond(tmat))
-    if not math.isfinite(cond) or cond >= _CONDITION_LIMIT:
-        raise NonInvertibleModelError(cond)
+    cond = require_invertible(tmat)
     s = np.linalg.solve(tmat, freqs)
     s0_deviation = abs(s[0] - 1.0)
     s = s / s[0]

@@ -5,20 +5,27 @@ Bloch 4-vectors S) gets its Fisher matrix, per-state error Delta and
 state-averaged qTTF from the functions here.  The two concrete models,
 the two-meter coupling and the parameterized circuit, both route through
 this module.
+
+Every such model is saturated (four outcomes, three parameters), so where
+T is invertible F^-1 is the covariance of linear inversion and the qTTF
+has the exact form sum_q |a_q|^2 T[q, 0] - 1, with a_q the columns of
+T^-1[1:, :].  qttf_from_transfer evaluates that form; the quadrature
+average over delta_surface stays as the independent reference that the
+tests and the identity suite compare it against.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import QuadratureRule, bloch_from_state, make_quadrature, worker_count
+from .core import QuadratureRule, bloch_from_state, make_quadrature
 
 __all__ = [
+    "CONDITION_LIMIT",
     "SIGN_MATRIX",
     "SingularInformationError",
     "TomographyModel",
@@ -49,6 +56,10 @@ PROBABILITY_FLOOR = 1e-12
 
 # Fisher eigenvalues below this mark an unidentifiable direction.
 EIGENVALUE_FLOOR = 1e-12
+
+# Transfer matrices at least this ill-conditioned count as singular: the
+# exact qTTF is inf there and the estimators refuse them.
+CONDITION_LIMIT = 1e12
 
 _OUTCOME_LABELS = ("++", "+-", "-+", "--")
 
@@ -151,16 +162,28 @@ def delta_surface(tmat: np.ndarray, bloch_nodes: np.ndarray) -> np.ndarray:
     return np.where(bad, np.inf, totals)
 
 
-def qttf_from_transfer(tmat: np.ndarray, rule: QuadratureRule) -> float:
-    """Quadrature average of Tr(F^-1); inf as soon as any node is singular."""
-    values = delta_surface(tmat, rule.bloch_nodes())
-    if not np.all(np.isfinite(values)):
+def qttf_from_transfer(tmat: np.ndarray, rule: QuadratureRule | None = None) -> float:
+    """Pure-state average of Tr(F^-1); inf when the model is singular.
+
+    Without a rule this is exact: Tr F^-1(s) = sum_q p_q |a_q|^2 - |s|^2
+    is affine in s on pure states, so its average is
+    sum_q |a_q|^2 T[q, 0] - 1, and inf once cond(T) >= CONDITION_LIMIT.
+    With a rule it is the quadrature average over delta_surface, inf as
+    soon as any node is singular; that path is the reference for checks.
+    """
+    if rule is not None:
+        values = delta_surface(tmat, rule.bloch_nodes())
+        if not np.all(np.isfinite(values)):
+            return math.inf
+        return rule.integrate(values)
+    if not np.linalg.cond(tmat) < CONDITION_LIMIT:
         return math.inf
-    return rule.integrate(values)
+    coeffs = np.linalg.inv(tmat)[1:, :]
+    return float(np.einsum("mq,mq,q->", coeffs, coeffs, tmat[:, 0]) - 1.0)
 
 
 def default_rule() -> QuadratureRule:
-    """The 64x64 rule used wherever callers do not pass their own."""
+    """The 64x64 rule, the reference order for quadrature cross-checks."""
     return make_quadrature(64, 64)
 
 
@@ -193,8 +216,6 @@ def minimize_with_restarts(
     """Nelder-Mead from each start; the best end point wins.
 
     Non-finite objective values are fine (the simplex retreats from them).
-    Restarts run on a thread pool sized by QTOMO_THREADS; with the default
-    of one worker the loop is plain and sequential.
     """
     options = {"xatol": xatol, "fatol": fatol, "maxiter": maxiter}
 
@@ -208,12 +229,7 @@ def minimize_with_restarts(
             converged=bool(res.success),
         )
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, starts))
-    else:
-        outcomes = [run(x0) for x0 in starts]
+    outcomes = [run(x0) for x0 in starts]
     best = min(outcomes, key=lambda o: o.value)
     return OptimizationResult(
         params=best.params, value=best.value, restarts=tuple(outcomes)

@@ -26,7 +26,6 @@ from .core import (
 from .model import (
     SIGN_MATRIX,
     OptimizationResult,
-    default_rule,
     delta_from_transfer,
     fisher_from_transfer,
     minimize_with_restarts,
@@ -247,9 +246,10 @@ def delta_error(state: np.ndarray, theta_a: float, theta_b: float) -> float:
 def qttf_two_meter(
     theta_a: float, theta_b: float, rule: QuadratureRule | None = None
 ) -> float:
-    """Pure-state average of Tr(F^-1) at the given couplings."""
-    if rule is None:
-        rule = default_rule()
+    """Pure-state average of Tr(F^-1) at the given couplings.
+
+    Exact unless a quadrature rule is passed (see qttf_from_transfer).
+    """
     return qttf_from_transfer(transfer_matrix(theta_a, theta_b), rule)
 
 
@@ -265,12 +265,11 @@ def optimize_two_meter(
     the returned point may lie outside it.  The result is the best local
     minimum reached from the starts, not a global optimum: the qTTF keeps
     falling as |theta| grows, so an optimum only means something for a
-    stated domain.
+    stated domain.  The objective is the exact qTTF unless a quadrature
+    rule is passed.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    if rule is None:
-        rule = default_rule()
     rng = np.random.default_rng(seed)
     starts = rng.uniform(-3.0 * math.pi, 3.0 * math.pi, size=(restarts, 2))
 

@@ -1,9 +1,9 @@
 """Acceptance gate: one test per shipped claim, one verdict line each.
 
 Every test measures its claim at the stated tolerance and prints
-`acceptance N: PASS|FAIL - detail` through the terminal reporter, so the
-verdict lines survive output capture.  Runtime limits are asserted
-alongside the numerical claims.
+`acceptance N: PASS|FAIL - detail` through the terminal reporter with
+output capture suspended, so the verdict lines show without `-s`.
+Runtime limits are asserted alongside the numerical claims.
 """
 import json
 import math
@@ -59,12 +59,15 @@ def verdict(request):
     """Collects (criterion id, ok, detail); prints the line on teardown."""
     slot = {}
     yield slot
-    reporter = request.config.pluginmanager.get_plugin("terminalreporter")
+    plugins = request.config.pluginmanager
+    reporter = plugins.get_plugin("terminalreporter")
+    capture = plugins.get_plugin("capturemanager")
     if slot and reporter is not None:
         status = "PASS" if slot["ok"] else "FAIL"
-        reporter.write_line(
-            f"acceptance {slot['id']}: {status} - {slot['detail']}"
-        )
+        with capture.global_and_fixture_disabled():
+            reporter.write_line(
+                f"acceptance {slot['id']}: {status} - {slot['detail']}"
+            )
 
 
 def test_criterion_1_single_meter_minimum_and_quadrature(verdict):

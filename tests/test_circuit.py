@@ -22,7 +22,7 @@ from qtomo.core import (
     state_from_angles,
 )
 from qtomo.estimators import linear_inversion
-from qtomo.model import minimize_with_restarts, qttf_from_transfer
+from qtomo.model import default_rule, minimize_with_restarts, qttf_from_transfer
 
 gate_angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
 
@@ -138,3 +138,26 @@ def test_simulate_requires_valid_density():
     model = build_circuit(REFERENCE_OPTIMUM)
     with pytest.raises(ValueError):
         simulate_circuit_probabilities(np.eye(2), model.unitary)  # trace 2
+
+
+def test_exact_qttf_matches_quadrature():
+    # relative gap allowed: 1e-9 plus the quadrature's own round-off,
+    # which grows like eps * lambda_max * value (see test_twometer)
+    rng = np.random.default_rng(0)
+    rule = default_rule()
+    for _ in range(50):
+        tmat = build_circuit(rng.uniform(0.0, 2 * math.pi, size=12)).transfer_matrix()
+        exact = qttf_from_transfer(tmat)
+        quad = qttf_from_transfer(tmat, rule)
+        assert abs(exact - quad) <= (1e-9 + 1e-14 * exact) * exact
+
+
+def test_reference_circuit_is_near_tetrahedral():
+    # T[q] = (1, n_q)/4 for a SIC POVM: unit Bloch vectors with pairwise
+    # products -1/3, the geometry that makes the qTTF 8
+    tmat = build_circuit(REFERENCE_OPTIMUM).transfer_matrix()
+    np.testing.assert_allclose(tmat[:, 0], 0.25, atol=1e-3)
+    normals = 4.0 * tmat[:, 1:]
+    np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-2)
+    overlaps = (normals @ normals.T)[np.triu_indices(4, 1)]
+    np.testing.assert_allclose(overlaps, -1.0 / 3.0, atol=1e-2)

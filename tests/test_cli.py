@@ -7,6 +7,7 @@ import math
 import pytest
 
 from qtomo.cli import main
+from qtomo.twometer import qttf_two_meter
 
 
 def _run(capsys, argv):
@@ -103,6 +104,7 @@ def test_check_identities_passes_and_writes_file(tmp_path, capsys):
     assert blob["all_pass"] is True
     assert "coefficients_vs_trace" in blob["checks"]
     assert all(v["max_deviation"] <= v["tolerance"] for v in blob["checks"].values())
+    assert "qttf_exact_vs_quadrature" in blob["checks"]
 
 
 def test_check_identities_corrupt_negative_control(tmp_path):
@@ -173,6 +175,32 @@ def test_estimate_requires_some_input(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("estimator", ["linear", "mle"])
+def test_estimate_singular_model_exits_2(capsys, estimator):
+    code, out = _run(
+        capsys,
+        ["estimate", "--theta-a", "0", "--theta-b", "0", "--state", "z0",
+         "--estimator", estimator],
+    )
+    assert code == 2
+    assert out == ""
+
+
+def test_estimate_rejects_zero_shots(capsys):
+    code, out = _run(capsys, ["estimate", "--state", "x0", "--shots", "0"])
+    assert code == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("table", [1, 2, 3])
+def test_reproduce_table_rejects_zero_shots(capsys, table):
+    code, out = _run(
+        capsys, ["reproduce-table", "--table", str(table), "--shots", "0"]
+    )
+    assert code == 1
+    assert out == ""
+
+
 def test_optimize_json_schema(tmp_path):
     out_file = tmp_path / "opt.json"
     code = main(
@@ -186,3 +214,17 @@ def test_optimize_json_schema(tmp_path):
     assert len(blob["restarts"]) == 2
     assert blob["best_value"] == min(r["value"] for r in blob["restarts"])
     assert blob["meta"]["quad"] == "16x16"
+
+
+def test_optimize_defaults_to_exact_qttf(tmp_path):
+    out_file = tmp_path / "opt.json"
+    code = main(
+        ["optimize", "--model", "two-meter", "--restarts", "1", "--seed", "0",
+         "--out", str(out_file)]
+    )
+    assert code == 0
+    blob = json.loads(out_file.read_text())
+    assert blob["meta"]["quad"] == "exact"
+    assert blob["best_value"] == pytest.approx(
+        qttf_two_meter(*blob["best_params"]), rel=1e-12
+    )

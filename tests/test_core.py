@@ -26,7 +26,6 @@ from qtomo.core import (
     kron3,
     make_quadrature,
     state_from_angles,
-    worker_count,
 )
 
 angles1 = st.floats(min_value=0.0, max_value=math.pi / 2)
@@ -208,11 +207,3 @@ def test_kron3_matches_nested_kron():
     a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))
     np.testing.assert_allclose(kron3(a, b, c), np.kron(np.kron(a, b), c))
 
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("QTOMO_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("QTOMO_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("QTOMO_THREADS", "0")
-    assert worker_count() == 1

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtomo.core import (
+    PAULI_EIGENSTATES,
     bloch_from_state,
     density_from_bloch,
     density_from_state,
@@ -16,6 +17,7 @@ from qtomo.core import (
 from qtomo.estimators import linear_inversion
 from qtomo.model import (
     SingularInformationError,
+    default_rule,
     delta_from_transfer,
     fisher_from_transfer,
     fisher_matrix_form,
@@ -37,9 +39,19 @@ coupling = st.floats(min_value=-3 * math.pi, max_value=3 * math.pi)
 angles1 = st.floats(min_value=0.0, max_value=math.pi / 2)
 angles2 = st.floats(min_value=0.0, max_value=math.pi)
 
-# the quadrature value at the benchmark couplings; fixed as a regression
-# anchor for the whole closed-form + averaging pipeline
+# the qTTF at the benchmark couplings; fixed as a regression anchor for
+# the whole closed-form + averaging pipeline
 QTTF_AT_REFERENCE = 24.646231015
+
+
+def pauli_average(tmat):
+    """Six-Pauli-eigenstate mean of Tr(F^-1) by plain matrix inversion."""
+    ts = tmat[:, 1:]
+    total = 0.0
+    for psi in PAULI_EIGENSTATES:
+        p = tmat @ bloch_from_state(psi)
+        total += np.trace(np.linalg.inv(ts.T @ (ts / p[:, None])))
+    return total / len(PAULI_EIGENSTATES)
 
 
 def test_meter_unitaries_unitary_and_joint():
@@ -124,6 +136,7 @@ def test_zero_couplings_are_degenerate():
     np.testing.assert_allclose(tmat @ bloch, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
     with pytest.raises(SingularInformationError):
         fisher_from_transfer(tmat, bloch)
+    assert math.isinf(qttf_two_meter(0.0, 0.0))
     assert math.isinf(qttf_two_meter(0.0, 0.0, rule=make_quadrature(8, 8)))
 
 
@@ -211,3 +224,43 @@ def test_qttf_from_transfer_matches_wrapper():
     tmat = transfer_matrix(1.7, -2.2)
     direct = qttf_from_transfer(tmat, rule)
     assert qttf_two_meter(1.7, -2.2, rule=rule) == pytest.approx(direct, rel=1e-12)
+    assert qttf_two_meter(1.7, -2.2) == pytest.approx(qttf_from_transfer(tmat), rel=1e-12)
+
+
+def test_exact_qttf_matches_quadrature():
+    # relative gap allowed: 1e-9 plus the quadrature's own round-off.  It
+    # inverts each node's Fisher matrix through eigvalsh, whose absolute
+    # error in the smallest eigenvalue is ~eps * lambda_max, so its relative
+    # error grows like eps * lambda_max * value; 1e-14 * value allows
+    # lambda_max up to ~50.  Near the diagonal theta_A = theta_B (value
+    # ~1e10) the quadrature is off by ~4e-8 while the exact form agrees
+    # with a 50-digit evaluation to ~6e-12.
+    rng = np.random.default_rng(0)
+    rule = default_rule()
+    for _ in range(200):
+        tmat = transfer_matrix(*rng.uniform(-3 * math.pi, 3 * math.pi, size=2))
+        exact = qttf_from_transfer(tmat)
+        quad = qttf_from_transfer(tmat, rule)
+        assert abs(exact - quad) <= (1e-9 + 1e-14 * exact) * exact
+
+
+def test_exact_qttf_finite_near_singular_couplings():
+    # cond(T) ~ 6.4e10: below the singular limit, so the average is finite;
+    # some quadrature node has Tr F^-1 above 1e12 and the rule gives inf
+    couplings = (2 * math.pi + 1e-3, 1e-3)
+    tmat = transfer_matrix(*couplings)
+    assert 1e10 < np.linalg.cond(tmat) < 1e12
+    exact = qttf_two_meter(*couplings)
+    assert exact == pytest.approx(6.399e13, rel=1e-3)
+    assert exact == pytest.approx(pauli_average(tmat), rel=1e-9)
+    assert math.isinf(qttf_two_meter(*couplings, rule=default_rule()))
+
+
+def test_exact_qttf_of_tetrahedral_povm_is_eight():
+    # SIC effects E_q = (I + n_q . sigma)/4 on a regular tetrahedron:
+    # the minimal qubit tomography optimum, 9 * 4 * (1/4) - 1
+    normals = np.array(
+        [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
+    ) / math.sqrt(3.0)
+    tmat = 0.25 * np.hstack([np.ones((4, 1)), normals])
+    assert qttf_from_transfer(tmat) == pytest.approx(8.0, abs=1e-12)
