@@ -3,14 +3,25 @@
 Linear inversion is exact and fast but can step outside the Bloch ball on
 noisy data; the iterative R-rho-R maximum-likelihood scheme always returns
 a physical state at the cost of slow convergence near pure states.
+
+R-rho-R runs on the Bloch vector in plain Python floats: for a real
+transfer matrix the operator R = a I + b.sigma is fixed by four reals, and
+the normalized R rho R has the closed-form Bloch vector
+
+    s' = [2a b + (a^2 - |b|^2) s + 2(b.s) b] / (a^2 + |b|^2 + 2a b.s),
+
+which gives the same iterates, iteration counts and stopping decisions as
+the 2x2 density-matrix form (kept as the oracle in the tests) without
+building a matrix per step.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGMA, bloch_from_state, density_from_bloch
+from .core import density_from_bloch
 from .model import CONDITION_LIMIT
 
 __all__ = [
@@ -28,6 +39,8 @@ __all__ = [
 # Model probabilities are floored here inside the MLE iteration so empty
 # outcome cells cannot blow up the ratio P/P_model.
 _MLE_PROBABILITY_FLOOR = 1e-14
+
+_log = logging.getLogger(__name__)
 
 
 class NonInvertibleModelError(ValueError):
@@ -126,6 +139,17 @@ def log_likelihood(freqs: np.ndarray, model_probs: np.ndarray) -> float:
     return float(np.sum(freqs[mask] * np.log(model_probs[mask])))
 
 
+def _check_transfer(tmat: np.ndarray) -> np.ndarray:
+    tmat = np.asarray(tmat)
+    if (
+        tmat.shape != (4, 4)
+        or tmat.dtype.kind not in "iuf"
+        or not np.all(np.isfinite(tmat))
+    ):
+        raise ValueError("transfer matrix must be a finite real 4x4 array")
+    return tmat
+
+
 def rho_r_mle(
     freqs: np.ndarray,
     tmat: np.ndarray,
@@ -144,51 +168,91 @@ def rho_r_mle(
     always a physical state.  Convergence is declared when either the
     model probabilities or the Bloch vector move less than cfg.tol between
     iterations; near-pure targets approach the boundary only as 1/n, in
-    which case the iteration cap bites and the result carries
-    converged=False.
+    which case the iteration cap bites, the result carries
+    converged=False and one warning goes to the "qtomo.estimators"
+    logger.
+
+    The step runs on the Bloch vector in plain floats.  For real T,
+    R = a I + b.sigma with a = r_0 and b = (r_1, r_2, r_3), and with
+    rho = (I + s.sigma)/2 the normalized R rho R has Bloch vector
+
+        s' = [2a b + (a^2 - |b|^2) s + 2(b.s) b] / (a^2 + |b|^2 + 2a b.s),
+
+    the same iterates as the 2x2 matrix product up to round-off.  rho is
+    built from the final Bloch vector once.
 
     likelihood_trace, if given a list, collects the log-likelihood at
     every visited state.
     """
     freqs = _check_frequencies(freqs)
+    tmat = _check_transfer(tmat)
     if cfg is None:
         cfg = MleConfig()
 
-    s = np.array([1.0, 0.0, 0.0, 0.0])
-    rho = density_from_bloch(s)
-    prev_probs = None
+    (
+        (t00, t01, t02, t03),
+        (t10, t11, t12, t13),
+        (t20, t21, t22, t23),
+        (t30, t31, t32, t33),
+    ) = tmat.tolist()
+    f0, f1, f2, f3 = freqs.tolist()
+    floor = _MLE_PROBABILITY_FLOOR
+    tol = cfg.tol
+    x = y = z = 0.0
+    q0 = q1 = q2 = q3 = None  # previous model probabilities
     floored = 0
+    converged = False
     for iteration in range(1, cfg.max_iter + 1):
-        probs = tmat @ s
-        low = probs < _MLE_PROBABILITY_FLOOR
-        if low.any():
-            floored += int(low.sum())
-            probs = np.maximum(probs, _MLE_PROBABILITY_FLOOR)
+        # p = T s, row by row
+        p0 = t00 + t01 * x + t02 * y + t03 * z
+        p1 = t10 + t11 * x + t12 * y + t13 * z
+        p2 = t20 + t21 * x + t22 * y + t23 * z
+        p3 = t30 + t31 * x + t32 * y + t33 * z
+        if min(p0, p1, p2, p3) < floor:
+            probs = (p0, p1, p2, p3)
+            floored += sum(p < floor for p in probs)
+            p0, p1, p2, p3 = (max(p, floor) for p in probs)
         if likelihood_trace is not None:
-            likelihood_trace.append(log_likelihood(freqs, probs))
-        r = (freqs / probs) @ tmat
-        rmat = np.einsum("m,mij->ij", r, SIGMA)
-        candidate = rmat @ rho @ rmat
-        candidate = 0.5 * (candidate + candidate.conj().T)  # kill round-off drift
-        candidate /= np.trace(candidate).real
-        new_s = bloch_from_state(candidate)
-        moved = np.max(np.abs(new_s - s))
-        rho, s = candidate, new_s
-        if moved < cfg.tol or (
-            prev_probs is not None and np.max(np.abs(probs - prev_probs)) < cfg.tol
-        ):
-            return MleResult(
-                rho=rho,
-                bloch=s,
-                iterations=iteration,
-                converged=True,
-                floored_probabilities=floored,
+            likelihood_trace.append(
+                log_likelihood(freqs, np.array([p0, p1, p2, p3]))
             )
-        prev_probs = probs
+        # r = (P / p) T: a = r_0, b = (r_1, r_2, r_3)
+        w0 = f0 / p0
+        w1 = f1 / p1
+        w2 = f2 / p2
+        w3 = f3 / p3
+        a = w0 * t00 + w1 * t10 + w2 * t20 + w3 * t30
+        bx = w0 * t01 + w1 * t11 + w2 * t21 + w3 * t31
+        by = w0 * t02 + w1 * t12 + w2 * t22 + w3 * t32
+        bz = w0 * t03 + w1 * t13 + w2 * t23 + w3 * t33
+        bs = bx * x + by * y + bz * z
+        aa = a * a
+        bb = bx * bx + by * by + bz * bz
+        norm = aa + bb + 2.0 * a * bs
+        along_b = 2.0 * (a + bs) / norm
+        along_s = (aa - bb) / norm
+        nx = along_b * bx + along_s * x
+        ny = along_b * by + along_s * y
+        nz = along_b * bz + along_s * z
+        moved = max(abs(nx - x), abs(ny - y), abs(nz - z))
+        x, y, z = nx, ny, nz
+        if moved < tol or (
+            q0 is not None
+            and max(abs(p0 - q0), abs(p1 - q1), abs(p2 - q2), abs(p3 - q3)) < tol
+        ):
+            converged = True
+            break
+        q0, q1, q2, q3 = p0, p1, p2, p3
+    if not converged:
+        _log.warning(
+            "R-rho-R stopped at the iteration cap (%d) before converging",
+            cfg.max_iter,
+        )
+    bloch = np.array([1.0, x, y, z])
     return MleResult(
-        rho=rho,
-        bloch=s,
-        iterations=cfg.max_iter,
-        converged=False,
+        rho=density_from_bloch(bloch),
+        bloch=bloch,
+        iterations=iteration,
+        converged=converged,
         floored_probabilities=floored,
     )

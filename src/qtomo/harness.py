@@ -200,6 +200,11 @@ def run_full_experiment(
     """
     if estimator not in ("mle", "linear"):
         raise ValueError("estimator must be 'mle' or 'linear'")
+    if not exact:
+        if shots < 1:
+            raise ValueError("shots must be positive")
+        if repeats < 2:
+            raise ValueError("need at least two repeats for a standard deviation")
     if states is None:
         states = pauli_eigenstate_set()
     tmat = model.transfer_matrix()

@@ -7,11 +7,13 @@ the two-meter coupling and the parameterized circuit, both route through
 this module.
 
 Every such model is saturated (four outcomes, three parameters), so where
-T is invertible F^-1 is the covariance of linear inversion and the qTTF
-has the exact form sum_q |a_q|^2 T[q, 0] - 1, with a_q the columns of
-T^-1[1:, :].  qttf_from_transfer evaluates that form; the quadrature
-average over delta_surface stays as the independent reference that the
-tests and the identity suite compare it against.
+T is invertible F^-1 is the covariance of linear inversion: per state
+Tr F^-1(s) = sum_q p_q |a_q|^2 - |s|^2, and the qTTF has the exact form
+sum_q |a_q|^2 T[q, 0] - 1, with a_q the columns of T^-1[1:, :].
+delta_from_transfer and qttf_from_transfer evaluate those forms; the
+quadrature average over delta_surface, which inverts each node's Fisher
+matrix through its eigenvalues, stays as the independent reference that
+the tests and the identity suite compare them against.
 """
 from __future__ import annotations
 
@@ -54,7 +56,8 @@ SIGN_MATRIX = np.array(
 # Probabilities at or below this are treated as vanished outcomes.
 PROBABILITY_FLOOR = 1e-12
 
-# Fisher eigenvalues below this mark an unidentifiable direction.
+# Fisher eigenvalues below this mark an unidentifiable direction in the
+# quadrature reference (delta_surface).
 EIGENVALUE_FLOOR = 1e-12
 
 # Transfer matrices at least this ill-conditioned count as singular: the
@@ -136,16 +139,25 @@ def fisher_matrix_form(tmat: np.ndarray, state: np.ndarray) -> np.ndarray:
     return d.T @ middle @ d
 
 
+def _estimate_rows(tmat: np.ndarray) -> np.ndarray | None:
+    """A = T^-1[1:, :], or None once cond(T) >= CONDITION_LIMIT."""
+    if not np.linalg.cond(tmat) < CONDITION_LIMIT:
+        return None
+    return np.linalg.inv(tmat)[1:, :]
+
+
 def delta_from_transfer(tmat: np.ndarray, state: np.ndarray) -> float:
-    """Tr(F^-1) for one state; inf when F is singular or an outcome dies."""
-    try:
-        fisher = fisher_from_transfer(tmat, state)
-    except SingularInformationError:
+    """Tr(F^-1) for one state; inf when the model is singular or an outcome dies.
+
+    Exact: Tr F^-1(s) = sum_q p_q |a_q|^2 - |s|^2 with a_q the columns
+    of T^-1[1:, :], the per-shot covariance trace of linear inversion.
+    """
+    s = _as_bloch(state)
+    p = tmat @ s
+    coeffs = _estimate_rows(tmat)
+    if coeffs is None or p.min() <= PROBABILITY_FLOOR:
         return math.inf
-    eigs = np.linalg.eigvalsh(fisher)
-    if eigs.min() < EIGENVALUE_FLOOR:
-        return math.inf
-    return float(np.sum(1.0 / eigs))
+    return float(np.einsum("mq,mq,q->", coeffs, coeffs, p) - s[1:] @ s[1:])
 
 
 def delta_surface(tmat: np.ndarray, bloch_nodes: np.ndarray) -> np.ndarray:
@@ -176,9 +188,9 @@ def qttf_from_transfer(tmat: np.ndarray, rule: QuadratureRule | None = None) -> 
         if not np.all(np.isfinite(values)):
             return math.inf
         return rule.integrate(values)
-    if not np.linalg.cond(tmat) < CONDITION_LIMIT:
+    coeffs = _estimate_rows(tmat)
+    if coeffs is None:
         return math.inf
-    coeffs = np.linalg.inv(tmat)[1:, :]
     return float(np.einsum("mq,mq,q->", coeffs, coeffs, tmat[:, 0]) - 1.0)
 
 

@@ -201,6 +201,16 @@ def test_reproduce_table_rejects_zero_shots(capsys, table):
     assert out == ""
 
 
+@pytest.mark.parametrize("table", [1, 2, 3])
+@pytest.mark.parametrize("repeats", ["0", "1"])
+def test_reproduce_table_rejects_too_few_repeats(capsys, table, repeats):
+    code = main(["reproduce-table", "--table", str(table), "--repeats", repeats])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "repeats" in captured.err
+
+
 def test_optimize_json_schema(tmp_path):
     out_file = tmp_path / "opt.json"
     code = main(

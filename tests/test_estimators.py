@@ -1,4 +1,5 @@
 """Linear inversion and iterative maximum likelihood."""
+import logging
 import math
 
 import numpy as np
@@ -20,6 +21,73 @@ from qtomo.estimators import (
     rho_r_mle,
 )
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, transfer_matrix
+
+# Pauli basis for the matrix-form oracle, independent of qtomo.core.
+_PAULI = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+)
+
+
+def _rho_r_mle_matrix(freqs, tmat, max_iter=10000, tol=1e-10, trace=None):
+    """R-rho-R as 2x2 complex matrix products, the form the estimator replaced.
+
+    Returns (rho, bloch, iterations, converged, floored).
+    """
+    floor = 1e-14
+    s = np.array([1.0, 0.0, 0.0, 0.0])
+    rho = 0.5 * np.eye(2, dtype=complex)
+    prev = None
+    floored = 0
+    for iteration in range(1, max_iter + 1):
+        probs = tmat @ s
+        floored += int(np.sum(probs < floor))
+        probs = np.maximum(probs, floor)
+        if trace is not None:
+            live = freqs > 0.0
+            trace.append(float(np.sum(freqs[live] * np.log(probs[live]))))
+        r = (freqs / probs) @ tmat
+        rmat = np.tensordot(r, _PAULI, axes=1)
+        new = rmat @ rho @ rmat
+        new = 0.5 * (new + new.conj().T)
+        new /= np.trace(new).real
+        new_s = np.array([np.trace(new @ p).real for p in _PAULI])
+        moved = np.max(np.abs(new_s - s))
+        rho, s = new, new_s
+        if moved < tol or (prev is not None and np.max(np.abs(probs - prev)) < tol):
+            return rho, s, iteration, True, floored
+        prev = probs
+    return rho, s, max_iter, False, floored
+
+
+def _oracle_cases():
+    """(label, freqs, tmat) over both models, three kinds of truth and edges."""
+    rng = np.random.default_rng(20)
+    tmats = {
+        "two-meter": transfer_matrix(*REFERENCE_COUPLINGS),
+        "circuit": build_circuit(REFERENCE_OPTIMUM).transfer_matrix(),
+    }
+    paulis = [
+        np.array([1.0, *v]) for v in np.vstack([np.eye(3), -np.eye(3)])
+    ]
+    cases = []
+    for name, tmat in tmats.items():
+        for k in range(8):
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            for kind, truth in (
+                ("pauli", paulis[k % 6]),
+                ("pure", np.concatenate([[1.0], direction])),
+                ("mixed", np.concatenate([[1.0], rng.uniform() ** (1 / 3) * direction])),
+            ):
+                probs = np.clip(tmat @ truth, 0.0, None)
+                freqs = rng.multinomial(1024, probs / probs.sum()) / 1024.0
+                cases.append((f"{name}/{kind}/{k}", freqs, tmat))
+    pure = bloch_from_state(state_from_angles(0.9, 1.7))
+    cases.append(("cap", tmats["two-meter"] @ pure, tmats["two-meter"]))
+    dead = transfer_matrix(0.0, 0.0)
+    cases.append(("degenerate/uniform", np.full(4, 0.25), dead))
+    cases.append(("degenerate/one", np.array([1.0, 0.0, 0.0, 0.0]), dead))
+    return cases
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +234,53 @@ def test_log_likelihood_drops_zero_frequency_terms():
     # zero model probability on a dead outcome must not poison the sum
     probs = np.array([0.5, 0.5, 0.0, 0.0])
     assert math.isfinite(log_likelihood(freqs, probs))
+
+
+def test_mle_matches_matrix_form_oracle():
+    capped = 0
+    for label, freqs, tmat in _oracle_cases():
+        trace, oracle_trace = [], []
+        result = rho_r_mle(freqs, tmat, likelihood_trace=trace)
+        rho, bloch, iterations, converged, floored = _rho_r_mle_matrix(
+            freqs, tmat, trace=oracle_trace
+        )
+        assert result.iterations == iterations, label
+        assert result.converged == converged, label
+        assert result.floored_probabilities == floored, label
+        np.testing.assert_allclose(result.bloch, bloch, rtol=0, atol=1e-12, err_msg=label)
+        np.testing.assert_allclose(result.rho, rho, rtol=0, atol=1e-12, err_msg=label)
+        np.testing.assert_allclose(trace, oracle_trace, rtol=0, atol=1e-12, err_msg=label)
+        capped += not converged
+    assert capped >= 1  # the exact pure-state case runs to the cap
+
+
+@pytest.mark.parametrize(
+    "tmat",
+    [
+        transfer_matrix(*REFERENCE_COUPLINGS)[:3],
+        np.where(np.eye(4, dtype=bool), np.nan, transfer_matrix(*REFERENCE_COUPLINGS)),
+        transfer_matrix(*REFERENCE_COUPLINGS).astype(complex),
+    ],
+    ids=["3x4", "nan", "complex"],
+)
+def test_mle_rejects_bad_transfer_matrix(tmat):
+    with pytest.raises(ValueError, match="finite real 4x4"):
+        rho_r_mle(np.full(4, 0.25), tmat)
+
+
+def test_mle_warns_once_when_capped(models, caplog):
+    tmat = models[0].transfer_matrix()
+    pure = bloch_from_state(state_from_angles(0.9, 1.7))
+    with caplog.at_level(logging.WARNING, logger="qtomo.estimators"):
+        result = rho_r_mle(tmat @ pure, tmat, MleConfig(max_iter=200))
+    assert not result.converged
+    records = [r for r in caplog.records if r.name == "qtomo.estimators"]
+    assert len(records) == 1
+    assert records[0].levelno == logging.WARNING
+    assert "200" in records[0].getMessage()
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="qtomo.estimators"):
+        result = rho_r_mle(tmat @ np.array([1.0, 0.3, -0.2, 0.4]), tmat)
+    assert result.converged
+    assert not [r for r in caplog.records if r.name == "qtomo.estimators"]

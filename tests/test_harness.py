@@ -113,6 +113,19 @@ def test_full_experiment_rejects_unknown_estimator():
         run_full_experiment(TwoMeterModel(*REFERENCE_COUPLINGS), estimator="map")
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"shots": 0}, {"repeats": 1}, {"repeats": 0}],
+    ids=["shots0", "repeats1", "repeats0"],
+)
+def test_full_experiment_rejects_degenerate_sampling(kwargs):
+    model = TwoMeterModel(*REFERENCE_COUPLINGS)
+    with pytest.raises(ValueError, match="shots|repeats"):
+        run_full_experiment(model, estimator="linear", **kwargs)
+    # exact mode draws nothing, so shots and repeats do not apply
+    report = run_full_experiment(model, estimator="linear", exact=True, **kwargs)
+    assert report.repeats == 1
+
+
 def test_variance_scan_single_model():
     rows = variance_vs_fisher_scan(theta=math.pi / 2, trials=400, seed=0)
     assert [r.shots for r in rows] == [100, 1000, 10000, 100000]

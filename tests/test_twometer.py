@@ -19,6 +19,7 @@ from qtomo.model import (
     SingularInformationError,
     default_rule,
     delta_from_transfer,
+    delta_surface,
     fisher_from_transfer,
     fisher_matrix_form,
     qttf_from_transfer,
@@ -28,6 +29,7 @@ from qtomo.twometer import (
     TwoMeterModel,
     coefficients_closed_form,
     coefficients_trace_form,
+    delta_error,
     meter_unitaries,
     optimize_two_meter,
     qttf_two_meter,
@@ -157,6 +159,27 @@ def test_delta_positive_and_finite_at_reference():
     for a1, a2 in ((0.1, 0.2), (0.7, 1.5), (1.2, 3.0)):
         value = delta_from_transfer(tmat, state_from_angles(a1, a2))
         assert math.isfinite(value) and value > 0.0
+
+
+def test_delta_closed_form_matches_eigenvalue_form():
+    tmat = transfer_matrix(*REFERENCE_COUPLINGS)
+    rng = np.random.default_rng(3)
+    direction = rng.normal(size=(3, 40))
+    direction /= np.linalg.norm(direction, axis=0)
+    nodes = np.vstack([np.ones(40), rng.uniform(size=40) ** (1 / 3) * direction])
+    reference = delta_surface(tmat, nodes)
+    values = [delta_from_transfer(tmat, nodes[:, k]) for k in range(40)]
+    np.testing.assert_allclose(values, reference, rtol=1e-9)
+
+
+def test_delta_finite_near_singular_couplings():
+    # cond(T) ~ 6e10: every per-state error is about 6.4e13, finite, and
+    # their six-state average is the exact qTTF
+    couplings = (2.0 * math.pi + 1e-3, 1e-3)
+    values = [delta_error(psi, *couplings) for psi in PAULI_EIGENSTATES]
+    assert all(math.isfinite(v) for v in values)
+    assert np.mean(values) == pytest.approx(qttf_two_meter(*couplings), rel=1e-9)
+    assert math.isinf(delta_error(PAULI_EIGENSTATES[0], 0.0, 0.0))
 
 
 def test_qttf_reference_value_regression():
