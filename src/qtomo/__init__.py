@@ -33,32 +33,31 @@ from .single import (
     two_design_average,
 )
 from .model import (
+    MeterModel,
     OptimizationResult,
     SingularInformationError,
     delta_from_transfer,
     delta_surface,
     fisher_from_transfer,
     fisher_matrix_form,
+    kraus_transfer,
     qttf_from_transfer,
+    simulate_meter_process,
 )
 from .twometer import (
     REFERENCE_COUPLINGS,
     TwoMeterModel,
     coefficients_closed_form,
-    coefficients_trace_form,
+    joint_unitary,
     meter_unitaries,
     optimize_two_meter,
     qttf_two_meter,
-    simulate_probabilities,
 )
 from .circuit import (
     REFERENCE_OPTIMUM,
-    CircuitModel,
     build_circuit,
-    circuit_transfer_matrix,
     optimize_circuit,
     qttf_circuit,
-    simulate_circuit_probabilities,
     u3,
 )
 from .estimators import (
@@ -73,17 +72,14 @@ from .estimators import (
 )
 from .harness import (
     DEFAULT_SEED,
-    CountRecord,
     ExperimentReport,
     IdentityReport,
     binomial_variance_identity,
     direction_fidelity,
     estimator_variance_identity,
-    pauli_eigenstate_set,
     per_shot_variance_identity,
     run_full_experiment,
     run_single_experiment,
-    sample_counts,
     variance_vs_fisher_scan,
 )
 
@@ -115,7 +111,10 @@ __all__ = [
     "qttf_single_quadrature",
     "max_error_single",
     "two_design_average",
-    # shared model machinery
+    # shared meter-process model and error pipeline
+    "MeterModel",
+    "kraus_transfer",
+    "simulate_meter_process",
     "SingularInformationError",
     "fisher_from_transfer",
     "fisher_matrix_form",
@@ -127,18 +126,14 @@ __all__ = [
     "REFERENCE_COUPLINGS",
     "TwoMeterModel",
     "meter_unitaries",
+    "joint_unitary",
     "coefficients_closed_form",
-    "coefficients_trace_form",
-    "simulate_probabilities",
     "qttf_two_meter",
     "optimize_two_meter",
     # circuit model
     "REFERENCE_OPTIMUM",
-    "CircuitModel",
     "u3",
     "build_circuit",
-    "circuit_transfer_matrix",
-    "simulate_circuit_probabilities",
     "qttf_circuit",
     "optimize_circuit",
     # estimators
@@ -152,9 +147,6 @@ __all__ = [
     "log_likelihood",
     # harness
     "DEFAULT_SEED",
-    "CountRecord",
-    "sample_counts",
-    "pauli_eigenstate_set",
     "direction_fidelity",
     "ExperimentReport",
     "run_single_experiment",

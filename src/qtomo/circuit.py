@@ -1,27 +1,31 @@
 """Twelve-parameter estimation circuit on a (meter A, system, meter B) register.
 
-Four generic one-qubit gates, two CNOTs fanned out from the system, and
-x-basis readout of both meters.  The circuit family contains measurement
-settings whose average error reaches the four-outcome optimum of 8.0, a
-little over twice the best single-shot error of the two-meter coupling
-on a per-component basis.
+Four generic one-qubit gates and two CNOTs fanned out from the system
+compile to the 8x8 block unitary of a MeterModel, on the register
+convention of qtomo.model: both meters start in |+> and are read in x.
+Its transfer matrix is the Kraus read of that unitary.  The circuit
+family contains measurement settings whose average error reaches the
+four-outcome optimum of 8.0, a little over twice the best single-shot
+error of the two-meter coupling on a per-component basis.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HADAMARD, SIGMA, QuadratureRule, check_density, cnot_matrix, kron3
-from .model import OptimizationResult, minimize_with_restarts, qttf_from_transfer
+from .core import HADAMARD, QuadratureRule, cnot_matrix, kron3
+from .model import (
+    MeterModel,
+    OptimizationResult,
+    minimize_with_restarts,
+    qttf_from_transfer,
+)
 
 __all__ = [
     "REFERENCE_OPTIMUM",
-    "CircuitModel",
     "u3",
     "build_circuit",
-    "circuit_transfer_matrix",
     "qttf_circuit",
     "optimize_circuit",
 ]
@@ -41,9 +45,6 @@ _IDENTITY2 = np.eye(2, dtype=complex)
 # Register layout (A, S, B); qubit 0 is the leftmost factor.
 _CNOT_S_TO_A = cnot_matrix(control=1, target=0)
 _CNOT_S_TO_B = cnot_matrix(control=1, target=2)
-
-# x-basis readout of both meters, applied after the block unitary.
-_READOUT = kron3(HADAMARD, _IDENTITY2, HADAMARD)
 
 
 def u3(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -72,26 +73,6 @@ def _gate(triple: np.ndarray, half_angle: bool) -> np.ndarray:
     return u3(theta, phi, lam)
 
 
-@dataclass(frozen=True)
-class CircuitModel:
-    """Compiled circuit: the 8x8 block unitary plus its transfer matrix."""
-
-    params: tuple[float, ...]
-    half_angle: bool
-    unitary: np.ndarray = field(repr=False, compare=False)
-    _tmat: np.ndarray = field(repr=False, compare=False)
-
-    def transfer_matrix(self) -> np.ndarray:
-        return self._tmat
-
-    def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        return simulate_circuit_probabilities(rho, self.unitary)
-
-    @property
-    def condition_number(self) -> float:
-        return float(np.linalg.cond(self._tmat))
-
-
 def _block_unitary(params: np.ndarray, half_angle: bool) -> np.ndarray:
     triples = params.reshape(4, 3)
     gate_a1 = _gate(triples[0], half_angle)
@@ -107,40 +88,8 @@ def _block_unitary(params: np.ndarray, half_angle: bool) -> np.ndarray:
     return unitary
 
 
-def simulate_circuit_probabilities(rho0: np.ndarray, unitary: np.ndarray) -> np.ndarray:
-    """Meter outcome probabilities (++, +-, -+, --) for a block unitary.
-
-    Input is rho0 on the system with both meters in |+>; readout applies
-    Hadamards to the meters and takes the z-basis diagonal.
-    """
-    rho0 = check_density(rho0)
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    rho = kron3(plus, rho0, plus)
-    full = _READOUT @ unitary
-    final = full @ rho @ full.conj().T
-    diag = np.real(np.diagonal(final))
-    probs = np.empty(4)
-    for idx, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        # meter A is qubit 0, meter B qubit 2; system traced out
-        probs[idx] = diag[4 * i + j] + diag[4 * i + j + 2]
-    return probs
-
-
-def _kraus_transfer(unitary: np.ndarray) -> np.ndarray:
-    """Transfer matrix read off the four system-side Kraus operators.
-
-    K_(a,b) = <a,b|_meters (H x I x H) U |+>_A |+>_B, E_q = K_q^dag K_q
-    with q = 2a + b, and T[q, mu] = Tr(E_q sigma_mu) / 2.
-    """
-    # axes (a, s, b, a', s', b'); summing a' and b' applies both |+> inputs
-    blocks = (_READOUT @ unitary).reshape((2,) * 6).sum(axis=(3, 5)) / 2.0
-    kraus = blocks.transpose(0, 2, 1, 3).reshape(4, 2, 2)
-    effects = np.einsum("qji,qjk->qik", kraus.conj(), kraus)
-    return 0.5 * np.einsum("qik,mki->qm", effects, SIGMA).real
-
-
-def build_circuit(params, half_angle: bool = True) -> CircuitModel:
-    """Assemble the circuit and read its transfer matrix off the Kraus map.
+def build_circuit(params, half_angle: bool = True) -> MeterModel:
+    """Compile the circuit to its block unitary; T is the Kraus read.
 
     Parameters
     ----------
@@ -156,18 +105,7 @@ def build_circuit(params, half_angle: bool = True) -> CircuitModel:
     arr = np.asarray(params, dtype=float)
     if arr.shape != (12,):
         raise ValueError("expected 12 circuit parameters")
-    unitary = _block_unitary(arr, half_angle)
-    return CircuitModel(
-        params=tuple(arr),
-        half_angle=half_angle,
-        unitary=unitary,
-        _tmat=_kraus_transfer(unitary),
-    )
-
-
-def circuit_transfer_matrix(model: CircuitModel) -> np.ndarray:
-    """The cached 4x4 transfer matrix of a built circuit."""
-    return model.transfer_matrix()
+    return MeterModel(params=tuple(arr), unitary=_block_unitary(arr, half_angle))
 
 
 def qttf_circuit(

@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import logging
 import math
 import sys
 
@@ -53,17 +54,11 @@ from .model import (
     SingularInformationError,
     fisher_from_transfer,
     fisher_matrix_form,
+    kraus_transfer,
     qttf_from_transfer,
 )
 from .single import max_error_single, qttf_single, two_design_average
-from .twometer import (
-    REFERENCE_COUPLINGS,
-    TwoMeterModel,
-    coefficients_closed_form,
-    coefficients_trace_form,
-    meter_unitaries,
-    optimize_two_meter,
-)
+from .twometer import REFERENCE_COUPLINGS, TwoMeterModel, optimize_two_meter
 
 _TABLE_1_THETAS = (math.pi / 2.0, 2.0 * math.pi / 3.0, math.pi)
 
@@ -324,8 +319,9 @@ def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> di
         tmats = [t + np.full_like(t, 0.01) for t in tmats]
 
     def coefficient_check():
-        # closed-form coefficients against the trace-form construction,
-        # including near-degenerate couplings where theta_C is tiny
+        # closed-form transfer matrices against the Kraus read of the
+        # joint unitary, including near-degenerate couplings where
+        # theta_C is tiny
         dev = 0.0
         for i in range(pairs):
             if i % 10 == 0:
@@ -336,19 +332,18 @@ def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> di
             else:
                 ta = rng.uniform(-3 * math.pi, 3 * math.pi)
                 tb = rng.uniform(-3 * math.pi, 3 * math.pi)
-            closed = np.concatenate(coefficients_closed_form(ta, tb))
-            trace = np.concatenate(coefficients_trace_form(ta, tb))
-            dev = max(dev, float(np.max(np.abs(closed - trace))))
+            model = TwoMeterModel(ta, tb)
+            gap = model.transfer_matrix() - kraus_transfer(model.unitary)
+            dev = max(dev, float(np.max(np.abs(gap))))
         return dev
 
     record("coefficients_vs_trace", 1e-10, coefficient_check)
 
     def unitarity_check():
-        dev = 0.0
-        for u in meter_unitaries(*REFERENCE_COUPLINGS):
-            dev = max(dev, float(np.max(np.abs(u @ u.conj().T - np.eye(2)))))
-        u_circ = models[1].unitary
-        return max(dev, float(np.max(np.abs(u_circ @ u_circ.conj().T - np.eye(8)))))
+        return max(
+            float(np.max(np.abs(m.unitary @ m.unitary.conj().T - np.eye(8))))
+            for m in models
+        )
 
     record("unitarity", 1e-12, unitarity_check)
 
@@ -669,6 +664,11 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # qtomo warnings go to the sys.stderr of this call, with level and origin
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger = logging.getLogger("qtomo")
+    logger.addHandler(handler)
     # numerical errors first: NonInvertibleModelError is also a ValueError
     try:
         return args.func(args)
@@ -678,6 +678,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    finally:
+        logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -21,19 +21,16 @@ from .core import (
     fidelity,
 )
 from .estimators import linear_inversion, radial_clip, rho_r_mle
-from .model import fisher_from_transfer
+from .model import _as_bloch, fisher_from_transfer
 from .single import estimate_sz, fisher_inverse_single, probabilities_single
 
 __all__ = [
     "DEFAULT_SEED",
-    "CountRecord",
     "SingleStateRow",
     "FullStateRow",
     "ExperimentReport",
     "ScanRow",
     "IdentityReport",
-    "sample_counts",
-    "pauli_eigenstate_set",
     "direction_fidelity",
     "run_single_experiment",
     "run_full_experiment",
@@ -56,39 +53,6 @@ _TAG_SCAN = 4
 
 def _substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *map(int, key)])
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    counts: np.ndarray
-    shots: int
-    seed: int
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self.counts / self.shots
-
-
-def sample_counts(p: np.ndarray, shots: int, seed) -> CountRecord:
-    """One multinomial draw over the outcome distribution p.
-
-    The seed may be an int or a sequence of ints (a substream key);
-    identical seeds give identical counts.
-    """
-    p = np.asarray(p, dtype=float)
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("not a probability vector")
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, np.clip(p, 0.0, 1.0) / p.sum())
-    seed_repr = seed if isinstance(seed, int) else -1
-    return CountRecord(counts=counts, shots=shots, seed=seed_repr)
-
-
-def pauli_eigenstate_set() -> tuple[np.ndarray, ...]:
-    """The six Pauli eigenstates (z0, z1, x0, x1, y0, y1), a 2-design."""
-    return PAULI_EIGENSTATES
 
 
 def direction_fidelity(truth_bloch: np.ndarray, est_bloch: np.ndarray) -> float:
@@ -149,7 +113,7 @@ def run_single_experiment(
     if repeats < 2:
         raise ValueError("need at least two repeats for a standard deviation")
     if states is None:
-        states = pauli_eigenstate_set()
+        states = PAULI_EIGENSTATES
     rows = []
     for k, psi in enumerate(states):
         p0, p1 = probabilities_single(psi, theta)
@@ -206,7 +170,7 @@ def run_full_experiment(
         if repeats < 2:
             raise ValueError("need at least two repeats for a standard deviation")
     if states is None:
-        states = pauli_eigenstate_set()
+        states = PAULI_EIGENSTATES
     tmat = model.transfer_matrix()
     rows = []
     for k, psi in enumerate(states):
@@ -291,7 +255,7 @@ def variance_vs_fisher_scan(
         raise ValueError("pass exactly one of model or theta")
     if sorted(shot_grid) != list(shot_grid):
         raise ValueError("shot grid must be ascending")
-    states = pauli_eigenstate_set()
+    states = PAULI_EIGENSTATES
     tmat = model.transfer_matrix() if model is not None else None
 
     rows = []
@@ -362,11 +326,7 @@ def estimator_variance_identity(state: np.ndarray, tmat: np.ndarray) -> Identity
     combination sum_j G_ij^2 sigma_j^2 with G built from the estimate
     matrix must reproduce the Cramer-Rao diagonal exactly.
     """
-    state_b = (
-        np.asarray(state, dtype=float)
-        if np.asarray(state).shape == (4,) and not np.iscomplexobj(state)
-        else bloch_from_state(state)
-    )
+    state_b = _as_bloch(state)
     probs = tmat @ state_b
     # single-outcome estimates: T^-1 applied to each unit frequency vector
     estimate_mat = np.linalg.solve(tmat, np.eye(4))

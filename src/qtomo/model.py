@@ -1,41 +1,54 @@
-"""Shared error pipeline for four-outcome tomography models.
+"""Shared meter-process representation and error pipeline.
 
-Any model that exposes a 4x4 transfer matrix T (probabilities = T @ S for
-Bloch 4-vectors S) gets its Fisher matrix, per-state error Delta and
-state-averaged qTTF from the functions here.  The two concrete models,
-the two-meter coupling and the parameterized circuit, both route through
-this module.
+Every four-outcome model here is an 8x8 block unitary on the register
+(meter A, system, meter B), qubit 0 leftmost: both meters start in |+>,
+the unitary acts, and the meters are read in x (H x I x H, then z), with
+outcome q = 2a + b in the order (++, +-, -+, --).  MeterModel holds that
+unitary; kraus_transfer reads its 4x4 transfer matrix T (probabilities
+= T @ S for Bloch 4-vectors S) off the four system-side Kraus operators,
+and simulate_meter_process, used only by checks, evolves the full 8x8
+density matrix.
 
-Every such model is saturated (four outcomes, three parameters), so where
-T is invertible F^-1 is the covariance of linear inversion: per state
-Tr F^-1(s) = sum_q p_q |a_q|^2 - |s|^2, and the qTTF has the exact form
-sum_q |a_q|^2 T[q, 0] - 1, with a_q the columns of T^-1[1:, :].
-delta_from_transfer and qttf_from_transfer evaluate those forms; the
-quadrature average over delta_surface, which inverts each node's Fisher
-matrix through its eigenvalues, stays as the independent reference that
-the tests and the identity suite compare them against.
+From T come the Fisher matrix, the per-state error Delta and the
+state-averaged qTTF.  Every such model is saturated (four outcomes, three
+parameters), so where T is invertible F^-1 is the covariance of linear
+inversion: per state Tr F^-1(s) = sum_q p_q |a_q|^2 - |s|^2, and the qTTF
+has the exact form sum_q |a_q|^2 T[q, 0] - 1, with a_q the columns of
+T^-1[1:, :].  delta_from_transfer and qttf_from_transfer evaluate those
+forms; the quadrature average over delta_surface, which inverts each
+node's Fisher matrix through its eigenvalues, stays as the independent
+reference that the tests and the identity suite compare them against.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import QuadratureRule, bloch_from_state, make_quadrature
+from .core import (
+    HADAMARD,
+    SIGMA,
+    QuadratureRule,
+    bloch_from_state,
+    check_density,
+    kron3,
+    make_quadrature,
+)
 
 __all__ = [
     "CONDITION_LIMIT",
     "SIGN_MATRIX",
     "SingularInformationError",
-    "TomographyModel",
+    "MeterModel",
+    "kraus_transfer",
+    "simulate_meter_process",
     "RestartOutcome",
     "OptimizationResult",
     "fisher_from_transfer",
     "fisher_matrix_form",
-    "coefficient_rows_from_transfer",
     "delta_from_transfer",
     "delta_surface",
     "qttf_from_transfer",
@@ -66,6 +79,9 @@ CONDITION_LIMIT = 1e12
 
 _OUTCOME_LABELS = ("++", "+-", "-+", "--")
 
+# x-basis readout of both meters, applied after the block unitary.
+_READOUT = kron3(HADAMARD, np.eye(2), HADAMARD)
+
 
 class SingularInformationError(ArithmeticError):
     """An outcome probability vanished; the Fisher matrix is undefined."""
@@ -79,12 +95,59 @@ class SingularInformationError(ArithmeticError):
         )
 
 
-class TomographyModel(Protocol):
-    """Minimal contract shared by the concrete measurement models."""
+def kraus_transfer(unitary: np.ndarray) -> np.ndarray:
+    """Transfer matrix read off the four system-side Kraus operators.
 
-    def transfer_matrix(self) -> np.ndarray: ...
+    K_(a,b) = <a,b|_meters (H x I x H) U |+>_A |+>_B, E_q = K_q^dag K_q
+    with q = 2a + b, and T[q, mu] = Tr(E_q sigma_mu) / 2.
+    """
+    # axes (a, s, b, a', s', b'); summing a' and b' applies both |+> inputs
+    blocks = (_READOUT @ unitary).reshape((2,) * 6).sum(axis=(3, 5)) / 2.0
+    kraus = blocks.transpose(0, 2, 1, 3).reshape(4, 2, 2)
+    effects = np.einsum("qji,qjk->qik", kraus.conj(), kraus)
+    return 0.5 * np.einsum("qik,mki->qm", effects, SIGMA).real
 
-    def probabilities(self, rho: np.ndarray) -> np.ndarray: ...
+
+def simulate_meter_process(rho0: np.ndarray, unitary: np.ndarray) -> np.ndarray:
+    """Outcome probabilities (++, +-, -+, --) by 8x8 density-matrix evolution.
+
+    The system starts in rho0 between two |+> meters; the readout applies
+    Hadamards to the meters, takes the z-basis diagonal and traces out
+    the system.  The independent oracle for every transfer matrix.
+    """
+    plus = np.full((2, 2), 0.5)
+    full = _READOUT @ unitary
+    final = full @ kron3(plus, check_density(rho0), plus) @ full.conj().T
+    # diagonal index 4a + 2s + b
+    return np.real(np.diagonal(final)).reshape(2, 2, 2).sum(axis=1).ravel()
+
+
+@dataclass(frozen=True)
+class MeterModel:
+    """A four-outcome model: its 8x8 block unitary and transfer matrix.
+
+    params are the settings the unitary was built from.  The transfer
+    matrix is the Kraus read of the unitary unless the constructor is
+    handed an equal closed form.
+    """
+
+    params: tuple[float, ...]
+    unitary: np.ndarray = field(repr=False, compare=False)
+    _tmat: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self._tmat is None:
+            object.__setattr__(self, "_tmat", kraus_transfer(self.unitary))
+
+    def transfer_matrix(self) -> np.ndarray:
+        return self._tmat
+
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        return simulate_meter_process(rho, self.unitary)
+
+    @property
+    def condition_number(self) -> float:
+        return float(np.linalg.cond(self._tmat))
 
 
 def _as_bloch(state: np.ndarray) -> np.ndarray:
@@ -94,47 +157,37 @@ def _as_bloch(state: np.ndarray) -> np.ndarray:
     return bloch_from_state(state)
 
 
+def _live_probabilities(tmat: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """p = T @ S; raises SingularInformationError naming a vanished outcome."""
+    p = tmat @ _as_bloch(state)
+    if p.min() <= PROBABILITY_FLOOR:
+        q = int(np.argmin(p))
+        raise SingularInformationError(q, float(p[q]))
+    return p
+
+
 def fisher_from_transfer(tmat: np.ndarray, state: np.ndarray) -> np.ndarray:
     """Fisher matrix over (s1, s2, s3) for one input state.
 
     F_{mu nu} = sum_q T[q, mu] T[q, nu] / p_q with p = T @ S.  Raises
     SingularInformationError naming the first vanished outcome.
     """
-    s = _as_bloch(state)
-    p = tmat @ s
-    if p.min() <= PROBABILITY_FLOOR:
-        q = int(np.argmin(p))
-        raise SingularInformationError(q, float(p[q]))
+    p = _live_probabilities(tmat, state)
     ts = tmat[:, 1:]
     return ts.T @ (ts / p[:, None])
-
-
-def coefficient_rows_from_transfer(tmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Recover the sign-basis coefficient blocks from a transfer matrix.
-
-    Returns (d0, d) where d0 has shape (3,) and d has shape (3, 3) with
-    rows indexed by the sign patterns (k, l, kl) and columns by the Bloch
-    component.  They satisfy T[:, 0] = 1/4 + SIGN_MATRIX.T @ d0 and
-    T[:, 1:] = SIGN_MATRIX.T @ d; the inversion uses V V^T = 4 I.
-    """
-    d0 = 0.25 * SIGN_MATRIX @ (tmat[:, 0] - 0.25)
-    d = 0.25 * SIGN_MATRIX @ tmat[:, 1:]
-    return d0, d
 
 
 def fisher_matrix_form(tmat: np.ndarray, state: np.ndarray) -> np.ndarray:
     """Fisher matrix assembled as D^T (V P^-1 V^T) D.
 
-    Algebraically identical to fisher_from_transfer because
-    V^T D reproduces the s-columns of T; kept as an independent assembly
-    path for the identity checks.
+    D = V T[:, 1:] / 4 holds the sign-basis coefficients, rows indexed by
+    the sign patterns (k, l, kl) of V = SIGN_MATRIX.  V^T V = 4 I - 11^T
+    and the s-columns of T sum to zero, so V^T D reproduces them and this
+    equals fisher_from_transfer; kept as an independent assembly path for
+    the identity checks.
     """
-    s = _as_bloch(state)
-    p = tmat @ s
-    if p.min() <= PROBABILITY_FLOOR:
-        q = int(np.argmin(p))
-        raise SingularInformationError(q, float(p[q]))
-    _, d = coefficient_rows_from_transfer(tmat)
+    p = _live_probabilities(tmat, state)
+    d = 0.25 * SIGN_MATRIX @ tmat[:, 1:]
     middle = SIGN_MATRIX @ np.diag(1.0 / p) @ SIGN_MATRIX.T
     return d.T @ middle @ d
 

@@ -2,32 +2,24 @@
 
 Two meter qubits, both prepared in |+>, couple to the system through the
 projectors Pi_1 (meter A, angle theta_A) and Pi_+ (meter B, angle theta_B)
-and are read out in the x basis.  The four joint outcomes resolve all three
-Bloch components, so the 4x4 transfer matrix is invertible away from
-degenerate couplings.
+and are read out in the x basis.  On the register convention of
+qtomo.model, (meter A, system, meter B), the coupling is the 8x8 block
+unitary sum_ij |i><i|_A x U_ij x |j><j|_B.  The four joint outcomes
+resolve all three Bloch components, so the 4x4 transfer matrix is
+invertible away from degenerate couplings.  The model carries that
+matrix in closed form; the Kraus read of the joint unitary is its oracle.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    HADAMARD,
-    PI_1,
-    PI_PLUS,
-    SIGMA,
-    QuadratureRule,
-    check_density,
-    expm_2x2_hermitian,
-    kron3,
-)
+from .core import PI_1, PI_PLUS, QuadratureRule, expm_2x2_hermitian
 from .model import (
     SIGN_MATRIX,
+    MeterModel,
     OptimizationResult,
-    delta_from_transfer,
-    fisher_from_transfer,
     minimize_with_restarts,
     qttf_from_transfer,
 )
@@ -36,12 +28,9 @@ __all__ = [
     "REFERENCE_COUPLINGS",
     "TwoMeterModel",
     "meter_unitaries",
+    "joint_unitary",
     "coefficients_closed_form",
-    "coefficients_trace_form",
     "transfer_matrix",
-    "simulate_probabilities",
-    "fisher_matrix",
-    "delta_error",
     "qttf_two_meter",
     "optimize_two_meter",
 ]
@@ -67,6 +56,15 @@ def meter_unitaries(theta_a: float, theta_b: float) -> tuple[np.ndarray, ...]:
     return u00, u01, u10, u11
 
 
+def joint_unitary(theta_a: float, theta_b: float) -> np.ndarray:
+    """8x8 block unitary sum_ij |i><i|_A x U_ij x |j><j|_B on (A, S, B)."""
+    joint = np.zeros((2,) * 6, dtype=complex)  # axes (a, s, b, a', s', b')
+    for branch, unit in enumerate(meter_unitaries(theta_a, theta_b)):
+        i, j = divmod(branch, 2)
+        joint[i, :, j, i, :, j] = unit
+    return joint.reshape(8, 8)
+
+
 def coefficients_closed_form(
     theta_a: float, theta_b: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,8 +74,8 @@ def coefficients_closed_form(
     sum_mu (s_mu/4) delta_{mu 0} + (a_mu k + b_mu l + c_mu k l) s_mu.
     sin(theta_C/2)/theta_C is evaluated through sinc, so the removable
     singularity at theta_C = 0 needs no special casing.  Signs here are
-    fixed against the trace-form oracle and direct simulation of the
-    meter process (see coefficients_trace_form).
+    fixed against the Kraus read of joint_unitary and direct simulation
+    of the meter process.
     """
     tc = math.hypot(theta_a, theta_b)
     ca, sa = math.cos(theta_a / 2.0), math.sin(theta_a / 2.0)
@@ -121,39 +119,6 @@ def coefficients_closed_form(
     return a, b, c
 
 
-def coefficients_trace_form(
-    theta_a: float, theta_b: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The same coefficients from operator traces; the arbiter of signs.
-
-    a_mu = Tr(A sigma_mu)/2 with A = (1/16) sum_ij U_ij^dag U_{1-i, j},
-    and b, c likewise with the flip on the other (or both) meter indices.
-    Slower than the closed form but free of hand algebra.
-    """
-    units = meter_unitaries(theta_a, theta_b)
-
-    def branch(i: int, j: int) -> np.ndarray:
-        return units[2 * i + j]
-
-    amat = np.zeros((2, 2), dtype=complex)
-    bmat = np.zeros((2, 2), dtype=complex)
-    cmat = np.zeros((2, 2), dtype=complex)
-    for i in (0, 1):
-        for j in (0, 1):
-            u = branch(i, j).conj().T
-            amat += u @ branch(1 - i, j)
-            bmat += u @ branch(i, 1 - j)
-            cmat += u @ branch(1 - i, 1 - j)
-    amat /= 16.0
-    bmat /= 16.0
-    cmat /= 16.0
-
-    def components(m: np.ndarray) -> np.ndarray:
-        return np.array([0.5 * np.trace(m @ SIGMA[mu]).real for mu in range(4)])
-
-    return components(amat), components(bmat), components(cmat)
-
-
 def transfer_matrix(theta_a: float, theta_b: float) -> np.ndarray:
     """4x4 map from Bloch 4-vectors to outcome probabilities (++, +-, -+, --).
 
@@ -173,74 +138,15 @@ def transfer_matrix(theta_a: float, theta_b: float) -> np.ndarray:
     return tmat
 
 
-def simulate_probabilities(
-    rho0: np.ndarray, theta_a: float, theta_b: float
-) -> np.ndarray:
-    """Outcome probabilities by direct 3-qubit density-matrix evolution.
+class TwoMeterModel(MeterModel):
+    """The meter model at couplings (theta_A, theta_B), with closed-form T."""
 
-    Register order is (system, meter A, meter B).  Both meters start in
-    |+>, the joint unitary applies the branch evolutions controlled on the
-    meter z basis, and the meters are read in x (Hadamard then z).  This
-    is the ground truth that the transfer matrix must reproduce.
-    """
-    rho0 = check_density(rho0)
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    rho = kron3(rho0, plus, plus)
-
-    units = meter_unitaries(theta_a, theta_b)
-    dim = 8
-    joint = np.zeros((dim, dim), dtype=complex)
-    for i in (0, 1):
-        for j in (0, 1):
-            sel_a = np.zeros((2, 2))
-            sel_a[i, i] = 1.0
-            sel_b = np.zeros((2, 2))
-            sel_b[j, j] = 1.0
-            joint += kron3(units[2 * i + j], sel_a, sel_b)
-
-    basis_change = kron3(np.eye(2, dtype=complex), HADAMARD, HADAMARD)
-    final = basis_change @ joint @ rho @ joint.conj().T @ basis_change.conj().T
-
-    probs = np.empty(4)
-    for idx, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        sel_a = np.zeros((2, 2))
-        sel_a[i, i] = 1.0
-        sel_b = np.zeros((2, 2))
-        sel_b[j, j] = 1.0
-        probs[idx] = np.trace(kron3(np.eye(2), sel_a, sel_b) @ final).real
-    return probs
-
-
-@dataclass(frozen=True)
-class TwoMeterModel:
-    """Transfer-matrix view of the two-meter coupling at fixed angles."""
-
-    theta_a: float
-    theta_b: float
-    _tmat: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_tmat", transfer_matrix(self.theta_a, self.theta_b))
-
-    def transfer_matrix(self) -> np.ndarray:
-        return self._tmat
-
-    def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        return simulate_probabilities(rho, self.theta_a, self.theta_b)
-
-    @property
-    def condition_number(self) -> float:
-        return float(np.linalg.cond(self._tmat))
-
-
-def fisher_matrix(state: np.ndarray, theta_a: float, theta_b: float) -> np.ndarray:
-    """Fisher matrix of the three Bloch components for one input state."""
-    return fisher_from_transfer(transfer_matrix(theta_a, theta_b), state)
-
-
-def delta_error(state: np.ndarray, theta_a: float, theta_b: float) -> float:
-    """Per-shot error Tr(F^-1); inf where the model loses a direction."""
-    return delta_from_transfer(transfer_matrix(theta_a, theta_b), state)
+    def __init__(self, theta_a: float, theta_b: float) -> None:
+        super().__init__(
+            params=(theta_a, theta_b),
+            unitary=joint_unitary(theta_a, theta_b),
+            _tmat=transfer_matrix(theta_a, theta_b),
+        )
 
 
 def qttf_two_meter(

@@ -29,15 +29,15 @@ from qtomo.harness import (
     run_single_experiment,
     variance_vs_fisher_scan,
 )
+from qtomo.model import kraus_transfer, simulate_meter_process
 from qtomo.single import qttf_single, qttf_single_quadrature
 from qtomo.twometer import (
     REFERENCE_COUPLINGS,
     TwoMeterModel,
-    coefficients_closed_form,
-    coefficients_trace_form,
+    joint_unitary,
     optimize_two_meter,
     qttf_two_meter,
-    simulate_probabilities,
+    transfer_matrix,
 )
 
 TABLE_THETAS = (math.pi / 2, 2 * math.pi / 3, math.pi)
@@ -49,9 +49,6 @@ LITERATURE_TWO_METER_QTTF = 17.0
 
 # Bloch 4-vectors of the six Pauli eigenstates as columns, shape (4, 6).
 PAULI_BLOCH = np.array([bloch_from_state(psi) for psi in PAULI_EIGENSTATES]).T
-
-# Meter signs k and l of the outcomes (++, +-, -+, --).
-OUTCOME_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
 
 
 @pytest.fixture
@@ -93,9 +90,10 @@ def test_criterion_1_single_meter_minimum_and_quadrature(verdict):
 
 def simulated_transfer(theta_a, theta_b):
     """Two-meter transfer matrix fitted to six 8x8 density-matrix runs."""
+    unitary = joint_unitary(theta_a, theta_b)
     probs = np.array(
         [
-            simulate_probabilities(density_from_state(psi), theta_a, theta_b)
+            simulate_meter_process(density_from_state(psi), unitary)
             for psi in PAULI_EIGENSTATES
         ]
     ).T
@@ -103,12 +101,9 @@ def simulated_transfer(theta_a, theta_b):
 
 
 def trace_form_transfer(theta_a, theta_b):
-    """Two-meter transfer matrix assembled from the trace-form coefficients."""
-    a, b, c = coefficients_trace_form(theta_a, theta_b)
-    k, l = OUTCOME_SIGNS
-    tmat = np.outer(k, a) + np.outer(l, b) + np.outer(k * l, c)
-    tmat[:, 0] += 0.25
-    return tmat
+    """Two-meter transfer matrix read off the Kraus operators of the joint
+    unitary, E_q = K_q^dag K_q and T[q, mu] = Tr(E_q sigma_mu)/2."""
+    return kraus_transfer(joint_unitary(theta_a, theta_b))
 
 
 def pauli_average(tmats):
@@ -312,14 +307,14 @@ def test_criterion_8_coefficient_closed_forms(verdict):
         else:
             ta = rng.uniform(-3 * math.pi, 3 * math.pi)
             tb = rng.uniform(-3 * math.pi, 3 * math.pi)
-        closed = np.concatenate(coefficients_closed_form(ta, tb))
-        trace = np.concatenate(coefficients_trace_form(ta, tb))
+        closed = transfer_matrix(ta, tb)
+        trace = trace_form_transfer(ta, tb)
         worst = max(worst, float(np.max(np.abs(closed - trace))))
     ok = worst <= 1e-10
     verdict.update(
         id=8, ok=ok,
-        detail=f"closed vs trace coefficients: max dev {worst:.2e} over 1000 "
-               f"pairs incl degenerate couplings",
+        detail=f"closed-form vs Kraus-read transfer matrix: max dev "
+               f"{worst:.2e} over 1000 pairs incl degenerate couplings",
     )
     assert ok, verdict["detail"]
 

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from qtomo.circuit import (
     REFERENCE_OPTIMUM,
     build_circuit,
-    circuit_transfer_matrix,
     optimize_circuit,
     qttf_circuit,
-    simulate_circuit_probabilities,
     u3,
 )
 from qtomo.core import (
@@ -78,7 +76,7 @@ def test_transfer_matrix_matches_simulation(a1, a2, param_seed):
 
 
 def test_transfer_column_sums():
-    tmat = circuit_transfer_matrix(build_circuit(REFERENCE_OPTIMUM))
+    tmat = build_circuit(REFERENCE_OPTIMUM).transfer_matrix()
     np.testing.assert_allclose(tmat.sum(axis=0), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -108,7 +106,7 @@ def test_reference_params_are_locally_optimal():
     rule = make_quadrature(32, 32)
 
     def objective(params):
-        tmat = circuit_transfer_matrix(build_circuit(params))
+        tmat = build_circuit(params).transfer_matrix()
         return qttf_from_transfer(tmat, rule)
 
     start_value = objective(np.asarray(REFERENCE_OPTIMUM))
@@ -137,7 +135,7 @@ def test_linear_inversion_roundtrip_through_circuit():
 def test_simulate_requires_valid_density():
     model = build_circuit(REFERENCE_OPTIMUM)
     with pytest.raises(ValueError):
-        simulate_circuit_probabilities(np.eye(2), model.unitary)  # trace 2
+        model.probabilities(np.eye(2))  # trace 2
 
 
 def test_exact_qttf_matches_quadrature():

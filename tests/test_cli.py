@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import logging
 import math
 
 import pytest
@@ -83,6 +84,38 @@ def test_reproduce_full_tables(capsys, table):
     assert len(rows) == 6
     assert all(row[-1] == "true" for row in rows)
     assert all(float(row[-2]) >= 0.995 for row in rows)
+
+
+# reproduce-table --table 2 at the default seed, byte for byte (the csv
+# module ends rows with \r\n); one state's R-rho-R estimate stops at the
+# iteration cap
+TABLE_2_DEFAULT_SEED = (
+    "# version: 0.1.0\n"
+    "# command: reproduce-table 2\n"
+    "# seed: 1\n"
+    "# shots: 1024\n"
+    "# repeats: 5\n"
+    "state,truth_x,truth_y,truth_z,mean_x,mean_y,mean_z,std_x,std_y,std_z,fidelity,pass\r\n"
+    "z0,0.000000,0.000000,1.000000,0.009963,-0.013774,0.955212,0.066083,0.041154,0.042298,0.999921,true\r\n"
+    "z1,0.000000,0.000000,-1.000000,-0.089480,0.061378,-0.942752,0.065049,0.046780,0.054403,0.996721,true\r\n"
+    "x0,1.000000,0.000000,0.000000,0.964605,-0.008383,0.024790,0.051449,0.094511,0.052548,0.999816,true\r\n"
+    "x1,-1.000000,0.000000,0.000000,-0.994506,0.005265,-0.002632,0.005307,0.099670,0.060759,0.999991,true\r\n"
+    "y0,0.000000,1.000000,0.000000,0.003938,0.990313,-0.055299,0.067204,0.008137,0.085314,0.999218,true\r\n"
+    "y1,0.000000,-1.000000,0.000000,-0.002448,-0.970816,-0.005516,0.070201,0.035794,0.067474,0.999990,true\r\n"
+)
+
+
+def test_capped_mle_warning_names_level_and_logger(capsys):
+    code = main(["reproduce-table", "--table", "2"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == TABLE_2_DEFAULT_SEED
+    assert (
+        "WARNING qtomo.estimators: R-rho-R stopped at the iteration cap"
+        in captured.err
+    )
+    # the handler lives for one call only
+    assert not logging.getLogger("qtomo").handlers
 
 
 def test_reproduce_table_validates_id(capsys):

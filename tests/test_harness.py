@@ -7,17 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit
-from qtomo.core import bloch_from_state, state_from_angles
+from qtomo.core import PAULI_EIGENSTATES, bloch_from_state, state_from_angles
 from qtomo.harness import (
     DEFAULT_SEED,
     binomial_variance_identity,
     direction_fidelity,
     estimator_variance_identity,
-    pauli_eigenstate_set,
     per_shot_variance_identity,
     run_full_experiment,
     run_single_experiment,
-    sample_counts,
     variance_vs_fisher_scan,
 )
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel
@@ -25,26 +23,8 @@ from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel
 TABLE_THETAS = (math.pi / 2, 2 * math.pi / 3, math.pi)
 
 
-def test_sample_counts_deterministic():
-    p = np.array([0.4, 0.3, 0.2, 0.1])
-    a = sample_counts(p, 1000, 42)
-    b = sample_counts(p, 1000, 42)
-    c = sample_counts(p, 1000, 43)
-    np.testing.assert_array_equal(a.counts, b.counts)
-    assert (a.counts != c.counts).any()
-    assert a.counts.sum() == 1000
-    np.testing.assert_allclose(a.frequencies.sum(), 1.0, atol=1e-15)
-
-
-def test_sample_counts_validation():
-    with pytest.raises(ValueError):
-        sample_counts(np.array([0.5, 0.6]), 100, 0)
-    with pytest.raises(ValueError):
-        sample_counts(np.array([0.5, 0.5]), 0, 0)
-
-
 def test_pauli_eigenstate_set_is_the_octahedron():
-    states = pauli_eigenstate_set()
+    states = PAULI_EIGENSTATES
     assert len(states) == 6
     vecs = np.array([bloch_from_state(s)[1:] for s in states])
     # antipodal pairs along each axis

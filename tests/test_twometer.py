@@ -22,18 +22,17 @@ from qtomo.model import (
     delta_surface,
     fisher_from_transfer,
     fisher_matrix_form,
+    kraus_transfer,
     qttf_from_transfer,
 )
 from qtomo.twometer import (
     REFERENCE_COUPLINGS,
     TwoMeterModel,
     coefficients_closed_form,
-    coefficients_trace_form,
-    delta_error,
+    joint_unitary,
     meter_unitaries,
     optimize_two_meter,
     qttf_two_meter,
-    simulate_probabilities,
     transfer_matrix,
 )
 
@@ -69,23 +68,24 @@ def test_meter_unitaries_unitary_and_joint():
 @given(coupling, coupling)
 @settings(max_examples=100, deadline=None)
 def test_coefficients_closed_vs_trace(theta_a, theta_b):
-    closed = np.concatenate(coefficients_closed_form(theta_a, theta_b))
-    trace = np.concatenate(coefficients_trace_form(theta_a, theta_b))
-    np.testing.assert_allclose(closed, trace, atol=1e-12)
+    # closed-form T against the Kraus read of the joint unitary
+    closed = transfer_matrix(theta_a, theta_b)
+    kraus = kraus_transfer(joint_unitary(theta_a, theta_b))
+    np.testing.assert_allclose(closed, kraus, atol=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e-7, 1e-9, 0.0])
 def test_coefficients_at_degenerate_couplings(scale):
     # theta_C = hypot(theta_A, theta_B) -> 0 exercises the sinc limit
-    closed = np.concatenate(coefficients_closed_form(scale, -scale))
-    trace = np.concatenate(coefficients_trace_form(scale, -scale))
-    np.testing.assert_allclose(closed, trace, atol=1e-12)
+    closed = transfer_matrix(scale, -scale)
+    kraus = kraus_transfer(joint_unitary(scale, -scale))
+    np.testing.assert_allclose(closed, kraus, atol=1e-12)
 
 
 def test_coefficient_swap_relations():
     """Exchanging the meters permutes the coefficient letters.
 
-    With the sign conventions fixed by the trace construction, b maps to
+    With the sign conventions fixed by the Kraus read, b maps to
     a under the swap with flips on mu = 1, 3, and c is symmetric in mu = 0
     and antisymmetric in mu = 2, 3.
     """
@@ -118,9 +118,9 @@ def test_specific_coefficient_values():
 def test_transfer_matrix_matches_simulation(a1, a2, theta_a, theta_b):
     psi = state_from_angles(a1, a2)
     bloch = bloch_from_state(psi)
-    tmat = transfer_matrix(theta_a, theta_b)
-    sim = simulate_probabilities(density_from_state(psi), theta_a, theta_b)
-    np.testing.assert_allclose(tmat @ bloch, sim, atol=1e-12)
+    model = TwoMeterModel(theta_a, theta_b)
+    sim = model.probabilities(density_from_state(psi))
+    np.testing.assert_allclose(model.transfer_matrix() @ bloch, sim, atol=1e-12)
     assert sim.sum() == pytest.approx(1.0, abs=1e-12)
     assert sim.min() >= -1e-12
 
@@ -176,10 +176,11 @@ def test_delta_finite_near_singular_couplings():
     # cond(T) ~ 6e10: every per-state error is about 6.4e13, finite, and
     # their six-state average is the exact qTTF
     couplings = (2.0 * math.pi + 1e-3, 1e-3)
-    values = [delta_error(psi, *couplings) for psi in PAULI_EIGENSTATES]
+    tmat = transfer_matrix(*couplings)
+    values = [delta_from_transfer(tmat, psi) for psi in PAULI_EIGENSTATES]
     assert all(math.isfinite(v) for v in values)
     assert np.mean(values) == pytest.approx(qttf_two_meter(*couplings), rel=1e-9)
-    assert math.isinf(delta_error(PAULI_EIGENSTATES[0], 0.0, 0.0))
+    assert math.isinf(delta_from_transfer(transfer_matrix(0.0, 0.0), PAULI_EIGENSTATES[0]))
 
 
 def test_qttf_reference_value_regression():
