@@ -3,7 +3,7 @@
 Closed-form and simulated transfer matrices for three measurement
 models (single meter, two sequential meters, parameterized circuit),
 Fisher-information figures of merit averaged over the state space,
-linear-inversion and iterative maximum-likelihood estimators, and a
+linear-inversion and maximum-likelihood estimators, and a
 seeded experiment harness.
 """
 from .core import (
@@ -69,6 +69,7 @@ from .estimators import (
     log_likelihood,
     radial_clip,
     rho_r_mle,
+    saturated_mle,
 )
 from .harness import (
     DEFAULT_SEED,
@@ -143,6 +144,7 @@ __all__ = [
     "radial_clip",
     "MleConfig",
     "MleResult",
+    "saturated_mle",
     "rho_r_mle",
     "log_likelihood",
     # harness

@@ -42,6 +42,7 @@ from .estimators import (
     radial_clip,
     require_invertible,
     rho_r_mle,
+    saturated_mle,
 )
 from .harness import (
     DEFAULT_SEED,
@@ -136,7 +137,9 @@ def _csv_text(meta: dict, header: list[str], rows: list[list]) -> str:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    # strict JSON: a NaN or infinity raises instead of printing as a bare
+    # NaN/Infinity token that strict parsers reject
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _build_model(args):
@@ -286,21 +289,26 @@ def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> di
 
     def record(name, tol, body):
         # raises inside a check count as failures, not crashes: the
-        # corrupted-matrix control must still produce a report
+        # corrupted-matrix control must still produce a report.  A check
+        # that raised or measured no finite deviation reports null.
         try:
             deviation = float(body())
         except (ValueError, ArithmeticError, FloatingPointError) as exc:
-            checks[name] = {
-                "max_deviation": math.inf,
-                "tolerance": tol,
-                "pass": False,
-                "error": str(exc),
-            }
-            return
+            error = str(exc)
+        else:
+            if math.isfinite(deviation):
+                checks[name] = {
+                    "max_deviation": deviation,
+                    "tolerance": tol,
+                    "pass": bool(deviation <= tol),
+                }
+                return
+            error = f"deviation is {deviation}"
         checks[name] = {
-            "max_deviation": deviation,
+            "max_deviation": None,
             "tolerance": tol,
-            "pass": bool(deviation <= tol),
+            "pass": False,
+            "error": error,
         }
 
     def random_state():
@@ -415,7 +423,7 @@ def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> di
             freqs = rng.multinomial(1024, sim) / 1024.0
             trace_ll = []
             result = rho_r_mle(freqs, tmats[m_idx], likelihood_trace=trace_ll)
-            outcomes.append((trace_ll, result))
+            outcomes.append((freqs, tmats[m_idx], trace_ll, result))
         return outcomes
 
     mle_runs = None
@@ -424,7 +432,7 @@ def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> di
         nonlocal mle_runs
         mle_runs = mle_traces()
         worst = 0.0
-        for trace_ll, _ in mle_runs:
+        for _, _, trace_ll, _ in mle_runs:
             diffs = np.diff(trace_ll)
             if diffs.size:
                 worst = max(worst, float(-diffs.min()))
@@ -435,11 +443,40 @@ def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> di
     def mle_physical_check():
         runs = mle_runs if mle_runs is not None else mle_traces()
         worst = 0.0
-        for _, result in runs:
+        for _, _, _, result in runs:
             worst = max(worst, float(np.linalg.norm(result.bloch[1:]) - 1.0))
         return max(worst, 0.0)
 
     record("mle_physicality", 1e-9, mle_physical_check)
+
+    def mle_exact_check():
+        # the exact solver on the R-rho-R runs' data: its log-likelihood is
+        # never below R-rho-R's, and an estimate on the sphere is a KKT
+        # point g = lambda v with lambda >= 0, measured against sum_q |g_q|,
+        # the scale of g's round-off
+        runs = mle_runs if mle_runs is not None else mle_traces()
+        worst = 0.0
+        for freqs, tmat, _, reference in runs:
+            exact = saturated_mle(freqs, tmat)
+            worst = max(
+                worst,
+                log_likelihood(freqs, tmat @ reference.bloch)
+                - log_likelihood(freqs, tmat @ exact.bloch),
+            )
+            if exact.iterations > 1:
+                live = freqs > 0.0
+                probs = tmat[live] @ exact.bloch
+                terms = (freqs[live] / probs)[:, None] * tmat[live, 1:]
+                g = terms.sum(axis=0)
+                v = exact.bloch[1:]
+                lam = float(g @ v)
+                scale = float(np.linalg.norm(terms, axis=1).sum())
+                worst = max(
+                    worst, float(np.linalg.norm(g - lam * v)) / scale, -lam / scale
+                )
+        return worst
+
+    record("mle_exact_vs_rho_r", 1e-12, mle_exact_check)
 
     def two_design_check():
         # the six eigenstates form a 2-design, so their mean error equals
@@ -546,9 +583,9 @@ def cmd_estimate(args) -> int:
             "s0_deviation": result.s0_deviation,
         }
     else:
-        # a singular model has no unique maximum: refused, as by linear
+        # saturated_mle refuses a singular model itself; cond is reported
         cond = require_invertible(tmat)
-        result = rho_r_mle(freqs, tmat)
+        result = saturated_mle(freqs, tmat)
         bloch = result.bloch
         physical = True
         diagnostics = {

@@ -1,8 +1,13 @@
 """State reconstruction from outcome frequencies.
 
 Linear inversion is exact and fast but can step outside the Bloch ball on
-noisy data; the iterative R-rho-R maximum-likelihood scheme always returns
-a physical state at the cost of slow convergence near pure states.
+noisy data.  Maximum likelihood always returns a physical state, and every
+model here has four outcomes for three parameters, so `saturated_mle`
+finds it exactly: the linear-inversion answer when that is physical, else
+a few Newton steps on the sphere with a KKT certificate.  It is the "mle"
+estimator of the harness and the CLI.  The iterative R-rho-R scheme
+(Hradil, PRA 55, R1561, 1997) stays as the reference, `rho_r_mle`; it
+converges slowly near pure states and can stop at its iteration cap.
 
 R-rho-R runs on the Bloch vector in plain Python floats: for a real
 transfer matrix the operator R = a I + b.sigma is fixed by four reals, and
@@ -17,6 +22,7 @@ building a matrix per step.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +37,7 @@ __all__ = [
     "LinearInversionResult",
     "MleResult",
     "linear_inversion",
+    "saturated_mle",
     "rho_r_mle",
     "radial_clip",
     "log_likelihood",
@@ -39,6 +46,16 @@ __all__ = [
 # Model probabilities are floored here inside the MLE iteration so empty
 # outcome cells cannot blow up the ratio P/P_model.
 _MLE_PROBABILITY_FLOOR = 1e-14
+
+# Newton steps allowed on the sphere, and the KKT residual |g - lambda v|
+# (and any negative lambda) accepted as zero, relative to sum_q |g_q|, the
+# sum of the gradient's terms: g carries a few ulps of that sum as round-off
+# however small it is itself.
+_SPHERE_MAX_STEPS = 50
+_KKT_RTOL = 1e-15
+# Halvings of a Newton step tried before the search stops (the step is
+# then below round-off of the unit vector it is added to).
+_MAX_HALVINGS = 60
 
 _log = logging.getLogger(__name__)
 
@@ -150,6 +167,85 @@ def _check_transfer(tmat: np.ndarray) -> np.ndarray:
     return tmat
 
 
+def saturated_mle(freqs: np.ndarray, tmat: np.ndarray) -> MleResult:
+    """Exact maximum-likelihood estimate for a four-outcome qubit model.
+
+    Four outcomes and three Bloch parameters make the model saturated:
+    when linear inversion lands in the Bloch ball it reproduces the
+    frequencies, so it is the maximum.  Otherwise the maximum of the
+    concave log-likelihood l(s) = sum_{P_q > 0} P_q log (T s)_q over the
+    ball lies on the sphere, where damped Newton steps on the KKT system
+
+        g(v) = lambda v,   |v| = 1,   g = grad l,
+
+    started from the normalized linear-inversion direction, find it.  A
+    step is halved until every live model probability stays positive.  A
+    stationary point with lambda >= 0 is the global maximum, because
+    l(s) <= l(v) + g.(s - v) = l(v) + lambda (v.s - 1) <= l(v) in the ball.
+
+    iterations counts linear solves: 1 for an estimate inside the ball,
+    one more per Newton step.  No probability is floored.  If the step cap
+    is reached before the certificate holds, the result carries
+    converged=False and one warning goes to the "qtomo.estimators" logger.
+    """
+    freqs = _check_frequencies(freqs)
+    tmat = _check_transfer(tmat)
+    v = linear_inversion(freqs, tmat).bloch[1:]
+    radius = float(np.linalg.norm(v))
+    steps = 0
+    converged = radius <= 1.0
+    if not converged:
+        live = freqs > 0.0
+        f, a, b = freqs[live], tmat[live, 0], tmat[live, 1:]
+        b_norms = np.linalg.norm(b, axis=1)
+        v = v / radius
+        kkt = np.zeros((4, 4))
+        for steps in range(_SPHERE_MAX_STEPS + 1):
+            p = a + b @ v
+            if p.min() <= 0.0:
+                break  # only possible at the start, for a T that is no POVM
+            w = f / p
+            g = w @ b
+            lam = float(g @ v)
+            residual = float(np.linalg.norm(g - lam * v))
+            scale = float(w @ b_norms)
+            if residual <= _KKT_RTOL * scale and lam >= -_KKT_RTOL * scale:
+                converged = True
+                break
+            if steps == _SPHERE_MAX_STEPS:
+                break
+            # Newton step in the tangent plane.  The Hessian of l is
+            # negative semidefinite, so the shift max(lambda, residual) > 0
+            # keeps the step uphill; at the optimum it is lambda itself.
+            shift = max(lam, residual)
+            kkt[:3, :3] = -(b.T * (w / p)) @ b - shift * np.eye(3)
+            kkt[:3, 3] = kkt[3, :3] = -v
+            step = np.linalg.solve(kkt, np.append(lam * v - g, 0.0))[:3]
+            for _ in range(_MAX_HALVINGS):
+                trial = v + step
+                trial /= np.linalg.norm(trial)
+                if (a + b @ trial).min() > 0.0:
+                    v = trial
+                    break
+                step *= 0.5
+            else:
+                break
+        if not converged:
+            _log.warning(
+                "exact MLE stopped after %d Newton steps without the KKT "
+                "certificate; frequencies %s, final Bloch vector %s",
+                steps, freqs.tolist(), v.tolist(),
+            )
+    bloch = np.concatenate([[1.0], v])
+    return MleResult(
+        rho=density_from_bloch(bloch),
+        bloch=bloch,
+        iterations=1 + steps,
+        converged=converged,
+        floored_probabilities=0,
+    )
+
+
 def rho_r_mle(
     freqs: np.ndarray,
     tmat: np.ndarray,
@@ -157,6 +253,8 @@ def rho_r_mle(
     likelihood_trace: list | None = None,
 ) -> MleResult:
     """Maximum-likelihood reconstruction by the R-rho-R fixed point.
+
+    The reference for `saturated_mle`, which finds the same maximum exactly.
 
     Starting from the maximally mixed state, iterate
 
@@ -182,7 +280,8 @@ def rho_r_mle(
     built from the final Bloch vector once.
 
     likelihood_trace, if given a list, collects the log-likelihood at
-    every visited state.
+    every visited state, summed in plain floats over the outcomes with
+    nonzero frequency (as `log_likelihood` does).
     """
     freqs = _check_frequencies(freqs)
     tmat = _check_transfer(tmat)
@@ -202,6 +301,8 @@ def rho_r_mle(
     q0 = q1 = q2 = q3 = None  # previous model probabilities
     floored = 0
     converged = False
+    # (outcome, frequency) pairs that enter the likelihood trace
+    live = [(q, fq) for q, fq in enumerate((f0, f1, f2, f3)) if fq > 0.0]
     for iteration in range(1, cfg.max_iter + 1):
         # p = T s, row by row
         p0 = t00 + t01 * x + t02 * y + t03 * z
@@ -213,9 +314,11 @@ def rho_r_mle(
             floored += sum(p < floor for p in probs)
             p0, p1, p2, p3 = (max(p, floor) for p in probs)
         if likelihood_trace is not None:
-            likelihood_trace.append(
-                log_likelihood(freqs, np.array([p0, p1, p2, p3]))
-            )
+            probs = (p0, p1, p2, p3)
+            ll = 0.0
+            for q, fq in live:
+                ll += fq * math.log(probs[q])
+            likelihood_trace.append(ll)
         # r = (P / p) T: a = r_0, b = (r_1, r_2, r_3)
         w0 = f0 / p0
         w1 = f1 / p1
@@ -243,12 +346,13 @@ def rho_r_mle(
             converged = True
             break
         q0, q1, q2, q3 = p0, p1, p2, p3
+    bloch = np.array([1.0, x, y, z])
     if not converged:
         _log.warning(
-            "R-rho-R stopped at the iteration cap (%d) before converging",
-            cfg.max_iter,
+            "R-rho-R stopped at the iteration cap (%d) before converging; "
+            "frequencies %s, final Bloch vector %s",
+            cfg.max_iter, freqs.tolist(), bloch.tolist(),
         )
-    bloch = np.array([1.0, x, y, z])
     return MleResult(
         rho=density_from_bloch(bloch),
         bloch=bloch,

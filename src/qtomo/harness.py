@@ -20,7 +20,7 @@ from .core import (
     density_from_bloch,
     fidelity,
 )
-from .estimators import linear_inversion, radial_clip, rho_r_mle
+from .estimators import linear_inversion, radial_clip, saturated_mle
 from .model import _as_bloch, fisher_from_transfer
 from .single import estimate_sz, fisher_inverse_single, probabilities_single
 
@@ -158,9 +158,10 @@ def run_full_experiment(
 ) -> ExperimentReport:
     """Full Bloch-vector reconstruction per state, mean over repeats.
 
-    estimator is "mle" (R-rho-R) or "linear"; exact=True skips sampling
-    and feeds the exact outcome probabilities through the estimator once,
-    which isolates estimator error from shot noise.
+    estimator is "mle" (the exact `saturated_mle`) or "linear";
+    exact=True skips sampling and feeds the exact outcome probabilities
+    through the estimator once, which isolates estimator error from shot
+    noise.
     """
     if estimator not in ("mle", "linear"):
         raise ValueError("estimator must be 'mle' or 'linear'")
@@ -186,7 +187,7 @@ def run_full_experiment(
                 rng = _substream(seed, _TAG_FULL, k, rep)
                 freqs = rng.multinomial(shots, probs) / shots
             if estimator == "mle":
-                result = rho_r_mle(freqs, tmat)
+                result = saturated_mle(freqs, tmat)
                 estimates.append(result.bloch)
                 physical.append(True)
             else:

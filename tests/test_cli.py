@@ -5,10 +5,12 @@ import json
 import logging
 import math
 
+import numpy as np
 import pytest
 
 from qtomo.cli import main
-from qtomo.twometer import qttf_two_meter
+from qtomo.estimators import saturated_mle
+from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, qttf_two_meter
 
 
 def _run(capsys, argv):
@@ -28,6 +30,10 @@ def _parse_csv(text):
             lines.append(line)
     rows = list(csv.reader(io.StringIO("\n".join(lines))))
     return meta, rows[0], rows[1:]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
 
 
 def test_qttf_sweep_schema_and_values(capsys):
@@ -86,16 +92,29 @@ def test_reproduce_full_tables(capsys, table):
     assert all(float(row[-2]) >= 0.995 for row in rows)
 
 
-# reproduce-table --table 2 at the default seed, byte for byte (the csv
-# module ends rows with \r\n); one state's R-rho-R estimate stops at the
-# iteration cap
-TABLE_2_DEFAULT_SEED = (
+_TABLE_2_PREAMBLE = (
     "# version: 0.1.0\n"
     "# command: reproduce-table 2\n"
     "# seed: 1\n"
     "# shots: 1024\n"
     "# repeats: 5\n"
     "state,truth_x,truth_y,truth_z,mean_x,mean_y,mean_z,std_x,std_y,std_z,fidelity,pass\r\n"
+)
+
+# reproduce-table --table 2 at the default seed, byte for byte (the csv
+# module ends rows with \r\n), from the exact saturated-model MLE
+TABLE_2_DEFAULT_SEED = _TABLE_2_PREAMBLE + (
+    "z0,0.000000,0.000000,1.000000,0.009963,-0.013774,0.955212,0.066083,0.041154,0.042298,0.999921,true\r\n"
+    "z1,0.000000,0.000000,-1.000000,-0.089480,0.061378,-0.942752,0.065049,0.046780,0.054403,0.996721,true\r\n"
+    "x0,1.000000,0.000000,0.000000,0.964605,-0.008383,0.024790,0.051449,0.094511,0.052548,0.999816,true\r\n"
+    "x1,-1.000000,0.000000,0.000000,-0.994506,0.005265,-0.002632,0.005307,0.099670,0.060759,0.999991,true\r\n"
+    "y0,0.000000,1.000000,0.000000,0.003935,0.990317,-0.055296,0.067204,0.008141,0.085314,0.999218,true\r\n"
+    "y1,0.000000,-1.000000,0.000000,-0.002448,-0.970816,-0.005516,0.070201,0.035794,0.067474,0.999990,true\r\n"
+)
+
+# the same table from R-rho-R, whose estimate for one y0 repeat stops at
+# the iteration cap
+TABLE_2_RHO_R = _TABLE_2_PREAMBLE + (
     "z0,0.000000,0.000000,1.000000,0.009963,-0.013774,0.955212,0.066083,0.041154,0.042298,0.999921,true\r\n"
     "z1,0.000000,0.000000,-1.000000,-0.089480,0.061378,-0.942752,0.065049,0.046780,0.054403,0.996721,true\r\n"
     "x0,1.000000,0.000000,0.000000,0.964605,-0.008383,0.024790,0.051449,0.094511,0.052548,0.999816,true\r\n"
@@ -105,15 +124,38 @@ TABLE_2_DEFAULT_SEED = (
 )
 
 
-def test_capped_mle_warning_names_level_and_logger(capsys):
+def test_table_2_default_seed_golden(capsys):
     code = main(["reproduce-table", "--table", "2"])
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == TABLE_2_DEFAULT_SEED
-    assert (
-        "WARNING qtomo.estimators: R-rho-R stopped at the iteration cap"
-        in captured.err
-    )
+    assert captured.err == ""  # the exact MLE converges on every repeat
+    # within 1e-5 of the R-rho-R table, cell by cell
+    _, header, rows = _parse_csv(captured.out)
+    _, ref_header, ref_rows = _parse_csv(TABLE_2_RHO_R)
+    assert header == ref_header and len(rows) == len(ref_rows) == 6
+    for row, ref in zip(rows, ref_rows):
+        assert row[0] == ref[0] and row[-1] == ref[-1] == "true"
+        for cell, ref_cell in zip(row[1:-1], ref[1:-1]):
+            assert float(cell) == pytest.approx(float(ref_cell), abs=1e-5)
+
+
+def test_capped_mle_warning_names_level_and_logger(capsys):
+    # one of the identity suite's five traced R-rho-R runs at seed 20
+    # stops at the iteration cap
+    code = main(["check-identities", "--seed", "20"])
+    captured = capsys.readouterr()
+    assert code == 0
+    warnings = [
+        line for line in captured.err.splitlines()
+        if line.startswith(
+            "WARNING qtomo.estimators: R-rho-R stopped at the iteration cap"
+        )
+    ]
+    assert len(warnings) == 1
+    # the line names the capped input and where the iteration stopped
+    assert "frequencies [" in warnings[0]
+    assert "final Bloch vector [" in warnings[0]
     # the handler lives for one call only
     assert not logging.getLogger("qtomo").handlers
 
@@ -144,10 +186,27 @@ def test_check_identities_corrupt_negative_control(tmp_path):
     out_file = tmp_path / "corrupt.json"
     code = main(["check-identities", "--seed", "0", "--corrupt", "--out", str(out_file)])
     assert code == 3
-    blob = json.loads(out_file.read_text())
+    blob = json.loads(out_file.read_text(), parse_constant=_reject_constant)
     assert blob["all_pass"] is False
     failing = [k for k, v in blob["checks"].items() if not v["pass"]]
     assert "transfer_vs_simulation" in failing
+
+
+def test_check_identities_raising_check_stays_strict_json(monkeypatch, capsys):
+    # a check that raises is a failure (exit 3) with a null deviation, not
+    # an Infinity token or a crash
+    def broken(theta):
+        raise ArithmeticError("broken on purpose")
+
+    monkeypatch.setattr("qtomo.cli.two_design_average", broken)
+    code, out = _run(capsys, ["check-identities", "--seed", "0"])
+    assert code == 3
+    blob = json.loads(out, parse_constant=_reject_constant)
+    entry = blob["checks"]["two_design_average"]
+    assert entry["max_deviation"] is None
+    assert entry["pass"] is False
+    assert entry["error"] == "broken on purpose"
+    assert blob["all_pass"] is False
 
 
 def test_estimate_from_sampling_spec(capsys):
@@ -162,6 +221,25 @@ def test_estimate_from_sampling_spec(capsys):
     assert blob["physical"] is True
     assert blob["fidelity"] > 0.99
     assert blob["diagnostics"]["iterations"] >= 1
+
+
+def test_estimate_mle_is_the_exact_solver(tmp_path, capsys):
+    # one live outcome: the estimate sits on the sphere, found by the
+    # exact solver in a few linear solves with nothing floored
+    counts = {"outcomes": [0, 0, 1024, 0], "shots": 1024}
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps(counts))
+    code, out = _run(capsys, ["estimate", "--counts", str(path)])
+    assert code == 0
+    blob = json.loads(out)
+    expected = saturated_mle(
+        np.array([0.0, 0.0, 1.0, 0.0]), TwoMeterModel(*REFERENCE_COUPLINGS).transfer_matrix()
+    )
+    assert blob["bloch"] == expected.bloch.tolist()
+    diagnostics = blob["diagnostics"]
+    assert diagnostics["converged"] is True
+    assert diagnostics["iterations"] == expected.iterations > 1
+    assert diagnostics["floored_probabilities"] == 0
 
 
 def test_estimate_exact_mode_recovers_state(capsys):

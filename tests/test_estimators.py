@@ -7,6 +7,7 @@ import pytest
 
 from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit
 from qtomo.core import (
+    PAULI_EIGENSTATES,
     bloch_from_state,
     density_from_bloch,
     fidelity,
@@ -19,7 +20,9 @@ from qtomo.estimators import (
     log_likelihood,
     radial_clip,
     rho_r_mle,
+    saturated_mle,
 )
+from qtomo.harness import _TAG_FULL, _substream
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, transfer_matrix
 
 # Pauli basis for the matrix-form oracle, independent of qtomo.core.
@@ -285,3 +288,170 @@ def test_mle_warns_once_when_capped(models, caplog):
         result = rho_r_mle(tmat @ np.array([1.0, 0.3, -0.2, 0.4]), tmat)
     assert result.converged
     assert not [r for r in caplog.records if r.name == "qtomo.estimators"]
+
+
+def test_likelihood_trace_matches_log_likelihood(models):
+    # the trace is summed in plain floats; at every visited state it must
+    # agree with log_likelihood, dead outcomes included
+    tmat = models[1].transfer_matrix()
+    for freqs in (np.array([0.4, 0.3, 0.2, 0.1]), np.array([0.5, 0.0, 0.5, 0.0])):
+        trace = []
+        rho_r_mle(freqs, tmat, MleConfig(max_iter=30), likelihood_trace=trace)
+        visited = [np.array([1.0, 0.0, 0.0, 0.0])] + [
+            rho_r_mle(freqs, tmat, MleConfig(max_iter=k)).bloch
+            for k in range(1, len(trace))
+        ]
+        for ll, bloch in zip(trace, visited):
+            assert ll == pytest.approx(log_likelihood(freqs, tmat @ bloch), rel=1e-14)
+
+
+# ---- exact saturated-model MLE -------------------------------------------
+
+
+def _kkt(freqs, tmat, bloch):
+    """(|g - lambda v|, lambda, |g|, sum_q |g_q|) at a Bloch vector, from scratch."""
+    live = freqs > 0.0
+    terms = (freqs[live] / (tmat[live] @ bloch))[:, None] * tmat[live, 1:]
+    g = terms.sum(axis=0)
+    v = bloch[1:]
+    lam = float(g @ v)
+    return (
+        float(np.linalg.norm(g - lam * v)),
+        lam,
+        float(np.linalg.norm(g)),
+        float(np.linalg.norm(terms, axis=1).sum()),
+    )
+
+
+def _assert_sphere_optimum(freqs, tmat, result, label=""):
+    # a KKT point with lambda >= 0 on the sphere is the global maximum;
+    # the residual bound allows for the round-off of g, a few ulps of
+    # sum_q |g_q| however small g itself is
+    assert result.converged, label
+    assert result.iterations > 1, label
+    assert np.linalg.norm(result.bloch[1:]) == pytest.approx(1.0, abs=1e-12), label
+    residual, lam, norm_g, scale = _kkt(freqs, tmat, result.bloch)
+    assert residual <= 1e-9 * norm_g + 1e-15 * scale, label
+    assert lam >= 0.0, label
+
+
+def test_saturated_mle_interior_is_linear_inversion(models):
+    for model in models:
+        tmat = model.transfer_matrix()
+        freqs = tmat @ np.array([1.0, 0.3, -0.2, 0.4]) + np.array(
+            [0.004, -0.003, 0.001, -0.002]
+        )
+        result = saturated_mle(freqs, tmat)
+        li = linear_inversion(freqs, tmat)
+        assert li.physical
+        assert result.converged and result.iterations == 1
+        assert result.floored_probabilities == 0
+        np.testing.assert_array_equal(result.bloch, li.bloch)
+        np.testing.assert_allclose(tmat @ result.bloch, freqs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            result.rho, density_from_bloch(result.bloch), rtol=0, atol=0
+        )
+
+
+def test_saturated_mle_rejects_singular_model():
+    with pytest.raises(NonInvertibleModelError):
+        saturated_mle(np.array([1.0, 0.0, 0.0, 0.0]), transfer_matrix(0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (3, 7, 0, 0), (0, 5, 0, 5)],
+)
+def test_saturated_mle_few_live_outcomes_reach_the_sphere(models, counts):
+    freqs = np.asarray(counts, dtype=float) / sum(counts)
+    for model in models:
+        tmat = model.transfer_matrix()
+        assert not linear_inversion(freqs, tmat).physical
+        result = saturated_mle(freqs, tmat)
+        _assert_sphere_optimum(freqs, tmat, result, str(counts))
+        assert log_likelihood(freqs, tmat @ result.bloch) >= log_likelihood(
+            freqs, tmat @ rho_r_mle(freqs, tmat).bloch
+        ) - 1e-12
+
+
+def test_saturated_mle_recovers_the_pure_state_that_caps_rho_r(models):
+    # the exact pure-state probabilities R-rho-R approaches only as 1/n
+    tmat = models[0].transfer_matrix()
+    pure = bloch_from_state(state_from_angles(0.9, 1.7))
+    freqs = tmat @ pure
+    result = saturated_mle(freqs, tmat)
+    assert result.converged
+    np.testing.assert_allclose(result.bloch, pure, rtol=0, atol=1e-12)
+    capped = rho_r_mle(freqs, tmat)
+    assert not capped.converged
+    assert log_likelihood(freqs, tmat @ result.bloch) >= log_likelihood(
+        freqs, tmat @ capped.bloch
+    )
+
+
+def test_saturated_mle_beats_rho_r_on_table_data():
+    # the table-2/3 sampling streams (seeds 1-5, six Pauli states, five
+    # repeats of 1024 shots) through both reference models: 300 cases
+    tmats = (
+        transfer_matrix(*REFERENCE_COUPLINGS),
+        build_circuit(REFERENCE_OPTIMUM).transfer_matrix(),
+    )
+    boundary = 0
+    for tmat in tmats:
+        for seed in range(1, 6):
+            for k, psi in enumerate(PAULI_EIGENSTATES):
+                probs = tmat @ bloch_from_state(psi)
+                for rep in range(5):
+                    rng = _substream(seed, _TAG_FULL, k, rep)
+                    freqs = rng.multinomial(1024, probs) / 1024.0
+                    label = f"seed {seed} state {k} repeat {rep}"
+                    exact = saturated_mle(freqs, tmat)
+                    reference = rho_r_mle(freqs, tmat)
+                    assert log_likelihood(freqs, tmat @ exact.bloch) >= (
+                        log_likelihood(freqs, tmat @ reference.bloch) - 1e-12
+                    ), label
+                    if exact.iterations > 1:
+                        boundary += 1
+                        assert exact.iterations <= 8, label
+                        _assert_sphere_optimum(freqs, tmat, exact, label)
+                    else:
+                        assert exact.converged, label
+                        np.testing.assert_allclose(
+                            tmat @ exact.bloch, freqs, rtol=0, atol=1e-12
+                        )
+    assert boundary == 166
+
+
+def _no_povm(kind):
+    """A transfer matrix that is no POVM, frequencies, and Newton steps taken."""
+    tmat = build_circuit(REFERENCE_OPTIMUM).transfer_matrix()
+    if kind == "shifted":
+        # T + 0.01: the likelihood peaks inside the ball while the linear
+        # inversion lies outside, so the sphere has no KKT point with
+        # lambda >= 0, and the steps run to the cap
+        freqs = np.array([0.486328125, 0.13671875, 0.10546875, 0.271484375])
+        return tmat + 0.01, freqs, 50
+    # first column negated: the start already has a negative live
+    # probability, so no step is taken
+    negated = transfer_matrix(*REFERENCE_COUPLINGS) * np.array([-1.0, 1.0, 1.0, 1.0])
+    return negated, np.array([0.7, 0.1, 0.1, 0.1]), 0
+
+
+@pytest.mark.parametrize("kind", ["shifted", "negated"])
+def test_saturated_mle_warns_without_certificate(kind, caplog):
+    # the solver must not claim an optimum it cannot certify
+    tmat, freqs, steps = _no_povm(kind)
+    with caplog.at_level(logging.WARNING, logger="qtomo.estimators"):
+        result = saturated_mle(freqs, tmat)
+    assert not result.converged
+    assert result.iterations == 1 + steps
+    assert np.all(np.isfinite(result.bloch))
+    assert np.linalg.norm(result.bloch[1:]) == pytest.approx(1.0, abs=1e-12)
+    records = [r for r in caplog.records if r.name == "qtomo.estimators"]
+    assert len(records) == 1
+    message = records[0].getMessage()
+    assert message.startswith(f"exact MLE stopped after {steps} Newton steps")
+    assert str(freqs.tolist()) in message
+    assert str(result.bloch[1:].tolist()) in message
+    if kind == "shifted":
+        assert _kkt(freqs, tmat, result.bloch)[1] < 0.0

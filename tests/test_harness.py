@@ -88,6 +88,23 @@ def test_full_experiment_reproduces_reference_fidelities():
     assert min(r.fidelity for r in report.rows) >= 0.995
 
 
+def test_full_experiment_mle_is_the_exact_solver(monkeypatch):
+    from qtomo import estimators, harness
+
+    calls = []
+
+    def spy(freqs, tmat):
+        calls.append(freqs)
+        return estimators.saturated_mle(freqs, tmat)
+
+    monkeypatch.setattr(harness, "saturated_mle", spy)
+    report = run_full_experiment(
+        TwoMeterModel(*REFERENCE_COUPLINGS), estimator="mle", repeats=2
+    )
+    assert len(calls) == 12  # six states, two repeats
+    assert report.kind == "full/mle"
+
+
 def test_full_experiment_rejects_unknown_estimator():
     with pytest.raises(ValueError):
         run_full_experiment(TwoMeterModel(*REFERENCE_COUPLINGS), estimator="map")

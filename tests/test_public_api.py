@@ -37,6 +37,19 @@ BENCHMARK_NAMES = (
 )
 
 
+# Names the harness and CLI run in production, exported at both levels.
+PRODUCTION_NAMES = (
+    ("", "saturated_mle"),
+    ("estimators", "saturated_mle"),
+)
+
+
+@pytest.mark.parametrize("module,name", PRODUCTION_NAMES)
+def test_production_names_are_exported(module, name):
+    mod = importlib.import_module(f"qtomo.{module}" if module else "qtomo")
+    assert name in mod.__all__
+
+
 @pytest.mark.parametrize("module", ("",) + MODULES)
 def test_all_entries_resolve(module):
     mod = importlib.import_module(f"qtomo.{module}" if module else "qtomo")
