@@ -3,13 +3,22 @@
 Four generic one-qubit gates and two CNOTs fanned out from the system
 compile to the 8x8 block unitary of a MeterModel, on the register
 convention of qtomo.model: both meters start in |+> and are read in x.
-Its transfer matrix is the Kraus read of that unitary.  The circuit
-family contains measurement settings whose average error reaches the
-four-outcome optimum of 8.0, a little over twice the best single-shot
-error of the two-meter coupling on a per-component basis.
+Both CNOTs are controlled by the system, so the Kraus operator of meter
+outcomes (a, b) factors into 2x2 pieces,
+
+    K_ab = H diag(beta_b) H diag(alpha_a),
+    alpha_a[s] = <a| H A2 X^s A1 |+>,   beta_b[s] = <b| H B2 X^s B1 |+>,
+
+and the transfer matrix is read off those factors in scalar arithmetic,
+about ten times faster than compiling the 8x8 unitary.  The Kraus read
+of the unitary is its independent check.  The circuit family contains
+measurement settings whose average error reaches the four-outcome
+optimum of 8.0, a little over twice the best single-shot error of the
+two-meter coupling on a per-component basis.
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -47,6 +56,14 @@ _CNOT_S_TO_A = cnot_matrix(control=1, target=0)
 _CNOT_S_TO_B = cnot_matrix(control=1, target=2)
 
 
+def _u3_entries(theta: float, phi: float, lam: float) -> tuple[complex, ...]:
+    """Entries (g00, g01, g10, g11) of u3(theta, phi, lam) as Python scalars."""
+    ct, st = math.cos(theta), math.sin(theta)
+    e_phi = cmath.exp(1.0j * phi)
+    e_lam = cmath.exp(1.0j * lam)
+    return ct, -e_lam * st, e_phi * st, cmath.exp(1.0j * (phi + lam)) * ct
+
+
 def u3(theta: float, phi: float, lam: float) -> np.ndarray:
     """Generic one-qubit gate with full-angle entries.
 
@@ -57,29 +74,30 @@ def u3(theta: float, phi: float, lam: float) -> np.ndarray:
     sets usually put theta/2 in the entries; build_circuit handles that
     choice explicitly.
     """
-    ct, st = math.cos(theta), math.sin(theta)
-    return np.array(
-        [
-            [ct, -np.exp(1.0j * lam) * st],
-            [np.exp(1.0j * phi) * st, np.exp(1.0j * (phi + lam)) * ct],
-        ]
-    )
+    g00, g01, g10, g11 = _u3_entries(theta, phi, lam)
+    return np.array([[g00, g01], [g10, g11]])
 
 
-def _gate(triple: np.ndarray, half_angle: bool) -> np.ndarray:
-    theta, phi, lam = triple
-    if half_angle:
-        theta = theta / 2.0
-    return u3(theta, phi, lam)
+def _gates(params: np.ndarray, half_angle: bool) -> list[tuple[complex, ...]]:
+    """Entries of the gates A1, A2, B1, B2; half_angle puts theta/2 inside."""
+    values = params.tolist()
+    return [
+        _u3_entries(theta / 2.0 if half_angle else theta, phi, lam)
+        for theta, phi, lam in zip(values[0::3], values[1::3], values[2::3])
+    ]
+
+
+def _checked_params(params) -> np.ndarray:
+    arr = np.asarray(params, dtype=float)
+    if arr.shape != (12,):
+        raise ValueError("expected 12 circuit parameters")
+    return arr
 
 
 def _block_unitary(params: np.ndarray, half_angle: bool) -> np.ndarray:
-    triples = params.reshape(4, 3)
-    gate_a1 = _gate(triples[0], half_angle)
-    gate_a2 = _gate(triples[1], half_angle)
-    gate_b1 = _gate(triples[2], half_angle)
-    gate_b2 = _gate(triples[3], half_angle)
-
+    gate_a1, gate_a2, gate_b1, gate_b2 = (
+        np.array(entries).reshape(2, 2) for entries in _gates(params, half_angle)
+    )
     unitary = kron3(gate_a1, _IDENTITY2, _IDENTITY2)
     unitary = _CNOT_S_TO_A @ unitary
     unitary = kron3(gate_a2, HADAMARD, gate_b1) @ unitary
@@ -88,8 +106,52 @@ def _block_unitary(params: np.ndarray, half_angle: bool) -> np.ndarray:
     return unitary
 
 
+def _meter_amplitudes(first: tuple, second: tuple) -> tuple[tuple[complex, complex], ...]:
+    """2 <a| H G2 X^s G1 |+> for one meter's gates G1 then G2, indexed [a][s]."""
+    f00, f01, f10, f11 = first
+    s00, s01, s10, s11 = second
+    v0, v1 = f00 + f01, f10 + f11  # sqrt(2) G1|+>
+    # G2 X^s (v0, v1): the system bit s swaps the two components
+    w00, w10 = s00 * v0 + s01 * v1, s10 * v0 + s11 * v1
+    w01, w11 = s00 * v1 + s01 * v0, s10 * v1 + s11 * v0
+    return (w00 + w10, w01 + w11), (w00 - w10, w01 - w11)
+
+
+def _transfer_matrix(params: np.ndarray, half_angle: bool) -> np.ndarray:
+    """T from the gate factors K_ab = H diag(beta_b) H diag(alpha_a).
+
+    E = K^dag K has diagonal |alpha_a[s]|^2 (|beta_b[0]|^2 + |beta_b[1]|^2)/2
+    and off-diagonal conj(alpha_a[0]) alpha_a[1] (|beta_b[0]|^2 - |beta_b[1]|^2)/2;
+    T[q, mu] = Tr(E_q sigma_mu)/2 with q = 2a + b, so the sigma_y column
+    is -Im E_01.  The amplitudes carry a factor 2 each, hence 1/64 and 1/32.
+    """
+    gate_a1, gate_a2, gate_b1, gate_b2 = _gates(params, half_angle)
+    alpha = _meter_amplitudes(gate_a1, gate_a2)
+    beta = _meter_amplitudes(gate_b1, gate_b2)
+    meter_b = []
+    for b0, b1 in beta:
+        p0 = b0.real * b0.real + b0.imag * b0.imag
+        p1 = b1.real * b1.real + b1.imag * b1.imag
+        meter_b.append((p0 + p1, p0 - p1))
+    rows = []
+    for a0, a1 in alpha:
+        p0 = a0.real * a0.real + a0.imag * a0.imag
+        p1 = a1.real * a1.real + a1.imag * a1.imag
+        cross = a0.conjugate() * a1
+        for b_sum, b_diff in meter_b:
+            rows.append(
+                (
+                    (p0 + p1) * b_sum / 64.0,
+                    cross.real * b_diff / 32.0,
+                    -cross.imag * b_diff / 32.0,
+                    (p0 - p1) * b_sum / 64.0,
+                )
+            )
+    return np.array(rows)
+
+
 def build_circuit(params, half_angle: bool = True) -> MeterModel:
-    """Compile the circuit to its block unitary; T is the Kraus read.
+    """Compile the circuit to its block unitary, with T from its gate factors.
 
     Parameters
     ----------
@@ -102,10 +164,12 @@ def build_circuit(params, half_angle: bool = True) -> MeterModel:
         REFERENCE_OPTIMUM reaches the average error 8.0; pass False to
         feed the triples to u3 unchanged.
     """
-    arr = np.asarray(params, dtype=float)
-    if arr.shape != (12,):
-        raise ValueError("expected 12 circuit parameters")
-    return MeterModel(params=tuple(arr), unitary=_block_unitary(arr, half_angle))
+    arr = _checked_params(params)
+    return MeterModel(
+        params=tuple(arr),
+        unitary=_block_unitary(arr, half_angle),
+        _tmat=_transfer_matrix(arr, half_angle),
+    )
 
 
 def qttf_circuit(
@@ -117,8 +181,8 @@ def qttf_circuit(
 
     Exact unless a quadrature rule is passed (see qttf_from_transfer).
     """
-    model = build_circuit(params, half_angle=half_angle)
-    return qttf_from_transfer(model.transfer_matrix(), rule)
+    tmat = _transfer_matrix(_checked_params(params), half_angle)
+    return qttf_from_transfer(tmat, rule)
 
 
 def optimize_circuit(
@@ -139,6 +203,6 @@ def optimize_circuit(
     starts = rng.uniform(0.0, 2.0 * math.pi, size=(restarts, 12))
 
     def objective(x: np.ndarray) -> float:
-        return qttf_circuit(x, rule, half_angle=half_angle)
+        return qttf_from_transfer(_transfer_matrix(x, half_angle), rule)
 
     return minimize_with_restarts(objective, list(starts), maxiter=4000)

@@ -203,6 +203,8 @@ def cmd_optimize(args) -> int:
                 "params": list(r.params),
                 "converged": r.converged,
                 "iterations": r.iterations,
+                "evaluations": r.evaluations,
+                "seconds": r.seconds,
             }
             for r in result.restarts
         ],
@@ -517,6 +519,19 @@ def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> di
         return np.max(gaps)
 
     record("qttf_exact_vs_quadrature", 1e-9, qttf_exact_check)
+
+    def circuit_kraus_check():
+        # the circuit's transfer matrix from its gate factors against the
+        # Kraus read of its compiled 8x8 unitary, in both gate conventions
+        dev = 0.0
+        for i in range(20):
+            params = rng.uniform(0.0, 2.0 * math.pi, size=12)
+            model = build_circuit(params, half_angle=i % 2 == 0)
+            gap = model.transfer_matrix() - kraus_transfer(model.unitary)
+            dev = max(dev, float(np.max(np.abs(gap))))
+        return dev
+
+    record("circuit_transfer_vs_kraus", 1e-12, circuit_kraus_check)
 
     return {
         "checks": checks,

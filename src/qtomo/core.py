@@ -240,8 +240,12 @@ def expm_2x2_hermitian(hmat: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 
 def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Kronecker product of three single-qubit operators."""
-    return np.kron(np.kron(a, b), c)
+    """Kronecker product of three single-qubit operators, in one broadcast."""
+    return (
+        a[:, None, None, :, None, None]
+        * b[None, :, None, None, :, None]
+        * c[None, None, :, None, None, :]
+    ).reshape(8, 8)
 
 
 def cnot_matrix(control: int, target: int, n_qubits: int = 3) -> np.ndarray:

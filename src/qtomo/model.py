@@ -4,10 +4,10 @@ Every four-outcome model here is an 8x8 block unitary on the register
 (meter A, system, meter B), qubit 0 leftmost: both meters start in |+>,
 the unitary acts, and the meters are read in x (H x I x H, then z), with
 outcome q = 2a + b in the order (++, +-, -+, --).  MeterModel holds that
-unitary; kraus_transfer reads its 4x4 transfer matrix T (probabilities
-= T @ S for Bloch 4-vectors S) off the four system-side Kraus operators,
-and simulate_meter_process, used only by checks, evolves the full 8x8
-density matrix.
+unitary and the model's closed-form 4x4 transfer matrix T (probabilities
+= T @ S for Bloch 4-vectors S).  kraus_transfer reads T off the four
+system-side Kraus operators of the unitary, and simulate_meter_process
+evolves the full 8x8 density matrix; both are used only by checks.
 
 From T come the Fisher matrix, the per-state error Delta and the
 state-averaged qTTF.  Every such model is saturated (four outcomes, three
@@ -22,11 +22,11 @@ reference that the tests and the identity suite compare them against.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (
     HADAMARD,
@@ -127,17 +127,13 @@ class MeterModel:
     """A four-outcome model: its 8x8 block unitary and transfer matrix.
 
     params are the settings the unitary was built from.  The transfer
-    matrix is the Kraus read of the unitary unless the constructor is
-    handed an equal closed form.
+    matrix is the model's closed form; kraus_transfer(unitary) is its
+    independent check.
     """
 
     params: tuple[float, ...]
     unitary: np.ndarray = field(repr=False, compare=False)
-    _tmat: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self._tmat is None:
-            object.__setattr__(self, "_tmat", kraus_transfer(self.unitary))
+    _tmat: np.ndarray = field(repr=False, compare=False)
 
     def transfer_matrix(self) -> np.ndarray:
         return self._tmat
@@ -254,13 +250,18 @@ def default_rule() -> QuadratureRule:
 
 @dataclass(frozen=True)
 class RestartOutcome:
-    """One local search: where it started, where it ended, what it found."""
+    """One local search: where it started, where it ended, what it found.
+
+    evaluations counts objective calls and seconds is the search's wall time.
+    """
 
     start: np.ndarray
     params: np.ndarray
     value: float
     iterations: int
     converged: bool
+    evaluations: int
+    seconds: float
 
 
 @dataclass(frozen=True)
@@ -282,9 +283,13 @@ def minimize_with_restarts(
 
     Non-finite objective values are fine (the simplex retreats from them).
     """
+    # imported here so that `import qtomo` does not pay for scipy
+    from scipy.optimize import minimize
+
     options = {"xatol": xatol, "fatol": fatol, "maxiter": maxiter}
 
     def run(x0: np.ndarray) -> RestartOutcome:
+        started = time.perf_counter()
         res = minimize(objective, x0, method="Nelder-Mead", options=options)
         return RestartOutcome(
             start=np.asarray(x0, dtype=float),
@@ -292,6 +297,8 @@ def minimize_with_restarts(
             value=float(res.fun),
             iterations=int(res.nit),
             converged=bool(res.success),
+            evaluations=int(res.nfev),
+            seconds=time.perf_counter() - started,
         )
 
     outcomes = [run(x0) for x0 in starts]

@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import PI_1, PI_PLUS, QuadratureRule, expm_2x2_hermitian
 from .model import (
-    SIGN_MATRIX,
     MeterModel,
     OptimizationResult,
     minimize_with_restarts,
@@ -65,6 +64,43 @@ def joint_unitary(theta_a: float, theta_b: float) -> np.ndarray:
     return joint.reshape(8, 8)
 
 
+def _coefficients(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ...]:
+    tc = math.hypot(theta_a, theta_b)
+    ca, sa = math.cos(theta_a / 2.0), math.sin(theta_a / 2.0)
+    cb, sb = math.cos(theta_b / 2.0), math.sin(theta_b / 2.0)
+    cc = math.cos(tc / 2.0)
+    half_sinc = 0.5 * float(np.sinc(tc / (2.0 * math.pi)))  # sin(tc/2)/tc, 1/2 at 0
+    sin_diff = math.sin((theta_a - theta_b) / 2.0)
+    sin_sum = math.sin((theta_a + theta_b) / 2.0)
+
+    a = (
+        ca * (ca + theta_b * sb * half_sinc + cb * cc) / 8.0,
+        sa * (sb * cc - theta_b * cb * half_sinc) / 8.0,
+        theta_a * sa * sb * half_sinc / 8.0,
+        sa * (sa + theta_a * cb * half_sinc) / 8.0,
+    )
+    b = (
+        cb * (cb + theta_a * sa * half_sinc + ca * cc) / 8.0,
+        -sb * (sb + theta_b * ca * half_sinc) / 8.0,
+        -theta_b * sa * sb * half_sinc / 8.0,
+        -sb * (sa * cc - theta_a * ca * half_sinc) / 8.0,
+    )
+    c = (
+        (
+            4.0 * cc * math.cos((theta_a + theta_b) / 2.0)
+            + math.cos(theta_a - theta_b)
+            + math.cos(theta_a)
+            + math.cos(theta_b)
+            + 1.0
+        )
+        / 32.0,
+        (ca * sb * sin_diff - theta_b * half_sinc * sin_sum) / 8.0,
+        sa * sb * sin_diff / 8.0,
+        (sa * cb * sin_diff + theta_a * half_sinc * sin_sum) / 8.0,
+    )
+    return a, b, c
+
+
 def coefficients_closed_form(
     theta_a: float, theta_b: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,65 +113,29 @@ def coefficients_closed_form(
     fixed against the Kraus read of joint_unitary and direct simulation
     of the meter process.
     """
-    tc = math.hypot(theta_a, theta_b)
-    ca, sa = math.cos(theta_a / 2.0), math.sin(theta_a / 2.0)
-    cb, sb = math.cos(theta_b / 2.0), math.sin(theta_b / 2.0)
-    cc = math.cos(tc / 2.0)
-    half_sinc = 0.5 * np.sinc(tc / (2.0 * math.pi))  # sin(tc/2)/tc, 1/2 at 0
-    sin_diff = math.sin((theta_a - theta_b) / 2.0)
-    sin_sum = math.sin((theta_a + theta_b) / 2.0)
-
-    a = np.array(
-        [
-            ca * (ca + theta_b * sb * half_sinc + cb * cc) / 8.0,
-            sa * (sb * cc - theta_b * cb * half_sinc) / 8.0,
-            theta_a * sa * sb * half_sinc / 8.0,
-            sa * (sa + theta_a * cb * half_sinc) / 8.0,
-        ]
-    )
-    b = np.array(
-        [
-            cb * (cb + theta_a * sa * half_sinc + ca * cc) / 8.0,
-            -sb * (sb + theta_b * ca * half_sinc) / 8.0,
-            -theta_b * sa * sb * half_sinc / 8.0,
-            -sb * (sa * cc - theta_a * ca * half_sinc) / 8.0,
-        ]
-    )
-    c = np.array(
-        [
-            (
-                4.0 * cc * math.cos((theta_a + theta_b) / 2.0)
-                + math.cos(theta_a - theta_b)
-                + math.cos(theta_a)
-                + math.cos(theta_b)
-                + 1.0
-            )
-            / 32.0,
-            (ca * sb * sin_diff - theta_b * half_sinc * sin_sum) / 8.0,
-            sa * sb * sin_diff / 8.0,
-            (sa * cb * sin_diff + theta_a * half_sinc * sin_sum) / 8.0,
-        ]
-    )
-    return a, b, c
+    a, b, c = _coefficients(theta_a, theta_b)
+    return np.array(a), np.array(b), np.array(c)
 
 
 def transfer_matrix(theta_a: float, theta_b: float) -> np.ndarray:
     """4x4 map from Bloch 4-vectors to outcome probabilities (++, +-, -+, --).
 
-    Column 0 includes the constant 1/4 alongside the mu = 0 coefficient
-    block; dropping that block would break agreement with the simulated
-    process for every non-trivial coupling.
+    Row (k, l) is a k + b l + c kl.  Column 0 includes the constant 1/4
+    alongside the mu = 0 coefficient block; dropping that block would
+    break agreement with the simulated process for every non-trivial
+    coupling.
     """
-    a, b, c = coefficients_closed_form(theta_a, theta_b)
-    tmat = np.empty((4, 4))
-    tmat[:, 0] = 0.25
-    for mu in range(4):
-        column = a[mu] * SIGN_MATRIX[0] + b[mu] * SIGN_MATRIX[1] + c[mu] * SIGN_MATRIX[2]
-        if mu == 0:
-            tmat[:, 0] += column
-        else:
-            tmat[:, mu] = column
-    return tmat
+    a, b, c = _coefficients(theta_a, theta_b)
+    abc = tuple(zip(a, b, c))
+    rows = [
+        [a_mu + b_mu + c_mu for a_mu, b_mu, c_mu in abc],
+        [a_mu - b_mu - c_mu for a_mu, b_mu, c_mu in abc],
+        [-a_mu + b_mu - c_mu for a_mu, b_mu, c_mu in abc],
+        [-a_mu - b_mu + c_mu for a_mu, b_mu, c_mu in abc],
+    ]
+    for row in rows:
+        row[0] += 0.25
+    return np.array(rows)
 
 
 class TwoMeterModel(MeterModel):

@@ -20,7 +20,13 @@ from qtomo.core import (
     state_from_angles,
 )
 from qtomo.estimators import linear_inversion
-from qtomo.model import default_rule, minimize_with_restarts, qttf_from_transfer
+from qtomo.model import (
+    default_rule,
+    kraus_transfer,
+    minimize_with_restarts,
+    qttf_from_transfer,
+    simulate_meter_process,
+)
 
 gate_angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
 
@@ -50,6 +56,37 @@ def test_u3_unitary(theta, phi, lam):
 def test_build_circuit_validates_length():
     with pytest.raises(ValueError):
         build_circuit((0.1, 0.2, 0.3))
+    with pytest.raises(ValueError):
+        build_circuit(np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        qttf_circuit((0.1, 0.2, 0.3))
+
+
+@pytest.mark.parametrize("half_angle", [True, False])
+def test_factored_transfer_matches_kraus_read_and_simulation(half_angle):
+    # T from the 2x2 gate factors against the Kraus read of the compiled
+    # 8x8 unitary and against 8x8 density-matrix evolution
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        model = build_circuit(rng.uniform(0.0, 2 * math.pi, size=12), half_angle)
+        tmat = model.transfer_matrix()
+        np.testing.assert_allclose(tmat, kraus_transfer(model.unitary), rtol=0, atol=1e-12)
+        bloch = bloch_from_state(
+            state_from_angles(rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, math.pi))
+        )
+        sim = simulate_meter_process(density_from_bloch(bloch), model.unitary)
+        np.testing.assert_allclose(tmat @ bloch, sim, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("half_angle", [True, False])
+def test_qttf_circuit_matches_kraus_read(half_angle):
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        params = rng.uniform(0.0, 2 * math.pi, size=12)
+        unitary = build_circuit(params, half_angle).unitary
+        reference = qttf_from_transfer(kraus_transfer(unitary))
+        value = qttf_circuit(params, half_angle=half_angle)
+        assert value == pytest.approx(reference, rel=1e-12)
 
 
 def test_block_unitary_is_unitary():

@@ -4,13 +4,21 @@ import io
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qtomo
 from qtomo.cli import main
 from qtomo.estimators import saturated_mle
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, qttf_two_meter
+
+
+# the source directory of the qtomo package these tests import
+SRC = os.path.dirname(os.path.dirname(qtomo.__file__))
 
 
 def _run(capsys, argv):
@@ -180,6 +188,7 @@ def test_check_identities_passes_and_writes_file(tmp_path, capsys):
     assert "coefficients_vs_trace" in blob["checks"]
     assert all(v["max_deviation"] <= v["tolerance"] for v in blob["checks"].values())
     assert "qttf_exact_vs_quadrature" in blob["checks"]
+    assert list(blob["checks"])[-1] == "circuit_transfer_vs_kraus"
 
 
 def test_check_identities_corrupt_negative_control(tmp_path):
@@ -335,6 +344,32 @@ def test_optimize_json_schema(tmp_path):
     assert len(blob["restarts"]) == 2
     assert blob["best_value"] == min(r["value"] for r in blob["restarts"])
     assert blob["meta"]["quad"] == "16x16"
+
+
+def test_optimize_reports_evaluations_and_time(tmp_path):
+    out_file = tmp_path / "opt.json"
+    code = main(
+        ["optimize", "--model", "circuit", "--restarts", "2", "--seed", "0",
+         "--out", str(out_file)]
+    )
+    assert code == 0
+    blob = json.loads(out_file.read_text(), parse_constant=_reject_constant)
+    assert len(blob["restarts"]) == 2
+    for restart in blob["restarts"]:
+        assert restart["evaluations"] >= restart["iterations"] >= 1
+        assert restart["seconds"] >= 0.0
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported only when an optimizer runs
+    code = "import sys, qtomo, qtomo.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_optimize_defaults_to_exact_qttf(tmp_path):

@@ -206,4 +206,7 @@ def test_kron3_matches_nested_kron():
     rng = np.random.default_rng(5)
     a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))
     np.testing.assert_allclose(kron3(a, b, c), np.kron(np.kron(a, b), c))
+    # the broadcast product forms each entry as the same two products
+    x, y, z = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
+    assert np.array_equal(kron3(x, y, z), np.kron(np.kron(x, y), z))
 

@@ -16,6 +16,7 @@ from qtomo.core import (
 )
 from qtomo.estimators import linear_inversion
 from qtomo.model import (
+    SIGN_MATRIX,
     SingularInformationError,
     default_rule,
     delta_from_transfer,
@@ -130,6 +131,18 @@ def test_transfer_column_sums():
     # the rest to 0
     tmat = transfer_matrix(*REFERENCE_COUPLINGS)
     np.testing.assert_allclose(tmat.sum(axis=0), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_transfer_matrix_is_the_sign_pattern_sum():
+    # T[:, mu] = a_mu k + b_mu l + c_mu kl (+ 1/4 in column 0), summed in
+    # the same order, so the rows equal the sign-matrix form bit for bit
+    rng = np.random.default_rng(4)
+    for theta_a, theta_b in [(0.0, 0.0), *rng.uniform(-10.0, 10.0, size=(200, 2))]:
+        a, b, c = coefficients_closed_form(theta_a, theta_b)
+        expected = np.outer(SIGN_MATRIX[0], a) + np.outer(SIGN_MATRIX[1], b)
+        expected += np.outer(SIGN_MATRIX[2], c)
+        expected[:, 0] += 0.25
+        assert np.array_equal(transfer_matrix(theta_a, theta_b), expected)
 
 
 def test_zero_couplings_are_degenerate():
