@@ -143,6 +143,13 @@ def _json_text(payload: dict) -> str:
 
 
 def _build_model(args):
+    # a flag of the other model would be silently ignored; refuse it instead
+    if args.model == "two-meter" and args.params is not None:
+        raise ValueError("--params applies to --model circuit only")
+    if args.model == "circuit":
+        for flag, value in (("--theta-a", args.theta_a), ("--theta-b", args.theta_b)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to --model two-meter only")
     if args.model == "two-meter":
         theta_a = args.theta_a if args.theta_a is not None else REFERENCE_COUPLINGS[0]
         theta_b = args.theta_b if args.theta_b is not None else REFERENCE_COUPLINGS[1]
@@ -582,6 +589,9 @@ def cmd_estimate(args) -> int:
             freqs = probs
             source = {"sampled": False}
         else:
+            # a singular T can give round-off negative probabilities, which
+            # the sampler rejects; report the singular model first
+            require_invertible(tmat)
             rng = np.random.default_rng(args.seed)
             counts = rng.multinomial(args.shots, probs)
             freqs = counts / args.shots

@@ -189,7 +189,24 @@ def fisher_matrix_form(tmat: np.ndarray, state: np.ndarray) -> np.ndarray:
 
 
 def _estimate_rows(tmat: np.ndarray) -> np.ndarray | None:
-    """A = T^-1[1:, :], or None once cond(T) >= CONDITION_LIMIT."""
+    """A = T^-1[1:, :], or None once cond(T) >= CONDITION_LIMIT.
+
+    cond_2(T) <= |T|_F |T^-1|_F, so when that bound on the computed
+    inverse is below CONDITION_LIMIT / 2 the inverse is returned without
+    an SVD; the factor 2 covers the inverse's round-off (relative error
+    about cond * eps, 1e-4 at the limit).  Otherwise, or when inv raises,
+    cond(T) decides, so the answer and its bits match the SVD test.
+    Raises ValueError for a non-finite T.
+    """
+    try:
+        inv = np.linalg.inv(tmat)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if math.sqrt(np.vdot(tmat, tmat) * np.vdot(inv, inv)) < CONDITION_LIMIT / 2:
+            return inv[1:, :]
+    if not np.all(np.isfinite(tmat)):
+        raise ValueError("transfer matrix must be finite")
     if not np.linalg.cond(tmat) < CONDITION_LIMIT:
         return None
     return np.linalg.inv(tmat)[1:, :]
@@ -228,7 +245,9 @@ def qttf_from_transfer(tmat: np.ndarray, rule: QuadratureRule | None = None) -> 
 
     Without a rule this is exact: Tr F^-1(s) = sum_q p_q |a_q|^2 - |s|^2
     is affine in s on pure states, so its average is
-    sum_q |a_q|^2 T[q, 0] - 1, and inf once cond(T) >= CONDITION_LIMIT.
+    sum_q |a_q|^2 T[q, 0] - 1, and inf once cond(T) >= CONDITION_LIMIT
+    (a Frobenius-norm bound clears well-conditioned T; only T near the
+    limit pays for an SVD, see _estimate_rows).
     With a rule it is the quadrature average over delta_surface, inf as
     soon as any node is singular; that path is the reference for checks.
     """

@@ -64,12 +64,18 @@ def joint_unitary(theta_a: float, theta_b: float) -> np.ndarray:
     return joint.reshape(8, 8)
 
 
+def _half_sinc(tc: float) -> float:
+    """sin(tc/2)/tc, 1/2 at 0: np.sinc(tc / 2pi) / 2 in numpy's own steps."""
+    x = math.pi * (tc / (2.0 * math.pi))
+    return 0.5 * (math.sin(x) / x if x else 1.0)
+
+
 def _coefficients(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ...]:
     tc = math.hypot(theta_a, theta_b)
     ca, sa = math.cos(theta_a / 2.0), math.sin(theta_a / 2.0)
     cb, sb = math.cos(theta_b / 2.0), math.sin(theta_b / 2.0)
     cc = math.cos(tc / 2.0)
-    half_sinc = 0.5 * float(np.sinc(tc / (2.0 * math.pi)))  # sin(tc/2)/tc, 1/2 at 0
+    half_sinc = _half_sinc(tc)
     sin_diff = math.sin((theta_a - theta_b) / 2.0)
     sin_sum = math.sin((theta_a + theta_b) / 2.0)
 
@@ -108,10 +114,10 @@ def coefficients_closed_form(
 
     The probability of joint outcome (k, l) for Bloch vector s is
     sum_mu (s_mu/4) delta_{mu 0} + (a_mu k + b_mu l + c_mu k l) s_mu.
-    sin(theta_C/2)/theta_C is evaluated through sinc, so the removable
-    singularity at theta_C = 0 needs no special casing.  Signs here are
-    fixed against the Kraus read of joint_unitary and direct simulation
-    of the meter process.
+    sin(theta_C/2)/theta_C is sinc(theta_C / 2pi) / 2, computed on Python
+    floats with the steps of np.sinc and its limit 1/2 at theta_C = 0.
+    Signs here are fixed against the Kraus read of joint_unitary and
+    direct simulation of the meter process.
     """
     a, b, c = _coefficients(theta_a, theta_b)
     return np.array(a), np.array(b), np.array(c)

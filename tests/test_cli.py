@@ -306,6 +306,36 @@ def test_estimate_singular_model_exits_2(capsys, estimator):
     assert out == ""
 
 
+@pytest.mark.parametrize("estimator", ["linear", "mle"])
+def test_estimate_sampling_from_singular_model_exits_2(capsys, estimator):
+    # at theta_A = 2 pi T is singular and T @ S carries a round-off negative
+    # probability, which must not reach the sampler as invalid input
+    code = main(
+        ["estimate", "--model", "two-meter", "--theta-a", repr(2.0 * math.pi),
+         "--theta-b", "0", "--state", "0.3,0.2", "--estimator", estimator]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, model",
+    [
+        (["--model", "two-meter", "--params", "nan,1"], "--params", "circuit"),
+        (["--model", "circuit", "--theta-a", "1"], "--theta-a", "two-meter"),
+        (["--model", "circuit", "--theta-b", "1"], "--theta-b", "two-meter"),
+    ],
+)
+def test_estimate_rejects_flags_of_the_other_model(capsys, argv, flag, model):
+    code = main(["estimate", *argv, "--state", "0.3,0.2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"{flag} applies to --model {model} only" in captured.err
+
+
 def test_estimate_rejects_zero_shots(capsys):
     code, out = _run(capsys, ["estimate", "--state", "x0", "--shots", "0"])
     assert code == 1
