@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -59,7 +60,13 @@ from .model import (
     qttf_from_transfer,
 )
 from .single import max_error_single, qttf_single, two_design_average
-from .twometer import REFERENCE_COUPLINGS, TwoMeterModel, optimize_two_meter
+from .twometer import (
+    REFERENCE_COUPLINGS,
+    TwoMeterModel,
+    joint_unitary,
+    optimize_two_meter,
+    transfer_matrix,
+)
 
 _TABLE_1_THETAS = (math.pi / 2.0, 2.0 * math.pi / 3.0, math.pi)
 
@@ -90,6 +97,8 @@ def _parse_params(text: str) -> tuple[float, ...]:
     values = tuple(float(x) for x in text.split(","))
     if len(values) != 12:
         raise ValueError("--params expects 12 comma-separated reals")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"--params entries must be finite, got {text}")
     return values
 
 
@@ -153,6 +162,9 @@ def _build_model(args):
     if args.model == "two-meter":
         theta_a = args.theta_a if args.theta_a is not None else REFERENCE_COUPLINGS[0]
         theta_b = args.theta_b if args.theta_b is not None else REFERENCE_COUPLINGS[1]
+        for flag, value in (("--theta-a", theta_a), ("--theta-b", theta_b)):
+            if not math.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {value}")
         return TwoMeterModel(theta_a, theta_b)
     if args.model == "circuit":
         params = _parse_params(args.params) if args.params else REFERENCE_OPTIMUM
@@ -292,6 +304,13 @@ def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> di
     Returns {"checks": {name: {max_deviation, tolerance, pass}}, "all_pass"}.
     corrupt=True perturbs the transfer matrix used in the model-consistency
     checks, which must make the suite fail (negative control).
+
+    Each oracle runs once and is shared.  The 8x8 simulations of the 40
+    random cases feed probability_normalization, transfer_vs_simulation
+    and linear_inversion_roundtrip; the five R-rho-R runs feed the three
+    mle_* checks.  coefficients_vs_trace builds the joint unitaries of
+    all its couplings in one stacked eigh and reads them in one batched
+    Kraus read; circuit_transfer_vs_kraus reads its circuits in one too.
     """
     rng = np.random.default_rng(seed)
     checks: dict[str, dict] = {}
@@ -338,8 +357,9 @@ def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> di
     def coefficient_check():
         # closed-form transfer matrices against the Kraus read of the
         # joint unitary, including near-degenerate couplings where
-        # theta_C is tiny
-        dev = 0.0
+        # theta_C is tiny; all unitaries come from one stacked eigh and
+        # are read in one batched Kraus read
+        couplings = []
         for i in range(pairs):
             if i % 10 == 0:
                 # theta_C = hypot(theta_A, theta_B) below 1e-6: the sinc
@@ -349,8 +369,12 @@ def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> di
             else:
                 ta = rng.uniform(-3 * math.pi, 3 * math.pi)
                 tb = rng.uniform(-3 * math.pi, 3 * math.pi)
-            model = TwoMeterModel(ta, tb)
-            gap = model.transfer_matrix() - kraus_transfer(model.unitary)
+            couplings.append((ta, tb))
+        theta_a, theta_b = np.array(couplings).reshape(pairs, 2).T
+        reads = kraus_transfer(joint_unitary(theta_a, theta_b))
+        dev = 0.0
+        for (ta, tb), read in zip(couplings, reads):
+            gap = transfer_matrix(ta, tb) - read
             dev = max(dev, float(np.max(np.abs(gap))))
         return dev
 
@@ -367,11 +391,22 @@ def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> di
     cases = [
         (random_state(), m_idx) for _ in range(20) for m_idx in (0, 1)
     ]
+    simulated = None
+
+    def case_simulations():
+        # the 8x8 simulation of every case, run once and shared by the
+        # checks that compare against it
+        nonlocal simulated
+        if simulated is None:
+            simulated = [
+                models[m_idx].probabilities(density_from_bloch(bloch_from_state(psi)))
+                for psi, m_idx in cases
+            ]
+        return simulated
 
     def normalization_check():
         dev = 0.0
-        for psi, m_idx in cases:
-            sim = models[m_idx].probabilities(density_from_bloch(bloch_from_state(psi)))
+        for sim in case_simulations():
             dev = max(dev, abs(float(sim.sum()) - 1.0), -float(sim.min()))
         return dev
 
@@ -379,9 +414,8 @@ def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> di
 
     def simulation_check():
         dev = 0.0
-        for psi, m_idx in cases:
+        for (psi, m_idx), sim in zip(cases, case_simulations()):
             bloch = bloch_from_state(psi)
-            sim = models[m_idx].probabilities(density_from_bloch(bloch))
             dev = max(dev, float(np.max(np.abs(tmats[m_idx] @ bloch - sim))))
         return dev
 
@@ -412,9 +446,8 @@ def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> di
         # invert the simulated probabilities with the claimed matrix; any
         # gap between claim and simulation lands in the recovered state
         dev = 0.0
-        for psi, m_idx in cases:
+        for (psi, m_idx), sim in zip(cases, case_simulations()):
             bloch = bloch_from_state(psi)
-            sim = models[m_idx].probabilities(density_from_bloch(bloch))
             est = linear_inversion(sim, tmats[m_idx])
             dev = max(dev, float(np.max(np.abs(est.bloch - bloch))))
         return dev
@@ -529,12 +562,16 @@ def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> di
 
     def circuit_kraus_check():
         # the circuit's transfer matrix from its gate factors against the
-        # Kraus read of its compiled 8x8 unitary, in both gate conventions
+        # Kraus read of its compiled 8x8 unitary, in both gate conventions;
+        # one batched read covers all twenty unitaries
+        circuits = [
+            build_circuit(rng.uniform(0.0, 2.0 * math.pi, size=12), half_angle=i % 2 == 0)
+            for i in range(20)
+        ]
+        reads = kraus_transfer(np.array([c.unitary for c in circuits]))
         dev = 0.0
-        for i in range(20):
-            params = rng.uniform(0.0, 2.0 * math.pi, size=12)
-            model = build_circuit(params, half_angle=i % 2 == 0)
-            gap = model.transfer_matrix() - kraus_transfer(model.unitary)
+        for circ, read in zip(circuits, reads):
+            gap = circ.transfer_matrix() - read
             dev = max(dev, float(np.max(np.abs(gap))))
         return dev
 
@@ -723,9 +760,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # built once per process: parsing keeps no state in the parser, and
+    # usage, errors and --version read sys.stdout/sys.stderr when printed
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # qtomo warnings go to the sys.stderr of this call, with level and origin
     handler = logging.StreamHandler()
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))

@@ -224,19 +224,23 @@ def make_quadrature(n1: int, n2: int, *, alpha2_limit: float = math.pi) -> Quadr
     )
 
 
-def expm_2x2_hermitian(hmat: np.ndarray, t: float = 1.0) -> np.ndarray:
+def expm_2x2_hermitian(hmat: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
     """exp(-i t H) for Hermitian 2x2 H, by spectral decomposition.
 
-    Exact up to round-off, unlike a truncated series.
+    Exact up to round-off, unlike a truncated series.  hmat may be a
+    (..., 2, 2) stack and t an array that broadcasts against its leading
+    shape; the result is (..., 2, 2) over the broadcast shape, and each
+    member carries the bits of its own 2x2 call.  Any non-Hermitian
+    member raises ValueError.
     """
     hmat = np.asarray(hmat, dtype=complex)
-    if hmat.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    if np.max(np.abs(hmat - hmat.conj().T)) > 1e-12:
+    if hmat.shape[-2:] != (2, 2):
+        raise ValueError("expected a 2x2 matrix or a (..., 2, 2) stack")
+    if np.abs(hmat - hmat.conj().swapaxes(-1, -2)).max(initial=0.0) > 1e-12:
         raise ValueError("matrix is not Hermitian")
     evals, evecs = np.linalg.eigh(hmat)
-    phases = np.exp(-1.0j * t * evals)
-    return (evecs * phases) @ evecs.conj().T
+    phases = np.exp(-1.0j * np.asarray(t)[..., None] * evals)
+    return (evecs * phases[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
 
 
 def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

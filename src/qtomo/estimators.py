@@ -112,8 +112,11 @@ def _check_frequencies(freqs: np.ndarray) -> np.ndarray:
 
 
 def require_invertible(tmat: np.ndarray) -> float:
-    """cond(T), or NonInvertibleModelError when it reaches CONDITION_LIMIT."""
-    cond = float(np.linalg.cond(tmat))
+    """cond(T), or NonInvertibleModelError when it reaches CONDITION_LIMIT.
+
+    Raises ValueError first unless T is a finite real 4x4 array.
+    """
+    cond = float(np.linalg.cond(_check_transfer(tmat)))
     if not cond < CONDITION_LIMIT:
         raise NonInvertibleModelError(cond)
     return cond

@@ -99,13 +99,15 @@ def kraus_transfer(unitary: np.ndarray) -> np.ndarray:
     """Transfer matrix read off the four system-side Kraus operators.
 
     K_(a,b) = <a,b|_meters (H x I x H) U |+>_A |+>_B, E_q = K_q^dag K_q
-    with q = 2a + b, and T[q, mu] = Tr(E_q sigma_mu) / 2.
+    with q = 2a + b, and T[q, mu] = Tr(E_q sigma_mu) / 2.  A (..., 8, 8)
+    stack of unitaries gives a (..., 4, 4) stack of transfer matrices.
     """
-    # axes (a, s, b, a', s', b'); summing a' and b' applies both |+> inputs
-    blocks = (_READOUT @ unitary).reshape((2,) * 6).sum(axis=(3, 5)) / 2.0
-    kraus = blocks.transpose(0, 2, 1, 3).reshape(4, 2, 2)
-    effects = np.einsum("qji,qjk->qik", kraus.conj(), kraus)
-    return 0.5 * np.einsum("qik,mki->qm", effects, SIGMA).real
+    stack = np.shape(unitary)[:-2]
+    # axes (..., a, s, b, a', s', b'); summing a' and b' applies both |+> inputs
+    blocks = (_READOUT @ unitary).reshape(stack + (2,) * 6).sum(axis=(-3, -1)) / 2.0
+    kraus = blocks.swapaxes(-3, -2).reshape(stack + (4, 2, 2))
+    effects = np.einsum("...qji,...qjk->...qik", kraus.conj(), kraus)
+    return 0.5 * np.einsum("...qik,mki->...qm", effects, SIGMA).real
 
 
 def simulate_meter_process(rho0: np.ndarray, unitary: np.ndarray) -> np.ndarray:

@@ -41,27 +41,44 @@ __all__ = [
 REFERENCE_COUPLINGS = (3.45, -8.42)
 
 
-def meter_unitaries(theta_a: float, theta_b: float) -> tuple[np.ndarray, ...]:
+def meter_unitaries(
+    theta_a: float | np.ndarray, theta_b: float | np.ndarray
+) -> tuple[np.ndarray, ...]:
     """System-side evolutions (U00, U01, U10, U11), one per meter branch.
 
     Branch (i, j) applies exp(-i(theta_A i Pi_1 + theta_B j Pi_+)).  The
     two generators do not commute, so U11 is a genuinely joint exponential
-    rather than a product of the single-meter factors.
+    rather than a product of the single-meter factors.  The couplings may
+    be arrays; each U is then (..., 2, 2) over their broadcast shape, and
+    scalars give plain 2x2 matrices.
     """
-    u00 = np.eye(2, dtype=complex)
+    theta_a, theta_b = np.broadcast_arrays(
+        np.asarray(theta_a, dtype=float), np.asarray(theta_b, dtype=float)
+    )
+    u00 = np.zeros(theta_a.shape + (2, 2), dtype=complex)
+    u00[..., 0, 0] = u00[..., 1, 1] = 1.0
     u01 = expm_2x2_hermitian(PI_PLUS, theta_b)
     u10 = expm_2x2_hermitian(PI_1, theta_a)
-    u11 = expm_2x2_hermitian(theta_a * PI_1 + theta_b * PI_PLUS, 1.0)
+    u11 = expm_2x2_hermitian(
+        theta_a[..., None, None] * PI_1 + theta_b[..., None, None] * PI_PLUS, 1.0
+    )
     return u00, u01, u10, u11
 
 
-def joint_unitary(theta_a: float, theta_b: float) -> np.ndarray:
-    """8x8 block unitary sum_ij |i><i|_A x U_ij x |j><j|_B on (A, S, B)."""
-    joint = np.zeros((2,) * 6, dtype=complex)  # axes (a, s, b, a', s', b')
-    for branch, unit in enumerate(meter_unitaries(theta_a, theta_b)):
+def joint_unitary(theta_a: float | np.ndarray, theta_b: float | np.ndarray) -> np.ndarray:
+    """8x8 block unitary sum_ij |i><i|_A x U_ij x |j><j|_B on (A, S, B).
+
+    Coupling arrays give a (..., 8, 8) stack over their broadcast shape,
+    whose joint branches U11 come from one stacked eigh; scalars give one
+    8x8 matrix.
+    """
+    units = meter_unitaries(theta_a, theta_b)
+    stack = units[0].shape[:-2]
+    joint = np.zeros(stack + (2,) * 6, dtype=complex)  # axes (..., a, s, b, a', s', b')
+    for branch, unit in enumerate(units):
         i, j = divmod(branch, 2)
-        joint[i, :, j, i, :, j] = unit
-    return joint.reshape(8, 8)
+        joint[..., i, :, j, i, :, j] = unit
+    return joint.reshape(stack + (8, 8))
 
 
 def _half_sinc(tc: float) -> float:

@@ -7,11 +7,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import qtomo
+from qtomo import cli
 from qtomo.cli import main
 from qtomo.estimators import saturated_mle
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, qttf_two_meter
@@ -336,6 +338,42 @@ def test_estimate_rejects_flags_of_the_other_model(capsys, argv, flag, model):
     assert f"{flag} applies to --model {model} only" in captured.err
 
 
+_ZERO_PARAMS = ["0"] * 12
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--theta-a", "nan", "--theta-b", "1"], "--theta-a"),
+        (["--theta-a", "inf", "--theta-b", "1"], "--theta-a"),
+        (["--theta-b=-inf"], "--theta-b"),
+        (["--theta-b", "nan"], "--theta-b"),
+        (["--model", "circuit", "--params", ",".join(["nan"] + _ZERO_PARAMS[1:])],
+         "--params"),
+        (["--model", "circuit", "--params", ",".join(_ZERO_PARAMS[1:] + ["-inf"])],
+         "--params"),
+    ],
+    ids=["theta-a-nan", "theta-a-inf", "theta-b-minus-inf", "theta-b-nan",
+         "params-nan", "params-inf"],
+)
+@pytest.mark.parametrize("estimator", ["linear", "mle"])
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+def test_estimate_rejects_non_finite_model_flags(capsys, argv, flag, estimator, exact):
+    # a NaN or infinite coupling is bad input naming its flag, not a numpy
+    # SVD or math-domain failure with RuntimeWarnings on the way
+    argv = ["estimate", *argv, "--state", "0.3,0.2", "--estimator", estimator]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--exact"] if exact else argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ")
+    assert "finite" in captured.err
+    assert "RuntimeWarning" not in captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_estimate_rejects_zero_shots(capsys):
     code, out = _run(capsys, ["estimate", "--state", "x0", "--shots", "0"])
     assert code == 1
@@ -388,6 +426,65 @@ def test_optimize_reports_evaluations_and_time(tmp_path):
     for restart in blob["restarts"]:
         assert restart["evaluations"] >= restart["iterations"] >= 1
         assert restart["seconds"] >= 0.0
+
+
+def test_optimize_is_reproducible_but_for_restart_seconds(tmp_path):
+    # the per-restart wall time is the only field that differs between
+    # two runs with the same seed
+    blobs = []
+    for run in range(2):
+        out_file = tmp_path / f"opt{run}.json"
+        code = main(
+            ["optimize", "--model", "two-meter", "--restarts", "2", "--seed", "0",
+             "--out", str(out_file)]
+        )
+        assert code == 0
+        blob = json.loads(out_file.read_text(), parse_constant=_reject_constant)
+        for restart in blob["restarts"]:
+            assert restart.pop("seconds") >= 0.0
+        blobs.append(blob)
+    assert blobs[0] == blobs[1]
+
+
+def test_main_reuses_one_parser_per_process(capsys):
+    # main parses with one parser per process; reusing it must not carry
+    # state from call to call
+    sweep = ["qttf-sweep", "--points", "3"]
+    estimate = ["estimate", "--state", "x0", "--exact", "--estimator", "linear"]
+    qtomo_logger = logging.getLogger("qtomo")
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert not qtomo_logger.handlers
+        return code, captured.out
+
+    firsts = {}
+    for argv in (sweep, estimate):
+        cli._parser.cache_clear()
+        firsts[argv[0]] = run(argv)
+        assert firsts[argv[0]][0] == 0
+    assert cli._parser() is cli._parser()
+    # each subcommand after the other gives what it gave as the first call
+    for argv in (sweep, estimate, sweep, estimate):
+        assert run(argv) == firsts[argv[0]]
+
+    # a good call, then bad usage: exit 1 with the usage on stderr
+    assert run(sweep)[0] == 0
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--estimator", "bogus"])
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qtomo estimate")
+    assert "invalid choice: 'bogus'" in captured.err
+
+    # --version prints to the stdout of this call
+    with pytest.raises(SystemExit) as err:
+        main(["--version"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out == f"qtomo {qtomo.__version__}\n"
+    assert run(estimate) == firsts["estimate"]
 
 
 def test_import_does_not_load_scipy():

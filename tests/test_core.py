@@ -189,6 +189,48 @@ def test_expm_2x2_matches_scipy(hx, hy, hz, t):
     )
 
 
+def test_expm_2x2_stack_is_the_per_item_call():
+    # stacked eigh with a broadcast t gives each member the bits of its
+    # own 2x2 call; the generators are the two-meter joint ones
+    rng = np.random.default_rng(17)
+    couplings = np.concatenate(
+        [
+            rng.uniform(-3 * math.pi, 3 * math.pi, size=(500, 2)),
+            rng.uniform(-1e-6, 1e-6, size=(50, 2)),
+            np.zeros((1, 2)),
+        ]
+    )
+    stack = couplings[:, 0, None, None] * PI_1 + couplings[:, 1, None, None] * PI_PLUS
+    times = rng.uniform(-5.0, 5.0, size=len(couplings))
+    batched = expm_2x2_hermitian(stack, times)
+    assert batched.shape == (len(couplings), 2, 2)
+    for hmat, t, member in zip(stack, times, batched):
+        assert np.array_equal(member, expm_2x2_hermitian(hmat, float(t)))
+    # one generator against many times, and many generators at one time
+    fanned = expm_2x2_hermitian(PI_PLUS, couplings[:, 1])
+    assert fanned.shape == (len(couplings), 2, 2)
+    for t, member in zip(couplings[:, 1], fanned):
+        assert np.array_equal(member, expm_2x2_hermitian(PI_PLUS, float(t)))
+    shared = expm_2x2_hermitian(stack.reshape(551, 1, 2, 2), 1.0)
+    assert shared.shape == (551, 1, 2, 2)
+    for hmat, member in zip(stack, shared[:, 0]):
+        assert np.array_equal(member, expm_2x2_hermitian(hmat, 1.0))
+
+
+def test_expm_2x2_scalar_call_keeps_its_shape():
+    assert expm_2x2_hermitian(PI_1, 0.3).shape == (2, 2)
+    assert expm_2x2_hermitian(PI_1).shape == (2, 2)
+    with pytest.raises(ValueError, match="2x2"):
+        expm_2x2_hermitian(np.eye(3))
+
+
+def test_expm_2x2_stack_rejects_one_non_hermitian_member():
+    stack = np.array([PI_0, PI_1, PI_PLUS, PI_1])
+    stack[2, 0, 1] += 1e-9
+    with pytest.raises(ValueError, match="not Hermitian"):
+        expm_2x2_hermitian(stack, np.ones(4))
+
+
 def test_cnot_matrix_permutation():
     # control on qubit 1 (middle), target qubit 0 (leftmost), MSB-first kets
     cx = cnot_matrix(1, 0)

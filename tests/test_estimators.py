@@ -19,6 +19,7 @@ from qtomo.estimators import (
     linear_inversion,
     log_likelihood,
     radial_clip,
+    require_invertible,
     rho_r_mle,
     saturated_mle,
 )
@@ -270,6 +271,17 @@ def test_mle_matches_matrix_form_oracle():
 def test_mle_rejects_bad_transfer_matrix(tmat):
     with pytest.raises(ValueError, match="finite real 4x4"):
         rho_r_mle(np.full(4, 0.25), tmat)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_invertibility_check_rejects_non_finite_transfer_matrix(value):
+    # the finiteness guard runs before the SVD of np.linalg.cond
+    tmat = transfer_matrix(*REFERENCE_COUPLINGS)
+    tmat[1, 2] = value
+    with pytest.raises(ValueError, match="finite real 4x4"):
+        require_invertible(tmat)
+    with pytest.raises(ValueError, match="finite real 4x4"):
+        linear_inversion(np.full(4, 0.25), tmat)
 
 
 def test_mle_warns_once_when_capped(models, caplog):

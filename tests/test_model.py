@@ -5,9 +5,19 @@ import numpy as np
 import pytest
 
 from qtomo import twometer
-from qtomo.circuit import REFERENCE_OPTIMUM, qttf_circuit
-from qtomo.model import CONDITION_LIMIT, delta_from_transfer, qttf_from_transfer
-from qtomo.twometer import REFERENCE_COUPLINGS, qttf_two_meter, transfer_matrix
+from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit, qttf_circuit
+from qtomo.model import (
+    CONDITION_LIMIT,
+    delta_from_transfer,
+    kraus_transfer,
+    qttf_from_transfer,
+)
+from qtomo.twometer import (
+    REFERENCE_COUPLINGS,
+    joint_unitary,
+    qttf_two_meter,
+    transfer_matrix,
+)
 
 
 def _orthogonal(rng, first_column=None):
@@ -119,3 +129,31 @@ def test_transfer_matrix_matches_the_sinc_formula(monkeypatch):
     )
     for (a, b), tmat in zip(couplings, scalar):
         assert tmat.tobytes() == transfer_matrix(float(a), float(b)).tobytes()
+
+
+def test_kraus_transfer_stack_is_the_per_unitary_call():
+    # one batched Kraus read gives every member the bits of its own read:
+    # two-meter unitaries (with couplings near theta = 0) and circuits in
+    # both gate conventions
+    rng = np.random.default_rng(31)
+    couplings = np.concatenate(
+        [
+            rng.uniform(-3 * math.pi, 3 * math.pi, size=(500, 2)),
+            rng.uniform(-1e-6, 1e-6, size=(100, 2)),
+        ]
+    )
+    unitaries = list(joint_unitary(*couplings.T))
+    for i in range(100):
+        params = rng.uniform(0.0, 2 * math.pi, size=12)
+        unitaries.append(build_circuit(params, half_angle=i % 2 == 0).unitary)
+    stack = np.array(unitaries)
+    reads = kraus_transfer(stack)
+    assert reads.shape == (len(unitaries), 4, 4)
+    for unitary, read in zip(unitaries, reads):
+        single = kraus_transfer(unitary)
+        assert single.shape == (4, 4)
+        assert np.array_equal(read, single)
+    # any leading shape is kept
+    assert np.array_equal(
+        kraus_transfer(stack[:6].reshape(2, 3, 8, 8)), reads[:6].reshape(2, 3, 4, 4)
+    )

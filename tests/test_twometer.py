@@ -66,6 +66,54 @@ def test_meter_unitaries_unitary_and_joint():
     assert np.abs(u11 - u01 @ u10).max() > 1e-3
 
 
+def _stacked_couplings(seed):
+    """500 couplings in [-3 pi, 3 pi]^2, 100 with |theta| < 1e-6, and (0, 0)."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate(
+        [
+            rng.uniform(-3 * math.pi, 3 * math.pi, size=(500, 2)),
+            rng.uniform(-1e-6, 1e-6, size=(100, 2)),
+            np.zeros((1, 2)),
+        ]
+    )
+
+
+def test_joint_unitary_stack_is_the_per_pair_call():
+    couplings = _stacked_couplings(23)
+    theta_a, theta_b = couplings.T
+    joint = joint_unitary(theta_a, theta_b)
+    assert joint.shape == (len(couplings), 8, 8)
+    branches = meter_unitaries(theta_a, theta_b)
+    assert all(u.shape == (len(couplings), 2, 2) for u in branches)
+    for i, (a, b) in enumerate(couplings.tolist()):
+        assert np.array_equal(joint[i], joint_unitary(a, b))
+        for stacked, single in zip(branches, meter_unitaries(a, b)):
+            assert np.array_equal(stacked[i], single)
+    # a scalar coupling broadcasts against an array of the other
+    mixed = joint_unitary(theta_a[:7].reshape(7, 1), 1.25)
+    assert mixed.shape == (7, 1, 8, 8)
+    for a, member in zip(theta_a[:7], mixed[:, 0]):
+        assert np.array_equal(member, joint_unitary(float(a), 1.25))
+
+
+def test_scalar_couplings_keep_their_shapes():
+    assert joint_unitary(*REFERENCE_COUPLINGS).shape == (8, 8)
+    assert all(u.shape == (2, 2) for u in meter_unitaries(*REFERENCE_COUPLINGS))
+    assert kraus_transfer(joint_unitary(*REFERENCE_COUPLINGS)).shape == (4, 4)
+    # each scalar branch is a fresh, writable array
+    u00 = meter_unitaries(0.1, 0.2)[0]
+    u00[0, 0] = 2.0
+    assert meter_unitaries(0.1, 0.2)[0][0, 0] == 1.0
+
+
+def test_batched_kraus_read_matches_closed_form():
+    couplings = _stacked_couplings(29)
+    reads = kraus_transfer(joint_unitary(*couplings.T))
+    assert reads.shape == (len(couplings), 4, 4)
+    for (a, b), read in zip(couplings.tolist(), reads):
+        np.testing.assert_allclose(read, transfer_matrix(a, b), rtol=0, atol=1e-12)
+
+
 @given(coupling, coupling)
 @settings(max_examples=100, deadline=None)
 def test_coefficients_closed_vs_trace(theta_a, theta_b):
