@@ -175,6 +175,12 @@ def _build_model(args):
 def cmd_qttf_sweep(args) -> int:
     if args.model != "single":
         raise ValueError("qttf-sweep supports --model single only")
+    # name the flag before np.linspace turns a bad bound into NaN thetas
+    for flag, value in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+    if args.theta_max > math.pi:
+        raise ValueError(f"--theta-max must be at most pi, got {args.theta_max}")
     if args.points < 2 or not (0.0 < args.theta_min <= args.theta_max):
         raise ValueError("invalid theta grid")
     if args.format != "csv":

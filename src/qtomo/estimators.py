@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,18 @@ class MleConfig:
     tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.max_iter < 1 or self.tol <= 0.0:
-            raise ValueError("max_iter and tol must be positive")
+        # a NaN tol would fail every stopping test, and a float max_iter
+        # would fail only later, in range()
+        if (
+            isinstance(self.max_iter, bool)
+            or not isinstance(self.max_iter, numbers.Integral)
+            or self.max_iter < 1
+        ):
+            raise ValueError(
+                f"max_iter must be a positive integer, got {self.max_iter!r}"
+            )
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -282,6 +293,15 @@ def rho_r_mle(
     the same iterates as the 2x2 matrix product up to round-off.  rho is
     built from the final Bloch vector once.
 
+    The flooring and stopping tests are chains of `<` joined by `or` and
+    `and` rather than min() and max() over abs() values: the builtin
+    calls cost several float operations each, a chain stops at its first
+    deciding comparison, and for every non-NaN value the chain decides
+    exactly as min/max would.  The loop's float operations and their
+    order are fixed, so the iterates, iteration counts and stopping
+    decisions stay the same to the bit; seeded pins in the tests hold
+    them there.
+
     likelihood_trace, if given a list, collects the log-likelihood at
     every visited state, summed in plain floats over the outcomes with
     nonzero frequency (as `log_likelihood` does).
@@ -301,27 +321,32 @@ def rho_r_mle(
     floor = _MLE_PROBABILITY_FLOOR
     tol = cfg.tol
     x = y = z = 0.0
-    q0 = q1 = q2 = q3 = None  # previous model probabilities
+    # previous model probabilities: inf fails the first stopping test
+    q0 = q1 = q2 = q3 = math.inf
     floored = 0
     converged = False
-    # (outcome, frequency) pairs that enter the likelihood trace
-    live = [(q, fq) for q, fq in enumerate((f0, f1, f2, f3)) if fq > 0.0]
+    tracing = likelihood_trace is not None
+    if tracing:
+        append = likelihood_trace.append
+        log = math.log
+        # (outcome, frequency) pairs that enter the likelihood trace
+        live = [(q, fq) for q, fq in enumerate((f0, f1, f2, f3)) if fq > 0.0]
     for iteration in range(1, cfg.max_iter + 1):
         # p = T s, row by row
         p0 = t00 + t01 * x + t02 * y + t03 * z
         p1 = t10 + t11 * x + t12 * y + t13 * z
         p2 = t20 + t21 * x + t22 * y + t23 * z
         p3 = t30 + t31 * x + t32 * y + t33 * z
-        if min(p0, p1, p2, p3) < floor:
+        if p0 < floor or p1 < floor or p2 < floor or p3 < floor:
             probs = (p0, p1, p2, p3)
             floored += sum(p < floor for p in probs)
             p0, p1, p2, p3 = (max(p, floor) for p in probs)
-        if likelihood_trace is not None:
+        if tracing:
             probs = (p0, p1, p2, p3)
             ll = 0.0
             for q, fq in live:
-                ll += fq * math.log(probs[q])
-            likelihood_trace.append(ll)
+                ll += fq * log(probs[q])
+            append(ll)
         # r = (P / p) T: a = r_0, b = (r_1, r_2, r_3)
         w0 = f0 / p0
         w1 = f1 / p1
@@ -340,11 +365,13 @@ def rho_r_mle(
         nx = along_b * bx + along_s * x
         ny = along_b * by + along_s * y
         nz = along_b * bz + along_s * z
-        moved = max(abs(nx - x), abs(ny - y), abs(nz - z))
+        settled = abs(nx - x) < tol and abs(ny - y) < tol and abs(nz - z) < tol
         x, y, z = nx, ny, nz
-        if moved < tol or (
-            q0 is not None
-            and max(abs(p0 - q0), abs(p1 - q1), abs(p2 - q2), abs(p3 - q3)) < tol
+        if settled or (
+            abs(p0 - q0) < tol
+            and abs(p1 - q1) < tol
+            and abs(p2 - q2) < tol
+            and abs(p3 - q3) < tol
         ):
             converged = True
             break

@@ -69,6 +69,30 @@ def test_qttf_sweep_rejects_bad_grid(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--theta-max", "inf"], "--theta-max"),
+        (["--theta-max", "nan"], "--theta-max"),
+        (["--theta-max", "4.0"], "--theta-max"),
+        (["--theta-min", "nan"], "--theta-min"),
+        (["--theta-min=-inf"], "--theta-min"),
+    ],
+    ids=["max-inf", "max-nan", "max-above-pi", "min-nan", "min-minus-inf"],
+)
+def test_qttf_sweep_rejects_bad_bound_naming_its_flag(capsys, argv, flag):
+    # checked before np.linspace, which would warn and hand NaN thetas on
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["qttf-sweep", *argv, "--points", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ")
+    assert "RuntimeWarning" not in captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_bad_usage_exits_1():
     with pytest.raises(SystemExit) as err:
         main(["optimize", "--model", "bogus"])

@@ -225,10 +225,98 @@ def test_mle_config_validation():
         MleConfig(max_iter=0)
     with pytest.raises(ValueError):
         MleConfig(tol=-1e-9)
+    # a NaN tol would run every fit to the cap, and a float cap would fail
+    # only later, inside range()
+    for bad in (
+        {"tol": math.nan},
+        {"tol": math.inf},
+        {"max_iter": 2.5},
+        {"max_iter": 100.0},
+        {"max_iter": True},
+    ):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            MleConfig(**bad)
+    assert MleConfig(max_iter=np.int64(7)).max_iter == 7
     cfg = MleConfig(max_iter=50, tol=1e-6)
     tmat = transfer_matrix(*REFERENCE_COUPLINGS)
     result = rho_r_mle(np.full(4, 0.25), tmat, cfg)
     assert result.iterations <= 50
+
+
+def _hex_matrix(rows):
+    return np.array([[float.fromhex(v) for v in row] for row in rows])
+
+
+# Transfer matrices of the bit-exact pins, written out so that the pins
+# follow rho_r_mle alone: the two reference models and the (1, 0)
+# two-meter coupling, whose outcomes 1 and 3 have zero effect.
+_PIN_TWO_METER = _hex_matrix([
+    ["0x1.3e0136bc693e7p-2", "0x1.02576770e0f1bp-5", "-0x1.69090a4d11a8ap-3",
+     "0x1.bc5d05c194894p-3"],
+    ["0x1.4b0047d298674p-3", "0x1.5828bb03dafaap-5", "0x1.8646ba8ba8762p-4",
+     "0x1.2568259f7a82fp-4"],
+    ["0x1.27db9d4161b45p-2", "-0x1.8aefffbd5f05cp-3", "-0x1.5eccb65a3b512p-6",
+     "-0x1.5ac1217121c00p-3"],
+    ["0x1.e9461031d1b35p-3", "0x1.e89fee4060154p-4", "0x1.a37e87a509af5p-4",
+     "-0x1.e89fee4060158p-4"],
+])
+_PIN_CIRCUIT = _hex_matrix([
+    ["0x1.ffc87f99b9228p-3", "-0x1.268fa19b4ceecp-3", "-0x1.28fc86e9765bep-3",
+     "0x1.26dc34695a7f5p-3"],
+    ["0x1.ffc43856ed4fap-3", "0x1.268fa19b4ceebp-3", "0x1.28fc86e9765bdp-3",
+     "0x1.26d9bd6289284p-3"],
+    ["0x1.001de41237339p-2", "-0x1.2757bcf251fa9p-3", "0x1.28fc86e9765bcp-3",
+     "-0x1.26dc34695a7f3p-3"],
+    ["0x1.001bbff575936p-2", "0x1.2757bcf251fa8p-3", "-0x1.28fc86e9765bbp-3",
+     "-0x1.26d9bd6289282p-3"],
+])
+_PIN_DEAD = _hex_matrix([
+    ["0x1.c528a03ed41a3p-1", "0x0.0p+0", "0x0.0p+0", "0x1.d6bafe095f2e9p-4"],
+    ["0x0.0p+0"] * 4,
+    ["0x1.d6bafe095f2e8p-4", "-0x0.0p+0", "-0x0.0p+0", "-0x1.d6bafe095f2e9p-4"],
+    ["0x0.0p+0"] * 4,
+])
+
+
+@pytest.mark.parametrize(
+    "freqs, tmat, max_iter, bloch, iterations, converged, floored, first_ll, last_ll",
+    [
+        (
+            np.array([443, 211, 153, 217]) / 1024, _PIN_TWO_METER, 10000,
+            ["0x1.2e18f87691a28p-2", "-0x1.14f1439f4c503p-5", "0x1.f80c92e0e4594p-2"],
+            162, True, 0, "-0x1.5ecf124164f96p+0", "-0x1.4d027dc7754ccp+0",
+        ),
+        (
+            np.array([323, 123, 472, 106]) / 1024, _PIN_CIRCUIT, 10000,
+            ["-0x1.e16905f420336p-1", "0x1.1182f189ee8c8p-2", "-0x1.b0686875d6022p-3"],
+            395, True, 0, "-0x1.62dfe3131b644p+0", "-0x1.35dc1cf83866ep+0",
+        ),
+        (
+            np.array([323, 123, 472, 106]) / 1024, _PIN_TWO_METER, 60,
+            ["-0x1.e61ec1ad6b1c1p-1", "-0x1.823ea505bb374p-4", "0x1.760b478756182p-4"],
+            60, False, 0, "-0x1.4eeb4ff081b6cp+0", "-0x1.35d6b7458c8c3p+0",
+        ),
+        (
+            np.array([0.7, 0.0, 0.3, 0.0]), _PIN_DEAD, 10000,
+            ["0x0.0p+0", "0x0.0p+0", "-0x1.ffffffe52ec46p-1"],
+            97, True, 194, "-0x1.78109c7faa14cp-1", "-0x1.3f722c6175998p-1",
+        ),
+    ],
+    ids=["two-meter", "circuit", "capped", "floored-dead-outcome"],
+)
+def test_rho_r_mle_bit_exact_pins(
+    freqs, tmat, max_iter, bloch, iterations, converged, floored, first_ll, last_ll
+):
+    # R-rho-R is the reference for the exact MLE: its iterates are pinned to
+    # the bit, so a speed-up that reorders a float operation shows up here
+    trace = []
+    result = rho_r_mle(freqs, tmat, MleConfig(max_iter=max_iter), likelihood_trace=trace)
+    assert [v.hex() for v in result.bloch.tolist()] == ["0x1.0000000000000p+0", *bloch]
+    assert result.iterations == iterations
+    assert result.converged is converged
+    assert result.floored_probabilities == floored
+    assert len(trace) == iterations
+    assert (trace[0].hex(), trace[-1].hex()) == (first_ll, last_ll)
 
 
 def test_log_likelihood_drops_zero_frequency_terms():
