@@ -78,7 +78,6 @@ from .harness import (
     binomial_variance_identity,
     direction_fidelity,
     estimator_variance_identity,
-    per_shot_variance_identity,
     run_full_experiment,
     run_single_experiment,
     variance_vs_fisher_scan,
@@ -157,5 +156,4 @@ __all__ = [
     "IdentityReport",
     "binomial_variance_identity",
     "estimator_variance_identity",
-    "per_shot_variance_identity",
 ]

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import HADAMARD, QuadratureRule, cnot_matrix, kron3
+from .core import HADAMARD, cnot_matrix, kron3
 from .model import (
     MeterModel,
     OptimizationResult,
@@ -39,9 +39,9 @@ __all__ = [
     "optimize_circuit",
 ]
 
-# A parameter set that attains the family's optimal average error of 8.0
-# under the half-angle gate convention (see build_circuit).  Layout: one
-# (theta, phi, lambda) triple per gate, ordered A1, A2, B1, B2.
+# A parameter set that attains the family's optimal average error of 8.0.
+# Layout: one (theta, phi, lambda) triple per gate, ordered A1, A2, B1, B2;
+# build_circuit puts theta/2 in each gate's entries.
 REFERENCE_OPTIMUM = (
     0.59, 1.58, 2.52,
     2.55, 1.94, 0.31,
@@ -70,19 +70,19 @@ def u3(theta: float, phi: float, lam: float) -> np.ndarray:
     [[cos(theta), -e^{i lam} sin(theta)],
      [e^{i phi} sin(theta), e^{i(phi+lam)} cos(theta)]]
 
-    Note the full angle: u3(pi/2, 0, pi) is the bit flip.  Hardware gate
-    sets usually put theta/2 in the entries; build_circuit handles that
-    choice explicitly.
+    Note the full angle: u3(pi/2, 0, pi) is the bit flip.  The circuit's
+    gates are u3(theta/2, phi, lambda), the hardware convention, so a
+    circuit parameter theta = pi is the bit flip there.
     """
     g00, g01, g10, g11 = _u3_entries(theta, phi, lam)
     return np.array([[g00, g01], [g10, g11]])
 
 
-def _gates(params: np.ndarray, half_angle: bool) -> list[tuple[complex, ...]]:
-    """Entries of the gates A1, A2, B1, B2; half_angle puts theta/2 inside."""
+def _gates(params: np.ndarray) -> list[tuple[complex, ...]]:
+    """Entries of the gates A1, A2, B1, B2, each u3(theta/2, phi, lambda)."""
     values = params.tolist()
     return [
-        _u3_entries(theta / 2.0 if half_angle else theta, phi, lam)
+        _u3_entries(theta / 2.0, phi, lam)
         for theta, phi, lam in zip(values[0::3], values[1::3], values[2::3])
     ]
 
@@ -94,9 +94,9 @@ def _checked_params(params) -> np.ndarray:
     return arr
 
 
-def _block_unitary(params: np.ndarray, half_angle: bool) -> np.ndarray:
+def _block_unitary(params: np.ndarray) -> np.ndarray:
     gate_a1, gate_a2, gate_b1, gate_b2 = (
-        np.array(entries).reshape(2, 2) for entries in _gates(params, half_angle)
+        np.array(entries).reshape(2, 2) for entries in _gates(params)
     )
     unitary = kron3(gate_a1, _IDENTITY2, _IDENTITY2)
     unitary = _CNOT_S_TO_A @ unitary
@@ -117,7 +117,7 @@ def _meter_amplitudes(first: tuple, second: tuple) -> tuple[tuple[complex, compl
     return (w00 + w10, w01 + w11), (w00 - w10, w01 - w11)
 
 
-def _transfer_matrix(params: np.ndarray, half_angle: bool) -> np.ndarray:
+def _transfer_matrix(params: np.ndarray) -> np.ndarray:
     """T from the gate factors K_ab = H diag(beta_b) H diag(alpha_a).
 
     E = K^dag K has diagonal |alpha_a[s]|^2 (|beta_b[0]|^2 + |beta_b[1]|^2)/2
@@ -125,7 +125,7 @@ def _transfer_matrix(params: np.ndarray, half_angle: bool) -> np.ndarray:
     T[q, mu] = Tr(E_q sigma_mu)/2 with q = 2a + b, so the sigma_y column
     is -Im E_01.  The amplitudes carry a factor 2 each, hence 1/64 and 1/32.
     """
-    gate_a1, gate_a2, gate_b1, gate_b2 = _gates(params, half_angle)
+    gate_a1, gate_a2, gate_b1, gate_b2 = _gates(params)
     alpha = _meter_amplitudes(gate_a1, gate_a2)
     beta = _meter_amplitudes(gate_b1, gate_b2)
     meter_b = []
@@ -150,52 +150,33 @@ def _transfer_matrix(params: np.ndarray, half_angle: bool) -> np.ndarray:
     return np.array(rows)
 
 
-def build_circuit(params, half_angle: bool = True) -> MeterModel:
+def build_circuit(params) -> MeterModel:
     """Compile the circuit to its block unitary, with T from its gate factors.
 
-    Parameters
-    ----------
-    params:
-        Twelve reals, a (theta, phi, lambda) triple for each of the gates
-        A1, A2, B1, B2.
-    half_angle:
-        Interpret each theta as hardware gates do, with theta/2 inside the
-        matrix entries.  This is the convention under which
-        REFERENCE_OPTIMUM reaches the average error 8.0; pass False to
-        feed the triples to u3 unchanged.
+    params are twelve reals, a (theta, phi, lambda) triple for each of the
+    gates A1, A2, B1, B2.  Each theta is read as hardware gates read it:
+    the gate is u3(theta/2, phi, lambda), with theta/2 inside the matrix
+    entries.  REFERENCE_OPTIMUM reaches the average error 8.0 in this
+    reading.
     """
     arr = _checked_params(params)
     return MeterModel(
         params=tuple(arr),
-        unitary=_block_unitary(arr, half_angle),
-        _tmat=_transfer_matrix(arr, half_angle),
+        unitary=_block_unitary(arr),
+        _tmat=_transfer_matrix(arr),
     )
 
 
-def qttf_circuit(
-    params,
-    rule: QuadratureRule | None = None,
-    half_angle: bool = True,
-) -> float:
-    """Pure-state average of Tr(F^-1) for the circuit at these parameters.
-
-    Exact unless a quadrature rule is passed (see qttf_from_transfer).
-    """
-    tmat = _transfer_matrix(_checked_params(params), half_angle)
-    return qttf_from_transfer(tmat, rule)
+def qttf_circuit(params) -> float:
+    """Exact pure-state average of Tr(F^-1) for the circuit at these parameters."""
+    return qttf_from_transfer(_transfer_matrix(_checked_params(params)))
 
 
-def optimize_circuit(
-    restarts: int = 50,
-    seed: int = 0,
-    rule: QuadratureRule | None = None,
-    half_angle: bool = True,
-) -> OptimizationResult:
-    """Minimize the circuit qTTF over all twelve parameters.
+def optimize_circuit(restarts: int = 50, seed: int = 0) -> OptimizationResult:
+    """Minimize the exact circuit qTTF over all twelve parameters.
 
     Nelder-Mead from uniform starts in [0, 2 pi]^12.  The landscape is
-    benign enough that most restarts land on the global value 8.0.  The
-    objective is the exact qTTF unless a quadrature rule is passed.
+    benign enough that most restarts land on the global value 8.0.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -203,6 +184,6 @@ def optimize_circuit(
     starts = rng.uniform(0.0, 2.0 * math.pi, size=(restarts, 12))
 
     def objective(x: np.ndarray) -> float:
-        return qttf_from_transfer(_transfer_matrix(x, half_angle), rule)
+        return qttf_from_transfer(_transfer_matrix(x))
 
     return minimize_with_restarts(objective, list(starts), maxiter=4000)

@@ -8,9 +8,10 @@ Subcommands:
   estimate          Bloch reconstruction from counts or a sampling spec (JSON)
 
 Output schemas are fixed: CSV files carry `# key: value` metadata lines
-(version, command, seed, quadrature order) before the header row; JSON
-files put the same metadata under "meta".  Exit codes: 0 success,
-1 validation error, 2 numerical failure, 3 identity-check failure.
+(version, command, and the seed and sampling settings where they apply)
+before the header row; JSON files put their metadata under "meta".
+Exit codes: 0 success, 1 validation error, 2 numerical failure,
+3 identity-check failure.
 """
 from __future__ import annotations
 
@@ -81,16 +82,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _parse_quad(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) == 1:
-        n = int(parts[0])
-        return n, n
-    if len(parts) == 2:
-        return int(parts[0]), int(parts[1])
-    raise ValueError("--quad expects N or N1,N2")
 
 
 def _parse_params(text: str) -> tuple[float, ...]:
@@ -199,26 +190,19 @@ def cmd_qttf_sweep(args) -> int:
 def cmd_optimize(args) -> int:
     if args.format != "json":
         raise ValueError("optimize emits JSON")
-    # exact qTTF by default; --quad optimizes the quadrature reference
-    quad = rule = None
-    if args.quad is not None:
-        quad = _parse_quad(args.quad)
-        rule = make_quadrature(*quad)
     if args.model == "two-meter":
         restarts = args.restarts if args.restarts is not None else 20
-        result = optimize_two_meter(restarts=restarts, seed=args.seed, rule=rule)
+        result = optimize_two_meter(restarts=restarts, seed=args.seed)
     elif args.model == "circuit":
         restarts = args.restarts if args.restarts is not None else 50
-        result = optimize_circuit(restarts=restarts, seed=args.seed, rule=rule)
+        result = optimize_circuit(restarts=restarts, seed=args.seed)
     else:
         raise ValueError("optimize supports --model two-meter or circuit")
     if not math.isfinite(result.value):
         sys.stderr.write("optimization failed: objective singular everywhere\n")
         return 2
-    meta = _meta("optimize", seed=args.seed)
-    meta["quad"] = f"{quad[0]}x{quad[1]}" if quad else "exact"
     payload = {
-        "meta": meta,
+        "meta": _meta("optimize", seed=args.seed),
         "model": args.model,
         "best_value": result.value,
         "best_params": list(result.params),
@@ -304,7 +288,7 @@ def cmd_reproduce_table(args) -> int:
     return 0
 
 
-def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> dict:
+def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
     """Numerical identity checks on seeded random cases.
 
     Returns {"checks": {name: {max_deviation, tolerance, pass}}, "all_pass"}.
@@ -319,6 +303,7 @@ def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> di
     Kraus read; circuit_transfer_vs_kraus reads its circuits in one too.
     """
     rng = np.random.default_rng(seed)
+    pairs = 200  # cases in coefficients_vs_trace and in binomial_variance
     checks: dict[str, dict] = {}
 
     def record(name, tol, body):
@@ -568,12 +553,15 @@ def identity_suite(seed: int = 0, corrupt: bool = False, pairs: int = 200) -> di
 
     def circuit_kraus_check():
         # the circuit's transfer matrix from its gate factors against the
-        # Kraus read of its compiled 8x8 unitary, in both gate conventions;
-        # one batched read covers all twenty unitaries
-        circuits = [
-            build_circuit(rng.uniform(0.0, 2.0 * math.pi, size=12), half_angle=i % 2 == 0)
-            for i in range(20)
-        ]
+        # Kraus read of its compiled 8x8 unitary; every other circuit has
+        # its thetas doubled, which gives the full-angle gates u3(theta, ...)
+        # of its draw.  One batched read covers all twenty unitaries
+        circuits = []
+        for i in range(20):
+            params = rng.uniform(0.0, 2.0 * math.pi, size=12)
+            if i % 2:
+                params[0::3] *= 2.0
+            circuits.append(build_circuit(params))
         reads = kraus_transfer(np.array([c.unitary for c in circuits]))
         dev = 0.0
         for circ, read in zip(circuits, reads):
@@ -687,7 +675,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"qtomo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seed=True, quad=False, fmt="json"):
+    def common(p, *, seed=True, fmt="json"):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument(
             "--format", default=fmt, choices=("csv", "json"),
@@ -695,12 +683,6 @@ def build_parser() -> _Parser:
         )
         if seed:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        if quad:
-            p.add_argument(
-                "--quad", default=None,
-                help="optimize the quadrature average of order N or N1,N2 "
-                     "instead of the exact qTTF",
-            )
 
     p = sub.add_parser(
         "qttf-sweep",
@@ -718,7 +700,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--model", required=True, choices=("two-meter", "circuit"))
     p.add_argument("--restarts", type=int, default=None)
-    common(p, quad=True)
+    common(p)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser(

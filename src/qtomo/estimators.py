@@ -305,6 +305,13 @@ def rho_r_mle(
     likelihood_trace, if given a list, collects the log-likelihood at
     every visited state, summed in plain floats over the outcomes with
     nonzero frequency (as `log_likelihood` does).
+
+    The result is never NaN.  If the iteration reaches no finite state
+    (its normalization vanishes, or its products overflow on a T far from
+    any POVM), it raises NonInvertibleModelError when T is singular and
+    ValueError naming T otherwise.  The loop itself tests nothing extra:
+    finiteness is tested once after it, and cond(T) only on that failure
+    path.
     """
     freqs = _check_frequencies(freqs)
     tmat = _check_transfer(tmat)
@@ -331,51 +338,61 @@ def rho_r_mle(
         log = math.log
         # (outcome, frequency) pairs that enter the likelihood trace
         live = [(q, fq) for q, fq in enumerate((f0, f1, f2, f3)) if fq > 0.0]
-    for iteration in range(1, cfg.max_iter + 1):
-        # p = T s, row by row
-        p0 = t00 + t01 * x + t02 * y + t03 * z
-        p1 = t10 + t11 * x + t12 * y + t13 * z
-        p2 = t20 + t21 * x + t22 * y + t23 * z
-        p3 = t30 + t31 * x + t32 * y + t33 * z
-        if p0 < floor or p1 < floor or p2 < floor or p3 < floor:
-            probs = (p0, p1, p2, p3)
-            floored += sum(p < floor for p in probs)
-            p0, p1, p2, p3 = (max(p, floor) for p in probs)
-        if tracing:
-            probs = (p0, p1, p2, p3)
-            ll = 0.0
-            for q, fq in live:
-                ll += fq * log(probs[q])
-            append(ll)
-        # r = (P / p) T: a = r_0, b = (r_1, r_2, r_3)
-        w0 = f0 / p0
-        w1 = f1 / p1
-        w2 = f2 / p2
-        w3 = f3 / p3
-        a = w0 * t00 + w1 * t10 + w2 * t20 + w3 * t30
-        bx = w0 * t01 + w1 * t11 + w2 * t21 + w3 * t31
-        by = w0 * t02 + w1 * t12 + w2 * t22 + w3 * t32
-        bz = w0 * t03 + w1 * t13 + w2 * t23 + w3 * t33
-        bs = bx * x + by * y + bz * z
-        aa = a * a
-        bb = bx * bx + by * by + bz * bz
-        norm = aa + bb + 2.0 * a * bs
-        along_b = 2.0 * (a + bs) / norm
-        along_s = (aa - bb) / norm
-        nx = along_b * bx + along_s * x
-        ny = along_b * by + along_s * y
-        nz = along_b * bz + along_s * z
-        settled = abs(nx - x) < tol and abs(ny - y) < tol and abs(nz - z) < tol
-        x, y, z = nx, ny, nz
-        if settled or (
-            abs(p0 - q0) < tol
-            and abs(p1 - q1) < tol
-            and abs(p2 - q2) < tol
-            and abs(p3 - q3) < tol
-        ):
-            converged = True
-            break
-        q0, q1, q2, q3 = p0, p1, p2, p3
+    try:
+        for iteration in range(1, cfg.max_iter + 1):
+            # p = T s, row by row
+            p0 = t00 + t01 * x + t02 * y + t03 * z
+            p1 = t10 + t11 * x + t12 * y + t13 * z
+            p2 = t20 + t21 * x + t22 * y + t23 * z
+            p3 = t30 + t31 * x + t32 * y + t33 * z
+            if p0 < floor or p1 < floor or p2 < floor or p3 < floor:
+                probs = (p0, p1, p2, p3)
+                floored += sum(p < floor for p in probs)
+                p0, p1, p2, p3 = (max(p, floor) for p in probs)
+            if tracing:
+                probs = (p0, p1, p2, p3)
+                ll = 0.0
+                for q, fq in live:
+                    ll += fq * log(probs[q])
+                append(ll)
+            # r = (P / p) T: a = r_0, b = (r_1, r_2, r_3)
+            w0 = f0 / p0
+            w1 = f1 / p1
+            w2 = f2 / p2
+            w3 = f3 / p3
+            a = w0 * t00 + w1 * t10 + w2 * t20 + w3 * t30
+            bx = w0 * t01 + w1 * t11 + w2 * t21 + w3 * t31
+            by = w0 * t02 + w1 * t12 + w2 * t22 + w3 * t32
+            bz = w0 * t03 + w1 * t13 + w2 * t23 + w3 * t33
+            bs = bx * x + by * y + bz * z
+            aa = a * a
+            bb = bx * bx + by * by + bz * bz
+            norm = aa + bb + 2.0 * a * bs
+            along_b = 2.0 * (a + bs) / norm
+            along_s = (aa - bb) / norm
+            nx = along_b * bx + along_s * x
+            ny = along_b * by + along_s * y
+            nz = along_b * bz + along_s * z
+            settled = abs(nx - x) < tol and abs(ny - y) < tol and abs(nz - z) < tol
+            x, y, z = nx, ny, nz
+            if settled or (
+                abs(p0 - q0) < tol
+                and abs(p1 - q1) < tol
+                and abs(p2 - q2) < tol
+                and abs(p3 - q3) < tol
+            ):
+                converged = True
+                break
+            q0, q1, q2, q3 = p0, p1, p2, p3
+    except ZeroDivisionError:
+        x = math.nan  # norm, the trace of R rho R, vanished
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        # a singular T can make R vanish on the data; an invertible T far
+        # from any POVM can overflow or underflow the products instead
+        require_invertible(tmat)
+        raise ValueError(
+            f"R-rho-R reached no finite state on transfer matrix {tmat.tolist()}"
+        )
     bloch = np.array([1.0, x, y, z])
     if not converged:
         _log.warning(

@@ -37,7 +37,6 @@ __all__ = [
     "variance_vs_fisher_scan",
     "estimator_variance_identity",
     "binomial_variance_identity",
-    "per_shot_variance_identity",
 ]
 
 # Default seed for table reproduction; chosen once so the shipped defaults
@@ -104,18 +103,15 @@ class ExperimentReport:
 
 def run_single_experiment(
     theta: float,
-    states=None,
     shots: int = 1024,
     repeats: int = 5,
     seed: int = DEFAULT_SEED,
 ) -> ExperimentReport:
-    """Repeated s_z estimation for each state at one coupling angle."""
+    """Repeated s_z estimation for each Pauli eigenstate at one coupling angle."""
     if repeats < 2:
         raise ValueError("need at least two repeats for a standard deviation")
-    if states is None:
-        states = PAULI_EIGENSTATES
     rows = []
-    for k, psi in enumerate(states):
+    for k, psi in enumerate(PAULI_EIGENSTATES):
         p0, p1 = probabilities_single(psi, theta)
         truth = bloch_from_state(psi)[3]
         estimates = np.empty(repeats)
@@ -131,10 +127,9 @@ def run_single_experiment(
             sigma = std
         else:
             sigma = math.sqrt(fisher_inverse_single(psi, theta) / shots)
-        label = PAULI_EIGENSTATE_LABELS[k] if k < 6 else f"state{k}"
         rows.append(
             SingleStateRow(
-                label=label,
+                label=PAULI_EIGENSTATE_LABELS[k],
                 truth=truth,
                 mean=mean,
                 std=std,
@@ -150,13 +145,12 @@ def run_single_experiment(
 def run_full_experiment(
     model,
     estimator: str = "mle",
-    states=None,
     shots: int = 1024,
     repeats: int = 5,
     seed: int = DEFAULT_SEED,
     exact: bool = False,
 ) -> ExperimentReport:
-    """Full Bloch-vector reconstruction per state, mean over repeats.
+    """Full Bloch-vector reconstruction per Pauli eigenstate, mean over repeats.
 
     estimator is "mle" (the exact `saturated_mle`) or "linear";
     exact=True skips sampling and feeds the exact outcome probabilities
@@ -170,11 +164,9 @@ def run_full_experiment(
             raise ValueError("shots must be positive")
         if repeats < 2:
             raise ValueError("need at least two repeats for a standard deviation")
-    if states is None:
-        states = PAULI_EIGENSTATES
     tmat = model.transfer_matrix()
     rows = []
-    for k, psi in enumerate(states):
+    for k, psi in enumerate(PAULI_EIGENSTATES):
         truth = bloch_from_state(psi)
         probs = tmat @ truth
         estimates = []
@@ -201,10 +193,9 @@ def run_full_experiment(
         fid_mean = fidelity(
             density_from_bloch(truth), density_from_bloch(radial_clip(mean))
         )
-        label = PAULI_EIGENSTATE_LABELS[k] if k < 6 else f"state{k}"
         rows.append(
             FullStateRow(
-                label=label,
+                label=PAULI_EIGENSTATE_LABELS[k],
                 truth=truth,
                 mean=mean,
                 std=std,
@@ -237,7 +228,6 @@ def variance_vs_fisher_scan(
     shot_grid=(100, 1000, 10000, 100000),
     trials: int = 1000,
     seed: int = 0,
-    check: bool = True,
 ) -> tuple[ScanRow, ...]:
     """Estimator variance against the Cramer-Rao bound, per shot count.
 
@@ -248,7 +238,7 @@ def variance_vs_fisher_scan(
     independent experiments, averaged over the six Pauli eigenstates, and
     compared with bound = F^-1/(N-1).
 
-    With check=True the scan raises if the bound is beaten beyond the
+    The scan raises RuntimeError if the bound is beaten beyond the
     statistical allowance 3/sqrt(trials), or if the ratio at the largest
     N strays from 1 by more than 10%.
     """
@@ -256,14 +246,13 @@ def variance_vs_fisher_scan(
         raise ValueError("pass exactly one of model or theta")
     if sorted(shot_grid) != list(shot_grid):
         raise ValueError("shot grid must be ascending")
-    states = PAULI_EIGENSTATES
     tmat = model.transfer_matrix() if model is not None else None
 
     rows = []
     for n_idx, shots in enumerate(shot_grid):
         variances = []
         bounds = []
-        for k, psi in enumerate(states):
+        for k, psi in enumerate(PAULI_EIGENSTATES):
             rng = _substream(seed, _TAG_SCAN, k, n_idx)
             truth = bloch_from_state(psi)
             if theta is not None:
@@ -294,20 +283,19 @@ def variance_vs_fisher_scan(
             )
         )
 
-    if check:
-        allowance = 3.0 / math.sqrt(trials)
-        for row in rows:
-            if row.ratio < 1.0 - allowance - 0.05:
-                raise RuntimeError(
-                    f"variance beats the Cramer-Rao bound at N={row.shots}: "
-                    f"ratio {row.ratio:.4f}"
-                )
-        final = rows[-1]
-        if abs(final.ratio - 1.0) > 0.1:
+    allowance = 3.0 / math.sqrt(trials)
+    for row in rows:
+        if row.ratio < 1.0 - allowance - 0.05:
             raise RuntimeError(
-                f"variance/bound ratio {final.ratio:.4f} at N={final.shots} "
-                "is not within 10% of 1"
+                f"variance beats the Cramer-Rao bound at N={row.shots}: "
+                f"ratio {row.ratio:.4f}"
             )
+    final = rows[-1]
+    if abs(final.ratio - 1.0) > 0.1:
+        raise RuntimeError(
+            f"variance/bound ratio {final.ratio:.4f} at N={final.shots} "
+            "is not within 10% of 1"
+        )
     return tuple(rows)
 
 
@@ -355,31 +343,3 @@ def binomial_variance_identity(psi: np.ndarray, theta: float) -> IdentityReport:
     lhs = np.array([p0 * p1 * (s_zero - s_one) ** 2])
     rhs = np.array([fisher_inverse_single(psi, theta)])
     return IdentityReport(lhs=lhs, rhs=rhs, max_abs_diff=float(abs(lhs[0] - rhs[0])))
-
-
-def per_shot_variance_identity(
-    counts: np.ndarray, theta: float
-) -> IdentityReport:
-    """Sample variance of shot-wise estimates, two ways.
-
-    Treating each shot as its own estimate (value s_0 or s_1), the ddof-1
-    sample variance equals N/(N-1) f_0 f_1 (s_0 - s_1)^2 identically.
-    """
-    counts = np.asarray(counts, dtype=int)
-    n = int(counts.sum())
-    if n < 2:
-        raise ValueError("need at least two shots")
-    s_zero = estimate_sz(1.0, 0.0, theta)
-    s_one = estimate_sz(0.0, 1.0, theta)
-    values = np.concatenate(
-        [np.full(counts[0], s_zero), np.full(counts[1], s_one)]
-    )
-    direct = float(np.var(values, ddof=1))
-    f0 = counts[0] / n
-    f1 = counts[1] / n
-    closed = n / (n - 1) * f0 * f1 * (s_zero - s_one) ** 2
-    return IdentityReport(
-        lhs=np.array([direct]),
-        rhs=np.array([closed]),
-        max_abs_diff=float(abs(direct - closed)),
-    )

@@ -143,10 +143,6 @@ class MeterModel:
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         return simulate_meter_process(rho, self.unitary)
 
-    @property
-    def condition_number(self) -> float:
-        return float(np.linalg.cond(self._tmat))
-
 
 def _as_bloch(state: np.ndarray) -> np.ndarray:
     state = np.asarray(state)
@@ -296,22 +292,24 @@ def minimize_with_restarts(
     objective: Callable[[np.ndarray], float],
     starts: Sequence[np.ndarray],
     *,
-    xatol: float = 1e-6,
-    fatol: float = 1e-6,
     maxiter: int = 2000,
 ) -> OptimizationResult:
     """Nelder-Mead from each start; the best end point wins.
 
-    Non-finite objective values are fine (the simplex retreats from them).
+    tol=1e-6 sets both of Nelder-Mead's absolute tolerances, on the
+    simplex and on the objective.  Non-finite objective values are fine
+    (the simplex retreats from them).
     """
     # imported here so that `import qtomo` does not pay for scipy
     from scipy.optimize import minimize
 
-    options = {"xatol": xatol, "fatol": fatol, "maxiter": maxiter}
+    options = {"maxiter": maxiter}
 
     def run(x0: np.ndarray) -> RestartOutcome:
         started = time.perf_counter()
-        res = minimize(objective, x0, method="Nelder-Mead", options=options)
+        res = minimize(
+            objective, x0, method="Nelder-Mead", tol=1e-6, options=options
+        )
         return RestartOutcome(
             start=np.asarray(x0, dtype=float),
             params=res.x,

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import PI_1, PI_PLUS, QuadratureRule, expm_2x2_hermitian
+from .core import PI_1, PI_PLUS, expm_2x2_hermitian
 from .model import (
     MeterModel,
     OptimizationResult,
@@ -172,21 +172,12 @@ class TwoMeterModel(MeterModel):
         )
 
 
-def qttf_two_meter(
-    theta_a: float, theta_b: float, rule: QuadratureRule | None = None
-) -> float:
-    """Pure-state average of Tr(F^-1) at the given couplings.
-
-    Exact unless a quadrature rule is passed (see qttf_from_transfer).
-    """
-    return qttf_from_transfer(transfer_matrix(theta_a, theta_b), rule)
+def qttf_two_meter(theta_a: float, theta_b: float) -> float:
+    """Exact pure-state average of Tr(F^-1) at the given couplings."""
+    return qttf_from_transfer(transfer_matrix(theta_a, theta_b))
 
 
-def optimize_two_meter(
-    restarts: int = 20,
-    seed: int = 0,
-    rule: QuadratureRule | None = None,
-) -> OptimizationResult:
+def optimize_two_meter(restarts: int = 20, seed: int = 0) -> OptimizationResult:
     """Minimize the qTTF over couplings with restarted Nelder-Mead.
 
     Starts are uniform in [-3 pi, 3 pi]^2; individual searches may wander
@@ -194,8 +185,7 @@ def optimize_two_meter(
     the returned point may lie outside it.  The result is the best local
     minimum reached from the starts, not a global optimum: the qTTF keeps
     falling as |theta| grows, so an optimum only means something for a
-    stated domain.  The objective is the exact qTTF unless a quadrature
-    rule is passed.
+    stated domain.  The objective is the exact qTTF.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -203,6 +193,6 @@ def optimize_two_meter(
     starts = rng.uniform(-3.0 * math.pi, 3.0 * math.pi, size=(restarts, 2))
 
     def objective(x: np.ndarray) -> float:
-        return qttf_two_meter(x[0], x[1], rule)
+        return qttf_two_meter(x[0], x[1])
 
     return minimize_with_restarts(objective, list(starts))

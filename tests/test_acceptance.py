@@ -29,7 +29,7 @@ from qtomo.harness import (
     run_single_experiment,
     variance_vs_fisher_scan,
 )
-from qtomo.model import kraus_transfer, simulate_meter_process
+from qtomo.model import kraus_transfer, qttf_from_transfer, simulate_meter_process
 from qtomo.single import qttf_single, qttf_single_quadrature
 from qtomo.twometer import (
     REFERENCE_COUPLINGS,
@@ -136,7 +136,9 @@ def test_criterion_2_two_meter_optimum_value(verdict):
     # (a) value at the reference couplings against the simulated process
     reference = qttf_two_meter(*REFERENCE_COUPLINGS)
     full_azimuth = make_quadrature(64, 128, alpha2_limit=2 * math.pi)
-    reference_full = qttf_two_meter(*REFERENCE_COUPLINGS, rule=full_azimuth)
+    reference_full = qttf_from_transfer(
+        transfer_matrix(*REFERENCE_COUPLINGS), full_azimuth
+    )
     reference_oracle = simulated_qttf(*REFERENCE_COUPLINGS)
     reference_ok = all(
         math.isclose(value, reference_oracle, rel_tol=1e-9)

@@ -426,8 +426,8 @@ def test_reproduce_table_rejects_too_few_repeats(capsys, table, repeats):
 def test_optimize_json_schema(tmp_path):
     out_file = tmp_path / "opt.json"
     code = main(
-        ["optimize", "--model", "two-meter", "--restarts", "2", "--quad", "16",
-         "--seed", "0", "--out", str(out_file)]
+        ["optimize", "--model", "two-meter", "--restarts", "2", "--seed", "0",
+         "--out", str(out_file)]
     )
     assert code == 0
     blob = json.loads(out_file.read_text())
@@ -435,7 +435,6 @@ def test_optimize_json_schema(tmp_path):
     assert len(blob["best_params"]) == 2
     assert len(blob["restarts"]) == 2
     assert blob["best_value"] == min(r["value"] for r in blob["restarts"])
-    assert blob["meta"]["quad"] == "16x16"
 
 
 def test_optimize_reports_evaluations_and_time(tmp_path):
@@ -531,7 +530,18 @@ def test_optimize_defaults_to_exact_qttf(tmp_path):
     )
     assert code == 0
     blob = json.loads(out_file.read_text())
-    assert blob["meta"]["quad"] == "exact"
+    assert "quad" not in blob["meta"]
     assert blob["best_value"] == pytest.approx(
         qttf_two_meter(*blob["best_params"]), rel=1e-12
     )
+
+
+def test_optimize_has_no_quadrature_flag(capsys):
+    # the objective is always the exact qTTF; the quadrature is an oracle
+    with pytest.raises(SystemExit) as err:
+        main(["optimize", "--model", "two-meter", "--quad", "16"])
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qtomo ")
+    assert "error: unrecognized arguments: --quad 16" in captured.err

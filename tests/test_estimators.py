@@ -166,6 +166,34 @@ def test_mle_fixed_point_at_degenerate_model():
     assert result.converged
 
 
+def test_mle_on_a_singular_model_raises_the_documented_error():
+    # every outcome with counts has a zero row in T, so R is zero and the
+    # normalization of R rho R vanishes
+    with pytest.raises(NonInvertibleModelError):
+        rho_r_mle([0.0, 1.0, 0.0, 0.0], transfer_matrix(0.0, 0.0))
+
+
+def test_mle_never_returns_nan():
+    # random T far from any POVM, entries scaled by 10^k with |k| < 200:
+    # R-rho-R either ends on a finite state or raises, naming T
+    rng = np.random.default_rng(7)
+    raised = 0
+    for _ in range(300):
+        tmat = rng.normal(size=(4, 4)) * 10.0 ** int(rng.integers(-199, 200))
+        freqs = rng.dirichlet(np.ones(4))
+        try:
+            result = rho_r_mle(freqs, tmat, MleConfig(max_iter=200))
+        except ValueError as exc:
+            assert isinstance(exc, NonInvertibleModelError) or (
+                str(tmat.tolist()) in str(exc)
+            )
+            raised += 1
+        else:
+            assert np.all(np.isfinite(result.bloch))
+            assert np.all(np.isfinite(result.rho))
+    assert raised > 0
+
+
 def test_mle_interior_state_matches_linear_inversion(models):
     # mixed target: both estimators see exact probabilities and must agree
     bloch = np.array([1.0, 0.3, -0.2, 0.4])

@@ -13,7 +13,6 @@ from qtomo.harness import (
     binomial_variance_identity,
     direction_fidelity,
     estimator_variance_identity,
-    per_shot_variance_identity,
     run_full_experiment,
     run_single_experiment,
     variance_vs_fisher_scan,
@@ -162,20 +161,6 @@ def test_binomial_variance_identity_exact(a1, a2, theta):
     psi = state_from_angles(a1, a2)
     report = binomial_variance_identity(psi, theta)
     assert report.max_abs_diff < 1e-12 * max(1.0, report.rhs[0])
-
-
-@given(st.integers(0, 2000), st.integers(0, 2000), st.floats(0.3, math.pi))
-@settings(max_examples=50)
-def test_per_shot_variance_identity(n0, n1, theta):
-    if n0 + n1 < 2:
-        n0 += 2
-    report = per_shot_variance_identity(np.array([n0, n1]), theta)
-    assert report.max_abs_diff < 1e-9 * max(1.0, report.rhs[0])
-
-
-def test_per_shot_variance_needs_two_shots():
-    with pytest.raises(ValueError):
-        per_shot_variance_identity(np.array([1, 0]), 1.0)
 
 
 def test_estimator_variance_identity_both_models():

@@ -133,8 +133,8 @@ def test_transfer_matrix_matches_the_sinc_formula(monkeypatch):
 
 def test_kraus_transfer_stack_is_the_per_unitary_call():
     # one batched Kraus read gives every member the bits of its own read:
-    # two-meter unitaries (with couplings near theta = 0) and circuits in
-    # both gate conventions
+    # two-meter unitaries (with couplings near theta = 0) and circuits, half
+    # of them with doubled thetas (the full-angle reading of their draw)
     rng = np.random.default_rng(31)
     couplings = np.concatenate(
         [
@@ -145,7 +145,9 @@ def test_kraus_transfer_stack_is_the_per_unitary_call():
     unitaries = list(joint_unitary(*couplings.T))
     for i in range(100):
         params = rng.uniform(0.0, 2 * math.pi, size=12)
-        unitaries.append(build_circuit(params, half_angle=i % 2 == 0).unitary)
+        if i % 2:
+            params[0::3] *= 2.0
+        unitaries.append(build_circuit(params).unitary)
     stack = np.array(unitaries)
     reads = kraus_transfer(stack)
     assert reads.shape == (len(unitaries), 4, 4)
