@@ -117,8 +117,8 @@ def _meter_amplitudes(first: tuple, second: tuple) -> tuple[tuple[complex, compl
     return (w00 + w10, w01 + w11), (w00 - w10, w01 - w11)
 
 
-def _transfer_matrix(params: np.ndarray) -> np.ndarray:
-    """T from the gate factors K_ab = H diag(beta_b) H diag(alpha_a).
+def _transfer_rows(params: np.ndarray) -> list[tuple[float, ...]]:
+    """Rows of T in Python floats, from K_ab = H diag(beta_b) H diag(alpha_a).
 
     E = K^dag K has diagonal |alpha_a[s]|^2 (|beta_b[0]|^2 + |beta_b[1]|^2)/2
     and off-diagonal conj(alpha_a[0]) alpha_a[1] (|beta_b[0]|^2 - |beta_b[1]|^2)/2;
@@ -147,7 +147,7 @@ def _transfer_matrix(params: np.ndarray) -> np.ndarray:
                     (p0 - p1) * b_sum / 64.0,
                 )
             )
-    return np.array(rows)
+    return rows
 
 
 def build_circuit(params) -> MeterModel:
@@ -163,13 +163,13 @@ def build_circuit(params) -> MeterModel:
     return MeterModel(
         params=tuple(arr),
         unitary=_block_unitary(arr),
-        _tmat=_transfer_matrix(arr),
+        _tmat=np.array(_transfer_rows(arr)),
     )
 
 
 def qttf_circuit(params) -> float:
     """Exact pure-state average of Tr(F^-1) for the circuit at these parameters."""
-    return qttf_from_transfer(_transfer_matrix(_checked_params(params)))
+    return qttf_from_transfer(_transfer_rows(_checked_params(params)))
 
 
 def optimize_circuit(restarts: int = 50, seed: int = 0) -> OptimizationResult:
@@ -184,6 +184,6 @@ def optimize_circuit(restarts: int = 50, seed: int = 0) -> OptimizationResult:
     starts = rng.uniform(0.0, 2.0 * math.pi, size=(restarts, 12))
 
     def objective(x: np.ndarray) -> float:
-        return qttf_from_transfer(_transfer_matrix(x))
+        return qttf_from_transfer(_transfer_rows(x))
 
     return minimize_with_restarts(objective, list(starts), maxiter=4000)

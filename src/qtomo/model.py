@@ -15,9 +15,13 @@ parameters), so where T is invertible F^-1 is the covariance of linear
 inversion: per state Tr F^-1(s) = sum_q p_q |a_q|^2 - |s|^2, and the qTTF
 has the exact form sum_q |a_q|^2 T[q, 0] - 1, with a_q the columns of
 T^-1[1:, :].  delta_from_transfer and qttf_from_transfer evaluate those
-forms; the quadrature average over delta_surface, which inverts each
-node's Fisher matrix through its eigenvalues, stays as the independent
-reference that the tests and the identity suite compare them against.
+forms from a partial-pivoting LU of T in plain floats, certified against
+the singular limit by a Frobenius-norm bound; only T near that limit
+goes to an SVD and the LAPACK inverse, so values agree with LAPACK to
+round-off and inf decisions are cond(T)'s.  The quadrature average over
+delta_surface, which inverts each node's Fisher matrix through its
+eigenvalues, stays as the independent reference that the tests and the
+identity suite compare them against.
 """
 from __future__ import annotations
 
@@ -186,28 +190,118 @@ def fisher_matrix_form(tmat: np.ndarray, state: np.ndarray) -> np.ndarray:
     return d.T @ middle @ d
 
 
-def _estimate_rows(tmat: np.ndarray) -> np.ndarray | None:
-    """A = T^-1[1:, :], or None once cond(T) >= CONDITION_LIMIT.
+def _inverse_weights(rows) -> tuple[list[float], float] | None:
+    """Squared column norms e_q = |a_q|^2 of T^-1[1:, :] and |T|_F |T^-1|_F.
 
-    cond_2(T) <= |T|_F |T^-1|_F, so when that bound on the computed
-    inverse is below CONDITION_LIMIT / 2 the inverse is returned without
-    an SVD; the factor 2 covers the inverse's round-off (relative error
-    about cond * eps, 1e-4 at the limit).  Otherwise, or when inv raises,
-    cond(T) decides, so the answer and its bits match the SVD test.
-    Raises ValueError for a non-finite T.
+    rows are T's four rows of four floats.  The inverse comes from a
+    partial-pivoting LU, PT = LU, as T^-1 = U^-1 L^-1 P with L^-1 applied
+    column by column from the right (LAPACK getri's order), all in
+    straight-line float arithmetic: at 4x4, numpy's per-call overhead
+    costs more than the arithmetic.  cond_2(T) <= |T|_F |T^-1|_F, and the
+    computed inverse is off by about cond * eps relative (1e-4 at the
+    limit), so a bound below CONDITION_LIMIT / 2 certifies
+    cond(T) < CONDITION_LIMIT.  None on a zero pivot, a non-finite value
+    or a bound at or above CONDITION_LIMIT / 2; _estimate_rows decides
+    those.
     """
-    try:
-        inv = np.linalg.inv(tmat)
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        if math.sqrt(np.vdot(tmat, tmat) * np.vdot(inv, inv)) < CONDITION_LIMIT / 2:
-            return inv[1:, :]
+    r0, r1, r2, r3 = rows
+    q0, q1, q2, q3 = 0, 1, 2, 3
+    # pivot on column 0: the largest |T[q, 0]| moves to the top
+    if abs(r1[0]) > abs(r0[0]):
+        r0, r1, q0, q1 = r1, r0, q1, q0
+    if abs(r2[0]) > abs(r0[0]):
+        r0, r2, q0, q2 = r2, r0, q2, q0
+    if abs(r3[0]) > abs(r0[0]):
+        r0, r3, q0, q3 = r3, r0, q3, q0
+    u00, u01, u02, u03 = r0
+    if u00 == 0.0:
+        return None
+    a0, a1, a2, a3 = r1
+    b0, b1, b2, b3 = r2
+    c0, c1, c2, c3 = r3
+    l1, l2, l3 = a0 / u00, b0 / u00, c0 / u00
+    a1, a2, a3 = a1 - l1 * u01, a2 - l1 * u02, a3 - l1 * u03
+    b1, b2, b3 = b1 - l2 * u01, b2 - l2 * u02, b3 - l2 * u03
+    c1, c2, c3 = c1 - l3 * u01, c2 - l3 * u02, c3 - l3 * u03
+    # column 1; a row swap carries its multipliers and its outcome index
+    if abs(b1) > abs(a1):
+        a1, a2, a3, l1, q1, b1, b2, b3, l2, q2 = b1, b2, b3, l2, q2, a1, a2, a3, l1, q1
+    if abs(c1) > abs(a1):
+        a1, a2, a3, l1, q1, c1, c2, c3, l3, q3 = c1, c2, c3, l3, q3, a1, a2, a3, l1, q1
+    if a1 == 0.0:
+        return None
+    m2, m3 = b1 / a1, c1 / a1
+    b2, b3 = b2 - m2 * a2, b3 - m2 * a3
+    c2, c3 = c2 - m3 * a2, c3 - m3 * a3
+    # column 2
+    if abs(c2) > abs(b2):
+        b2, b3, l2, m2, q2, c2, c3, l3, m3, q3 = c2, c3, l3, m3, q3, b2, b3, l2, m2, q2
+    if b2 == 0.0:
+        return None
+    n3 = c2 / b2
+    c3 -= n3 * b3
+    if c3 == 0.0:
+        return None
+    # V = U^-1 with U = [[u00 u01 u02 u03], [0 a1 a2 a3], [0 0 b2 b3], [0 0 0 c3]]
+    v33, v22, v11, v00 = 1.0 / c3, 1.0 / b2, 1.0 / a1, 1.0 / u00
+    v23 = -b3 * v33 * v22
+    v12 = -a2 * v22 * v11
+    v13 = -(a2 * v23 + a3 * v33) * v11
+    v01 = -u01 * v11 * v00
+    v02 = -(u01 * v12 + u02 * v22) * v00
+    v03 = -(u01 * v13 + u02 * v23 + u03 * v33) * v00
+    # X = V L^-1 solves X L = V; L's columns are (l1 l2 l3), (m2 m3), (n3).
+    # Column k of X is column q_k of T^-1; column 3 of X is column 3 of V.
+    x02, x12, x22, x32 = v02 - v03 * n3, v12 - v13 * n3, v22 - v23 * n3, -v33 * n3
+    x01 = v01 - x02 * m2 - v03 * m3
+    x11 = v11 - x12 * m2 - v13 * m3
+    x21 = -x22 * m2 - v23 * m3
+    x31 = -x32 * m2 - v33 * m3
+    x00 = v00 - x01 * l1 - x02 * l2 - v03 * l3
+    x10 = -x11 * l1 - x12 * l2 - v13 * l3
+    x20 = -x21 * l1 - x22 * l2 - v23 * l3
+    x30 = -x31 * l1 - x32 * l2 - v33 * l3
+    weights = [0.0, 0.0, 0.0, 0.0]
+    weights[q0] = x10 * x10 + x20 * x20 + x30 * x30
+    weights[q1] = x11 * x11 + x21 * x21 + x31 * x31
+    weights[q2] = x12 * x12 + x22 * x22 + x32 * x32
+    weights[q3] = v13 * v13 + v23 * v23 + v33 * v33
+    inverse_sq = sum(weights) + x00 * x00 + x01 * x01 + x02 * x02 + v03 * v03
+    bound = math.hypot(*rows[0], *rows[1], *rows[2], *rows[3]) * math.sqrt(inverse_sq)
+    if not bound < CONDITION_LIMIT / 2:
+        return None
+    return weights, bound
+
+
+def _estimate_rows(tmat: np.ndarray) -> np.ndarray | None:
+    """A = T^-1[1:, :] by LAPACK, or None once cond(T) >= CONDITION_LIMIT.
+
+    The SVD decision for the T that _inverse_weights does not clear: T
+    near the limit, singular or non-finite.  Raises ValueError for a
+    non-finite T.
+    """
     if not np.all(np.isfinite(tmat)):
         raise ValueError("transfer matrix must be finite")
     if not np.linalg.cond(tmat) < CONDITION_LIMIT:
         return None
     return np.linalg.inv(tmat)[1:, :]
+
+
+def _weighted_inverse_norms(rows, weights) -> float | None:
+    """sum_q |a_q|^2 w_q over the columns a_q of T^-1[1:, :].
+
+    None once cond(T) >= CONDITION_LIMIT; raises ValueError for a
+    non-finite T.
+    """
+    cleared = _inverse_weights(rows)
+    if cleared is None:
+        coeffs = _estimate_rows(np.array(rows, dtype=float))
+        if coeffs is None:
+            return None
+        return float(np.einsum("mq,mq,q->", coeffs, coeffs, np.array(weights)))
+    e0, e1, e2, e3 = cleared[0]
+    w0, w1, w2, w3 = weights
+    return e0 * w0 + e1 * w1 + e2 * w2 + e3 * w3
 
 
 def delta_from_transfer(tmat: np.ndarray, state: np.ndarray) -> float:
@@ -218,10 +312,10 @@ def delta_from_transfer(tmat: np.ndarray, state: np.ndarray) -> float:
     """
     s = _as_bloch(state)
     p = tmat @ s
-    coeffs = _estimate_rows(tmat)
-    if coeffs is None or p.min() <= PROBABILITY_FLOOR:
+    total = _weighted_inverse_norms(tmat.tolist(), p.tolist())
+    if total is None or p.min() <= PROBABILITY_FLOOR:
         return math.inf
-    return float(np.einsum("mq,mq,q->", coeffs, coeffs, p) - s[1:] @ s[1:])
+    return total - float(s[1:] @ s[1:])
 
 
 def delta_surface(tmat: np.ndarray, bloch_nodes: np.ndarray) -> np.ndarray:
@@ -238,26 +332,28 @@ def delta_surface(tmat: np.ndarray, bloch_nodes: np.ndarray) -> np.ndarray:
     return np.where(bad, np.inf, totals)
 
 
-def qttf_from_transfer(tmat: np.ndarray, rule: QuadratureRule | None = None) -> float:
+def qttf_from_transfer(tmat, rule: QuadratureRule | None = None) -> float:
     """Pure-state average of Tr(F^-1); inf when the model is singular.
 
+    tmat is a 4x4 array or a sequence of four rows of four floats.
     Without a rule this is exact: Tr F^-1(s) = sum_q p_q |a_q|^2 - |s|^2
     is affine in s on pure states, so its average is
-    sum_q |a_q|^2 T[q, 0] - 1, and inf once cond(T) >= CONDITION_LIMIT
-    (a Frobenius-norm bound clears well-conditioned T; only T near the
-    limit pays for an SVD, see _estimate_rows).
+    sum_q |a_q|^2 T[q, 0] - 1, and inf once cond(T) >= CONDITION_LIMIT.
+    A float LU with a Frobenius-norm bound clears a well-conditioned T
+    (_inverse_weights); only T near the limit pays for an SVD and the
+    LAPACK inverse (_estimate_rows).  The two routes agree to round-off.
     With a rule it is the quadrature average over delta_surface, inf as
     soon as any node is singular; that path is the reference for checks.
     """
     if rule is not None:
-        values = delta_surface(tmat, rule.bloch_nodes())
+        values = delta_surface(np.asarray(tmat, dtype=float), rule.bloch_nodes())
         if not np.all(np.isfinite(values)):
             return math.inf
         return rule.integrate(values)
-    coeffs = _estimate_rows(tmat)
-    if coeffs is None:
-        return math.inf
-    return float(np.einsum("mq,mq,q->", coeffs, coeffs, tmat[:, 0]) - 1.0)
+    rows = tmat.tolist() if isinstance(tmat, np.ndarray) else tmat
+    column0 = (rows[0][0], rows[1][0], rows[2][0], rows[3][0])
+    total = _weighted_inverse_norms(rows, column0)
+    return math.inf if total is None else total - 1.0
 
 
 def default_rule() -> QuadratureRule:

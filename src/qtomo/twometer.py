@@ -140,14 +140,8 @@ def coefficients_closed_form(
     return np.array(a), np.array(b), np.array(c)
 
 
-def transfer_matrix(theta_a: float, theta_b: float) -> np.ndarray:
-    """4x4 map from Bloch 4-vectors to outcome probabilities (++, +-, -+, --).
-
-    Row (k, l) is a k + b l + c kl.  Column 0 includes the constant 1/4
-    alongside the mu = 0 coefficient block; dropping that block would
-    break agreement with the simulated process for every non-trivial
-    coupling.
-    """
+def _transfer_rows(theta_a: float, theta_b: float) -> list[list[float]]:
+    """Rows of T in Python floats: row (k, l) is a k + b l + c kl, plus 1/4 at mu = 0."""
     a, b, c = _coefficients(theta_a, theta_b)
     abc = tuple(zip(a, b, c))
     rows = [
@@ -158,13 +152,26 @@ def transfer_matrix(theta_a: float, theta_b: float) -> np.ndarray:
     ]
     for row in rows:
         row[0] += 0.25
-    return np.array(rows)
+    return rows
+
+
+def transfer_matrix(theta_a: float, theta_b: float) -> np.ndarray:
+    """4x4 map from Bloch 4-vectors to outcome probabilities (++, +-, -+, --).
+
+    Row (k, l) is a k + b l + c kl.  Column 0 includes the constant 1/4
+    alongside the mu = 0 coefficient block; dropping that block would
+    break agreement with the simulated process for every non-trivial
+    coupling.  The couplings are read as Python floats, so numpy scalars
+    give the same bits at Python-float speed.
+    """
+    return np.array(_transfer_rows(float(theta_a), float(theta_b)))
 
 
 class TwoMeterModel(MeterModel):
     """The meter model at couplings (theta_A, theta_B), with closed-form T."""
 
     def __init__(self, theta_a: float, theta_b: float) -> None:
+        theta_a, theta_b = float(theta_a), float(theta_b)
         super().__init__(
             params=(theta_a, theta_b),
             unitary=joint_unitary(theta_a, theta_b),
@@ -174,7 +181,7 @@ class TwoMeterModel(MeterModel):
 
 def qttf_two_meter(theta_a: float, theta_b: float) -> float:
     """Exact pure-state average of Tr(F^-1) at the given couplings."""
-    return qttf_from_transfer(transfer_matrix(theta_a, theta_b))
+    return qttf_from_transfer(_transfer_rows(float(theta_a), float(theta_b)))
 
 
 def optimize_two_meter(restarts: int = 20, seed: int = 0) -> OptimizationResult:

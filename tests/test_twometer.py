@@ -193,6 +193,21 @@ def test_transfer_matrix_is_the_sign_pattern_sum():
         assert np.array_equal(transfer_matrix(theta_a, theta_b), expected)
 
 
+def test_numpy_scalar_couplings_give_the_float_bits():
+    # the optimizer hands over np.float64 couplings; they are read as
+    # Python floats, so T, the qTTF and the model carry the same bits
+    rng = np.random.default_rng(12)
+    for theta_a, theta_b in rng.uniform(-3 * math.pi, 3 * math.pi, size=(500, 2)):
+        a, b = float(theta_a), float(theta_b)
+        assert transfer_matrix(theta_a, theta_b).tobytes() == transfer_matrix(a, b).tobytes()
+        value = qttf_two_meter(theta_a, theta_b)
+        assert type(value) is float and value == qttf_two_meter(a, b)
+    model = TwoMeterModel(np.float64(REFERENCE_COUPLINGS[0]), np.float64(REFERENCE_COUPLINGS[1]))
+    assert all(type(theta) is float for theta in model.params)
+    assert model.params == REFERENCE_COUPLINGS
+    assert np.array_equal(model.transfer_matrix(), transfer_matrix(*REFERENCE_COUPLINGS))
+
+
 def test_zero_couplings_are_degenerate():
     tmat = transfer_matrix(0.0, 0.0)
     bloch = bloch_from_state(state_from_angles(0.3, 0.8))
