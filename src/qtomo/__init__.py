@@ -16,7 +16,6 @@ from .core import (
     check_density,
     density_from_bloch,
     density_from_state,
-    entanglement_entropy,
     fidelity,
     make_quadrature,
     state_from_angles,
@@ -100,7 +99,6 @@ __all__ = [
     "bloch_from_state",
     "check_density",
     "fidelity",
-    "entanglement_entropy",
     # single meter
     "NonInformativeCouplingError",
     "probabilities_single",

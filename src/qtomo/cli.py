@@ -12,6 +12,9 @@ Output schemas are fixed: CSV files carry `# key: value` metadata lines
 before the header row; JSON files put their metadata under "meta".
 Exit codes: 0 success, 1 validation error, 2 numerical failure,
 3 identity-check failure.
+
+This module parses, validates and formats only; the identity suite
+lives in qtomo.identities and is re-exported here as identity_suite.
 """
 from __future__ import annotations
 
@@ -34,7 +37,6 @@ from .core import (
     bloch_from_state,
     density_from_bloch,
     fidelity,
-    make_quadrature,
     state_from_angles,
 )
 from .estimators import (
@@ -43,37 +45,15 @@ from .estimators import (
     log_likelihood,
     radial_clip,
     require_invertible,
-    rho_r_mle,
     saturated_mle,
 )
-from .harness import (
-    DEFAULT_SEED,
-    binomial_variance_identity,
-    estimator_variance_identity,
-    run_full_experiment,
-    run_single_experiment,
-)
-from .model import (
-    SingularInformationError,
-    fisher_from_transfer,
-    fisher_matrix_form,
-    kraus_transfer,
-    qttf_from_transfer,
-)
-from .single import max_error_single, qttf_single, two_design_average
-from .twometer import (
-    REFERENCE_COUPLINGS,
-    TwoMeterModel,
-    joint_unitary,
-    optimize_two_meter,
-    transfer_matrix,
-)
+from .harness import DEFAULT_SEED, run_full_experiment, run_single_experiment
+from .identities import identity_suite
+from .model import SingularInformationError
+from .single import max_error_single, qttf_single
+from .twometer import REFERENCE_COUPLINGS, TwoMeterModel, optimize_two_meter
 
 _TABLE_1_THETAS = (math.pi / 2.0, 2.0 * math.pi / 3.0, math.pi)
-
-# Reference rule for the identity suite's exact-vs-quadrature check, built
-# once: the suite runs often and the rule costs as much as the check.
-_CHECK_RULE = make_quadrature(16, 16)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,9 +65,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_params(text: str) -> tuple[float, ...]:
-    values = tuple(float(x) for x in text.split(","))
+    usage = f"--params expects 12 comma-separated reals, got {text!r}"
+    try:
+        values = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(usage) from None
     if len(values) != 12:
-        raise ValueError("--params expects 12 comma-separated reals")
+        raise ValueError(usage)
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"--params entries must be finite, got {text}")
     return values
@@ -112,6 +96,11 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+
+
+def _is_count(value) -> bool:
+    # JSON true/false load as bool, a subclass of int; neither is a count
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_shots(shots: int) -> None:
@@ -158,7 +147,7 @@ def _build_model(args):
                 raise ValueError(f"{flag} must be finite, got {value}")
         return TwoMeterModel(theta_a, theta_b)
     if args.model == "circuit":
-        params = _parse_params(args.params) if args.params else REFERENCE_OPTIMUM
+        params = REFERENCE_OPTIMUM if args.params is None else _parse_params(args.params)
         return build_circuit(params)
     raise ValueError(f"model '{args.model}' has no 4-outcome transfer matrix")
 
@@ -288,295 +277,6 @@ def cmd_reproduce_table(args) -> int:
     return 0
 
 
-def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
-    """Numerical identity checks on seeded random cases.
-
-    Returns {"checks": {name: {max_deviation, tolerance, pass}}, "all_pass"}.
-    corrupt=True perturbs the transfer matrix used in the model-consistency
-    checks, which must make the suite fail (negative control).
-
-    Each oracle runs once and is shared.  The 8x8 simulations of the 40
-    random cases feed probability_normalization, transfer_vs_simulation
-    and linear_inversion_roundtrip; the five R-rho-R runs feed the three
-    mle_* checks.  coefficients_vs_trace builds the joint unitaries of
-    all its couplings in one stacked eigh and reads them in one batched
-    Kraus read; circuit_transfer_vs_kraus reads its circuits in one too.
-    """
-    rng = np.random.default_rng(seed)
-    pairs = 200  # cases in coefficients_vs_trace and in binomial_variance
-    checks: dict[str, dict] = {}
-
-    def record(name, tol, body):
-        # raises inside a check count as failures, not crashes: the
-        # corrupted-matrix control must still produce a report.  A check
-        # that raised or measured no finite deviation reports null.
-        try:
-            deviation = float(body())
-        except (ValueError, ArithmeticError, FloatingPointError) as exc:
-            error = str(exc)
-        else:
-            if math.isfinite(deviation):
-                checks[name] = {
-                    "max_deviation": deviation,
-                    "tolerance": tol,
-                    "pass": bool(deviation <= tol),
-                }
-                return
-            error = f"deviation is {deviation}"
-        checks[name] = {
-            "max_deviation": None,
-            "tolerance": tol,
-            "pass": False,
-            "error": error,
-        }
-
-    def random_state():
-        return state_from_angles(
-            rng.uniform(0.0, math.pi / 2.0), rng.uniform(0.0, math.pi)
-        )
-
-    models = [
-        TwoMeterModel(*REFERENCE_COUPLINGS),
-        build_circuit(REFERENCE_OPTIMUM),
-    ]
-    # the claimed transfer matrices; the simulators stay truthful, so a
-    # corrupted claim must show up wherever claim and simulation meet
-    tmats = [m.transfer_matrix() for m in models]
-    if corrupt:
-        tmats = [t + np.full_like(t, 0.01) for t in tmats]
-
-    def coefficient_check():
-        # closed-form transfer matrices against the Kraus read of the
-        # joint unitary, including near-degenerate couplings where
-        # theta_C is tiny; all unitaries come from one stacked eigh and
-        # are read in one batched Kraus read
-        couplings = []
-        for i in range(pairs):
-            if i % 10 == 0:
-                # theta_C = hypot(theta_A, theta_B) below 1e-6: the sinc
-                # term sits at its removable singularity
-                ta = rng.uniform(-1.0, 1.0) * 5e-7
-                tb = rng.uniform(-1.0, 1.0) * 5e-7
-            else:
-                ta = rng.uniform(-3 * math.pi, 3 * math.pi)
-                tb = rng.uniform(-3 * math.pi, 3 * math.pi)
-            couplings.append((ta, tb))
-        theta_a, theta_b = np.array(couplings).reshape(pairs, 2).T
-        reads = kraus_transfer(joint_unitary(theta_a, theta_b))
-        dev = 0.0
-        for (ta, tb), read in zip(couplings, reads):
-            gap = transfer_matrix(ta, tb) - read
-            dev = max(dev, float(np.max(np.abs(gap))))
-        return dev
-
-    record("coefficients_vs_trace", 1e-10, coefficient_check)
-
-    def unitarity_check():
-        return max(
-            float(np.max(np.abs(m.unitary @ m.unitary.conj().T - np.eye(8))))
-            for m in models
-        )
-
-    record("unitarity", 1e-12, unitarity_check)
-
-    cases = [
-        (random_state(), m_idx) for _ in range(20) for m_idx in (0, 1)
-    ]
-    simulated = None
-
-    def case_simulations():
-        # the 8x8 simulation of every case, run once and shared by the
-        # checks that compare against it
-        nonlocal simulated
-        if simulated is None:
-            simulated = [
-                models[m_idx].probabilities(density_from_bloch(bloch_from_state(psi)))
-                for psi, m_idx in cases
-            ]
-        return simulated
-
-    def normalization_check():
-        dev = 0.0
-        for sim in case_simulations():
-            dev = max(dev, abs(float(sim.sum()) - 1.0), -float(sim.min()))
-        return dev
-
-    record("probability_normalization", 1e-12, normalization_check)
-
-    def simulation_check():
-        dev = 0.0
-        for (psi, m_idx), sim in zip(cases, case_simulations()):
-            bloch = bloch_from_state(psi)
-            dev = max(dev, float(np.max(np.abs(tmats[m_idx] @ bloch - sim))))
-        return dev
-
-    record("transfer_vs_simulation", 1e-10, simulation_check)
-
-    def fisher_forms_check():
-        dev = 0.0
-        for psi, m_idx in cases:
-            f_elem = fisher_from_transfer(tmats[m_idx], psi)
-            f_mat = fisher_matrix_form(tmats[m_idx], psi)
-            dev = max(dev, float(np.max(np.abs(f_elem - f_mat))))
-        return dev
-
-    record("fisher_forms", 1e-8, fisher_forms_check)
-
-    def fisher_shape_check():
-        dev = 0.0
-        min_eig = np.inf
-        for psi, m_idx in cases:
-            f_elem = fisher_from_transfer(tmats[m_idx], psi)
-            dev = max(dev, float(np.max(np.abs(f_elem - f_elem.T))))
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(f_elem).min()))
-        return max(dev, -min_eig, 0.0)
-
-    record("fisher_symmetry_psd", 1e-10, fisher_shape_check)
-
-    def roundtrip_check():
-        # invert the simulated probabilities with the claimed matrix; any
-        # gap between claim and simulation lands in the recovered state
-        dev = 0.0
-        for (psi, m_idx), sim in zip(cases, case_simulations()):
-            bloch = bloch_from_state(psi)
-            est = linear_inversion(sim, tmats[m_idx])
-            dev = max(dev, float(np.max(np.abs(est.bloch - bloch))))
-        return dev
-
-    record("linear_inversion_roundtrip", 1e-10, roundtrip_check)
-
-    def mle_traces():
-        outcomes = []
-        for _ in range(5):
-            psi = random_state()
-            m_idx = int(rng.integers(0, 2))
-            sim = models[m_idx].probabilities(
-                density_from_bloch(bloch_from_state(psi))
-            )
-            freqs = rng.multinomial(1024, sim) / 1024.0
-            trace_ll = []
-            result = rho_r_mle(freqs, tmats[m_idx], likelihood_trace=trace_ll)
-            outcomes.append((freqs, tmats[m_idx], trace_ll, result))
-        return outcomes
-
-    mle_runs = None
-
-    def mle_monotone_check():
-        nonlocal mle_runs
-        mle_runs = mle_traces()
-        worst = 0.0
-        for _, _, trace_ll, _ in mle_runs:
-            diffs = np.diff(trace_ll)
-            if diffs.size:
-                worst = max(worst, float(-diffs.min()))
-        return worst
-
-    record("mle_likelihood_monotone", 1e-9, mle_monotone_check)
-
-    def mle_physical_check():
-        runs = mle_runs if mle_runs is not None else mle_traces()
-        worst = 0.0
-        for _, _, _, result in runs:
-            worst = max(worst, float(np.linalg.norm(result.bloch[1:]) - 1.0))
-        return max(worst, 0.0)
-
-    record("mle_physicality", 1e-9, mle_physical_check)
-
-    def mle_exact_check():
-        # the exact solver on the R-rho-R runs' data: its log-likelihood is
-        # never below R-rho-R's, and an estimate on the sphere is a KKT
-        # point g = lambda v with lambda >= 0, measured against sum_q |g_q|,
-        # the scale of g's round-off
-        runs = mle_runs if mle_runs is not None else mle_traces()
-        worst = 0.0
-        for freqs, tmat, _, reference in runs:
-            exact = saturated_mle(freqs, tmat)
-            worst = max(
-                worst,
-                log_likelihood(freqs, tmat @ reference.bloch)
-                - log_likelihood(freqs, tmat @ exact.bloch),
-            )
-            if exact.iterations > 1:
-                live = freqs > 0.0
-                probs = tmat[live] @ exact.bloch
-                terms = (freqs[live] / probs)[:, None] * tmat[live, 1:]
-                g = terms.sum(axis=0)
-                v = exact.bloch[1:]
-                lam = float(g @ v)
-                scale = float(np.linalg.norm(terms, axis=1).sum())
-                worst = max(
-                    worst, float(np.linalg.norm(g - lam * v)) / scale, -lam / scale
-                )
-        return worst
-
-    record("mle_exact_vs_rho_r", 1e-12, mle_exact_check)
-
-    def two_design_check():
-        # the six eigenstates form a 2-design, so their mean error equals
-        # the full state-space average
-        dev = 0.0
-        for _ in range(10):
-            theta = rng.uniform(0.3, math.pi)
-            dev = max(dev, abs(two_design_average(theta) - qttf_single(theta)))
-        return dev
-
-    record("two_design_average", 1e-9, two_design_check)
-
-    def binomial_check():
-        dev = 0.0
-        for _ in range(pairs):
-            psi = random_state()
-            theta = rng.uniform(0.1, math.pi)
-            dev = max(dev, binomial_variance_identity(psi, theta).max_abs_diff)
-        return dev
-
-    record("binomial_variance", 1e-12, binomial_check)
-
-    def estimator_variance_check():
-        dev = 0.0
-        for psi, m_idx in cases:
-            dev = max(dev, estimator_variance_identity(psi, tmats[m_idx]).max_abs_diff)
-        return dev
-
-    record("estimator_variance", 1e-8, estimator_variance_check)
-
-    def qttf_exact_check():
-        # closed-form qTTF against the quadrature average, relative; both
-        # read the claimed matrices, and a singular one gives nan (a fail)
-        gaps = []
-        for tmat in tmats:
-            exact = qttf_from_transfer(tmat)
-            gaps.append(abs(exact - qttf_from_transfer(tmat, _CHECK_RULE)) / exact)
-        return np.max(gaps)
-
-    record("qttf_exact_vs_quadrature", 1e-9, qttf_exact_check)
-
-    def circuit_kraus_check():
-        # the circuit's transfer matrix from its gate factors against the
-        # Kraus read of its compiled 8x8 unitary; every other circuit has
-        # its thetas doubled, which gives the full-angle gates u3(theta, ...)
-        # of its draw.  One batched read covers all twenty unitaries
-        circuits = []
-        for i in range(20):
-            params = rng.uniform(0.0, 2.0 * math.pi, size=12)
-            if i % 2:
-                params[0::3] *= 2.0
-            circuits.append(build_circuit(params))
-        reads = kraus_transfer(np.array([c.unitary for c in circuits]))
-        dev = 0.0
-        for circ, read in zip(circuits, reads):
-            gap = circ.transfer_matrix() - read
-            dev = max(dev, float(np.max(np.abs(gap))))
-        return dev
-
-    record("circuit_transfer_vs_kraus", 1e-12, circuit_kraus_check)
-
-    return {
-        "checks": checks,
-        "all_pass": all(entry["pass"] for entry in checks.values()),
-    }
-
-
 def cmd_check_identities(args) -> int:
     if args.format != "json":
         raise ValueError("check-identities emits JSON")
@@ -601,15 +301,19 @@ def cmd_estimate(args) -> int:
                 blob = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"malformed counts file: {exc}") from exc
+        if not isinstance(blob, dict):
+            raise ValueError("counts file must hold a JSON object")
         outcomes = blob.get("outcomes")
         if (
             not isinstance(outcomes, list)
             or len(outcomes) != 4
-            or any((not isinstance(c, int)) or c < 0 for c in outcomes)
+            or any(not _is_count(c) or c < 0 for c in outcomes)
             or sum(outcomes) <= 0
         ):
             raise ValueError("counts file needs 4 nonnegative integer outcomes")
         shots = blob.get("shots", sum(outcomes))
+        if not _is_count(shots):
+            raise ValueError(f"shots field must be an integer, got {shots!r}")
         if shots != sum(outcomes):
             raise ValueError("shots field disagrees with the outcome sum")
         freqs = np.asarray(outcomes, dtype=float) / shots

@@ -1,4 +1,4 @@
-"""Qubit primitives: states, Bloch vectors, fidelity, entropy, quadrature.
+"""Qubit primitives: states, Bloch vectors, fidelity, quadrature.
 
 Everything here is plain complex linear algebra on 2x2 (and, via helpers,
 4x4 / 8x8) arrays.  All functions are pure; nothing caches mutable state.
@@ -24,7 +24,6 @@ __all__ = [
     "density_from_bloch",
     "bloch_from_state",
     "fidelity",
-    "entanglement_entropy",
     "make_quadrature",
     "expm_2x2_hermitian",
     "kron3",
@@ -135,24 +134,6 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     # Determinants of physical qubit states are >= 0 up to round-off.
     dets = max(np.linalg.det(rho).real, 0.0) * max(np.linalg.det(sigma).real, 0.0)
     return float(min(max(overlap + 2.0 * math.sqrt(dets), 0.0), 1.0))
-
-
-def entanglement_entropy(alpha1: float, theta: float) -> float:
-    """System-meter entanglement generated by the coupling, in bits.
-
-    E = -sum lambda log2 lambda with lambda = (1 +- sqrt(x))/2 and
-    x = 1 - sin^2(2 a1) sin^2(theta/2).  Zero exactly at the poles for
-    any coupling; one full bit at the equator when theta = pi.
-    """
-    if not (-1e-12 <= alpha1 <= math.pi / 2 + 1e-12):
-        raise ValueError(f"alpha1 must lie in [0, pi/2], got {alpha1}")
-    x = 1.0 - math.sin(2.0 * alpha1) ** 2 * math.sin(theta / 2.0) ** 2
-    root = math.sqrt(max(x, 0.0))
-    total = 0.0
-    for lam in ((1.0 + root) / 2.0, (1.0 - root) / 2.0):
-        if lam > 0.0:
-            total -= lam * math.log2(lam)
-    return total
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,278 @@
+"""Numerical identity suite behind ``qtomo check-identities``.
+
+Draw, then check.  Every seeded input is drawn before any check runs,
+always in the same order, so a check that raises cannot shift the inputs
+of the checks after it; each check is then a pure function of its inputs.
+The two shared oracles, the 8x8 simulations of the 40 random cases and
+the five R-rho-R runs, run at most once: inside the check that first
+reads them.  A later check reads the stored result, or, if the oracle
+raised, fails with an error naming it without running it again.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .circuit import REFERENCE_OPTIMUM, build_circuit
+from .core import bloch_from_state, density_from_bloch, make_quadrature, state_from_angles
+from .estimators import linear_inversion, log_likelihood, rho_r_mle, saturated_mle
+from .harness import binomial_variance_identity, estimator_variance_identity
+from .model import (
+    fisher_from_transfer,
+    fisher_matrix_form,
+    kraus_transfer,
+    qttf_from_transfer,
+    simulate_meter_process,
+)
+from .single import qttf_single, two_design_average
+from .twometer import REFERENCE_COUPLINGS, TwoMeterModel, joint_unitary, transfer_matrix
+
+__all__ = ["identity_suite"]
+
+# Reference rule for the exact-vs-quadrature check, built once: the suite
+# runs often and the rule costs as much as the check.
+_CHECK_RULE = make_quadrature(16, 16)
+
+_PAIRS = 200  # cases in coefficients_vs_trace and in binomial_variance
+
+
+@dataclass(frozen=True)
+class _Draws:
+    """Every seeded input of one suite run."""
+
+    couplings: list  # (theta_a, theta_b) floats
+    cases: list  # (psi, model index)
+    mle_inputs: list  # (model index, multinomial frequencies)
+    thetas: list  # two-design couplings
+    binomial: list  # (psi, theta)
+    circuit_params: list  # 12-vectors
+
+
+def _draw(rng: np.random.Generator, models) -> _Draws:
+    """Draw the suite's inputs in their fixed order.
+
+    The R-rho-R frequencies are sampled from the truthful 8x8 simulation,
+    so those five simulations run here.
+    """
+
+    def random_state():
+        return state_from_angles(
+            rng.uniform(0.0, math.pi / 2.0), rng.uniform(0.0, math.pi)
+        )
+
+    couplings = []
+    for i in range(_PAIRS):
+        if i % 10 == 0:
+            # theta_C = hypot(theta_A, theta_B) below 1e-6: the sinc term
+            # sits at its removable singularity
+            ta = rng.uniform(-1.0, 1.0) * 5e-7
+            tb = rng.uniform(-1.0, 1.0) * 5e-7
+        else:
+            ta = rng.uniform(-3 * math.pi, 3 * math.pi)
+            tb = rng.uniform(-3 * math.pi, 3 * math.pi)
+        couplings.append((ta, tb))
+    cases = [(random_state(), m_idx) for _ in range(20) for m_idx in (0, 1)]
+    mle_inputs = []
+    for _ in range(5):
+        psi = random_state()
+        m_idx = int(rng.integers(0, 2))
+        sim = _simulate(psi, models[m_idx])
+        mle_inputs.append((m_idx, rng.multinomial(1024, sim) / 1024.0))
+    thetas = [rng.uniform(0.3, math.pi) for _ in range(10)]
+    binomial = [(random_state(), rng.uniform(0.1, math.pi)) for _ in range(_PAIRS)]
+    circuit_params = []
+    for i in range(20):
+        params = rng.uniform(0.0, 2.0 * math.pi, size=12)
+        if i % 2:
+            # the full-angle gates u3(theta, ...) of the draw
+            params[0::3] *= 2.0
+        circuit_params.append(params)
+    return _Draws(couplings, cases, mle_inputs, thetas, binomial, circuit_params)
+
+
+def _simulate(psi, model) -> np.ndarray:
+    return simulate_meter_process(density_from_bloch(bloch_from_state(psi)), model.unitary)
+
+
+def _shared(name: str, compute):
+    """compute() at most once: the first read runs it, later reads return
+    its result or, if it raised, fail naming it."""
+    state = {}
+
+    def read():
+        if "error" in state:
+            raise ValueError(f"shared oracle '{name}' raised: {state['error']}")
+        if "value" not in state:
+            try:
+                state["value"] = compute()
+            except (ValueError, ArithmeticError) as exc:
+                state["error"] = exc
+                raise
+        return state["value"]
+
+    return read
+
+
+def _record(tol: float, body) -> dict:
+    # raises inside a check count as failures, not crashes: the
+    # corrupted-matrix control must still produce a report.  A check that
+    # raised or measured no finite deviation reports null.
+    try:
+        deviation = float(body())
+    except (ValueError, ArithmeticError) as exc:
+        error = str(exc)
+    else:
+        if math.isfinite(deviation):
+            return {"max_deviation": deviation, "tolerance": tol, "pass": bool(deviation <= tol)}
+        error = f"deviation is {deviation}"
+    return {"max_deviation": None, "tolerance": tol, "pass": False, "error": error}
+
+
+def _max_gap(a, b) -> float:
+    """Largest entry of |a - b| over stacked arrays; a NaN gap propagates."""
+    return float(np.max(np.abs(np.subtract(a, b))))
+
+
+def _coefficients_vs_trace(couplings) -> float:
+    # closed-form transfer matrices against the Kraus read of the joint
+    # unitary, including near-degenerate couplings where theta_C is tiny;
+    # all unitaries come from one stacked eigh and one batched Kraus read
+    theta_a, theta_b = np.array(couplings).T
+    reads = kraus_transfer(joint_unitary(theta_a, theta_b))
+    return _max_gap([transfer_matrix(ta, tb) for ta, tb in couplings], reads)
+
+
+def _normalization(sims) -> float:
+    return max(max(abs(float(sim.sum()) - 1.0), -float(sim.min())) for sim in sims)
+
+
+def _fisher_symmetry_psd(fishers) -> float:
+    min_eig = min(float(np.linalg.eigvalsh(f).min()) for f in fishers)
+    return max(_max_gap(fishers, [f.T for f in fishers]), -min_eig, 0.0)
+
+
+def _rho_r_run(freqs, tmat):
+    trace_ll = []
+    return trace_ll, rho_r_mle(freqs, tmat, likelihood_trace=trace_ll)
+
+
+def _mle_monotone(runs) -> float:
+    worst = 0.0
+    for trace_ll, _ in runs:
+        diffs = np.diff(trace_ll)
+        if diffs.size:
+            worst = max(worst, float(-diffs.min()))
+    return worst
+
+
+def _mle_physicality(runs) -> float:
+    return max(0.0, *(float(np.linalg.norm(r.bloch[1:]) - 1.0) for _, r in runs))
+
+
+def _mle_exact_vs_rho_r(inputs, references) -> float:
+    # the exact solver on the R-rho-R runs' data: its log-likelihood is
+    # never below R-rho-R's, and an estimate on the sphere is a KKT point
+    # g = lambda v with lambda >= 0, measured against sum_q |g_q|, the
+    # scale of g's round-off
+    worst = 0.0
+    for (freqs, tmat), reference in zip(inputs, references):
+        exact = saturated_mle(freqs, tmat)
+        worst = max(
+            worst,
+            log_likelihood(freqs, tmat @ reference.bloch)
+            - log_likelihood(freqs, tmat @ exact.bloch),
+        )
+        if exact.iterations > 1:
+            live = freqs > 0.0
+            probs = tmat[live] @ exact.bloch
+            terms = (freqs[live] / probs)[:, None] * tmat[live, 1:]
+            g = terms.sum(axis=0)
+            v = exact.bloch[1:]
+            lam = float(g @ v)
+            scale = float(np.linalg.norm(terms, axis=1).sum())
+            worst = max(worst, float(np.linalg.norm(g - lam * v)) / scale, -lam / scale)
+    return worst
+
+
+def _qttf_exact_vs_quadrature(tmats) -> float:
+    # closed-form qTTF against the quadrature average, relative; a
+    # singular matrix gives nan (a fail)
+    gaps = []
+    for tmat in tmats:
+        exact = qttf_from_transfer(tmat)
+        gaps.append(abs(exact - qttf_from_transfer(tmat, _CHECK_RULE)) / exact)
+    return np.max(gaps)
+
+
+def _circuit_transfer_vs_kraus(circuit_params) -> float:
+    # the circuit's transfer matrix from its gate factors against the
+    # Kraus read of its compiled 8x8 unitary, all in one batched read
+    circuits = [build_circuit(params) for params in circuit_params]
+    reads = kraus_transfer(np.array([c.unitary for c in circuits]))
+    return _max_gap([c.transfer_matrix() for c in circuits], reads)
+
+
+def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
+    """Numerical identity checks on seeded random cases.
+
+    Returns {"checks": {name: {max_deviation, tolerance, pass}}, "all_pass"}.
+    corrupt=True perturbs the transfer matrix used in the model-consistency
+    checks, which must make the suite fail (negative control).
+    """
+    models = (TwoMeterModel(*REFERENCE_COUPLINGS), build_circuit(REFERENCE_OPTIMUM))
+    # the claimed transfer matrices; the simulators stay truthful, so a
+    # corrupted claim must show up wherever claim and simulation meet
+    tmats = [m.transfer_matrix() for m in models]
+    if corrupt:
+        tmats = [t + np.full_like(t, 0.01) for t in tmats]
+    d = _draw(np.random.default_rng(seed), models)
+    case_tmats = [tmats[m_idx] for _, m_idx in d.cases]
+    blochs = [bloch_from_state(psi) for psi, _ in d.cases]
+    mle_inputs = [(freqs, tmats[m_idx]) for m_idx, freqs in d.mle_inputs]
+
+    sims = _shared(
+        "case simulations", lambda: [_simulate(psi, models[m]) for psi, m in d.cases]
+    )
+    runs = _shared("R-rho-R runs", lambda: [_rho_r_run(*args) for args in mle_inputs])
+
+    def fishers():
+        return [fisher_from_transfer(t, psi) for t, (psi, _) in zip(case_tmats, d.cases)]
+
+    checks = (
+        ("coefficients_vs_trace", 1e-10, lambda: _coefficients_vs_trace(d.couplings)),
+        ("unitarity", 1e-12, lambda: _max_gap(
+            [m.unitary @ m.unitary.conj().T for m in models], np.eye(8))),
+        ("probability_normalization", 1e-12, lambda: _normalization(sims())),
+        ("transfer_vs_simulation", 1e-10, lambda: _max_gap(
+            [t @ b for t, b in zip(case_tmats, blochs)], sims())),
+        ("fisher_forms", 1e-8, lambda: _max_gap(fishers(), [
+            fisher_matrix_form(t, psi) for t, (psi, _) in zip(case_tmats, d.cases)])),
+        ("fisher_symmetry_psd", 1e-10, lambda: _fisher_symmetry_psd(fishers())),
+        # invert the simulated probabilities with the claimed matrix; any
+        # gap between claim and simulation lands in the recovered state
+        ("linear_inversion_roundtrip", 1e-10, lambda: _max_gap(
+            [linear_inversion(s, t).bloch for s, t in zip(sims(), case_tmats)], blochs)),
+        ("mle_likelihood_monotone", 1e-9, lambda: _mle_monotone(runs())),
+        ("mle_physicality", 1e-9, lambda: _mle_physicality(runs())),
+        ("mle_exact_vs_rho_r", 1e-12, lambda: _mle_exact_vs_rho_r(
+            mle_inputs, [r for _, r in runs()])),
+        # the six eigenstates form a 2-design, so their mean error equals
+        # the full state-space average
+        ("two_design_average", 1e-9, lambda: max(
+            abs(two_design_average(t) - qttf_single(t)) for t in d.thetas)),
+        ("binomial_variance", 1e-12, lambda: max(
+            binomial_variance_identity(psi, t).max_abs_diff for psi, t in d.binomial)),
+        ("estimator_variance", 1e-8, lambda: max(
+            estimator_variance_identity(psi, t).max_abs_diff
+            for t, (psi, _) in zip(case_tmats, d.cases))),
+        ("qttf_exact_vs_quadrature", 1e-9, lambda: _qttf_exact_vs_quadrature(tmats)),
+        ("circuit_transfer_vs_kraus", 1e-12,
+         lambda: _circuit_transfer_vs_kraus(d.circuit_params)),
+    )
+    report = {name: _record(tol, body) for name, tol, body in checks}
+    return {
+        "checks": report,
+        "all_pass": all(entry["pass"] for entry in report.values()),
+    }

@@ -144,9 +144,6 @@ class MeterModel:
     def transfer_matrix(self) -> np.ndarray:
         return self._tmat
 
-    def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        return simulate_meter_process(rho, self.unitary)
-
 
 def _as_bloch(state: np.ndarray) -> np.ndarray:
     state = np.asarray(state)

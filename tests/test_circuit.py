@@ -115,7 +115,7 @@ def test_transfer_matrix_matches_simulation(a1, a2, param_seed):
     params = tuple(rng.uniform(0.0, 2 * math.pi, size=12))
     model = build_circuit(params)
     bloch = bloch_from_state(state_from_angles(a1, a2))
-    sim = model.probabilities(density_from_bloch(bloch))
+    sim = simulate_meter_process(density_from_bloch(bloch), model.unitary)
     np.testing.assert_allclose(model.transfer_matrix() @ bloch, sim, atol=1e-12)
     assert sim.sum() == pytest.approx(1.0, abs=1e-12)
     assert sim.min() >= -1e-12
@@ -175,8 +175,8 @@ def test_optimize_circuit_smoke():
 def test_linear_inversion_roundtrip_through_circuit():
     model = build_circuit(REFERENCE_OPTIMUM)
     bloch = bloch_from_state(state_from_angles(1.2, 0.4))
-    est = linear_inversion(model.probabilities(density_from_bloch(bloch)),
-                           model.transfer_matrix())
+    probs = simulate_meter_process(density_from_bloch(bloch), model.unitary)
+    est = linear_inversion(probs, model.transfer_matrix())
     np.testing.assert_allclose(est.bloch, bloch, atol=1e-10)
     assert math.isfinite(np.linalg.cond(model.transfer_matrix()))
 
@@ -184,7 +184,7 @@ def test_linear_inversion_roundtrip_through_circuit():
 def test_simulate_requires_valid_density():
     model = build_circuit(REFERENCE_OPTIMUM)
     with pytest.raises(ValueError):
-        model.probabilities(np.eye(2))  # trace 2
+        simulate_meter_process(np.eye(2), model.unitary)  # trace 2
 
 
 def test_exact_qttf_matches_quadrature():

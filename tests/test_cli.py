@@ -42,6 +42,9 @@ def _parse_csv(text):
     return meta, rows[0], rows[1:]
 
 
+_ZERO_PARAMS = ["0"] * 12
+
+
 def _reject_constant(token):
     raise ValueError(f"non-strict JSON token {token}")
 
@@ -229,19 +232,39 @@ def test_check_identities_corrupt_negative_control(tmp_path):
 
 def test_check_identities_raising_check_stays_strict_json(monkeypatch, capsys):
     # a check that raises is a failure (exit 3) with a null deviation, not
-    # an Infinity token or a crash
-    def broken(theta):
-        raise ArithmeticError("broken on purpose")
+    # an Infinity token or a crash; every other check keeps its inputs and
+    # result, and a shared oracle that raised is never run again
+    _, clean = _run(capsys, ["check-identities", "--seed", "0"])
+    expected = json.loads(clean)["checks"]
+    for name, failing in (
+        ("two_design_average", ["two_design_average"]),
+        ("rho_r_mle", ["mle_likelihood_monotone", "mle_physicality", "mle_exact_vs_rho_r"]),
+    ):
+        calls = []
 
-    monkeypatch.setattr("qtomo.cli.two_design_average", broken)
-    code, out = _run(capsys, ["check-identities", "--seed", "0"])
-    assert code == 3
-    blob = json.loads(out, parse_constant=_reject_constant)
-    entry = blob["checks"]["two_design_average"]
-    assert entry["max_deviation"] is None
-    assert entry["pass"] is False
-    assert entry["error"] == "broken on purpose"
-    assert blob["all_pass"] is False
+        def broken(*args, **kwargs):
+            calls.append(args)
+            raise ArithmeticError("broken on purpose")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(f"qtomo.identities.{name}", broken)
+            code, out = _run(capsys, ["check-identities", "--seed", "0"])
+        assert code == 3
+        assert len(calls) == 1, name
+        blob = json.loads(out, parse_constant=_reject_constant)
+        assert blob["all_pass"] is False
+        assert list(blob["checks"]) == list(expected)
+        for check, entry in blob["checks"].items():
+            if check not in failing:
+                assert entry == expected[check], (name, check)
+        errors = [blob["checks"][check].pop("error") for check in failing]
+        assert errors[0] == "broken on purpose"
+        for error in errors[1:]:
+            assert error == "shared oracle 'R-rho-R runs' raised: broken on purpose"
+        for check in failing:
+            assert blob["checks"][check] == {
+                "max_deviation": None, "tolerance": expected[check]["tolerance"], "pass": False
+            }
 
 
 def test_estimate_from_sampling_spec(capsys):
@@ -307,13 +330,31 @@ def test_estimate_from_counts_file(tmp_path, capsys):
         '{"outcomes": [1, 2, 3, "x"], "shots": 6}',
         '{"outcomes": [100, 0, 0, 0], "shots": 99}',
         "not json",
+        "[1, 2, 3, 4]",
+        '{"outcomes": [true, false, false, false]}',
+        '{"outcomes": [5, 2, 2, 1], "shots": 10.0}',
     ],
 )
 def test_estimate_rejects_malformed_counts(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(payload)
-    code, _ = _run(capsys, ["estimate", "--counts", str(path)])
+    code = main(["estimate", "--counts", str(path)])
+    captured = capsys.readouterr()
     assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "params", ["", "a," + ",".join(_ZERO_PARAMS[1:]), "1,2"], ids=["empty", "non-numeric", "short"]
+)
+def test_estimate_rejects_malformed_params(capsys, params):
+    # an empty --params is bad input, not a silent fall-back to the reference
+    code = main(["estimate", "--model", "circuit", "--params", params, "--state", "x0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: --params expects 12 comma-separated reals")
 
 
 def test_estimate_requires_some_input(capsys):
@@ -361,8 +402,6 @@ def test_estimate_rejects_flags_of_the_other_model(capsys, argv, flag, model):
     assert captured.out == ""
     assert f"{flag} applies to --model {model} only" in captured.err
 
-
-_ZERO_PARAMS = ["0"] * 12
 
 
 @pytest.mark.parametrize(
@@ -510,16 +549,27 @@ def test_main_reuses_one_parser_per_process(capsys):
     assert run(estimate) == firsts["estimate"]
 
 
-def test_import_does_not_load_scipy():
-    # scipy is imported only when an optimizer runs
-    code = "import sys, qtomo, qtomo.cli; print('scipy' in sys.modules)"
+def _fresh_interpreter(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_import_does_not_load_the_identity_suite():
+    # `import qtomo` leaves the suite and its reference rule unbuilt
+    code = "import sys, qtomo; print('qtomo.identities' in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
+    assert cli.identity_suite.__module__ == "qtomo.identities"
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported only when an optimizer runs
+    code = "import sys, qtomo, qtomo.cli; print('scipy' in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
 
 
 def test_optimize_defaults_to_exact_qttf(tmp_path):

@@ -20,7 +20,6 @@ from qtomo.core import (
     cnot_matrix,
     density_from_bloch,
     density_from_state,
-    entanglement_entropy,
     expm_2x2_hermitian,
     fidelity,
     kron3,
@@ -128,17 +127,6 @@ def test_fidelity_pure_states_is_overlap():
     got = fidelity(density_from_state(psi), density_from_state(phi))
     assert got == pytest.approx(expected, abs=1e-12)
     assert fidelity(density_from_state(psi), density_from_state(psi)) == pytest.approx(1.0)
-
-
-def test_entanglement_entropy_landmarks():
-    # poles never entangle; the equator at theta = pi is maximal
-    assert entanglement_entropy(0.0, 2.0) == 0.0
-    assert entanglement_entropy(math.pi / 2, 2.0) == 0.0
-    assert entanglement_entropy(math.pi / 4, math.pi) == pytest.approx(1.0, abs=1e-12)
-    mid = entanglement_entropy(math.pi / 8, math.pi / 2)
-    assert 0.0 < mid < 1.0
-    with pytest.raises(ValueError):
-        entanglement_entropy(2.0, 1.0)
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 2), (3, 5), (16, 7), (64, 64)])

@@ -10,16 +10,15 @@ import pytest
 
 import qtomo
 
-MODULES = ("core", "single", "model", "twometer", "circuit", "estimators", "harness")
+MODULES = (
+    "core", "single", "model", "twometer", "circuit", "estimators", "harness", "identities"
+)
 
 # (module, name) pairs the benchmark under perfbench/ imports or calls.
 BENCHMARK_NAMES = (
     ("model", "default_rule"),
     ("model", "delta_surface"),
-    ("model", "EIGENVALUE_FLOOR"),
     ("twometer", "transfer_matrix"),
-    ("twometer", "coefficients_closed_form"),
-    ("twometer", "meter_unitaries"),
     ("", "REFERENCE_COUPLINGS"),
     ("", "REFERENCE_OPTIMUM"),
     ("", "TwoMeterModel"),
@@ -34,6 +33,7 @@ BENCHMARK_NAMES = (
     ("", "bloch_from_state"),
     ("", "PAULI_EIGENSTATES"),
     ("cli", "main"),
+    ("cli", "identity_suite"),
 )
 
 

@@ -25,6 +25,7 @@ from qtomo.model import (
     fisher_matrix_form,
     kraus_transfer,
     qttf_from_transfer,
+    simulate_meter_process,
 )
 from qtomo.twometer import (
     REFERENCE_COUPLINGS,
@@ -168,7 +169,7 @@ def test_transfer_matrix_matches_simulation(a1, a2, theta_a, theta_b):
     psi = state_from_angles(a1, a2)
     bloch = bloch_from_state(psi)
     model = TwoMeterModel(theta_a, theta_b)
-    sim = model.probabilities(density_from_state(psi))
+    sim = simulate_meter_process(density_from_state(psi), model.unitary)
     np.testing.assert_allclose(model.transfer_matrix() @ bloch, sim, atol=1e-12)
     assert sim.sum() == pytest.approx(1.0, abs=1e-12)
     assert sim.min() >= -1e-12
@@ -302,7 +303,7 @@ def test_model_wrapper_and_linear_inversion_roundtrip():
     model = TwoMeterModel(*REFERENCE_COUPLINGS)
     assert math.isfinite(np.linalg.cond(model.transfer_matrix()))
     bloch = bloch_from_state(state_from_angles(0.9, 2.1))
-    probs = model.probabilities(density_from_bloch(bloch))
+    probs = simulate_meter_process(density_from_bloch(bloch), model.unitary)
     est = linear_inversion(probs, model.transfer_matrix())
     np.testing.assert_allclose(est.bloch, bloch, atol=1e-10)
 
