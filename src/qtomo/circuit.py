@@ -78,23 +78,26 @@ def u3(theta: float, phi: float, lam: float) -> np.ndarray:
     return np.array([[g00, g01], [g10, g11]])
 
 
-def _gates(params: np.ndarray) -> list[tuple[complex, ...]]:
-    """Entries of the gates A1, A2, B1, B2, each u3(theta/2, phi, lambda)."""
-    values = params.tolist()
+def _gates(params) -> list[tuple[complex, ...]]:
+    """Entries of the gates A1, A2, B1, B2, each u3(theta/2, phi, lambda).
+
+    params is any sequence of twelve floats.
+    """
     return [
         _u3_entries(theta / 2.0, phi, lam)
-        for theta, phi, lam in zip(values[0::3], values[1::3], values[2::3])
+        for theta, phi, lam in zip(params[0::3], params[1::3], params[2::3])
     ]
 
 
-def _checked_params(params) -> np.ndarray:
+def _checked_params(params) -> list[float]:
+    """The twelve parameters as Python floats; ValueError unless shape (12,)."""
     arr = np.asarray(params, dtype=float)
     if arr.shape != (12,):
         raise ValueError("expected 12 circuit parameters")
-    return arr
+    return arr.tolist()
 
 
-def _block_unitary(params: np.ndarray) -> np.ndarray:
+def _block_unitary(params) -> np.ndarray:
     gate_a1, gate_a2, gate_b1, gate_b2 = (
         np.array(entries).reshape(2, 2) for entries in _gates(params)
     )
@@ -117,8 +120,10 @@ def _meter_amplitudes(first: tuple, second: tuple) -> tuple[tuple[complex, compl
     return (w00 + w10, w01 + w11), (w00 - w10, w01 - w11)
 
 
-def _transfer_rows(params: np.ndarray) -> list[tuple[float, ...]]:
+def _transfer_rows(params) -> list[tuple[float, ...]]:
     """Rows of T in Python floats, from K_ab = H diag(beta_b) H diag(alpha_a).
+
+    params is any sequence of twelve floats.
 
     E = K^dag K has diagonal |alpha_a[s]|^2 (|beta_b[0]|^2 + |beta_b[1]|^2)/2
     and off-diagonal conj(alpha_a[0]) alpha_a[1] (|beta_b[0]|^2 - |beta_b[1]|^2)/2;
@@ -159,11 +164,11 @@ def build_circuit(params) -> MeterModel:
     entries.  REFERENCE_OPTIMUM reaches the average error 8.0 in this
     reading.
     """
-    arr = _checked_params(params)
+    values = _checked_params(params)
     return MeterModel(
-        params=tuple(arr),
-        unitary=_block_unitary(arr),
-        _tmat=np.array(_transfer_rows(arr)),
+        params=tuple(values),
+        unitary=_block_unitary(values),
+        _tmat=np.array(_transfer_rows(values)),
     )
 
 
@@ -183,7 +188,7 @@ def optimize_circuit(restarts: int = 50, seed: int = 0) -> OptimizationResult:
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, 2.0 * math.pi, size=(restarts, 12))
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: list[float]) -> float:
         return qttf_from_transfer(_transfer_rows(x))
 
     return minimize_with_restarts(objective, list(starts), maxiter=4000)

@@ -22,9 +22,14 @@ round-off and inf decisions are cond(T)'s.  The quadrature average over
 delta_surface, which inverts each node's Fisher matrix through its
 eigenvalues, stays as the independent reference that the tests and the
 identity suite compare them against.
+
+minimize_with_restarts runs Nelder-Mead in plain floats (_nelder_mead)
+from each start; the tests check every step against a library
+implementation.
 """
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -85,6 +90,8 @@ _OUTCOME_LABELS = ("++", "+-", "-+", "--")
 
 # x-basis readout of both meters, applied after the block unitary.
 _READOUT = kron3(HADAMARD, np.eye(2), HADAMARD)
+
+_log = logging.getLogger(__name__)
 
 
 class SingularInformationError(ArithmeticError):
@@ -381,35 +388,131 @@ class OptimizationResult:
     restarts: tuple[RestartOutcome, ...]
 
 
+# Nelder-Mead's absolute tolerances on the simplex and on the objective.
+_NM_TOL = 1e-6
+
+
+def _nelder_mead(
+    objective: Callable[[list[float]], float], x0, maxiter: int
+) -> tuple[list[float], float, int, int, bool]:
+    """Nelder-Mead (non-adaptive, unbounded) in Python floats.
+
+    Returns (x, fun, nit, nfev, success).  It is, step for step, the
+    library Nelder-Mead that tests/test_model.py runs as its oracle with
+    tol=1e-6 and the same maxiter, and it matches that run bit for bit:
+    the same initial simplex (a 5% step, 0.00025 for a zero coordinate),
+    the same float expressions for reflection (1), expansion (2),
+    contraction (0.5) and shrink (0.5), the centroid as a sequential row
+    sum divided by N, the same stopping tests (both tolerances 1e-6,
+    success while iterations < maxiter), and the vertices ordered by
+    numpy's argsort, which is not stable: tied values must land where
+    the oracle puts them.  fun is np.min over the vertex values, so a
+    NaN vertex reports NaN.  Each objective call gets a fresh list of
+    floats.
+    """
+    nfev = 0
+
+    def f(x: list[float]) -> float:
+        nonlocal nfev
+        nfev += 1
+        return objective(x[:])
+
+    start = np.asarray(x0, dtype=float).ravel().tolist()
+    n = len(start)
+    sim = [start]
+    for k in range(n):
+        vertex = start[:]
+        vertex[k] = (1 + 0.05) * vertex[k] if vertex[k] != 0 else 0.00025
+        sim.append(vertex)
+    fsim = [f(vertex) for vertex in sim]
+
+    def ordered(sim, fsim):
+        order = np.array(fsim).argsort().tolist()
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    # the oracle sorts the first simplex twice; an unstable sort may move ties
+    sim, fsim = ordered(*ordered(sim, fsim))
+    iterations = 1
+    while iterations < maxiter:
+        best, f_best = sim[0], fsim[0]
+        if all(
+            abs(a - b) <= _NM_TOL for vertex in sim[1:] for a, b in zip(vertex, best)
+        ) and all(abs(f_best - f) <= _NM_TOL for f in fsim[1:]):
+            break
+        xbar = []
+        for column in zip(*sim[:-1]):
+            total = column[0]
+            for a in column[1:]:
+                total += a
+            xbar.append(total / n)
+        worst = sim[-1]
+        xr = [2 * c - w for c, w in zip(xbar, worst)]
+        fxr = f(xr)
+        shrink = False
+        if fxr < f_best:
+            xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
+            fxc = f(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
+            fxcc = f(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], best)]
+                fsim[j] = f(sim[j])
+        iterations += 1
+        sim, fsim = ordered(sim, fsim)
+    return sim[0], float(np.min(fsim)), iterations, nfev, iterations < maxiter
+
+
 def minimize_with_restarts(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[list[float]], float],
     starts: Sequence[np.ndarray],
     *,
     maxiter: int = 2000,
 ) -> OptimizationResult:
     """Nelder-Mead from each start; the best end point wins.
 
-    tol=1e-6 sets both of Nelder-Mead's absolute tolerances, on the
-    simplex and on the objective.  Non-finite objective values are fine
-    (the simplex retreats from them).
+    The search is the library Nelder-Mead reimplemented in Python floats
+    (_nelder_mead), and objectives receive each vertex as a list of
+    floats.  tol=1e-6 sets both absolute tolerances, on the simplex and
+    on the objective.  Non-finite objective values are fine (the simplex
+    retreats from them).  A restart that stops at maxiter reports
+    converged=False and logs one warning on the "qtomo.model" logger.
     """
-    # imported here so that `import qtomo` does not pay for scipy
-    from scipy.optimize import minimize
-
-    options = {"maxiter": maxiter}
 
     def run(x0: np.ndarray) -> RestartOutcome:
         started = time.perf_counter()
-        res = minimize(
-            objective, x0, method="Nelder-Mead", tol=1e-6, options=options
-        )
+        x, value, iterations, evaluations, converged = _nelder_mead(objective, x0, maxiter)
+        if not converged:
+            _log.warning(
+                "Nelder-Mead stopped at maxiter=%d after %d evaluations without "
+                "meeting tol=%g; value %r at %s",
+                maxiter, evaluations, _NM_TOL, value, x,
+            )
         return RestartOutcome(
             start=np.asarray(x0, dtype=float),
-            params=res.x,
-            value=float(res.fun),
-            iterations=int(res.nit),
-            converged=bool(res.success),
-            evaluations=int(res.nfev),
+            params=np.array(x),
+            value=value,
+            iterations=iterations,
+            converged=converged,
+            evaluations=evaluations,
             seconds=time.perf_counter() - started,
         )
 

@@ -199,7 +199,7 @@ def optimize_two_meter(restarts: int = 20, seed: int = 0) -> OptimizationResult:
     rng = np.random.default_rng(seed)
     starts = rng.uniform(-3.0 * math.pi, 3.0 * math.pi, size=(restarts, 2))
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: list[float]) -> float:
         return qttf_two_meter(x[0], x[1])
 
     return minimize_with_restarts(objective, list(starts))

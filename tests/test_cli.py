@@ -476,6 +476,20 @@ def test_optimize_json_schema(tmp_path):
     assert blob["best_value"] == min(r["value"] for r in blob["restarts"])
 
 
+@pytest.mark.parametrize("model", ["two-meter", "circuit"])
+def test_optimize_reports_gap_to_bound(tmp_path, model):
+    # no four-outcome measurement goes below a qTTF of 8
+    out_file = tmp_path / "opt.json"
+    code = main(
+        ["optimize", "--model", model, "--restarts", "1", "--seed", "0",
+         "--out", str(out_file)]
+    )
+    assert code == 0
+    blob = json.loads(out_file.read_text(), parse_constant=_reject_constant)
+    assert blob["gap_to_bound"] == blob["best_value"] - 8.0
+    assert blob["gap_to_bound"] >= -1e-9
+
+
 def test_optimize_reports_evaluations_and_time(tmp_path):
     out_file = tmp_path / "opt.json"
     code = main(
@@ -567,8 +581,14 @@ def test_import_does_not_load_the_identity_suite():
 
 
 def test_import_does_not_load_scipy():
-    # scipy is imported only when an optimizer runs
+    # scipy is not a runtime dependency: importing qtomo and running both
+    # optimizers leave it unloaded
     code = "import sys, qtomo, qtomo.cli; print('scipy' in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
+    code = (
+        "import sys, qtomo; qtomo.optimize_two_meter(restarts=1); "
+        "qtomo.optimize_circuit(restarts=1); print('scipy' in sys.modules)"
+    )
     assert _fresh_interpreter(code) == "False"
 
 

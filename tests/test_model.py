@@ -1,18 +1,22 @@
 """Shared error pipeline: the singular-model decision and its cheap test."""
 import itertools
+import logging
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from qtomo import twometer
 from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit, qttf_circuit
 from qtomo.model import (
     CONDITION_LIMIT,
     _inverse_weights,
+    _nelder_mead,
     delta_from_transfer,
     kraus_transfer,
+    minimize_with_restarts,
     qttf_from_transfer,
 )
 from qtomo.twometer import (
@@ -318,3 +322,90 @@ def test_kraus_transfer_stack_is_the_per_unitary_call():
     assert np.array_equal(
         kraus_transfer(stack[:6].reshape(2, 3, 8, 8)), reads[:6].reshape(2, 3, 4, 4)
     )
+
+
+def _two_meter_objective(x):
+    return qttf_two_meter(x[0], x[1])
+
+
+def _bowl_with_inf_wall(x):
+    return math.inf if x[0] > 1.0 else (x[0] - 2.0) ** 2 + x[1] ** 2
+
+
+def _bowl_with_nan_wall(x):
+    return math.nan if x[0] > 1.0 else (x[0] - 2.0) ** 2 + x[1] ** 2
+
+
+def _terraced_bowl(x):
+    # rounding makes whole faces of the simplex tie, so the vertex order
+    # depends on how the sort breaks ties; numpy's sort is not stable
+    return round(sum(v * v for v in x), 1)
+
+
+_SEARCH_CASES = {
+    "two-meter": (
+        _two_meter_objective,
+        np.random.default_rng(40).uniform(-3 * math.pi, 3 * math.pi, size=(50, 2)),
+        2000,
+    ),
+    "circuit": (
+        qttf_circuit,
+        np.random.default_rng(41).uniform(0.0, 2 * math.pi, size=(10, 12)),
+        4000,
+    ),
+    "zero-coordinates": (_two_meter_objective, [[0.0, 2.0], [0.0, -0.0]], 2000),
+    "capped": (_two_meter_objective, [[1.0, 2.0], [3.45, -8.42]], 5),
+    "inf-region": (_bowl_with_inf_wall, [[0.5, 0.3], [1.5, 0.3]], 2000),
+    "nan-region": (_bowl_with_nan_wall, [[0.5, 0.3], [1.5, 0.3]], 50),
+    "ties": (
+        _terraced_bowl,
+        np.random.default_rng(42).uniform(-2.0, 2.0, size=(5, 12)),
+        4000,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SEARCH_CASES))
+def test_nelder_mead_is_the_reference_search_bit_for_bit(case):
+    # the reference library's Nelder-Mead is the independent oracle: same
+    # end point, value, iteration and evaluation counts, and verdict
+    objective, starts, maxiter = _SEARCH_CASES[case]
+    for x0 in starts:
+        with np.errstate(invalid="ignore"):  # the oracle subtracts inf from inf
+            ref = minimize(
+                objective, x0, method="Nelder-Mead", tol=1e-6, options={"maxiter": maxiter}
+            )
+        x, fun, nit, nfev, success = _nelder_mead(objective, x0, maxiter)
+        assert np.array(x).tobytes() == ref.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(ref.fun).tobytes()
+        assert (nit, nfev, success) == (ref.nit, ref.nfev, ref.success)
+
+
+def test_nelder_mead_hands_the_objective_lists_of_floats():
+    seen = []
+
+    def objective(x):
+        seen.append(x)
+        return (x[0] - 1.0) ** 2 + x[1] ** 2
+
+    _nelder_mead(objective, np.array([0.3, 0.2]), 2000)
+    assert all(type(x) is list and all(type(v) is float for v in x) for x in seen)
+    # a fresh list per call: an objective cannot disturb the simplex
+    assert len({id(x) for x in seen}) == len(seen)
+
+
+def test_capped_restart_warns_once(caplog):
+    start = np.array(REFERENCE_COUPLINGS)
+    with caplog.at_level(logging.WARNING, logger="qtomo.model"):
+        result = minimize_with_restarts(_two_meter_objective, [start], maxiter=5)
+    assert not result.restarts[0].converged
+    records = [r for r in caplog.records if r.name == "qtomo.model"]
+    assert len(records) == 1
+    assert records[0].levelno == logging.WARNING
+    assert "maxiter=5" in records[0].getMessage()
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="qtomo.model"):
+        result = minimize_with_restarts(_two_meter_objective, [start])
+    assert result.restarts[0].converged
+    assert not [r for r in caplog.records if r.name == "qtomo.model"]
