@@ -96,8 +96,24 @@ def density_from_bloch(s: np.ndarray) -> np.ndarray:
 
 
 def bloch_from_state(rho: np.ndarray) -> np.ndarray:
-    """Bloch 4-vector s_mu = Tr(rho sigma_mu); accepts kets too."""
+    """Bloch 4-vector s_mu = Tr(rho sigma_mu); accepts kets too.
+
+    A ket (a, b) gives s = (|a|^2 + |b|^2, 2 Re(a b*), -2 Im(a b*),
+    |a|^2 - |b|^2), evaluated in plain floats: at this size numpy's
+    per-call overhead costs more than the arithmetic.  The components
+    agree with the density-matrix path to round-off, and a zero
+    component is +0.0.
+    """
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape == (2,):
+        a, b = rho.tolist()
+        ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+        aa = ar * ar + ai * ai
+        bb = br * br + bi * bi
+        # adding 0.0 turns a -0.0 into +0.0 and leaves every other value alone
+        s_x = 2.0 * (ar * br + ai * bi) + 0.0
+        s_y = 2.0 * (ar * bi - ai * br) + 0.0
+        return np.array([aa + bb, s_x, s_y, aa - bb])
     if rho.ndim == 1:
         rho = density_from_state(rho)
     return np.einsum("mij,ji->m", SIGMA, rho).real
@@ -108,16 +124,17 @@ def check_density(rho: np.ndarray, *, eig_floor: float = -1e-9) -> np.ndarray:
 
     Hermiticity and unit trace are structural (1e-12); positivity uses the
     looser physicality floor so that states reconstructed from noisy data
-    are not rejected for round-off.
+    are not rejected for round-off.  A (..., 2, 2) stack is checked
+    member by member in one pass and fails if any member does.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2):
         raise ValueError("density matrix must be 2x2")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+    if np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0) > 1e-12:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-12:
+    if np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max(initial=0.0) > 1e-12:
         raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < eig_floor:
+    if np.linalg.eigvalsh(rho).min(initial=math.inf) < eig_floor:
         raise ValueError("density matrix has a negative eigenvalue")
     return rho
 
@@ -127,9 +144,15 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
     For a pair of qubits this reduces to the closed form
     Tr(rho sigma) + 2 sqrt(det rho det sigma), which is what we evaluate.
+    For a pure argument det rho is zero up to round-off of about 1e-17,
+    and the square root turns that into an error of up to about 1e-8 in
+    the fidelity: a change in the last bits of a pure state can move the
+    fidelity by that much.
     """
     rho = check_density(rho)
     sigma = check_density(sigma)
+    if rho.shape != (2, 2) or sigma.shape != (2, 2):
+        raise ValueError("fidelity takes two 2x2 density matrices")
     overlap = np.trace(rho @ sigma).real
     # Determinants of physical qubit states are >= 0 up to round-off.
     dets = max(np.linalg.det(rho).real, 0.0) * max(np.linalg.det(sigma).real, 0.0)

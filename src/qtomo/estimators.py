@@ -21,6 +21,7 @@ building a matrix per step.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import numbers
@@ -122,12 +123,22 @@ def _check_frequencies(freqs: np.ndarray) -> np.ndarray:
     return freqs
 
 
+@functools.lru_cache(maxsize=8)
+def _condition_number(key: bytes) -> float:
+    return float(np.linalg.cond(np.frombuffer(key).reshape(4, 4)))
+
+
 def require_invertible(tmat: np.ndarray) -> float:
     """cond(T), or NonInvertibleModelError when it reaches CONDITION_LIMIT.
 
-    Raises ValueError first unless T is a finite real 4x4 array.
+    Raises ValueError first unless T is a finite real 4x4 array.  cond(T)
+    depends on T alone and its SVD costs more than a linear inversion, so
+    the last few values are kept, keyed on T's float64 bytes: a table or
+    a check that inverts many frequency vectors with one model runs the
+    SVD once.
     """
-    cond = float(np.linalg.cond(_check_transfer(tmat)))
+    tmat = _check_transfer(tmat)
+    cond = _condition_number(np.asarray(tmat, dtype=float).tobytes())
     if not cond < CONDITION_LIMIT:
         raise NonInvertibleModelError(cond)
     return cond
@@ -304,7 +315,9 @@ def rho_r_mle(
 
     likelihood_trace, if given a list, collects the log-likelihood at
     every visited state, summed in plain floats over the outcomes with
-    nonzero frequency (as `log_likelihood` does).
+    nonzero frequency (as `log_likelihood` does), in outcome order; with
+    every frequency nonzero the four terms are one straight-line sum,
+    which adds them in that same order.
 
     The result is never NaN.  If the iteration reaches no finite state
     (its normalization vanishes, or its products overflow on a T far from
@@ -338,6 +351,7 @@ def rho_r_mle(
         log = math.log
         # (outcome, frequency) pairs that enter the likelihood trace
         live = [(q, fq) for q, fq in enumerate((f0, f1, f2, f3)) if fq > 0.0]
+        all_live = len(live) == 4
     try:
         for iteration in range(1, cfg.max_iter + 1):
             # p = T s, row by row
@@ -350,11 +364,14 @@ def rho_r_mle(
                 floored += sum(p < floor for p in probs)
                 p0, p1, p2, p3 = (max(p, floor) for p in probs)
             if tracing:
-                probs = (p0, p1, p2, p3)
-                ll = 0.0
-                for q, fq in live:
-                    ll += fq * log(probs[q])
-                append(ll)
+                if all_live:
+                    append(f0 * log(p0) + f1 * log(p1) + f2 * log(p2) + f3 * log(p3))
+                else:
+                    probs = (p0, p1, p2, p3)
+                    ll = 0.0
+                    for q, fq in live:
+                        ll += fq * log(probs[q])
+                    append(ll)
             # r = (P / p) T: a = r_0, b = (r_1, r_2, r_3)
             w0 = f0 / p0
             w1 = f1 / p1

@@ -22,7 +22,13 @@ from .core import (
 )
 from .estimators import linear_inversion, radial_clip, saturated_mle
 from .model import _as_bloch, fisher_from_transfer
-from .single import estimate_sz, fisher_inverse_single, probabilities_single
+from .single import (
+    _COUPLING_FLOOR,
+    NonInformativeCouplingError,
+    estimate_sz,
+    fisher_inverse_single,
+    probabilities_single,
+)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -108,6 +114,8 @@ def run_single_experiment(
     seed: int = DEFAULT_SEED,
 ) -> ExperimentReport:
     """Repeated s_z estimation for each Pauli eigenstate at one coupling angle."""
+    if shots < 1:
+        raise ValueError("shots must be positive")
     if repeats < 2:
         raise ValueError("need at least two repeats for a standard deviation")
     rows = []
@@ -240,38 +248,60 @@ def variance_vs_fisher_scan(
 
     The scan raises RuntimeError if the bound is beaten beyond the
     statistical allowance 3/sqrt(trials), or if the ratio at the largest
-    N strays from 1 by more than 10%.
+    N strays from 1 by more than 10%.  Before any sampling it raises
+    ValueError for fewer than two trials, an empty or unsorted grid, or a
+    shot count below two (the bound divides by N - 1), and
+    NonInformativeCouplingError for a theta that gives the meter no
+    sensitivity.  Each state's F^-1 depends on the model alone and is
+    computed once for the whole grid.
     """
     if (model is None) == (theta is None):
         raise ValueError("pass exactly one of model or theta")
-    if sorted(shot_grid) != list(shot_grid):
+    if trials < 2:
+        raise ValueError(f"need at least two trials for a variance, got {trials}")
+    shot_grid = list(shot_grid)
+    if not shot_grid:
+        raise ValueError("shot grid is empty")
+    if sorted(shot_grid) != shot_grid:
         raise ValueError("shot grid must be ascending")
-    tmat = model.transfer_matrix() if model is not None else None
+    if shot_grid[0] < 2:
+        raise ValueError(f"shot counts must be at least 2, got {shot_grid[0]}")
+    if theta is not None:
+        s2 = math.sin(theta / 2.0) ** 2
+        if s2 < _COUPLING_FLOOR:
+            raise NonInformativeCouplingError(
+                f"sin^2(theta/2) = {s2:.2e}; s_z is not identifiable"
+            )
+        offset = math.cos(theta / 2.0) ** 2
+        # per state: outcome probabilities and per-shot F^-1
+        states = [
+            (probabilities_single(psi, theta), fisher_inverse_single(psi, theta))
+            for psi in PAULI_EIGENSTATES
+        ]
+    else:
+        tmat = model.transfer_matrix()
+        states = []
+        for psi in PAULI_EIGENSTATES:
+            truth = bloch_from_state(psi)
+            fisher = fisher_from_transfer(tmat, truth)
+            states.append((tmat @ truth, float(np.trace(np.linalg.inv(fisher)))))
 
     rows = []
     for n_idx, shots in enumerate(shot_grid):
         variances = []
         bounds = []
-        for k, psi in enumerate(PAULI_EIGENSTATES):
+        for k, (probs, fisher_inverse) in enumerate(states):
             rng = _substream(seed, _TAG_SCAN, k, n_idx)
-            truth = bloch_from_state(psi)
             if theta is not None:
-                p0, p1 = probabilities_single(psi, theta)
-                counts = rng.multinomial(shots, [p0, p1], size=trials)
+                counts = rng.multinomial(shots, probs, size=trials)
                 f0 = counts[:, 0] / shots
-                s2 = math.sin(theta / 2.0) ** 2
-                ests = (2.0 * f0 - 1.0 - math.cos(theta / 2.0) ** 2) / s2
+                ests = (2.0 * f0 - 1.0 - offset) / s2
                 variances.append(float(np.var(ests, ddof=1)))
-                bounds.append(fisher_inverse_single(psi, theta) / (shots - 1))
             else:
-                probs = tmat @ truth
                 freqs = rng.multinomial(shots, probs, size=trials) / shots
                 ests = np.linalg.solve(tmat, freqs.T).T
                 variances.append(float(ests[:, 1:].var(axis=0, ddof=1).sum()))
-                fisher = fisher_from_transfer(tmat, truth)
-                bounds.append(
-                    float(np.trace(np.linalg.inv(fisher))) / (shots - 1)
-                )
+            bounds.append(fisher_inverse / (shots - 1))
         mean_var = float(np.mean(variances))
         mean_bound = float(np.mean(bounds))
         rows.append(
@@ -315,19 +345,32 @@ def estimator_variance_identity(state: np.ndarray, tmat: np.ndarray) -> Identity
     combination sum_j G_ij^2 sigma_j^2 with G built from the estimate
     matrix must reproduce the Cramer-Rao diagonal exactly.
     """
-    state_b = _as_bloch(state)
-    probs = tmat @ state_b
+    return _estimator_variance_check(tmat)(state)
+
+
+def _estimator_variance_check(tmat: np.ndarray):
+    """estimator_variance_identity(., tmat) as a function of the state.
+
+    The estimate matrix and G depend on T alone; they are computed here
+    once, for every state the returned function is called with.
+    """
     # single-outcome estimates: T^-1 applied to each unit frequency vector
     estimate_mat = np.linalg.solve(tmat, np.eye(4))
-    gmat = np.linalg.solve(tmat, np.linalg.inv(estimate_mat))
-    sbar = estimate_mat @ probs
-    sigma2 = ((estimate_mat - sbar[:, None]) ** 2) @ probs
-    lhs = (gmat**2) @ sigma2
-    fisher = fisher_from_transfer(tmat, state_b)
-    rhs = np.concatenate([[0.0], np.diag(np.linalg.inv(fisher))])
-    return IdentityReport(
-        lhs=lhs[1:], rhs=rhs[1:], max_abs_diff=float(np.max(np.abs(lhs - rhs)))
-    )
+    gmat_sq = np.linalg.solve(tmat, np.linalg.inv(estimate_mat)) ** 2
+
+    def check(state: np.ndarray) -> IdentityReport:
+        state_b = _as_bloch(state)
+        probs = tmat @ state_b
+        sbar = estimate_mat @ probs
+        sigma2 = ((estimate_mat - sbar[:, None]) ** 2) @ probs
+        lhs = gmat_sq @ sigma2
+        fisher = fisher_from_transfer(tmat, state_b)
+        rhs = np.concatenate([[0.0], np.diag(np.linalg.inv(fisher))])
+        return IdentityReport(
+            lhs=lhs[1:], rhs=rhs[1:], max_abs_diff=float(np.max(np.abs(lhs - rhs)))
+        )
+
+    return check
 
 
 def binomial_variance_identity(psi: np.ndarray, theta: float) -> IdentityReport:

@@ -3,10 +3,11 @@
 Draw, then check.  Every seeded input is drawn before any check runs,
 always in the same order, so a check that raises cannot shift the inputs
 of the checks after it; each check is then a pure function of its inputs.
-The two shared oracles, the 8x8 simulations of the 40 random cases and
-the five R-rho-R runs, run at most once: inside the check that first
-reads them.  A later check reads the stored result, or, if the oracle
-raised, fails with an error naming it without running it again.
+The three shared oracles, the 8x8 simulations of the 40 random cases
+(one stacked evolution), their 40 Fisher matrices and the five R-rho-R
+runs, run at most once: inside the check that first reads them.  A
+later check reads the stored result, or, if the oracle raised, fails
+with an error naming it without running it again.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 from .circuit import REFERENCE_OPTIMUM, build_circuit
 from .core import bloch_from_state, density_from_bloch, make_quadrature, state_from_angles
 from .estimators import linear_inversion, log_likelihood, rho_r_mle, saturated_mle
-from .harness import binomial_variance_identity, estimator_variance_identity
+from .harness import _estimator_variance_check, binomial_variance_identity
 from .model import (
     fisher_from_transfer,
     fisher_matrix_form,
@@ -145,12 +146,13 @@ def _coefficients_vs_trace(couplings) -> float:
 
 
 def _normalization(sims) -> float:
-    return max(max(abs(float(sim.sum()) - 1.0), -float(sim.min())) for sim in sims)
+    return max(float(np.abs(sims.sum(axis=1) - 1.0).max()), -float(sims.min()))
 
 
 def _fisher_symmetry_psd(fishers) -> float:
-    min_eig = min(float(np.linalg.eigvalsh(f).min()) for f in fishers)
-    return max(_max_gap(fishers, [f.T for f in fishers]), -min_eig, 0.0)
+    fishers = np.asarray(fishers)
+    min_eig = float(np.linalg.eigvalsh(fishers).min())
+    return max(_max_gap(fishers, fishers.swapaxes(-1, -2)), -min_eig, 0.0)
 
 
 def _rho_r_run(freqs, tmat):
@@ -196,6 +198,12 @@ def _mle_exact_vs_rho_r(inputs, references) -> float:
     return worst
 
 
+def _estimator_variance(tmats, cases) -> float:
+    # the identity's T-only factors once per model, not once per case
+    checks = [_estimator_variance_check(t) for t in tmats]
+    return max(checks[m](psi).max_abs_diff for psi, m in cases)
+
+
 def _qttf_exact_vs_quadrature(tmats) -> float:
     # closed-form qTTF against the quadrature average, relative; a
     # singular matrix gives nan (a fail)
@@ -232,13 +240,19 @@ def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
     blochs = [bloch_from_state(psi) for psi, _ in d.cases]
     mle_inputs = [(freqs, tmats[m_idx]) for m_idx, freqs in d.mle_inputs]
 
+    # one stacked 8x8 evolution, each case with its model's unitary
     sims = _shared(
-        "case simulations", lambda: [_simulate(psi, models[m]) for psi, m in d.cases]
+        "case simulations",
+        lambda: simulate_meter_process(
+            np.array([density_from_bloch(b) for b in blochs]),
+            np.array([models[m].unitary for _, m in d.cases]),
+        ),
     )
     runs = _shared("R-rho-R runs", lambda: [_rho_r_run(*args) for args in mle_inputs])
-
-    def fishers():
-        return [fisher_from_transfer(t, psi) for t, (psi, _) in zip(case_tmats, d.cases)]
+    fishers = _shared(
+        "Fisher matrices",
+        lambda: [fisher_from_transfer(t, b) for t, b in zip(case_tmats, blochs)],
+    )
 
     checks = (
         ("coefficients_vs_trace", 1e-10, lambda: _coefficients_vs_trace(d.couplings)),
@@ -264,9 +278,7 @@ def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
             abs(two_design_average(t) - qttf_single(t)) for t in d.thetas)),
         ("binomial_variance", 1e-12, lambda: max(
             binomial_variance_identity(psi, t).max_abs_diff for psi, t in d.binomial)),
-        ("estimator_variance", 1e-8, lambda: max(
-            estimator_variance_identity(psi, t).max_abs_diff
-            for t, (psi, _) in zip(case_tmats, d.cases))),
+        ("estimator_variance", 1e-8, lambda: _estimator_variance(tmats, d.cases)),
         ("qttf_exact_vs_quadrature", 1e-9, lambda: _qttf_exact_vs_quadrature(tmats)),
         ("circuit_transfer_vs_kraus", 1e-12,
          lambda: _circuit_transfer_vs_kraus(d.circuit_params)),

@@ -126,13 +126,25 @@ def simulate_meter_process(rho0: np.ndarray, unitary: np.ndarray) -> np.ndarray:
 
     The system starts in rho0 between two |+> meters; the readout applies
     Hadamards to the meters, takes the z-basis diagonal and traces out
-    the system.  The independent oracle for every transfer matrix.
+    the system.  The independent oracle for every transfer matrix.  A
+    (..., 2, 2) stack of states and a (..., 8, 8) stack of unitaries
+    broadcast against each other and evolve in one batched product,
+    giving (..., 4) probabilities.
     """
     plus = np.full((2, 2), 0.5)
+    rho0 = check_density(rho0)
+    # kron3(plus, rho0, plus) over the stack, axes (..., a, s, b, a', s', b')
+    initial = (
+        plus[:, None, None, :, None, None]
+        * rho0[..., None, :, None, None, :, None]
+        * plus[None, None, :, None, None, :]
+    ).reshape(rho0.shape[:-2] + (8, 8))
     full = _READOUT @ unitary
-    final = full @ kron3(plus, check_density(rho0), plus) @ full.conj().T
+    final = full @ initial @ full.conj().swapaxes(-1, -2)
     # diagonal index 4a + 2s + b
-    return np.real(np.diagonal(final)).reshape(2, 2, 2).sum(axis=1).ravel()
+    diagonal = np.real(np.diagonal(final, axis1=-2, axis2=-1))
+    stack = diagonal.shape[:-1]
+    return diagonal.reshape(stack + (2, 2, 2)).sum(axis=-2).reshape(stack + (4,))
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,52 @@ def test_density_representations_agree(a1, a2):
     )
 
 
+def _ket_cases():
+    """Seeded random kets over 300 decades of scale, the Pauli eigenstates,
+    and kets with zero or signed-zero components."""
+    rng = np.random.default_rng(31)
+    kets = []
+    for exponent in (-150, -75, -1, 0, 1, 75, 150):
+        for _ in range(40):
+            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+            kets.append(psi * 10.0**exponent)
+    kets.extend(PAULI_EIGENSTATES)
+    kets.extend(
+        np.array(ket, dtype=complex)
+        for ket in (
+            [0.6, 0.8], [0.6j, -0.8], [1.0, -0.0], [complex(1.0, -0.0), complex(-0.0, -0.0)],
+            [0.0, complex(0.0, 1.0)], [complex(-0.0, 0.6), complex(0.8, -0.0)],
+        )
+    )
+    return kets
+
+
+def test_ket_bloch_matches_the_density_matrix_path():
+    for psi in _ket_cases():
+        fast = bloch_from_state(psi)
+        ref = bloch_from_state(density_from_state(psi))
+        assert fast.shape == (4,) and fast.dtype == float
+        # relative to s_0 = |psi|^2, the scale of every component
+        assert np.max(np.abs(fast - ref)) <= 1e-15 * ref[0], psi
+
+
+def test_ket_bloch_zero_components_are_positive_zero():
+    # a signed zero prints as -0.000000 in the tables' CSV
+    for psi in _ket_cases():
+        for value in bloch_from_state(psi).tolist():
+            if value == 0.0:
+                assert math.copysign(1.0, value) == 1.0, psi
+    for psi in PAULI_EIGENSTATES:
+        zeros = [v for v in bloch_from_state(psi).tolist() if v == 0.0]
+        assert len(zeros) == 2 and all(math.copysign(1.0, v) == 1.0 for v in zeros)
+
+
+def test_ket_bloch_accepts_lists_and_rejects_other_lengths():
+    np.testing.assert_array_equal(bloch_from_state([1.0, 0.0]), [1.0, 0.0, 0.0, 1.0])
+    with pytest.raises(ValueError):
+        bloch_from_state(np.ones(3))
+
+
 def test_check_density_rejects_bad_input():
     with pytest.raises(ValueError):
         check_density(np.array([[0.6, 0.0], [0.1, 0.4]]))  # not hermitian
@@ -105,6 +151,28 @@ def _fidelity_sqrtm(rho, sigma):
     root = sqrtm(rho)
     inner = sqrtm(root @ sigma @ root)
     return float(np.trace(inner).real ** 2)
+
+
+def test_check_density_checks_every_member_of_a_stack():
+    good = density_from_bloch(np.array([1.0, 0.3, -0.2, 0.5]))
+    stack = np.array([good, 0.5 * np.eye(2)])
+    np.testing.assert_array_equal(check_density(stack), stack)
+    assert check_density(np.empty((0, 2, 2))).shape == (0, 2, 2)
+    for bad in (
+        np.array([[0.6, 0.0], [0.1, 0.4]]),
+        np.array([[0.8, 0.0], [0.0, 0.4]]),
+        np.array([[1.2, 0.0], [0.0, -0.2]]),
+    ):
+        with pytest.raises(ValueError):
+            check_density(np.array([good, bad, good]))
+    with pytest.raises(ValueError, match="2x2"):
+        check_density(np.eye(3))
+
+
+def test_fidelity_takes_single_states_only():
+    rho = 0.5 * np.eye(2)
+    with pytest.raises(ValueError, match="2x2"):
+        fidelity(np.array([rho, rho]), rho)
 
 
 def test_fidelity_against_matrix_square_root():

@@ -133,6 +133,30 @@ def test_linear_inversion_rejects_singular_model():
     assert err.value.condition_number > 1e12
 
 
+def test_condition_number_runs_once_per_transfer_matrix(models, monkeypatch):
+    # cond(T) is a function of T's bytes: a table's worth of inversions
+    # with one T pays for one SVD, and a different T gets its own
+    calls = []
+    cond = np.linalg.cond
+
+    def counting(tmat):
+        calls.append(tmat)
+        return cond(tmat)
+
+    monkeypatch.setattr(np.linalg, "cond", counting)
+    tmat = models[1].transfer_matrix() * (1.0 + 2.0**-40)  # bytes no earlier test used
+    expected = float(cond(tmat))
+    for freqs in np.random.default_rng(4).dirichlet(np.ones(4), size=30):
+        result = linear_inversion(freqs, tmat)
+        assert result.condition_number == expected
+        saturated_mle(freqs, tmat)
+    assert require_invertible(tmat.copy()) == expected
+    assert len(calls) == 1
+    other = tmat.T.copy()
+    assert require_invertible(other) == float(cond(other))
+    assert len(calls) == 2
+
+
 def test_linear_inversion_validates_frequencies(models):
     tmat = models[0].transfer_matrix()
     with pytest.raises(ValueError):
@@ -431,6 +455,45 @@ def test_likelihood_trace_matches_log_likelihood(models):
         ]
         for ll, bloch in zip(trace, visited):
             assert ll == pytest.approx(log_likelihood(freqs, tmat @ bloch), rel=1e-14)
+
+
+def _reference_trace(freqs, tmat, n):
+    """The first n likelihood-trace entries by a plain loop over outcomes.
+
+    Entry k is the log-likelihood at the state reached after k iterations,
+    read back from a run capped there: p = T s row by row in plain floats,
+    floored as R-rho-R floors it, then summed term by term from 0.0.
+    """
+    rows = tmat.tolist()
+    trace = []
+    for k in range(n):
+        _, x, y, z = (
+            rho_r_mle(freqs, tmat, MleConfig(max_iter=k)).bloch.tolist()
+            if k else (1.0, 0.0, 0.0, 0.0)
+        )
+        ll = 0.0
+        for (t0, t1, t2, t3), fq in zip(rows, freqs.tolist()):
+            if fq > 0.0:
+                ll += fq * math.log(max(t0 + t1 * x + t2 * y + t3 * z, 1e-14))
+        trace.append(ll)
+    return trace
+
+
+@pytest.mark.parametrize(
+    "freqs",
+    [np.array([443, 211, 153, 217]) / 1024, np.array([443, 0, 153, 428]) / 1024],
+    ids=["all-live", "zero-frequency"],
+)
+def test_likelihood_trace_is_the_plain_loop_to_the_bit(freqs, caplog):
+    # all four frequencies nonzero takes the straight-line sum, a zero
+    # frequency the general loop; both must add the terms in outcome order
+    tmat = transfer_matrix(*REFERENCE_COUPLINGS)
+    trace = []
+    with caplog.at_level(logging.ERROR, logger="qtomo.estimators"):
+        rho_r_mle(freqs, tmat, MleConfig(max_iter=40), likelihood_trace=trace)
+        reference = _reference_trace(freqs, tmat, len(trace))
+    assert len(trace) == 40
+    assert [v.hex() for v in trace] == [v.hex() for v in reference]
 
 
 # ---- exact saturated-model MLE -------------------------------------------

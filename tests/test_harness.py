@@ -17,6 +17,7 @@ from qtomo.harness import (
     run_single_experiment,
     variance_vs_fisher_scan,
 )
+from qtomo.single import NonInformativeCouplingError
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel
 
 TABLE_THETAS = (math.pi / 2, 2 * math.pi / 3, math.pi)
@@ -50,6 +51,12 @@ def test_run_single_experiment_deterministic_and_labeled():
     assert [r.label for r in a.rows] == ["z0", "z1", "x0", "x1", "y0", "y1"]
     with pytest.raises(ValueError):
         run_single_experiment(math.pi / 2, repeats=1)
+
+
+@pytest.mark.parametrize("shots", [0, -5])
+def test_run_single_experiment_rejects_no_shots(shots):
+    with pytest.raises(ValueError, match="shots"):
+        run_single_experiment(math.pi / 2, shots=shots)
 
 
 def test_single_experiment_reproduces_reference_rows():
@@ -149,6 +156,45 @@ def test_variance_scan_argument_validation():
         )
     with pytest.raises(ValueError):
         variance_vs_fisher_scan(theta=1.0, shot_grid=(1000, 100))
+
+
+_SCAN_ARGS = {
+    "single": {"theta": math.pi / 2},
+    "two-meter": {"model": TwoMeterModel(*REFERENCE_COUPLINGS)},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SCAN_ARGS))
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"trials": 1}, "trials"),
+        ({"trials": 0}, "trials"),
+        ({"shot_grid": (0, 100)}, "shot counts"),
+        ({"shot_grid": (1, 100)}, "shot counts"),
+        ({"shot_grid": ()}, "empty"),
+    ],
+    ids=["trials1", "trials0", "shots0", "shots1", "empty-grid"],
+)
+def test_variance_scan_rejects_degenerate_sampling_before_drawing(
+    kind, kwargs, match, monkeypatch
+):
+    # each of these gave NaN rows (or an IndexError) that the ratio guards,
+    # comparing against NaN, never caught; now nothing is sampled at all
+    from qtomo import harness
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before validating")
+
+    monkeypatch.setattr(harness, "_substream", no_sampling)
+    with pytest.raises(ValueError, match=match):
+        variance_vs_fisher_scan(**_SCAN_ARGS[kind], **kwargs)
+
+
+@pytest.mark.parametrize("theta", [0.0, 2 * math.pi, 1e-7])
+def test_variance_scan_rejects_a_non_informative_coupling(theta):
+    with pytest.raises(NonInformativeCouplingError):
+        variance_vs_fisher_scan(theta=theta, trials=10)
 
 
 @given(

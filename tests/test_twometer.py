@@ -175,6 +175,30 @@ def test_transfer_matrix_matches_simulation(a1, a2, theta_a, theta_b):
     assert sim.min() >= -1e-12
 
 
+def test_stacked_simulation_is_the_per_state_call():
+    rng = np.random.default_rng(12)
+    model = TwoMeterModel(*REFERENCE_COUPLINGS)
+    rhos = np.array([
+        density_from_state(state_from_angles(rng.uniform(0, math.pi / 2), rng.uniform(0, math.pi)))
+        for _ in range(12)
+    ]).reshape(3, 4, 2, 2)
+    sims = simulate_meter_process(rhos, model.unitary)
+    assert sims.shape == (3, 4, 4)
+    for rho, sim in zip(rhos.reshape(12, 2, 2), sims.reshape(12, 4)):
+        np.testing.assert_allclose(sim, simulate_meter_process(rho, model.unitary),
+                                   rtol=0, atol=1e-15)
+    # a stack of unitaries broadcasts against the states
+    other = TwoMeterModel(0.7, -2.1).unitary
+    mixed = simulate_meter_process(rhos[0], np.array([model.unitary, other] * 2))
+    for rho, unitary, sim in zip(rhos[0], [model.unitary, other] * 2, mixed):
+        np.testing.assert_allclose(sim, simulate_meter_process(rho, unitary),
+                                   rtol=0, atol=1e-15)
+    # one member that is not a state rejects the whole stack
+    rhos[1, 2] = np.eye(2)
+    with pytest.raises(ValueError, match="trace"):
+        simulate_meter_process(rhos, model.unitary)
+
+
 def test_transfer_column_sums():
     # summing outcomes must give 1 for any physical s: column 0 sums to 1,
     # the rest to 0
