@@ -46,7 +46,6 @@ from .model import (
 from .twometer import (
     REFERENCE_COUPLINGS,
     TwoMeterModel,
-    coefficients_closed_form,
     joint_unitary,
     meter_unitaries,
     optimize_two_meter,
@@ -55,6 +54,7 @@ from .twometer import (
 from .circuit import (
     REFERENCE_OPTIMUM,
     build_circuit,
+    circuit_unitary,
     optimize_circuit,
     qttf_circuit,
     u3,
@@ -125,13 +125,13 @@ __all__ = [
     "TwoMeterModel",
     "meter_unitaries",
     "joint_unitary",
-    "coefficients_closed_form",
     "qttf_two_meter",
     "optimize_two_meter",
     # circuit model
     "REFERENCE_OPTIMUM",
     "u3",
     "build_circuit",
+    "circuit_unitary",
     "qttf_circuit",
     "optimize_circuit",
     # estimators

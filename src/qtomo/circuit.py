@@ -1,20 +1,20 @@
 """Twelve-parameter estimation circuit on a (meter A, system, meter B) register.
 
 Four generic one-qubit gates and two CNOTs fanned out from the system
-compile to the 8x8 block unitary of a MeterModel, on the register
-convention of qtomo.model: both meters start in |+> and are read in x.
-Both CNOTs are controlled by the system, so the Kraus operator of meter
-outcomes (a, b) factors into 2x2 pieces,
+make an 8x8 block unitary, on the register convention of qtomo.model:
+both meters start in |+> and are read in x.  Both CNOTs are controlled
+by the system, so the Kraus operator of meter outcomes (a, b) factors
+into 2x2 pieces,
 
     K_ab = H diag(beta_b) H diag(alpha_a),
     alpha_a[s] = <a| H A2 X^s A1 |+>,   beta_b[s] = <b| H B2 X^s B1 |+>,
 
-and the transfer matrix is read off those factors in scalar arithmetic,
-about ten times faster than compiling the 8x8 unitary.  The Kraus read
-of the unitary is its independent check.  The circuit family contains
-measurement settings whose average error reaches the four-outcome
-optimum of 8.0, a little over twice the best single-shot error of the
-two-meter coupling on a per-component basis.
+and the transfer matrix, which is the model, is read off those factors
+in scalar arithmetic.  circuit_unitary compiles the 8x8 unitary only for
+the checks, where its Kraus read is the oracle.  The circuit family
+contains measurement settings whose average error reaches the
+four-outcome optimum of 8.0, a little over twice the best single-shot
+error of the two-meter coupling on a per-component basis.
 """
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ __all__ = [
     "REFERENCE_OPTIMUM",
     "u3",
     "build_circuit",
+    "circuit_unitary",
     "qttf_circuit",
     "optimize_circuit",
 ]
@@ -97,9 +98,14 @@ def _checked_params(params) -> list[float]:
     return arr.tolist()
 
 
-def _block_unitary(params) -> np.ndarray:
+def circuit_unitary(params) -> np.ndarray:
+    """8x8 block unitary on (A, S, B) for build_circuit's twelve params.
+
+    The circuit's twin of joint_unitary, for the checks; ValueError
+    unless there are exactly twelve params.
+    """
     gate_a1, gate_a2, gate_b1, gate_b2 = (
-        np.array(entries).reshape(2, 2) for entries in _gates(params)
+        np.array(entries).reshape(2, 2) for entries in _gates(_checked_params(params))
     )
     unitary = kron3(gate_a1, _IDENTITY2, _IDENTITY2)
     unitary = _CNOT_S_TO_A @ unitary
@@ -156,7 +162,7 @@ def _transfer_rows(params) -> list[tuple[float, ...]]:
 
 
 def build_circuit(params) -> MeterModel:
-    """Compile the circuit to its block unitary, with T from its gate factors.
+    """The circuit's model: T from its gate factors.
 
     params are twelve reals, a (theta, phi, lambda) triple for each of the
     gates A1, A2, B1, B2.  Each theta is read as hardware gates read it:
@@ -165,11 +171,7 @@ def build_circuit(params) -> MeterModel:
     reading.
     """
     values = _checked_params(params)
-    return MeterModel(
-        params=tuple(values),
-        unitary=_block_unitary(values),
-        _tmat=np.array(_transfer_rows(values)),
-    )
+    return MeterModel(params=tuple(values), _tmat=np.array(_transfer_rows(values)))
 
 
 def qttf_circuit(params) -> float:

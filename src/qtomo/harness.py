@@ -244,16 +244,16 @@ def variance_vs_fisher_scan(
     (summed component variances against Tr(F^-1)); exactly one of the two
     must be given.  Variances are sample variances over `trials`
     independent experiments, averaged over the six Pauli eigenstates, and
-    compared with bound = F^-1/(N-1).
+    compared with bound = F^-1/N, which is linear inversion's variance
+    exactly, so the ratio scatters about 1 at every N.
 
     The scan raises RuntimeError if the bound is beaten beyond the
     statistical allowance 3/sqrt(trials), or if the ratio at the largest
     N strays from 1 by more than 10%.  Before any sampling it raises
     ValueError for fewer than two trials, an empty or unsorted grid, or a
-    shot count below two (the bound divides by N - 1), and
-    NonInformativeCouplingError for a theta that gives the meter no
-    sensitivity.  Each state's F^-1 depends on the model alone and is
-    computed once for the whole grid.
+    shot count below two, and NonInformativeCouplingError for a theta
+    that gives the meter no sensitivity.  Each state's F^-1 depends on
+    the model alone and is computed once for the whole grid.
     """
     if (model is None) == (theta is None):
         raise ValueError("pass exactly one of model or theta")
@@ -301,7 +301,7 @@ def variance_vs_fisher_scan(
                 freqs = rng.multinomial(shots, probs, size=trials) / shots
                 ests = np.linalg.solve(tmat, freqs.T).T
                 variances.append(float(ests[:, 1:].var(axis=0, ddof=1).sum()))
-            bounds.append(fisher_inverse / (shots - 1))
+            bounds.append(fisher_inverse / shots)
         mean_var = float(np.mean(variances))
         mean_bound = float(np.mean(bounds))
         rows.append(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import REFERENCE_OPTIMUM, build_circuit
+from .circuit import REFERENCE_OPTIMUM, build_circuit, circuit_unitary
 from .core import bloch_from_state, density_from_bloch, make_quadrature, state_from_angles
 from .estimators import linear_inversion, log_likelihood, rho_r_mle, saturated_mle
 from .harness import _estimator_variance_check, binomial_variance_identity
@@ -51,7 +51,7 @@ class _Draws:
     circuit_params: list  # 12-vectors
 
 
-def _draw(rng: np.random.Generator, models) -> _Draws:
+def _draw(rng: np.random.Generator, unitaries) -> _Draws:
     """Draw the suite's inputs in their fixed order.
 
     The R-rho-R frequencies are sampled from the truthful 8x8 simulation,
@@ -79,7 +79,7 @@ def _draw(rng: np.random.Generator, models) -> _Draws:
     for _ in range(5):
         psi = random_state()
         m_idx = int(rng.integers(0, 2))
-        sim = _simulate(psi, models[m_idx])
+        sim = _simulate(psi, unitaries[m_idx])
         mle_inputs.append((m_idx, rng.multinomial(1024, sim) / 1024.0))
     thetas = [rng.uniform(0.3, math.pi) for _ in range(10)]
     binomial = [(random_state(), rng.uniform(0.1, math.pi)) for _ in range(_PAIRS)]
@@ -93,8 +93,8 @@ def _draw(rng: np.random.Generator, models) -> _Draws:
     return _Draws(couplings, cases, mle_inputs, thetas, binomial, circuit_params)
 
 
-def _simulate(psi, model) -> np.ndarray:
-    return simulate_meter_process(density_from_bloch(bloch_from_state(psi)), model.unitary)
+def _simulate(psi, unitary) -> np.ndarray:
+    return simulate_meter_process(density_from_bloch(bloch_from_state(psi)), unitary)
 
 
 def _shared(name: str, compute):
@@ -217,9 +217,8 @@ def _qttf_exact_vs_quadrature(tmats) -> float:
 def _circuit_transfer_vs_kraus(circuit_params) -> float:
     # the circuit's transfer matrix from its gate factors against the
     # Kraus read of its compiled 8x8 unitary, all in one batched read
-    circuits = [build_circuit(params) for params in circuit_params]
-    reads = kraus_transfer(np.array([c.unitary for c in circuits]))
-    return _max_gap([c.transfer_matrix() for c in circuits], reads)
+    reads = kraus_transfer(np.array([circuit_unitary(p) for p in circuit_params]))
+    return _max_gap([build_circuit(p).transfer_matrix() for p in circuit_params], reads)
 
 
 def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
@@ -230,12 +229,14 @@ def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
     checks, which must make the suite fail (negative control).
     """
     models = (TwoMeterModel(*REFERENCE_COUPLINGS), build_circuit(REFERENCE_OPTIMUM))
+    # the oracles' unitaries, built once per run
+    unitaries = (joint_unitary(*REFERENCE_COUPLINGS), circuit_unitary(REFERENCE_OPTIMUM))
     # the claimed transfer matrices; the simulators stay truthful, so a
     # corrupted claim must show up wherever claim and simulation meet
     tmats = [m.transfer_matrix() for m in models]
     if corrupt:
         tmats = [t + np.full_like(t, 0.01) for t in tmats]
-    d = _draw(np.random.default_rng(seed), models)
+    d = _draw(np.random.default_rng(seed), unitaries)
     case_tmats = [tmats[m_idx] for _, m_idx in d.cases]
     blochs = [bloch_from_state(psi) for psi, _ in d.cases]
     mle_inputs = [(freqs, tmats[m_idx]) for m_idx, freqs in d.mle_inputs]
@@ -245,7 +246,7 @@ def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
         "case simulations",
         lambda: simulate_meter_process(
             np.array([density_from_bloch(b) for b in blochs]),
-            np.array([models[m].unitary for _, m in d.cases]),
+            np.array([unitaries[m] for _, m in d.cases]),
         ),
     )
     runs = _shared("R-rho-R runs", lambda: [_rho_r_run(*args) for args in mle_inputs])
@@ -257,7 +258,7 @@ def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
     checks = (
         ("coefficients_vs_trace", 1e-10, lambda: _coefficients_vs_trace(d.couplings)),
         ("unitarity", 1e-12, lambda: _max_gap(
-            [m.unitary @ m.unitary.conj().T for m in models], np.eye(8))),
+            [u @ u.conj().T for u in unitaries], np.eye(8))),
         ("probability_normalization", 1e-12, lambda: _normalization(sims())),
         ("transfer_vs_simulation", 1e-10, lambda: _max_gap(
             [t @ b for t, b in zip(case_tmats, blochs)], sims())),

@@ -1,13 +1,13 @@
 """Shared meter-process representation and error pipeline.
 
-Every four-outcome model here is an 8x8 block unitary on the register
-(meter A, system, meter B), qubit 0 leftmost: both meters start in |+>,
-the unitary acts, and the meters are read in x (H x I x H, then z), with
-outcome q = 2a + b in the order (++, +-, -+, --).  MeterModel holds that
-unitary and the model's closed-form 4x4 transfer matrix T (probabilities
-= T @ S for Bloch 4-vectors S).  kraus_transfer reads T off the four
-system-side Kraus operators of the unitary, and simulate_meter_process
-evolves the full 8x8 density matrix; both are used only by checks.
+Every four-outcome model here is its 4x4 transfer matrix T: outcome
+probabilities (++, +-, -+, --) = T @ S for Bloch 4-vectors S, and a
+MeterModel is (params, T).  Physically the model is an 8x8 block unitary
+on the register (meter A, system, meter B), qubit 0 leftmost: both meters
+start in |+>, the unitary acts, and the meters are read in x (H x I x H,
+then z).  Only checks build it (twometer.joint_unitary,
+circuit.circuit_unitary): kraus_transfer reads T off its four system-side
+Kraus operators, and simulate_meter_process evolves the 8x8 density matrix.
 
 From T come the Fisher matrix, the per-state error Delta and the
 state-averaged qTTF.  Every such model is saturated (four outcomes, three
@@ -149,16 +149,19 @@ def simulate_meter_process(rho0: np.ndarray, unitary: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeterModel:
-    """A four-outcome model: its 8x8 block unitary and transfer matrix.
+    """A four-outcome model: its settings and closed-form transfer matrix.
 
-    params are the settings the unitary was built from.  The transfer
-    matrix is the model's closed form; kraus_transfer(unitary) is its
-    independent check.
+    T is kept as a read-only copy, so no array handed in or out can move
+    the model.  kraus_transfer and simulate_meter_process of the unitary
+    built from the same params are its independent checks.
     """
 
     params: tuple[float, ...]
-    unitary: np.ndarray = field(repr=False, compare=False)
     _tmat: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_tmat", np.array(self._tmat, dtype=float))
+        self._tmat.flags.writeable = False
 
     def transfer_matrix(self) -> np.ndarray:
         return self._tmat

@@ -6,8 +6,9 @@ and are read out in the x basis.  On the register convention of
 qtomo.model, (meter A, system, meter B), the coupling is the 8x8 block
 unitary sum_ij |i><i|_A x U_ij x |j><j|_B.  The four joint outcomes
 resolve all three Bloch components, so the 4x4 transfer matrix is
-invertible away from degenerate couplings.  The model carries that
-matrix in closed form; the Kraus read of the joint unitary is its oracle.
+invertible away from degenerate couplings.  The model is that matrix in
+closed form; joint_unitary builds the unitary only for the checks, where
+its Kraus read is the oracle.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ __all__ = [
     "TwoMeterModel",
     "meter_unitaries",
     "joint_unitary",
-    "coefficients_closed_form",
     "transfer_matrix",
     "qttf_two_meter",
     "optimize_two_meter",
@@ -88,6 +88,12 @@ def _half_sinc(tc: float) -> float:
 
 
 def _coefficients(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ...]:
+    """Outcome-probability coefficients (a, b, c), each indexed mu = 0..3.
+
+    Outcome (k, l) of Bloch vector s has probability
+    sum_mu (s_mu/4) delta_{mu 0} + (a_mu k + b_mu l + c_mu k l) s_mu;
+    signs are fixed against the Kraus read of joint_unitary.
+    """
     tc = math.hypot(theta_a, theta_b)
     ca, sa = math.cos(theta_a / 2.0), math.sin(theta_a / 2.0)
     cb, sb = math.cos(theta_b / 2.0), math.sin(theta_b / 2.0)
@@ -124,22 +130,6 @@ def _coefficients(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ..
     return a, b, c
 
 
-def coefficients_closed_form(
-    theta_a: float, theta_b: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outcome-probability coefficients (a, b, c), each indexed mu = 0..3.
-
-    The probability of joint outcome (k, l) for Bloch vector s is
-    sum_mu (s_mu/4) delta_{mu 0} + (a_mu k + b_mu l + c_mu k l) s_mu.
-    sin(theta_C/2)/theta_C is sinc(theta_C / 2pi) / 2, computed on Python
-    floats with the steps of np.sinc and its limit 1/2 at theta_C = 0.
-    Signs here are fixed against the Kraus read of joint_unitary and
-    direct simulation of the meter process.
-    """
-    a, b, c = _coefficients(theta_a, theta_b)
-    return np.array(a), np.array(b), np.array(c)
-
-
 def _transfer_rows(theta_a: float, theta_b: float) -> list[list[float]]:
     """Rows of T in Python floats: row (k, l) is a k + b l + c kl, plus 1/4 at mu = 0."""
     a, b, c = _coefficients(theta_a, theta_b)
@@ -174,7 +164,6 @@ class TwoMeterModel(MeterModel):
         theta_a, theta_b = float(theta_a), float(theta_b)
         super().__init__(
             params=(theta_a, theta_b),
-            unitary=joint_unitary(theta_a, theta_b),
             _tmat=transfer_matrix(theta_a, theta_b),
         )
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qtomo.circuit import (
     REFERENCE_OPTIMUM,
     build_circuit,
+    circuit_unitary,
     optimize_circuit,
     qttf_circuit,
     u3,
@@ -77,13 +78,14 @@ def test_factored_transfer_matches_kraus_read_and_simulation(full_angle):
     # 8x8 unitary and against 8x8 density-matrix evolution
     rng = np.random.default_rng(11)
     for _ in range(200):
-        model = build_circuit(_draw_params(rng, full_angle))
-        tmat = model.transfer_matrix()
-        np.testing.assert_allclose(tmat, kraus_transfer(model.unitary), rtol=0, atol=1e-12)
+        params = _draw_params(rng, full_angle)
+        tmat = build_circuit(params).transfer_matrix()
+        unitary = circuit_unitary(params)
+        np.testing.assert_allclose(tmat, kraus_transfer(unitary), rtol=0, atol=1e-12)
         bloch = bloch_from_state(
             state_from_angles(rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, math.pi))
         )
-        sim = simulate_meter_process(density_from_bloch(bloch), model.unitary)
+        sim = simulate_meter_process(density_from_bloch(bloch), unitary)
         np.testing.assert_allclose(tmat @ bloch, sim, rtol=0, atol=1e-12)
 
 
@@ -92,17 +94,20 @@ def test_qttf_circuit_matches_kraus_read(full_angle):
     rng = np.random.default_rng(12)
     for _ in range(50):
         params = _draw_params(rng, full_angle)
-        unitary = build_circuit(params).unitary
+        unitary = circuit_unitary(params)
         reference = qttf_from_transfer(kraus_transfer(unitary))
         value = qttf_circuit(params)
         assert value == pytest.approx(reference, rel=1e-12)
 
 
 def test_block_unitary_is_unitary():
-    model = build_circuit(REFERENCE_OPTIMUM)
-    u = model.unitary
+    u = circuit_unitary(REFERENCE_OPTIMUM)
     assert u.shape == (8, 8)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
+    # the same parameter check as build_circuit
+    for bad in (REFERENCE_OPTIMUM[:3], np.reshape(REFERENCE_OPTIMUM, (4, 3))):
+        with pytest.raises(ValueError, match="12 circuit parameters"):
+            circuit_unitary(bad)
 
 
 @given(
@@ -115,7 +120,7 @@ def test_transfer_matrix_matches_simulation(a1, a2, param_seed):
     params = tuple(rng.uniform(0.0, 2 * math.pi, size=12))
     model = build_circuit(params)
     bloch = bloch_from_state(state_from_angles(a1, a2))
-    sim = simulate_meter_process(density_from_bloch(bloch), model.unitary)
+    sim = simulate_meter_process(density_from_bloch(bloch), circuit_unitary(params))
     np.testing.assert_allclose(model.transfer_matrix() @ bloch, sim, atol=1e-12)
     assert sim.sum() == pytest.approx(1.0, abs=1e-12)
     assert sim.min() >= -1e-12
@@ -175,16 +180,16 @@ def test_optimize_circuit_smoke():
 def test_linear_inversion_roundtrip_through_circuit():
     model = build_circuit(REFERENCE_OPTIMUM)
     bloch = bloch_from_state(state_from_angles(1.2, 0.4))
-    probs = simulate_meter_process(density_from_bloch(bloch), model.unitary)
+    probs = simulate_meter_process(density_from_bloch(bloch), circuit_unitary(REFERENCE_OPTIMUM))
     est = linear_inversion(probs, model.transfer_matrix())
     np.testing.assert_allclose(est.bloch, bloch, atol=1e-10)
     assert math.isfinite(np.linalg.cond(model.transfer_matrix()))
 
 
 def test_simulate_requires_valid_density():
-    model = build_circuit(REFERENCE_OPTIMUM)
+    unitary = circuit_unitary(REFERENCE_OPTIMUM)
     with pytest.raises(ValueError):
-        simulate_meter_process(np.eye(2), model.unitary)  # trace 2
+        simulate_meter_process(np.eye(2), unitary)  # trace 2
 
 
 def test_exact_qttf_matches_quadrature():

@@ -191,6 +191,17 @@ def test_variance_scan_rejects_degenerate_sampling_before_drawing(
         variance_vs_fisher_scan(**_SCAN_ARGS[kind], **kwargs)
 
 
+@pytest.mark.parametrize("kind", sorted(_SCAN_ARGS))
+def test_variance_scan_accepts_small_shot_counts(kind):
+    # linear inversion's variance is F^-1/N exactly; against F^-1/(N-1)
+    # the ratio sat near (N-1)/N and N=2 failed the scan's own guard
+    trials = 2000
+    rows = variance_vs_fisher_scan(**_SCAN_ARGS[kind], shot_grid=(2, 10), trials=trials, seed=3)
+    assert [r.shots for r in rows] == [2, 10]
+    for row in rows:
+        assert abs(row.ratio - 1.0) <= 3.0 / math.sqrt(trials)
+
+
 @pytest.mark.parametrize("theta", [0.0, 2 * math.pi, 1e-7])
 def test_variance_scan_rejects_a_non_informative_coupling(theta):
     with pytest.raises(NonInformativeCouplingError):

@@ -1,4 +1,5 @@
 """Shared error pipeline: the singular-model decision and its cheap test."""
+import dataclasses
 import itertools
 import logging
 import math
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from qtomo import twometer
-from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit, qttf_circuit
+from qtomo import circuit, twometer
+from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit, circuit_unitary, qttf_circuit
 from qtomo.model import (
     CONDITION_LIMIT,
+    MeterModel,
     _inverse_weights,
     _nelder_mead,
     delta_from_transfer,
@@ -21,6 +23,7 @@ from qtomo.model import (
 )
 from qtomo.twometer import (
     REFERENCE_COUPLINGS,
+    TwoMeterModel,
     joint_unitary,
     qttf_two_meter,
     transfer_matrix,
@@ -310,7 +313,7 @@ def test_kraus_transfer_stack_is_the_per_unitary_call():
         params = rng.uniform(0.0, 2 * math.pi, size=12)
         if i % 2:
             params[0::3] *= 2.0
-        unitaries.append(build_circuit(params).unitary)
+        unitaries.append(circuit_unitary(params))
     stack = np.array(unitaries)
     reads = kraus_transfer(stack)
     assert reads.shape == (len(unitaries), 4, 4)
@@ -322,6 +325,43 @@ def test_kraus_transfer_stack_is_the_per_unitary_call():
     assert np.array_equal(
         kraus_transfer(stack[:6].reshape(2, 3, 8, 8)), reads[:6].reshape(2, 3, 4, 4)
     )
+
+
+def _reference_models():
+    return TwoMeterModel(*REFERENCE_COUPLINGS), build_circuit(REFERENCE_OPTIMUM)
+
+
+def test_models_are_built_off_the_unitary(monkeypatch):
+    # a model is (params, T): neither constructor compiles the 8x8
+    # unitary, which only the checks build
+    expected = [m.transfer_matrix().tobytes() for m in _reference_models()]
+
+    def no_unitary(*args):
+        raise AssertionError("built the 8x8 unitary")
+
+    monkeypatch.setattr(twometer, "joint_unitary", no_unitary)
+    monkeypatch.setattr(circuit, "circuit_unitary", no_unitary)
+    models = _reference_models()
+    assert [m.transfer_matrix().tobytes() for m in models] == expected
+    assert [f.name for f in dataclasses.fields(MeterModel)] == ["params", "_tmat"]
+    assert not any(hasattr(m, "unitary") for m in models)
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["two-meter", "circuit"])
+def test_transfer_matrix_is_read_only(index):
+    # T is the model, so writing into the handed-out matrix must not move it
+    model = _reference_models()[index]
+    tmat = model.transfer_matrix()
+    qttf = qttf_from_transfer(tmat)
+    with pytest.raises(ValueError, match="read-only"):
+        tmat[0, 0] += 0.01
+    assert qttf_from_transfer(model.transfer_matrix()) == qttf
+    assert model == _reference_models()[index]
+    # the model keeps its own copy: the caller's array stays writable
+    rows = np.array(tmat)
+    copied = MeterModel(params=model.params, _tmat=rows)
+    rows[0, 0] += 0.01
+    assert copied.transfer_matrix().tobytes() == tmat.tobytes()
 
 
 def _two_meter_objective(x):

@@ -30,7 +30,7 @@ from qtomo.model import (
 from qtomo.twometer import (
     REFERENCE_COUPLINGS,
     TwoMeterModel,
-    coefficients_closed_form,
+    _coefficients,
     joint_unitary,
     meter_unitaries,
     optimize_two_meter,
@@ -142,8 +142,8 @@ def test_coefficient_swap_relations():
     rng = np.random.default_rng(3)
     for _ in range(30):
         ta, tb = rng.uniform(-3 * math.pi, 3 * math.pi, size=2)
-        a, b, c = coefficients_closed_form(ta, tb)
-        a_s, _, c_s = coefficients_closed_form(tb, ta)
+        a, b, c = _coefficients(ta, tb)
+        a_s, _, c_s = _coefficients(tb, ta)
         assert b[0] == pytest.approx(a_s[0], abs=1e-12)
         assert b[1] == pytest.approx(-a_s[3], abs=1e-12)
         assert b[2] == pytest.approx(-a_s[2], abs=1e-12)
@@ -156,7 +156,7 @@ def test_coefficient_swap_relations():
 def test_specific_coefficient_values():
     # at (pi, 0) meter B idles: a0 = 0, a3 = 1/4, b row reduces to the
     # trivial 1/8 cos structure
-    a, b, c = coefficients_closed_form(math.pi, 0.0)
+    a, b, c = _coefficients(math.pi, 0.0)
     assert a[0] == pytest.approx(0.0, abs=1e-12)
     assert a[3] == pytest.approx(0.25, abs=1e-12)
     assert b[1] == pytest.approx(0.0, abs=1e-12)
@@ -169,7 +169,7 @@ def test_transfer_matrix_matches_simulation(a1, a2, theta_a, theta_b):
     psi = state_from_angles(a1, a2)
     bloch = bloch_from_state(psi)
     model = TwoMeterModel(theta_a, theta_b)
-    sim = simulate_meter_process(density_from_state(psi), model.unitary)
+    sim = simulate_meter_process(density_from_state(psi), joint_unitary(*model.params))
     np.testing.assert_allclose(model.transfer_matrix() @ bloch, sim, atol=1e-12)
     assert sim.sum() == pytest.approx(1.0, abs=1e-12)
     assert sim.min() >= -1e-12
@@ -177,26 +177,26 @@ def test_transfer_matrix_matches_simulation(a1, a2, theta_a, theta_b):
 
 def test_stacked_simulation_is_the_per_state_call():
     rng = np.random.default_rng(12)
-    model = TwoMeterModel(*REFERENCE_COUPLINGS)
+    unitary = joint_unitary(*REFERENCE_COUPLINGS)
     rhos = np.array([
         density_from_state(state_from_angles(rng.uniform(0, math.pi / 2), rng.uniform(0, math.pi)))
         for _ in range(12)
     ]).reshape(3, 4, 2, 2)
-    sims = simulate_meter_process(rhos, model.unitary)
+    sims = simulate_meter_process(rhos, unitary)
     assert sims.shape == (3, 4, 4)
     for rho, sim in zip(rhos.reshape(12, 2, 2), sims.reshape(12, 4)):
-        np.testing.assert_allclose(sim, simulate_meter_process(rho, model.unitary),
+        np.testing.assert_allclose(sim, simulate_meter_process(rho, unitary),
                                    rtol=0, atol=1e-15)
     # a stack of unitaries broadcasts against the states
-    other = TwoMeterModel(0.7, -2.1).unitary
-    mixed = simulate_meter_process(rhos[0], np.array([model.unitary, other] * 2))
-    for rho, unitary, sim in zip(rhos[0], [model.unitary, other] * 2, mixed):
-        np.testing.assert_allclose(sim, simulate_meter_process(rho, unitary),
+    other = joint_unitary(0.7, -2.1)
+    mixed = simulate_meter_process(rhos[0], np.array([unitary, other] * 2))
+    for rho, member, sim in zip(rhos[0], [unitary, other] * 2, mixed):
+        np.testing.assert_allclose(sim, simulate_meter_process(rho, member),
                                    rtol=0, atol=1e-15)
     # one member that is not a state rejects the whole stack
     rhos[1, 2] = np.eye(2)
     with pytest.raises(ValueError, match="trace"):
-        simulate_meter_process(rhos, model.unitary)
+        simulate_meter_process(rhos, unitary)
 
 
 def test_transfer_column_sums():
@@ -211,7 +211,7 @@ def test_transfer_matrix_is_the_sign_pattern_sum():
     # the same order, so the rows equal the sign-matrix form bit for bit
     rng = np.random.default_rng(4)
     for theta_a, theta_b in [(0.0, 0.0), *rng.uniform(-10.0, 10.0, size=(200, 2))]:
-        a, b, c = coefficients_closed_form(theta_a, theta_b)
+        a, b, c = _coefficients(theta_a, theta_b)
         expected = np.outer(SIGN_MATRIX[0], a) + np.outer(SIGN_MATRIX[1], b)
         expected += np.outer(SIGN_MATRIX[2], c)
         expected[:, 0] += 0.25
@@ -327,7 +327,7 @@ def test_model_wrapper_and_linear_inversion_roundtrip():
     model = TwoMeterModel(*REFERENCE_COUPLINGS)
     assert math.isfinite(np.linalg.cond(model.transfer_matrix()))
     bloch = bloch_from_state(state_from_angles(0.9, 2.1))
-    probs = simulate_meter_process(density_from_bloch(bloch), model.unitary)
+    probs = simulate_meter_process(density_from_bloch(bloch), joint_unitary(*model.params))
     est = linear_inversion(probs, model.transfer_matrix())
     np.testing.assert_allclose(est.bloch, bloch, atol=1e-10)
 
