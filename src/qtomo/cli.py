@@ -137,28 +137,23 @@ def _json_text(payload: dict) -> str:
 
 def _build_model(args):
     # a flag of the other model would be silently ignored; refuse it instead
-    if args.model == "two-meter" and args.params is not None:
-        raise ValueError("--params applies to --model circuit only")
     if args.model == "circuit":
         for flag, value in (("--theta-a", args.theta_a), ("--theta-b", args.theta_b)):
             if value is not None:
                 raise ValueError(f"{flag} applies to --model two-meter only")
-    if args.model == "two-meter":
-        theta_a = args.theta_a if args.theta_a is not None else REFERENCE_COUPLINGS[0]
-        theta_b = args.theta_b if args.theta_b is not None else REFERENCE_COUPLINGS[1]
-        for flag, value in (("--theta-a", theta_a), ("--theta-b", theta_b)):
-            if not math.isfinite(value):
-                raise ValueError(f"{flag} must be finite, got {value}")
-        return TwoMeterModel(theta_a, theta_b)
-    if args.model == "circuit":
         params = REFERENCE_OPTIMUM if args.params is None else _parse_params(args.params)
         return build_circuit(params)
-    raise ValueError(f"model '{args.model}' has no 4-outcome transfer matrix")
+    if args.params is not None:
+        raise ValueError("--params applies to --model circuit only")
+    theta_a = args.theta_a if args.theta_a is not None else REFERENCE_COUPLINGS[0]
+    theta_b = args.theta_b if args.theta_b is not None else REFERENCE_COUPLINGS[1]
+    for flag, value in (("--theta-a", theta_a), ("--theta-b", theta_b)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+    return TwoMeterModel(theta_a, theta_b)
 
 
 def cmd_qttf_sweep(args) -> int:
-    if args.model != "single":
-        raise ValueError("qttf-sweep supports --model single only")
     # name the flag before np.linspace turns a bad bound into NaN thetas
     for flag, value in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
         if not math.isfinite(value):
@@ -167,8 +162,6 @@ def cmd_qttf_sweep(args) -> int:
         raise ValueError(f"--theta-max must be at most pi, got {args.theta_max}")
     if args.points < 2 or not (0.0 < args.theta_min <= args.theta_max):
         raise ValueError("invalid theta grid")
-    if args.format != "csv":
-        raise ValueError("qttf-sweep emits CSV")
     thetas = np.linspace(args.theta_min, args.theta_max, args.points)
     rows = []
     for theta in thetas:
@@ -181,16 +174,12 @@ def cmd_qttf_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if args.format != "json":
-        raise ValueError("optimize emits JSON")
     if args.model == "two-meter":
         restarts = args.restarts if args.restarts is not None else 20
         result = optimize_two_meter(restarts=restarts, seed=args.seed)
-    elif args.model == "circuit":
+    else:
         restarts = args.restarts if args.restarts is not None else 50
         result = optimize_circuit(restarts=restarts, seed=args.seed)
-    else:
-        raise ValueError("optimize supports --model two-meter or circuit")
     if not math.isfinite(result.value):
         sys.stderr.write("optimization failed: objective singular everywhere\n")
         return 2
@@ -260,8 +249,6 @@ def _table_full_rows(model, estimator, shots, repeats, seed):
 
 
 def cmd_reproduce_table(args) -> int:
-    if args.format != "csv":
-        raise ValueError("reproduce-table emits CSV")
     _check_shots(args.shots)
     if args.table == 1:
         header, rows = _table_1_rows(args.shots, args.repeats, args.seed)
@@ -283,8 +270,6 @@ def cmd_reproduce_table(args) -> int:
 
 
 def cmd_check_identities(args) -> int:
-    if args.format != "json":
-        raise ValueError("check-identities emits JSON")
     suite = identity_suite(seed=args.seed, corrupt=args.corrupt)
     payload = {"meta": _meta("check-identities", seed=args.seed), **suite}
     payload["meta"]["corrupt"] = args.corrupt
@@ -293,8 +278,6 @@ def cmd_check_identities(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    if args.format != "json":
-        raise ValueError("estimate emits JSON")
     _check_shots(args.shots)
     model = _build_model(args)
     tmat = model.transfer_matrix()
@@ -384,12 +367,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"qtomo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seed=True, fmt="json"):
+    def common(p, *, seed=True):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument(
-            "--format", default=fmt, choices=("csv", "json"),
-            help=f"output format (default {fmt})",
-        )
         if seed:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
@@ -397,11 +376,10 @@ def build_parser() -> _Parser:
         "qttf-sweep",
         help="qTTF and max error vs theta (CSV: theta,qttf,max_error)",
     )
-    p.add_argument("--model", default="single", choices=("single",))
     p.add_argument("--theta-min", type=float, default=0.1)
     p.add_argument("--theta-max", type=float, default=math.pi)
     p.add_argument("--points", type=int, default=200)
-    common(p, seed=False, fmt="csv")
+    common(p, seed=False)
     p.set_defaults(func=cmd_qttf_sweep)
 
     p = sub.add_parser(
@@ -419,7 +397,7 @@ def build_parser() -> _Parser:
     p.add_argument("--table", type=int, required=True)
     p.add_argument("--shots", type=int, default=1024)
     p.add_argument("--repeats", type=int, default=5)
-    common(p, fmt="csv")
+    common(p)
     p.set_defaults(func=cmd_reproduce_table)
 
     p = sub.add_parser(

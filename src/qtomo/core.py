@@ -96,9 +96,12 @@ def density_from_bloch(s: np.ndarray) -> np.ndarray:
 
 
 def bloch_from_state(rho: np.ndarray) -> np.ndarray:
-    """Bloch 4-vector s_mu = Tr(rho sigma_mu); accepts kets too.
+    """Bloch 4-vector s_mu = Tr(rho sigma_mu) of a (2, 2) density matrix.
 
-    A ket (a, b) gives s = (|a|^2 + |b|^2, 2 Re(a b*), -2 Im(a b*),
+    A ket of shape (2,) is accepted too; any other shape raises
+    ValueError.
+
+    The ket (a, b) gives s = (|a|^2 + |b|^2, 2 Re(a b*), -2 Im(a b*),
     |a|^2 - |b|^2), evaluated in plain floats: at this size numpy's
     per-call overhead costs more than the arithmetic.  The components
     agree with the density-matrix path to round-off, and a zero
@@ -114,12 +117,20 @@ def bloch_from_state(rho: np.ndarray) -> np.ndarray:
         s_x = 2.0 * (ar * br + ai * bi) + 0.0
         s_y = 2.0 * (ar * bi - ai * br) + 0.0
         return np.array([aa + bb, s_x, s_y, aa - bb])
-    if rho.ndim == 1:
-        rho = density_from_state(rho)
+    if rho.shape != (2, 2):
+        raise ValueError(
+            "expected a ket of shape (2,) or a density matrix of shape (2, 2), "
+            f"got shape {rho.shape}"
+        )
     return np.einsum("mij,ji->m", SIGMA, rho).real
 
 
-def check_density(rho: np.ndarray, *, eig_floor: float = -1e-9) -> np.ndarray:
+# Positivity floor of check_density: a reconstructed state whose smallest
+# eigenvalue is negative only by round-off still counts as physical.
+_EIG_FLOOR = -1e-9
+
+
+def check_density(rho: np.ndarray) -> np.ndarray:
     """Validate a 2x2 density matrix and return it as a complex array.
 
     Hermiticity and unit trace are structural (1e-12); positivity uses the
@@ -134,7 +145,7 @@ def check_density(rho: np.ndarray, *, eig_floor: float = -1e-9) -> np.ndarray:
         raise ValueError("density matrix is not Hermitian")
     if np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max(initial=0.0) > 1e-12:
         raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(rho).min(initial=math.inf) < eig_floor:
+    if np.linalg.eigvalsh(rho).min(initial=math.inf) < _EIG_FLOOR:
         raise ValueError("density matrix has a negative eigenvalue")
     return rho
 
@@ -164,15 +175,13 @@ class QuadratureRule:
     """Nodes and weights for averaging over pure states.
 
     The target measure is (1/pi) sin(2 a1) da1 da2 on
-    [0, pi/2] x [0, alpha2_limit], scaled so the weights always sum to 1.
+    [0, pi/2] x [0, alpha2_limit] of `make_quadrature`, scaled so the
+    weights always sum to 1.
     """
 
     alpha1: np.ndarray
     alpha2: np.ndarray
     weights: np.ndarray
-    n1: int
-    n2: int
-    alpha2_limit: float = math.pi
     _bloch: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -222,9 +231,6 @@ def make_quadrature(n1: int, n2: int, *, alpha2_limit: float = math.pi) -> Quadr
         alpha1=g1.ravel(),
         alpha2=g2.ravel(),
         weights=weights.ravel(),
-        n1=n1,
-        n2=n2,
-        alpha2_limit=alpha2_limit,
     )
 
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import density_from_bloch
 from .model import CONDITION_LIMIT
 
 __all__ = [
@@ -105,7 +104,8 @@ class MleConfig:
 
 @dataclass(frozen=True)
 class MleResult:
-    rho: np.ndarray
+    """An MLE as a Bloch 4-vector; `density_from_bloch(bloch)` is the matrix."""
+
     bloch: np.ndarray
     iterations: int
     converged: bool
@@ -263,7 +263,6 @@ def saturated_mle(freqs: np.ndarray, tmat: np.ndarray) -> MleResult:
             )
     bloch = np.concatenate([[1.0], v])
     return MleResult(
-        rho=density_from_bloch(bloch),
         bloch=bloch,
         iterations=1 + steps,
         converged=converged,
@@ -301,8 +300,7 @@ def rho_r_mle(
 
         s' = [2a b + (a^2 - |b|^2) s + 2(b.s) b] / (a^2 + |b|^2 + 2a b.s),
 
-    the same iterates as the 2x2 matrix product up to round-off.  rho is
-    built from the final Bloch vector once.
+    the same iterates as the 2x2 matrix product up to round-off.
 
     The flooring and stopping tests are chains of `<` joined by `or` and
     `and` rather than min() and max() over abs() values: the builtin
@@ -418,7 +416,6 @@ def rho_r_mle(
             cfg.max_iter, freqs.tolist(), bloch.tolist(),
         )
     return MleResult(
-        rho=density_from_bloch(bloch),
         bloch=bloch,
         iterations=iteration,
         converged=converged,

@@ -156,22 +156,17 @@ def run_full_experiment(
     shots: int = 1024,
     repeats: int = 5,
     seed: int = DEFAULT_SEED,
-    exact: bool = False,
 ) -> ExperimentReport:
     """Full Bloch-vector reconstruction per Pauli eigenstate, mean over repeats.
 
-    estimator is "mle" (the exact `saturated_mle`) or "linear";
-    exact=True skips sampling and feeds the exact outcome probabilities
-    through the estimator once, which isolates estimator error from shot
-    noise.
+    estimator is "mle" (the exact `saturated_mle`) or "linear".
     """
     if estimator not in ("mle", "linear"):
         raise ValueError("estimator must be 'mle' or 'linear'")
-    if not exact:
-        if shots < 1:
-            raise ValueError("shots must be positive")
-        if repeats < 2:
-            raise ValueError("need at least two repeats for a standard deviation")
+    if shots < 1:
+        raise ValueError("shots must be positive")
+    if repeats < 2:
+        raise ValueError("need at least two repeats for a standard deviation")
     tmat = model.transfer_matrix()
     rows = []
     for k, psi in enumerate(PAULI_EIGENSTATES):
@@ -179,13 +174,9 @@ def run_full_experiment(
         probs = tmat @ truth
         estimates = []
         physical = []
-        n_reps = 1 if exact else repeats
-        for rep in range(n_reps):
-            if exact:
-                freqs = probs
-            else:
-                rng = _substream(seed, _TAG_FULL, k, rep)
-                freqs = rng.multinomial(shots, probs) / shots
+        for rep in range(repeats):
+            rng = _substream(seed, _TAG_FULL, k, rep)
+            freqs = rng.multinomial(shots, probs) / shots
             if estimator == "mle":
                 result = saturated_mle(freqs, tmat)
                 estimates.append(result.bloch)
@@ -196,8 +187,7 @@ def run_full_experiment(
                 physical.append(result.physical)
         stacked = np.vstack(estimates)
         mean = stacked.mean(axis=0)
-        mean[0] = 1.0
-        std = stacked[:, 1:].std(axis=0, ddof=1) if n_reps > 1 else np.zeros(3)
+        std = stacked[:, 1:].std(axis=0, ddof=1)
         fid_mean = fidelity(
             density_from_bloch(truth), density_from_bloch(radial_clip(mean))
         )
@@ -214,8 +204,8 @@ def run_full_experiment(
         )
     return ExperimentReport(
         rows=tuple(rows),
-        shots=0 if exact else shots,
-        repeats=1 if exact else repeats,
+        shots=shots,
+        repeats=repeats,
         seed=seed,
         kind=f"full/{estimator}",
     )
@@ -341,9 +331,8 @@ def estimator_variance_identity(state: np.ndarray, tmat: np.ndarray) -> Identity
 
     Column l of the estimate matrix is the linear-inversion output when
     every shot lands in outcome l; weighting those columns by the outcome
-    probabilities gives per-component variances sigma_j^2, and the
-    combination sum_j G_ij^2 sigma_j^2 with G built from the estimate
-    matrix must reproduce the Cramer-Rao diagonal exactly.
+    probabilities gives per-component variances sigma_j^2, which must
+    reproduce the Cramer-Rao diagonal exactly.
     """
     return _estimator_variance_check(tmat)(state)
 
@@ -351,23 +340,21 @@ def estimator_variance_identity(state: np.ndarray, tmat: np.ndarray) -> Identity
 def _estimator_variance_check(tmat: np.ndarray):
     """estimator_variance_identity(., tmat) as a function of the state.
 
-    The estimate matrix and G depend on T alone; they are computed here
-    once, for every state the returned function is called with.
+    The estimate matrix depends on T alone; it is computed here once, for
+    every state the returned function is called with.
     """
     # single-outcome estimates: T^-1 applied to each unit frequency vector
     estimate_mat = np.linalg.solve(tmat, np.eye(4))
-    gmat_sq = np.linalg.solve(tmat, np.linalg.inv(estimate_mat)) ** 2
 
     def check(state: np.ndarray) -> IdentityReport:
         state_b = _as_bloch(state)
         probs = tmat @ state_b
         sbar = estimate_mat @ probs
         sigma2 = ((estimate_mat - sbar[:, None]) ** 2) @ probs
-        lhs = gmat_sq @ sigma2
         fisher = fisher_from_transfer(tmat, state_b)
         rhs = np.concatenate([[0.0], np.diag(np.linalg.inv(fisher))])
         return IdentityReport(
-            lhs=lhs[1:], rhs=rhs[1:], max_abs_diff=float(np.max(np.abs(lhs - rhs)))
+            lhs=sigma2[1:], rhs=rhs[1:], max_abs_diff=float(np.max(np.abs(sigma2 - rhs)))
         )
 
     return check

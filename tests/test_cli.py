@@ -615,3 +615,27 @@ def test_optimize_has_no_quadrature_flag(capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage: qtomo ")
     assert "error: unrecognized arguments: --quad 16" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qttf-sweep", "--points", "3", "--format", "csv"],
+        ["optimize", "--model", "circuit", "--restarts", "1", "--format", "json"],
+        ["reproduce-table", "--table", "1", "--format", "csv"],
+        ["check-identities", "--format", "json"],
+        ["estimate", "--state", "x0", "--format", "json"],
+        ["qttf-sweep", "--points", "3", "--model", "single"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_one_valued_flags_are_gone(argv, capsys):
+    # each subcommand emits one format and qttf-sweep has one model, so
+    # neither flag is accepted
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qtomo ")
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in captured.err

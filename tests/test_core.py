@@ -138,6 +138,14 @@ def test_ket_bloch_accepts_lists_and_rejects_other_lengths():
         bloch_from_state(np.ones(3))
 
 
+@pytest.mark.parametrize(
+    "rho", [np.ones(3), np.eye(3) / 3.0], ids=["length-3", "3x3"]
+)
+def test_bloch_from_state_names_the_accepted_shapes(rho):
+    with pytest.raises(ValueError, match=r"shape \(2,\) .* shape \(2, 2\)"):
+        bloch_from_state(rho)
+
+
 def test_check_density_rejects_bad_input():
     with pytest.raises(ValueError):
         check_density(np.array([[0.6, 0.0], [0.1, 0.4]]))  # not hermitian
