@@ -101,12 +101,18 @@ def _checked_params(params) -> list[float]:
 def circuit_unitary(params) -> np.ndarray:
     """8x8 block unitary on (A, S, B) for build_circuit's twelve params.
 
-    The circuit's twin of joint_unitary, for the checks; ValueError
-    unless there are exactly twelve params.
+    The circuit's twin of joint_unitary, for the checks.  A (..., 12)
+    array of parameter vectors gives a (..., 8, 8) stack from one batched
+    product per gate layer, each member with the bits of its own call;
+    ValueError unless the last axis holds exactly twelve params.
     """
-    gate_a1, gate_a2, gate_b1, gate_b2 = (
-        np.array(entries).reshape(2, 2) for entries in _gates(_checked_params(params))
-    )
+    arr = np.asarray(params, dtype=float)
+    if arr.ndim == 0 or arr.shape[-1] != 12:
+        raise ValueError("expected 12 circuit parameters")
+    # the gate entries in scalar arithmetic, row by row, as build_circuit has them
+    entries = [_gates(row) for row in arr.reshape(-1, 12).tolist()]
+    gates = np.array(entries, dtype=complex).reshape(arr.shape[:-1] + (4, 2, 2))
+    gate_a1, gate_a2, gate_b1, gate_b2 = (gates[..., k, :, :] for k in range(4))
     unitary = kron3(gate_a1, _IDENTITY2, _IDENTITY2)
     unitary = _CNOT_S_TO_A @ unitary
     unitary = kron3(gate_a2, HADAMARD, gate_b1) @ unitary

@@ -254,12 +254,17 @@ def expm_2x2_hermitian(hmat: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndar
 
 
 def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Kronecker product of three single-qubit operators, in one broadcast."""
-    return (
-        a[:, None, None, :, None, None]
-        * b[None, :, None, None, :, None]
-        * c[None, None, :, None, None, :]
-    ).reshape(8, 8)
+    """Kronecker product of three single-qubit operators, in one broadcast.
+
+    (..., 2, 2) stacks broadcast against each other into a (..., 8, 8)
+    stack; each member is formed by the same two products as its own call.
+    """
+    product = (
+        a[..., :, None, None, :, None, None]
+        * b[..., None, :, None, None, :, None]
+        * c[..., None, None, :, None, None, :]
+    )
+    return product.reshape(product.shape[:-6] + (8, 8))
 
 
 def cnot_matrix(control: int, target: int, n_qubits: int = 3) -> np.ndarray:

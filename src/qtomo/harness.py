@@ -243,7 +243,9 @@ def variance_vs_fisher_scan(
     ValueError for fewer than two trials, an empty or unsorted grid, or a
     shot count below two, and NonInformativeCouplingError for a theta
     that gives the meter no sensitivity.  Each state's F^-1 depends on
-    the model alone and is computed once for the whole grid.
+    the model alone and is computed once for the whole grid, as are the
+    Bloch rows of T^-1 that turn a (trials, 4) block of frequencies into
+    linear-inversion estimates in one product.
     """
     if (model is None) == (theta is None):
         raise ValueError("pass exactly one of model or theta")
@@ -275,6 +277,8 @@ def variance_vs_fisher_scan(
             truth = bloch_from_state(psi)
             fisher = fisher_from_transfer(tmat, truth)
             states.append((tmat @ truth, float(np.trace(np.linalg.inv(fisher)))))
+        # the Bloch rows of T^-1 as columns: freqs @ to_bloch is linear inversion
+        to_bloch = np.linalg.inv(tmat)[1:].T
 
     rows = []
     for n_idx, shots in enumerate(shot_grid):
@@ -289,8 +293,10 @@ def variance_vs_fisher_scan(
                 variances.append(float(np.var(ests, ddof=1)))
             else:
                 freqs = rng.multinomial(shots, probs, size=trials) / shots
-                ests = np.linalg.solve(tmat, freqs.T).T
-                variances.append(float(ests[:, 1:].var(axis=0, ddof=1).sum()))
+                ests = freqs @ to_bloch
+                # the summed component variances, one centered sum of squares
+                centered = (ests - ests.mean(axis=0)).ravel()
+                variances.append(float(centered @ centered) / (trials - 1))
             bounds.append(fisher_inverse / shots)
         mean_var = float(np.mean(variances))
         mean_bound = float(np.mean(bounds))

@@ -91,6 +91,25 @@ _OUTCOME_LABELS = ("++", "+-", "-+", "--")
 # x-basis readout of both meters, applied after the block unitary.
 _READOUT = kron3(HADAMARD, np.eye(2), HADAMARD)
 
+
+def _kraus_constants() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three constant factors of kraus_transfer's read.
+
+    The readout with its rows reordered from (a, s, b) to (a, b, s), so
+    a product reshapes straight into K_(a,b)[s, s']; the (8, 2) map
+    that applies both |+> inputs, 1/2 from input (a', s', b') to s'; and
+    the (4, 4) map with E[q, 2i + k] @ it = Tr(E_q sigma_mu) / 2.
+    """
+    order = [4 * a + 2 * s + b for a in (0, 1) for b in (0, 1) for s in (0, 1)]
+    plus_inputs = np.zeros((8, 2))
+    for index in range(8):
+        plus_inputs[index, (index >> 1) & 1] = 0.5
+    trace_map = 0.5 * SIGMA.transpose(0, 2, 1).reshape(4, 4).T
+    return _READOUT[order], plus_inputs, trace_map
+
+
+_KRAUS_READOUT, _PLUS_INPUTS, _TRACE_MAP = _kraus_constants()
+
 _log = logging.getLogger(__name__)
 
 
@@ -114,11 +133,10 @@ def kraus_transfer(unitary: np.ndarray) -> np.ndarray:
     stack of unitaries gives a (..., 4, 4) stack of transfer matrices.
     """
     stack = np.shape(unitary)[:-2]
-    # axes (..., a, s, b, a', s', b'); summing a' and b' applies both |+> inputs
-    blocks = (_READOUT @ unitary).reshape(stack + (2,) * 6).sum(axis=(-3, -1)) / 2.0
-    kraus = blocks.swapaxes(-3, -2).reshape(stack + (4, 2, 2))
-    effects = np.einsum("...qji,...qjk->...qik", kraus.conj(), kraus)
-    return 0.5 * np.einsum("...qik,mki->...qm", effects, SIGMA).real
+    # rows (a, b, s), columns s': K_q[s, s'] for q = 2a + b
+    kraus = (_KRAUS_READOUT @ unitary @ _PLUS_INPUTS).reshape(stack + (4, 2, 2))
+    effects = kraus.conj().swapaxes(-1, -2) @ kraus
+    return (effects.reshape(stack + (4, 4)) @ _TRACE_MAP).real
 
 
 def simulate_meter_process(rho0: np.ndarray, unitary: np.ndarray) -> np.ndarray:
@@ -132,13 +150,7 @@ def simulate_meter_process(rho0: np.ndarray, unitary: np.ndarray) -> np.ndarray:
     giving (..., 4) probabilities.
     """
     plus = np.full((2, 2), 0.5)
-    rho0 = check_density(rho0)
-    # kron3(plus, rho0, plus) over the stack, axes (..., a, s, b, a', s', b')
-    initial = (
-        plus[:, None, None, :, None, None]
-        * rho0[..., None, :, None, None, :, None]
-        * plus[None, None, :, None, None, :]
-    ).reshape(rho0.shape[:-2] + (8, 8))
+    initial = kron3(plus, check_density(rho0), plus)
     full = _READOUT @ unitary
     final = full @ initial @ full.conj().swapaxes(-1, -2)
     # diagonal index 4a + 2s + b

@@ -110,6 +110,23 @@ def test_block_unitary_is_unitary():
             circuit_unitary(bad)
 
 
+def test_circuit_unitary_stack_is_the_per_row_call():
+    # a (..., 12) array builds one unitary per row, each with the bits of
+    # its own call
+    rng = np.random.default_rng(13)
+    params = rng.uniform(0.0, 2 * math.pi, size=(30, 12))
+    params[1::2, 0::3] *= 2.0
+    stack = circuit_unitary(params)
+    assert stack.shape == (30, 8, 8)
+    for row, unitary in zip(params, stack):
+        assert unitary.tobytes() == circuit_unitary(row).tobytes()
+    assert circuit_unitary(params.reshape(5, 6, 12)).tobytes() == stack.tobytes()
+    assert circuit_unitary(params[:1]).shape == (1, 8, 8)
+    for bad in (np.zeros((3, 11)), 0.5, np.zeros((12, 3))):
+        with pytest.raises(ValueError, match="12 circuit parameters"):
+            circuit_unitary(bad)
+
+
 @given(
     st.floats(0.0, math.pi / 2), st.floats(0.0, math.pi),
     st.integers(min_value=0, max_value=10**6),

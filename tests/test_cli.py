@@ -15,7 +15,7 @@ import pytest
 import qtomo
 from qtomo import cli
 from qtomo.cli import main
-from qtomo.estimators import saturated_mle
+from qtomo.estimators import MleConfig, rho_r_mle, saturated_mle
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, qttf_two_meter
 
 
@@ -177,16 +177,24 @@ def test_table_2_default_seed_golden(capsys):
             assert float(cell) == pytest.approx(float(ref_cell), abs=1e-5)
 
 
-def test_capped_mle_warning_names_level_and_logger(capsys):
-    # one of the identity suite's five traced R-rho-R runs at seed 20
-    # stops at the iteration cap
-    code = main(["check-identities", "--seed", "20"])
+def test_capped_mle_warning_names_level_and_logger(capsys, monkeypatch):
+    # a library R-rho-R run that stops at the iteration cap during a CLI
+    # call is printed with its level and logger name
+    tmat = TwoMeterModel(*REFERENCE_COUPLINGS).transfer_matrix()
+    pure = np.array([1.0, 0.6, 0.0, 0.8])
+
+    def capped_suite(seed, corrupt):
+        rho_r_mle(tmat @ pure, tmat, MleConfig(max_iter=5))
+        return {"checks": {}, "all_pass": True, "capped_reference_runs": 0}
+
+    monkeypatch.setattr(cli, "identity_suite", capped_suite)
+    code = main(["check-identities", "--seed", "0"])
     captured = capsys.readouterr()
     assert code == 0
     warnings = [
         line for line in captured.err.splitlines()
         if line.startswith(
-            "WARNING qtomo.estimators: R-rho-R stopped at the iteration cap"
+            "WARNING qtomo.estimators: R-rho-R stopped at the iteration cap (5)"
         )
     ]
     assert len(warnings) == 1
@@ -195,6 +203,21 @@ def test_capped_mle_warning_names_level_and_logger(capsys):
     assert "final Bloch vector [" in warnings[0]
     # the handler lives for one call only
     assert not logging.getLogger("qtomo").handlers
+
+
+def test_check_identities_counts_capped_reference_runs_quietly(capsys):
+    # one of the identity suite's five R-rho-R reference runs at seed 20
+    # stops at the iteration cap; the suite passes, reports the run and
+    # writes nothing to stderr
+    code = main(["check-identities", "--seed", "20"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    blob = json.loads(captured.out)
+    assert blob["all_pass"] is True
+    assert blob["capped_reference_runs"] == 1
+    code, out = _run(capsys, ["check-identities", "--seed", "0"])
+    assert code == 0 and json.loads(out)["capped_reference_runs"] == 0
 
 
 def test_reproduce_table_validates_id(capsys):

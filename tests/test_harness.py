@@ -146,6 +146,54 @@ def test_variance_scan_full_model():
         assert row.mean_variance > 0
 
 
+def _solve_scan(model=None, theta=None, seed=0):
+    # the scan's rows with one LU solve and one .var per (state, N): the
+    # reference for the product-and-centered-sum form
+    from qtomo.harness import _TAG_SCAN, _substream
+    from qtomo.model import fisher_from_transfer
+    from qtomo.single import fisher_inverse_single, probabilities_single
+
+    rows = []
+    for n_idx, shots in enumerate((100, 1000, 10000, 100000)):
+        variances, bounds = [], []
+        for k, psi in enumerate(PAULI_EIGENSTATES):
+            rng = _substream(seed, _TAG_SCAN, k, n_idx)
+            if theta is not None:
+                s2 = math.sin(theta / 2.0) ** 2
+                offset = math.cos(theta / 2.0) ** 2
+                counts = rng.multinomial(shots, probabilities_single(psi, theta), size=1000)
+                ests = (2.0 * (counts[:, 0] / shots) - 1.0 - offset) / s2
+                variances.append(float(np.var(ests, ddof=1)))
+                bounds.append(fisher_inverse_single(psi, theta) / shots)
+            else:
+                tmat = model.transfer_matrix()
+                truth = bloch_from_state(psi)
+                fisher = fisher_from_transfer(tmat, truth)
+                freqs = rng.multinomial(shots, tmat @ truth, size=1000) / shots
+                ests = np.linalg.solve(tmat, freqs.T).T
+                variances.append(float(ests[:, 1:].var(axis=0, ddof=1).sum()))
+                bounds.append(float(np.trace(np.linalg.inv(fisher))) / shots)
+        rows.append((shots, float(np.mean(variances)), float(np.mean(bounds))))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_variance_scan_matches_the_solve_form(seed):
+    models = (TwoMeterModel(*REFERENCE_COUPLINGS), build_circuit(REFERENCE_OPTIMUM))
+    for model in models:
+        rows = variance_vs_fisher_scan(model, seed=seed)
+        for row, (shots, variance, bound) in zip(rows, _solve_scan(model, seed=seed)):
+            assert row.shots == shots
+            assert row.mean_variance == pytest.approx(variance, rel=1e-12, abs=0)
+            assert row.mean_bound == pytest.approx(bound, rel=1e-12, abs=0)
+            assert row.ratio == pytest.approx(variance / bound, rel=1e-12, abs=0)
+    rows = variance_vs_fisher_scan(theta=2.0, seed=seed)
+    assert [(r.shots, r.mean_variance, r.mean_bound, r.ratio) for r in rows] == [
+        (shots, variance, bound, variance / bound)
+        for shots, variance, bound in _solve_scan(theta=2.0, seed=seed)
+    ]
+
+
 def test_variance_scan_argument_validation():
     with pytest.raises(ValueError):
         variance_vs_fisher_scan()

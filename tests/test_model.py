@@ -11,6 +11,7 @@ from scipy.optimize import minimize
 
 from qtomo import circuit, twometer
 from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit, circuit_unitary, qttf_circuit
+from qtomo.core import HADAMARD, SIGMA
 from qtomo.model import (
     CONDITION_LIMIT,
     MeterModel,
@@ -324,6 +325,35 @@ def test_kraus_transfer_stack_is_the_per_unitary_call():
     # any leading shape is kept
     assert np.array_equal(
         kraus_transfer(stack[:6].reshape(2, 3, 8, 8)), reads[:6].reshape(2, 3, 4, 4)
+    )
+
+
+def _einsum_kraus_transfer(unitary):
+    # the Kraus read before the constant-matrix products: both |+> inputs
+    # by summing axes, effects and traces by einsum
+    stack = np.shape(unitary)[:-2]
+    readout = np.kron(np.kron(HADAMARD, np.eye(2)), HADAMARD)
+    blocks = (readout @ unitary).reshape(stack + (2,) * 6).sum(axis=(-3, -1)) / 2.0
+    kraus = blocks.swapaxes(-3, -2).reshape(stack + (4, 2, 2))
+    effects = np.einsum("...qji,...qjk->...qik", kraus.conj(), kraus)
+    return 0.5 * np.einsum("...qik,mki->...qm", effects, SIGMA).real
+
+
+def test_kraus_transfer_matches_the_einsum_read():
+    # the stack of test_kraus_transfer_stack_is_the_per_unitary_call
+    rng = np.random.default_rng(31)
+    couplings = np.concatenate(
+        [
+            rng.uniform(-3 * math.pi, 3 * math.pi, size=(500, 2)),
+            rng.uniform(-1e-6, 1e-6, size=(100, 2)),
+        ]
+    )
+    params = rng.uniform(0.0, 2 * math.pi, size=(100, 12))
+    params[1::2, 0::3] *= 2.0
+    stack = np.concatenate([joint_unitary(*couplings.T), circuit_unitary(params)])
+    assert stack.shape == (700, 8, 8)
+    np.testing.assert_allclose(
+        kraus_transfer(stack), _einsum_kraus_transfer(stack), rtol=0, atol=1e-15
     )
 
 
