@@ -33,6 +33,7 @@ from .single import (
 )
 from .model import (
     MeterModel,
+    NonInvertibleModelError,
     OptimizationResult,
     SingularInformationError,
     delta_from_transfer,
@@ -63,7 +64,6 @@ from .estimators import (
     LinearInversionResult,
     MleConfig,
     MleResult,
-    NonInvertibleModelError,
     linear_inversion,
     log_likelihood,
     radial_clip,

@@ -174,12 +174,10 @@ def cmd_qttf_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if args.model == "two-meter":
-        restarts = args.restarts if args.restarts is not None else 20
-        result = optimize_two_meter(restarts=restarts, seed=args.seed)
-    else:
-        restarts = args.restarts if args.restarts is not None else 50
-        result = optimize_circuit(restarts=restarts, seed=args.seed)
+    optimize = optimize_two_meter if args.model == "two-meter" else optimize_circuit
+    # the default restart counts live in the library functions
+    restarts = {} if args.restarts is None else {"restarts": args.restarts}
+    result = optimize(seed=args.seed, **restarts)
     if not math.isfinite(result.value):
         sys.stderr.write("optimization failed: objective singular everywhere\n")
         return 2
@@ -322,27 +320,26 @@ def cmd_estimate(args) -> int:
     else:
         raise ValueError("provide --counts FILE or --state for sampling")
 
+    estimator = linear_inversion if args.estimator == "linear" else saturated_mle
+    result = estimator(freqs, tmat)
+    bloch = result.bloch
+    # reported here only: the estimators decide invertibility without an SVD
+    cond = float(np.linalg.cond(tmat))
     if args.estimator == "linear":
-        result = linear_inversion(freqs, tmat)
-        bloch = result.bloch
         physical = result.physical
         diagnostics = {
-            "condition_number": result.condition_number,
+            "condition_number": cond,
             "s0_deviation": result.s0_deviation,
         }
     else:
-        # saturated_mle refuses a singular model itself; cond is reported
-        cond = require_invertible(tmat)
-        result = saturated_mle(freqs, tmat)
-        bloch = result.bloch
         physical = True
         diagnostics = {
             "iterations": result.iterations,
             "converged": result.converged,
             "floored_probabilities": result.floored_probabilities,
             "condition_number": cond,
+            "log_likelihood": log_likelihood(freqs, tmat @ bloch),
         }
-        diagnostics["log_likelihood"] = log_likelihood(freqs, tmat @ bloch)
 
     payload = {
         "meta": _meta("estimate", seed=args.seed),

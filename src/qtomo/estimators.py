@@ -9,6 +9,10 @@ estimator of the harness and the CLI.  The iterative R-rho-R scheme
 (Hradil, PRA 55, R1561, 1997) stays as the reference, `rho_r_mle`; it
 converges slowly near pure states and can stop at its iteration cap.
 
+Linear inversion and `saturated_mle` refuse a singular T by the qTTF's own
+test, `model.require_invertible`, with no SVD where its float LU clears T;
+only the CLI's `estimate` reports cond(T).
+
 R-rho-R runs on the Bloch vector in plain Python floats: for a real
 transfer matrix the operator R = a I + b.sigma is fixed by four reals, and
 the normalized R rho R has the closed-form Bloch vector
@@ -21,7 +25,6 @@ building a matrix per step.
 """
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import numbers
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CONDITION_LIMIT
+from .model import NonInvertibleModelError, _check_transfer, require_invertible
 
 __all__ = [
     "NonInvertibleModelError",
@@ -61,17 +64,6 @@ _MAX_HALVINGS = 60
 _log = logging.getLogger(__name__)
 
 
-class NonInvertibleModelError(ValueError):
-    """The transfer matrix cannot be inverted at working precision."""
-
-    def __init__(self, condition_number: float):
-        self.condition_number = condition_number
-        super().__init__(
-            f"transfer matrix condition number {condition_number:.3e} "
-            f"exceeds {CONDITION_LIMIT:.0e}"
-        )
-
-
 @dataclass(frozen=True)
 class LinearInversionResult:
     """Raw inversion output plus the health indicators callers need."""
@@ -79,7 +71,6 @@ class LinearInversionResult:
     bloch: np.ndarray
     physical: bool
     s0_deviation: float
-    condition_number: float
 
 
 @dataclass(frozen=True)
@@ -123,25 +114,14 @@ def _check_frequencies(freqs: np.ndarray) -> np.ndarray:
     return freqs
 
 
-@functools.lru_cache(maxsize=8)
-def _condition_number(key: bytes) -> float:
-    return float(np.linalg.cond(np.frombuffer(key).reshape(4, 4)))
-
-
-def require_invertible(tmat: np.ndarray) -> float:
-    """cond(T), or NonInvertibleModelError when it reaches CONDITION_LIMIT.
-
-    Raises ValueError first unless T is a finite real 4x4 array.  cond(T)
-    depends on T alone and its SVD costs more than a linear inversion, so
-    the last few values are kept, keyed on T's float64 bytes: a table or
-    a check that inverts many frequency vectors with one model runs the
-    SVD once.
-    """
-    tmat = _check_transfer(tmat)
-    cond = _condition_number(np.asarray(tmat, dtype=float).tobytes())
-    if not cond < CONDITION_LIMIT:
-        raise NonInvertibleModelError(cond)
-    return cond
+def _solve(freqs: np.ndarray, tmat: np.ndarray) -> LinearInversionResult:
+    s = np.linalg.solve(tmat, freqs)
+    s0_deviation = abs(s[0] - 1.0)
+    s = s / s[0]
+    norm = float(np.linalg.norm(s[1:]))
+    return LinearInversionResult(
+        bloch=s, physical=norm <= 1.0 + 1e-9, s0_deviation=s0_deviation
+    )
 
 
 def linear_inversion(freqs: np.ndarray, tmat: np.ndarray) -> LinearInversionResult:
@@ -153,17 +133,8 @@ def linear_inversion(freqs: np.ndarray, tmat: np.ndarray) -> LinearInversionResu
     ball; nothing is projected silently.
     """
     freqs = _check_frequencies(freqs)
-    cond = require_invertible(tmat)
-    s = np.linalg.solve(tmat, freqs)
-    s0_deviation = abs(s[0] - 1.0)
-    s = s / s[0]
-    norm = float(np.linalg.norm(s[1:]))
-    return LinearInversionResult(
-        bloch=s,
-        physical=norm <= 1.0 + 1e-9,
-        s0_deviation=s0_deviation,
-        condition_number=cond,
-    )
+    require_invertible(tmat)
+    return _solve(freqs, tmat)
 
 
 def radial_clip(bloch: np.ndarray) -> np.ndarray:
@@ -179,17 +150,6 @@ def log_likelihood(freqs: np.ndarray, model_probs: np.ndarray) -> float:
     """Multinomial log-likelihood sum_q P_q log p_q (zero-frequency terms drop)."""
     mask = freqs > 0.0
     return float(np.sum(freqs[mask] * np.log(model_probs[mask])))
-
-
-def _check_transfer(tmat: np.ndarray) -> np.ndarray:
-    tmat = np.asarray(tmat)
-    if (
-        tmat.shape != (4, 4)
-        or tmat.dtype.kind not in "iuf"
-        or not np.all(np.isfinite(tmat))
-    ):
-        raise ValueError("transfer matrix must be a finite real 4x4 array")
-    return tmat
 
 
 def saturated_mle(freqs: np.ndarray, tmat: np.ndarray) -> MleResult:
@@ -214,8 +174,9 @@ def saturated_mle(freqs: np.ndarray, tmat: np.ndarray) -> MleResult:
     converged=False and one warning goes to the "qtomo.estimators" logger.
     """
     freqs = _check_frequencies(freqs)
-    tmat = _check_transfer(tmat)
-    v = linear_inversion(freqs, tmat).bloch[1:]
+    require_invertible(tmat)
+    tmat = np.asarray(tmat)
+    v = _solve(freqs, tmat).bloch[1:]
     radius = float(np.linalg.norm(v))
     steps = 0
     converged = radius <= 1.0

@@ -18,7 +18,8 @@ T^-1[1:, :].  delta_from_transfer and qttf_from_transfer evaluate those
 forms from a partial-pivoting LU of T in plain floats, certified against
 the singular limit by a Frobenius-norm bound; only T near that limit
 goes to an SVD and the LAPACK inverse, so values agree with LAPACK to
-round-off and inf decisions are cond(T)'s.  The quadrature average over
+round-off and inf decisions are cond(T)'s; require_invertible refuses
+exactly the T whose qTTF is inf.  The quadrature average over
 delta_surface, which inverts each node's Fisher matrix through its
 eigenvalues, stays as the independent reference that the tests and the
 identity suite compare them against.
@@ -51,6 +52,8 @@ __all__ = [
     "CONDITION_LIMIT",
     "SIGN_MATRIX",
     "SingularInformationError",
+    "NonInvertibleModelError",
+    "require_invertible",
     "MeterModel",
     "kraus_transfer",
     "simulate_meter_process",
@@ -83,7 +86,7 @@ PROBABILITY_FLOOR = 1e-12
 EIGENVALUE_FLOOR = 1e-12
 
 # Transfer matrices at least this ill-conditioned count as singular: the
-# exact qTTF is inf there and the estimators refuse them.
+# exact qTTF is inf there and require_invertible refuses them.
 CONDITION_LIMIT = 1e12
 
 _OUTCOME_LABELS = ("++", "+-", "-+", "--")
@@ -122,6 +125,17 @@ class SingularInformationError(ArithmeticError):
         super().__init__(
             f"outcome {_OUTCOME_LABELS[outcome]} has probability "
             f"{probability:.3e}; information matrix is singular"
+        )
+
+
+class NonInvertibleModelError(ValueError):
+    """The transfer matrix cannot be inverted at working precision."""
+
+    def __init__(self, condition_number: float):
+        self.condition_number = condition_number
+        super().__init__(
+            f"transfer matrix condition number {condition_number:.3e} "
+            f"exceeds {CONDITION_LIMIT:.0e}"
         )
 
 
@@ -232,7 +246,7 @@ def _inverse_weights(rows) -> tuple[list[float], float] | None:
     computed inverse is off by about cond * eps relative (1e-4 at the
     limit), so a bound below CONDITION_LIMIT / 2 certifies
     cond(T) < CONDITION_LIMIT.  None on a zero pivot, a non-finite value
-    or a bound at or above CONDITION_LIMIT / 2; _estimate_rows decides
+    or a bound at or above CONDITION_LIMIT / 2; _svd_condition decides
     those.
     """
     r0, r1, r2, r3 = rows
@@ -304,35 +318,61 @@ def _inverse_weights(rows) -> tuple[list[float], float] | None:
     return weights, bound
 
 
-def _estimate_rows(tmat: np.ndarray) -> np.ndarray | None:
-    """A = T^-1[1:, :] by LAPACK, or None once cond(T) >= CONDITION_LIMIT.
+def _svd_condition(tmat: np.ndarray) -> float | None:
+    """cond(T) by SVD if it reaches CONDITION_LIMIT (or is NaN), else None.
 
-    The SVD decision for the T that _inverse_weights does not clear: T
-    near the limit, singular or non-finite.  Raises ValueError for a
-    non-finite T.
+    The decision for a T that _inverse_weights does not clear, shared by
+    the qTTF and require_invertible.
     """
-    if not np.all(np.isfinite(tmat)):
-        raise ValueError("transfer matrix must be finite")
-    if not np.linalg.cond(tmat) < CONDITION_LIMIT:
-        return None
-    return np.linalg.inv(tmat)[1:, :]
+    cond = float(np.linalg.cond(tmat))
+    return None if cond < CONDITION_LIMIT else cond
 
 
 def _weighted_inverse_norms(rows, weights) -> float | None:
     """sum_q |a_q|^2 w_q over the columns a_q of T^-1[1:, :].
 
     None once cond(T) >= CONDITION_LIMIT; raises ValueError for a
-    non-finite T.
+    non-finite T.  A T that _inverse_weights does not clear (near the
+    limit, singular or non-finite) goes to the SVD and LAPACK's inverse.
     """
     cleared = _inverse_weights(rows)
     if cleared is None:
-        coeffs = _estimate_rows(np.array(rows, dtype=float))
-        if coeffs is None:
+        tmat = np.array(rows, dtype=float)
+        if not np.all(np.isfinite(tmat)):
+            raise ValueError("transfer matrix must be finite")
+        if _svd_condition(tmat) is not None:
             return None
+        coeffs = np.linalg.inv(tmat)[1:, :]
         return float(np.einsum("mq,mq,q->", coeffs, coeffs, np.array(weights)))
     e0, e1, e2, e3 = cleared[0]
     w0, w1, w2, w3 = weights
     return e0 * w0 + e1 * w1 + e2 * w2 + e3 * w3
+
+
+def _check_transfer(tmat: np.ndarray) -> np.ndarray:
+    """T as an array; ValueError unless it is a finite real 4x4."""
+    tmat = np.asarray(tmat)
+    if (
+        tmat.shape != (4, 4)
+        or tmat.dtype.kind not in "iuf"
+        or not np.all(np.isfinite(tmat))
+    ):
+        raise ValueError("transfer matrix must be a finite real 4x4 array")
+    return tmat
+
+
+def require_invertible(tmat: np.ndarray) -> None:
+    """NonInvertibleModelError once cond(T) >= CONDITION_LIMIT, the qTTF's test.
+
+    Raises ValueError first unless T is a finite real 4x4 array.  The
+    float LU clears a well-conditioned T with no SVD; only a T it does
+    not clear pays for one, and the error carries that cond(T).
+    """
+    tmat = _check_transfer(tmat)
+    if _inverse_weights(tmat.tolist()) is None:
+        cond = _svd_condition(tmat)
+        if cond is not None:
+            raise NonInvertibleModelError(cond)
 
 
 def delta_from_transfer(tmat: np.ndarray, state: np.ndarray) -> float:
@@ -372,7 +412,7 @@ def qttf_from_transfer(tmat, rule: QuadratureRule | None = None) -> float:
     sum_q |a_q|^2 T[q, 0] - 1, and inf once cond(T) >= CONDITION_LIMIT.
     A float LU with a Frobenius-norm bound clears a well-conditioned T
     (_inverse_weights); only T near the limit pays for an SVD and the
-    LAPACK inverse (_estimate_rows).  The two routes agree to round-off.
+    LAPACK inverse (_svd_condition).  The two routes agree to round-off.
     With a rule it is the quadrature average over delta_surface, inf as
     soon as any node is singular; that path is the reference for checks.
     """

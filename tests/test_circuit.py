@@ -91,13 +91,16 @@ def test_factored_transfer_matches_kraus_read_and_simulation(full_angle):
 
 @pytest.mark.parametrize("full_angle", [False, True])
 def test_qttf_circuit_matches_kraus_read(full_angle):
+    # the qTTF's relative round-off grows with cond(T); over 3000 seeded
+    # circuits the worst gap was about 3 eps cond(T)
     rng = np.random.default_rng(12)
     for _ in range(50):
         params = _draw_params(rng, full_angle)
-        unitary = circuit_unitary(params)
-        reference = qttf_from_transfer(kraus_transfer(unitary))
+        tmat = kraus_transfer(circuit_unitary(params))
+        reference = qttf_from_transfer(tmat)
         value = qttf_circuit(params)
-        assert value == pytest.approx(reference, rel=1e-12)
+        allowed = 16 * np.finfo(float).eps * np.linalg.cond(tmat)
+        assert abs(value - reference) <= allowed * abs(reference)
 
 
 def test_block_unitary_is_unitary():

@@ -14,6 +14,7 @@ import pytest
 
 import qtomo
 from qtomo import cli
+from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit
 from qtomo.cli import main
 from qtomo.estimators import MleConfig, rho_r_mle, saturated_mle
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, qttf_two_meter
@@ -323,6 +324,22 @@ def test_estimate_mle_is_the_exact_solver(tmp_path, capsys):
     assert diagnostics["floored_probabilities"] == 0
 
 
+@pytest.mark.parametrize("estimator", ["linear", "mle"])
+@pytest.mark.parametrize("model", ["two-meter", "circuit"])
+def test_estimate_reports_the_condition_number(capsys, model, estimator):
+    # the one place cond(T) is reported; the estimators never compute it
+    code, out = _run(
+        capsys, ["estimate", "--model", model, "--estimator", estimator, "--state", "x0"]
+    )
+    assert code == 0
+    if model == "two-meter":
+        tmat = TwoMeterModel(*REFERENCE_COUPLINGS).transfer_matrix()
+    else:
+        tmat = build_circuit(REFERENCE_OPTIMUM).transfer_matrix()
+    diagnostics = json.loads(out)["diagnostics"]
+    assert diagnostics["condition_number"] == float(np.linalg.cond(tmat))
+
+
 def test_estimate_exact_mode_recovers_state(capsys):
     code, out = _run(
         capsys,
@@ -497,6 +514,13 @@ def test_optimize_json_schema(tmp_path):
     assert len(blob["best_params"]) == 2
     assert len(blob["restarts"]) == 2
     assert blob["best_value"] == min(r["value"] for r in blob["restarts"])
+
+
+def test_optimize_default_restarts_are_the_library_defaults(tmp_path):
+    out_file = tmp_path / "opt.json"
+    code = main(["optimize", "--model", "two-meter", "--seed", "0", "--out", str(out_file)])
+    assert code == 0
+    assert len(json.loads(out_file.read_text())["restarts"]) == 20
 
 
 @pytest.mark.parametrize("model", ["two-meter", "circuit"])

@@ -24,7 +24,9 @@ from qtomo.estimators import (
     saturated_mle,
 )
 from qtomo.harness import _TAG_FULL, _substream
+from qtomo.model import CONDITION_LIMIT, _inverse_weights
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, transfer_matrix
+from test_model import _conditioned_transfers
 
 # Pauli basis for the matrix-form oracle, independent of qtomo.core.
 _PAULI = np.array(
@@ -111,7 +113,6 @@ def test_linear_inversion_exact_roundtrip(models):
             np.testing.assert_allclose(result.bloch, bloch, atol=1e-10)
             assert result.physical
             assert result.s0_deviation < 1e-12
-            assert math.isfinite(result.condition_number)
 
 
 def test_linear_inversion_flags_unphysical(models):
@@ -133,9 +134,9 @@ def test_linear_inversion_rejects_singular_model():
     assert err.value.condition_number > 1e12
 
 
-def test_condition_number_runs_once_per_transfer_matrix(models, monkeypatch):
-    # cond(T) is a function of T's bytes: a table's worth of inversions
-    # with one T pays for one SVD, and a different T gets its own
+def test_reference_models_are_cleared_without_an_svd(models, monkeypatch):
+    # the float LU certifies both reference transfer matrices, so neither
+    # estimator nor the check itself pays for np.linalg.cond
     calls = []
     cond = np.linalg.cond
 
@@ -144,17 +145,31 @@ def test_condition_number_runs_once_per_transfer_matrix(models, monkeypatch):
         return cond(tmat)
 
     monkeypatch.setattr(np.linalg, "cond", counting)
-    tmat = models[1].transfer_matrix() * (1.0 + 2.0**-40)  # bytes no earlier test used
-    expected = float(cond(tmat))
-    for freqs in np.random.default_rng(4).dirichlet(np.ones(4), size=30):
-        result = linear_inversion(freqs, tmat)
-        assert result.condition_number == expected
-        saturated_mle(freqs, tmat)
-    assert require_invertible(tmat.copy()) == expected
-    assert len(calls) == 1
-    other = tmat.T.copy()
-    assert require_invertible(other) == float(cond(other))
-    assert len(calls) == 2
+    for model in models:
+        tmat = model.transfer_matrix()
+        for freqs in np.random.default_rng(4).dirichlet(np.ones(4), size=30):
+            linear_inversion(freqs, tmat)
+            saturated_mle(freqs, tmat)
+        assert require_invertible(tmat) is None
+    assert calls == []
+
+
+def test_require_invertible_refuses_exactly_where_cond_reaches_the_limit():
+    # both sides of the limit and of the LU certificate's threshold; the
+    # error carries the SVD's condition number
+    routes = {"lu": 0, "svd": 0, "refused": 0}
+    for tmat, _ in _conditioned_transfers():
+        cond = float(np.linalg.cond(tmat))
+        if cond < CONDITION_LIMIT:
+            assert require_invertible(tmat) is None
+            cleared = _inverse_weights(tmat.tolist()) is not None
+            routes["lu" if cleared else "svd"] += 1
+            continue
+        routes["refused"] += 1
+        with pytest.raises(NonInvertibleModelError) as err:
+            require_invertible(tmat)
+        assert err.value.condition_number == cond
+    assert min(routes.values()) >= 10, routes
 
 
 def test_linear_inversion_validates_frequencies(models):
