@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "SIGMA",
-    "PI_0",
     "PI_1",
     "PI_PLUS",
     "HADAMARD",
@@ -42,7 +41,6 @@ SIGMA = np.array(
     dtype=complex,
 )
 
-PI_0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 PI_1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 PI_PLUS = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)

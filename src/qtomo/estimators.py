@@ -9,9 +9,11 @@ estimator of the harness and the CLI.  The iterative R-rho-R scheme
 (Hradil, PRA 55, R1561, 1997) stays as the reference, `rho_r_mle`; it
 converges slowly near pure states and can stop at its iteration cap.
 
-Linear inversion and `saturated_mle` refuse a singular T by the qTTF's own
-test, `model.require_invertible`, with no SVD where its float LU clears T;
-only the CLI's `estimate` reports cond(T).
+Both direct estimators start from one inverse: `model.require_invertible`
+returns the T^-1 of the qTTF's certified float LU (an SVD and LAPACK's
+inverse only for a T the LU does not clear) and refuses a singular T by
+the qTTF's own test.  Linear inversion is then s = T^-1 f, so each call
+factorizes T once; only the CLI's `estimate` reports cond(T).
 
 R-rho-R runs on the Bloch vector in plain Python floats: for a real
 transfer matrix the operator R = a I + b.sigma is fixed by four reals, and
@@ -107,15 +109,20 @@ def _check_frequencies(freqs: np.ndarray) -> np.ndarray:
     freqs = np.asarray(freqs, dtype=float)
     if freqs.shape != (4,):
         raise ValueError("expected four outcome frequencies")
+    # a NaN or infinite entry makes the sum NaN or infinite
+    total = freqs.sum()
+    if not math.isfinite(total):
+        raise ValueError(f"frequencies must be finite and sum to 1, got {freqs.tolist()}")
     if freqs.min() < -1e-12:
         raise ValueError("frequencies must be nonnegative")
-    if abs(freqs.sum() - 1.0) > 1e-9:
-        raise ValueError(f"frequencies sum to {freqs.sum()}, expected 1")
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"frequencies sum to {total}, expected 1")
     return freqs
 
 
-def _solve(freqs: np.ndarray, tmat: np.ndarray) -> LinearInversionResult:
-    s = np.linalg.solve(tmat, freqs)
+def _solve(freqs: np.ndarray, inverse: np.ndarray) -> LinearInversionResult:
+    """Linear inversion s = T^-1 f from require_invertible's T^-1."""
+    s = inverse @ freqs
     s0_deviation = abs(s[0] - 1.0)
     s = s / s[0]
     norm = float(np.linalg.norm(s[1:]))
@@ -133,8 +140,7 @@ def linear_inversion(freqs: np.ndarray, tmat: np.ndarray) -> LinearInversionResu
     ball; nothing is projected silently.
     """
     freqs = _check_frequencies(freqs)
-    require_invertible(tmat)
-    return _solve(freqs, tmat)
+    return _solve(freqs, require_invertible(tmat))
 
 
 def radial_clip(bloch: np.ndarray) -> np.ndarray:
@@ -174,9 +180,8 @@ def saturated_mle(freqs: np.ndarray, tmat: np.ndarray) -> MleResult:
     converged=False and one warning goes to the "qtomo.estimators" logger.
     """
     freqs = _check_frequencies(freqs)
-    require_invertible(tmat)
+    v = _solve(freqs, require_invertible(tmat)).bloch[1:]
     tmat = np.asarray(tmat)
-    v = _solve(freqs, tmat).bloch[1:]
     radius = float(np.linalg.norm(v))
     steps = 0
     converged = radius <= 1.0

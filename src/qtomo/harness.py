@@ -21,7 +21,8 @@ from .core import (
     fidelity,
 )
 from .estimators import linear_inversion, radial_clip, saturated_mle
-from .model import _as_bloch, fisher_from_transfer
+from .model import _as_bloch, _live_probabilities, delta_from_transfer
+from .model import fisher_from_transfer, require_invertible
 from .single import (
     _COUPLING_FLOOR,
     NonInformativeCouplingError,
@@ -235,17 +236,20 @@ def variance_vs_fisher_scan(
     must be given.  Variances are sample variances over `trials`
     independent experiments, averaged over the six Pauli eigenstates, and
     compared with bound = F^-1/N, which is linear inversion's variance
-    exactly, so the ratio scatters about 1 at every N.
+    exactly, so the ratio scatters about 1 at every N.  For a model both
+    sides come from its certified inverse: the estimates apply
+    require_invertible's T^-1 and the bound is delta_from_transfer.
 
     The scan raises RuntimeError if the bound is beaten beyond the
     statistical allowance 3/sqrt(trials), or if the ratio at the largest
     N strays from 1 by more than 10%.  Before any sampling it raises
     ValueError for fewer than two trials, an empty or unsorted grid, or a
-    shot count below two, and NonInformativeCouplingError for a theta
-    that gives the meter no sensitivity.  Each state's F^-1 depends on
-    the model alone and is computed once for the whole grid, as are the
-    Bloch rows of T^-1 that turn a (trials, 4) block of frequencies into
-    linear-inversion estimates in one product.
+    shot count below two, NonInformativeCouplingError for a theta that
+    gives the meter no sensitivity, SingularInformationError for a Pauli
+    state with a vanished outcome and NonInvertibleModelError for a
+    singular model.  Each state's F^-1 and the Bloch rows of T^-1, which
+    turn a (trials, 4) block of frequencies into estimates in one
+    product, are computed once for the whole grid.
     """
     if (model is None) == (theta is None):
         raise ValueError("pass exactly one of model or theta")
@@ -275,10 +279,10 @@ def variance_vs_fisher_scan(
         states = []
         for psi in PAULI_EIGENSTATES:
             truth = bloch_from_state(psi)
-            fisher = fisher_from_transfer(tmat, truth)
-            states.append((tmat @ truth, float(np.trace(np.linalg.inv(fisher)))))
+            probs = _live_probabilities(tmat, truth)
+            states.append((probs, delta_from_transfer(tmat, truth)))
         # the Bloch rows of T^-1 as columns: freqs @ to_bloch is linear inversion
-        to_bloch = np.linalg.inv(tmat)[1:].T
+        to_bloch = require_invertible(tmat)[1:].T
 
     rows = []
     for n_idx, shots in enumerate(shot_grid):
@@ -336,34 +340,21 @@ def estimator_variance_identity(state: np.ndarray, tmat: np.ndarray) -> Identity
     """Check diag(F^-1) against the single-outcome variance decomposition.
 
     Column l of the estimate matrix is the linear-inversion output when
-    every shot lands in outcome l; weighting those columns by the outcome
+    every shot lands in outcome l, so the matrix is the production T^-1
+    of model.require_invertible; weighting those columns by the outcome
     probabilities gives per-component variances sigma_j^2, which must
-    reproduce the Cramer-Rao diagonal exactly.
+    reproduce the diagonal of the inverted Fisher matrix, the oracle.
     """
-    return _estimator_variance_check(tmat)(state)
-
-
-def _estimator_variance_check(tmat: np.ndarray):
-    """estimator_variance_identity(., tmat) as a function of the state.
-
-    The estimate matrix depends on T alone; it is computed here once, for
-    every state the returned function is called with.
-    """
-    # single-outcome estimates: T^-1 applied to each unit frequency vector
-    estimate_mat = np.linalg.solve(tmat, np.eye(4))
-
-    def check(state: np.ndarray) -> IdentityReport:
-        state_b = _as_bloch(state)
-        probs = tmat @ state_b
-        sbar = estimate_mat @ probs
-        sigma2 = ((estimate_mat - sbar[:, None]) ** 2) @ probs
-        fisher = fisher_from_transfer(tmat, state_b)
-        rhs = np.concatenate([[0.0], np.diag(np.linalg.inv(fisher))])
-        return IdentityReport(
-            lhs=sigma2[1:], rhs=rhs[1:], max_abs_diff=float(np.max(np.abs(sigma2 - rhs)))
-        )
-
-    return check
+    estimate_mat = require_invertible(tmat)
+    state_b = _as_bloch(state)
+    probs = tmat @ state_b
+    sbar = estimate_mat @ probs
+    sigma2 = ((estimate_mat - sbar[:, None]) ** 2) @ probs
+    fisher = fisher_from_transfer(tmat, state_b)
+    rhs = np.concatenate([[0.0], np.diag(np.linalg.inv(fisher))])
+    return IdentityReport(
+        lhs=sigma2[1:], rhs=rhs[1:], max_abs_diff=float(np.max(np.abs(sigma2 - rhs)))
+    )
 
 
 def binomial_variance_identity(psi: np.ndarray, theta: float) -> IdentityReport:

@@ -24,7 +24,7 @@ import numpy as np
 from .circuit import REFERENCE_OPTIMUM, build_circuit, circuit_unitary
 from .core import bloch_from_state, density_from_bloch, make_quadrature, state_from_angles
 from .estimators import linear_inversion, log_likelihood, rho_r_mle, saturated_mle
-from .harness import _estimator_variance_check, binomial_variance_identity
+from .harness import binomial_variance_identity, estimator_variance_identity
 from .model import (
     fisher_from_transfer,
     fisher_matrix_form,
@@ -221,12 +221,6 @@ def _mle_exact_vs_rho_r(inputs, references) -> float:
     return worst
 
 
-def _estimator_variance(tmats, cases) -> float:
-    # the identity's T-only factors once per model, not once per case
-    checks = [_estimator_variance_check(t) for t in tmats]
-    return max(checks[m](psi).max_abs_diff for psi, m in cases)
-
-
 def _qttf_exact_vs_quadrature(tmats) -> float:
     # closed-form qTTF against the quadrature average, relative; a
     # singular matrix gives nan (a fail)
@@ -304,7 +298,8 @@ def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
             abs(two_design_average(t) - qttf_single(t)) for t in d.thetas)),
         ("binomial_variance", 1e-12, lambda: max(
             binomial_variance_identity(psi, t).max_abs_diff for psi, t in d.binomial)),
-        ("estimator_variance", 1e-8, lambda: _estimator_variance(tmats, d.cases)),
+        ("estimator_variance", 1e-8, lambda: max(
+            estimator_variance_identity(psi, tmats[m]).max_abs_diff for psi, m in d.cases)),
         ("qttf_exact_vs_quadrature", 1e-9, lambda: _qttf_exact_vs_quadrature(tmats)),
         ("circuit_transfer_vs_kraus", 1e-12,
          lambda: _circuit_transfer_vs_kraus(d.circuit_params)),

@@ -14,15 +14,16 @@ state-averaged qTTF.  Every such model is saturated (four outcomes, three
 parameters), so where T is invertible F^-1 is the covariance of linear
 inversion: per state Tr F^-1(s) = sum_q p_q |a_q|^2 - |s|^2, and the qTTF
 has the exact form sum_q |a_q|^2 T[q, 0] - 1, with a_q the columns of
-T^-1[1:, :].  delta_from_transfer and qttf_from_transfer evaluate those
-forms from a partial-pivoting LU of T in plain floats, certified against
-the singular limit by a Frobenius-norm bound; only T near that limit
-goes to an SVD and the LAPACK inverse, so values agree with LAPACK to
-round-off and inf decisions are cond(T)'s; require_invertible refuses
-exactly the T whose qTTF is inf.  The quadrature average over
-delta_surface, which inverts each node's Fisher matrix through its
-eigenvalues, stays as the independent reference that the tests and the
-identity suite compare them against.
+T^-1[1:, :].  One certified inverse of T carries every figure: a
+partial-pivoting LU in plain floats, cleared against the singular limit
+by a Frobenius-norm bound, with an SVD and the LAPACK inverse only for T
+near that limit, so values agree with LAPACK to round-off and inf
+decisions are cond(T)'s.  The qTTF and Delta read its weights |a_q|^2;
+require_invertible returns it as the T^-1 of the estimators, the
+variance scan and the estimator-variance identity, and refuses exactly
+the T whose qTTF is inf.  Fisher matrices are inverted only by oracles:
+the quadrature average over delta_surface stays as the independent
+reference that the tests and the identity suite compare against.
 
 minimize_with_restarts runs Nelder-Mead in plain floats (_nelder_mead)
 from each start; the tests check every step against a library
@@ -235,10 +236,11 @@ def fisher_matrix_form(tmat: np.ndarray, state: np.ndarray) -> np.ndarray:
     return d.T @ middle @ d
 
 
-def _inverse_weights(rows) -> tuple[list[float], float] | None:
-    """Squared column norms e_q = |a_q|^2 of T^-1[1:, :] and |T|_F |T^-1|_F.
+def _inverse_weights(rows) -> tuple[list, list[float]] | None:
+    """T^-1 by columns and the weights e_q = |a_q|^2, a_q = T^-1[1:, q].
 
-    rows are T's four rows of four floats.  The inverse comes from a
+    rows are T's four rows of four floats; column q is the estimate when
+    every shot lands in outcome q.  The inverse comes from a
     partial-pivoting LU, PT = LU, as T^-1 = U^-1 L^-1 P with L^-1 applied
     column by column from the right (LAPACK getri's order), all in
     straight-line float arithmetic: at 4x4, numpy's per-call overhead
@@ -246,8 +248,7 @@ def _inverse_weights(rows) -> tuple[list[float], float] | None:
     computed inverse is off by about cond * eps relative (1e-4 at the
     limit), so a bound below CONDITION_LIMIT / 2 certifies
     cond(T) < CONDITION_LIMIT.  None on a zero pivot, a non-finite value
-    or a bound at or above CONDITION_LIMIT / 2; _svd_condition decides
-    those.
+    or a bound at or above CONDITION_LIMIT / 2.
     """
     r0, r1, r2, r3 = rows
     q0, q1, q2, q3 = 0, 1, 2, 3
@@ -306,6 +307,11 @@ def _inverse_weights(rows) -> tuple[list[float], float] | None:
     x10 = -x11 * l1 - x12 * l2 - v13 * l3
     x20 = -x21 * l1 - x22 * l2 - v23 * l3
     x30 = -x31 * l1 - x32 * l2 - v33 * l3
+    columns = [None, None, None, None]
+    columns[q0] = (x00, x10, x20, x30)
+    columns[q1] = (x01, x11, x21, x31)
+    columns[q2] = (x02, x12, x22, x32)
+    columns[q3] = (v03, v13, v23, v33)
     weights = [0.0, 0.0, 0.0, 0.0]
     weights[q0] = x10 * x10 + x20 * x20 + x30 * x30
     weights[q1] = x11 * x11 + x21 * x21 + x31 * x31
@@ -315,38 +321,26 @@ def _inverse_weights(rows) -> tuple[list[float], float] | None:
     bound = math.hypot(*rows[0], *rows[1], *rows[2], *rows[3]) * math.sqrt(inverse_sq)
     if not bound < CONDITION_LIMIT / 2:
         return None
-    return weights, bound
+    return columns, weights
 
 
-def _svd_condition(tmat: np.ndarray) -> float | None:
-    """cond(T) by SVD if it reaches CONDITION_LIMIT (or is NaN), else None.
+def _certified_inverse(rows) -> tuple[list, list[float]]:
+    """_inverse_weights' pair; a T it does not clear goes to one SVD.
 
-    The decision for a T that _inverse_weights does not clear, shared by
-    the qTTF and require_invertible.
-    """
-    cond = float(np.linalg.cond(tmat))
-    return None if cond < CONDITION_LIMIT else cond
-
-
-def _weighted_inverse_norms(rows, weights) -> float | None:
-    """sum_q |a_q|^2 w_q over the columns a_q of T^-1[1:, :].
-
-    None once cond(T) >= CONDITION_LIMIT; raises ValueError for a
-    non-finite T.  A T that _inverse_weights does not clear (near the
-    limit, singular or non-finite) goes to the SVD and LAPACK's inverse.
+    ValueError for a non-finite T, NonInvertibleModelError once
+    cond(T) >= CONDITION_LIMIT, else the pair from LAPACK's inverse.
     """
     cleared = _inverse_weights(rows)
-    if cleared is None:
-        tmat = np.array(rows, dtype=float)
-        if not np.all(np.isfinite(tmat)):
-            raise ValueError("transfer matrix must be finite")
-        if _svd_condition(tmat) is not None:
-            return None
-        coeffs = np.linalg.inv(tmat)[1:, :]
-        return float(np.einsum("mq,mq,q->", coeffs, coeffs, np.array(weights)))
-    e0, e1, e2, e3 = cleared[0]
-    w0, w1, w2, w3 = weights
-    return e0 * w0 + e1 * w1 + e2 * w2 + e3 * w3
+    if cleared is not None:
+        return cleared
+    tmat = np.array(rows, dtype=float)
+    if not np.all(np.isfinite(tmat)):
+        raise ValueError("transfer matrix must be finite")
+    cond = float(np.linalg.cond(tmat))
+    if not cond < CONDITION_LIMIT:
+        raise NonInvertibleModelError(cond)
+    columns = np.linalg.inv(tmat).T.tolist()
+    return columns, [x1 * x1 + x2 * x2 + x3 * x3 for _, x1, x2, x3 in columns]
 
 
 def _check_transfer(tmat: np.ndarray) -> np.ndarray:
@@ -361,18 +355,15 @@ def _check_transfer(tmat: np.ndarray) -> np.ndarray:
     return tmat
 
 
-def require_invertible(tmat: np.ndarray) -> None:
-    """NonInvertibleModelError once cond(T) >= CONDITION_LIMIT, the qTTF's test.
+def require_invertible(tmat: np.ndarray) -> np.ndarray:
+    """T^-1 as a (4, 4) array: the certified inverse every estimate applies.
 
-    Raises ValueError first unless T is a finite real 4x4 array.  The
-    float LU clears a well-conditioned T with no SVD; only a T it does
-    not clear pays for one, and the error carries that cond(T).
+    Raises ValueError first unless T is a finite real 4x4 array, and
+    NonInvertibleModelError once cond(T) >= CONDITION_LIMIT, where the
+    qTTF is inf; only a T the float LU does not clear pays for an SVD.
     """
-    tmat = _check_transfer(tmat)
-    if _inverse_weights(tmat.tolist()) is None:
-        cond = _svd_condition(tmat)
-        if cond is not None:
-            raise NonInvertibleModelError(cond)
+    columns, _ = _certified_inverse(_check_transfer(tmat).tolist())
+    return np.array(columns).T
 
 
 def delta_from_transfer(tmat: np.ndarray, state: np.ndarray) -> float:
@@ -383,10 +374,14 @@ def delta_from_transfer(tmat: np.ndarray, state: np.ndarray) -> float:
     """
     s = _as_bloch(state)
     p = tmat @ s
-    total = _weighted_inverse_norms(tmat.tolist(), p.tolist())
-    if total is None or p.min() <= PROBABILITY_FLOOR:
+    try:
+        _, (e0, e1, e2, e3) = _certified_inverse(tmat.tolist())
+    except NonInvertibleModelError:
         return math.inf
-    return total - float(s[1:] @ s[1:])
+    if p.min() <= PROBABILITY_FLOOR:
+        return math.inf
+    p0, p1, p2, p3 = p.tolist()
+    return e0 * p0 + e1 * p1 + e2 * p2 + e3 * p3 - float(s[1:] @ s[1:])
 
 
 def delta_surface(tmat: np.ndarray, bloch_nodes: np.ndarray) -> np.ndarray:
@@ -410,9 +405,9 @@ def qttf_from_transfer(tmat, rule: QuadratureRule | None = None) -> float:
     Without a rule this is exact: Tr F^-1(s) = sum_q p_q |a_q|^2 - |s|^2
     is affine in s on pure states, so its average is
     sum_q |a_q|^2 T[q, 0] - 1, and inf once cond(T) >= CONDITION_LIMIT.
-    A float LU with a Frobenius-norm bound clears a well-conditioned T
-    (_inverse_weights); only T near the limit pays for an SVD and the
-    LAPACK inverse (_svd_condition).  The two routes agree to round-off.
+    The weights |a_q|^2 come with the certified inverse: the float LU
+    clears a well-conditioned T, and only T near the limit pays for an
+    SVD and the LAPACK inverse.  The two routes agree to round-off.
     With a rule it is the quadrature average over delta_surface, inf as
     soon as any node is singular; that path is the reference for checks.
     """
@@ -422,9 +417,11 @@ def qttf_from_transfer(tmat, rule: QuadratureRule | None = None) -> float:
             return math.inf
         return rule.integrate(values)
     rows = tmat.tolist() if isinstance(tmat, np.ndarray) else tmat
-    column0 = (rows[0][0], rows[1][0], rows[2][0], rows[3][0])
-    total = _weighted_inverse_norms(rows, column0)
-    return math.inf if total is None else total - 1.0
+    try:
+        _, (e0, e1, e2, e3) = _certified_inverse(rows)
+    except NonInvertibleModelError:
+        return math.inf
+    return e0 * rows[0][0] + e1 * rows[1][0] + e2 * rows[2][0] + e3 * rows[3][0] - 1.0
 
 
 def default_rule() -> QuadratureRule:

@@ -11,7 +11,6 @@ from qtomo.core import (
     HADAMARD,
     PAULI_EIGENSTATE_LABELS,
     PAULI_EIGENSTATES,
-    PI_0,
     PI_1,
     PI_PLUS,
     SIGMA,
@@ -41,7 +40,6 @@ def test_pauli_algebra():
 
 
 def test_projectors():
-    np.testing.assert_allclose(PI_0 + PI_1, np.eye(2), atol=1e-15)
     np.testing.assert_allclose(PI_PLUS @ PI_PLUS, PI_PLUS, atol=1e-15)
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     np.testing.assert_allclose(PI_PLUS @ plus, plus, atol=1e-15)
@@ -289,7 +287,7 @@ def test_expm_2x2_scalar_call_keeps_its_shape():
 
 
 def test_expm_2x2_stack_rejects_one_non_hermitian_member():
-    stack = np.array([PI_0, PI_1, PI_PLUS, PI_1])
+    stack = np.array([HADAMARD, PI_1, PI_PLUS, PI_1])
     stack[2, 0, 1] += 1e-9
     with pytest.raises(ValueError, match="not Hermitian"):
         expm_2x2_hermitian(stack, np.ones(4))

@@ -23,10 +23,10 @@ from qtomo.estimators import (
     rho_r_mle,
     saturated_mle,
 )
-from qtomo.harness import _TAG_FULL, _substream
+from qtomo.harness import _TAG_FULL, _substream, variance_vs_fisher_scan
 from qtomo.model import CONDITION_LIMIT, _inverse_weights
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, transfer_matrix
-from test_model import _conditioned_transfers
+from test_model import EPS, ROUNDOFF, _conditioned_transfers
 
 # Pauli basis for the matrix-form oracle, independent of qtomo.core.
 _PAULI = np.array(
@@ -135,33 +135,65 @@ def test_linear_inversion_rejects_singular_model():
 
 
 def test_reference_models_are_cleared_without_an_svd(models, monkeypatch):
-    # the float LU certifies both reference transfer matrices, so neither
-    # estimator nor the check itself pays for np.linalg.cond
+    # the float LU certifies both reference transfer matrices and its T^-1
+    # is the one every estimate uses: neither estimator, the check itself
+    # nor the variance scan's model branch pays for np.linalg.cond, and
+    # none of them inverts or solves with T through LAPACK (saturated_mle's
+    # Newton steps still solve their KKT systems)
     calls = []
     cond = np.linalg.cond
+    tmats = [model.transfer_matrix() for model in models]
 
     def counting(tmat):
         calls.append(tmat)
         return cond(tmat)
 
+    def refuse_on_t(name):
+        library = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            if any(np.array_equal(a, tmat) for tmat in tmats):
+                raise AssertionError(f"np.linalg.{name} called on T")
+            return library(a, *args, **kwargs)
+
+        return call
+
     monkeypatch.setattr(np.linalg, "cond", counting)
-    for model in models:
-        tmat = model.transfer_matrix()
+    monkeypatch.setattr(np.linalg, "solve", refuse_on_t("solve"))
+    monkeypatch.setattr(np.linalg, "inv", refuse_on_t("inv"))
+    for model, tmat in zip(models, tmats):
+        in_ball = 0
         for freqs in np.random.default_rng(4).dirichlet(np.ones(4), size=30):
             linear_inversion(freqs, tmat)
-            saturated_mle(freqs, tmat)
-        assert require_invertible(tmat) is None
+            in_ball += saturated_mle(freqs, tmat).iterations == 1
+        # both branches of saturated_mle ran: inside the ball and on the sphere
+        assert 0 < in_ball < 30
+        assert require_invertible(tmat).shape == (4, 4)
+        variance_vs_fisher_scan(model, shot_grid=(1000,), trials=200, seed=0)
     assert calls == []
 
 
 def test_require_invertible_refuses_exactly_where_cond_reaches_the_limit():
     # both sides of the limit and of the LU certificate's threshold; the
-    # error carries the SVD's condition number
+    # error carries the SVD's condition number, and where T passes, the
+    # returned T^-1 and linear inversion agree with LAPACK to round-off
     routes = {"lu": 0, "svd": 0, "refused": 0}
     for tmat, _ in _conditioned_transfers():
         cond = float(np.linalg.cond(tmat))
         if cond < CONDITION_LIMIT:
-            assert require_invertible(tmat) is None
+            allowed = ROUNDOFF * cond * EPS
+            reference = np.linalg.inv(tmat)
+            inverse = require_invertible(tmat)
+            assert inverse.shape == (4, 4)
+            assert np.max(np.abs(inverse - reference)) <= allowed * np.max(np.abs(reference))
+            # s = T^-1 f carries allowed * |s| of error; normalizing by s0
+            # scales it to allowed * |b| (1 + |b|) for b = s / s0
+            freqs = np.full(4, 0.25)
+            solved = np.linalg.solve(tmat, freqs)
+            expected = solved / solved[0]
+            scale = np.linalg.norm(expected) * (1.0 + np.linalg.norm(expected))
+            bloch = linear_inversion(freqs, tmat).bloch
+            assert np.linalg.norm(bloch - expected) <= allowed * scale
             cleared = _inverse_weights(tmat.tolist()) is not None
             routes["lu" if cleared else "svd"] += 1
             continue
@@ -180,6 +212,17 @@ def test_linear_inversion_validates_frequencies(models):
         linear_inversion(np.array([1.2, -0.2, 0.0, 0.0]), tmat)
     with pytest.raises(ValueError):
         linear_inversion(np.array([0.5, 0.5]), tmat)
+
+
+@pytest.mark.parametrize(
+    "estimator", [linear_inversion, saturated_mle, rho_r_mle], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_estimators_reject_non_finite_frequencies(models, estimator, value):
+    # NaN passes both the sign and the sum test; it gave a NaN estimate
+    freqs = np.array([value, 0.5, 0.25, 0.25])
+    with pytest.raises(ValueError, match="finite"):
+        estimator(freqs, models[0].transfer_matrix())
 
 
 def test_radial_clip():

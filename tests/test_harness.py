@@ -18,6 +18,7 @@ from qtomo.harness import (
     run_single_experiment,
     variance_vs_fisher_scan,
 )
+from qtomo.model import MeterModel, NonInvertibleModelError, SingularInformationError
 from qtomo.single import NonInformativeCouplingError
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel
 
@@ -247,6 +248,28 @@ def test_variance_scan_accepts_small_shot_counts(kind):
     assert [r.shots for r in rows] == [2, 10]
     for row in rows:
         assert abs(row.ratio - 1.0) <= 3.0 / math.sqrt(trials)
+
+
+def _blind_to_z():
+    # a POVM with every Pauli outcome alive that cannot see s_z: T is singular
+    return MeterModel((), [[0.25, 0.2, 0.0, 0.0], [0.25, -0.2, 0.0, 0.0],
+                           [0.25, 0.0, 0.2, 0.0], [0.25, 0.0, -0.2, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "model, error",
+    [(TwoMeterModel(0.0, 0.0), SingularInformationError), (_blind_to_z(), NonInvertibleModelError)],
+    ids=["dead-outcome", "singular-T"],
+)
+def test_variance_scan_rejects_a_singular_model_before_drawing(model, error, monkeypatch):
+    from qtomo import harness
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before validating")
+
+    monkeypatch.setattr(harness, "_substream", no_sampling)
+    with pytest.raises(error):
+        variance_vs_fisher_scan(model, trials=10)
 
 
 @pytest.mark.parametrize("theta", [0.0, 2 * math.pi, 1e-7])

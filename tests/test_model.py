@@ -128,13 +128,17 @@ def test_singular_decision_is_the_condition_number():
             continue
         p = tmat @ s
         if _inverse_weights(tmat.tolist()) is None:
-            # the SVD fallback keeps the bits of the LAPACK formula
+            # the SVD fallback keeps the bits of the LAPACK inverse, summed
+            # over the outcomes in order as the float LU's weights are
             routes["svd"] += 1
-            rows = np.linalg.inv(tmat)[1:, :]
-            expected = float(np.einsum("mq,mq,q->", rows, rows, tmat[:, 0]) - 1.0)
+            columns = np.linalg.inv(tmat).T.tolist()
+            e = [x1 * x1 + x2 * x2 + x3 * x3 for _, x1, x2, x3 in columns]
+            t0, p = tmat[:, 0].tolist(), p.tolist()
+            expected = e[0] * t0[0] + e[1] * t0[1] + e[2] * t0[2] + e[3] * t0[3] - 1.0
             assert qttf == expected  # bit for bit
-            assert delta == float(
-                np.einsum("mq,mq,q->", rows, rows, p) - s[1:] @ s[1:]
+            assert delta == (
+                e[0] * p[0] + e[1] * p[1] + e[2] * p[2] + e[3] * p[3]
+                - float(s[1:] @ s[1:])
             )
         else:
             # the float LU agrees with exact arithmetic on the same T
@@ -169,7 +173,7 @@ def test_float_lu_matches_exact_arithmetic(family):
         if result is None:
             continue
         cleared += 1
-        weights, _ = result
+        _, weights = result
         exact = _exact_weights(tmat)
         allowed = ROUNDOFF * np.linalg.cond(tmat) * EPS
         total = sum(exact)
@@ -184,11 +188,14 @@ def test_float_lu_matches_exact_arithmetic(family):
 
 def test_float_lu_pivots_every_row_order():
     # each zero pivot of a permutation matrix needs a row swap; P^-1 = P^T,
-    # so e_q is 1 unless row q of P is e_0, and |P|_F |P^-1|_F = 4
+    # so column q of the inverse is row q of P, e_q is 1 unless row q of P
+    # is e_0, and |P|_F |P^-1|_F = 4
     for order in itertools.permutations(range(4)):
         perm = np.eye(4)[list(order)]
-        weights, bound = _inverse_weights(perm.tolist())
-        assert weights == list(1.0 - perm[:, 0]) and bound == 4.0
+        columns, weights = _inverse_weights(perm.tolist())
+        assert np.array_equal(np.array(columns), perm)
+        assert weights == list(1.0 - perm[:, 0])
+        assert math.hypot(*perm.ravel()) * math.hypot(*np.ravel(columns)) == 4.0
 
 
 def test_float_lu_never_clears_a_singular_transfer_matrix():
@@ -209,8 +216,10 @@ def test_float_lu_never_clears_a_singular_transfer_matrix():
         outcomes[result is None] += 1
         if result is not None:
             assert cond < CONDITION_LIMIT
-            # the returned bound is |T|_F |T^-1|_F >= cond_2(T), up to round-off
-            assert result[1] >= cond * (1.0 - 1e-3)
+            # the certificate's bound |T|_F |T^-1|_F >= cond_2(T), up to
+            # round-off, with T^-1 the returned columns
+            bound = np.linalg.norm(tmat) * np.linalg.norm(result[0])
+            assert bound >= cond * (1.0 - 1e-3)
     assert outcomes[True] >= 50 and outcomes[False] >= 50
     # zero pivots and non-finite entries are left to the SVD decision
     assert _inverse_weights(np.zeros((4, 4)).tolist()) is None
