@@ -162,6 +162,9 @@ def cmd_qttf_sweep(args) -> int:
         raise ValueError(f"--theta-max must be at most pi, got {args.theta_max}")
     if args.points < 2 or not (0.0 < args.theta_min <= args.theta_max):
         raise ValueError("invalid theta grid")
+    # qttf_single decreases on (0, pi], so only the grid's first point can be inf
+    if math.isinf(qttf_single(args.theta_min)):
+        raise ValueError(f"--theta-min {args.theta_min} gives the meter no sensitivity")
     thetas = np.linspace(args.theta_min, args.theta_max, args.points)
     rows = []
     for theta in thetas:

@@ -23,13 +23,7 @@ from .core import (
 from .estimators import linear_inversion, radial_clip, saturated_mle
 from .model import _as_bloch, _live_probabilities, delta_from_transfer
 from .model import fisher_from_transfer, require_invertible
-from .single import (
-    _COUPLING_FLOOR,
-    NonInformativeCouplingError,
-    estimate_sz,
-    fisher_inverse_single,
-    probabilities_single,
-)
+from .single import estimate_sz, fisher_inverse_single, probabilities_single
 
 __all__ = [
     "DEFAULT_SEED",
@@ -236,20 +230,21 @@ def variance_vs_fisher_scan(
     must be given.  Variances are sample variances over `trials`
     independent experiments, averaged over the six Pauli eigenstates, and
     compared with bound = F^-1/N, which is linear inversion's variance
-    exactly, so the ratio scatters about 1 at every N.  For a model both
-    sides come from its certified inverse: the estimates apply
-    require_invertible's T^-1 and the bound is delta_from_transfer.
+    exactly, so the ratio scatters about 1 at every N.  Both families run
+    one sampling loop over the estimator's outcome columns, column q being
+    the estimate when every shot lands in outcome q: estimate_sz at (1, 0)
+    and (0, 1) for theta, the Bloch rows of require_invertible's T^-1 for
+    a model (whose bound is delta_from_transfer).  The columns and each
+    state's F^-1 are computed once for the whole grid.
 
     The scan raises RuntimeError if the bound is beaten beyond the
     statistical allowance 3/sqrt(trials), or if the ratio at the largest
     N strays from 1 by more than 10%.  Before any sampling it raises
-    ValueError for fewer than two trials, an empty or unsorted grid, or a
-    shot count below two, NonInformativeCouplingError for a theta that
-    gives the meter no sensitivity, SingularInformationError for a Pauli
-    state with a vanished outcome and NonInvertibleModelError for a
-    singular model.  Each state's F^-1 and the Bloch rows of T^-1, which
-    turn a (trials, 4) block of frequencies into estimates in one
-    product, are computed once for the whole grid.
+    ValueError for fewer than two trials, an empty or unsorted grid, a
+    shot count below two or a non-finite theta, NonInformativeCouplingError
+    (from estimate_sz) for a theta that gives the meter no sensitivity,
+    SingularInformationError for a Pauli state with a vanished outcome and
+    NonInvertibleModelError for a singular model.
     """
     if (model is None) == (theta is None):
         raise ValueError("pass exactly one of model or theta")
@@ -263,13 +258,8 @@ def variance_vs_fisher_scan(
     if shot_grid[0] < 2:
         raise ValueError(f"shot counts must be at least 2, got {shot_grid[0]}")
     if theta is not None:
-        s2 = math.sin(theta / 2.0) ** 2
-        if s2 < _COUPLING_FLOOR:
-            raise NonInformativeCouplingError(
-                f"sin^2(theta/2) = {s2:.2e}; s_z is not identifiable"
-            )
-        offset = math.cos(theta / 2.0) ** 2
-        # per state: outcome probabilities and per-shot F^-1
+        columns = np.array([[estimate_sz(1.0, 0.0, theta)],
+                            [estimate_sz(0.0, 1.0, theta)]])
         states = [
             (probabilities_single(psi, theta), fisher_inverse_single(psi, theta))
             for psi in PAULI_EIGENSTATES
@@ -281,8 +271,7 @@ def variance_vs_fisher_scan(
             truth = bloch_from_state(psi)
             probs = _live_probabilities(tmat, truth)
             states.append((probs, delta_from_transfer(tmat, truth)))
-        # the Bloch rows of T^-1 as columns: freqs @ to_bloch is linear inversion
-        to_bloch = require_invertible(tmat)[1:].T
+        columns = require_invertible(tmat)[1:].T
 
     rows = []
     for n_idx, shots in enumerate(shot_grid):
@@ -290,17 +279,10 @@ def variance_vs_fisher_scan(
         bounds = []
         for k, (probs, fisher_inverse) in enumerate(states):
             rng = _substream(seed, _TAG_SCAN, k, n_idx)
-            if theta is not None:
-                counts = rng.multinomial(shots, probs, size=trials)
-                f0 = counts[:, 0] / shots
-                ests = (2.0 * f0 - 1.0 - offset) / s2
-                variances.append(float(np.var(ests, ddof=1)))
-            else:
-                freqs = rng.multinomial(shots, probs, size=trials) / shots
-                ests = freqs @ to_bloch
-                # the summed component variances, one centered sum of squares
-                centered = (ests - ests.mean(axis=0)).ravel()
-                variances.append(float(centered @ centered) / (trials - 1))
+            ests = rng.multinomial(shots, probs, size=trials) / shots @ columns
+            # the summed component variances, one centered sum of squares
+            centered = (ests - ests.mean(axis=0)).ravel()
+            variances.append(float(centered @ centered) / (trials - 1))
             bounds.append(fisher_inverse / shots)
         mean_var = float(np.mean(variances))
         mean_bound = float(np.mean(bounds))

@@ -179,7 +179,8 @@ class MeterModel:
     """A four-outcome model: its settings and closed-form transfer matrix.
 
     T is kept as a read-only copy, so no array handed in or out can move
-    the model.  kraus_transfer and simulate_meter_process of the unitary
+    the model, and construction raises ValueError unless that copy is a
+    finite 4x4.  kraus_transfer and simulate_meter_process of the unitary
     built from the same params are its independent checks.
     """
 
@@ -187,7 +188,8 @@ class MeterModel:
     _tmat: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_tmat", np.array(self._tmat, dtype=float))
+        tmat = _check_transfer(np.array(self._tmat, dtype=float))
+        object.__setattr__(self, "_tmat", tmat)
         self._tmat.flags.writeable = False
 
     def transfer_matrix(self) -> np.ndarray:

@@ -34,6 +34,13 @@ class NonInformativeCouplingError(ValueError):
 
 
 def _sin2_half(theta: float) -> float:
+    """sin^2(theta/2); ValueError unless theta is finite.
+
+    Every single-meter function reads theta here, so NaN, which passes
+    each `s2 < _COUPLING_FLOOR` test, is refused in one place.
+    """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     return math.sin(theta / 2.0) ** 2
 
 

@@ -81,11 +81,13 @@ def test_qttf_sweep_rejects_bad_grid(capsys):
         (["--theta-max", "4.0"], "--theta-max"),
         (["--theta-min", "nan"], "--theta-min"),
         (["--theta-min=-inf"], "--theta-min"),
+        (["--theta-min", "1e-7", "--theta-max", "1e-6"], "--theta-min"),
     ],
-    ids=["max-inf", "max-nan", "max-above-pi", "min-nan", "min-minus-inf"],
+    ids=["max-inf", "max-nan", "max-above-pi", "min-nan", "min-minus-inf", "min-no-sensitivity"],
 )
 def test_qttf_sweep_rejects_bad_bound_naming_its_flag(capsys, argv, flag):
-    # checked before np.linspace, which would warn and hand NaN thetas on
+    # checked before np.linspace, which would warn and hand NaN thetas on;
+    # a theta-min where the qTTF is inf printed inf cells
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["qttf-sweep", *argv, "--points", "3"])

@@ -19,7 +19,15 @@ from qtomo.harness import (
     variance_vs_fisher_scan,
 )
 from qtomo.model import MeterModel, NonInvertibleModelError, SingularInformationError
-from qtomo.single import NonInformativeCouplingError
+from qtomo.single import (
+    NonInformativeCouplingError,
+    estimate_sz,
+    fisher_inverse_angle_form,
+    fisher_inverse_single,
+    probabilities_single,
+    qttf_single,
+    two_design_average,
+)
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel
 
 TABLE_THETAS = (math.pi / 2, 2 * math.pi / 3, math.pi)
@@ -152,7 +160,6 @@ def _solve_scan(model=None, theta=None, seed=0):
     # reference for the product-and-centered-sum form
     from qtomo.harness import _TAG_SCAN, _substream
     from qtomo.model import fisher_from_transfer
-    from qtomo.single import fisher_inverse_single, probabilities_single
 
     rows = []
     for n_idx, shots in enumerate((100, 1000, 10000, 100000)):
@@ -188,11 +195,14 @@ def test_variance_scan_matches_the_solve_form(seed):
             assert row.mean_variance == pytest.approx(variance, rel=1e-12, abs=0)
             assert row.mean_bound == pytest.approx(bound, rel=1e-12, abs=0)
             assert row.ratio == pytest.approx(variance / bound, rel=1e-12, abs=0)
+    # the single meter's estimates come from its two outcome columns and a
+    # centered sum of squares: round-off apart from the closed form and .var
     rows = variance_vs_fisher_scan(theta=2.0, seed=seed)
-    assert [(r.shots, r.mean_variance, r.mean_bound, r.ratio) for r in rows] == [
-        (shots, variance, bound, variance / bound)
-        for shots, variance, bound in _solve_scan(theta=2.0, seed=seed)
-    ]
+    for row, (shots, variance, bound) in zip(rows, _solve_scan(theta=2.0, seed=seed)):
+        assert row.shots == shots
+        assert row.mean_variance == pytest.approx(variance, rel=1e-12, abs=0)
+        assert row.mean_bound == bound
+        assert row.ratio == pytest.approx(variance / bound, rel=1e-12, abs=0)
 
 
 def test_variance_scan_argument_validation():
@@ -212,6 +222,15 @@ _SCAN_ARGS = {
 }
 
 
+def _refuse_draws(monkeypatch):
+    from qtomo import harness
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before validating")
+
+    monkeypatch.setattr(harness, "_substream", no_sampling)
+
+
 @pytest.mark.parametrize("kind", sorted(_SCAN_ARGS))
 @pytest.mark.parametrize(
     "kwargs, match",
@@ -229,12 +248,7 @@ def test_variance_scan_rejects_degenerate_sampling_before_drawing(
 ):
     # each of these gave NaN rows (or an IndexError) that the ratio guards,
     # comparing against NaN, never caught; now nothing is sampled at all
-    from qtomo import harness
-
-    def no_sampling(*args):
-        raise AssertionError("sampled before validating")
-
-    monkeypatch.setattr(harness, "_substream", no_sampling)
+    _refuse_draws(monkeypatch)
     with pytest.raises(ValueError, match=match):
         variance_vs_fisher_scan(**_SCAN_ARGS[kind], **kwargs)
 
@@ -262,20 +276,38 @@ def _blind_to_z():
     ids=["dead-outcome", "singular-T"],
 )
 def test_variance_scan_rejects_a_singular_model_before_drawing(model, error, monkeypatch):
-    from qtomo import harness
-
-    def no_sampling(*args):
-        raise AssertionError("sampled before validating")
-
-    monkeypatch.setattr(harness, "_substream", no_sampling)
+    _refuse_draws(monkeypatch)
     with pytest.raises(error):
         variance_vs_fisher_scan(model, trials=10)
 
 
 @pytest.mark.parametrize("theta", [0.0, 2 * math.pi, 1e-7])
-def test_variance_scan_rejects_a_non_informative_coupling(theta):
-    with pytest.raises(NonInformativeCouplingError):
+def test_variance_scan_rejects_a_non_informative_coupling(theta, monkeypatch):
+    _refuse_draws(monkeypatch)
+    with pytest.raises(NonInformativeCouplingError, match="not identifiable"):
         variance_vs_fisher_scan(theta=theta, trials=10)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_single_meter_rejects_a_non_finite_coupling(theta, monkeypatch):
+    # NaN passed every sin^2(theta/2) < floor test and came out as NaN
+    # errors and estimates; inf raised a bare math domain error
+    _refuse_draws(monkeypatch)
+    psi = PAULI_EIGENSTATES[2]
+    calls = [
+        lambda: probabilities_single(psi, theta),
+        lambda: estimate_sz(0.5, 0.5, theta),
+        lambda: fisher_inverse_single(psi, theta),
+        lambda: fisher_inverse_angle_form(0.3, theta),
+        lambda: qttf_single(theta),
+        lambda: two_design_average(theta),
+        lambda: binomial_variance_identity(psi, theta),
+        lambda: run_single_experiment(theta),
+        lambda: variance_vs_fisher_scan(theta=theta, trials=10),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="theta must be finite"):
+            call()
 
 
 @given(

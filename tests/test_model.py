@@ -403,6 +403,23 @@ def test_transfer_matrix_is_read_only(index):
     assert copied.transfer_matrix().tobytes() == tmat.tobytes()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TwoMeterModel(math.nan, 1.0),
+        lambda: build_circuit([math.nan] * 12),
+        lambda: MeterModel((), np.full((4, 4), math.nan)),
+        lambda: MeterModel((), np.eye(3)),
+    ],
+    ids=["two-meter-nan", "circuit-nan", "raw-nan", "raw-3x3"],
+)
+def test_a_model_never_holds_a_non_finite_transfer_matrix(build):
+    # the model held an all-NaN T, and only a later estimator or sampler
+    # failed, with an unrelated message
+    with pytest.raises(ValueError, match="finite real 4x4"):
+        build()
+
+
 def _two_meter_objective(x):
     return qttf_two_meter(x[0], x[1])
 
