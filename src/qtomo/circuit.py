@@ -132,6 +132,20 @@ def _meter_amplitudes(first: tuple, second: tuple) -> tuple[tuple[complex, compl
     return (w00 + w10, w01 + w11), (w00 - w10, w01 - w11)
 
 
+def _check_finite(params) -> None:
+    """ValueError naming the first non-finite parameter and its value.
+
+    Called only once building or reading T has failed, so the finite path
+    pays for no test: an infinite parameter fails in math.cos or
+    cmath.exp, a NaN one in the finiteness check of the NaN rows it gives.
+    """
+    for index, value in enumerate(params):
+        if not math.isfinite(value):
+            raise ValueError(
+                f"circuit parameter {index} must be finite, got {value}"
+            ) from None
+
+
 def _transfer_rows(params) -> list[tuple[float, ...]]:
     """Rows of T in Python floats, from K_ab = H diag(beta_b) H diag(alpha_a).
 
@@ -142,7 +156,11 @@ def _transfer_rows(params) -> list[tuple[float, ...]]:
     T[q, mu] = Tr(E_q sigma_mu)/2 with q = 2a + b, so the sigma_y column
     is -Im E_01.  The amplitudes carry a factor 2 each, hence 1/64 and 1/32.
     """
-    gate_a1, gate_a2, gate_b1, gate_b2 = _gates(params)
+    try:
+        gate_a1, gate_a2, gate_b1, gate_b2 = _gates(params)
+    except ValueError:  # math domain error
+        _check_finite(params)
+        raise
     alpha = _meter_amplitudes(gate_a1, gate_a2)
     beta = _meter_amplitudes(gate_b1, gate_b2)
     meter_b = []
@@ -177,12 +195,24 @@ def build_circuit(params) -> MeterModel:
     reading.
     """
     values = _checked_params(params)
-    return MeterModel(params=tuple(values), _tmat=np.array(_transfer_rows(values)))
+    try:
+        return MeterModel(params=tuple(values), _tmat=np.array(_transfer_rows(values)))
+    except ValueError:  # T is not finite
+        _check_finite(values)
+        raise
 
 
 def qttf_circuit(params) -> float:
-    """Exact pure-state average of Tr(F^-1) for the circuit at these parameters."""
-    return qttf_from_transfer(_transfer_rows(_checked_params(params)))
+    """Exact pure-state average of Tr(F^-1) for the circuit at these parameters.
+
+    ValueError naming a parameter that is not finite.
+    """
+    values = _checked_params(params)
+    try:
+        return qttf_from_transfer(_transfer_rows(values))
+    except ValueError:  # T is not finite
+        _check_finite(values)
+        raise
 
 
 def optimize_circuit(restarts: int = 50, seed: int = 0) -> OptimizationResult:

@@ -21,7 +21,7 @@ from .core import (
     fidelity,
 )
 from .estimators import linear_inversion, radial_clip, saturated_mle
-from .model import _as_bloch, _live_probabilities, delta_from_transfer
+from .model import _as_blochs, _live_probabilities, delta_from_transfer
 from .model import fisher_from_transfer, require_invertible
 from .single import estimate_sz, fisher_inverse_single, probabilities_single
 
@@ -326,17 +326,28 @@ def estimator_variance_identity(state: np.ndarray, tmat: np.ndarray) -> Identity
     of model.require_invertible; weighting those columns by the outcome
     probabilities gives per-component variances sigma_j^2, which must
     reproduce the diagonal of the inverted Fisher matrix, the oracle.
+
+    state is one state, a (2,) ket or a (4,) Bloch vector, giving (3,)
+    sides, or a real (n, 4) stack of Bloch vectors, giving (n, 3) sides
+    from one batched product, Fisher build and inverse; a single state is
+    the stack of one.  max_abs_diff is the largest gap over the stack,
+    the s_0 component's variance (zero) included.  A vanished outcome
+    raises SingularInformationError naming it.
     """
     estimate_mat = require_invertible(tmat)
-    state_b = _as_bloch(state)
-    probs = tmat @ state_b
-    sbar = estimate_mat @ probs
-    sigma2 = ((estimate_mat - sbar[:, None]) ** 2) @ probs
-    fisher = fisher_from_transfer(tmat, state_b)
-    rhs = np.concatenate([[0.0], np.diag(np.linalg.inv(fisher))])
-    return IdentityReport(
-        lhs=sigma2[1:], rhs=rhs[1:], max_abs_diff=float(np.max(np.abs(sigma2 - rhs)))
-    )
+    blochs = _as_blochs(state)
+    stack = np.atleast_2d(blochs)
+    probs = _live_probabilities(tmat, stack)
+    sbar = (estimate_mat @ probs[:, :, None])[:, :, 0]
+    # sigma_j^2 = sum_q p_q (T^-1[j, q] - sbar_j)^2, per member
+    sigma2 = np.sum((estimate_mat - sbar[:, :, None]) ** 2 * probs[:, None, :], axis=-1)
+    fisher = fisher_from_transfer(tmat, stack)
+    rhs = np.diagonal(np.linalg.inv(fisher), axis1=-2, axis2=-1)
+    gap = np.abs(sigma2 - np.insert(rhs, 0, 0.0, axis=-1))
+    lhs = sigma2[:, 1:]
+    if blochs.ndim == 1:
+        lhs, rhs = lhs[0], rhs[0]
+    return IdentityReport(lhs=lhs, rhs=rhs, max_abs_diff=float(np.max(gap)))
 
 
 def binomial_variance_identity(psi: np.ndarray, theta: float) -> IdentityReport:

@@ -203,24 +203,37 @@ def _as_bloch(state: np.ndarray) -> np.ndarray:
     return bloch_from_state(state)
 
 
+def _as_blochs(states: np.ndarray) -> np.ndarray:
+    """A real (n, 4) stack of Bloch vectors as floats, else _as_bloch(states)."""
+    states = np.asarray(states)
+    if states.ndim == 2 and states.shape[1] == 4 and not np.iscomplexobj(states):
+        return states.astype(float)
+    return _as_bloch(states)
+
+
 def _live_probabilities(tmat: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """p = T @ S; raises SingularInformationError naming a vanished outcome."""
-    p = tmat @ _as_bloch(state)
+    """p = T @ S, (4,) or (n, 4) for a stack of Bloch vectors; raises
+    SingularInformationError naming a vanished outcome.
+
+    Each member is the matrix-vector product of its own call, to the bit.
+    """
+    p = (tmat @ _as_blochs(state)[..., :, None])[..., 0]
     if p.min() <= PROBABILITY_FLOOR:
-        q = int(np.argmin(p))
-        raise SingularInformationError(q, float(p[q]))
+        index = int(np.argmin(p))
+        raise SingularInformationError(index % 4, float(p.flat[index]))
     return p
 
 
 def fisher_from_transfer(tmat: np.ndarray, state: np.ndarray) -> np.ndarray:
     """Fisher matrix over (s1, s2, s3) for one input state.
 
-    F_{mu nu} = sum_q T[q, mu] T[q, nu] / p_q with p = T @ S.  Raises
+    F_{mu nu} = sum_q T[q, mu] T[q, nu] / p_q with p = T @ S.  A real
+    (n, 4) stack of Bloch vectors gives an (n, 3, 3) stack.  Raises
     SingularInformationError naming the first vanished outcome.
     """
     p = _live_probabilities(tmat, state)
     ts = tmat[:, 1:]
-    return ts.T @ (ts / p[:, None])
+    return ts.T @ (ts / p[..., :, None])
 
 
 def fisher_matrix_form(tmat: np.ndarray, state: np.ndarray) -> np.ndarray:

@@ -130,9 +130,25 @@ def _coefficients(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ..
     return a, b, c
 
 
+def _check_couplings(theta_a: float, theta_b: float) -> None:
+    """ValueError naming a non-finite coupling and its value.
+
+    Called only once building or reading T has failed, so the finite path
+    pays for no test: an infinite coupling fails in math.cos, a NaN one
+    in the finiteness check of the NaN rows it gives.
+    """
+    for name, value in (("theta_a", theta_a), ("theta_b", theta_b)):
+        if not math.isfinite(value):
+            raise ValueError(f"coupling {name} must be finite, got {value}") from None
+
+
 def _transfer_rows(theta_a: float, theta_b: float) -> list[list[float]]:
     """Rows of T in Python floats: row (k, l) is a k + b l + c kl, plus 1/4 at mu = 0."""
-    a, b, c = _coefficients(theta_a, theta_b)
+    try:
+        a, b, c = _coefficients(theta_a, theta_b)
+    except ValueError:  # math domain error
+        _check_couplings(theta_a, theta_b)
+        raise
     abc = tuple(zip(a, b, c))
     rows = [
         [a_mu + b_mu + c_mu for a_mu, b_mu, c_mu in abc],
@@ -162,15 +178,26 @@ class TwoMeterModel(MeterModel):
 
     def __init__(self, theta_a: float, theta_b: float) -> None:
         theta_a, theta_b = float(theta_a), float(theta_b)
-        super().__init__(
-            params=(theta_a, theta_b),
-            _tmat=transfer_matrix(theta_a, theta_b),
-        )
+        try:
+            super().__init__(
+                params=(theta_a, theta_b),
+                _tmat=transfer_matrix(theta_a, theta_b),
+            )
+        except ValueError:  # T is not finite
+            _check_couplings(theta_a, theta_b)
+            raise
 
 
 def qttf_two_meter(theta_a: float, theta_b: float) -> float:
-    """Exact pure-state average of Tr(F^-1) at the given couplings."""
-    return qttf_from_transfer(_transfer_rows(float(theta_a), float(theta_b)))
+    """Exact pure-state average of Tr(F^-1) at the given couplings.
+
+    ValueError naming a coupling that is not finite.
+    """
+    try:
+        return qttf_from_transfer(_transfer_rows(float(theta_a), float(theta_b)))
+    except ValueError:  # T is not finite
+        _check_couplings(theta_a, theta_b)
+        raise
 
 
 def optimize_two_meter(restarts: int = 20, seed: int = 0) -> OptimizationResult:

@@ -63,6 +63,19 @@ def test_build_circuit_validates_length():
         qttf_circuit((0.1, 0.2, 0.3))
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("index", [0, 5, 11])
+def test_non_finite_parameter_is_named(value, index):
+    # inf raised a bare math domain error from the row builder, and NaN a
+    # transfer-matrix message naming no parameter
+    params = list(REFERENCE_OPTIMUM)
+    params[index] = value
+    message = f"circuit parameter {index} must be finite, got {value}"
+    for call in (build_circuit, qttf_circuit):
+        with pytest.raises(ValueError, match=message):
+            call(params)
+
+
 def _draw_params(rng, full_angle):
     # doubling the thetas gives the full-angle gates u3(theta, phi, lambda)
     # of the draw

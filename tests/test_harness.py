@@ -310,6 +310,51 @@ def test_single_meter_rejects_a_non_finite_coupling(theta, monkeypatch):
             call()
 
 
+def test_stacked_estimator_variance_identity_is_the_per_state_call():
+    rng = np.random.default_rng(23)
+    for tmat in (
+        TwoMeterModel(*REFERENCE_COUPLINGS).transfer_matrix(),
+        build_circuit(REFERENCE_OPTIMUM).transfer_matrix(),
+    ):
+        kets = [
+            state_from_angles(rng.uniform(0, math.pi / 2), rng.uniform(0, math.pi))
+            for _ in range(40)
+        ]
+        blochs = np.array([bloch_from_state(psi) for psi in kets])
+        stacked = estimator_variance_identity(blochs, tmat)
+        assert stacked.lhs.shape == stacked.rhs.shape == (40, 3)
+        worst = 0.0
+        for k, (psi, bloch) in enumerate(zip(kets, blochs)):
+            for state in (psi, bloch):
+                single = estimator_variance_identity(state, tmat)
+                assert single.lhs.shape == single.rhs.shape == (3,)
+                assert type(single.max_abs_diff) is float
+                np.testing.assert_allclose(single.lhs, stacked.lhs[k], rtol=0, atol=1e-15)
+                np.testing.assert_allclose(single.rhs, stacked.rhs[k], rtol=0, atol=1e-15)
+                worst = max(worst, single.max_abs_diff)
+        assert type(stacked.max_abs_diff) is float
+        assert stacked.max_abs_diff == pytest.approx(worst, rel=0, abs=1e-15)
+
+
+def test_stacked_estimator_variance_identity_names_a_vanished_outcome():
+    # SIC effects E_q = (I + n_q . sigma)/4: outcome q vanishes on the
+    # state -n_q, and T stays invertible
+    normals = np.array(
+        [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
+    ) / math.sqrt(3.0)
+    tmat = 0.25 * np.hstack([np.ones((4, 1)), normals])
+    rng = np.random.default_rng(5)
+    blochs = np.array([
+        bloch_from_state(state_from_angles(rng.uniform(0, math.pi / 2), rng.uniform(0, math.pi)))
+        for _ in range(10)
+    ])
+    assert estimator_variance_identity(blochs, tmat).max_abs_diff < 1e-12
+    blochs[6, 1:] = -normals[2]
+    with pytest.raises(SingularInformationError, match="outcome -\\+ ") as info:
+        estimator_variance_identity(blochs, tmat)
+    assert info.value.outcome == 2
+
+
 @given(
     st.floats(0.01, math.pi / 2 - 0.01),
     st.floats(0.0, math.pi),

@@ -4,11 +4,32 @@ import math
 
 import numpy as np
 
-from qtomo.circuit import REFERENCE_OPTIMUM, circuit_unitary
+from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit, circuit_unitary
+from qtomo.cli import main
 from qtomo.core import state_from_angles
-from qtomo.estimators import MleConfig, rho_r_mle
-from qtomo.identities import _PAIRS, _draw, _simulate, identity_suite
+from qtomo.estimators import (
+    MleConfig,
+    MleResult,
+    linear_inversion,
+    log_likelihood,
+    rho_r_mle,
+    saturated_mle,
+)
+from qtomo.identities import (
+    _PAIRS,
+    _REFERENCE_CONFIG,
+    _draw,
+    _gap_bound,
+    _simulate,
+    identity_suite,
+)
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, joint_unitary
+
+_UNITARIES = (joint_unitary(*REFERENCE_COUPLINGS), circuit_unitary(REFERENCE_OPTIMUM))
+_TMATS = (
+    TwoMeterModel(*REFERENCE_COUPLINGS).transfer_matrix(),
+    build_circuit(REFERENCE_OPTIMUM).transfer_matrix(),
+)
 
 
 def _scalar_draw(rng, unitaries):
@@ -55,11 +76,10 @@ def _ket_bits(cases) -> list:
 
 
 def test_block_draws_are_the_scalar_draws_bit_for_bit():
-    unitaries = (joint_unitary(*REFERENCE_COUPLINGS), circuit_unitary(REFERENCE_OPTIMUM))
     for seed in range(30):
-        drawn = _draw(np.random.default_rng(seed), unitaries)
+        drawn = _draw(np.random.default_rng(seed), _UNITARIES)
         couplings, cases, mle_inputs, thetas, binomial, circuit_params = _scalar_draw(
-            np.random.default_rng(seed), unitaries
+            np.random.default_rng(seed), _UNITARIES
         )
         assert drawn.couplings.shape == (_PAIRS, 2)
         assert _bits(drawn.couplings) == _bits(couplings), seed
@@ -76,11 +96,12 @@ def test_block_draws_are_the_scalar_draws_bit_for_bit():
 
 
 def test_capped_reference_runs_are_counted_not_logged(caplog):
-    # seed 20 has one reference run at the iteration cap: the suite counts
-    # it and logs nothing, and library callers still get the warning
+    # at the suite's cap, seed 20 has four reference runs stopped and
+    # seed 0 five: the suite counts them and logs nothing, and library
+    # callers still get the warning
     with caplog.at_level(logging.WARNING, logger="qtomo"):
-        assert identity_suite(seed=20)["capped_reference_runs"] == 1
-        assert identity_suite(seed=0)["capped_reference_runs"] == 0
+        assert identity_suite(seed=20)["capped_reference_runs"] == 4
+        assert identity_suite(seed=0)["capped_reference_runs"] == 5
     assert not [r for r in caplog.records if "iteration cap" in r.getMessage()]
     assert not logging.getLogger("qtomo.estimators").filters
     tmat = TwoMeterModel(*REFERENCE_COUPLINGS).transfer_matrix()
@@ -98,6 +119,69 @@ def test_raising_reference_runs_report_no_count(monkeypatch):
     monkeypatch.setattr(identities, "rho_r_mle", broken)
     suite = identity_suite(seed=0)
     assert suite["capped_reference_runs"] is None
+    assert suite["reference_gap_bound"] is None
     assert not suite["all_pass"]
     assert not logging.getLogger("qtomo.estimators").filters
 
+
+
+def _ball_grid(directions=2000, shells=25) -> np.ndarray:
+    # Bloch 4-vectors on a Fibonacci sphere of directions scaled to radii
+    # in (0, 1], plus the centre
+    k = np.arange(directions) + 0.5
+    z = 1.0 - 2.0 * k / directions
+    ring = np.sqrt(1.0 - z * z)
+    azimuth = math.pi * (1.0 + math.sqrt(5.0)) * k
+    unit = np.stack([ring * np.cos(azimuth), ring * np.sin(azimuth), z], axis=1)
+    radii = np.arange(1, shells + 1) / shells
+    points = np.vstack([np.zeros((1, 3)), (radii[:, None, None] * unit).reshape(-1, 3)])
+    return np.hstack([np.ones((len(points), 1)), points])
+
+
+def test_certified_gap_bounds_every_state_and_the_exact_mle():
+    # on the suite's own reference inputs, stopped after 1 to 300
+    # iterations: no state of a dense grid in the Bloch ball, and not the
+    # exact MLE, beats the reference by more than lambda_max(R) - 1, and
+    # the exact MLE is never below the reference
+    grid = _ball_grid()
+    caps = (1, 10, 100, _REFERENCE_CONFIG.max_iter)
+    beaten = dict.fromkeys(caps, 0)
+    for seed in range(20):
+        for m_idx, freqs in _draw(np.random.default_rng(seed), _UNITARIES).mle_inputs:
+            tmat = _TMATS[m_idx]
+            live = freqs > 0.0
+            grid_best = float((np.log(grid @ tmat[live].T) @ freqs[live]).max())
+            exact = log_likelihood(freqs, tmat @ saturated_mle(freqs, tmat).bloch)
+            for cap in caps:
+                reference = rho_r_mle(freqs, tmat, MleConfig(max_iter=cap)).bloch
+                bound = _gap_bound(freqs, tmat, reference)
+                level = log_likelihood(freqs, tmat @ reference)
+                assert grid_best - level <= bound + 1e-12, (seed, cap)
+                assert -1e-12 <= exact - level <= bound + 1e-12, (seed, cap)
+                beaten[cap] += grid_best > level
+    # the grid is no vacuous oracle: it beats every one-iteration run
+    assert beaten[1] == 100
+
+
+def test_upper_side_catches_an_exact_mle_above_every_state(monkeypatch):
+    # at seed 0 linear inversion lies outside the Bloch ball on some
+    # reference input, so its log-likelihood exceeds every state's: the
+    # lower side alone would pass a solver returning it, the certified
+    # gap does not
+    from qtomo import identities
+
+    def unphysical(freqs, tmat):
+        return MleResult(
+            bloch=linear_inversion(freqs, tmat).bloch,
+            iterations=1,
+            converged=True,
+            floored_probabilities=0,
+        )
+
+    inputs = _draw(np.random.default_rng(0), _UNITARIES).mle_inputs
+    assert any(not linear_inversion(f, _TMATS[m]).physical for m, f in inputs)
+    monkeypatch.setattr(identities, "saturated_mle", unphysical)
+    checks = identity_suite(seed=0)["checks"]
+    assert not checks.pop("mle_exact_vs_rho_r")["pass"]
+    assert all(entry["pass"] for entry in checks.values())
+    assert main(["check-identities", "--seed", "0"]) == 3

@@ -273,16 +273,19 @@ def test_qttf_respects_the_four_outcome_bound():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda: qttf_two_meter(math.nan, 1.0),
-        lambda: qttf_circuit([math.nan] + [0.0] * 11),
-        lambda: delta_from_transfer(np.full((4, 4), math.nan), np.eye(4)[0]),
+        (lambda: qttf_two_meter(math.nan, 1.0), "coupling theta_a must be finite, got nan"),
+        (lambda: qttf_circuit([math.nan] + [0.0] * 11),
+         "circuit parameter 0 must be finite, got nan"),
+        (lambda: delta_from_transfer(np.full((4, 4), math.nan), np.eye(4)[0]),
+         "transfer matrix must be finite"),
     ],
     ids=["two-meter", "circuit", "delta"],
 )
-def test_non_finite_transfer_matrix_is_rejected(call):
-    with pytest.raises(ValueError, match="transfer matrix must be finite"):
+def test_non_finite_transfer_matrix_is_rejected(call, message):
+    # a model's qTTF names the parameter that made T non-finite
+    with pytest.raises(ValueError, match=message):
         call()
 
 
@@ -404,19 +407,20 @@ def test_transfer_matrix_is_read_only(index):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, message",
     [
-        lambda: TwoMeterModel(math.nan, 1.0),
-        lambda: build_circuit([math.nan] * 12),
-        lambda: MeterModel((), np.full((4, 4), math.nan)),
-        lambda: MeterModel((), np.eye(3)),
+        (lambda: TwoMeterModel(math.nan, 1.0), "coupling theta_a must be finite, got nan"),
+        (lambda: build_circuit([math.nan] * 12), "circuit parameter 0 must be finite, got nan"),
+        (lambda: MeterModel((), np.full((4, 4), math.nan)), "finite real 4x4"),
+        (lambda: MeterModel((), np.eye(3)), "finite real 4x4"),
     ],
     ids=["two-meter-nan", "circuit-nan", "raw-nan", "raw-3x3"],
 )
-def test_a_model_never_holds_a_non_finite_transfer_matrix(build):
+def test_a_model_never_holds_a_non_finite_transfer_matrix(build, message):
     # the model held an all-NaN T, and only a later estimator or sampler
-    # failed, with an unrelated message
-    with pytest.raises(ValueError, match="finite real 4x4"):
+    # failed, with an unrelated message; a model built from parameters
+    # names the one that is not finite
+    with pytest.raises(ValueError, match=message):
         build()
 
 

@@ -233,6 +233,16 @@ def test_numpy_scalar_couplings_give_the_float_bits():
     assert np.array_equal(model.transfer_matrix(), transfer_matrix(*REFERENCE_COUPLINGS))
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_coupling_is_named(value):
+    # inf raised a bare math domain error from the row builder, and NaN a
+    # transfer-matrix message naming no coupling
+    for name, couplings in (("theta_a", (value, 1.0)), ("theta_b", (1.0, value))):
+        for call in (TwoMeterModel, qttf_two_meter):
+            with pytest.raises(ValueError, match=f"coupling {name} must be finite, got {value}"):
+                call(*couplings)
+
+
 def test_zero_couplings_are_degenerate():
     tmat = transfer_matrix(0.0, 0.0)
     bloch = bloch_from_state(state_from_angles(0.3, 0.8))
