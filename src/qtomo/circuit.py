@@ -10,11 +10,14 @@ into 2x2 pieces,
     alpha_a[s] = <a| H A2 X^s A1 |+>,   beta_b[s] = <b| H B2 X^s B1 |+>,
 
 and the transfer matrix, which is the model, is read off those factors
-in scalar arithmetic.  circuit_unitary compiles the 8x8 unitary only for
-the checks, where its Kraus read is the oracle.  The circuit family
-contains measurement settings whose average error reaches the
-four-outcome optimum of 8.0, a little over twice the best single-shot
-error of the two-meter coupling on a per-component basis.
+in straight-line float arithmetic: each amplitude is a (re, im) pair of
+floats from the gates' cosines and sines, each complex product written
+out as (ac - bd, ad + bc).  circuit_unitary compiles the 8x8 unitary
+from the complex gate entries only for the checks, where its Kraus read
+is the oracle.  The circuit family contains measurement settings whose
+average error reaches the four-outcome optimum of 8.0, a little over
+twice the best single-shot error of the two-meter coupling on a
+per-component basis.
 """
 from __future__ import annotations
 
@@ -121,23 +124,47 @@ def circuit_unitary(params) -> np.ndarray:
     return unitary
 
 
-def _meter_amplitudes(first: tuple, second: tuple) -> tuple[tuple[complex, complex], ...]:
-    """2 <a| H G2 X^s G1 |+> for one meter's gates G1 then G2, indexed [a][s]."""
-    f00, f01, f10, f11 = first
-    s00, s01, s10, s11 = second
-    v0, v1 = f00 + f01, f10 + f11  # sqrt(2) G1|+>
-    # G2 X^s (v0, v1): the system bit s swaps the two components
-    w00, w10 = s00 * v0 + s01 * v1, s10 * v0 + s11 * v1
-    w01, w11 = s00 * v1 + s01 * v0, s10 * v1 + s11 * v0
-    return (w00 + w10, w01 + w11), (w00 - w10, w01 - w11)
+def _meter_floats(theta1, phi1, lam1, theta2, phi2, lam2) -> tuple[float, ...]:
+    """2 <a| H G2 X^s G1 |+> for one meter's gates G1 then G2, each
+    u3(theta/2, phi, lambda), as the floats (re, im) for [a][s] in order
+    00, 01, 10, 11.
+
+    Each float is the one the complex product of the gate entries gives,
+    up to the sign of an exact zero: e^{i x} is (cos x, sin x), a
+    product (ac - bd, ad + bc).
+    """
+    c1, s1 = math.cos(theta1 / 2.0), math.sin(theta1 / 2.0)
+    c2, s2 = math.cos(theta2 / 2.0), math.sin(theta2 / 2.0)
+    # sqrt(2) G1|+> = (v0, v1)
+    v0r = c1 - math.cos(lam1) * s1
+    v0i = -math.sin(lam1) * s1
+    v1r = math.cos(phi1) * s1 + math.cos(phi1 + lam1) * c1
+    v1i = math.sin(phi1) * s1 + math.sin(phi1 + lam1) * c1
+    # G2 = [[c2, g01], [g10, g11]]
+    g01r, g01i = -math.cos(lam2) * s2, -math.sin(lam2) * s2
+    g10r, g10i = math.cos(phi2) * s2, math.sin(phi2) * s2
+    g11r, g11i = math.cos(phi2 + lam2) * c2, math.sin(phi2 + lam2) * c2
+    # w_ks = (G2 X^s v)_k: the system bit s swaps v0 and v1
+    w00r = c2 * v0r + (g01r * v1r - g01i * v1i)
+    w00i = c2 * v0i + (g01r * v1i + g01i * v1r)
+    w10r = g10r * v0r - g10i * v0i + (g11r * v1r - g11i * v1i)
+    w10i = g10r * v0i + g10i * v0r + (g11r * v1i + g11i * v1r)
+    w01r = c2 * v1r + (g01r * v0r - g01i * v0i)
+    w01i = c2 * v1i + (g01r * v0i + g01i * v0r)
+    w11r = g10r * v1r - g10i * v1i + (g11r * v0r - g11i * v0i)
+    w11i = g10r * v1i + g10i * v1r + (g11r * v0i + g11i * v0r)
+    return (
+        w00r + w10r, w00i + w10i, w01r + w11r, w01i + w11i,
+        w00r - w10r, w00i - w10i, w01r - w11r, w01i - w11i,
+    )
 
 
 def _check_finite(params) -> None:
     """ValueError naming the first non-finite parameter and its value.
 
     Called only once building or reading T has failed, so the finite path
-    pays for no test: an infinite parameter fails in math.cos or
-    cmath.exp, a NaN one in the finiteness check of the NaN rows it gives.
+    pays for no test: an infinite parameter fails in math.cos, a NaN one
+    in the finiteness check of the NaN rows it gives.
     """
     for index, value in enumerate(params):
         if not math.isfinite(value):
@@ -146,7 +173,7 @@ def _check_finite(params) -> None:
             ) from None
 
 
-def _transfer_rows(params) -> list[tuple[float, ...]]:
+def _transfer_rows(params) -> list[list[float]]:
     """Rows of T in Python floats, from K_ab = H diag(beta_b) H diag(alpha_a).
 
     params is any sequence of twelve floats.
@@ -155,34 +182,42 @@ def _transfer_rows(params) -> list[tuple[float, ...]]:
     and off-diagonal conj(alpha_a[0]) alpha_a[1] (|beta_b[0]|^2 - |beta_b[1]|^2)/2;
     T[q, mu] = Tr(E_q sigma_mu)/2 with q = 2a + b, so the sigma_y column
     is -Im E_01.  The amplitudes carry a factor 2 each, hence 1/64 and 1/32.
+    Every amplitude is a (re, im) pair of floats from _meter_floats, and
+    each entry repeats the float operations of the complex products.
     """
+    ta1, pa1, la1, ta2, pa2, la2, tb1, pb1, lb1, tb2, pb2, lb2 = params
     try:
-        gate_a1, gate_a2, gate_b1, gate_b2 = _gates(params)
+        a00r, a00i, a01r, a01i, a10r, a10i, a11r, a11i = _meter_floats(
+            ta1, pa1, la1, ta2, pa2, la2
+        )
+        b00r, b00i, b01r, b01i, b10r, b10i, b11r, b11i = _meter_floats(
+            tb1, pb1, lb1, tb2, pb2, lb2
+        )
     except ValueError:  # math domain error
         _check_finite(params)
         raise
-    alpha = _meter_amplitudes(gate_a1, gate_a2)
-    beta = _meter_amplitudes(gate_b1, gate_b2)
-    meter_b = []
-    for b0, b1 in beta:
-        p0 = b0.real * b0.real + b0.imag * b0.imag
-        p1 = b1.real * b1.real + b1.imag * b1.imag
-        meter_b.append((p0 + p1, p0 - p1))
-    rows = []
-    for a0, a1 in alpha:
-        p0 = a0.real * a0.real + a0.imag * a0.imag
-        p1 = a1.real * a1.real + a1.imag * a1.imag
-        cross = a0.conjugate() * a1
-        for b_sum, b_diff in meter_b:
-            rows.append(
-                (
-                    (p0 + p1) * b_sum / 64.0,
-                    cross.real * b_diff / 32.0,
-                    -cross.imag * b_diff / 32.0,
-                    (p0 - p1) * b_sum / 64.0,
-                )
-            )
-    return rows
+    # meter B: bNp, bNm = |beta_N[0]|^2 plus and minus |beta_N[1]|^2
+    p0 = b00r * b00r + b00i * b00i
+    p1 = b01r * b01r + b01i * b01i
+    b0p, b0m = p0 + p1, p0 - p1
+    p0 = b10r * b10r + b10i * b10i
+    p1 = b11r * b11r + b11i * b11i
+    b1p, b1m = p0 + p1, p0 - p1
+    # meter A likewise, with xN + i yN = conj(alpha_N[0]) alpha_N[1]
+    p0 = a00r * a00r + a00i * a00i
+    p1 = a01r * a01r + a01i * a01i
+    a0p, a0m = p0 + p1, p0 - p1
+    x0, y0 = a00r * a01r + a00i * a01i, a00r * a01i - a00i * a01r
+    p0 = a10r * a10r + a10i * a10i
+    p1 = a11r * a11r + a11i * a11i
+    a1p, a1m = p0 + p1, p0 - p1
+    x1, y1 = a10r * a11r + a10i * a11i, a10r * a11i - a10i * a11r
+    return [
+        [a0p * b0p / 64.0, x0 * b0m / 32.0, -y0 * b0m / 32.0, a0m * b0p / 64.0],
+        [a0p * b1p / 64.0, x0 * b1m / 32.0, -y0 * b1m / 32.0, a0m * b1p / 64.0],
+        [a1p * b0p / 64.0, x1 * b0m / 32.0, -y1 * b0m / 32.0, a1m * b0p / 64.0],
+        [a1p * b1p / 64.0, x1 * b1m / 32.0, -y1 * b1m / 32.0, a1m * b1p / 64.0],
+    ]
 
 
 def build_circuit(params) -> MeterModel:

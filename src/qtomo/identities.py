@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,25 +176,35 @@ def _rho_r_run(freqs, tmat):
     return trace_ll, rho_r_mle(freqs, tmat, _REFERENCE_CONFIG, likelihood_trace=trace_ll)
 
 
-def _rho_r_runs(inputs) -> list:
-    """The R-rho-R reference runs, their cap warnings held back.
+@contextmanager
+def _estimator_records_held_back():
+    """Drop the "qtomo.estimators" records while the block lasts.
 
-    The three R-rho-R checks hold for any prefix of iterates, so a run
-    stopped at the suite's cap is still a valid reference: the suite
-    counts such runs in its report (converged=False) and, while these
-    runs last, drops the "qtomo.estimators" records that would repeat it
-    as a warning.  Library callers of rho_r_mle still get the warning.
+    Library callers of rho_r_mle and saturated_mle still get their
+    warnings: the filter lives for the block only.
     """
     logger = logging.getLogger("qtomo.estimators")
     logger.addFilter(_drop_record)
     try:
-        return [_rho_r_run(*args) for args in inputs]
+        yield
     finally:
         logger.removeFilter(_drop_record)
 
 
 def _drop_record(record: logging.LogRecord) -> bool:
     return False
+
+
+def _rho_r_runs(inputs) -> list:
+    """The R-rho-R reference runs, their cap warnings held back.
+
+    The three R-rho-R checks hold for any prefix of iterates, so a run
+    stopped at the suite's cap is still a valid reference: the suite
+    counts such runs in its report (converged=False) instead of repeating
+    it as a warning.
+    """
+    with _estimator_records_held_back():
+        return [_rho_r_run(*args) for args in inputs]
 
 
 def _mle_monotone(runs) -> float:
@@ -229,10 +240,13 @@ def _mle_exact_vs_rho_r(inputs, references, bounds) -> float:
     # between R-rho-R's and R-rho-R's plus the certified gap, and an
     # estimate on the sphere is a KKT point g = lambda v with lambda >= 0,
     # measured against sum_q |g_q|, the scale of g's round-off; np.max
-    # keeps a NaN term, where the builtin max would drop it
+    # keeps a NaN term, where the builtin max would drop it.  A solve that
+    # ends without its KKT certificate is judged by these terms, so its
+    # warning is held back
+    with _estimator_records_held_back():
+        exacts = [saturated_mle(freqs, tmat) for freqs, tmat in inputs]
     terms = [0.0]
-    for (freqs, tmat), reference, bound in zip(inputs, references, bounds):
-        exact = saturated_mle(freqs, tmat)
+    for (freqs, tmat), reference, bound, exact in zip(inputs, references, bounds, exacts):
         gap = (
             log_likelihood(freqs, tmat @ exact.bloch)
             - log_likelihood(freqs, tmat @ reference.bloch)

@@ -135,7 +135,8 @@ def _check_couplings(theta_a: float, theta_b: float) -> None:
 
     Called only once building or reading T has failed, so the finite path
     pays for no test: an infinite coupling fails in math.cos, a NaN one
-    in the finiteness check of the NaN rows it gives.
+    in the finiteness check of the NaN rows it gives.  transfer_matrix
+    checks no rows, so it tests its couplings with math.isfinite instead.
     """
     for name, value in (("theta_a", theta_a), ("theta_b", theta_b)):
         if not math.isfinite(value):
@@ -145,20 +146,18 @@ def _check_couplings(theta_a: float, theta_b: float) -> None:
 def _transfer_rows(theta_a: float, theta_b: float) -> list[list[float]]:
     """Rows of T in Python floats: row (k, l) is a k + b l + c kl, plus 1/4 at mu = 0."""
     try:
-        a, b, c = _coefficients(theta_a, theta_b)
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = _coefficients(
+            theta_a, theta_b
+        )
     except ValueError:  # math domain error
         _check_couplings(theta_a, theta_b)
         raise
-    abc = tuple(zip(a, b, c))
-    rows = [
-        [a_mu + b_mu + c_mu for a_mu, b_mu, c_mu in abc],
-        [a_mu - b_mu - c_mu for a_mu, b_mu, c_mu in abc],
-        [-a_mu + b_mu - c_mu for a_mu, b_mu, c_mu in abc],
-        [-a_mu - b_mu + c_mu for a_mu, b_mu, c_mu in abc],
+    return [
+        [a0 + b0 + c0 + 0.25, a1 + b1 + c1, a2 + b2 + c2, a3 + b3 + c3],
+        [a0 - b0 - c0 + 0.25, a1 - b1 - c1, a2 - b2 - c2, a3 - b3 - c3],
+        [-a0 + b0 - c0 + 0.25, -a1 + b1 - c1, -a2 + b2 - c2, -a3 + b3 - c3],
+        [-a0 - b0 + c0 + 0.25, -a1 - b1 + c1, -a2 - b2 + c2, -a3 - b3 + c3],
     ]
-    for row in rows:
-        row[0] += 0.25
-    return rows
 
 
 def transfer_matrix(theta_a: float, theta_b: float) -> np.ndarray:
@@ -168,9 +167,13 @@ def transfer_matrix(theta_a: float, theta_b: float) -> np.ndarray:
     alongside the mu = 0 coefficient block; dropping that block would
     break agreement with the simulated process for every non-trivial
     coupling.  The couplings are read as Python floats, so numpy scalars
-    give the same bits at Python-float speed.
+    give the same bits at Python-float speed.  ValueError naming a
+    coupling that is not finite.
     """
-    return np.array(_transfer_rows(float(theta_a), float(theta_b)))
+    theta_a, theta_b = float(theta_a), float(theta_b)
+    if not (math.isfinite(theta_a) and math.isfinite(theta_b)):
+        _check_couplings(theta_a, theta_b)
+    return np.array(_transfer_rows(theta_a, theta_b))
 
 
 class TwoMeterModel(MeterModel):
@@ -178,14 +181,7 @@ class TwoMeterModel(MeterModel):
 
     def __init__(self, theta_a: float, theta_b: float) -> None:
         theta_a, theta_b = float(theta_a), float(theta_b)
-        try:
-            super().__init__(
-                params=(theta_a, theta_b),
-                _tmat=transfer_matrix(theta_a, theta_b),
-            )
-        except ValueError:  # T is not finite
-            _check_couplings(theta_a, theta_b)
-            raise
+        super().__init__(params=(theta_a, theta_b), _tmat=transfer_matrix(theta_a, theta_b))
 
 
 def qttf_two_meter(theta_a: float, theta_b: float) -> float:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from qtomo.circuit import (
     REFERENCE_OPTIMUM,
+    _gates,
+    _transfer_rows,
     build_circuit,
     circuit_unitary,
     optimize_circuit,
@@ -141,6 +143,80 @@ def test_circuit_unitary_stack_is_the_per_row_call():
     for bad in (np.zeros((3, 11)), 0.5, np.zeros((12, 3))):
         with pytest.raises(ValueError, match="12 circuit parameters"):
             circuit_unitary(bad)
+
+
+def _complex_rows(params):
+    # the rows in Python complex arithmetic from the gate entries, the
+    # route T took before its straight-line floats: the oracle that every
+    # float operation kept its order
+    def amplitudes(first, second):
+        f00, f01, f10, f11 = first
+        s00, s01, s10, s11 = second
+        v0, v1 = f00 + f01, f10 + f11
+        w00, w10 = s00 * v0 + s01 * v1, s10 * v0 + s11 * v1
+        w01, w11 = s00 * v1 + s01 * v0, s10 * v1 + s11 * v0
+        return (w00 + w10, w01 + w11), (w00 - w10, w01 - w11)
+
+    gate_a1, gate_a2, gate_b1, gate_b2 = _gates(params)
+    meter_b = []
+    for b0, b1 in amplitudes(gate_b1, gate_b2):
+        p0 = b0.real * b0.real + b0.imag * b0.imag
+        p1 = b1.real * b1.real + b1.imag * b1.imag
+        meter_b.append((p0 + p1, p0 - p1))
+    rows = []
+    for a0, a1 in amplitudes(gate_a1, gate_a2):
+        p0 = a0.real * a0.real + a0.imag * a0.imag
+        p1 = a1.real * a1.real + a1.imag * a1.imag
+        cross = a0.conjugate() * a1
+        for b_sum, b_diff in meter_b:
+            rows.append([
+                (p0 + p1) * b_sum / 64.0,
+                cross.real * b_diff / 32.0,
+                -cross.imag * b_diff / 32.0,
+                (p0 - p1) * b_sum / 64.0,
+            ])
+    return rows
+
+
+def _hex_rows(rows):
+    return [[value.hex() for value in row] for row in rows]
+
+
+@pytest.mark.parametrize("full_angle", [False, True])
+def test_float_rows_are_the_complex_rows_to_the_bit(full_angle):
+    # 1000 draws per convention over magnitudes 1e-4 to 1e4, and the
+    # exact qTTF on every one of them
+    rng = np.random.default_rng(14)
+    for _ in range(1000):
+        params = rng.uniform(-1.0, 1.0, size=12) * 10.0 ** rng.uniform(-4.0, 4.0)
+        if full_angle:
+            params[0::3] *= 2.0
+        params = params.tolist()
+        oracle = _complex_rows(params)
+        assert _hex_rows(_transfer_rows(params)) == _hex_rows(oracle)
+        assert qttf_circuit(params).hex() == qttf_from_transfer(oracle).hex()
+
+
+def test_float_rows_on_special_angles_differ_only_in_signed_zeros():
+    # on angles where sines and cosines vanish, a zero entry may carry
+    # the other sign: the complex route promotes each real operand to a
+    # complex one with a +0.0 imaginary part, whose products and sums can
+    # flip the sign of an exact zero.  4 of these 2000 draws differ, each
+    # in an x or y entry of meter A's outcome 1 (rows 2 and 3, columns 1
+    # and 2)
+    grid = [0.0, -0.0, math.pi / 2, math.pi, -math.pi, 1.5 * math.pi, 2 * math.pi, 1e-300]
+    rng = np.random.default_rng(19)
+    differing = []
+    for draw in range(2000):
+        params = [grid[k] for k in rng.integers(0, len(grid), size=12)]
+        rows, oracle = _transfer_rows(params), _complex_rows(params)
+        assert rows == oracle
+        for q, (row, row_oracle) in enumerate(zip(rows, oracle)):
+            for mu, (value, value_oracle) in enumerate(zip(row, row_oracle)):
+                if value.hex() != value_oracle.hex():
+                    assert value == 0.0 and (q, mu) in {(2, 1), (2, 2), (3, 1), (3, 2)}
+                    differing.append(draw)
+    assert sorted(set(differing)) == [765, 835, 1434, 1468]
 
 
 @given(

@@ -258,6 +258,18 @@ def test_check_identities_corrupt_negative_control(tmp_path):
     assert "transfer_vs_simulation" in failing
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_check_identities_corrupt_writes_nothing_to_stderr(capsys, seed):
+    # at seeds 0 and 3 two exact MLE runs on the corrupted T end without
+    # their KKT certificate; the check's KKT terms fail them, so the
+    # negative control exits 3 as quietly as a passing run
+    code = main(["check-identities", "--seed", str(seed), "--corrupt"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ""
+    assert not json.loads(captured.out)["checks"]["mle_exact_vs_rho_r"]["pass"]
+
+
 def test_check_identities_raising_check_stays_strict_json(monkeypatch, capsys):
     # a check that raises is a failure (exit 3) with a null deviation, not
     # an Infinity token or a crash; every other check keeps its inputs and

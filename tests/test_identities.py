@@ -110,6 +110,23 @@ def test_capped_reference_runs_are_counted_not_logged(caplog):
     assert len([r for r in caplog.records if "iteration cap" in r.getMessage()]) == 1
 
 
+def test_uncertified_exact_mle_fails_the_check_not_logged(caplog):
+    # on the corrupted T of seed 0 the exact MLE of one input stops after
+    # 50 Newton steps without its KKT certificate: the check fails on its
+    # KKT terms and the suite logs nothing, and library callers of
+    # saturated_mle still get the warning
+    with caplog.at_level(logging.WARNING, logger="qtomo"):
+        suite = identity_suite(seed=0, corrupt=True)
+    assert not suite["checks"]["mle_exact_vs_rho_r"]["pass"]
+    assert not caplog.records
+    assert not logging.getLogger("qtomo.estimators").filters
+    freqs = np.array([0.4423828125, 0.091796875, 0.220703125, 0.2451171875])
+    with caplog.at_level(logging.WARNING, logger="qtomo.estimators"):
+        result = saturated_mle(freqs, _TMATS[0] + 0.01)
+    assert not result.converged
+    assert len([r for r in caplog.records if "KKT certificate" in r.getMessage()]) == 1
+
+
 def test_raising_reference_runs_report_no_count(monkeypatch):
     from qtomo import identities
 

@@ -236,9 +236,10 @@ def test_numpy_scalar_couplings_give_the_float_bits():
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
 def test_non_finite_coupling_is_named(value):
     # inf raised a bare math domain error from the row builder, and NaN a
-    # transfer-matrix message naming no coupling
+    # transfer-matrix message naming no coupling; transfer_matrix returned
+    # an all-NaN 4x4 for a NaN coupling
     for name, couplings in (("theta_a", (value, 1.0)), ("theta_b", (1.0, value))):
-        for call in (TwoMeterModel, qttf_two_meter):
+        for call in (TwoMeterModel, qttf_two_meter, transfer_matrix):
             with pytest.raises(ValueError, match=f"coupling {name} must be finite, got {value}"):
                 call(*couplings)
 
