@@ -4,10 +4,11 @@ Linear inversion is exact and fast but can step outside the Bloch ball on
 noisy data.  Maximum likelihood always returns a physical state, and every
 model here has four outcomes for three parameters, so `saturated_mle`
 finds it exactly: the linear-inversion answer when that is physical, else
-a few Newton steps on the sphere with a KKT certificate.  It is the "mle"
-estimator of the harness and the CLI.  The iterative R-rho-R scheme
-(Hradil, PRA 55, R1561, 1997) stays as the reference, `rho_r_mle`; it
-converges slowly near pure states and can stop at its iteration cap.
+a few Newton steps on the sphere, in plain floats, with a KKT certificate.
+It is the "mle" estimator of the harness and the CLI.  The iterative
+R-rho-R scheme (Hradil, PRA 55, R1561, 1997) stays as the reference,
+`rho_r_mle`; it converges slowly near pure states and can stop at its
+iteration cap.
 
 Both direct estimators start from one inverse: `model.require_invertible`
 returns the T^-1 of the qTTF's certified float LU (an SVD and LAPACK's
@@ -106,7 +107,11 @@ class MleResult:
 
 
 def _check_frequencies(freqs: np.ndarray) -> np.ndarray:
-    freqs = np.asarray(freqs, dtype=float)
+    freqs = np.asarray(freqs)
+    # a cast to float would drop an imaginary part with only a warning
+    if np.iscomplexobj(freqs):
+        raise ValueError(f"frequencies must be real, got {freqs.tolist()}")
+    freqs = freqs.astype(float, copy=False)
     if freqs.shape != (4,):
         raise ValueError("expected four outcome frequencies")
     # a NaN or infinite entry makes the sum NaN or infinite
@@ -153,9 +158,23 @@ def radial_clip(bloch: np.ndarray) -> np.ndarray:
 
 
 def log_likelihood(freqs: np.ndarray, model_probs: np.ndarray) -> float:
-    """Multinomial log-likelihood sum_q P_q log p_q (zero-frequency terms drop)."""
+    """Multinomial log-likelihood sum_q P_q log p_q (zero-frequency terms drop).
+
+    -inf when an outcome with P_q > 0 has p_q = 0; ValueError naming the
+    outcome when its p_q is negative or NaN, where no likelihood exists.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    model_probs = np.asarray(model_probs, dtype=float)
     mask = freqs > 0.0
-    return float(np.sum(freqs[mask] * np.log(model_probs[mask])))
+    undefined = mask & ~(model_probs >= 0.0)
+    if undefined.any():
+        q = int(np.argmax(undefined))
+        raise ValueError(
+            f"outcome {q} has frequency {freqs[q]} but model probability "
+            f"{model_probs[q]}: no log-likelihood"
+        )
+    with np.errstate(divide="ignore"):
+        return float(np.sum(freqs[mask] * np.log(model_probs[mask])))
 
 
 def saturated_mle(freqs: np.ndarray, tmat: np.ndarray) -> MleResult:
@@ -174,66 +193,136 @@ def saturated_mle(freqs: np.ndarray, tmat: np.ndarray) -> MleResult:
     stationary point with lambda >= 0 is the global maximum, because
     l(s) <= l(v) + g.(s - v) = l(v) + lambda (v.s - 1) <= l(v) in the ball.
 
-    iterations counts linear solves: 1 for an estimate inside the ball,
-    one more per Newton step.  No probability is floored.  If the step cap
-    is reached before the certificate holds, the result carries
-    converged=False and one warning goes to the "qtomo.estimators" logger.
+    The steps run in Python floats over the live outcomes (P_q > 0).  One
+    pass per step sums g = sum_q w_q b_q, the certificate's scale
+    sum_q w_q |b_q| and the six entries of H = sum_q (w_q / p_q) b_q b_q^T,
+    with w = P / p and b_q = T[q, 1:].  The bordered Newton system
+
+        (H + shift I) step + mu v = r,   v.step = 0,   r = g - lambda v,
+
+    is solved in closed form: with M = H + shift I factored as L D L^T,
+    u = M^-1 r and t = M^-1 v give mu = (v.u) / (v.t) and
+    step = u - mu t.  A zero pivot (M singular in floats, possible only
+    for a shift at or near 0) ends the steps without the certificate, as
+    a step that no halving can keep does.
+
+    iterations is 1 plus the Newton steps: 1 for an estimate inside the
+    ball.  No probability is floored.  If the step cap is reached before
+    the certificate holds, the result carries converged=False and one
+    warning goes to the "qtomo.estimators" logger.
     """
     freqs = _check_frequencies(freqs)
-    v = _solve(freqs, require_invertible(tmat)).bloch[1:]
-    tmat = np.asarray(tmat)
-    radius = float(np.linalg.norm(v))
+    bloch = _solve(freqs, require_invertible(tmat)).bloch
+    _, x, y, z = bloch.tolist()
+    radius = math.sqrt(x * x + y * y + z * z)
+    if radius <= 1.0:
+        return MleResult(bloch=bloch, iterations=1, converged=True, floored_probabilities=0)
+    x, y, z = x / radius, y / radius, z / radius
+    sqrt = math.sqrt
+    # (P_q, T[q, 0], b_q, |b_q|) of each live outcome
+    rows = [
+        (fq, t0, t1, t2, t3, sqrt(t1 * t1 + t2 * t2 + t3 * t3))
+        for fq, (t0, t1, t2, t3) in zip(freqs.tolist(), np.asarray(tmat).tolist())
+        if fq > 0.0
+    ]
     steps = 0
-    converged = radius <= 1.0
-    if not converged:
-        live = freqs > 0.0
-        f, a, b = freqs[live], tmat[live, 0], tmat[live, 1:]
-        b_norms = np.linalg.norm(b, axis=1)
-        v = v / radius
-        kkt = np.zeros((4, 4))
+    converged = False
+    # a live probability that is not positive at the start (only for a T
+    # that is no POVM) stops the search before any step
+    if _live_positive(rows, x, y, z):
         for steps in range(_SPHERE_MAX_STEPS + 1):
-            p = a + b @ v
-            if p.min() <= 0.0:
-                break  # only possible at the start, for a T that is no POVM
-            w = f / p
-            g = w @ b
-            lam = float(g @ v)
-            residual = float(np.linalg.norm(g - lam * v))
-            scale = float(w @ b_norms)
+            gx = gy = gz = scale = 0.0
+            hxx = hxy = hxz = hyy = hyz = hzz = 0.0
+            for fq, t0, t1, t2, t3, tn in rows:
+                p = t0 + (t1 * x + t2 * y + t3 * z)
+                w = fq / p
+                gx += w * t1
+                gy += w * t2
+                gz += w * t3
+                scale += w * tn
+                c = w / p
+                cx = c * t1
+                cy = c * t2
+                hxx += cx * t1
+                hxy += cx * t2
+                hxz += cx * t3
+                hyy += cy * t2
+                hyz += cy * t3
+                hzz += c * t3 * t3
+            lam = gx * x + gy * y + gz * z
+            rx = gx - lam * x
+            ry = gy - lam * y
+            rz = gz - lam * z
+            residual = sqrt(rx * rx + ry * ry + rz * rz)
             if residual <= _KKT_RTOL * scale and lam >= -_KKT_RTOL * scale:
                 converged = True
                 break
             if steps == _SPHERE_MAX_STEPS:
                 break
-            # Newton step in the tangent plane.  The Hessian of l is
+            # Newton step in the tangent plane.  The Hessian of l is -H,
             # negative semidefinite, so the shift max(lambda, residual) > 0
             # keeps the step uphill; at the optimum it is lambda itself.
             shift = max(lam, residual)
-            kkt[:3, :3] = -(b.T * (w / p)) @ b - shift * np.eye(3)
-            kkt[:3, 3] = kkt[3, :3] = -v
-            step = np.linalg.solve(kkt, np.append(lam * v - g, 0.0))[:3]
+            try:
+                # M = L D L^T, then u = M^-1 r and t = M^-1 v by forward
+                # and back substitution
+                d0 = hxx + shift
+                l10 = hxy / d0
+                l20 = hxz / d0
+                d1 = hyy + shift - l10 * hxy
+                k21 = hyz - l20 * hxy
+                l21 = k21 / d1
+                d2 = hzz + shift - l20 * hxz - l21 * k21
+                e1 = ry - l10 * rx
+                uz = (rz - l20 * rx - l21 * e1) / d2
+                uy = e1 / d1 - l21 * uz
+                ux = rx / d0 - l10 * uy - l20 * uz
+                e1 = y - l10 * x
+                tz = (z - l20 * x - l21 * e1) / d2
+                ty = e1 / d1 - l21 * tz
+                tx = x / d0 - l10 * ty - l20 * tz
+                mu = (x * ux + y * uy + z * uz) / (x * tx + y * ty + z * tz)
+            except ZeroDivisionError:
+                break
+            sx = ux - mu * tx
+            sy = uy - mu * ty
+            sz = uz - mu * tz
             for _ in range(_MAX_HALVINGS):
-                trial = v + step
-                trial /= np.linalg.norm(trial)
-                if (a + b @ trial).min() > 0.0:
-                    v = trial
+                nx = x + sx
+                ny = y + sy
+                nz = z + sz
+                norm = sqrt(nx * nx + ny * ny + nz * nz)
+                nx /= norm
+                ny /= norm
+                nz /= norm
+                if _live_positive(rows, nx, ny, nz):
+                    x, y, z = nx, ny, nz
                     break
-                step *= 0.5
+                sx *= 0.5
+                sy *= 0.5
+                sz *= 0.5
             else:
                 break
-        if not converged:
-            _log.warning(
-                "exact MLE stopped after %d Newton steps without the KKT "
-                "certificate; frequencies %s, final Bloch vector %s",
-                steps, freqs.tolist(), v.tolist(),
-            )
-    bloch = np.concatenate([[1.0], v])
+    if not converged:
+        _log.warning(
+            "exact MLE stopped after %d Newton steps without the KKT "
+            "certificate; frequencies %s, final Bloch vector %s",
+            steps, freqs.tolist(), [x, y, z],
+        )
     return MleResult(
-        bloch=bloch,
+        bloch=np.array([1.0, x, y, z]),
         iterations=1 + steps,
         converged=converged,
         floored_probabilities=0,
     )
+
+
+def _live_positive(rows, x: float, y: float, z: float) -> bool:
+    """Whether every live model probability is positive at (x, y, z)."""
+    for _, t0, t1, t2, t3, _ in rows:
+        if not t0 + (t1 * x + t2 * y + t3 * z) > 0.0:
+            return False
+    return True
 
 
 def rho_r_mle(

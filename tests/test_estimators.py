@@ -137,30 +137,28 @@ def test_linear_inversion_rejects_singular_model():
 def test_reference_models_are_cleared_without_an_svd(models, monkeypatch):
     # the float LU certifies both reference transfer matrices and its T^-1
     # is the one every estimate uses: neither estimator, the check itself
-    # nor the variance scan's model branch pays for np.linalg.cond, and
-    # none of them inverts or solves with T through LAPACK (saturated_mle's
-    # Newton steps still solve their KKT systems)
+    # nor the variance scan's model branch pays for np.linalg.cond, none
+    # of them inverts T through LAPACK, and none calls np.linalg.solve at
+    # all (saturated_mle's Newton steps solve their KKT systems in floats)
     calls = []
-    cond = np.linalg.cond
+    cond, inv = np.linalg.cond, np.linalg.inv
     tmats = [model.transfer_matrix() for model in models]
 
     def counting(tmat):
         calls.append(tmat)
         return cond(tmat)
 
-    def refuse_on_t(name):
-        library = getattr(np.linalg, name)
+    def refuse_inv_on_t(a, *args, **kwargs):
+        if any(np.array_equal(a, tmat) for tmat in tmats):
+            raise AssertionError("np.linalg.inv called on T")
+        return inv(a, *args, **kwargs)
 
-        def call(a, *args, **kwargs):
-            if any(np.array_equal(a, tmat) for tmat in tmats):
-                raise AssertionError(f"np.linalg.{name} called on T")
-            return library(a, *args, **kwargs)
-
-        return call
+    def refuse_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
 
     monkeypatch.setattr(np.linalg, "cond", counting)
-    monkeypatch.setattr(np.linalg, "solve", refuse_on_t("solve"))
-    monkeypatch.setattr(np.linalg, "inv", refuse_on_t("inv"))
+    monkeypatch.setattr(np.linalg, "solve", refuse_solve)
+    monkeypatch.setattr(np.linalg, "inv", refuse_inv_on_t)
     for model, tmat in zip(models, tmats):
         in_ball = 0
         for freqs in np.random.default_rng(4).dirichlet(np.ones(4), size=30):
@@ -223,6 +221,15 @@ def test_estimators_reject_non_finite_frequencies(models, estimator, value):
     freqs = np.array([value, 0.5, 0.25, 0.25])
     with pytest.raises(ValueError, match="finite"):
         estimator(freqs, models[0].transfer_matrix())
+
+
+@pytest.mark.parametrize(
+    "estimator", [linear_inversion, saturated_mle, rho_r_mle], ids=lambda f: f.__name__
+)
+def test_estimators_reject_complex_frequencies(models, estimator):
+    # a cast to float dropped the imaginary part with only a ComplexWarning
+    with pytest.raises(ValueError, match="real"):
+        estimator([0.5 + 0.1j, 0.5, 0.0, 0.0], models[0].transfer_matrix())
 
 
 def test_radial_clip():
@@ -357,7 +364,7 @@ def _hex_matrix(rows):
 
 
 # Transfer matrices of the bit-exact pins, written out so that the pins
-# follow rho_r_mle alone: the two reference models and the (1, 0)
+# follow the estimator alone: the two reference models and the (1, 0)
 # two-meter coupling, whose outcomes 1 and 3 have zero effect.
 _PIN_TWO_METER = _hex_matrix([
     ["0x1.3e0136bc693e7p-2", "0x1.02576770e0f1bp-5", "-0x1.69090a4d11a8ap-3",
@@ -384,6 +391,20 @@ _PIN_DEAD = _hex_matrix([
     ["0x0.0p+0"] * 4,
     ["0x1.d6bafe095f2e8p-4", "-0x0.0p+0", "-0x0.0p+0", "-0x1.d6bafe095f2e9p-4"],
     ["0x0.0p+0"] * 4,
+])
+
+# A reference two-meter T plus seeded normal noise of scale 0.05, so no
+# POVM: some live probability turns negative on the sphere, and the Newton
+# steps on the pinned counts have to be halved six times.
+_PIN_PERTURBED = _hex_matrix([
+    ["0x1.672c1ff5ac52dp-2", "-0x1.06adaffa1aefbp-5", "-0x1.c186e3cab011bp-4",
+     "0x1.cd27f77027145p-3"],
+    ["0x1.27f33088469c1p-3", "0x1.0897f76bcfe34p-3", "0x1.e2024922e4339p-4",
+     "0x1.13acfde4f08ffp-3"],
+    ["0x1.1644701233ea1p-2", "-0x1.89d985abecd46p-3", "-0x1.df696ed220c3ep-5",
+     "-0x1.8246505638a2ap-3"],
+    ["0x1.ead0cce83e488p-3", "0x1.4804a508e7722p-5", "0x1.06fb4d2c8af58p-3",
+     "-0x1.b97976a3811a0p-4"],
 ])
 
 
@@ -436,6 +457,23 @@ def test_log_likelihood_drops_zero_frequency_terms():
     # zero model probability on a dead outcome must not poison the sum
     probs = np.array([0.5, 0.5, 0.0, 0.0])
     assert math.isfinite(log_likelihood(freqs, probs))
+    # lists are arrays, and a dead outcome may even carry a negative or
+    # NaN model probability
+    assert log_likelihood([0.5, 0.5, 0.0, 0.0], [0.4, 0.4, -0.1, math.nan]) == (
+        log_likelihood(freqs, np.array([0.4, 0.4, 0.1, 0.1]))
+    )
+
+
+@pytest.mark.parametrize("prob", [-0.1, math.nan], ids=["negative", "nan"])
+def test_log_likelihood_names_a_live_outcome_without_a_likelihood(prob):
+    # it returned NaN with a RuntimeWarning
+    with pytest.raises(ValueError, match="outcome 1 has frequency 0.5 but model probability"):
+        log_likelihood([0.5, 0.5, 0.0, 0.0], [1.1, prob, 0.0, 0.0])
+
+
+def test_log_likelihood_is_minus_infinity_at_a_zero_live_probability(recwarn):
+    assert log_likelihood([0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]) == -math.inf
+    assert not recwarn.list
 
 
 def test_mle_matches_matrix_form_oracle():
@@ -605,10 +643,12 @@ def test_saturated_mle_rejects_singular_model():
         saturated_mle(np.array([1.0, 0.0, 0.0, 0.0]), transfer_matrix(0.0, 0.0))
 
 
-@pytest.mark.parametrize(
-    "counts",
-    [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (3, 7, 0, 0), (0, 5, 0, 5)],
-)
+_FEW_LIVE_COUNTS = [
+    (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (3, 7, 0, 0), (0, 5, 0, 5)
+]
+
+
+@pytest.mark.parametrize("counts", _FEW_LIVE_COUNTS)
 def test_saturated_mle_few_live_outcomes_reach_the_sphere(models, counts):
     freqs = np.asarray(counts, dtype=float) / sum(counts)
     for model in models:
@@ -634,6 +674,127 @@ def test_saturated_mle_recovers_the_pure_state_that_caps_rho_r(models):
     assert log_likelihood(freqs, tmat @ result.bloch) >= log_likelihood(
         freqs, tmat @ capped.bloch
     )
+
+
+def _saturated_mle_numpy(freqs, tmat):
+    """The Newton steps on the sphere in numpy, the form the estimator replaced.
+
+    Each step solves the bordered 4x4 KKT system with np.linalg.solve.
+    Returns (bloch, iterations, converged).
+    """
+    v = linear_inversion(freqs, tmat).bloch[1:]
+    radius = float(np.linalg.norm(v))
+    steps = 0
+    converged = radius <= 1.0
+    if not converged:
+        live = freqs > 0.0
+        f, a, b = freqs[live], tmat[live, 0], tmat[live, 1:]
+        b_norms = np.linalg.norm(b, axis=1)
+        v = v / radius
+        kkt = np.zeros((4, 4))
+        for steps in range(50 + 1):
+            p = a + b @ v
+            if p.min() <= 0.0:
+                break
+            w = f / p
+            g = w @ b
+            lam = float(g @ v)
+            residual = float(np.linalg.norm(g - lam * v))
+            scale = float(w @ b_norms)
+            if residual <= 1e-15 * scale and lam >= -1e-15 * scale:
+                converged = True
+                break
+            if steps == 50:
+                break
+            shift = max(lam, residual)
+            kkt[:3, :3] = -(b.T * (w / p)) @ b - shift * np.eye(3)
+            kkt[:3, 3] = kkt[3, :3] = -v
+            step = np.linalg.solve(kkt, np.append(lam * v - g, 0.0))[:3]
+            for _ in range(60):
+                trial = v + step
+                trial /= np.linalg.norm(trial)
+                if (a + b @ trial).min() > 0.0:
+                    v = trial
+                    break
+                step *= 0.5
+            else:
+                break
+    return np.concatenate([[1.0], v]), 1 + steps, converged
+
+
+def _newton_oracle_cases():
+    """(label, freqs, tmat): table streams, near-pure samples, few live outcomes."""
+    tmats = {
+        "two-meter": transfer_matrix(*REFERENCE_COUPLINGS),
+        "circuit": build_circuit(REFERENCE_OPTIMUM).transfer_matrix(),
+    }
+    rng = np.random.default_rng(25)
+    for name, tmat in tmats.items():
+        # the table-2/3 sampling streams: six Pauli states, five repeats
+        for seed in range(1, 41):
+            for k, psi in enumerate(PAULI_EIGENSTATES):
+                probs = tmat @ bloch_from_state(psi)
+                for rep in range(5):
+                    freqs = _substream(seed, _TAG_FULL, k, rep).multinomial(1024, probs)
+                    yield f"{name} seed {seed} state {k} repeat {rep}", freqs / 1024.0, tmat
+        # near-pure states, Bloch radius in [0.95, 1]
+        directions = rng.normal(size=(1000, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        radii = rng.uniform(0.95, 1.0, size=(1000, 1))
+        blochs = np.hstack([np.ones((1000, 1)), radii * directions])
+        for shots in (16, 64, 1024):
+            for i, bloch in enumerate(blochs):
+                probs = np.clip(tmat @ bloch, 0.0, None)
+                freqs = rng.multinomial(shots, probs / probs.sum()) / shots
+                yield f"{name} near-pure {i} at {shots} shots", freqs, tmat
+        for counts in _FEW_LIVE_COUNTS:
+            yield f"{name} counts {counts}", np.array(counts) / sum(counts), tmat
+
+
+def test_saturated_mle_matches_the_numpy_newton_oracle():
+    # the float steps reorder the numpy sums and solve the bordered system
+    # by L D L^T instead of LU, so they agree with the oracle to round-off:
+    # the same end point, verdict and, give or take one, step count
+    sphere = 0
+    for label, freqs, tmat in _newton_oracle_cases():
+        result = saturated_mle(freqs, tmat)
+        bloch, iterations, converged = _saturated_mle_numpy(freqs, tmat)
+        assert np.max(np.abs(result.bloch - bloch)) <= 1e-12, label
+        assert result.converged is converged, label
+        assert abs(result.iterations - iterations) <= 1, label
+        sphere += iterations > 1
+    assert sphere > 4000
+
+
+@pytest.mark.parametrize(
+    "tmat, counts, bloch, iterations",
+    [
+        (
+            _PIN_TWO_METER, (443, 211, 153, 217),
+            ["0x1.2e18f80d07991p-2", "-0x1.14f13f20d3c89p-5", "0x1.f80c933d66ea7p-2"], 1,
+        ),
+        (
+            _PIN_CIRCUIT, (323, 123, 472, 106),
+            ["-0x1.e1690638a3d84p-1", "0x1.1182f1d926353p-2", "-0x1.b0686920307d1p-3"], 4,
+        ),
+        (
+            _PIN_TWO_METER, (3, 7, 0, 0),
+            ["0x1.600b25bc76a47p-2", "0x1.5ddefa8d0206ep-2", "0x1.bfd6403989b22p-1"], 6,
+        ),
+        (
+            _PIN_PERTURBED, (378, 1, 479, 166),
+            ["-0x1.fe5ac33747627p-1", "-0x1.24fc9e65ea0c0p-4", "-0x1.277272a608480p-5"], 9,
+        ),
+    ],
+    ids=["interior", "sphere", "two-live-outcomes", "halved-steps"],
+)
+def test_saturated_mle_bit_exact_pins(tmat, counts, bloch, iterations):
+    # the Newton arithmetic is pinned to the bit, so a change that reorders
+    # a float operation of the steps has to say which bits moved
+    result = saturated_mle(np.array(counts) / sum(counts), tmat)
+    assert [v.hex() for v in result.bloch.tolist()] == ["0x1.0000000000000p+0", *bloch]
+    assert result.iterations == iterations
+    assert result.converged is True
 
 
 def test_saturated_mle_beats_rho_r_on_table_data():
