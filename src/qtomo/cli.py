@@ -68,6 +68,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """--seed as a nonnegative integer, the only seeds numpy's streams take.
+
+    argparse reports a refusal as "argument --seed: ..." with exit code 1.
+    """
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def _parse_params(text: str) -> tuple[float, ...]:
     usage = f"--params expects 12 comma-separated reals, got {text!r}"
     try:
@@ -370,7 +384,7 @@ def build_parser() -> _Parser:
     def common(p, *, seed=True):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = sub.add_parser(
         "qttf-sweep",

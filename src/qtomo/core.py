@@ -107,20 +107,24 @@ def bloch_from_state(rho: np.ndarray) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape == (2,):
-        a, b = rho.tolist()
-        ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-        aa = ar * ar + ai * ai
-        bb = br * br + bi * bi
-        # adding 0.0 turns a -0.0 into +0.0 and leaves every other value alone
-        s_x = 2.0 * (ar * br + ai * bi) + 0.0
-        s_y = 2.0 * (ar * bi - ai * br) + 0.0
-        return np.array([aa + bb, s_x, s_y, aa - bb])
+        return np.array(_ket_bloch(*rho.tolist()))
     if rho.shape != (2, 2):
         raise ValueError(
             "expected a ket of shape (2,) or a density matrix of shape (2, 2), "
             f"got shape {rho.shape}"
         )
     return np.einsum("mij,ji->m", SIGMA, rho).real
+
+
+def _ket_bloch(a: complex, b: complex) -> tuple[float, float, float, float]:
+    """bloch_from_state of the ket (a, b), as four Python floats."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    aa = ar * ar + ai * ai
+    bb = br * br + bi * bi
+    # adding 0.0 turns a -0.0 into +0.0 and leaves every other value alone
+    s_x = 2.0 * (ar * br + ai * bi) + 0.0
+    s_y = 2.0 * (ar * bi - ai * br) + 0.0
+    return aa + bb, s_x, s_y, aa - bb
 
 
 # Positivity floor of check_density: a reconstructed state whose smallest
@@ -135,15 +139,22 @@ def check_density(rho: np.ndarray) -> np.ndarray:
     looser physicality floor so that states reconstructed from noisy data
     are not rejected for round-off.  A (..., 2, 2) stack is checked
     member by member in one pass and fails if any member does.
+
+    Each test is written as not (deviation <= bound), which a NaN
+    deviation fails, so a NaN or infinite entry, which makes the
+    Hermiticity deviation NaN or inf, is refused there, and only then is
+    finiteness tested, to name it.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (2, 2):
         raise ValueError("density matrix must be 2x2")
-    if np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0) > 1e-12:
+    if not np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0) <= 1e-12:
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("density matrix must be finite")
         raise ValueError("density matrix is not Hermitian")
-    if np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max(initial=0.0) > 1e-12:
+    if not np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max(initial=0.0) <= 1e-12:
         raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(rho).min(initial=math.inf) < _EIG_FLOOR:
+    if not np.linalg.eigvalsh(rho).min(initial=math.inf) >= _EIG_FLOOR:
         raise ValueError("density matrix has a negative eigenvalue")
     return rho
 

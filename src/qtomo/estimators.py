@@ -50,6 +50,10 @@ __all__ = [
     "log_likelihood",
 ]
 
+# Frequencies down to minus this count as zero: round-off of exact
+# probabilities fed in as frequencies.
+_NEGATIVE_ROUNDOFF = 1e-12
+
 # Model probabilities are floored here inside the MLE iteration so empty
 # outcome cells cannot blow up the ratio P/P_model.
 _MLE_PROBABILITY_FLOOR = 1e-14
@@ -107,6 +111,12 @@ class MleResult:
 
 
 def _check_frequencies(freqs: np.ndarray) -> np.ndarray:
+    """The four frequencies as a float array, tested in Python floats.
+
+    ValueError unless they are real, finite, at least -1e-12 (round-off)
+    and sum to 1 within 1e-9; the sum runs left to right, as numpy sums
+    four entries.
+    """
     freqs = np.asarray(freqs)
     # a cast to float would drop an imaginary part with only a warning
     if np.iscomplexobj(freqs):
@@ -114,11 +124,13 @@ def _check_frequencies(freqs: np.ndarray) -> np.ndarray:
     freqs = freqs.astype(float, copy=False)
     if freqs.shape != (4,):
         raise ValueError("expected four outcome frequencies")
+    values = freqs.tolist()
+    f0, f1, f2, f3 = values
     # a NaN or infinite entry makes the sum NaN or infinite
-    total = freqs.sum()
+    total = f0 + f1 + f2 + f3
     if not math.isfinite(total):
-        raise ValueError(f"frequencies must be finite and sum to 1, got {freqs.tolist()}")
-    if freqs.min() < -1e-12:
+        raise ValueError(f"frequencies must be finite and sum to 1, got {values}")
+    if min(values) < -_NEGATIVE_ROUNDOFF:
         raise ValueError("frequencies must be nonnegative")
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"frequencies sum to {total}, expected 1")
@@ -126,13 +138,26 @@ def _check_frequencies(freqs: np.ndarray) -> np.ndarray:
 
 
 def _solve(freqs: np.ndarray, inverse: np.ndarray) -> LinearInversionResult:
-    """Linear inversion s = T^-1 f from require_invertible's T^-1."""
-    s = inverse @ freqs
-    s0_deviation = abs(s[0] - 1.0)
-    s = s / s[0]
-    norm = float(np.linalg.norm(s[1:]))
+    """Linear inversion s = T^-1 f from require_invertible's T^-1.
+
+    The product stays numpy's: its BLAS kernel may fuse multiply-adds,
+    which Python floats cannot repeat, so a float sum would move the last
+    bits of s.  The normalization, s0_deviation and the radius are plain
+    floats, and the Bloch vector is one array built at the end.
+    """
+    s0, s1, s2, s3 = (inverse @ freqs).tolist()
+    try:
+        x, y, z = s1 / s0, s2 / s0, s3 / s0
+    except ZeroDivisionError:
+        # only a T that is no POVM maps normalized frequencies to s0 = 0
+        raise ValueError(
+            f"linear inversion gives s0 = 0 for frequencies {freqs.tolist()}: "
+            "no Bloch vector"
+        ) from None
     return LinearInversionResult(
-        bloch=s, physical=norm <= 1.0 + 1e-9, s0_deviation=s0_deviation
+        bloch=np.array([s0 / s0, x, y, z]),
+        physical=math.sqrt(x * x + y * y + z * z) <= 1.0 + 1e-9,
+        s0_deviation=abs(s0 - 1.0),
     )
 
 
@@ -142,7 +167,9 @@ def linear_inversion(freqs: np.ndarray, tmat: np.ndarray) -> LinearInversionResu
     The s0 component is analytically 1; whatever deviation round-off and
     sampling leave behind is reported and then normalized away.  The
     physical flag records whether the estimate stayed inside the Bloch
-    ball; nothing is projected silently.
+    ball; nothing is projected silently.  Apart from numpy's T^-1 f, the
+    checks and arithmetic run in Python floats.  ValueError if T^-1 f has
+    s0 = 0, which no POVM allows.
     """
     freqs = _check_frequencies(freqs)
     return _solve(freqs, require_invertible(tmat))
@@ -161,10 +188,16 @@ def log_likelihood(freqs: np.ndarray, model_probs: np.ndarray) -> float:
     """Multinomial log-likelihood sum_q P_q log p_q (zero-frequency terms drop).
 
     -inf when an outcome with P_q > 0 has p_q = 0; ValueError naming the
-    outcome when its p_q is negative or NaN, where no likelihood exists.
+    outcome when its P_q is NaN or negative beyond round-off (below
+    -1e-12, as the estimators allow), or when its p_q is negative or NaN,
+    where no likelihood exists.
     """
     freqs = np.asarray(freqs, dtype=float)
     model_probs = np.asarray(model_probs, dtype=float)
+    # np.min keeps a NaN, which fails the test like a negative entry
+    if not freqs.min() >= -_NEGATIVE_ROUNDOFF:
+        q = int(np.argmax(~(freqs >= -_NEGATIVE_ROUNDOFF)))
+        raise ValueError(f"outcome {q} has frequency {freqs[q]}: no log-likelihood")
     mask = freqs > 0.0
     undefined = mask & ~(model_probs >= 0.0)
     if undefined.any():
@@ -361,10 +394,11 @@ def rho_r_mle(
     `and` rather than min() and max() over abs() values: the builtin
     calls cost several float operations each, a chain stops at its first
     deciding comparison, and for every non-NaN value the chain decides
-    exactly as min/max would.  The loop's float operations and their
-    order are fixed, so the iterates, iteration counts and stopping
-    decisions stay the same to the bit; seeded pins in the tests hold
-    them there.
+    exactly as min/max would.  Each stopping test is -tol < d < tol, which
+    decides as abs(d) < tol for every d, NaN and inf included.  The
+    loop's float operations and their order are fixed, so the iterates,
+    iteration counts and stopping decisions stay the same to the bit;
+    seeded pins in the tests hold them there.
 
     likelihood_trace, if given a list, collects the log-likelihood at
     every visited state, summed in plain floats over the outcomes with
@@ -393,6 +427,7 @@ def rho_r_mle(
     f0, f1, f2, f3 = freqs.tolist()
     floor = _MLE_PROBABILITY_FLOOR
     tol = cfg.tol
+    ntol = -tol
     x = y = z = 0.0
     # previous model probabilities: inf fails the first stopping test
     q0 = q1 = q2 = q3 = math.inf
@@ -443,13 +478,13 @@ def rho_r_mle(
             nx = along_b * bx + along_s * x
             ny = along_b * by + along_s * y
             nz = along_b * bz + along_s * z
-            settled = abs(nx - x) < tol and abs(ny - y) < tol and abs(nz - z) < tol
+            settled = ntol < nx - x < tol and ntol < ny - y < tol and ntol < nz - z < tol
             x, y, z = nx, ny, nz
             if settled or (
-                abs(p0 - q0) < tol
-                and abs(p1 - q1) < tol
-                and abs(p2 - q2) < tol
-                and abs(p3 - q3) < tol
+                ntol < p0 - q0 < tol
+                and ntol < p1 - q1 < tol
+                and ntol < p2 - q2 < tol
+                and ntol < p3 - q3 < tol
             ):
                 converged = True
                 break

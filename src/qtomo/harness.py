@@ -9,6 +9,7 @@ states and grid points get independent substreams derived from it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,24 @@ _TAG_SINGLE = 1
 _TAG_FULL = 2
 _TAG_SCAN = 4
 
+# The largest word of a uint32 substream key.
+_UINT32_MAX = 2**32 - 1
+
 
 def _substream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), *map(int, key)])
+    """The generator of default_rng([seed, *key]).
+
+    SeedSequence splits each int of a list into 32-bit words, and a word
+    in [0, 2^32) is one word, so when every entry is such a word the key
+    passes as a uint32 array: the same entropy, hence the same stream,
+    without the per-entry conversion of the list.  Any other entry goes
+    through the list as given, so a seed of 2^32 or more still spans two
+    words and a negative one still raises ValueError.
+    """
+    words = [int(seed), *map(int, key)]
+    if 0 <= min(words) and max(words) <= _UINT32_MAX:
+        return np.random.default_rng(np.array(words, dtype=np.uint32))
+    return np.random.default_rng(words)
 
 
 def direction_fidelity(truth_bloch: np.ndarray, est_bloch: np.ndarray) -> float:
@@ -350,16 +366,26 @@ def estimator_variance_identity(state: np.ndarray, tmat: np.ndarray) -> Identity
     return IdentityReport(lhs=lhs, rhs=rhs, max_abs_diff=float(np.max(gap)))
 
 
-def binomial_variance_identity(psi: np.ndarray, theta: float) -> IdentityReport:
+def binomial_variance_identity(psi, theta: float | Sequence[float]) -> IdentityReport:
     """p(1-p)(s_0 - s_1)^2 against F^-1 for the single-component model.
 
     s_0 and s_1 are the estimates produced when all shots land in one
     outcome; the identity is exact algebra, so the two sides agree to
-    round-off.
+    round-off.  One state and a float theta give (1,) sides; a sequence
+    of n states with a sequence of n couplings gives (n,) sides.  Each
+    case calls probabilities_single, estimate_sz and fisher_inverse_single
+    itself, so each member carries the bits of its own call, and
+    max_abs_diff is the largest gap over the cases.
     """
-    p0, p1 = probabilities_single(psi, theta)
-    s_zero = estimate_sz(1.0, 0.0, theta)
-    s_one = estimate_sz(0.0, 1.0, theta)
-    lhs = np.array([p0 * p1 * (s_zero - s_one) ** 2])
-    rhs = np.array([fisher_inverse_single(psi, theta)])
-    return IdentityReport(lhs=lhs, rhs=rhs, max_abs_diff=float(abs(lhs[0] - rhs[0])))
+    cases = [(psi, theta)] if np.ndim(theta) == 0 else zip(psi, theta, strict=True)
+    lhs = []
+    rhs = []
+    for state, coupling in cases:
+        p0, p1 = probabilities_single(state, coupling)
+        s_zero = estimate_sz(1.0, 0.0, coupling)
+        s_one = estimate_sz(0.0, 1.0, coupling)
+        lhs.append(p0 * p1 * (s_zero - s_one) ** 2)
+        rhs.append(fisher_inverse_single(state, coupling))
+    lhs = np.array(lhs)
+    rhs = np.array(rhs)
+    return IdentityReport(lhs=lhs, rhs=rhs, max_abs_diff=float(np.max(np.abs(lhs - rhs))))

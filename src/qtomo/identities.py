@@ -5,9 +5,13 @@ always in the same order, so a check that raises cannot shift the inputs
 of the checks after it; each check is then a pure function of its inputs.
 Each block of inputs but the five R-rho-R inputs is one array draw, and
 the oracles read stacks: the 200 coupling unitaries and the 20 circuit
-unitaries are each built and read in one batched call.  The three shared
+unitaries are each built and read in one batched call, and the Fisher
+matrices of the 40 random cases are one stacked call per reference
+model.  Where a check reads production code case by case (the closed-form
+transfer rows, the single-meter estimator), it collects the cases' plain
+floats into one array instead of an array per case.  The three shared
 oracles, the 8x8 simulations of the 40 random cases (one stacked
-evolution), their 40 Fisher matrices and the five R-rho-R runs, run at
+evolution), their Fisher matrices and the five R-rho-R runs, run at
 most once: inside the check that first reads them.  A later check reads
 the stored result, or, if the oracle raised, fails with an error naming
 it without running it again.
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import circuit, twometer
 from .circuit import REFERENCE_OPTIMUM, build_circuit, circuit_unitary
 from .core import bloch_from_state, density_from_bloch, make_quadrature, state_from_angles
 from .estimators import MleConfig, linear_inversion, log_likelihood, rho_r_mle, saturated_mle
@@ -41,7 +46,7 @@ from .model import (
     simulate_meter_process,
 )
 from .single import qttf_single, two_design_average
-from .twometer import REFERENCE_COUPLINGS, TwoMeterModel, joint_unitary, transfer_matrix
+from .twometer import REFERENCE_COUPLINGS, TwoMeterModel, joint_unitary
 
 __all__ = ["identity_suite"]
 
@@ -156,9 +161,10 @@ def _max_gap(a, b) -> float:
 def _coefficients_vs_trace(couplings) -> float:
     # closed-form transfer matrices against the Kraus read of the joint
     # unitary, including near-degenerate couplings where theta_C is tiny;
-    # all unitaries come from one stacked eigh and one batched Kraus read
-    reads = kraus_transfer(joint_unitary(*couplings.T))
-    return _max_gap([transfer_matrix(ta, tb) for ta, tb in couplings.tolist()], reads)
+    # the production row builder's floats become one (200, 4, 4) array,
+    # and all unitaries come from one stacked eigh and one batched read
+    rows = np.array([twometer._transfer_rows(ta, tb) for ta, tb in couplings.tolist()])
+    return _max_gap(rows, kraus_transfer(joint_unitary(*couplings.T)))
 
 
 def _normalization(sims) -> float:
@@ -166,7 +172,6 @@ def _normalization(sims) -> float:
 
 
 def _fisher_symmetry_psd(fishers) -> float:
-    fishers = np.asarray(fishers)
     min_eig = float(np.linalg.eigvalsh(fishers).min())
     return max(_max_gap(fishers, fishers.swapaxes(-1, -2)), -min_eig, 0.0)
 
@@ -275,10 +280,11 @@ def _qttf_exact_vs_quadrature(tmats) -> float:
 
 
 def _circuit_transfer_vs_kraus(circuit_params) -> float:
-    # the circuit's transfer matrix from its gate factors against the
-    # Kraus read of its compiled 8x8 unitary: one stacked build, one read
-    reads = kraus_transfer(circuit_unitary(circuit_params))
-    return _max_gap([build_circuit(p).transfer_matrix() for p in circuit_params], reads)
+    # the circuit's transfer matrix from its gate factors, the production
+    # row builder's floats as one (20, 4, 4) array, against the Kraus read
+    # of its compiled 8x8 unitary: one stacked build, one read
+    rows = np.array([circuit._transfer_rows(p) for p in circuit_params.tolist()])
+    return _max_gap(rows, kraus_transfer(circuit_unitary(circuit_params)))
 
 
 def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
@@ -324,9 +330,12 @@ def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
         "certified gaps",
         lambda: [_gap_bound(f, t, r.bloch) for (f, t), (_, r) in zip(mle_inputs, runs())],
     )
+    # one stacked call per reference model: model 0's cases, then model 1's
     fishers = _shared(
         "Fisher matrices",
-        lambda: [fisher_from_transfer(t, b) for t, b in zip(case_tmats, blochs)],
+        lambda: np.concatenate(
+            [fisher_from_transfer(t, b) for t, b in zip(tmats, model_blochs)]
+        ),
     )
 
     checks = (
@@ -336,8 +345,8 @@ def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
         ("probability_normalization", 1e-12, lambda: _normalization(sims())),
         ("transfer_vs_simulation", 1e-10, lambda: _max_gap(
             [t @ b for t, b in zip(case_tmats, blochs)], sims())),
-        ("fisher_forms", 1e-8, lambda: _max_gap(fishers(), [
-            fisher_matrix_form(t, psi) for t, (psi, _) in zip(case_tmats, d.cases)])),
+        ("fisher_forms", 1e-8, lambda: _max_gap(fishers(), np.concatenate([
+            fisher_matrix_form(t, b) for t, b in zip(tmats, model_blochs)]))),
         ("fisher_symmetry_psd", 1e-10, lambda: _fisher_symmetry_psd(fishers())),
         # invert the simulated probabilities with the claimed matrix; any
         # gap between claim and simulation lands in the recovered state
@@ -351,8 +360,9 @@ def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
         # the full state-space average
         ("two_design_average", 1e-9, lambda: max(
             abs(two_design_average(t) - qttf_single(t)) for t in d.thetas)),
-        ("binomial_variance", 1e-12, lambda: max(
-            binomial_variance_identity(psi, t).max_abs_diff for psi, t in d.binomial)),
+        # one stacked call: the states, then their couplings
+        ("binomial_variance", 1e-12,
+         lambda: binomial_variance_identity(*zip(*d.binomial)).max_abs_diff),
         ("estimator_variance", 1e-8, lambda: max(
             estimator_variance_identity(b, t).max_abs_diff
             for b, t in zip(model_blochs, tmats))),

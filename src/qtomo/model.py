@@ -244,10 +244,16 @@ def fisher_matrix_form(tmat: np.ndarray, state: np.ndarray) -> np.ndarray:
     and the s-columns of T sum to zero, so V^T D reproduces them and this
     equals fisher_from_transfer; kept as an independent assembly path for
     the identity checks.
+
+    state is one state, giving (3, 3), or a real (n, 4) stack of Bloch
+    vectors, giving (n, 3, 3) from batched products; a single state is
+    the stack of one.  V P^-1 is V with column q divided by p_q, which
+    is what the product with diag(1/p) gives to the bit (its other terms
+    are exact zeros), so each member carries its own call's bits.
     """
     p = _live_probabilities(tmat, state)
     d = 0.25 * SIGN_MATRIX @ tmat[:, 1:]
-    middle = SIGN_MATRIX @ np.diag(1.0 / p) @ SIGN_MATRIX.T
+    middle = (SIGN_MATRIX * (1.0 / p)[..., None, :]) @ SIGN_MATRIX.T
     return d.T @ middle @ d
 
 
@@ -364,7 +370,7 @@ def _check_transfer(tmat: np.ndarray) -> np.ndarray:
     if (
         tmat.shape != (4, 4)
         or tmat.dtype.kind not in "iuf"
-        or not np.all(np.isfinite(tmat))
+        or not np.isfinite(tmat).all()
     ):
         raise ValueError("transfer matrix must be a finite real 4x4 array")
     return tmat

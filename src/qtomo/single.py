@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import PAULI_EIGENSTATES, QuadratureRule, bloch_from_state, make_quadrature
+from .core import PAULI_EIGENSTATES, QuadratureRule, _ket_bloch, bloch_from_state, make_quadrature
 
 __all__ = [
     "NonInformativeCouplingError",
@@ -48,9 +48,15 @@ def probabilities_single(psi: np.ndarray, theta: float) -> tuple[float, float]:
     """Meter outcome probabilities (P0, P1) for input state psi.
 
     P0 = (1 + cos^2(theta/2))/2 + sin^2(theta/2) s_z / 2 and P1 is its
-    complement; both are clipped to [0, 1] against round-off only.
+    complement; both are clipped to [0, 1] against round-off only.  psi
+    is a ket or a 2x2 density matrix; a ket's s_z is read in plain
+    floats, with bloch_from_state's own operations.
     """
-    s_z = bloch_from_state(psi)[3]
+    state = np.asarray(psi, dtype=complex)
+    if state.shape == (2,):
+        s_z = _ket_bloch(*state.tolist())[3]
+    else:
+        s_z = float(bloch_from_state(state)[3])
     s2 = _sin2_half(theta)
     p1 = 0.5 * s2 * (1.0 - s_z)
     p1 = min(max(p1, 0.0), 1.0)

@@ -508,6 +508,34 @@ def test_reproduce_table_rejects_zero_shots(capsys, table):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce-table", "--table", "1"],
+        ["check-identities"],
+        ["estimate", "--state", "x0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_exits_1_naming_the_flag(capsys, argv):
+    # numpy refused it later with a bare "expected non-negative integer"
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--seed", "-1"])
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: must be a nonnegative integer, got -1" in captured.err
+
+
+def test_seed_beyond_32_bits_reproduces_table_1(capsys):
+    # 2^32 spans two 32-bit words: the substreams take numpy's list path
+    code = main(["reproduce-table", "--table", "1", "--seed", str(2**32)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert "# seed: 4294967296\n" in captured.out
+
+
 @pytest.mark.parametrize("table", [1, 2, 3])
 @pytest.mark.parametrize("repeats", ["0", "1"])
 def test_reproduce_table_rejects_too_few_repeats(capsys, table, repeats):

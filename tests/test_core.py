@@ -175,6 +175,22 @@ def test_check_density_checks_every_member_of_a_stack():
         check_density(np.eye(3))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("index", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+# inf - inf on the diagonal warns before the refusal
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+def test_check_density_refuses_a_non_finite_entry(value, index):
+    # every test compared with NaN, which is false, so a NaN state passed
+    # as physical
+    good = density_from_bloch(np.array([1.0, 0.3, -0.2, 0.5]))
+    bad = good.copy()
+    bad[index] = value
+    with pytest.raises(ValueError, match="density matrix must be finite"):
+        check_density(bad)
+    with pytest.raises(ValueError, match="density matrix must be finite"):
+        check_density(np.array([good, bad, good]))
+
+
 def test_fidelity_takes_single_states_only():
     rho = 0.5 * np.eye(2)
     with pytest.raises(ValueError, match="2x2"):

@@ -202,6 +202,47 @@ def test_require_invertible_refuses_exactly_where_cond_reaches_the_limit():
     assert min(routes.values()) >= 10, routes
 
 
+def _linear_inversion_numpy(freqs, tmat):
+    """Linear inversion with numpy's normalization and norm, the form the
+    float arithmetic replaced: (bloch, physical, s0_deviation)."""
+    s = require_invertible(tmat) @ np.asarray(freqs, dtype=float)
+    s0_deviation = abs(s[0] - 1.0)
+    s = s / s[0]
+    return s, float(np.linalg.norm(s[1:])) <= 1.0 + 1e-9, s0_deviation
+
+
+def test_linear_inversion_is_the_numpy_form_bit_for_bit(models):
+    # the table-2 and table-3 sampling streams at seeds 0-59, on both
+    # reference models: the float normalization, s0_deviation and radius
+    # give numpy's bits and verdicts
+    outside = 0
+    for model in models:
+        tmat = model.transfer_matrix()
+        for seed in range(60):
+            for k, psi in enumerate(PAULI_EIGENSTATES):
+                probs = tmat @ bloch_from_state(psi)
+                for rep in range(5):
+                    freqs = _substream(seed, _TAG_FULL, k, rep).multinomial(1024, probs) / 1024
+                    result = linear_inversion(freqs, tmat)
+                    bloch, physical, s0_deviation = _linear_inversion_numpy(freqs, tmat)
+                    assert [v.hex() for v in result.bloch.tolist()] == [
+                        v.hex() for v in bloch.tolist()
+                    ], (seed, k, rep)
+                    assert result.physical is physical
+                    assert result.s0_deviation.hex() == float(s0_deviation).hex()
+                    outside += not physical
+    # both verdicts occur
+    assert 0 < outside < 2 * 60 * 6 * 5
+
+
+def test_linear_inversion_refuses_a_zero_s0():
+    # T = I is no POVM: T^-1 f has s0 = f_0, which is 0 here, where numpy
+    # gave a NaN and infinite Bloch vector
+    for estimator in (linear_inversion, saturated_mle):
+        with pytest.raises(ValueError, match="s0 = 0"):
+            estimator(np.array([0.0, 0.5, 0.25, 0.25]), np.eye(4))
+
+
 def test_linear_inversion_validates_frequencies(models):
     tmat = models[0].transfer_matrix()
     with pytest.raises(ValueError):
@@ -469,6 +510,18 @@ def test_log_likelihood_names_a_live_outcome_without_a_likelihood(prob):
     # it returned NaN with a RuntimeWarning
     with pytest.raises(ValueError, match="outcome 1 has frequency 0.5 but model probability"):
         log_likelihood([0.5, 0.5, 0.0, 0.0], [1.1, prob, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "freqs, outcome",
+    [([math.nan, 0.5, 0.25, 0.25], 0), ([0.5, 0.5, -0.25, 0.25], 2)],
+    ids=["nan", "negative"],
+)
+def test_log_likelihood_names_an_outcome_without_a_frequency(freqs, outcome):
+    # a NaN or negative frequency failed the P_q > 0 mask and was read as
+    # zero: [nan, .5, .25, .25] gave the likelihood of [0, .5, .25, .25]
+    with pytest.raises(ValueError, match=f"outcome {outcome} has frequency {freqs[outcome]}"):
+        log_likelihood(freqs, [0.25, 0.25, 0.25, 0.25])
 
 
 def test_log_likelihood_is_minus_infinity_at_a_zero_live_probability(recwarn):

@@ -205,6 +205,29 @@ def test_variance_scan_matches_the_solve_form(seed):
         assert row.ratio == pytest.approx(variance / bound, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**31, 2**32 - 1, 2**32, 2**40])
+def test_substream_is_the_list_key_stream(seed):
+    # a uint32 key where every word fits, numpy's list path beyond: the
+    # draws are those of default_rng([seed, *key]) either way
+    from qtomo.harness import _TAG_FULL, _substream
+
+    for key in ((_TAG_FULL, 0, 0), (_TAG_FULL, 5, 4), (7, 3)):
+        ours = _substream(seed, *key)
+        reference = np.random.default_rng([seed, *key])
+        assert ours.bit_generator.state == reference.bit_generator.state
+        assert ours.random(4).tolist() == reference.random(4).tolist()
+        assert ours.multinomial(1024, [0.1, 0.2, 0.3, 0.4]).tolist() == (
+            reference.multinomial(1024, [0.1, 0.2, 0.3, 0.4]).tolist()
+        )
+
+
+def test_substream_refuses_a_negative_seed():
+    from qtomo.harness import _TAG_FULL, _substream
+
+    with pytest.raises(ValueError):
+        _substream(-1, _TAG_FULL, 0, 0)
+
+
 def test_variance_scan_argument_validation():
     with pytest.raises(ValueError):
         variance_vs_fisher_scan()
@@ -365,6 +388,28 @@ def test_binomial_variance_identity_exact(a1, a2, theta):
     psi = state_from_angles(a1, a2)
     report = binomial_variance_identity(psi, theta)
     assert report.max_abs_diff < 1e-12 * max(1.0, report.rhs[0])
+
+
+def test_stacked_binomial_variance_identity_is_the_per_case_call():
+    rng = np.random.default_rng(31)
+    kets = [
+        state_from_angles(rng.uniform(0, math.pi / 2), rng.uniform(0, math.pi))
+        for _ in range(50)
+    ]
+    thetas = rng.uniform(0.1, math.pi, size=50).tolist()
+    stacked = binomial_variance_identity(kets, thetas)
+    assert stacked.lhs.shape == stacked.rhs.shape == (50,)
+    worst = 0.0
+    for k, (psi, theta) in enumerate(zip(kets, thetas)):
+        single = binomial_variance_identity(psi, theta)
+        assert single.lhs.shape == single.rhs.shape == (1,)
+        assert single.lhs[0].hex() == stacked.lhs[k].hex()
+        assert single.rhs[0].hex() == stacked.rhs[k].hex()
+        worst = max(worst, single.max_abs_diff)
+    assert type(stacked.max_abs_diff) is float
+    assert stacked.max_abs_diff == worst
+    with pytest.raises(ValueError):
+        binomial_variance_identity(kets, thetas[:-1])
 
 
 def test_estimator_variance_identity_both_models():

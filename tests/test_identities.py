@@ -6,7 +6,7 @@ import numpy as np
 
 from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit, circuit_unitary
 from qtomo.cli import main
-from qtomo.core import state_from_angles
+from qtomo.core import bloch_from_state, state_from_angles
 from qtomo.estimators import (
     MleConfig,
     MleResult,
@@ -23,6 +23,7 @@ from qtomo.identities import (
     _simulate,
     identity_suite,
 )
+from qtomo.model import fisher_from_transfer, fisher_matrix_form
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, joint_unitary
 
 _UNITARIES = (joint_unitary(*REFERENCE_COUPLINGS), circuit_unitary(REFERENCE_OPTIMUM))
@@ -93,6 +94,46 @@ def test_block_draws_are_the_scalar_draws_bit_for_bit():
         ], seed
         assert drawn.circuit_params.shape == (20, 12)
         assert _bits(drawn.circuit_params) == _bits(circuit_params), seed
+
+
+def test_stacked_fisher_forms_are_the_per_case_calls():
+    # the suite's Fisher oracle is one fisher_from_transfer call per
+    # reference model on its (n, 4) stack, and fisher_forms compares it
+    # with fisher_matrix_form on the same stack: each member carries the
+    # bits of the per-case call on the case's ket
+    for seed in range(5):
+        cases = _draw(np.random.default_rng(seed), _UNITARIES).cases
+        for m_idx, tmat in enumerate(_TMATS):
+            kets = [psi for psi, m in cases if m == m_idx]
+            stack = np.array([bloch_from_state(psi) for psi in kets])
+            oracle = fisher_from_transfer(tmat, stack)
+            assembled = fisher_matrix_form(tmat, stack)
+            assert oracle.shape == assembled.shape == (len(kets), 3, 3)
+            for k, psi in enumerate(kets):
+                assert oracle[k].tobytes() == fisher_from_transfer(tmat, psi).tobytes()
+                assert assembled[k].tobytes() == fisher_matrix_form(tmat, psi).tobytes()
+
+
+def _off_by_ulps(function):
+    def mutated(*args):
+        return function(*args) * (1.0 + 1e-13)
+
+    return mutated
+
+
+def test_binomial_variance_reads_the_production_single_meter(monkeypatch):
+    # the check calls estimate_sz and fisher_inverse_single themselves, so
+    # an error of 1e-13 relative in either fails it
+    from qtomo import harness
+    from qtomo.single import estimate_sz, fisher_inverse_single
+
+    assert identity_suite(seed=0)["checks"]["binomial_variance"]["pass"]
+    for name, function in (("estimate_sz", estimate_sz),
+                           ("fisher_inverse_single", fisher_inverse_single)):
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, name, _off_by_ulps(function))
+            suite = identity_suite(seed=0)
+        assert not suite["checks"]["binomial_variance"]["pass"], name
 
 
 def test_capped_reference_runs_are_counted_not_logged(caplog):
