@@ -141,18 +141,26 @@ def check_density(rho: np.ndarray) -> np.ndarray:
     member by member in one pass and fails if any member does.
 
     Each test is written as not (deviation <= bound), which a NaN
-    deviation fails, so a NaN or infinite entry, which makes the
-    Hermiticity deviation NaN or inf, is refused there, and only then is
-    finiteness tested, to name it.
+    deviation fails, so a NaN or infinite entry, which makes the trace or
+    the Hermiticity deviation NaN or inf, is refused there, and only then
+    is finiteness tested, to name it.  The trace is measured first: an
+    infinite real diagonal entry fails it, and is named before rho - rho^H
+    would subtract inf from inf, which warns.  A finite matrix that fails
+    both tests is still called not Hermitian.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (2, 2):
         raise ValueError("density matrix must be 2x2")
+    unit_trace = (
+        np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max(initial=0.0) <= 1e-12
+    )
+    if not (unit_trace or np.all(np.isfinite(rho))):
+        raise ValueError("density matrix must be finite")
     if not np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0) <= 1e-12:
         if not np.all(np.isfinite(rho)):
             raise ValueError("density matrix must be finite")
         raise ValueError("density matrix is not Hermitian")
-    if not np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max(initial=0.0) <= 1e-12:
+    if not unit_trace:
         raise ValueError("density matrix trace differs from 1")
     if not np.linalg.eigvalsh(rho).min(initial=math.inf) >= _EIG_FLOOR:
         raise ValueError("density matrix has a negative eigenvalue")

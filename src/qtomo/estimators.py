@@ -82,8 +82,20 @@ class LinearInversionResult:
 
 @dataclass(frozen=True)
 class MleConfig:
+    """Stopping rules of `rho_r_mle`.
+
+    max_iter caps the iterations and tol is the step below which the
+    model probabilities or the Bloch vector count as settled.  gap_tol,
+    if given, also stops a run at the first state whose certified gap
+    lambda_max(R) - 1 is at most gap_tol: no state's log-likelihood
+    exceeds that state's by more (Glancy, Knill and Girard, NJP 14,
+    095017 (2012)).  It is off by default, so the library's iterates and
+    iteration counts stay those of the step rule alone.
+    """
+
     max_iter: int = 10000
     tol: float = 1e-10
+    gap_tol: float | None = None
 
     def __post_init__(self) -> None:
         # a NaN tol would fail every stopping test, and a float max_iter
@@ -98,6 +110,10 @@ class MleConfig:
             )
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        if self.gap_tol is not None and not 0.0 < self.gap_tol < math.inf:
+            raise ValueError(
+                f"gap_tol must be positive and finite, got {self.gap_tol!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -245,7 +261,16 @@ def saturated_mle(freqs: np.ndarray, tmat: np.ndarray) -> MleResult:
     warning goes to the "qtomo.estimators" logger.
     """
     freqs = _check_frequencies(freqs)
-    bloch = _solve(freqs, require_invertible(tmat)).bloch
+    return _saturated_mle(freqs, tmat, require_invertible(tmat))
+
+
+def _saturated_mle(freqs: np.ndarray, tmat: np.ndarray, inverse: np.ndarray) -> MleResult:
+    """`saturated_mle` on checked frequencies and require_invertible's T^-1.
+
+    A caller that estimates many frequency vectors on one T passes its
+    inverse once instead of factorizing T per call.
+    """
+    bloch = _solve(freqs, inverse).bloch
     _, x, y, z = bloch.tolist()
     radius = math.sqrt(x * x + y * y + z * z)
     if radius <= 1.0:
@@ -400,6 +425,13 @@ def rho_r_mle(
     iteration counts and stopping decisions stay the same to the bit;
     seeded pins in the tests hold them there.
 
+    With cfg.gap_tol set, a step that floored no probability also
+    stops, before its update, once lambda_max(R) - 1 = a + |b| - 1 is at
+    most gap_tol: the current state is returned, converged, and no state's
+    log-likelihood exceeds its own by more than that gap.  The trace
+    below and this test share one flag test per iteration, so a run with
+    neither tests no more than the step rule needs.
+
     likelihood_trace, if given a list, collects the log-likelihood at
     every visited state, summed in plain floats over the outcomes with
     nonzero frequency (as `log_likelihood` does), in outcome order; with
@@ -433,7 +465,15 @@ def rho_r_mle(
     q0 = q1 = q2 = q3 = math.inf
     floored = 0
     converged = False
+    gap_tol = cfg.gap_tol
+    certify = gap_tol is not None
+    sqrt = math.sqrt
+    # the last iteration that floored a probability: its R is not the
+    # state's, so its gap certifies nothing
+    floored_at = 0
     tracing = likelihood_trace is not None
+    # the trace and the certificate share one flag test per iteration
+    extras = tracing or certify
     if tracing:
         append = likelihood_trace.append
         log = math.log
@@ -451,15 +491,7 @@ def rho_r_mle(
                 probs = (p0, p1, p2, p3)
                 floored += sum(p < floor for p in probs)
                 p0, p1, p2, p3 = (max(p, floor) for p in probs)
-            if tracing:
-                if all_live:
-                    append(f0 * log(p0) + f1 * log(p1) + f2 * log(p2) + f3 * log(p3))
-                else:
-                    probs = (p0, p1, p2, p3)
-                    ll = 0.0
-                    for q, fq in live:
-                        ll += fq * log(probs[q])
-                    append(ll)
+                floored_at = iteration
             # r = (P / p) T: a = r_0, b = (r_1, r_2, r_3)
             w0 = f0 / p0
             w1 = f1 / p1
@@ -472,6 +504,21 @@ def rho_r_mle(
             bs = bx * x + by * y + bz * z
             aa = a * a
             bb = bx * bx + by * by + bz * bz
+            if extras:
+                if tracing:
+                    if all_live:
+                        append(f0 * log(p0) + f1 * log(p1) + f2 * log(p2) + f3 * log(p3))
+                    else:
+                        probs = (p0, p1, p2, p3)
+                        ll = 0.0
+                        for q, fq in live:
+                            ll += fq * log(probs[q])
+                        append(ll)
+                # lambda_max(R) - 1 = a + |b| - 1 is the gap of the
+                # current state, which is returned without the update
+                if certify and a + sqrt(bb) - 1.0 <= gap_tol and floored_at != iteration:
+                    converged = True
+                    break
             norm = aa + bb + 2.0 * a * bs
             along_b = 2.0 * (a + bs) / norm
             along_s = (aa - bb) / norm

@@ -21,7 +21,7 @@ from .core import (
     density_from_bloch,
     fidelity,
 )
-from .estimators import linear_inversion, radial_clip, saturated_mle
+from .estimators import _saturated_mle, _solve, radial_clip
 from .model import _as_blochs, _live_probabilities, delta_from_transfer
 from .model import fisher_from_transfer, require_invertible
 from .single import estimate_sz, fisher_inverse_single, probabilities_single
@@ -170,7 +170,10 @@ def run_full_experiment(
 ) -> ExperimentReport:
     """Full Bloch-vector reconstruction per Pauli eigenstate, mean over repeats.
 
-    estimator is "mle" (the exact `saturated_mle`) or "linear".
+    estimator is "mle" (the exact `saturated_mle`) or "linear".  T^-1 is
+    taken once per call, and every repeat goes through the estimator's
+    private entry on it, with the same arithmetic as the public call; the
+    sampled frequencies need no check.
     """
     if estimator not in ("mle", "linear"):
         raise ValueError("estimator must be 'mle' or 'linear'")
@@ -179,6 +182,7 @@ def run_full_experiment(
     if repeats < 2:
         raise ValueError("need at least two repeats for a standard deviation")
     tmat = model.transfer_matrix()
+    inverse = require_invertible(tmat)
     rows = []
     for k, psi in enumerate(PAULI_EIGENSTATES):
         truth = bloch_from_state(psi)
@@ -189,11 +193,11 @@ def run_full_experiment(
             rng = _substream(seed, _TAG_FULL, k, rep)
             freqs = rng.multinomial(shots, probs) / shots
             if estimator == "mle":
-                result = saturated_mle(freqs, tmat)
+                result = _saturated_mle(freqs, tmat, inverse)
                 estimates.append(result.bloch)
                 physical.append(True)
             else:
-                result = linear_inversion(freqs, tmat)
+                result = _solve(freqs, inverse)
                 estimates.append(result.bloch)
                 physical.append(result.physical)
         stacked = np.vstack(estimates)

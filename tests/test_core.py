@@ -177,8 +177,6 @@ def test_check_density_checks_every_member_of_a_stack():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("index", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
-# inf - inf on the diagonal warns before the refusal
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 def test_check_density_refuses_a_non_finite_entry(value, index):
     # every test compared with NaN, which is false, so a NaN state passed
     # as physical

@@ -390,6 +390,10 @@ def test_mle_config_validation():
         {"max_iter": 2.5},
         {"max_iter": 100.0},
         {"max_iter": True},
+        {"gap_tol": math.nan},
+        {"gap_tol": math.inf},
+        {"gap_tol": 0.0},
+        {"gap_tol": -1e-5},
     ):
         with pytest.raises(ValueError, match=next(iter(bad))):
             MleConfig(**bad)
@@ -488,6 +492,23 @@ def test_rho_r_mle_bit_exact_pins(
     assert result.floored_probabilities == floored
     assert len(trace) == iterations
     assert (trace[0].hex(), trace[-1].hex()) == (first_ll, last_ll)
+
+
+def test_a_floored_step_never_certifies():
+    # every step of the dead-outcome pin floors two probabilities, so a gap
+    # target that any other step meets leaves its 97 iterations and its
+    # bits; the two-meter pin, which floors nothing, stops at once on it
+    freqs = np.array([0.7, 0.0, 0.3, 0.0])
+    plain = rho_r_mle(freqs, _PIN_DEAD)
+    loose = rho_r_mle(freqs, _PIN_DEAD, MleConfig(gap_tol=1e300))
+    assert loose.iterations == plain.iterations == 97
+    assert loose.floored_probabilities == plain.floored_probabilities == 194
+    assert loose.bloch.tobytes() == plain.bloch.tobytes()
+    control = rho_r_mle(
+        np.array([443, 211, 153, 217]) / 1024, _PIN_TWO_METER, MleConfig(gap_tol=1e300)
+    )
+    assert control.iterations == 1 and control.converged
+    assert control.bloch.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_log_likelihood_drops_zero_frequency_terms():

@@ -106,20 +106,52 @@ def test_full_experiment_reproduces_reference_fidelities():
 
 
 def test_full_experiment_mle_is_the_exact_solver(monkeypatch):
+    # every repeat runs the exact solver's private entry on the one T^-1
+    # the table takes, and gets the public call's estimate to the bit
     from qtomo import estimators, harness
 
     calls = []
+    inverses = []
 
-    def spy(freqs, tmat):
+    def spy(freqs, tmat, inverse):
+        result = estimators._saturated_mle(freqs, tmat, inverse)
+        public = estimators.saturated_mle(freqs, tmat)
+        assert result.bloch.tobytes() == public.bloch.tobytes()
+        assert result.iterations == public.iterations
         calls.append(freqs)
-        return estimators.saturated_mle(freqs, tmat)
+        return result
 
-    monkeypatch.setattr(harness, "saturated_mle", spy)
+    def counted(tmat):
+        inverses.append(tmat)
+        return estimators.require_invertible(tmat)
+
+    monkeypatch.setattr(harness, "_saturated_mle", spy)
+    monkeypatch.setattr(harness, "require_invertible", counted)
     report = run_full_experiment(
         TwoMeterModel(*REFERENCE_COUPLINGS), estimator="mle", repeats=2
     )
     assert len(calls) == 12  # six states, two repeats
+    assert len(inverses) == 1
     assert report.kind == "full/mle"
+
+
+def test_full_experiment_linear_is_linear_inversion():
+    # table 3's repeats read the table's one T^-1: each estimate is the
+    # public linear_inversion's to the bit, physical flag included
+    from qtomo.harness import _substream
+
+    model = build_circuit(REFERENCE_OPTIMUM)
+    tmat = model.transfer_matrix()
+    report = run_full_experiment(model, estimator="linear", repeats=3, shots=64, seed=5)
+    for k, (psi, row) in enumerate(zip(PAULI_EIGENSTATES, report.rows)):
+        probs = tmat @ bloch_from_state(psi)
+        results = [
+            linear_inversion(_substream(5, 2, k, rep).multinomial(64, probs) / 64, tmat)
+            for rep in range(3)
+        ]
+        stacked = np.vstack([r.bloch for r in results])
+        assert row.mean.tobytes() == stacked.mean(axis=0).tobytes()
+        assert row.physical_fraction == np.mean([r.physical for r in results])
 
 
 def test_full_experiment_rejects_unknown_estimator():

@@ -137,12 +137,12 @@ def test_binomial_variance_reads_the_production_single_meter(monkeypatch):
 
 
 def test_capped_reference_runs_are_counted_not_logged(caplog):
-    # at the suite's cap, seed 20 has four reference runs stopped and
-    # seed 0 five: the suite counts them and logs nothing, and library
-    # callers still get the warning
+    # with the certified stop, seed 36 still has one reference run stopped
+    # at the suite's cap and seed 0 none: the suite counts them and logs
+    # nothing, and library callers still get the warning
     with caplog.at_level(logging.WARNING, logger="qtomo"):
-        assert identity_suite(seed=20)["capped_reference_runs"] == 4
-        assert identity_suite(seed=0)["capped_reference_runs"] == 5
+        assert identity_suite(seed=36)["capped_reference_runs"] == 1
+        assert identity_suite(seed=0)["capped_reference_runs"] == 0
     assert not [r for r in caplog.records if "iteration cap" in r.getMessage()]
     assert not logging.getLogger("qtomo.estimators").filters
     tmat = TwoMeterModel(*REFERENCE_COUPLINGS).transfer_matrix()
@@ -219,6 +219,32 @@ def test_certified_gap_bounds_every_state_and_the_exact_mle():
                 beaten[cap] += grid_best > level
     # the grid is no vacuous oracle: it beats every one-iteration run
     assert beaten[1] == 100
+
+
+def test_certificate_stopped_runs_meet_their_target():
+    # on the suite's inputs, a reference run that the certified gap stops
+    # returns the state before its update, whose gap, recomputed by the
+    # suite's own _gap_bound, is at most the target; any other run is the
+    # plain step rule's run to the bit
+    target = _REFERENCE_CONFIG.gap_tol
+    plain = MleConfig(max_iter=_REFERENCE_CONFIG.max_iter)
+    stopped = 0
+    for seed in range(20):
+        for m_idx, freqs in _draw(np.random.default_rng(seed), _UNITARIES).mle_inputs:
+            tmat = _TMATS[m_idx]
+            result = rho_r_mle(freqs, tmat, _REFERENCE_CONFIG)
+            baseline = rho_r_mle(freqs, tmat, plain)
+            if (result.iterations, result.bloch.tobytes()) == (
+                baseline.iterations, baseline.bloch.tobytes()
+            ):
+                continue
+            stopped += 1
+            k = result.iterations
+            assert result.converged and 1 < k <= baseline.iterations, (seed, k)
+            before = rho_r_mle(freqs, tmat, MleConfig(max_iter=k - 1)).bloch
+            assert result.bloch.tobytes() == before.tobytes(), (seed, k)
+            assert _gap_bound(freqs, tmat, result.bloch) <= target + 1e-15, (seed, k)
+    assert stopped > 50
 
 
 def test_upper_side_catches_an_exact_mle_above_every_state(monkeypatch):
