@@ -2,7 +2,7 @@
 
 Usage (from any directory):
 
-    python3 tools/bench_record.py --pr 27 --runs 10 --seconds 30 --seed 1101 \
+    python3 tools/bench_record.py --pr N --runs 10 --seconds 30 --seed 1101 \
         [--parent PATH] [--workload validate ...] [--out DIR]
 
 For each workload, run i (0 <= i < --runs) is one fresh process of this
