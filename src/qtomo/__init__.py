@@ -15,7 +15,6 @@ from .core import (
     bloch_from_state,
     check_density,
     density_from_bloch,
-    density_from_state,
     fidelity,
     make_quadrature,
     state_from_angles,
@@ -23,12 +22,10 @@ from .core import (
 from .single import (
     NonInformativeCouplingError,
     estimate_sz,
-    fisher_inverse_angle_form,
     fisher_inverse_single,
     max_error_single,
     probabilities_single,
     qttf_single,
-    qttf_single_quadrature,
     two_design_average,
 )
 from .model import (
@@ -37,7 +34,6 @@ from .model import (
     OptimizationResult,
     SingularInformationError,
     delta_from_transfer,
-    delta_surface,
     fisher_from_transfer,
     fisher_matrix_form,
     kraus_transfer,
@@ -48,7 +44,6 @@ from .twometer import (
     REFERENCE_COUPLINGS,
     TwoMeterModel,
     joint_unitary,
-    meter_unitaries,
     optimize_two_meter,
     qttf_two_meter,
 )
@@ -75,7 +70,6 @@ from .harness import (
     ExperimentReport,
     IdentityReport,
     binomial_variance_identity,
-    direction_fidelity,
     estimator_variance_identity,
     run_full_experiment,
     run_single_experiment,
@@ -94,7 +88,6 @@ __all__ = [
     "QuadratureRule",
     "make_quadrature",
     "state_from_angles",
-    "density_from_state",
     "density_from_bloch",
     "bloch_from_state",
     "check_density",
@@ -104,9 +97,7 @@ __all__ = [
     "probabilities_single",
     "estimate_sz",
     "fisher_inverse_single",
-    "fisher_inverse_angle_form",
     "qttf_single",
-    "qttf_single_quadrature",
     "max_error_single",
     "two_design_average",
     # shared meter-process model and error pipeline
@@ -117,13 +108,11 @@ __all__ = [
     "fisher_from_transfer",
     "fisher_matrix_form",
     "delta_from_transfer",
-    "delta_surface",
     "qttf_from_transfer",
     "OptimizationResult",
     # two-meter model
     "REFERENCE_COUPLINGS",
     "TwoMeterModel",
-    "meter_unitaries",
     "joint_unitary",
     "qttf_two_meter",
     "optimize_two_meter",
@@ -146,7 +135,6 @@ __all__ = [
     "log_likelihood",
     # harness
     "DEFAULT_SEED",
-    "direction_fidelity",
     "ExperimentReport",
     "run_single_experiment",
     "run_full_experiment",

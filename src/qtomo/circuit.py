@@ -30,6 +30,7 @@ from .core import HADAMARD, cnot_matrix, kron3
 from .model import (
     MeterModel,
     OptimizationResult,
+    _refuse_non_finite,
     minimize_with_restarts,
     qttf_from_transfer,
 )
@@ -52,6 +53,8 @@ REFERENCE_OPTIMUM = (
     0.70, 4.31, 3.46,
     0.67, 6.47, 4.47,
 )
+
+_PARAM_NAMES = tuple(f"circuit parameter {index}" for index in range(12))
 
 _IDENTITY2 = np.eye(2, dtype=complex)
 
@@ -159,20 +162,6 @@ def _meter_floats(theta1, phi1, lam1, theta2, phi2, lam2) -> tuple[float, ...]:
     )
 
 
-def _check_finite(params) -> None:
-    """ValueError naming the first non-finite parameter and its value.
-
-    Called only once building or reading T has failed, so the finite path
-    pays for no test: an infinite parameter fails in math.cos, a NaN one
-    in the finiteness check of the NaN rows it gives.
-    """
-    for index, value in enumerate(params):
-        if not math.isfinite(value):
-            raise ValueError(
-                f"circuit parameter {index} must be finite, got {value}"
-            ) from None
-
-
 def _transfer_rows(params) -> list[list[float]]:
     """Rows of T in Python floats, from K_ab = H diag(beta_b) H diag(alpha_a).
 
@@ -194,7 +183,7 @@ def _transfer_rows(params) -> list[list[float]]:
             tb1, pb1, lb1, tb2, pb2, lb2
         )
     except ValueError:  # math domain error
-        _check_finite(params)
+        _refuse_non_finite(_PARAM_NAMES, params)
         raise
     # meter B: bNp, bNm = |beta_N[0]|^2 plus and minus |beta_N[1]|^2
     p0 = b00r * b00r + b00i * b00i
@@ -233,7 +222,7 @@ def build_circuit(params) -> MeterModel:
     try:
         return MeterModel(params=tuple(values), _tmat=np.array(_transfer_rows(values)))
     except ValueError:  # T is not finite
-        _check_finite(values)
+        _refuse_non_finite(_PARAM_NAMES, values)
         raise
 
 
@@ -246,7 +235,7 @@ def qttf_circuit(params) -> float:
     try:
         return qttf_from_transfer(_transfer_rows(values))
     except ValueError:  # T is not finite
-        _check_finite(values)
+        _refuse_non_finite(_PARAM_NAMES, values)
         raise
 
 

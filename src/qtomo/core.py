@@ -19,7 +19,6 @@ __all__ = [
     "PAULI_EIGENSTATE_LABELS",
     "QuadratureRule",
     "state_from_angles",
-    "density_from_state",
     "density_from_bloch",
     "bloch_from_state",
     "fidelity",
@@ -79,12 +78,6 @@ def state_from_angles(alpha1: float, alpha2: float) -> np.ndarray:
     )
 
 
-def density_from_state(psi: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |psi><psi|."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
-
-
 def density_from_bloch(s: np.ndarray) -> np.ndarray:
     """Density matrix (1/2) sum_mu s_mu sigma_mu from a Bloch 4-vector."""
     s = np.asarray(s, dtype=float)
@@ -142,25 +135,28 @@ def check_density(rho: np.ndarray) -> np.ndarray:
 
     Each test is written as not (deviation <= bound), which a NaN
     deviation fails, so a NaN or infinite entry, which makes the trace or
-    the Hermiticity deviation NaN or inf, is refused there, and only then
-    is finiteness tested, to name it.  The trace is measured first: an
-    infinite real diagonal entry fails it, and is named before rho - rho^H
-    would subtract inf from inf, which warns.  A finite matrix that fails
-    both tests is still called not Hermitian.
+    the Hermiticity deviation NaN or inf, is refused there; the
+    deviations are computed with numpy's invalid and overflow warnings
+    off, and finiteness is tested only once a deviation has failed, to
+    name it.  A finite matrix that fails both tests is called not
+    Hermitian.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (2, 2):
         raise ValueError("density matrix must be 2x2")
-    unit_trace = (
-        np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max(initial=0.0) <= 1e-12
-    )
-    if not (unit_trace or np.all(np.isfinite(rho))):
-        raise ValueError("density matrix must be finite")
-    if not np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0) <= 1e-12:
+    with np.errstate(invalid="ignore", over="ignore"):
+        hermitian = (
+            np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0) <= 1e-12
+        )
+        unit_trace = (
+            np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max(initial=0.0)
+            <= 1e-12
+        )
+    if not (hermitian and unit_trace):
         if not np.all(np.isfinite(rho)):
             raise ValueError("density matrix must be finite")
-        raise ValueError("density matrix is not Hermitian")
-    if not unit_trace:
+        if not hermitian:
+            raise ValueError("density matrix is not Hermitian")
         raise ValueError("density matrix trace differs from 1")
     if not np.linalg.eigvalsh(rho).min(initial=math.inf) >= _EIG_FLOOR:
         raise ValueError("density matrix has a negative eigenvalue")

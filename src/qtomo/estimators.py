@@ -8,7 +8,8 @@ a few Newton steps on the sphere, in plain floats, with a KKT certificate.
 It is the "mle" estimator of the harness and the CLI.  The iterative
 R-rho-R scheme (Hradil, PRA 55, R1561, 1997) stays as the reference,
 `rho_r_mle`; it converges slowly near pure states and can stop at its
-iteration cap.
+iteration cap.  Its step tolerance is a fixed constant, so `MleConfig`
+sets only the cap and the optional certified-gap stop.
 
 Both direct estimators start from one inverse: `model.require_invertible`
 returns the T^-1 of the qTTF's certified float LU (an SVD and LAPACK's
@@ -68,6 +69,10 @@ _KKT_RTOL = 1e-15
 # then below round-off of the unit vector it is added to).
 _MAX_HALVINGS = 60
 
+# R-rho-R counts as settled once the model probabilities or the Bloch
+# vector move less than this in one step.
+_RHO_R_TOL = 1e-10
+
 _log = logging.getLogger(__name__)
 
 
@@ -84,22 +89,19 @@ class LinearInversionResult:
 class MleConfig:
     """Stopping rules of `rho_r_mle`.
 
-    max_iter caps the iterations and tol is the step below which the
-    model probabilities or the Bloch vector count as settled.  gap_tol,
-    if given, also stops a run at the first state whose certified gap
-    lambda_max(R) - 1 is at most gap_tol: no state's log-likelihood
-    exceeds that state's by more (Glancy, Knill and Girard, NJP 14,
-    095017 (2012)).  It is off by default, so the library's iterates and
-    iteration counts stay those of the step rule alone.
+    max_iter caps the iterations.  gap_tol, if given, also stops a run
+    at the first state whose certified gap lambda_max(R) - 1 is at most
+    gap_tol: no state's log-likelihood exceeds that state's by more
+    (Glancy, Knill and Girard, NJP 14, 095017 (2012)).  It is off by
+    default, so the library's iterates and iteration counts stay those
+    of the step rule alone.
     """
 
     max_iter: int = 10000
-    tol: float = 1e-10
     gap_tol: float | None = None
 
     def __post_init__(self) -> None:
-        # a NaN tol would fail every stopping test, and a float max_iter
-        # would fail only later, in range()
+        # a float max_iter would fail only later, in range()
         if (
             isinstance(self.max_iter, bool)
             or not isinstance(self.max_iter, numbers.Integral)
@@ -108,8 +110,6 @@ class MleConfig:
             raise ValueError(
                 f"max_iter must be a positive integer, got {self.max_iter!r}"
             )
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.gap_tol is not None and not 0.0 < self.gap_tol < math.inf:
             raise ValueError(
                 f"gap_tol must be positive and finite, got {self.gap_tol!r}"
@@ -401,11 +401,11 @@ def rho_r_mle(
     where p = T S is the current model probability vector.  Each step is
     likelihood non-decreasing and preserves positivity, so the output is
     always a physical state.  Convergence is declared when either the
-    model probabilities or the Bloch vector move less than cfg.tol between
-    iterations; near-pure targets approach the boundary only as 1/n, in
-    which case the iteration cap bites, the result carries
-    converged=False and one warning goes to the "qtomo.estimators"
-    logger.
+    model probabilities or the Bloch vector move less than 1e-10
+    (_RHO_R_TOL) between iterations; near-pure targets approach the
+    boundary only as 1/n, in which case the iteration cap bites, the
+    result carries converged=False and one warning goes to the
+    "qtomo.estimators" logger.
 
     The step runs on the Bloch vector in plain floats.  For real T,
     R = a I + b.sigma with a = r_0 and b = (r_1, r_2, r_3), and with
@@ -458,7 +458,7 @@ def rho_r_mle(
     ) = tmat.tolist()
     f0, f1, f2, f3 = freqs.tolist()
     floor = _MLE_PROBABILITY_FLOOR
-    tol = cfg.tol
+    tol = _RHO_R_TOL
     ntol = -tol
     x = y = z = 0.0
     # previous model probabilities: inf fails the first stopping test

@@ -33,7 +33,6 @@ __all__ = [
     "ExperimentReport",
     "ScanRow",
     "IdentityReport",
-    "direction_fidelity",
     "run_single_experiment",
     "run_full_experiment",
     "variance_vs_fisher_scan",
@@ -71,7 +70,7 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(words)
 
 
-def direction_fidelity(truth_bloch: np.ndarray, est_bloch: np.ndarray) -> float:
+def _direction_fidelity(truth_bloch: np.ndarray, est_bloch: np.ndarray) -> float:
     """Fidelity between a pure target and the estimate's direction.
 
     Normalizing the estimated Bloch vector picks the nearest pure state
@@ -212,7 +211,7 @@ def run_full_experiment(
                 truth=truth,
                 mean=mean,
                 std=std,
-                fidelity=direction_fidelity(truth, mean),
+                fidelity=_direction_fidelity(truth, mean),
                 fidelity_mean_state=fid_mean,
                 physical_fraction=float(np.mean(physical)),
             )

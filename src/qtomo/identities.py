@@ -40,6 +40,7 @@ from .core import bloch_from_state, density_from_bloch, make_quadrature, state_f
 from .estimators import MleConfig, linear_inversion, log_likelihood, rho_r_mle, saturated_mle
 from .harness import binomial_variance_identity, estimator_variance_identity
 from .model import (
+    _qttf_quadrature,
     fisher_from_transfer,
     fisher_matrix_form,
     kraus_transfer,
@@ -278,7 +279,7 @@ def _qttf_exact_vs_quadrature(tmats) -> float:
     gaps = []
     for tmat in tmats:
         exact = qttf_from_transfer(tmat)
-        gaps.append(abs(exact - qttf_from_transfer(tmat, _CHECK_RULE)) / exact)
+        gaps.append(abs(exact - _qttf_quadrature(tmat, _CHECK_RULE)) / exact)
     return np.max(gaps)
 
 

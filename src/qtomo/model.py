@@ -21,9 +21,10 @@ near that limit, so values agree with LAPACK to round-off and inf
 decisions are cond(T)'s.  The qTTF and Delta read its weights |a_q|^2;
 require_invertible returns it as the T^-1 of the estimators, the
 variance scan and the estimator-variance identity, and refuses exactly
-the T whose qTTF is inf.  Fisher matrices are inverted only by oracles:
-the quadrature average over delta_surface stays as the independent
-reference that the tests and the identity suite compare against.
+the T whose qTTF is inf.  qttf_from_transfer is exact only.  Fisher
+matrices are inverted only by oracles: the private quadrature average
+over delta_surface, _qttf_quadrature, stays as the independent reference
+that the tests and the identity suite compare against.
 
 minimize_with_restarts runs Nelder-Mead in plain floats (_nelder_mead)
 from each start; the tests check every step against a library
@@ -364,6 +365,19 @@ def _certified_inverse(rows) -> tuple[list, list[float]]:
     return columns, [x1 * x1 + x2 * x2 + x3 * x3 for _, x1, x2, x3 in columns]
 
 
+def _refuse_non_finite(names, values) -> None:
+    """ValueError naming the first non-finite model parameter and its value.
+
+    The model builders call it only once building or reading T has
+    failed, so the finite path pays for no test: an infinite parameter
+    fails in math.cos, a NaN one in the finiteness check of the NaN rows
+    it gives.
+    """
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}") from None
+
+
 def _check_transfer(tmat: np.ndarray) -> np.ndarray:
     """T as an array; ValueError unless it is a finite real 4x4."""
     tmat = np.asarray(tmat)
@@ -419,24 +433,27 @@ def delta_surface(tmat: np.ndarray, bloch_nodes: np.ndarray) -> np.ndarray:
     return np.where(bad, np.inf, totals)
 
 
-def qttf_from_transfer(tmat, rule: QuadratureRule | None = None) -> float:
+def _qttf_quadrature(tmat, rule: QuadratureRule) -> float:
+    """The qTTF as the quadrature average over delta_surface.
+
+    The oracle for qttf_from_transfer: inf as soon as any node is singular.
+    """
+    values = delta_surface(np.asarray(tmat, dtype=float), rule.bloch_nodes())
+    if not np.all(np.isfinite(values)):
+        return math.inf
+    return rule.integrate(values)
+
+
+def qttf_from_transfer(tmat) -> float:
     """Pure-state average of Tr(F^-1); inf when the model is singular.
 
-    tmat is a 4x4 array or a sequence of four rows of four floats.
-    Without a rule this is exact: Tr F^-1(s) = sum_q p_q |a_q|^2 - |s|^2
-    is affine in s on pure states, so its average is
-    sum_q |a_q|^2 T[q, 0] - 1, and inf once cond(T) >= CONDITION_LIMIT.
-    The weights |a_q|^2 come with the certified inverse: the float LU
-    clears a well-conditioned T, and only T near the limit pays for an
-    SVD and the LAPACK inverse.  The two routes agree to round-off.
-    With a rule it is the quadrature average over delta_surface, inf as
-    soon as any node is singular; that path is the reference for checks.
+    tmat is a 4x4 array or a sequence of four rows of four floats.  The
+    average is exact: Tr F^-1(s) = sum_q p_q |a_q|^2 - |s|^2 is affine in
+    s on pure states, so its average is sum_q |a_q|^2 T[q, 0] - 1, and
+    inf once cond(T) >= CONDITION_LIMIT.  The weights |a_q|^2 come with
+    the certified inverse: the float LU clears a well-conditioned T, and
+    only T near the limit pays for an SVD and the LAPACK inverse.
     """
-    if rule is not None:
-        values = delta_surface(np.asarray(tmat, dtype=float), rule.bloch_nodes())
-        if not np.all(np.isfinite(values)):
-            return math.inf
-        return rule.integrate(values)
     rows = tmat.tolist() if isinstance(tmat, np.ndarray) else tmat
     try:
         _, (e0, e1, e2, e3) = _certified_inverse(rows)

@@ -11,16 +11,14 @@ import math
 
 import numpy as np
 
-from .core import PAULI_EIGENSTATES, QuadratureRule, _ket_bloch, bloch_from_state, make_quadrature
+from .core import PAULI_EIGENSTATES, QuadratureRule, _ket_bloch, bloch_from_state
 
 __all__ = [
     "NonInformativeCouplingError",
     "probabilities_single",
     "estimate_sz",
     "fisher_inverse_single",
-    "fisher_inverse_angle_form",
     "qttf_single",
-    "qttf_single_quadrature",
     "max_error_single",
     "two_design_average",
 ]
@@ -89,7 +87,7 @@ def fisher_inverse_single(psi: np.ndarray, theta: float) -> float:
     return 4.0 * p0 * p1 / s2**2
 
 
-def fisher_inverse_angle_form(alpha1: float, theta: float) -> float:
+def _fisher_inverse_angle_form(alpha1: float, theta: float) -> float:
     """F^-1 written in the angle chart: 4 sin^2(a1)(csc^2(theta/2) - sin^2(a1)).
 
     Independent of the azimuth; agrees with the probability form for pure
@@ -114,11 +112,9 @@ def qttf_single(theta: float) -> float:
     return (2.0 / 3.0) * (2.0 + math.cos(theta)) / s2
 
 
-def qttf_single_quadrature(theta: float, rule: QuadratureRule | None = None) -> float:
-    """Same average evaluated by quadrature; cross-checks the closed form."""
-    if rule is None:
-        rule = make_quadrature(64, 64)
-    values = np.array([fisher_inverse_angle_form(a1, theta) for a1 in rule.alpha1])
+def _qttf_single_quadrature(theta: float, rule: QuadratureRule) -> float:
+    """Same average evaluated by quadrature; the oracle for the closed form."""
+    values = np.array([_fisher_inverse_angle_form(a1, theta) for a1 in rule.alpha1])
     return rule.integrate(values)
 
 

@@ -20,6 +20,7 @@ from .core import PI_1, PI_PLUS, expm_2x2_hermitian
 from .model import (
     MeterModel,
     OptimizationResult,
+    _refuse_non_finite,
     minimize_with_restarts,
     qttf_from_transfer,
 )
@@ -27,7 +28,6 @@ from .model import (
 __all__ = [
     "REFERENCE_COUPLINGS",
     "TwoMeterModel",
-    "meter_unitaries",
     "joint_unitary",
     "transfer_matrix",
     "qttf_two_meter",
@@ -40,8 +40,10 @@ __all__ = [
 # and the nearest local minimum is 19.497 at (3.378, -7.958).
 REFERENCE_COUPLINGS = (3.45, -8.42)
 
+_COUPLING_NAMES = ("coupling theta_a", "coupling theta_b")
 
-def meter_unitaries(
+
+def _meter_unitaries(
     theta_a: float | np.ndarray, theta_b: float | np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """System-side evolutions (U00, U01, U10, U11), one per meter branch.
@@ -72,7 +74,7 @@ def joint_unitary(theta_a: float | np.ndarray, theta_b: float | np.ndarray) -> n
     whose joint branches U11 come from one stacked eigh; scalars give one
     8x8 matrix.
     """
-    units = meter_unitaries(theta_a, theta_b)
+    units = _meter_unitaries(theta_a, theta_b)
     stack = units[0].shape[:-2]
     joint = np.zeros(stack + (2,) * 6, dtype=complex)  # axes (..., a, s, b, a', s', b')
     for branch, unit in enumerate(units):
@@ -130,19 +132,6 @@ def _coefficients(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ..
     return a, b, c
 
 
-def _check_couplings(theta_a: float, theta_b: float) -> None:
-    """ValueError naming a non-finite coupling and its value.
-
-    Called only once building or reading T has failed, so the finite path
-    pays for no test: an infinite coupling fails in math.cos, a NaN one
-    in the finiteness check of the NaN rows it gives.  transfer_matrix
-    checks no rows, so it tests its couplings with math.isfinite instead.
-    """
-    for name, value in (("theta_a", theta_a), ("theta_b", theta_b)):
-        if not math.isfinite(value):
-            raise ValueError(f"coupling {name} must be finite, got {value}") from None
-
-
 def _transfer_rows(theta_a: float, theta_b: float) -> list[list[float]]:
     """Rows of T in Python floats: row (k, l) is a k + b l + c kl, plus 1/4 at mu = 0."""
     try:
@@ -150,7 +139,7 @@ def _transfer_rows(theta_a: float, theta_b: float) -> list[list[float]]:
             theta_a, theta_b
         )
     except ValueError:  # math domain error
-        _check_couplings(theta_a, theta_b)
+        _refuse_non_finite(_COUPLING_NAMES, (theta_a, theta_b))
         raise
     return [
         [a0 + b0 + c0 + 0.25, a1 + b1 + c1, a2 + b2 + c2, a3 + b3 + c3],
@@ -172,7 +161,7 @@ def transfer_matrix(theta_a: float, theta_b: float) -> np.ndarray:
     """
     theta_a, theta_b = float(theta_a), float(theta_b)
     if not (math.isfinite(theta_a) and math.isfinite(theta_b)):
-        _check_couplings(theta_a, theta_b)
+        _refuse_non_finite(_COUPLING_NAMES, (theta_a, theta_b))
     return np.array(_transfer_rows(theta_a, theta_b))
 
 
@@ -192,7 +181,7 @@ def qttf_two_meter(theta_a: float, theta_b: float) -> float:
     try:
         return qttf_from_transfer(_transfer_rows(float(theta_a), float(theta_b)))
     except ValueError:  # T is not finite
-        _check_couplings(theta_a, theta_b)
+        _refuse_non_finite(_COUPLING_NAMES, (theta_a, theta_b))
         raise
 
 

@@ -17,7 +17,6 @@ from qtomo.cli import main
 from qtomo.core import (
     PAULI_EIGENSTATES,
     bloch_from_state,
-    density_from_state,
     make_quadrature,
     state_from_angles,
 )
@@ -29,8 +28,13 @@ from qtomo.harness import (
     run_single_experiment,
     variance_vs_fisher_scan,
 )
-from qtomo.model import kraus_transfer, qttf_from_transfer, simulate_meter_process
-from qtomo.single import qttf_single, qttf_single_quadrature
+from qtomo.model import (
+    _qttf_quadrature,
+    kraus_transfer,
+    qttf_from_transfer,
+    simulate_meter_process,
+)
+from qtomo.single import _qttf_single_quadrature, qttf_single
 from qtomo.twometer import (
     REFERENCE_COUPLINGS,
     TwoMeterModel,
@@ -71,8 +75,9 @@ def test_criterion_1_single_meter_minimum_and_quadrature(verdict):
     start = time.perf_counter()
     at_pi = qttf_single(math.pi)
     thetas = np.linspace(0.1, math.pi, 51)[1:]
+    rule = make_quadrature(64, 64)
     gap = max(
-        abs(qttf_single(t) - qttf_single_quadrature(t)) for t in thetas
+        abs(qttf_single(t) - _qttf_single_quadrature(t, rule)) for t in thetas
     )
     elapsed = time.perf_counter() - start
     ok = (
@@ -93,7 +98,7 @@ def simulated_transfer(theta_a, theta_b):
     unitary = joint_unitary(theta_a, theta_b)
     probs = np.array(
         [
-            simulate_meter_process(density_from_state(psi), unitary)
+            simulate_meter_process(np.outer(psi, psi.conj()), unitary)
             for psi in PAULI_EIGENSTATES
         ]
     ).T
@@ -136,7 +141,7 @@ def test_criterion_2_two_meter_optimum_value(verdict):
     # (a) value at the reference couplings against the simulated process
     reference = qttf_two_meter(*REFERENCE_COUPLINGS)
     full_azimuth = make_quadrature(64, 128, alpha2_limit=2 * math.pi)
-    reference_full = qttf_from_transfer(
+    reference_full = _qttf_quadrature(
         transfer_matrix(*REFERENCE_COUPLINGS), full_azimuth
     )
     reference_oracle = simulated_qttf(*REFERENCE_COUPLINGS)

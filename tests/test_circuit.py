@@ -24,6 +24,7 @@ from qtomo.core import (
 )
 from qtomo.estimators import linear_inversion
 from qtomo.model import (
+    _qttf_quadrature,
     default_rule,
     kraus_transfer,
     minimize_with_restarts,
@@ -259,8 +260,8 @@ def test_qttf_circuit_reference_value():
 
 def test_qttf_quadrature_stability():
     tmat = build_circuit(REFERENCE_OPTIMUM).transfer_matrix()
-    coarse = qttf_from_transfer(tmat, make_quadrature(32, 32))
-    fine = qttf_from_transfer(tmat, make_quadrature(64, 64))
+    coarse = _qttf_quadrature(tmat, make_quadrature(32, 32))
+    fine = _qttf_quadrature(tmat, make_quadrature(64, 64))
     assert abs(coarse - fine) < 0.05
 
 
@@ -271,7 +272,7 @@ def test_reference_params_are_locally_optimal():
 
     def objective(params):
         tmat = build_circuit(params).transfer_matrix()
-        return qttf_from_transfer(tmat, rule)
+        return _qttf_quadrature(tmat, rule)
 
     start_value = objective(np.asarray(REFERENCE_OPTIMUM))
     result = minimize_with_restarts(objective, [np.asarray(REFERENCE_OPTIMUM)])
@@ -309,7 +310,7 @@ def test_exact_qttf_matches_quadrature():
     for _ in range(50):
         tmat = build_circuit(rng.uniform(0.0, 2 * math.pi, size=12)).transfer_matrix()
         exact = qttf_from_transfer(tmat)
-        quad = qttf_from_transfer(tmat, rule)
+        quad = _qttf_quadrature(tmat, rule)
         assert abs(exact - quad) <= (1e-9 + 1e-14 * exact) * exact
 
 

@@ -18,7 +18,6 @@ from qtomo.core import (
     check_density,
     cnot_matrix,
     density_from_bloch,
-    density_from_state,
     expm_2x2_hermitian,
     fidelity,
     kron3,
@@ -80,7 +79,7 @@ def test_eigenstate_labels_match_states():
 @given(angles1, angles2)
 def test_density_representations_agree(a1, a2):
     psi = state_from_angles(a1, a2)
-    rho_direct = density_from_state(psi)
+    rho_direct = np.outer(psi, psi.conj())
     rho_bloch = density_from_bloch(bloch_from_state(psi))
     np.testing.assert_allclose(rho_direct, rho_bloch, atol=1e-12)
     check_density(rho_direct)
@@ -113,7 +112,7 @@ def _ket_cases():
 def test_ket_bloch_matches_the_density_matrix_path():
     for psi in _ket_cases():
         fast = bloch_from_state(psi)
-        ref = bloch_from_state(density_from_state(psi))
+        ref = bloch_from_state(np.outer(psi, psi.conj()))
         assert fast.shape == (4,) and fast.dtype == float
         # relative to s_0 = |psi|^2, the scale of every component
         assert np.max(np.abs(fast - ref)) <= 1e-15 * ref[0], psi
@@ -151,6 +150,9 @@ def test_check_density_rejects_bad_input():
         check_density(np.array([[0.8, 0.0], [0.0, 0.4]]))  # trace 1.2
     with pytest.raises(ValueError):
         check_density(np.array([[1.2, 0.0], [0.0, -0.2]]))  # negative eigenvalue
+    # rho - rho^H overflows to inf, which names the matrix, without a warning
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_density(np.array([[0.5, 1e308], [-1e308, 0.5]]))
 
 
 def _fidelity_sqrtm(rho, sigma):
@@ -175,14 +177,30 @@ def test_check_density_checks_every_member_of_a_stack():
         check_density(np.eye(3))
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("index", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
-def test_check_density_refuses_a_non_finite_entry(value, index):
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(0, 0): math.nan},
+        {(0, 1): math.nan},
+        {(0, 0): math.inf},
+        {(0, 1): math.inf},
+        {(0, 0): -math.inf},
+        # the trace sums inf and -inf, and rho - rho^H subtracts inf from inf
+        {(0, 0): math.inf, (1, 1): -math.inf},
+        {(0, 1): math.inf, (1, 0): math.inf},
+    ],
+    ids=[
+        "diagonal-nan", "off-diagonal-nan", "diagonal-inf", "off-diagonal-inf",
+        "diagonal--inf", "diagonal-inf-and--inf", "both-off-diagonal-inf",
+    ],
+)
+def test_check_density_refuses_a_non_finite_entry(entries):
     # every test compared with NaN, which is false, so a NaN state passed
-    # as physical
+    # as physical; a RuntimeWarning before the refusal fails the test too
     good = density_from_bloch(np.array([1.0, 0.3, -0.2, 0.5]))
     bad = good.copy()
-    bad[index] = value
+    for index, value in entries.items():
+        bad[index] = value
     with pytest.raises(ValueError, match="density matrix must be finite"):
         check_density(bad)
     with pytest.raises(ValueError, match="density matrix must be finite"):
@@ -212,9 +230,9 @@ def test_fidelity_pure_states_is_overlap():
     psi = state_from_angles(0.4, 0.9)
     phi = state_from_angles(1.1, 0.2)
     expected = abs(np.vdot(psi, phi)) ** 2
-    got = fidelity(density_from_state(psi), density_from_state(phi))
+    got = fidelity(np.outer(psi, psi.conj()), np.outer(phi, phi.conj()))
     assert got == pytest.approx(expected, abs=1e-12)
-    assert fidelity(density_from_state(psi), density_from_state(psi)) == pytest.approx(1.0)
+    assert fidelity(np.outer(psi, psi.conj()), np.outer(psi, psi.conj())) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 2), (3, 5), (16, 7), (64, 64)])

@@ -11,8 +11,8 @@ from qtomo.core import PAULI_EIGENSTATES, bloch_from_state, state_from_angles
 from qtomo.estimators import linear_inversion, saturated_mle
 from qtomo.harness import (
     DEFAULT_SEED,
+    _direction_fidelity,
     binomial_variance_identity,
-    direction_fidelity,
     estimator_variance_identity,
     run_full_experiment,
     run_single_experiment,
@@ -21,8 +21,8 @@ from qtomo.harness import (
 from qtomo.model import MeterModel, NonInvertibleModelError, SingularInformationError
 from qtomo.single import (
     NonInformativeCouplingError,
+    _fisher_inverse_angle_form,
     estimate_sz,
-    fisher_inverse_angle_form,
     fisher_inverse_single,
     probabilities_single,
     qttf_single,
@@ -45,12 +45,12 @@ def test_pauli_eigenstate_set_is_the_octahedron():
 def test_direction_fidelity_properties():
     truth = np.array([1.0, 0.0, 0.0, 1.0])
     aligned = np.array([1.0, 0.0, 0.0, 0.4])  # shrunk but pointing right
-    assert direction_fidelity(truth, aligned) == pytest.approx(1.0, abs=1e-12)
+    assert _direction_fidelity(truth, aligned) == pytest.approx(1.0, abs=1e-12)
     orthogonal = np.array([1.0, 0.7, 0.0, 0.0])
-    assert direction_fidelity(truth, orthogonal) == pytest.approx(0.5, abs=1e-12)
+    assert _direction_fidelity(truth, orthogonal) == pytest.approx(0.5, abs=1e-12)
     opposite = np.array([1.0, 0.0, 0.0, -0.2])
-    assert direction_fidelity(truth, opposite) == pytest.approx(0.0, abs=1e-12)
-    assert direction_fidelity(truth, np.array([1.0, 0.0, 0.0, 0.0])) == 0.5
+    assert _direction_fidelity(truth, opposite) == pytest.approx(0.0, abs=1e-12)
+    assert _direction_fidelity(truth, np.array([1.0, 0.0, 0.0, 0.0])) == 0.5
 
 
 def test_run_single_experiment_deterministic_and_labeled():
@@ -93,7 +93,7 @@ def test_estimators_recover_pauli_states_from_exact_probabilities():
         truth = bloch_from_state(psi)
         for estimator in (saturated_mle, linear_inversion):
             bloch = estimator(tmat @ truth, tmat).bloch
-            assert direction_fidelity(truth, bloch) > 1.0 - 1e-6
+            assert _direction_fidelity(truth, bloch) > 1.0 - 1e-6
 
 
 def test_full_experiment_reproduces_reference_fidelities():
@@ -353,7 +353,7 @@ def test_single_meter_rejects_a_non_finite_coupling(theta, monkeypatch):
         lambda: probabilities_single(psi, theta),
         lambda: estimate_sz(0.5, 0.5, theta),
         lambda: fisher_inverse_single(psi, theta),
-        lambda: fisher_inverse_angle_form(0.3, theta),
+        lambda: _fisher_inverse_angle_form(0.3, theta),
         lambda: qttf_single(theta),
         lambda: two_design_average(theta),
         lambda: binomial_variance_identity(psi, theta),

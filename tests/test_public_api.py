@@ -4,7 +4,9 @@ perfbench/ drives qtomo through the names checked here; its own smoke
 test is slow and runs outside this suite, so a deletion that breaks the
 benchmark must fail here first.
 """
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -35,6 +37,54 @@ BENCHMARK_NAMES = (
     ("cli", "main"),
     ("cli", "identity_suite"),
 )
+
+
+# The package's public surface: production paths and the types they return.
+# Oracles that only checks call stay private in their modules.
+PUBLIC_NAMES = {
+    "__version__",
+    # core
+    "SIGMA", "HADAMARD", "PAULI_EIGENSTATES", "PAULI_EIGENSTATE_LABELS",
+    "QuadratureRule", "make_quadrature", "state_from_angles",
+    "density_from_bloch", "bloch_from_state", "check_density", "fidelity",
+    # single meter
+    "NonInformativeCouplingError", "probabilities_single", "estimate_sz",
+    "fisher_inverse_single", "qttf_single", "max_error_single",
+    "two_design_average",
+    # model
+    "MeterModel", "kraus_transfer", "simulate_meter_process",
+    "SingularInformationError", "fisher_from_transfer", "fisher_matrix_form",
+    "delta_from_transfer", "qttf_from_transfer", "OptimizationResult",
+    # two-meter model
+    "REFERENCE_COUPLINGS", "TwoMeterModel", "joint_unitary", "qttf_two_meter",
+    "optimize_two_meter",
+    # circuit model
+    "REFERENCE_OPTIMUM", "u3", "build_circuit", "circuit_unitary",
+    "qttf_circuit", "optimize_circuit",
+    # estimators
+    "NonInvertibleModelError", "LinearInversionResult", "linear_inversion",
+    "radial_clip", "MleConfig", "MleResult", "saturated_mle", "rho_r_mle",
+    "log_likelihood",
+    # harness
+    "DEFAULT_SEED", "ExperimentReport", "run_single_experiment",
+    "run_full_experiment", "variance_vs_fisher_scan", "IdentityReport",
+    "binomial_variance_identity", "estimator_variance_identity",
+}
+
+
+def test_public_surface_is_pinned():
+    assert len(qtomo.__all__) == len(set(qtomo.__all__)) == 56
+    assert set(qtomo.__all__) == PUBLIC_NAMES
+
+
+def test_qttf_from_transfer_has_one_exact_path():
+    # the quadrature average is the private oracle model._qttf_quadrature
+    assert list(inspect.signature(qtomo.qttf_from_transfer).parameters) == ["tmat"]
+
+
+def test_mle_config_fields():
+    # R-rho-R's step tolerance is a module constant, not an option
+    assert [f.name for f in dataclasses.fields(qtomo.MleConfig)] == ["max_iter", "gap_tol"]
 
 
 # Names the harness and CLI run in production, exported at both levels.

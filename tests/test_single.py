@@ -11,19 +11,18 @@ from qtomo.core import (
     PAULI_EIGENSTATES,
     PI_1,
     bloch_from_state,
-    density_from_state,
     make_quadrature,
     state_from_angles,
 )
 from qtomo.single import (
     NonInformativeCouplingError,
+    _fisher_inverse_angle_form,
+    _qttf_single_quadrature,
     estimate_sz,
-    fisher_inverse_angle_form,
     fisher_inverse_single,
     max_error_single,
     probabilities_single,
     qttf_single,
-    qttf_single_quadrature,
     two_design_average,
 )
 
@@ -38,7 +37,7 @@ def _meter_circuit_probabilities(psi, theta):
     The meter starts in |+>, picks up exp(-i theta) on the |1>|1> branch,
     and is measured after a Hadamard.
     """
-    rho = np.kron(density_from_state(psi), np.full((2, 2), 0.5, dtype=complex))
+    rho = np.kron(np.outer(psi, psi.conj()), np.full((2, 2), 0.5, dtype=complex))
     joint = np.eye(4, dtype=complex)
     phase = np.kron(PI_1, PI_1)
     joint = joint + (np.exp(-1j * theta) - 1.0) * phase
@@ -101,7 +100,7 @@ def test_fisher_inverse_alpha2_independent(a1, a2a, a2b, theta):
 def test_fisher_inverse_angle_form_agrees(a1, a2, theta):
     psi = state_from_angles(a1, a2)
     assert fisher_inverse_single(psi, theta) == pytest.approx(
-        fisher_inverse_angle_form(a1, theta), abs=1e-10
+        _fisher_inverse_angle_form(a1, theta), abs=1e-10
     )
 
 
@@ -122,7 +121,7 @@ def test_qttf_closed_form_is_exact_for_coarse_quadrature():
     # integrates it exactly
     rule = make_quadrature(2, 2)
     for theta in (0.4, 1.1, 2.2, math.pi):
-        assert qttf_single_quadrature(theta, rule) == pytest.approx(
+        assert _qttf_single_quadrature(theta, rule) == pytest.approx(
             qttf_single(theta), abs=1e-12
         )
 
@@ -137,7 +136,7 @@ def test_qttf_monotone_down_to_pi():
 def test_max_error_closed_form_matches_grid_maximum():
     grid = np.linspace(0.0, math.pi / 2.0, 4001)
     for theta in (0.5, 1.0, math.pi / 2.0, 2.0, 2.6, math.pi):
-        dense = max(fisher_inverse_angle_form(a1, theta) for a1 in grid)
+        dense = max(_fisher_inverse_angle_form(a1, theta) for a1 in grid)
         assert max_error_single(theta) == pytest.approx(dense, rel=1e-6)
 
 

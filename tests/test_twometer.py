@@ -10,12 +10,12 @@ from qtomo.core import (
     PAULI_EIGENSTATES,
     bloch_from_state,
     density_from_bloch,
-    density_from_state,
     make_quadrature,
     state_from_angles,
 )
 from qtomo.estimators import linear_inversion
 from qtomo.model import (
+    _qttf_quadrature,
     SIGN_MATRIX,
     SingularInformationError,
     default_rule,
@@ -31,8 +31,8 @@ from qtomo.twometer import (
     REFERENCE_COUPLINGS,
     TwoMeterModel,
     _coefficients,
+    _meter_unitaries,
     joint_unitary,
-    meter_unitaries,
     optimize_two_meter,
     qttf_two_meter,
     transfer_matrix,
@@ -58,7 +58,7 @@ def pauli_average(tmat):
 
 
 def test_meter_unitaries_unitary_and_joint():
-    u00, u01, u10, u11 = meter_unitaries(1.3, -0.7)
+    u00, u01, u10, u11 = _meter_unitaries(1.3, -0.7)
     for u in (u00, u01, u10, u11):
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(u00, np.eye(2), atol=1e-15)
@@ -84,11 +84,11 @@ def test_joint_unitary_stack_is_the_per_pair_call():
     theta_a, theta_b = couplings.T
     joint = joint_unitary(theta_a, theta_b)
     assert joint.shape == (len(couplings), 8, 8)
-    branches = meter_unitaries(theta_a, theta_b)
+    branches = _meter_unitaries(theta_a, theta_b)
     assert all(u.shape == (len(couplings), 2, 2) for u in branches)
     for i, (a, b) in enumerate(couplings.tolist()):
         assert np.array_equal(joint[i], joint_unitary(a, b))
-        for stacked, single in zip(branches, meter_unitaries(a, b)):
+        for stacked, single in zip(branches, _meter_unitaries(a, b)):
             assert np.array_equal(stacked[i], single)
     # a scalar coupling broadcasts against an array of the other
     mixed = joint_unitary(theta_a[:7].reshape(7, 1), 1.25)
@@ -99,12 +99,12 @@ def test_joint_unitary_stack_is_the_per_pair_call():
 
 def test_scalar_couplings_keep_their_shapes():
     assert joint_unitary(*REFERENCE_COUPLINGS).shape == (8, 8)
-    assert all(u.shape == (2, 2) for u in meter_unitaries(*REFERENCE_COUPLINGS))
+    assert all(u.shape == (2, 2) for u in _meter_unitaries(*REFERENCE_COUPLINGS))
     assert kraus_transfer(joint_unitary(*REFERENCE_COUPLINGS)).shape == (4, 4)
     # each scalar branch is a fresh, writable array
-    u00 = meter_unitaries(0.1, 0.2)[0]
+    u00 = _meter_unitaries(0.1, 0.2)[0]
     u00[0, 0] = 2.0
-    assert meter_unitaries(0.1, 0.2)[0][0, 0] == 1.0
+    assert _meter_unitaries(0.1, 0.2)[0][0, 0] == 1.0
 
 
 def test_batched_kraus_read_matches_closed_form():
@@ -169,7 +169,7 @@ def test_transfer_matrix_matches_simulation(a1, a2, theta_a, theta_b):
     psi = state_from_angles(a1, a2)
     bloch = bloch_from_state(psi)
     model = TwoMeterModel(theta_a, theta_b)
-    sim = simulate_meter_process(density_from_state(psi), joint_unitary(*model.params))
+    sim = simulate_meter_process(np.outer(psi, psi.conj()), joint_unitary(*model.params))
     np.testing.assert_allclose(model.transfer_matrix() @ bloch, sim, atol=1e-12)
     assert sim.sum() == pytest.approx(1.0, abs=1e-12)
     assert sim.min() >= -1e-12
@@ -179,8 +179,11 @@ def test_stacked_simulation_is_the_per_state_call():
     rng = np.random.default_rng(12)
     unitary = joint_unitary(*REFERENCE_COUPLINGS)
     rhos = np.array([
-        density_from_state(state_from_angles(rng.uniform(0, math.pi / 2), rng.uniform(0, math.pi)))
-        for _ in range(12)
+        np.outer(psi, psi.conj())
+        for psi in (
+            state_from_angles(rng.uniform(0, math.pi / 2), rng.uniform(0, math.pi))
+            for _ in range(12)
+        )
     ]).reshape(3, 4, 2, 2)
     sims = simulate_meter_process(rhos, unitary)
     assert sims.shape == (3, 4, 4)
@@ -251,7 +254,7 @@ def test_zero_couplings_are_degenerate():
     with pytest.raises(SingularInformationError):
         fisher_from_transfer(tmat, bloch)
     assert math.isinf(qttf_two_meter(0.0, 0.0))
-    assert math.isinf(qttf_from_transfer(tmat, make_quadrature(8, 8)))
+    assert math.isinf(_qttf_quadrature(tmat, make_quadrature(8, 8)))
 
 
 @given(angles1, angles2)
@@ -303,8 +306,8 @@ def test_qttf_reference_value_regression():
 
 def test_qttf_quadrature_convergence():
     tmat = transfer_matrix(*REFERENCE_COUPLINGS)
-    coarse = qttf_from_transfer(tmat, make_quadrature(32, 32))
-    fine = qttf_from_transfer(tmat, make_quadrature(64, 64))
+    coarse = _qttf_quadrature(tmat, make_quadrature(32, 32))
+    fine = _qttf_quadrature(tmat, make_quadrature(64, 64))
     assert coarse == pytest.approx(fine, rel=1e-4)
 
 
@@ -329,8 +332,8 @@ def test_full_azimuth_quadrature_gives_same_average():
     r_half = make_quadrature(32, 32)
     r_full = make_quadrature(32, 64, alpha2_limit=2 * math.pi)
     tmat = transfer_matrix(*REFERENCE_COUPLINGS)
-    v1 = qttf_from_transfer(tmat, r_half)
-    v2 = qttf_from_transfer(tmat, r_full)
+    v1 = _qttf_quadrature(tmat, r_half)
+    v2 = _qttf_quadrature(tmat, r_full)
     assert v1 == pytest.approx(v2, rel=1e-10)
 
 
@@ -372,7 +375,7 @@ def test_exact_qttf_matches_quadrature():
     for _ in range(200):
         tmat = transfer_matrix(*rng.uniform(-3 * math.pi, 3 * math.pi, size=2))
         exact = qttf_from_transfer(tmat)
-        quad = qttf_from_transfer(tmat, rule)
+        quad = _qttf_quadrature(tmat, rule)
         assert abs(exact - quad) <= (1e-9 + 1e-14 * exact) * exact
 
 
@@ -385,7 +388,7 @@ def test_exact_qttf_finite_near_singular_couplings():
     exact = qttf_two_meter(*couplings)
     assert exact == pytest.approx(6.399e13, rel=1e-3)
     assert exact == pytest.approx(pauli_average(tmat), rel=1e-9)
-    assert math.isinf(qttf_from_transfer(tmat, default_rule()))
+    assert math.isinf(_qttf_quadrature(tmat, default_rule()))
 
 
 def test_exact_qttf_of_tetrahedral_povm_is_eight():
