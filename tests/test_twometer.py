@@ -15,9 +15,9 @@ from qtomo.core import (
 )
 from qtomo.estimators import linear_inversion
 from qtomo.model import (
-    _qttf_quadrature,
     SIGN_MATRIX,
     SingularInformationError,
+    _qttf_quadrature,
     default_rule,
     delta_from_transfer,
     delta_surface,
