@@ -53,11 +53,9 @@ from .circuit import (
     circuit_unitary,
     optimize_circuit,
     qttf_circuit,
-    u3,
 )
 from .estimators import (
     LinearInversionResult,
-    MleConfig,
     MleResult,
     linear_inversion,
     log_likelihood,
@@ -118,7 +116,6 @@ __all__ = [
     "optimize_two_meter",
     # circuit model
     "REFERENCE_OPTIMUM",
-    "u3",
     "build_circuit",
     "circuit_unitary",
     "qttf_circuit",
@@ -128,7 +125,6 @@ __all__ = [
     "LinearInversionResult",
     "linear_inversion",
     "radial_clip",
-    "MleConfig",
     "MleResult",
     "saturated_mle",
     "rho_r_mle",

@@ -37,7 +37,6 @@ from .model import (
 
 __all__ = [
     "REFERENCE_OPTIMUM",
-    "u3",
     "build_circuit",
     "circuit_unitary",
     "qttf_circuit",
@@ -64,15 +63,9 @@ _CNOT_S_TO_B = cnot_matrix(control=1, target=2)
 
 
 def _u3_entries(theta: float, phi: float, lam: float) -> tuple[complex, ...]:
-    """Entries (g00, g01, g10, g11) of u3(theta, phi, lam) as Python scalars."""
-    ct, st = math.cos(theta), math.sin(theta)
-    e_phi = cmath.exp(1.0j * phi)
-    e_lam = cmath.exp(1.0j * lam)
-    return ct, -e_lam * st, e_phi * st, cmath.exp(1.0j * (phi + lam)) * ct
+    """Entries (g00, g01, g10, g11) of u3(theta, phi, lam) as Python scalars.
 
-
-def u3(theta: float, phi: float, lam: float) -> np.ndarray:
-    """Generic one-qubit gate with full-angle entries.
+    The generic one-qubit gate with full-angle entries:
 
     [[cos(theta), -e^{i lam} sin(theta)],
      [e^{i phi} sin(theta), e^{i(phi+lam)} cos(theta)]]
@@ -81,8 +74,10 @@ def u3(theta: float, phi: float, lam: float) -> np.ndarray:
     gates are u3(theta/2, phi, lambda), the hardware convention, so a
     circuit parameter theta = pi is the bit flip there.
     """
-    g00, g01, g10, g11 = _u3_entries(theta, phi, lam)
-    return np.array([[g00, g01], [g10, g11]])
+    ct, st = math.cos(theta), math.sin(theta)
+    e_phi = cmath.exp(1.0j * phi)
+    e_lam = cmath.exp(1.0j * lam)
+    return ct, -e_lam * st, e_phi * st, cmath.exp(1.0j * (phi + lam)) * ct
 
 
 def _gates(params) -> list[tuple[complex, ...]]:

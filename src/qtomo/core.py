@@ -280,17 +280,15 @@ def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return product.reshape(product.shape[:-6] + (8, 8))
 
 
-def cnot_matrix(control: int, target: int, n_qubits: int = 3) -> np.ndarray:
-    """CNOT on an n-qubit register; qubit 0 is the leftmost tensor factor."""
+def cnot_matrix(control: int, target: int) -> np.ndarray:
+    """CNOT on the three-qubit register; qubit 0 is the leftmost tensor factor."""
     if control == target:
         raise ValueError("control and target must differ")
-    dim = 2**n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for idx in range(dim):
-        bits = [(idx >> (n_qubits - 1 - q)) & 1 for q in range(n_qubits)]
+    out = np.zeros((8, 8), dtype=complex)
+    for idx in range(8):
+        bits = [(idx >> (2 - q)) & 1 for q in range(3)]
         if bits[control]:
             bits[target] ^= 1
-        jdx = sum(bit << (n_qubits - 1 - q) for q, bit in enumerate(bits))
+        jdx = sum(bit << (2 - q) for q, bit in enumerate(bits))
         out[jdx, idx] = 1.0
     return out
-

@@ -8,8 +8,9 @@ a few Newton steps on the sphere, in plain floats, with a KKT certificate.
 It is the "mle" estimator of the harness and the CLI.  The iterative
 R-rho-R scheme (Hradil, PRA 55, R1561, 1997) stays as the reference,
 `rho_r_mle`; it converges slowly near pure states and can stop at its
-iteration cap.  Its step tolerance is a fixed constant, so `MleConfig`
-sets only the cap and the optional certified-gap stop.
+iteration cap.  Its step tolerance is a fixed constant, so its keywords
+set only the cap (`max_iter`) and the optional certified-gap stop
+(`gap_tol`).
 
 Both direct estimators start from one inverse: `model.require_invertible`
 returns the T^-1 of the qTTF's certified float LU (an SVD and LAPACK's
@@ -41,7 +42,6 @@ from .model import NonInvertibleModelError, _check_transfer, require_invertible
 __all__ = [
     "NonInvertibleModelError",
     "require_invertible",
-    "MleConfig",
     "LinearInversionResult",
     "MleResult",
     "linear_inversion",
@@ -83,37 +83,6 @@ class LinearInversionResult:
     bloch: np.ndarray
     physical: bool
     s0_deviation: float
-
-
-@dataclass(frozen=True)
-class MleConfig:
-    """Stopping rules of `rho_r_mle`.
-
-    max_iter caps the iterations.  gap_tol, if given, also stops a run
-    at the first state whose certified gap lambda_max(R) - 1 is at most
-    gap_tol: no state's log-likelihood exceeds that state's by more
-    (Glancy, Knill and Girard, NJP 14, 095017 (2012)).  It is off by
-    default, so the library's iterates and iteration counts stay those
-    of the step rule alone.
-    """
-
-    max_iter: int = 10000
-    gap_tol: float | None = None
-
-    def __post_init__(self) -> None:
-        # a float max_iter would fail only later, in range()
-        if (
-            isinstance(self.max_iter, bool)
-            or not isinstance(self.max_iter, numbers.Integral)
-            or self.max_iter < 1
-        ):
-            raise ValueError(
-                f"max_iter must be a positive integer, got {self.max_iter!r}"
-            )
-        if self.gap_tol is not None and not 0.0 < self.gap_tol < math.inf:
-            raise ValueError(
-                f"gap_tol must be positive and finite, got {self.gap_tol!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -386,7 +355,9 @@ def _live_positive(rows, x: float, y: float, z: float) -> bool:
 def rho_r_mle(
     freqs: np.ndarray,
     tmat: np.ndarray,
-    cfg: MleConfig | None = None,
+    *,
+    max_iter: int = 10000,
+    gap_tol: float | None = None,
     likelihood_trace: list | None = None,
 ) -> MleResult:
     """Maximum-likelihood reconstruction by the R-rho-R fixed point.
@@ -425,12 +396,15 @@ def rho_r_mle(
     iteration counts and stopping decisions stay the same to the bit;
     seeded pins in the tests hold them there.
 
-    With cfg.gap_tol set, a step that floored no probability also
-    stops, before its update, once lambda_max(R) - 1 = a + |b| - 1 is at
-    most gap_tol: the current state is returned, converged, and no state's
-    log-likelihood exceeds its own by more than that gap.  The trace
-    below and this test share one flag test per iteration, so a run with
-    neither tests no more than the step rule needs.
+    max_iter caps the iterations.  gap_tol is off by default, so the
+    iterates and iteration counts are those of the step rule alone.  With
+    gap_tol set, a step that floored no probability also stops, before
+    its update, once lambda_max(R) - 1 = a + |b| - 1 is at most gap_tol:
+    the current state is returned, converged, and no state's
+    log-likelihood exceeds its own by more than that gap (Glancy, Knill
+    and Girard, NJP 14, 095017 (2012)).  The trace below and this test
+    share one flag test per iteration, so a run with neither tests no
+    more than the step rule needs.
 
     likelihood_trace, if given a list, collects the log-likelihood at
     every visited state, summed in plain floats over the outcomes with
@@ -443,12 +417,20 @@ def rho_r_mle(
     any POVM), it raises NonInvertibleModelError when T is singular and
     ValueError naming T otherwise.  The loop itself tests nothing extra:
     finiteness is tested once after it, and cond(T) only on that failure
-    path.
+    path.  ValueError unless max_iter is a positive integer and gap_tol,
+    if given, is positive and finite.
     """
+    # a float max_iter would fail only later, in range()
+    if (
+        isinstance(max_iter, bool)
+        or not isinstance(max_iter, numbers.Integral)
+        or max_iter < 1
+    ):
+        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
+    if gap_tol is not None and not 0.0 < gap_tol < math.inf:
+        raise ValueError(f"gap_tol must be positive and finite, got {gap_tol!r}")
     freqs = _check_frequencies(freqs)
     tmat = _check_transfer(tmat)
-    if cfg is None:
-        cfg = MleConfig()
 
     (
         (t00, t01, t02, t03),
@@ -465,7 +447,6 @@ def rho_r_mle(
     q0 = q1 = q2 = q3 = math.inf
     floored = 0
     converged = False
-    gap_tol = cfg.gap_tol
     certify = gap_tol is not None
     sqrt = math.sqrt
     # the last iteration that floored a probability: its R is not the
@@ -481,7 +462,7 @@ def rho_r_mle(
         live = [(q, fq) for q, fq in enumerate((f0, f1, f2, f3)) if fq > 0.0]
         all_live = len(live) == 4
     try:
-        for iteration in range(1, cfg.max_iter + 1):
+        for iteration in range(1, max_iter + 1):
             # p = T s, row by row
             p0 = t00 + t01 * x + t02 * y + t03 * z
             p1 = t10 + t11 * x + t12 * y + t13 * z
@@ -550,7 +531,7 @@ def rho_r_mle(
         _log.warning(
             "R-rho-R stopped at the iteration cap (%d) before converging; "
             "frequencies %s, final Bloch vector %s",
-            cfg.max_iter, freqs.tolist(), bloch.tolist(),
+            max_iter, freqs.tolist(), bloch.tolist(),
         )
     return MleResult(
         bloch=bloch,

@@ -5,6 +5,8 @@ fidelities), scans estimator variance against the Fisher bound, and
 checks the two variance identities that tie the sampling statistics to
 Tr(F^-1).  Every draw is tied to an explicit integer seed; repeats,
 states and grid points get independent substreams derived from it.
+Rows carry only what the tables and their callers read; a full row's
+fidelity is the direction fidelity of its mean estimate.
 """
 from __future__ import annotations
 
@@ -14,14 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    PAULI_EIGENSTATES,
-    PAULI_EIGENSTATE_LABELS,
-    bloch_from_state,
-    density_from_bloch,
-    fidelity,
-)
-from .estimators import _saturated_mle, _solve, radial_clip
+from .core import PAULI_EIGENSTATES, PAULI_EIGENSTATE_LABELS, bloch_from_state
+from .estimators import _saturated_mle, _solve
 from .model import _as_blochs, _live_probabilities, delta_from_transfer
 from .model import fisher_from_transfer, require_invertible
 from .single import estimate_sz, fisher_inverse_single, probabilities_single
@@ -93,8 +89,7 @@ class SingleStateRow:
     truth: float
     mean: float
     std: float
-    sigma: float  # bound scale: sample std, or the shot-noise sigma when 0
-    within_3sigma: bool
+    within_3sigma: bool  # within 3 std, or 3 shot-noise sigma when std is 0
 
 
 @dataclass(frozen=True)
@@ -103,8 +98,7 @@ class FullStateRow:
     truth: np.ndarray
     mean: np.ndarray
     std: np.ndarray
-    fidelity: float            # direction convention, used by the tables
-    fidelity_mean_state: float  # plain state fidelity of the averaged estimate
+    fidelity: float  # direction convention, used by the tables
     physical_fraction: float
 
 
@@ -151,7 +145,6 @@ def run_single_experiment(
                 truth=truth,
                 mean=mean,
                 std=std,
-                sigma=sigma,
                 within_3sigma=abs(mean - truth) <= 3.0 * sigma + 1e-12,
             )
         )
@@ -202,9 +195,6 @@ def run_full_experiment(
         stacked = np.vstack(estimates)
         mean = stacked.mean(axis=0)
         std = stacked[:, 1:].std(axis=0, ddof=1)
-        fid_mean = fidelity(
-            density_from_bloch(truth), density_from_bloch(radial_clip(mean))
-        )
         rows.append(
             FullStateRow(
                 label=PAULI_EIGENSTATE_LABELS[k],
@@ -212,7 +202,6 @@ def run_full_experiment(
                 mean=mean,
                 std=std,
                 fidelity=_direction_fidelity(truth, mean),
-                fidelity_mean_state=fid_mean,
                 physical_fraction=float(np.mean(physical)),
             )
         )

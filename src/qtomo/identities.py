@@ -17,13 +17,13 @@ the stored result, or, if the oracle raised, fails with an error naming
 it without running it again.
 
 The R-rho-R reference runs stop at the first state whose certified gap
-lambda_max(R) - 1 is at most 1e-5, or at _REFERENCE_CONFIG's 300
-iterations, far short of 1/n convergence for near-pure inputs.  The
-exact MLE is checked against them from both sides: its log-likelihood is
-not below the reference's, and not above it by more than lambda_max(R) - 1
-at the reference, a certificate that holds at any iterate.  A reference
-run stopped at the cap is counted in the report, not logged, and the
-report gives the largest certified gap.
+lambda_max(R) - 1 is at most _REFERENCE_GAP_TOL = 1e-5, or at
+_REFERENCE_MAX_ITER = 300 iterations, far short of 1/n convergence for
+near-pure inputs.  The exact MLE is checked against them from both
+sides: its log-likelihood is not below the reference's, and not above it
+by more than lambda_max(R) - 1 at the reference, a certificate that holds
+at any iterate.  A reference run stopped at the cap is counted in the
+report, not logged, and the report gives the largest certified gap.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ import numpy as np
 from . import circuit, twometer
 from .circuit import REFERENCE_OPTIMUM, build_circuit, circuit_unitary
 from .core import bloch_from_state, density_from_bloch, make_quadrature, state_from_angles
-from .estimators import MleConfig, linear_inversion, log_likelihood, rho_r_mle, saturated_mle
+from .estimators import linear_inversion, log_likelihood, rho_r_mle, saturated_mle
 from .harness import binomial_variance_identity, estimator_variance_identity
 from .model import (
     _qttf_quadrature,
@@ -64,7 +64,8 @@ _PAIRS = 200  # cases in coefficients_vs_trace and in binomial_variance
 # (554 at the cap alone), and the largest certified gap stays 1.6e-5, as
 # the capped runs are the same iterates.  On a 2-core host the five runs
 # take 0.7-1.1 ms per suite, against 1.8 ms at the cap alone (seeds 0-59).
-_REFERENCE_CONFIG = MleConfig(max_iter=300, gap_tol=1e-5)
+_REFERENCE_MAX_ITER = 300
+_REFERENCE_GAP_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,10 @@ def _fisher_symmetry_psd(fishers) -> float:
 
 def _rho_r_run(freqs, tmat):
     trace_ll = []
-    return trace_ll, rho_r_mle(freqs, tmat, _REFERENCE_CONFIG, likelihood_trace=trace_ll)
+    return trace_ll, rho_r_mle(
+        freqs, tmat, max_iter=_REFERENCE_MAX_ITER, gap_tol=_REFERENCE_GAP_TOL,
+        likelihood_trace=trace_ll,
+    )
 
 
 @contextmanager

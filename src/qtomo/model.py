@@ -349,15 +349,16 @@ def _inverse_weights(rows) -> tuple[list, list[float]] | None:
 def _certified_inverse(rows) -> tuple[list, list[float]]:
     """_inverse_weights' pair; a T it does not clear goes to one SVD.
 
-    ValueError for a non-finite T, NonInvertibleModelError once
-    cond(T) >= CONDITION_LIMIT, else the pair from LAPACK's inverse.
+    ValueError for a non-finite T, with _check_transfer's message,
+    NonInvertibleModelError once cond(T) >= CONDITION_LIMIT, else the
+    pair from LAPACK's inverse.
     """
     cleared = _inverse_weights(rows)
     if cleared is not None:
         return cleared
     tmat = np.array(rows, dtype=float)
     if not np.all(np.isfinite(tmat)):
-        raise ValueError("transfer matrix must be finite")
+        raise ValueError("transfer matrix must be a finite real 4x4 array")
     cond = float(np.linalg.cond(tmat))
     if not cond < CONDITION_LIMIT:
         raise NonInvertibleModelError(cond)
@@ -469,12 +470,11 @@ def default_rule() -> QuadratureRule:
 
 @dataclass(frozen=True)
 class RestartOutcome:
-    """One local search: where it started, where it ended, what it found.
+    """One local search: where it ended and what it found.
 
     evaluations counts objective calls and seconds is the search's wall time.
     """
 
-    start: np.ndarray
     params: np.ndarray
     value: float
     iterations: int
@@ -595,8 +595,10 @@ def minimize_with_restarts(
     (_nelder_mead), and objectives receive each vertex as a list of
     floats.  tol=1e-6 sets both absolute tolerances, on the simplex and
     on the objective.  Non-finite objective values are fine (the simplex
-    retreats from them).  A restart that stops at maxiter reports
-    converged=False and logs one warning on the "qtomo.model" logger.
+    retreats from them).  Each restart reports its end point, value,
+    iterations, evaluations and wall time; one that stops at maxiter
+    reports converged=False and logs one warning on the "qtomo.model"
+    logger.
     """
 
     def run(x0: np.ndarray) -> RestartOutcome:
@@ -609,7 +611,6 @@ def minimize_with_restarts(
                 maxiter, evaluations, _NM_TOL, value, x,
             )
         return RestartOutcome(
-            start=np.asarray(x0, dtype=float),
             params=np.array(x),
             value=value,
             iterations=iterations,

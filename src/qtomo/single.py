@@ -65,10 +65,11 @@ def estimate_sz(p0: float, p1: float, theta: float) -> float:
     """Invert the outcome statistics for s_z.
 
     Accepts probabilities or empirical frequencies; they must sum to 1
-    within 1e-9.  Raises NonInformativeCouplingError when theta gives the
-    meter no sensitivity.
+    within 1e-9, so a NaN in either raises ValueError.  Raises
+    NonInformativeCouplingError when theta gives the meter no sensitivity.
     """
-    if abs(p0 + p1 - 1.0) > 1e-9:
+    # a NaN sum fails this test, where abs(nan - 1) > 1e-9 would pass it
+    if not abs(p0 + p1 - 1.0) <= 1e-9:
         raise ValueError(f"P0 + P1 = {p0 + p1}, expected 1")
     s2 = _sin2_half(theta)
     if s2 < _COUPLING_FLOOR:

@@ -10,11 +10,11 @@ from qtomo.circuit import (
     REFERENCE_OPTIMUM,
     _gates,
     _transfer_rows,
+    _u3_entries,
     build_circuit,
     circuit_unitary,
     optimize_circuit,
     qttf_circuit,
-    u3,
 )
 from qtomo.core import (
     bloch_from_state,
@@ -33,6 +33,11 @@ from qtomo.model import (
 )
 
 gate_angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
+
+
+def u3(theta, phi, lam):
+    # the full-angle gate as a 2x2 matrix of the circuit's scalar entries
+    return np.array(_u3_entries(theta, phi, lam)).reshape(2, 2)
 
 
 def test_u3_known_gates():

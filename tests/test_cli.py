@@ -16,7 +16,7 @@ import qtomo
 from qtomo import cli
 from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit
 from qtomo.cli import main
-from qtomo.estimators import MleConfig, rho_r_mle, saturated_mle
+from qtomo.estimators import rho_r_mle, saturated_mle
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, qttf_two_meter
 
 
@@ -187,7 +187,7 @@ def test_capped_mle_warning_names_level_and_logger(capsys, monkeypatch):
     pure = np.array([1.0, 0.6, 0.0, 0.8])
 
     def capped_suite(seed, corrupt):
-        rho_r_mle(tmat @ pure, tmat, MleConfig(max_iter=5))
+        rho_r_mle(tmat @ pure, tmat, max_iter=5)
         return {"checks": {}, "all_pass": True, "capped_reference_runs": 0}
 
     monkeypatch.setattr(cli, "identity_suite", capped_suite)

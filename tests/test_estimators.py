@@ -14,7 +14,6 @@ from qtomo.core import (
     state_from_angles,
 )
 from qtomo.estimators import (
-    MleConfig,
     NonInvertibleModelError,
     linear_inversion,
     log_likelihood,
@@ -312,7 +311,7 @@ def test_mle_never_returns_nan():
         tmat = rng.normal(size=(4, 4)) * 10.0 ** int(rng.integers(-199, 200))
         freqs = rng.dirichlet(np.ones(4))
         try:
-            result = rho_r_mle(freqs, tmat, MleConfig(max_iter=200))
+            result = rho_r_mle(freqs, tmat, max_iter=200)
         except ValueError as exc:
             assert isinstance(exc, NonInvertibleModelError) or (
                 str(tmat.tolist()) in str(exc)
@@ -344,7 +343,7 @@ def test_mle_pure_state_convergence_is_harmonic(models):
     tmat = models[0].transfer_matrix()
     result = rho_r_mle(tmat @ bloch, tmat)
     assert not result.converged
-    assert result.iterations == MleConfig().max_iter
+    assert result.iterations == 10000  # the default cap
     fid = fidelity(density_from_bloch(bloch), density_from_bloch(result.bloch))
     assert fid > 1.0 - 2e-4
 
@@ -377,11 +376,12 @@ def test_mle_count_floor_reporting(models):
     assert result.converged is True
 
 
-def test_mle_config_validation():
-    with pytest.raises(ValueError):
-        MleConfig(max_iter=0)
+def test_rho_r_mle_keyword_validation():
+    tmat = transfer_matrix(*REFERENCE_COUPLINGS)
+    freqs = np.full(4, 0.25)
     # a float cap would fail only later, inside range()
     for bad in (
+        {"max_iter": 0},
         {"max_iter": 2.5},
         {"max_iter": 100.0},
         {"max_iter": True},
@@ -391,11 +391,14 @@ def test_mle_config_validation():
         {"gap_tol": -1e-5},
     ):
         with pytest.raises(ValueError, match=next(iter(bad))):
-            MleConfig(**bad)
-    assert MleConfig(max_iter=np.int64(7)).max_iter == 7
-    cfg = MleConfig(max_iter=50)
-    tmat = transfer_matrix(*REFERENCE_COUPLINGS)
-    result = rho_r_mle(np.full(4, 0.25), tmat, cfg)
+            rho_r_mle(freqs, tmat, **bad)
+        # the keywords are checked before the frequencies
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            rho_r_mle([math.nan] * 4, tmat, **bad)
+    # a numpy integer is an integer cap; pure-state data reach it
+    pure = tmat @ bloch_from_state(state_from_angles(0.9, 1.7))
+    assert rho_r_mle(pure, tmat, max_iter=np.int64(7)).iterations == 7
+    result = rho_r_mle(freqs, tmat, max_iter=50)
     assert result.iterations <= 50
 
 
@@ -480,7 +483,7 @@ def test_rho_r_mle_bit_exact_pins(
     # R-rho-R is the reference for the exact MLE: its iterates are pinned to
     # the bit, so a speed-up that reorders a float operation shows up here
     trace = []
-    result = rho_r_mle(freqs, tmat, MleConfig(max_iter=max_iter), likelihood_trace=trace)
+    result = rho_r_mle(freqs, tmat, max_iter=max_iter, likelihood_trace=trace)
     assert [v.hex() for v in result.bloch.tolist()] == ["0x1.0000000000000p+0", *bloch]
     assert result.iterations == iterations
     assert result.converged is converged
@@ -495,12 +498,12 @@ def test_a_floored_step_never_certifies():
     # bits; the two-meter pin, which floors nothing, stops at once on it
     freqs = np.array([0.7, 0.0, 0.3, 0.0])
     plain = rho_r_mle(freqs, _PIN_DEAD)
-    loose = rho_r_mle(freqs, _PIN_DEAD, MleConfig(gap_tol=1e300))
+    loose = rho_r_mle(freqs, _PIN_DEAD, gap_tol=1e300)
     assert loose.iterations == plain.iterations == 97
     assert loose.floored_probabilities == plain.floored_probabilities == 194
     assert loose.bloch.tobytes() == plain.bloch.tobytes()
     control = rho_r_mle(
-        np.array([443, 211, 153, 217]) / 1024, _PIN_TWO_METER, MleConfig(gap_tol=1e300)
+        np.array([443, 211, 153, 217]) / 1024, _PIN_TWO_METER, gap_tol=1e300
     )
     assert control.iterations == 1 and control.converged
     assert control.bloch.tolist() == [1.0, 0.0, 0.0, 0.0]
@@ -594,7 +597,7 @@ def test_mle_warns_once_when_capped(models, caplog):
     tmat = models[0].transfer_matrix()
     pure = bloch_from_state(state_from_angles(0.9, 1.7))
     with caplog.at_level(logging.WARNING, logger="qtomo.estimators"):
-        result = rho_r_mle(tmat @ pure, tmat, MleConfig(max_iter=200))
+        result = rho_r_mle(tmat @ pure, tmat, max_iter=200)
     assert not result.converged
     records = [r for r in caplog.records if r.name == "qtomo.estimators"]
     assert len(records) == 1
@@ -614,9 +617,9 @@ def test_likelihood_trace_matches_log_likelihood(models):
     tmat = models[1].transfer_matrix()
     for freqs in (np.array([0.4, 0.3, 0.2, 0.1]), np.array([0.5, 0.0, 0.5, 0.0])):
         trace = []
-        rho_r_mle(freqs, tmat, MleConfig(max_iter=30), likelihood_trace=trace)
+        rho_r_mle(freqs, tmat, max_iter=30, likelihood_trace=trace)
         visited = [np.array([1.0, 0.0, 0.0, 0.0])] + [
-            rho_r_mle(freqs, tmat, MleConfig(max_iter=k)).bloch
+            rho_r_mle(freqs, tmat, max_iter=k).bloch
             for k in range(1, len(trace))
         ]
         for ll, bloch in zip(trace, visited):
@@ -634,7 +637,7 @@ def _reference_trace(freqs, tmat, n):
     trace = []
     for k in range(n):
         _, x, y, z = (
-            rho_r_mle(freqs, tmat, MleConfig(max_iter=k)).bloch.tolist()
+            rho_r_mle(freqs, tmat, max_iter=k).bloch.tolist()
             if k else (1.0, 0.0, 0.0, 0.0)
         )
         ll = 0.0
@@ -656,7 +659,7 @@ def test_likelihood_trace_is_the_plain_loop_to_the_bit(freqs, caplog):
     tmat = transfer_matrix(*REFERENCE_COUPLINGS)
     trace = []
     with caplog.at_level(logging.ERROR, logger="qtomo.estimators"):
-        rho_r_mle(freqs, tmat, MleConfig(max_iter=40), likelihood_trace=trace)
+        rho_r_mle(freqs, tmat, max_iter=40, likelihood_trace=trace)
         reference = _reference_trace(freqs, tmat, len(trace))
     assert len(trace) == 40
     assert [v.hex() for v in trace] == [v.hex() for v in reference]

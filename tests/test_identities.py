@@ -8,7 +8,6 @@ from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit, circuit_unitary
 from qtomo.cli import main
 from qtomo.core import bloch_from_state, state_from_angles
 from qtomo.estimators import (
-    MleConfig,
     MleResult,
     linear_inversion,
     log_likelihood,
@@ -17,7 +16,8 @@ from qtomo.estimators import (
 )
 from qtomo.identities import (
     _PAIRS,
-    _REFERENCE_CONFIG,
+    _REFERENCE_GAP_TOL,
+    _REFERENCE_MAX_ITER,
     _draw,
     _gap_bound,
     _simulate,
@@ -147,7 +147,7 @@ def test_capped_reference_runs_are_counted_not_logged(caplog):
     assert not logging.getLogger("qtomo.estimators").filters
     tmat = TwoMeterModel(*REFERENCE_COUPLINGS).transfer_matrix()
     with caplog.at_level(logging.WARNING, logger="qtomo.estimators"):
-        rho_r_mle(tmat @ np.array([1.0, 0.6, 0.0, 0.8]), tmat, MleConfig(max_iter=5))
+        rho_r_mle(tmat @ np.array([1.0, 0.6, 0.0, 0.8]), tmat, max_iter=5)
     assert len([r for r in caplog.records if "iteration cap" in r.getMessage()]) == 1
 
 
@@ -202,7 +202,7 @@ def test_certified_gap_bounds_every_state_and_the_exact_mle():
     # exact MLE, beats the reference by more than lambda_max(R) - 1, and
     # the exact MLE is never below the reference
     grid = _ball_grid()
-    caps = (1, 10, 100, _REFERENCE_CONFIG.max_iter)
+    caps = (1, 10, 100, _REFERENCE_MAX_ITER)
     beaten = dict.fromkeys(caps, 0)
     for seed in range(20):
         for m_idx, freqs in _draw(np.random.default_rng(seed), _UNITARIES).mle_inputs:
@@ -211,7 +211,7 @@ def test_certified_gap_bounds_every_state_and_the_exact_mle():
             grid_best = float((np.log(grid @ tmat[live].T) @ freqs[live]).max())
             exact = log_likelihood(freqs, tmat @ saturated_mle(freqs, tmat).bloch)
             for cap in caps:
-                reference = rho_r_mle(freqs, tmat, MleConfig(max_iter=cap)).bloch
+                reference = rho_r_mle(freqs, tmat, max_iter=cap).bloch
                 bound = _gap_bound(freqs, tmat, reference)
                 level = log_likelihood(freqs, tmat @ reference)
                 assert grid_best - level <= bound + 1e-12, (seed, cap)
@@ -226,14 +226,15 @@ def test_certificate_stopped_runs_meet_their_target():
     # returns the state before its update, whose gap, recomputed by the
     # suite's own _gap_bound, is at most the target; any other run is the
     # plain step rule's run to the bit
-    target = _REFERENCE_CONFIG.gap_tol
-    plain = MleConfig(max_iter=_REFERENCE_CONFIG.max_iter)
+    target = _REFERENCE_GAP_TOL
     stopped = 0
     for seed in range(20):
         for m_idx, freqs in _draw(np.random.default_rng(seed), _UNITARIES).mle_inputs:
             tmat = _TMATS[m_idx]
-            result = rho_r_mle(freqs, tmat, _REFERENCE_CONFIG)
-            baseline = rho_r_mle(freqs, tmat, plain)
+            result = rho_r_mle(
+                freqs, tmat, max_iter=_REFERENCE_MAX_ITER, gap_tol=_REFERENCE_GAP_TOL
+            )
+            baseline = rho_r_mle(freqs, tmat, max_iter=_REFERENCE_MAX_ITER)
             if (result.iterations, result.bloch.tobytes()) == (
                 baseline.iterations, baseline.bloch.tobytes()
             ):
@@ -241,7 +242,7 @@ def test_certificate_stopped_runs_meet_their_target():
             stopped += 1
             k = result.iterations
             assert result.converged and 1 < k <= baseline.iterations, (seed, k)
-            before = rho_r_mle(freqs, tmat, MleConfig(max_iter=k - 1)).bloch
+            before = rho_r_mle(freqs, tmat, max_iter=k - 1).bloch
             assert result.bloch.tobytes() == before.tobytes(), (seed, k)
             assert _gap_bound(freqs, tmat, result.bloch) <= target + 1e-15, (seed, k)
     assert stopped > 50

@@ -279,7 +279,7 @@ def test_qttf_respects_the_four_outcome_bound():
         (lambda: qttf_circuit([math.nan] + [0.0] * 11),
          "circuit parameter 0 must be finite, got nan"),
         (lambda: delta_from_transfer(np.full((4, 4), math.nan), np.eye(4)[0]),
-         "transfer matrix must be finite"),
+         "transfer matrix must be a finite real 4x4 array"),
     ],
     ids=["two-meter", "circuit", "delta"],
 )

@@ -59,12 +59,11 @@ PUBLIC_NAMES = {
     "REFERENCE_COUPLINGS", "TwoMeterModel", "joint_unitary", "qttf_two_meter",
     "optimize_two_meter",
     # circuit model
-    "REFERENCE_OPTIMUM", "u3", "build_circuit", "circuit_unitary",
-    "qttf_circuit", "optimize_circuit",
+    "REFERENCE_OPTIMUM", "build_circuit", "circuit_unitary", "qttf_circuit",
+    "optimize_circuit",
     # estimators
     "NonInvertibleModelError", "LinearInversionResult", "linear_inversion",
-    "radial_clip", "MleConfig", "MleResult", "saturated_mle", "rho_r_mle",
-    "log_likelihood",
+    "radial_clip", "MleResult", "saturated_mle", "rho_r_mle", "log_likelihood",
     # harness
     "DEFAULT_SEED", "ExperimentReport", "run_single_experiment",
     "run_full_experiment", "variance_vs_fisher_scan", "IdentityReport",
@@ -73,7 +72,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_surface_is_pinned():
-    assert len(qtomo.__all__) == len(set(qtomo.__all__)) == 56
+    assert len(qtomo.__all__) == len(set(qtomo.__all__)) == 54
     assert set(qtomo.__all__) == PUBLIC_NAMES
 
 
@@ -82,9 +81,30 @@ def test_qttf_from_transfer_has_one_exact_path():
     assert list(inspect.signature(qtomo.qttf_from_transfer).parameters) == ["tmat"]
 
 
-def test_mle_config_fields():
+def test_rho_r_mle_takes_its_stopping_rules_as_keywords():
     # R-rho-R's step tolerance is a module constant, not an option
-    assert [f.name for f in dataclasses.fields(qtomo.MleConfig)] == ["max_iter", "gap_tol"]
+    params = inspect.signature(qtomo.rho_r_mle).parameters
+    assert list(params) == ["freqs", "tmat", "max_iter", "gap_tol", "likelihood_trace"]
+    keywords = [name for name, p in params.items() if p.kind is p.KEYWORD_ONLY]
+    assert keywords == ["max_iter", "gap_tol", "likelihood_trace"]
+    assert params["max_iter"].default == 10000
+    assert params["gap_tol"].default is None
+
+
+@pytest.mark.parametrize(
+    "cls, names",
+    [
+        (qtomo.harness.FullStateRow,
+         ["label", "truth", "mean", "std", "fidelity", "physical_fraction"]),
+        (qtomo.harness.SingleStateRow, ["label", "truth", "mean", "std", "within_3sigma"]),
+        (qtomo.model.RestartOutcome,
+         ["params", "value", "iterations", "converged", "evaluations", "seconds"]),
+    ],
+    ids=["FullStateRow", "SingleStateRow", "RestartOutcome"],
+)
+def test_result_fields_are_pinned(cls, names):
+    # result types carry only fields that a caller reads
+    assert [f.name for f in dataclasses.fields(cls)] == names
 
 
 # Names the harness and CLI run in production, exported at both levels.

@@ -71,6 +71,12 @@ def test_estimate_sz_roundtrip(a1, a2, theta):
 def test_estimate_sz_validation():
     with pytest.raises(ValueError):
         estimate_sz(0.7, 0.7, 1.0)  # probabilities do not sum to 1
+    # a NaN frequency fails the sum test, which must not read NaN as a pass
+    for p0, p1 in ((math.nan, 0.5), (0.5, math.nan)):
+        with pytest.raises(ValueError, match=r"P0 \+ P1 = nan, expected 1"):
+            estimate_sz(p0, p1, 2.0)
+    with pytest.raises(ValueError, match="theta must be finite, got nan"):
+        estimate_sz(0.5, 0.5, math.nan)
     with pytest.raises(NonInformativeCouplingError):
         estimate_sz(0.5, 0.5, 0.0)
     with pytest.raises(NonInformativeCouplingError):
