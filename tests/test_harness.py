@@ -1,5 +1,7 @@
 """Seeded experiments, table reproduction, and variance identities."""
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -237,6 +239,90 @@ def test_variance_scan_matches_the_solve_form(seed):
         assert row.ratio == pytest.approx(variance / bound, rel=1e-12, abs=0)
 
 
+def _serial_scan(model=None, theta=None, seed=0):
+    # the scan's serial sampling loop, drawing the (shot count, state) grid
+    # in order on one thread: the reference for the two-thread draws
+    from qtomo.harness import _TAG_SCAN, ScanRow, _substream
+    from qtomo.model import _live_probabilities, delta_from_transfer, require_invertible
+
+    trials = 1000
+    if theta is not None:
+        columns = np.array([[estimate_sz(1.0, 0.0, theta)],
+                            [estimate_sz(0.0, 1.0, theta)]])
+        states = [
+            (probabilities_single(psi, theta), fisher_inverse_single(psi, theta))
+            for psi in PAULI_EIGENSTATES
+        ]
+    else:
+        tmat = model.transfer_matrix()
+        states = []
+        for psi in PAULI_EIGENSTATES:
+            truth = bloch_from_state(psi)
+            probs = _live_probabilities(tmat, truth)
+            states.append((probs, delta_from_transfer(tmat, truth)))
+        columns = require_invertible(tmat)[1:].T
+    rows = []
+    for n_idx, shots in enumerate((100, 1000, 10000, 100000)):
+        variances = []
+        bounds = []
+        for k, (probs, fisher_inverse) in enumerate(states):
+            rng = _substream(seed, _TAG_SCAN, k, n_idx)
+            ests = rng.multinomial(shots, probs, size=trials) / shots @ columns
+            centered = (ests - ests.mean(axis=0)).ravel()
+            variances.append(float(centered @ centered) / (trials - 1))
+            bounds.append(fisher_inverse / shots)
+        mean_var = float(np.mean(variances))
+        mean_bound = float(np.mean(bounds))
+        rows.append(ScanRow(shots=shots, mean_variance=mean_var,
+                            mean_bound=mean_bound, ratio=mean_var / mean_bound))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("switch_interval", [None, 1e-6], ids=["default", "1us"])
+def test_variance_scan_threads_match_the_serial_loop(switch_interval):
+    # every row bit for bit, also when the interpreter switches threads
+    # about every bytecode
+    previous = sys.getswitchinterval()
+    try:
+        if switch_interval is not None:
+            sys.setswitchinterval(switch_interval)
+        for kind in sorted(_SCAN_ARGS):
+            for seed in range(5):
+                rows = variance_vs_fisher_scan(**_SCAN_ARGS[kind], seed=seed)
+                assert rows == _serial_scan(**_SCAN_ARGS[kind], seed=seed)
+    finally:
+        sys.setswitchinterval(previous)
+
+
+@pytest.mark.parametrize(
+    "key, drawer",
+    [((1, 0), "helper"), ((5, 3), "helper"), ((0, 0), "caller"), ((4, 3), "caller")],
+    ids=["helper-first", "helper-last", "caller-first", "caller-last"],
+)
+def test_variance_scan_raises_a_draw_error_and_joins_its_thread(key, drawer, monkeypatch):
+    # draw (k, n_idx) is slot 6 * n_idx + k: the helper thread draws the
+    # odd slots and the calling thread the even ones
+    from qtomo import harness
+
+    substream = harness._substream
+    raised_on = []
+
+    def failing_substream(seed, tag, k, n_idx):
+        if (k, n_idx) == key:
+            raised_on.append(threading.current_thread())
+            raise KeyError(key)
+        return substream(seed, tag, k, n_idx)
+
+    monkeypatch.setattr(harness, "_substream", failing_substream)
+    before = threading.active_count()
+    for kind in sorted(_SCAN_ARGS):
+        with pytest.raises(KeyError):
+            variance_vs_fisher_scan(**_SCAN_ARGS[kind], trials=10, seed=2)
+        assert threading.active_count() == before
+    on_caller = [thread is threading.current_thread() for thread in raised_on]
+    assert on_caller == [drawer == "caller"] * 2
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**31, 2**32 - 1, 2**32, 2**40])
 def test_substream_is_the_list_key_stream(seed):
     # a uint32 key where every word fits, numpy's list path beyond: the
@@ -295,14 +381,26 @@ def _refuse_draws(monkeypatch):
         ({"shot_grid": (0, 100)}, "shot counts"),
         ({"shot_grid": (1, 100)}, "shot counts"),
         ({"shot_grid": ()}, "empty"),
+        ({"trials": 2.5}, "trials"),
+        ({"trials": math.nan}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"shot_grid": (100.5, 1000)}, "shot counts"),
+        ({"shot_grid": (100, math.inf)}, "shot counts"),
+        ({"shot_grid": (100, 1000.0)}, "shot counts"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": np.int64(-1)}, "seed"),
     ],
-    ids=["trials1", "trials0", "shots0", "shots1", "empty-grid"],
+    ids=["trials1", "trials0", "shots0", "shots1", "empty-grid", "trials2.5",
+         "trials-nan", "trials-bool", "shots100.5", "shots-inf", "shots-float",
+         "seed-1", "seed1.5", "seed-np-1"],
 )
 def test_variance_scan_rejects_degenerate_sampling_before_drawing(
     kind, kwargs, match, monkeypatch
 ):
     # each of these gave NaN rows (or an IndexError) that the ratio guards,
-    # comparing against NaN, never caught; now nothing is sampled at all
+    # comparing against NaN, never caught, or a count numpy truncated, a
+    # TypeError or an OverflowError; now nothing is sampled at all
     _refuse_draws(monkeypatch)
     with pytest.raises(ValueError, match=match):
         variance_vs_fisher_scan(**_SCAN_ARGS[kind], **kwargs)
