@@ -30,7 +30,6 @@ building a matrix per step.
 """
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 from dataclasses import dataclass
@@ -72,8 +71,6 @@ _MAX_HALVINGS = 60
 # R-rho-R counts as settled once the model probabilities or the Bloch
 # vector move less than this in one step.
 _RHO_R_TOL = 1e-10
-
-_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -331,7 +328,9 @@ def _saturated_mle(freqs: np.ndarray, tmat: np.ndarray, inverse: np.ndarray) -> 
             else:
                 break
     if not converged:
-        _log.warning(
+        import logging  # loaded on this warning path only
+
+        logging.getLogger(__name__).warning(
             "exact MLE stopped after %d Newton steps without the KKT "
             "certificate; frequencies %s, final Bloch vector %s",
             steps, freqs.tolist(), [x, y, z],
@@ -528,7 +527,9 @@ def rho_r_mle(
         )
     bloch = np.array([1.0, x, y, z])
     if not converged:
-        _log.warning(
+        import logging  # loaded on this warning path only
+
+        logging.getLogger(__name__).warning(
             "R-rho-R stopped at the iteration cap (%d) before converging; "
             "frequencies %s, final Bloch vector %s",
             max_iter, freqs.tolist(), bloch.tolist(),

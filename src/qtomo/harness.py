@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +70,16 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(words)
 
 
-def _is_integer(value) -> bool:
-    """Whether value is a Python or numpy integer; a bool is not a count."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _check_integer(name: str, value, minimum: int = 0) -> None:
+    """Raise ValueError naming `name` unless value is an integer >= minimum.
+
+    Python and numpy integers pass.  A bool is not a count, and a float is
+    refused even when integral: numpy truncates a float count, while the
+    caller would divide by the untruncated value.
+    """
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 def _direction_fidelity(truth_bloch: np.ndarray, est_bloch: np.ndarray) -> float:
@@ -127,11 +133,14 @@ def run_single_experiment(
     repeats: int = 5,
     seed: int = DEFAULT_SEED,
 ) -> ExperimentReport:
-    """Repeated s_z estimation for each Pauli eigenstate at one coupling angle."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    if repeats < 2:
-        raise ValueError("need at least two repeats for a standard deviation")
+    """Repeated s_z estimation for each Pauli eigenstate at one coupling angle.
+
+    Raises ValueError, before any draw, unless shots >= 1, repeats >= 2
+    and seed >= 0 are integers (numpy integers too; not a bool or float).
+    """
+    _check_integer("shots", shots, 1)
+    _check_integer("repeats", repeats, 2)  # the fewest for a standard deviation
+    _check_integer("seed", seed)
     rows = []
     for k, psi in enumerate(PAULI_EIGENSTATES):
         p0, p1 = probabilities_single(psi, theta)
@@ -175,14 +184,14 @@ def run_full_experiment(
     estimator is "mle" (the exact `saturated_mle`) or "linear".  T^-1 is
     taken once per call, and every repeat goes through the estimator's
     private entry on it, with the same arithmetic as the public call; the
-    sampled frequencies need no check.
+    sampled frequencies need no check.  shots, repeats and seed are
+    checked as in `run_single_experiment`.
     """
     if estimator not in ("mle", "linear"):
         raise ValueError("estimator must be 'mle' or 'linear'")
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    if repeats < 2:
-        raise ValueError("need at least two repeats for a standard deviation")
+    _check_integer("shots", shots, 1)
+    _check_integer("repeats", repeats, 2)  # the fewest for a standard deviation
+    _check_integer("seed", seed)
     tmat = model.transfer_matrix()
     inverse = require_invertible(tmat)
     rows = []
@@ -279,22 +288,17 @@ def variance_vs_fisher_scan(
     """
     if (model is None) == (theta is None):
         raise ValueError("pass exactly one of model or theta")
-    if not _is_integer(trials):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 2:
-        raise ValueError(f"need at least two trials for a variance, got {trials}")
-    if not _is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    # two trials and two shots are the fewest that give a sample variance
+    # and an estimate that is not constant
+    _check_integer("trials", trials, 2)
+    _check_integer("seed", seed)
     shot_grid = list(shot_grid)
     if not shot_grid:
         raise ValueError("shot grid is empty")
     for shots in shot_grid:
-        if not _is_integer(shots):
-            raise ValueError(f"shot counts must be integers, got {shots!r}")
+        _check_integer("shot counts", shots, 2)
     if sorted(shot_grid) != shot_grid:
         raise ValueError("shot grid must be ascending")
-    if shot_grid[0] < 2:
-        raise ValueError(f"shot counts must be at least 2, got {shot_grid[0]}")
     if theta is not None:
         columns = np.array([[estimate_sz(1.0, 0.0, theta)],
                             [estimate_sz(0.0, 1.0, theta)]])
@@ -327,7 +331,11 @@ def variance_vs_fisher_scan(
 
     # multinomial releases the GIL: a helper thread draws the odd slots
     # while this one draws the even ones, so both see every shot count;
-    # leaving the block joins it, and result() re-raises its exception
+    # leaving the block joins it, and result() re-raises its exception.
+    # Imported here, so a process that loads the harness without scanning
+    # does not load concurrent.futures.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=1) as helper:
         odd = helper.submit(draw, range(1, len(variances), 2))
         draw(range(0, len(variances), 2))

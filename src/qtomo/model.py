@@ -32,7 +32,6 @@ implementation.
 """
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -114,8 +113,6 @@ def _kraus_constants() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _KRAUS_READOUT, _PLUS_INPUTS, _TRACE_MAP = _kraus_constants()
-
-_log = logging.getLogger(__name__)
 
 
 class SingularInformationError(ArithmeticError):
@@ -605,7 +602,9 @@ def minimize_with_restarts(
         started = time.perf_counter()
         x, value, iterations, evaluations, converged = _nelder_mead(objective, x0, maxiter)
         if not converged:
-            _log.warning(
+            import logging  # loaded on this warning path only
+
+            logging.getLogger(__name__).warning(
                 "Nelder-Mead stopped at maxiter=%d after %d evaluations without "
                 "meeting tol=%g; value %r at %s",
                 maxiter, evaluations, _NM_TOL, value, x,

@@ -671,6 +671,56 @@ def test_import_does_not_load_the_identity_suite():
     assert cli.identity_suite.__module__ == "qtomo.identities"
 
 
+def test_import_loads_no_submodule():
+    code = "import sys, qtomo; print([m for m in sys.modules if m.startswith('qtomo.')])"
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_setup_loads_only_the_layers_it_reads():
+    # the calls every program makes first (the benchmark's set-up launch):
+    # the 64x64 rule and both reference transfer matrices
+    code = (
+        "import sys, qtomo\n"
+        "from qtomo.model import default_rule\n"
+        "default_rule()\n"
+        "qtomo.TwoMeterModel(*qtomo.REFERENCE_COUPLINGS).transfer_matrix()\n"
+        "qtomo.build_circuit(qtomo.REFERENCE_OPTIMUM).transfer_matrix()\n"
+        "unused = ('qtomo.harness', 'qtomo.estimators', 'qtomo.single', 'qtomo.identities',\n"
+        "          'logging', 'concurrent.futures')\n"
+        "print([m for m in unused if m in sys.modules])\n"
+    )
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_every_public_name_resolves_on_first_use():
+    # each name is the object its submodule defines, read first by
+    # getattr in one process and by a star import in another
+    code = (
+        "import importlib, qtomo\n"
+        "homes = [importlib.import_module('qtomo.' + m) for m in\n"
+        "         ('core', 'single', 'model', 'twometer', 'circuit', 'estimators', 'harness')]\n"
+        "wrong = [n for n in qtomo.__all__ if n != '__version__' and not any(\n"
+        "         n in vars(h) and getattr(qtomo, n) is vars(h)[n] for h in homes)]\n"
+        "print(wrong, all(n in vars(qtomo) for n in qtomo.__all__))\n"
+    )
+    assert _fresh_interpreter(code) == "[] True"
+    code = (
+        "from qtomo import *\n"
+        "import qtomo\n"
+        "print([n for n in qtomo.__all__ if globals().get(n) is not getattr(qtomo, n)])\n"
+    )
+    assert _fresh_interpreter(code) == "[]"
+    code = "import qtomo; print(qtomo.harness.__name__, qtomo.cli.main.__module__)"
+    assert _fresh_interpreter(code) == "qtomo.harness qtomo.cli"
+
+
+def test_package_dir_and_unknown_names():
+    assert set(qtomo.__all__) <= set(dir(qtomo))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        qtomo.no_such_name
+    assert not hasattr(qtomo, "no_such_name")
+
+
 def test_import_does_not_load_scipy():
     # scipy is not a runtime dependency: importing qtomo and running both
     # optimizers leave it unloaded

@@ -171,6 +171,50 @@ def test_full_experiment_rejects_degenerate_sampling(kwargs):
         run_full_experiment(model, estimator="linear", **kwargs)
 
 
+_EXPERIMENTS = {
+    "single": lambda **kw: run_single_experiment(math.pi / 2, **kw),
+    "full": lambda **kw: run_full_experiment(
+        TwoMeterModel(*REFERENCE_COUPLINGS), estimator="linear", **kw
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_EXPERIMENTS))
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"shots": 100.5}, "shots"),
+        ({"shots": 100.0}, "shots"),
+        ({"shots": math.inf}, "shots"),
+        ({"shots": True}, "shots"),
+        ({"repeats": 2.5}, "repeats"),
+        ({"repeats": math.nan}, "repeats"),
+        ({"repeats": True}, "repeats"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": np.int64(-1)}, "seed"),
+        ({"seed": False}, "seed"),
+    ],
+    ids=["shots100.5", "shots-float", "shots-inf", "shots-bool", "repeats2.5",
+         "repeats-nan", "repeats-bool", "seed1.5", "seed-1", "seed-np-1", "seed-bool"],
+)
+def test_experiments_reject_non_integer_sampling_before_drawing(
+    kind, kwargs, name, monkeypatch
+):
+    # shots=100.5 drew 100 shots and divided by 100.5, seed=1.5 ran as
+    # seed 1, repeats=2.5 raised TypeError: each now names its argument
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        _EXPERIMENTS[kind](**kwargs)
+
+
+@pytest.mark.parametrize("kind", sorted(_EXPERIMENTS))
+def test_experiments_accept_numpy_integers(kind):
+    plain = _EXPERIMENTS[kind](shots=64, repeats=3, seed=7)
+    numpy_ints = _EXPERIMENTS[kind](shots=np.int64(64), repeats=np.int32(3), seed=np.uint8(7))
+    assert repr(numpy_ints.rows) == repr(plain.rows)
+
+
 def test_variance_scan_single_model():
     rows = variance_vs_fisher_scan(theta=math.pi / 2, trials=400, seed=0)
     assert [r.shots for r in rows] == [100, 1000, 10000, 100000]
