@@ -126,6 +126,12 @@ def _check_shots(shots: int) -> None:
         raise ValueError(f"--shots must be at least 1, got {shots}")
 
 
+def _check_repeats(repeats: int) -> None:
+    # two repeats are the fewest that give a standard deviation
+    if repeats < 2:
+        raise ValueError(f"--repeats must be at least 2, got {repeats}")
+
+
 def _meta(command: str, seed=None) -> dict:
     meta = {"version": __version__, "command": command}
     if seed is not None:
@@ -265,6 +271,7 @@ def _table_full_rows(model, estimator, shots, repeats, seed):
 
 def cmd_reproduce_table(args) -> int:
     _check_shots(args.shots)
+    _check_repeats(args.repeats)
     if args.table == 1:
         header, rows = _table_1_rows(args.shots, args.repeats, args.seed)
     elif args.table == 2:

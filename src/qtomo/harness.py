@@ -141,19 +141,22 @@ def run_single_experiment(
     _check_integer("shots", shots, 1)
     _check_integer("repeats", repeats, 2)  # the fewest for a standard deviation
     _check_integer("seed", seed)
-    rows = []
+    # every repeat's estimate in one (6, repeats) array, reduced once below
+    estimates = np.empty((len(PAULI_EIGENSTATES), repeats))
     for k, psi in enumerate(PAULI_EIGENSTATES):
         p0, p1 = probabilities_single(psi, theta)
-        truth = bloch_from_state(psi)[3]
-        estimates = np.empty(repeats)
         for rep in range(repeats):
             rng = _substream(seed, _TAG_SINGLE, k, rep)
             counts = rng.multinomial(shots, [p0, p1])
-            estimates[rep] = estimate_sz(
+            estimates[k, rep] = estimate_sz(
                 counts[0] / shots, counts[1] / shots, theta
             )
-        mean = float(estimates.mean())
-        std = float(estimates.std(ddof=1))
+    means = estimates.mean(axis=1).tolist()
+    stds = estimates.std(axis=1, ddof=1).tolist()
+    rows = []
+    for k, psi in enumerate(PAULI_EIGENSTATES):
+        truth = bloch_from_state(psi)[3]
+        mean, std = means[k], stds[k]
         if std > 0.0:
             sigma = std
         else:
@@ -194,34 +197,39 @@ def run_full_experiment(
     _check_integer("seed", seed)
     tmat = model.transfer_matrix()
     inverse = require_invertible(tmat)
-    rows = []
+    # every repeat's Bloch vector and physical flag in one stack per
+    # table, reduced over axis 1 once below
+    estimates = np.empty((len(PAULI_EIGENSTATES), repeats, 4))
+    physical = np.ones((len(PAULI_EIGENSTATES), repeats), dtype=bool)
+    truths = []
     for k, psi in enumerate(PAULI_EIGENSTATES):
         truth = bloch_from_state(psi)
+        truths.append(truth)
         probs = tmat @ truth
-        estimates = []
-        physical = []
         for rep in range(repeats):
             rng = _substream(seed, _TAG_FULL, k, rep)
             freqs = rng.multinomial(shots, probs) / shots
             if estimator == "mle":
-                result = _saturated_mle(freqs, tmat, inverse)
-                estimates.append(result.bloch)
-                physical.append(True)
+                estimates[k, rep] = _saturated_mle(freqs, tmat, inverse).bloch
             else:
                 result = _solve(freqs, inverse)
-                estimates.append(result.bloch)
-                physical.append(result.physical)
-        stacked = np.vstack(estimates)
-        mean = stacked.mean(axis=0)
-        std = stacked[:, 1:].std(axis=0, ddof=1)
+                estimates[k, rep] = result.bloch
+                physical[k, rep] = result.physical
+    means = estimates.mean(axis=1)
+    stds = estimates[:, :, 1:].std(axis=1, ddof=1)
+    fractions = physical.mean(axis=1).tolist()
+    rows = []
+    for k, truth in enumerate(truths):
+        # each row owns its arrays, not a view of the table's stack
+        mean = means[k].copy()
         rows.append(
             FullStateRow(
                 label=PAULI_EIGENSTATE_LABELS[k],
                 truth=truth,
                 mean=mean,
-                std=std,
+                std=stds[k].copy(),
                 fidelity=_direction_fidelity(truth, mean),
-                physical_fraction=float(np.mean(physical)),
+                physical_fraction=fractions[k],
             )
         )
     return ExperimentReport(

@@ -9,7 +9,8 @@ unitaries are each built and read in one batched call, and the Fisher
 matrices of the 40 random cases are one stacked call per reference
 model.  Where a check reads production code case by case (the closed-form
 transfer rows, the single-meter estimator), it collects the cases' plain
-floats into one array instead of an array per case.  The three shared
+floats into one array instead of an array per case, and the linear
+inversion round trip takes each model's T^-1 once.  The three shared
 oracles, the 8x8 simulations of the 40 random cases (one stacked
 evolution), their Fisher matrices and the five R-rho-R runs, run at
 most once: inside the check that first reads them.  A later check reads
@@ -31,13 +32,14 @@ import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import circuit, twometer
 from .circuit import REFERENCE_OPTIMUM, build_circuit, circuit_unitary
-from .core import bloch_from_state, density_from_bloch, make_quadrature, state_from_angles
-from .estimators import linear_inversion, log_likelihood, rho_r_mle, saturated_mle
+from .core import SIGMA, bloch_from_state, density_from_bloch, make_quadrature, state_from_angles
+from .estimators import _check_frequencies, _solve, log_likelihood, rho_r_mle, saturated_mle
 from .harness import binomial_variance_identity, estimator_variance_identity
 from .model import (
     _qttf_quadrature,
@@ -45,6 +47,7 @@ from .model import (
     fisher_matrix_form,
     kraus_transfer,
     qttf_from_transfer,
+    require_invertible,
     simulate_meter_process,
 )
 from .single import qttf_single, two_design_average
@@ -124,6 +127,15 @@ def _simulate(psi, unitary) -> np.ndarray:
     return simulate_meter_process(density_from_bloch(bloch_from_state(psi)), unitary)
 
 
+def _densities(blochs: np.ndarray) -> np.ndarray:
+    """density_from_bloch of each row of an (n, 4) stack, in one einsum.
+
+    A Pauli entry is 0, +-1 or +-i, so each density entry is at most two
+    exact products, and its bits are those of the per-row call.
+    """
+    return 0.5 * np.einsum("nm,mij->nij", blochs, SIGMA)
+
+
 def _shared(name: str, compute):
     """compute() at most once: the first read runs it, later reads return
     its result or, if it raised, fail naming it."""
@@ -163,12 +175,18 @@ def _max_gap(a, b) -> float:
     return float(np.max(np.abs(np.subtract(a, b))))
 
 
+def _stacked_rows(matrices: list) -> np.ndarray:
+    """Row builders' 4x4 nested float lists as one (n, 4, 4) array."""
+    flat = chain.from_iterable(chain.from_iterable(matrices))
+    return np.fromiter(flat, dtype=float, count=16 * len(matrices)).reshape(-1, 4, 4)
+
+
 def _coefficients_vs_trace(couplings) -> float:
     # closed-form transfer matrices against the Kraus read of the joint
     # unitary, including near-degenerate couplings where theta_C is tiny;
     # the production row builder's floats become one (200, 4, 4) array,
     # and all unitaries come from one stacked eigh and one batched read
-    rows = np.array([twometer._transfer_rows(ta, tb) for ta, tb in couplings.tolist()])
+    rows = _stacked_rows([twometer._transfer_rows(ta, tb) for ta, tb in couplings.tolist()])
     return _max_gap(rows, kraus_transfer(joint_unitary(*couplings.T)))
 
 
@@ -291,8 +309,23 @@ def _circuit_transfer_vs_kraus(circuit_params) -> float:
     # the circuit's transfer matrix from its gate factors, the production
     # row builder's floats as one (20, 4, 4) array, against the Kraus read
     # of its compiled 8x8 unitary: one stacked build, one read
-    rows = np.array([circuit._transfer_rows(p) for p in circuit_params.tolist()])
+    rows = _stacked_rows([circuit._transfer_rows(p) for p in circuit_params.tolist()])
     return _max_gap(rows, kraus_transfer(circuit_unitary(circuit_params)))
+
+
+def _roundtrip(sims, models, tmats) -> list:
+    """linear_inversion(s, tmats[m]).bloch for each simulated s and its
+    model m, with each model's T^-1 taken once, at its first case: the
+    frequencies are checked before the inverse, so the first failing case
+    raises as the per-case call would."""
+    inverses = {}
+    blochs = []
+    for s, m in zip(sims, models):
+        freqs = _check_frequencies(s)
+        if m not in inverses:
+            inverses[m] = require_invertible(tmats[m])
+        blochs.append(_solve(freqs, inverses[m]).bloch)
+    return blochs
 
 
 def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
@@ -316,11 +349,12 @@ def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
     if corrupt:
         tmats = [t + np.full_like(t, 0.01) for t in tmats]
     d = _draw(np.random.default_rng(seed), unitaries)
-    case_tmats = [tmats[m_idx] for _, m_idx in d.cases]
+    case_models = [m_idx for _, m_idx in d.cases]
+    case_tmats = [tmats[m_idx] for m_idx in case_models]
     blochs = [bloch_from_state(psi) for psi, _ in d.cases]
     # the cases of each model, as one stack of Bloch vectors
     model_blochs = [
-        np.array([b for b, (_, m) in zip(blochs, d.cases) if m == m_idx])
+        np.array([b for b, m in zip(blochs, case_models) if m == m_idx])
         for m_idx in range(len(models))
     ]
     mle_inputs = [(freqs, tmats[m_idx]) for m_idx, freqs in d.mle_inputs]
@@ -329,8 +363,8 @@ def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
     sims = _shared(
         "case simulations",
         lambda: simulate_meter_process(
-            np.array([density_from_bloch(b) for b in blochs]),
-            np.array([unitaries[m] for _, m in d.cases]),
+            _densities(np.array(blochs)),
+            np.array([unitaries[m] for m in case_models]),
         ),
     )
     runs = _shared("R-rho-R runs", lambda: _rho_r_runs(mle_inputs))
@@ -359,7 +393,7 @@ def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
         # invert the simulated probabilities with the claimed matrix; any
         # gap between claim and simulation lands in the recovered state
         ("linear_inversion_roundtrip", 1e-10, lambda: _max_gap(
-            [linear_inversion(s, t).bloch for s, t in zip(sims(), case_tmats)], blochs)),
+            _roundtrip(sims(), case_models, tmats), blochs)),
         ("mle_likelihood_monotone", 1e-9, lambda: _mle_monotone(runs())),
         ("mle_physicality", 1e-9, lambda: _mle_physicality(runs())),
         ("mle_exact_vs_rho_r", 1e-12, lambda: _mle_exact_vs_rho_r(

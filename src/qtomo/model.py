@@ -376,14 +376,18 @@ def _refuse_non_finite(names, values) -> None:
             raise ValueError(f"{name} must be finite, got {value}") from None
 
 
+def _check_real_4x4(tmat: np.ndarray) -> np.ndarray:
+    """T as an array; ValueError unless it is a real 4x4, finite or not."""
+    tmat = np.asarray(tmat)
+    if tmat.shape != (4, 4) or tmat.dtype.kind not in "iuf":
+        raise ValueError("transfer matrix must be a finite real 4x4 array")
+    return tmat
+
+
 def _check_transfer(tmat: np.ndarray) -> np.ndarray:
     """T as an array; ValueError unless it is a finite real 4x4."""
-    tmat = np.asarray(tmat)
-    if (
-        tmat.shape != (4, 4)
-        or tmat.dtype.kind not in "iuf"
-        or not np.isfinite(tmat).all()
-    ):
+    tmat = _check_real_4x4(tmat)
+    if not np.isfinite(tmat).all():
         raise ValueError("transfer matrix must be a finite real 4x4 array")
     return tmat
 
@@ -394,8 +398,10 @@ def require_invertible(tmat: np.ndarray) -> np.ndarray:
     Raises ValueError first unless T is a finite real 4x4 array, and
     NonInvertibleModelError once cond(T) >= CONDITION_LIMIT, where the
     qTTF is inf; only a T the float LU does not clear pays for an SVD.
+    Finiteness is tested only there: the LU clears no T with a NaN or
+    infinite entry, and _certified_inverse then refuses it.
     """
-    columns, _ = _certified_inverse(_check_transfer(tmat).tolist())
+    columns, _ = _certified_inverse(_check_real_4x4(tmat).tolist())
     return np.array(columns).T
 
 

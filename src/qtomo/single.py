@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import PAULI_EIGENSTATES, QuadratureRule, _ket_bloch, bloch_from_state
+from .core import PAULI_EIGENSTATES, QuadratureRule, bloch_from_state
 
 __all__ = [
     "NonInformativeCouplingError",
@@ -50,12 +50,21 @@ def probabilities_single(psi: np.ndarray, theta: float) -> tuple[float, float]:
     is a ket or a 2x2 density matrix; a ket's s_z is read in plain
     floats, with bloch_from_state's own operations.
     """
+    s_z = _s_z(psi)
+    return _probabilities(s_z, _sin2_half(theta))
+
+
+def _s_z(psi: np.ndarray) -> float:
+    """s_z of a ket, as _ket_bloch computes it, or of a 2x2 density matrix."""
     state = np.asarray(psi, dtype=complex)
     if state.shape == (2,):
-        s_z = _ket_bloch(*state.tolist())[3]
-    else:
-        s_z = float(bloch_from_state(state)[3])
-    s2 = _sin2_half(theta)
+        a, b = state.tolist()
+        return (a.real * a.real + a.imag * a.imag) - (b.real * b.real + b.imag * b.imag)
+    return float(bloch_from_state(state)[3])
+
+
+def _probabilities(s_z: float, s2: float) -> tuple[float, float]:
+    """(P0, P1) from s_z and sin^2(theta/2)."""
     p1 = 0.5 * s2 * (1.0 - s_z)
     p1 = min(max(p1, 0.0), 1.0)
     return 1.0 - p1, p1
@@ -84,7 +93,7 @@ def fisher_inverse_single(psi: np.ndarray, theta: float) -> float:
     s2 = _sin2_half(theta)
     if s2 < _COUPLING_FLOOR:
         return math.inf
-    p0, p1 = probabilities_single(psi, theta)
+    p0, p1 = _probabilities(_s_z(psi), s2)
     return 4.0 * p0 * p1 / s2**2
 
 

@@ -546,6 +546,21 @@ def test_reproduce_table_rejects_too_few_repeats(capsys, table, repeats):
     assert "repeats" in captured.err
 
 
+@pytest.mark.parametrize("repeats", ["-3", "0", "1"])
+def test_reproduce_table_names_the_repeats_flag(capsys, repeats):
+    # the CLI's own check, in the form of --shots, not the library's
+    # message naming the harness argument
+    code = main(["reproduce-table", "--table", "1", "--repeats", repeats])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: --repeats must be at least 2, got {repeats}\n"
+    # --shots is checked first, as before
+    code = main(["reproduce-table", "--table", "2", "--shots", "0", "--repeats", repeats])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --shots must be at least 1, got 0\n"
+
+
 def test_optimize_json_schema(tmp_path):
     out_file = tmp_path / "opt.json"
     code = main(

@@ -22,7 +22,7 @@ from qtomo.estimators import (
     rho_r_mle,
     saturated_mle,
 )
-from qtomo.harness import _TAG_FULL, _substream, variance_vs_fisher_scan
+from qtomo.harness import _TAG_FULL, _substream, run_full_experiment, variance_vs_fisher_scan
 from qtomo.model import CONDITION_LIMIT, _inverse_weights
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, transfer_matrix
 from test_model import EPS, ROUNDOFF, _conditioned_transfers
@@ -582,15 +582,33 @@ def test_mle_rejects_bad_transfer_matrix(tmat):
         rho_r_mle(np.full(4, 0.25), tmat)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_invertibility_check_rejects_non_finite_transfer_matrix(value):
-    # the finiteness guard runs before the SVD of np.linalg.cond
-    tmat = transfer_matrix(*REFERENCE_COUPLINGS)
-    tmat[1, 2] = value
-    with pytest.raises(ValueError, match="finite real 4x4"):
-        require_invertible(tmat)
-    with pytest.raises(ValueError, match="finite real 4x4"):
-        linear_inversion(np.full(4, 0.25), tmat)
+    message = "^transfer matrix must be a finite real 4x4 array$"
+    # require_invertible tests finiteness only once the float LU has not
+    # cleared T, which no non-finite entry lets it do; the test runs
+    # before the SVD of np.linalg.cond, so every entry, a pivot one or
+    # not, is refused with the message of the shape and dtype check
+    class Model:
+        def __init__(self, tmat):
+            self.tmat = tmat
+
+        def transfer_matrix(self):
+            return self.tmat
+
+    for row in range(4):
+        for col in range(4):
+            tmat = transfer_matrix(*REFERENCE_COUPLINGS)
+            tmat[row, col] = value
+            for call in (
+                lambda: require_invertible(tmat),
+                lambda: linear_inversion(np.full(4, 0.25), tmat),
+                lambda: saturated_mle(np.full(4, 0.25), tmat),
+                lambda: run_full_experiment(Model(tmat), estimator="mle"),
+                lambda: run_full_experiment(Model(tmat), estimator="linear"),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    call()
 
 
 def test_mle_warns_once_when_capped(models, caplog):

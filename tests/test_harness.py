@@ -156,6 +156,77 @@ def test_full_experiment_linear_is_linear_inversion():
         assert row.physical_fraction == np.mean([r.physical for r in results])
 
 
+def _per_row_single(theta, shots, repeats, seed):
+    # the table's per-state reductions, one estimates array, mean and std
+    # per state: the reference for the (6, repeats) stack
+    from qtomo.harness import _TAG_SINGLE, _substream
+
+    rows = []
+    for k, psi in enumerate(PAULI_EIGENSTATES):
+        p0, p1 = probabilities_single(psi, theta)
+        estimates = np.empty(repeats)
+        for rep in range(repeats):
+            counts = _substream(seed, _TAG_SINGLE, k, rep).multinomial(shots, [p0, p1])
+            estimates[rep] = estimate_sz(counts[0] / shots, counts[1] / shots, theta)
+        rows.append((float(estimates.mean()), float(estimates.std(ddof=1))))
+    return rows
+
+
+def _per_row_full(model, estimator, shots, repeats, seed):
+    # the per-state np.vstack, mean(axis=0), std(axis=0, ddof=1) and
+    # np.mean of the flags: the reference for the (6, repeats, 4) stack
+    from qtomo.harness import _TAG_FULL, _substream
+
+    tmat = model.transfer_matrix()
+    rows = []
+    for k, psi in enumerate(PAULI_EIGENSTATES):
+        probs = tmat @ bloch_from_state(psi)
+        estimates = []
+        physical = []
+        for rep in range(repeats):
+            freqs = _substream(seed, _TAG_FULL, k, rep).multinomial(shots, probs) / shots
+            if estimator == "mle":
+                estimates.append(saturated_mle(freqs, tmat).bloch)
+                physical.append(True)
+            else:
+                result = linear_inversion(freqs, tmat)
+                estimates.append(result.bloch)
+                physical.append(result.physical)
+        stacked = np.vstack(estimates)
+        rows.append((stacked.mean(axis=0), stacked[:, 1:].std(axis=0, ddof=1),
+                     float(np.mean(physical))))
+    return rows
+
+
+@pytest.mark.parametrize("repeats, shots", [(2, 7), (5, 1024), (9, 64)])
+def test_tables_reduce_their_repeats_as_per_row_calls(repeats, shots):
+    # each table reduces all its repeats in one call per statistic; every
+    # row's mean, std and physical fraction keeps the per-row call's bits
+    for seed in range(5):
+        for theta in TABLE_THETAS:
+            report = run_single_experiment(theta, shots=shots, repeats=repeats, seed=seed)
+            for row, (mean, std) in zip(report.rows, _per_row_single(theta, shots, repeats, seed)):
+                assert (repr(row.mean), repr(row.std)) == (repr(mean), repr(std))
+        for model, estimator in (
+            (TwoMeterModel(*REFERENCE_COUPLINGS), "mle"),
+            (build_circuit(REFERENCE_OPTIMUM), "linear"),
+        ):
+            report = run_full_experiment(
+                model, estimator=estimator, shots=shots, repeats=repeats, seed=seed
+            )
+            reference = _per_row_full(model, estimator, shots, repeats, seed)
+            for row, (mean, std, fraction) in zip(report.rows, reference):
+                assert row.mean.tobytes() == mean.tobytes()
+                assert row.std.tobytes() == std.tobytes()
+                assert repr(row.physical_fraction) == repr(fraction)
+            # every row owns its arrays: none is a view of a shared stack
+            arrays = [a for row in report.rows for a in (row.truth, row.mean, row.std)]
+            for i, a in enumerate(arrays):
+                assert a.base is None
+                for b in arrays[i + 1:]:
+                    assert not np.shares_memory(a, b)
+
+
 def test_full_experiment_rejects_unknown_estimator():
     with pytest.raises(ValueError):
         run_full_experiment(TwoMeterModel(*REFERENCE_COUPLINGS), estimator="map")

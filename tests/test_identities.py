@@ -3,10 +3,12 @@ import logging
 import math
 
 import numpy as np
+import pytest
 
+from qtomo import circuit, twometer
 from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit, circuit_unitary
 from qtomo.cli import main
-from qtomo.core import bloch_from_state, state_from_angles
+from qtomo.core import bloch_from_state, density_from_bloch, state_from_angles
 from qtomo.estimators import (
     MleResult,
     linear_inversion,
@@ -18,9 +20,12 @@ from qtomo.identities import (
     _PAIRS,
     _REFERENCE_GAP_TOL,
     _REFERENCE_MAX_ITER,
+    _densities,
     _draw,
     _gap_bound,
+    _roundtrip,
     _simulate,
+    _stacked_rows,
     identity_suite,
 )
 from qtomo.model import fisher_from_transfer, fisher_matrix_form
@@ -112,6 +117,87 @@ def test_stacked_fisher_forms_are_the_per_case_calls():
             for k, psi in enumerate(kets):
                 assert oracle[k].tobytes() == fisher_from_transfer(tmat, psi).tobytes()
                 assert assembled[k].tobytes() == fisher_matrix_form(tmat, psi).tobytes()
+
+
+def test_stacked_case_densities_are_the_per_case_calls():
+    # one einsum over the (n, 4) stack gives every case's density to the
+    # bit, signed zeros included: the suite's cases, then Bloch vectors
+    # with zero, negative and mixed-sign components
+    special = np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [1.0, -0.0, -0.0, -0.0],
+        [1.0, -1.0, 0.0, 0.0],
+        [1.0, 0.0, -1.0, 0.0],
+        [1.0, 0.0, 0.0, -1.0],
+        [1.0, -0.6, 0.0, 0.8],
+        [1.0, 0.3, -0.4, -0.5],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    stacks = [special]
+    for seed in range(5):
+        cases = _draw(np.random.default_rng(seed), _UNITARIES).cases
+        stacks.append(np.array([bloch_from_state(psi) for psi, _ in cases]))
+    for stack in stacks:
+        densities = _densities(stack)
+        assert densities.shape == (len(stack), 2, 2)
+        for bloch, rho in zip(stack, densities):
+            assert rho.tobytes() == density_from_bloch(bloch).tobytes()
+
+
+def test_roundtrip_is_the_per_case_linear_inversion(monkeypatch):
+    # the round trip takes each model's T^-1 once and solves every case on
+    # it: each Bloch vector is linear_inversion's to the bit, also on the
+    # corrupted matrices
+    from qtomo import identities
+
+    calls = []
+
+    def checked(sims, models, tmats):
+        blochs = _roundtrip(sims, models, tmats)
+        for s, m, bloch in zip(sims, models, blochs):
+            assert bloch.tobytes() == linear_inversion(s, tmats[m]).bloch.tobytes()
+        calls.append(len(blochs))
+        return blochs
+
+    monkeypatch.setattr(identities, "_roundtrip", checked)
+    for seed in range(3):
+        for corrupt in (False, True):
+            identity_suite(seed=seed, corrupt=corrupt)
+    assert calls == [40] * 6
+
+
+def test_roundtrip_raises_the_first_failing_case_error():
+    # the frequencies of a case are checked before its model's inverse is
+    # taken, so the error is the one the per-case calls raise first
+    good = _TMATS[0] @ bloch_from_state(state_from_angles(0.4, 1.1))
+    bad = np.array([0.5, 0.5, 0.5, -0.5])
+    singular = np.zeros((4, 4))
+    for sims, tmats in (
+        ([bad, good], [singular, _TMATS[1]]),
+        ([good, bad], [_TMATS[0], singular]),
+        ([good, good], [_TMATS[0], singular]),
+        ([good, good, bad], [_TMATS[0], _TMATS[1]]),
+    ):
+        models = [i % 2 for i in range(len(sims))]
+        try:
+            for s, m in zip(sims, models):
+                linear_inversion(s, tmats[m])
+        except ValueError as exc:
+            expected = (type(exc), str(exc))
+        with pytest.raises(ValueError) as raised:
+            _roundtrip(sims, models, tmats)
+        assert (type(raised.value), str(raised.value)) == expected
+
+
+def test_stacked_production_rows_are_the_nested_lists():
+    # the row builders' floats stacked with one np.fromiter
+    for seed in range(3):
+        drawn = _draw(np.random.default_rng(seed), _UNITARIES)
+        for rows in (
+            [twometer._transfer_rows(ta, tb) for ta, tb in drawn.couplings.tolist()],
+            [circuit._transfer_rows(p) for p in drawn.circuit_params.tolist()],
+        ):
+            assert _stacked_rows(rows).tobytes() == np.array(rows).tobytes()
 
 
 def _off_by_ulps(function):

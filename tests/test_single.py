@@ -10,6 +10,7 @@ from qtomo.core import (
     HADAMARD,
     PAULI_EIGENSTATES,
     PI_1,
+    _ket_bloch,
     bloch_from_state,
     make_quadrature,
     state_from_angles,
@@ -66,6 +67,29 @@ def test_estimate_sz_roundtrip(a1, a2, theta):
     p0, p1 = probabilities_single(psi, theta)
     sz = bloch_from_state(psi)[3]
     assert estimate_sz(p0, p1, theta) == pytest.approx(sz, abs=1e-9)
+
+
+def test_single_meter_reads_s_z_as_ket_bloch():
+    # probabilities_single and fisher_inverse_single read s_z alone, with
+    # _ket_bloch's float operations for a ket and bloch_from_state's for a
+    # 2x2 density matrix, and sin^2(theta/2) once: bit for bit the
+    # formulas on _ket_bloch(...)[3]
+    def expected(s_z, theta):
+        s2 = math.sin(theta / 2.0) ** 2
+        p1 = min(max(0.5 * s2 * (1.0 - s_z), 0.0), 1.0)
+        fisher_inverse = math.inf if s2 < 1e-12 else 4.0 * (1.0 - p1) * p1 / s2**2
+        return repr(((1.0 - p1, p1), fisher_inverse))
+
+    rng = np.random.default_rng(21)
+    thetas = [*rng.uniform(-7.0, 7.0, size=200), 0.0, math.pi, 2.0 * math.pi, 1e-7]
+    for k, theta in enumerate(thetas):
+        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi = PAULI_EIGENSTATES[k % 6] if k % 4 == 0 else psi / np.linalg.norm(psi)
+        rho = np.outer(psi, psi.conj())
+        for state, s_z in ((psi, _ket_bloch(*psi.tolist())[3]),
+                           (rho, float(bloch_from_state(rho)[3]))):
+            got = (probabilities_single(state, theta), fisher_inverse_single(state, theta))
+            assert repr(got) == expected(s_z, theta)
 
 
 def test_estimate_sz_validation():
