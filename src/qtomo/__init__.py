@@ -18,29 +18,25 @@ __version__ = "0.1.0"
 # Each submodule and the public names the package takes from it.
 _EXPORTS = {
     "core": (
-        "SIGMA", "HADAMARD", "PAULI_EIGENSTATES", "PAULI_EIGENSTATE_LABELS",
+        "SIGMA", "PAULI_EIGENSTATES", "PAULI_EIGENSTATE_LABELS",
         "QuadratureRule", "make_quadrature", "state_from_angles",
         "density_from_bloch", "bloch_from_state", "check_density", "fidelity",
     ),
     "single": (
         "NonInformativeCouplingError", "probabilities_single", "estimate_sz",
         "fisher_inverse_single", "qttf_single", "max_error_single",
-        "two_design_average",
     ),
     # the shared meter-process model and error pipeline
     "model": (
-        "MeterModel", "kraus_transfer", "simulate_meter_process",
-        "SingularInformationError", "NonInvertibleModelError",
-        "fisher_from_transfer", "fisher_matrix_form", "delta_from_transfer",
-        "qttf_from_transfer", "OptimizationResult",
+        "MeterModel", "SingularInformationError", "NonInvertibleModelError",
+        "fisher_from_transfer", "delta_from_transfer", "qttf_from_transfer",
+        "OptimizationResult",
     ),
     "twometer": (
-        "REFERENCE_COUPLINGS", "TwoMeterModel", "joint_unitary", "qttf_two_meter",
-        "optimize_two_meter",
+        "REFERENCE_COUPLINGS", "TwoMeterModel", "qttf_two_meter", "optimize_two_meter",
     ),
     "circuit": (
-        "REFERENCE_OPTIMUM", "build_circuit", "circuit_unitary", "qttf_circuit",
-        "optimize_circuit",
+        "REFERENCE_OPTIMUM", "build_circuit", "qttf_circuit", "optimize_circuit",
     ),
     "estimators": (
         "LinearInversionResult", "linear_inversion", "radial_clip", "MleResult",
@@ -48,8 +44,7 @@ _EXPORTS = {
     ),
     "harness": (
         "DEFAULT_SEED", "ExperimentReport", "run_single_experiment",
-        "run_full_experiment", "variance_vs_fisher_scan", "IdentityReport",
-        "binomial_variance_identity", "estimator_variance_identity",
+        "run_full_experiment", "variance_vs_fisher_scan",
     ),
 }
 _SUBMODULES = frozenset({*_EXPORTS, "identities", "cli"})

@@ -1,10 +1,9 @@
 """Twelve-parameter estimation circuit on a (meter A, system, meter B) register.
 
 Four generic one-qubit gates and two CNOTs fanned out from the system
-make an 8x8 block unitary, on the register convention of qtomo.model:
-both meters start in |+> and are read in x.  Both CNOTs are controlled
-by the system, so the Kraus operator of meter outcomes (a, b) factors
-into 2x2 pieces,
+act on two |+> meters read in x.  Both CNOTs are controlled by the
+system, so the Kraus operator of meter outcomes (a, b) factors into 2x2
+pieces,
 
     K_ab = H diag(beta_b) H diag(alpha_a),
     alpha_a[s] = <a| H A2 X^s A1 |+>,   beta_b[s] = <b| H B2 X^s B1 |+>,
@@ -12,21 +11,19 @@ into 2x2 pieces,
 and the transfer matrix, which is the model, is read off those factors
 in straight-line float arithmetic: each amplitude is a (re, im) pair of
 floats from the gates' cosines and sines, each complex product written
-out as (ac - bd, ad + bc).  circuit_unitary compiles the 8x8 unitary
-from the complex gate entries only for the checks, where its Kraus read
-is the oracle.  The circuit family contains measurement settings whose
-average error reaches the four-outcome optimum of 8.0, a little over
-twice the best single-shot error of the two-meter coupling on a
-per-component basis.
+out as (ac - bd, ad + bc).  The checks compile the 8x8 unitary from
+the complex gate entries, as qtomo._oracles.circuit_unitary, and its
+Kraus read is the oracle.  The circuit family contains measurement
+settings whose average error reaches the four-outcome optimum of 8.0, a
+little over twice the best single-shot error of the two-meter coupling
+on a per-component basis.
 """
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from .core import HADAMARD, cnot_matrix, kron3
 from .model import (
     MeterModel,
     OptimizationResult,
@@ -38,7 +35,6 @@ from .model import (
 __all__ = [
     "REFERENCE_OPTIMUM",
     "build_circuit",
-    "circuit_unitary",
     "qttf_circuit",
     "optimize_circuit",
 ]
@@ -55,41 +51,6 @@ REFERENCE_OPTIMUM = (
 
 _PARAM_NAMES = tuple(f"circuit parameter {index}" for index in range(12))
 
-_IDENTITY2 = np.eye(2, dtype=complex)
-
-# Register layout (A, S, B); qubit 0 is the leftmost factor.
-_CNOT_S_TO_A = cnot_matrix(control=1, target=0)
-_CNOT_S_TO_B = cnot_matrix(control=1, target=2)
-
-
-def _u3_entries(theta: float, phi: float, lam: float) -> tuple[complex, ...]:
-    """Entries (g00, g01, g10, g11) of u3(theta, phi, lam) as Python scalars.
-
-    The generic one-qubit gate with full-angle entries:
-
-    [[cos(theta), -e^{i lam} sin(theta)],
-     [e^{i phi} sin(theta), e^{i(phi+lam)} cos(theta)]]
-
-    Note the full angle: u3(pi/2, 0, pi) is the bit flip.  The circuit's
-    gates are u3(theta/2, phi, lambda), the hardware convention, so a
-    circuit parameter theta = pi is the bit flip there.
-    """
-    ct, st = math.cos(theta), math.sin(theta)
-    e_phi = cmath.exp(1.0j * phi)
-    e_lam = cmath.exp(1.0j * lam)
-    return ct, -e_lam * st, e_phi * st, cmath.exp(1.0j * (phi + lam)) * ct
-
-
-def _gates(params) -> list[tuple[complex, ...]]:
-    """Entries of the gates A1, A2, B1, B2, each u3(theta/2, phi, lambda).
-
-    params is any sequence of twelve floats.
-    """
-    return [
-        _u3_entries(theta / 2.0, phi, lam)
-        for theta, phi, lam in zip(params[0::3], params[1::3], params[2::3])
-    ]
-
 
 def _checked_params(params) -> list[float]:
     """The twelve parameters as Python floats; ValueError unless shape (12,)."""
@@ -97,29 +58,6 @@ def _checked_params(params) -> list[float]:
     if arr.shape != (12,):
         raise ValueError("expected 12 circuit parameters")
     return arr.tolist()
-
-
-def circuit_unitary(params) -> np.ndarray:
-    """8x8 block unitary on (A, S, B) for build_circuit's twelve params.
-
-    The circuit's twin of joint_unitary, for the checks.  A (..., 12)
-    array of parameter vectors gives a (..., 8, 8) stack from one batched
-    product per gate layer, each member with the bits of its own call;
-    ValueError unless the last axis holds exactly twelve params.
-    """
-    arr = np.asarray(params, dtype=float)
-    if arr.ndim == 0 or arr.shape[-1] != 12:
-        raise ValueError("expected 12 circuit parameters")
-    # the gate entries in scalar arithmetic, row by row, as build_circuit has them
-    entries = [_gates(row) for row in arr.reshape(-1, 12).tolist()]
-    gates = np.array(entries, dtype=complex).reshape(arr.shape[:-1] + (4, 2, 2))
-    gate_a1, gate_a2, gate_b1, gate_b2 = (gates[..., k, :, :] for k in range(4))
-    unitary = kron3(gate_a1, _IDENTITY2, _IDENTITY2)
-    unitary = _CNOT_S_TO_A @ unitary
-    unitary = kron3(gate_a2, HADAMARD, gate_b1) @ unitary
-    unitary = _CNOT_S_TO_B @ unitary
-    unitary = kron3(_IDENTITY2, HADAMARD, gate_b2) @ unitary
-    return unitary
 
 
 def _meter_floats(theta1, phi1, lam1, theta2, phi2, lam2) -> tuple[float, ...]:

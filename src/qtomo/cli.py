@@ -10,8 +10,8 @@ Subcommands:
 Output schemas are fixed: CSV files carry `# key: value` metadata lines
 (version, command, and the seed and sampling settings where they apply)
 before the header row; JSON files put their metadata under "meta".
-Exit codes: 0 success, 1 validation error, 2 numerical failure,
-3 identity-check failure.
+Exit codes: 0 success, 1 invalid input, 2 numerical failure,
+3 identity suite found a failing check.
 
 This module parses, validates and formats only; the identity suite
 lives in qtomo.identities and is re-exported here as identity_suite.
@@ -39,17 +39,10 @@ from .core import (
     fidelity,
     state_from_angles,
 )
-from .estimators import (
-    NonInvertibleModelError,
-    linear_inversion,
-    log_likelihood,
-    radial_clip,
-    require_invertible,
-    saturated_mle,
-)
+from .estimators import linear_inversion, log_likelihood, radial_clip, saturated_mle
 from .harness import DEFAULT_SEED, run_full_experiment, run_single_experiment
 from .identities import identity_suite
-from .model import SingularInformationError
+from .model import NonInvertibleModelError, SingularInformationError, require_invertible
 from .single import max_error_single, qttf_single
 from .twometer import REFERENCE_COUPLINGS, TwoMeterModel, optimize_two_meter
 

@@ -1,7 +1,8 @@
 """Qubit primitives: states, Bloch vectors, fidelity, quadrature.
 
-Everything here is plain complex linear algebra on 2x2 (and, via helpers,
-4x4 / 8x8) arrays.  All functions are pure; nothing caches mutable state.
+Everything here is plain complex linear algebra on 2x2 arrays; the 8x8
+register helpers live with the oracles in qtomo._oracles.  All functions
+are pure; nothing caches mutable state.
 """
 from __future__ import annotations
 
@@ -12,9 +13,6 @@ import numpy as np
 
 __all__ = [
     "SIGMA",
-    "PI_1",
-    "PI_PLUS",
-    "HADAMARD",
     "PAULI_EIGENSTATES",
     "PAULI_EIGENSTATE_LABELS",
     "QuadratureRule",
@@ -23,9 +21,6 @@ __all__ = [
     "bloch_from_state",
     "fidelity",
     "make_quadrature",
-    "expm_2x2_hermitian",
-    "kron3",
-    "cnot_matrix",
     "check_density",
 ]
 
@@ -39,10 +34,6 @@ SIGMA = np.array(
     ],
     dtype=complex,
 )
-
-PI_1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-PI_PLUS = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -83,14 +74,16 @@ def density_from_bloch(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.shape != (4,):
         raise ValueError("expected a Bloch 4-vector (s0, s1, s2, s3)")
+    if not np.isfinite(s).all():
+        raise ValueError(f"Bloch vector must be finite, got {s}")
     return 0.5 * np.einsum("m,mij->ij", s, SIGMA)
 
 
 def bloch_from_state(rho: np.ndarray) -> np.ndarray:
     """Bloch 4-vector s_mu = Tr(rho sigma_mu) of a (2, 2) density matrix.
 
-    A ket of shape (2,) is accepted too; any other shape raises
-    ValueError.
+    A ket of shape (2,) is accepted too; any other shape, and a NaN or
+    infinite entry, raises ValueError.
 
     The ket (a, b) gives s = (|a|^2 + |b|^2, 2 Re(a b*), -2 Im(a b*),
     |a|^2 - |b|^2), evaluated in plain floats: at this size numpy's
@@ -106,14 +99,21 @@ def bloch_from_state(rho: np.ndarray) -> np.ndarray:
             "expected a ket of shape (2,) or a density matrix of shape (2, 2), "
             f"got shape {rho.shape}"
         )
-    return np.einsum("mij,ji->m", SIGMA, rho).real
+    # every s_mu sums all four entries, so a NaN or infinite entry shows here
+    s = np.einsum("mij,ji->m", SIGMA, rho).real
+    if not np.isfinite(s).all():
+        raise ValueError("density matrix must be finite")
+    return s
 
 
 def _ket_bloch(a: complex, b: complex) -> tuple[float, float, float, float]:
-    """bloch_from_state of the ket (a, b), as four Python floats."""
+    """bloch_from_state of the ket (a, b), as four Python floats; ValueError
+    unless |a|^2 + |b|^2, which bounds every component, is finite."""
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     aa = ar * ar + ai * ai
     bb = br * br + bi * bi
+    if not math.isfinite(aa + bb):
+        raise ValueError(f"ket must be finite, got ({a}, {b})")
     # adding 0.0 turns a -0.0 into +0.0 and leaves every other value alone
     s_x = 2.0 * (ar * br + ai * bi) + 0.0
     s_y = 2.0 * (ar * bi - ai * br) + 0.0
@@ -245,50 +245,3 @@ def make_quadrature(n1: int, n2: int, *, alpha2_limit: float = math.pi) -> Quadr
         alpha2=g2.ravel(),
         weights=weights.ravel(),
     )
-
-
-def expm_2x2_hermitian(hmat: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
-    """exp(-i t H) for Hermitian 2x2 H, by spectral decomposition.
-
-    Exact up to round-off, unlike a truncated series.  hmat may be a
-    (..., 2, 2) stack and t an array that broadcasts against its leading
-    shape; the result is (..., 2, 2) over the broadcast shape, and each
-    member carries the bits of its own 2x2 call.  Any non-Hermitian
-    member raises ValueError.
-    """
-    hmat = np.asarray(hmat, dtype=complex)
-    if hmat.shape[-2:] != (2, 2):
-        raise ValueError("expected a 2x2 matrix or a (..., 2, 2) stack")
-    if np.abs(hmat - hmat.conj().swapaxes(-1, -2)).max(initial=0.0) > 1e-12:
-        raise ValueError("matrix is not Hermitian")
-    evals, evecs = np.linalg.eigh(hmat)
-    phases = np.exp(-1.0j * np.asarray(t)[..., None] * evals)
-    return (evecs * phases[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
-
-
-def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Kronecker product of three single-qubit operators, in one broadcast.
-
-    (..., 2, 2) stacks broadcast against each other into a (..., 8, 8)
-    stack; each member is formed by the same two products as its own call.
-    """
-    product = (
-        a[..., :, None, None, :, None, None]
-        * b[..., None, :, None, None, :, None]
-        * c[..., None, None, :, None, None, :]
-    )
-    return product.reshape(product.shape[:-6] + (8, 8))
-
-
-def cnot_matrix(control: int, target: int) -> np.ndarray:
-    """CNOT on the three-qubit register; qubit 0 is the leftmost tensor factor."""
-    if control == target:
-        raise ValueError("control and target must differ")
-    out = np.zeros((8, 8), dtype=complex)
-    for idx in range(8):
-        bits = [(idx >> (2 - q)) & 1 for q in range(3)]
-        if bits[control]:
-            bits[target] ^= 1
-        jdx = sum(bit << (2 - q) for q, bit in enumerate(bits))
-        out[jdx, idx] = 1.0
-    return out

@@ -36,11 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NonInvertibleModelError, _check_transfer, require_invertible
+from .model import _check_transfer, require_invertible
 
 __all__ = [
-    "NonInvertibleModelError",
-    "require_invertible",
     "LinearInversionResult",
     "MleResult",
     "linear_inversion",
@@ -158,11 +156,19 @@ def linear_inversion(freqs: np.ndarray, tmat: np.ndarray) -> LinearInversionResu
 
 
 def radial_clip(bloch: np.ndarray) -> np.ndarray:
-    """Pull an estimate radially back onto the Bloch sphere if outside."""
+    """Pull an estimate radially back onto the Bloch sphere if outside.
+
+    ValueError for a NaN or infinite component: a non-finite radius fails
+    the ball test, and only then is the vector tested.
+    """
     out = np.asarray(bloch, dtype=float).copy()
     norm = np.linalg.norm(out[1:])
-    if norm > 1.0:
+    if not norm <= 1.0:
+        if not np.isfinite(out[1:]).all():
+            raise ValueError(f"Bloch vector must be finite, got {out}")
         out[1:] /= norm
+    if not math.isfinite(out[0]):
+        raise ValueError(f"Bloch vector must be finite, got {out}")
     return out
 
 

@@ -1,29 +1,27 @@
 """Seeded sampling experiments and statistical validation.
 
 Reproduces the simulator tables (single-component means, full-model
-fidelities), scans estimator variance against the Fisher bound, and
-checks the two variance identities that tie the sampling statistics to
-Tr(F^-1).  Every draw is tied to an explicit integer seed; repeats,
-states and grid points get independent substreams derived from it.  The
-variance scan runs its draws on two threads, each draw on its own
-substream and into its own slot, so its rows are bit for bit those of
-one thread drawing them in order.
-Rows carry only what the tables and their callers read; a full row's
+fidelities) and scans estimator variance against the Fisher bound; the
+two variance identities that tie the sampling statistics to Tr(F^-1)
+are identity-suite checks, in qtomo.identities.  Every draw is tied to
+an explicit integer seed; repeats, states and grid points get
+independent substreams derived from it.  The variance scan runs its
+draws on two threads, each draw on its own substream and into its own
+slot, so its rows are bit for bit those of one thread drawing them in
+order.  Rows carry only what the tables and their callers read; a full row's
 fidelity is the direction fidelity of its mean estimate.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import PAULI_EIGENSTATES, PAULI_EIGENSTATE_LABELS, bloch_from_state
 from .estimators import _saturated_mle, _solve
-from .model import _as_blochs, _live_probabilities, delta_from_transfer
-from .model import fisher_from_transfer, require_invertible
+from .model import _live_probabilities, delta_from_transfer, require_invertible
 from .single import estimate_sz, fisher_inverse_single, probabilities_single
 
 __all__ = [
@@ -32,12 +30,9 @@ __all__ = [
     "FullStateRow",
     "ExperimentReport",
     "ScanRow",
-    "IdentityReport",
     "run_single_experiment",
     "run_full_experiment",
     "variance_vs_fisher_scan",
-    "estimator_variance_identity",
-    "binomial_variance_identity",
 ]
 
 # Default seed for table reproduction; chosen once so the shipped defaults
@@ -378,66 +373,3 @@ def variance_vs_fisher_scan(
         )
     return tuple(rows)
 
-
-@dataclass(frozen=True)
-class IdentityReport:
-    lhs: np.ndarray
-    rhs: np.ndarray
-    max_abs_diff: float
-
-
-def estimator_variance_identity(state: np.ndarray, tmat: np.ndarray) -> IdentityReport:
-    """Check diag(F^-1) against the single-outcome variance decomposition.
-
-    Column l of the estimate matrix is the linear-inversion output when
-    every shot lands in outcome l, so the matrix is the production T^-1
-    of model.require_invertible; weighting those columns by the outcome
-    probabilities gives per-component variances sigma_j^2, which must
-    reproduce the diagonal of the inverted Fisher matrix, the oracle.
-
-    state is one state, a (2,) ket or a (4,) Bloch vector, giving (3,)
-    sides, or a real (n, 4) stack of Bloch vectors, giving (n, 3) sides
-    from one batched product, Fisher build and inverse; a single state is
-    the stack of one.  max_abs_diff is the largest gap over the stack,
-    the s_0 component's variance (zero) included.  A vanished outcome
-    raises SingularInformationError naming it.
-    """
-    estimate_mat = require_invertible(tmat)
-    blochs = _as_blochs(state)
-    stack = np.atleast_2d(blochs)
-    probs = _live_probabilities(tmat, stack)
-    sbar = (estimate_mat @ probs[:, :, None])[:, :, 0]
-    # sigma_j^2 = sum_q p_q (T^-1[j, q] - sbar_j)^2, per member
-    sigma2 = np.sum((estimate_mat - sbar[:, :, None]) ** 2 * probs[:, None, :], axis=-1)
-    fisher = fisher_from_transfer(tmat, stack)
-    rhs = np.diagonal(np.linalg.inv(fisher), axis1=-2, axis2=-1)
-    gap = np.abs(sigma2 - np.insert(rhs, 0, 0.0, axis=-1))
-    lhs = sigma2[:, 1:]
-    if blochs.ndim == 1:
-        lhs, rhs = lhs[0], rhs[0]
-    return IdentityReport(lhs=lhs, rhs=rhs, max_abs_diff=float(np.max(gap)))
-
-
-def binomial_variance_identity(psi, theta: float | Sequence[float]) -> IdentityReport:
-    """p(1-p)(s_0 - s_1)^2 against F^-1 for the single-component model.
-
-    s_0 and s_1 are the estimates produced when all shots land in one
-    outcome; the identity is exact algebra, so the two sides agree to
-    round-off.  One state and a float theta give (1,) sides; a sequence
-    of n states with a sequence of n couplings gives (n,) sides.  Each
-    case calls probabilities_single, estimate_sz and fisher_inverse_single
-    itself, so each member carries the bits of its own call, and
-    max_abs_diff is the largest gap over the cases.
-    """
-    cases = [(psi, theta)] if np.ndim(theta) == 0 else zip(psi, theta, strict=True)
-    lhs = []
-    rhs = []
-    for state, coupling in cases:
-        p0, p1 = probabilities_single(state, coupling)
-        s_zero = estimate_sz(1.0, 0.0, coupling)
-        s_one = estimate_sz(0.0, 1.0, coupling)
-        lhs.append(p0 * p1 * (s_zero - s_one) ** 2)
-        rhs.append(fisher_inverse_single(state, coupling))
-    lhs = np.array(lhs)
-    rhs = np.array(rhs)
-    return IdentityReport(lhs=lhs, rhs=rhs, max_abs_diff=float(np.max(np.abs(lhs - rhs))))

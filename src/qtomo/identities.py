@@ -1,5 +1,9 @@
 """Numerical identity suite behind ``qtomo check-identities``.
 
+This is the one runtime reader of qtomo._oracles, which supplies the 8x8
+register model, the quadrature and the single-meter forms; the two
+variance identities are defined here.
+
 Draw, then check.  Every seeded input is drawn before any check runs,
 always in the same order, so a check that raises cannot shift the inputs
 of the checks after it; each check is then a pure function of its inputs.
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -37,21 +42,17 @@ from itertools import chain
 import numpy as np
 
 from . import circuit, twometer
-from .circuit import REFERENCE_OPTIMUM, build_circuit, circuit_unitary
+from ._oracles import (
+    _qttf_quadrature, circuit_unitary, fisher_matrix_form, joint_unitary,
+    kraus_transfer, simulate_meter_process, two_design_average,
+)
+from .circuit import REFERENCE_OPTIMUM, build_circuit
 from .core import SIGMA, bloch_from_state, density_from_bloch, make_quadrature, state_from_angles
 from .estimators import _check_frequencies, _solve, log_likelihood, rho_r_mle, saturated_mle
-from .harness import binomial_variance_identity, estimator_variance_identity
-from .model import (
-    _qttf_quadrature,
-    fisher_from_transfer,
-    fisher_matrix_form,
-    kraus_transfer,
-    qttf_from_transfer,
-    require_invertible,
-    simulate_meter_process,
-)
-from .single import qttf_single, two_design_average
-from .twometer import REFERENCE_COUPLINGS, TwoMeterModel, joint_unitary
+from .model import _as_blochs, _live_probabilities, fisher_from_transfer
+from .model import qttf_from_transfer, require_invertible
+from .single import estimate_sz, fisher_inverse_single, probabilities_single, qttf_single
+from .twometer import REFERENCE_COUPLINGS, TwoMeterModel
 
 __all__ = ["identity_suite"]
 
@@ -65,8 +66,7 @@ _PAIRS = 200  # cases in coefficients_vs_trace and in binomial_variance
 # cap as the safety net.  Over seeds 0-199 the 1000 runs take 96 282
 # iterations, against 246 918 at the cap alone; 9 of them reach the cap
 # (554 at the cap alone), and the largest certified gap stays 1.6e-5, as
-# the capped runs are the same iterates.  On a 2-core host the five runs
-# take 0.7-1.1 ms per suite, against 1.8 ms at the cap alone (seeds 0-59).
+# the capped runs are the same iterates.
 _REFERENCE_MAX_ITER = 300
 _REFERENCE_GAP_TOL = 1e-5
 
@@ -326,6 +326,70 @@ def _roundtrip(sims, models, tmats) -> list:
             inverses[m] = require_invertible(tmats[m])
         blochs.append(_solve(freqs, inverses[m]).bloch)
     return blochs
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    lhs: np.ndarray
+    rhs: np.ndarray
+    max_abs_diff: float
+
+
+def estimator_variance_identity(state: np.ndarray, tmat: np.ndarray) -> IdentityReport:
+    """Check diag(F^-1) against the single-outcome variance decomposition.
+
+    Column l of the estimate matrix is the linear-inversion output when
+    every shot lands in outcome l, so the matrix is the production T^-1
+    of model.require_invertible; weighting those columns by the outcome
+    probabilities gives per-component variances sigma_j^2, which must
+    reproduce the diagonal of the inverted Fisher matrix, the oracle.
+
+    state is one state, a (2,) ket or a (4,) Bloch vector, giving (3,)
+    sides, or a real (n, 4) stack of Bloch vectors, giving (n, 3) sides
+    from one batched product, Fisher build and inverse; a single state is
+    the stack of one.  max_abs_diff is the largest gap over the stack,
+    the s_0 component's variance (zero) included.  A vanished outcome
+    raises SingularInformationError naming it.
+    """
+    estimate_mat = require_invertible(tmat)
+    blochs = _as_blochs(state)
+    stack = np.atleast_2d(blochs)
+    probs = _live_probabilities(tmat, stack)
+    sbar = (estimate_mat @ probs[:, :, None])[:, :, 0]
+    # sigma_j^2 = sum_q p_q (T^-1[j, q] - sbar_j)^2, per member
+    sigma2 = np.sum((estimate_mat - sbar[:, :, None]) ** 2 * probs[:, None, :], axis=-1)
+    fisher = fisher_from_transfer(tmat, stack)
+    rhs = np.diagonal(np.linalg.inv(fisher), axis1=-2, axis2=-1)
+    gap = np.abs(sigma2 - np.insert(rhs, 0, 0.0, axis=-1))
+    lhs = sigma2[:, 1:]
+    if blochs.ndim == 1:
+        lhs, rhs = lhs[0], rhs[0]
+    return IdentityReport(lhs=lhs, rhs=rhs, max_abs_diff=float(np.max(gap)))
+
+
+def binomial_variance_identity(psi, theta: float | Sequence[float]) -> IdentityReport:
+    """p(1-p)(s_0 - s_1)^2 against F^-1 for the single-component model.
+
+    s_0 and s_1 are the estimates produced when all shots land in one
+    outcome; the identity is exact algebra, so the two sides agree to
+    round-off.  One state and a float theta give (1,) sides; a sequence
+    of n states with a sequence of n couplings gives (n,) sides.  Each
+    case calls probabilities_single, estimate_sz and fisher_inverse_single
+    itself, so each member carries the bits of its own call, and
+    max_abs_diff is the largest gap over the cases.
+    """
+    cases = [(psi, theta)] if np.ndim(theta) == 0 else zip(psi, theta, strict=True)
+    lhs = []
+    rhs = []
+    for state, coupling in cases:
+        p0, p1 = probabilities_single(state, coupling)
+        s_zero = estimate_sz(1.0, 0.0, coupling)
+        s_one = estimate_sz(0.0, 1.0, coupling)
+        lhs.append(p0 * p1 * (s_zero - s_one) ** 2)
+        rhs.append(fisher_inverse_single(state, coupling))
+    lhs = np.array(lhs)
+    rhs = np.array(rhs)
+    return IdentityReport(lhs=lhs, rhs=rhs, max_abs_diff=float(np.max(np.abs(lhs - rhs))))
 
 
 def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:

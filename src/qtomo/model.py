@@ -2,12 +2,8 @@
 
 Every four-outcome model here is its 4x4 transfer matrix T: outcome
 probabilities (++, +-, -+, --) = T @ S for Bloch 4-vectors S, and a
-MeterModel is (params, T).  Physically the model is an 8x8 block unitary
-on the register (meter A, system, meter B), qubit 0 leftmost: both meters
-start in |+>, the unitary acts, and the meters are read in x (H x I x H,
-then z).  Only checks build it (twometer.joint_unitary,
-circuit.circuit_unitary): kraus_transfer reads T off its four system-side
-Kraus operators, and simulate_meter_process evolves the 8x8 density matrix.
+MeterModel is (params, T).  The 8x8 register model behind T, and every
+other route T is checked against, lives in qtomo._oracles.
 
 From T come the Fisher matrix, the per-state error Delta and the
 state-averaged qTTF.  Every such model is saturated (four outcomes, three
@@ -22,9 +18,9 @@ decisions are cond(T)'s.  The qTTF and Delta read its weights |a_q|^2;
 require_invertible returns it as the T^-1 of the estimators, the
 variance scan and the estimator-variance identity, and refuses exactly
 the T whose qTTF is inf.  qttf_from_transfer is exact only.  Fisher
-matrices are inverted only by oracles: the private quadrature average
-over delta_surface, _qttf_quadrature, stays as the independent reference
-that the tests and the identity suite compare against.
+matrices are inverted only by oracles: the quadrature average over
+delta_surface, _oracles._qttf_quadrature, stays as the independent
+reference that the tests and the identity suite compare against.
 
 minimize_with_restarts runs Nelder-Mead in plain floats (_nelder_mead)
 from each start; the tests check every step against a library
@@ -39,15 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    HADAMARD,
-    SIGMA,
-    QuadratureRule,
-    bloch_from_state,
-    check_density,
-    kron3,
-    make_quadrature,
-)
+from .core import QuadratureRule, bloch_from_state, make_quadrature
 
 __all__ = [
     "CONDITION_LIMIT",
@@ -56,12 +44,9 @@ __all__ = [
     "NonInvertibleModelError",
     "require_invertible",
     "MeterModel",
-    "kraus_transfer",
-    "simulate_meter_process",
     "RestartOutcome",
     "OptimizationResult",
     "fisher_from_transfer",
-    "fisher_matrix_form",
     "delta_from_transfer",
     "delta_surface",
     "qttf_from_transfer",
@@ -92,28 +77,6 @@ CONDITION_LIMIT = 1e12
 
 _OUTCOME_LABELS = ("++", "+-", "-+", "--")
 
-# x-basis readout of both meters, applied after the block unitary.
-_READOUT = kron3(HADAMARD, np.eye(2), HADAMARD)
-
-
-def _kraus_constants() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three constant factors of kraus_transfer's read.
-
-    The readout with its rows reordered from (a, s, b) to (a, b, s), so
-    a product reshapes straight into K_(a,b)[s, s']; the (8, 2) map
-    that applies both |+> inputs, 1/2 from input (a', s', b') to s'; and
-    the (4, 4) map with E[q, 2i + k] @ it = Tr(E_q sigma_mu) / 2.
-    """
-    order = [4 * a + 2 * s + b for a in (0, 1) for b in (0, 1) for s in (0, 1)]
-    plus_inputs = np.zeros((8, 2))
-    for index in range(8):
-        plus_inputs[index, (index >> 1) & 1] = 0.5
-    trace_map = 0.5 * SIGMA.transpose(0, 2, 1).reshape(4, 4).T
-    return _READOUT[order], plus_inputs, trace_map
-
-
-_KRAUS_READOUT, _PLUS_INPUTS, _TRACE_MAP = _kraus_constants()
-
 
 class SingularInformationError(ArithmeticError):
     """An outcome probability vanished; the Fisher matrix is undefined."""
@@ -138,48 +101,14 @@ class NonInvertibleModelError(ValueError):
         )
 
 
-def kraus_transfer(unitary: np.ndarray) -> np.ndarray:
-    """Transfer matrix read off the four system-side Kraus operators.
-
-    K_(a,b) = <a,b|_meters (H x I x H) U |+>_A |+>_B, E_q = K_q^dag K_q
-    with q = 2a + b, and T[q, mu] = Tr(E_q sigma_mu) / 2.  A (..., 8, 8)
-    stack of unitaries gives a (..., 4, 4) stack of transfer matrices.
-    """
-    stack = np.shape(unitary)[:-2]
-    # rows (a, b, s), columns s': K_q[s, s'] for q = 2a + b
-    kraus = (_KRAUS_READOUT @ unitary @ _PLUS_INPUTS).reshape(stack + (4, 2, 2))
-    effects = kraus.conj().swapaxes(-1, -2) @ kraus
-    return (effects.reshape(stack + (4, 4)) @ _TRACE_MAP).real
-
-
-def simulate_meter_process(rho0: np.ndarray, unitary: np.ndarray) -> np.ndarray:
-    """Outcome probabilities (++, +-, -+, --) by 8x8 density-matrix evolution.
-
-    The system starts in rho0 between two |+> meters; the readout applies
-    Hadamards to the meters, takes the z-basis diagonal and traces out
-    the system.  The independent oracle for every transfer matrix.  A
-    (..., 2, 2) stack of states and a (..., 8, 8) stack of unitaries
-    broadcast against each other and evolve in one batched product,
-    giving (..., 4) probabilities.
-    """
-    plus = np.full((2, 2), 0.5)
-    initial = kron3(plus, check_density(rho0), plus)
-    full = _READOUT @ unitary
-    final = full @ initial @ full.conj().swapaxes(-1, -2)
-    # diagonal index 4a + 2s + b
-    diagonal = np.real(np.diagonal(final, axis1=-2, axis2=-1))
-    stack = diagonal.shape[:-1]
-    return diagonal.reshape(stack + (2, 2, 2)).sum(axis=-2).reshape(stack + (4,))
-
-
 @dataclass(frozen=True)
 class MeterModel:
     """A four-outcome model: its settings and closed-form transfer matrix.
 
     T is kept as a read-only copy, so no array handed in or out can move
     the model, and construction raises ValueError unless that copy is a
-    finite 4x4.  kraus_transfer and simulate_meter_process of the unitary
-    built from the same params are its independent checks.
+    finite 4x4.  _oracles.kraus_transfer and simulate_meter_process of
+    the unitary built from the same params are its independent checks.
     """
 
     params: tuple[float, ...]
@@ -232,27 +161,6 @@ def fisher_from_transfer(tmat: np.ndarray, state: np.ndarray) -> np.ndarray:
     p = _live_probabilities(tmat, state)
     ts = tmat[:, 1:]
     return ts.T @ (ts / p[..., :, None])
-
-
-def fisher_matrix_form(tmat: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Fisher matrix assembled as D^T (V P^-1 V^T) D.
-
-    D = V T[:, 1:] / 4 holds the sign-basis coefficients, rows indexed by
-    the sign patterns (k, l, kl) of V = SIGN_MATRIX.  V^T V = 4 I - 11^T
-    and the s-columns of T sum to zero, so V^T D reproduces them and this
-    equals fisher_from_transfer; kept as an independent assembly path for
-    the identity checks.
-
-    state is one state, giving (3, 3), or a real (n, 4) stack of Bloch
-    vectors, giving (n, 3, 3) from batched products; a single state is
-    the stack of one.  V P^-1 is V with column q divided by p_q, which
-    is what the product with diag(1/p) gives to the bit (its other terms
-    are exact zeros), so each member carries its own call's bits.
-    """
-    p = _live_probabilities(tmat, state)
-    d = 0.25 * SIGN_MATRIX @ tmat[:, 1:]
-    middle = (SIGN_MATRIX * (1.0 / p)[..., None, :]) @ SIGN_MATRIX.T
-    return d.T @ middle @ d
 
 
 def _inverse_weights(rows) -> tuple[list, list[float]] | None:
@@ -435,17 +343,6 @@ def delta_surface(tmat: np.ndarray, bloch_nodes: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         totals = np.sum(1.0 / np.maximum(eigs, 1e-300), axis=1)
     return np.where(bad, np.inf, totals)
-
-
-def _qttf_quadrature(tmat, rule: QuadratureRule) -> float:
-    """The qTTF as the quadrature average over delta_surface.
-
-    The oracle for qttf_from_transfer: inf as soon as any node is singular.
-    """
-    values = delta_surface(np.asarray(tmat, dtype=float), rule.bloch_nodes())
-    if not np.all(np.isfinite(values)):
-        return math.inf
-    return rule.integrate(values)
 
 
 def qttf_from_transfer(tmat) -> float:

@@ -3,7 +3,8 @@
 A meter qubit prepared in |+> picks up a controlled phase theta from the
 system qubit and is read out in the x basis.  The outcome statistics
 determine s_z alone, with a Fisher error that depends on the input state
-only through the polar angle.
+only through the polar angle.  Its oracles, the angle-chart error, its
+quadrature and the six-state average, live in qtomo._oracles.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import PAULI_EIGENSTATES, QuadratureRule, bloch_from_state
+from .core import bloch_from_state
 
 __all__ = [
     "NonInformativeCouplingError",
@@ -20,7 +21,6 @@ __all__ = [
     "fisher_inverse_single",
     "qttf_single",
     "max_error_single",
-    "two_design_average",
 ]
 
 # Below this, sin^2(theta/2) is treated as zero and the meter learns nothing.
@@ -97,19 +97,6 @@ def fisher_inverse_single(psi: np.ndarray, theta: float) -> float:
     return 4.0 * p0 * p1 / s2**2
 
 
-def _fisher_inverse_angle_form(alpha1: float, theta: float) -> float:
-    """F^-1 written in the angle chart: 4 sin^2(a1)(csc^2(theta/2) - sin^2(a1)).
-
-    Independent of the azimuth; agrees with the probability form for pure
-    states at the same polar angle.
-    """
-    s2 = _sin2_half(theta)
-    if s2 < _COUPLING_FLOOR:
-        return math.inf
-    sa2 = math.sin(alpha1) ** 2
-    return 4.0 * sa2 * (1.0 / s2 - sa2)
-
-
 def qttf_single(theta: float) -> float:
     """Pure-state average of F^-1, in closed form: (2/3)(2+cos t)csc^2(t/2).
 
@@ -120,12 +107,6 @@ def qttf_single(theta: float) -> float:
     if s2 < _COUPLING_FLOOR:
         return math.inf
     return (2.0 / 3.0) * (2.0 + math.cos(theta)) / s2
-
-
-def _qttf_single_quadrature(theta: float, rule: QuadratureRule) -> float:
-    """Same average evaluated by quadrature; the oracle for the closed form."""
-    values = np.array([_fisher_inverse_angle_form(a1, theta) for a1 in rule.alpha1])
-    return rule.integrate(values)
 
 
 def max_error_single(theta: float) -> float:
@@ -150,12 +131,3 @@ def max_error_single(theta: float) -> float:
         return csc2**2
     return 4.0 * (csc2 - 1.0)
 
-
-def two_design_average(theta: float) -> float:
-    """Mean of F^-1 over the six Pauli eigenstates.
-
-    F^-1 is a quadratic polynomial in the state, so this finite average
-    equals the full pure-state average exactly.
-    """
-    vals = [fisher_inverse_single(psi, theta) for psi in PAULI_EIGENSTATES]
-    return float(np.mean(vals))

@@ -2,13 +2,11 @@
 
 Two meter qubits, both prepared in |+>, couple to the system through the
 projectors Pi_1 (meter A, angle theta_A) and Pi_+ (meter B, angle theta_B)
-and are read out in the x basis.  On the register convention of
-qtomo.model, (meter A, system, meter B), the coupling is the 8x8 block
-unitary sum_ij |i><i|_A x U_ij x |j><j|_B.  The four joint outcomes
-resolve all three Bloch components, so the 4x4 transfer matrix is
-invertible away from degenerate couplings.  The model is that matrix in
-closed form; joint_unitary builds the unitary only for the checks, where
-its Kraus read is the oracle.
+and are read out in the x basis.  The four joint outcomes resolve all
+three Bloch components, so the 4x4 transfer matrix is invertible away
+from degenerate couplings.  The model is that matrix in closed form; its
+coupling unitary, whose Kraus read is the oracle, is built only by the
+checks, as qtomo._oracles.joint_unitary.
 """
 from __future__ import annotations
 
@@ -16,7 +14,6 @@ import math
 
 import numpy as np
 
-from .core import PI_1, PI_PLUS, expm_2x2_hermitian
 from .model import (
     MeterModel,
     OptimizationResult,
@@ -28,7 +25,6 @@ from .model import (
 __all__ = [
     "REFERENCE_COUPLINGS",
     "TwoMeterModel",
-    "joint_unitary",
     "transfer_matrix",
     "qttf_two_meter",
     "optimize_two_meter",
@@ -43,46 +39,6 @@ REFERENCE_COUPLINGS = (3.45, -8.42)
 _COUPLING_NAMES = ("coupling theta_a", "coupling theta_b")
 
 
-def _meter_unitaries(
-    theta_a: float | np.ndarray, theta_b: float | np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """System-side evolutions (U00, U01, U10, U11), one per meter branch.
-
-    Branch (i, j) applies exp(-i(theta_A i Pi_1 + theta_B j Pi_+)).  The
-    two generators do not commute, so U11 is a genuinely joint exponential
-    rather than a product of the single-meter factors.  The couplings may
-    be arrays; each U is then (..., 2, 2) over their broadcast shape, and
-    scalars give plain 2x2 matrices.
-    """
-    theta_a, theta_b = np.broadcast_arrays(
-        np.asarray(theta_a, dtype=float), np.asarray(theta_b, dtype=float)
-    )
-    u00 = np.zeros(theta_a.shape + (2, 2), dtype=complex)
-    u00[..., 0, 0] = u00[..., 1, 1] = 1.0
-    u01 = expm_2x2_hermitian(PI_PLUS, theta_b)
-    u10 = expm_2x2_hermitian(PI_1, theta_a)
-    u11 = expm_2x2_hermitian(
-        theta_a[..., None, None] * PI_1 + theta_b[..., None, None] * PI_PLUS, 1.0
-    )
-    return u00, u01, u10, u11
-
-
-def joint_unitary(theta_a: float | np.ndarray, theta_b: float | np.ndarray) -> np.ndarray:
-    """8x8 block unitary sum_ij |i><i|_A x U_ij x |j><j|_B on (A, S, B).
-
-    Coupling arrays give a (..., 8, 8) stack over their broadcast shape,
-    whose joint branches U11 come from one stacked eigh; scalars give one
-    8x8 matrix.
-    """
-    units = _meter_unitaries(theta_a, theta_b)
-    stack = units[0].shape[:-2]
-    joint = np.zeros(stack + (2,) * 6, dtype=complex)  # axes (..., a, s, b, a', s', b')
-    for branch, unit in enumerate(units):
-        i, j = divmod(branch, 2)
-        joint[..., i, :, j, i, :, j] = unit
-    return joint.reshape(stack + (8, 8))
-
-
 def _half_sinc(tc: float) -> float:
     """sin(tc/2)/tc, 1/2 at 0: np.sinc(tc / 2pi) / 2 in numpy's own steps."""
     x = math.pi * (tc / (2.0 * math.pi))
@@ -94,7 +50,7 @@ def _coefficients(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ..
 
     Outcome (k, l) of Bloch vector s has probability
     sum_mu (s_mu/4) delta_{mu 0} + (a_mu k + b_mu l + c_mu k l) s_mu;
-    signs are fixed against the Kraus read of joint_unitary.
+    signs are fixed against the Kraus read of _oracles.joint_unitary.
     """
     tc = math.hypot(theta_a, theta_b)
     ca, sa = math.cos(theta_a / 2.0), math.sin(theta_a / 2.0)

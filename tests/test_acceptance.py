@@ -12,6 +12,13 @@ import time
 import numpy as np
 import pytest
 
+from qtomo._oracles import (
+    _qttf_quadrature,
+    _qttf_single_quadrature,
+    joint_unitary,
+    kraus_transfer,
+    simulate_meter_process,
+)
 from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit, optimize_circuit, qttf_circuit
 from qtomo.cli import main
 from qtomo.core import (
@@ -22,23 +29,16 @@ from qtomo.core import (
 )
 from qtomo.harness import (
     DEFAULT_SEED,
-    binomial_variance_identity,
-    estimator_variance_identity,
     run_full_experiment,
     run_single_experiment,
     variance_vs_fisher_scan,
 )
-from qtomo.model import (
-    _qttf_quadrature,
-    kraus_transfer,
-    qttf_from_transfer,
-    simulate_meter_process,
-)
-from qtomo.single import _qttf_single_quadrature, qttf_single
+from qtomo.identities import binomial_variance_identity, estimator_variance_identity
+from qtomo.model import qttf_from_transfer
+from qtomo.single import qttf_single
 from qtomo.twometer import (
     REFERENCE_COUPLINGS,
     TwoMeterModel,
-    joint_unitary,
     optimize_two_meter,
     qttf_two_meter,
     transfer_matrix,

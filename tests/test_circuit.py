@@ -6,13 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtomo._oracles import (
+    _gates,
+    _qttf_quadrature,
+    _u3_entries,
+    circuit_unitary,
+    kraus_transfer,
+    simulate_meter_process,
+)
 from qtomo.circuit import (
     REFERENCE_OPTIMUM,
-    _gates,
     _transfer_rows,
-    _u3_entries,
     build_circuit,
-    circuit_unitary,
     optimize_circuit,
     qttf_circuit,
 )
@@ -23,14 +28,7 @@ from qtomo.core import (
     state_from_angles,
 )
 from qtomo.estimators import linear_inversion
-from qtomo.model import (
-    _qttf_quadrature,
-    default_rule,
-    kraus_transfer,
-    minimize_with_restarts,
-    qttf_from_transfer,
-    simulate_meter_process,
-)
+from qtomo.model import default_rule, minimize_with_restarts, qttf_from_transfer
 
 gate_angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
 

@@ -686,6 +686,14 @@ def test_import_does_not_load_the_identity_suite():
     assert cli.identity_suite.__module__ == "qtomo.identities"
 
 
+def test_production_imports_leave_the_oracles_unloaded():
+    code = (
+        "import sys, qtomo.model, qtomo.twometer, qtomo.circuit, qtomo.estimators, "
+        "qtomo.harness; print('qtomo._oracles' in sys.modules)"
+    )
+    assert _fresh_interpreter(code) == "False"
+
+
 def test_import_loads_no_submodule():
     code = "import sys, qtomo; print([m for m in sys.modules if m.startswith('qtomo.')])"
     assert _fresh_interpreter(code) == "[]"

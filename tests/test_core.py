@@ -7,20 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, sqrtm
 
+from qtomo._oracles import HADAMARD, PI_1, PI_PLUS, cnot_matrix, expm_2x2_hermitian, kron3
 from qtomo.core import (
-    HADAMARD,
     PAULI_EIGENSTATE_LABELS,
     PAULI_EIGENSTATES,
-    PI_1,
-    PI_PLUS,
     SIGMA,
     bloch_from_state,
     check_density,
-    cnot_matrix,
     density_from_bloch,
-    expm_2x2_hermitian,
     fidelity,
-    kron3,
     make_quadrature,
     state_from_angles,
 )
@@ -141,6 +136,34 @@ def test_ket_bloch_accepts_lists_and_rejects_other_lengths():
 def test_bloch_from_state_names_the_accepted_shapes(rho):
     with pytest.raises(ValueError, match=r"shape \(2,\) .* shape \(2, 2\)"):
         bloch_from_state(rho)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        [math.nan, 1.0],
+        [math.inf, 0.0],
+        [1.0, complex(0.0, -math.inf)],
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[1.0, math.inf], [math.inf, 0.0]],
+        [[math.inf, 0.0], [0.0, -math.inf]],
+    ],
+    ids=["ket-nan", "ket-inf", "ket-imag-inf", "matrix-nan", "matrix-off-diagonal-inf",
+         "matrix-inf-and--inf"],
+)
+def test_bloch_from_state_refuses_non_finite_input(rho):
+    with pytest.raises(ValueError, match="must be finite"):
+        bloch_from_state(rho)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [[1.0, math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, -math.inf]],
+    ids=["nan", "inf-s0", "-inf"],
+)
+def test_density_from_bloch_refuses_non_finite_input(s):
+    with pytest.raises(ValueError, match="must be finite"):
+        density_from_bloch(s)
 
 
 def test_check_density_rejects_bad_input():

@@ -14,16 +14,19 @@ from qtomo.core import (
     state_from_angles,
 )
 from qtomo.estimators import (
-    NonInvertibleModelError,
     linear_inversion,
     log_likelihood,
     radial_clip,
-    require_invertible,
     rho_r_mle,
     saturated_mle,
 )
 from qtomo.harness import _TAG_FULL, _substream, run_full_experiment, variance_vs_fisher_scan
-from qtomo.model import CONDITION_LIMIT, _inverse_weights
+from qtomo.model import (
+    CONDITION_LIMIT,
+    NonInvertibleModelError,
+    _inverse_weights,
+    require_invertible,
+)
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, transfer_matrix
 from test_model import EPS, ROUNDOFF, _conditioned_transfers
 
@@ -270,6 +273,22 @@ def test_estimators_reject_complex_frequencies(models, estimator):
     # a cast to float dropped the imaginary part with only a ComplexWarning
     with pytest.raises(ValueError, match="real"):
         estimator([0.5 + 0.1j, 0.5, 0.0, 0.0], models[0].transfer_matrix())
+
+
+@pytest.mark.parametrize(
+    "bloch",
+    [
+        [1.0, math.nan, 0.0, 0.0],
+        [1.0, 0.2, math.inf, 0.0],
+        [1.0, -math.inf, 0.0, math.inf],
+        [math.nan, 0.1, 0.0, 0.0],
+        [math.inf, 2.0, 0.0, 0.0],
+    ],
+    ids=["nan", "inf", "inf-and--inf", "s0-nan-inside", "s0-inf-outside"],
+)
+def test_radial_clip_refuses_non_finite_input(bloch):
+    with pytest.raises(ValueError, match="must be finite"):
+        radial_clip(bloch)
 
 
 def test_radial_clip():

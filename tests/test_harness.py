@@ -8,27 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtomo._oracles import _fisher_inverse_angle_form, two_design_average
 from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit
 from qtomo.core import PAULI_EIGENSTATES, bloch_from_state, state_from_angles
 from qtomo.estimators import linear_inversion, saturated_mle
 from qtomo.harness import (
     DEFAULT_SEED,
     _direction_fidelity,
-    binomial_variance_identity,
-    estimator_variance_identity,
     run_full_experiment,
     run_single_experiment,
     variance_vs_fisher_scan,
 )
+from qtomo.identities import binomial_variance_identity, estimator_variance_identity
 from qtomo.model import MeterModel, NonInvertibleModelError, SingularInformationError
 from qtomo.single import (
     NonInformativeCouplingError,
-    _fisher_inverse_angle_form,
     estimate_sz,
     fisher_inverse_single,
     probabilities_single,
     qttf_single,
-    two_design_average,
 )
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qtomo import circuit, twometer
-from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit, circuit_unitary
+from qtomo._oracles import circuit_unitary, fisher_matrix_form, joint_unitary
+from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit
 from qtomo.cli import main
 from qtomo.core import bloch_from_state, density_from_bloch, state_from_angles
 from qtomo.estimators import (
@@ -28,8 +29,8 @@ from qtomo.identities import (
     _stacked_rows,
     identity_suite,
 )
-from qtomo.model import fisher_from_transfer, fisher_matrix_form
-from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, joint_unitary
+from qtomo.model import fisher_from_transfer
+from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel
 
 _UNITARIES = (joint_unitary(*REFERENCE_COUPLINGS), circuit_unitary(REFERENCE_OPTIMUM))
 _TMATS = (
@@ -210,14 +211,14 @@ def _off_by_ulps(function):
 def test_binomial_variance_reads_the_production_single_meter(monkeypatch):
     # the check calls estimate_sz and fisher_inverse_single themselves, so
     # an error of 1e-13 relative in either fails it
-    from qtomo import harness
+    from qtomo import identities
     from qtomo.single import estimate_sz, fisher_inverse_single
 
     assert identity_suite(seed=0)["checks"]["binomial_variance"]["pass"]
     for name, function in (("estimate_sz", estimate_sz),
                            ("fisher_inverse_single", fisher_inverse_single)):
         with monkeypatch.context() as patch:
-            patch.setattr(harness, name, _off_by_ulps(function))
+            patch.setattr(identities, name, _off_by_ulps(function))
             suite = identity_suite(seed=0)
         assert not suite["checks"]["binomial_variance"]["pass"], name
 

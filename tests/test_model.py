@@ -9,26 +9,20 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from qtomo import circuit, twometer
-from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit, circuit_unitary, qttf_circuit
-from qtomo.core import HADAMARD, SIGMA
+from qtomo import _oracles, twometer
+from qtomo._oracles import HADAMARD, circuit_unitary, joint_unitary, kraus_transfer
+from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit, qttf_circuit
+from qtomo.core import SIGMA
 from qtomo.model import (
     CONDITION_LIMIT,
     MeterModel,
     _inverse_weights,
     _nelder_mead,
     delta_from_transfer,
-    kraus_transfer,
     minimize_with_restarts,
     qttf_from_transfer,
 )
-from qtomo.twometer import (
-    REFERENCE_COUPLINGS,
-    TwoMeterModel,
-    joint_unitary,
-    qttf_two_meter,
-    transfer_matrix,
-)
+from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, qttf_two_meter, transfer_matrix
 
 
 EPS = np.finfo(float).eps
@@ -381,8 +375,8 @@ def test_models_are_built_off_the_unitary(monkeypatch):
     def no_unitary(*args):
         raise AssertionError("built the 8x8 unitary")
 
-    monkeypatch.setattr(twometer, "joint_unitary", no_unitary)
-    monkeypatch.setattr(circuit, "circuit_unitary", no_unitary)
+    monkeypatch.setattr(_oracles, "joint_unitary", no_unitary)
+    monkeypatch.setattr(_oracles, "circuit_unitary", no_unitary)
     models = _reference_models()
     assert [m.transfer_matrix().tobytes() for m in models] == expected
     assert [f.name for f in dataclasses.fields(MeterModel)] == ["params", "_tmat"]

@@ -4,9 +4,11 @@ perfbench/ drives qtomo through the names checked here; its own smoke
 test is slow and runs outside this suite, so a deletion that breaks the
 benchmark must fail here first.
 """
+import ast
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -40,44 +42,80 @@ BENCHMARK_NAMES = (
 
 
 # The package's public surface: production paths and the types they return.
-# Oracles that only checks call stay private in their modules.
+# Oracles that only checks call live in the private module qtomo._oracles.
 PUBLIC_NAMES = {
     "__version__",
     # core
-    "SIGMA", "HADAMARD", "PAULI_EIGENSTATES", "PAULI_EIGENSTATE_LABELS",
+    "SIGMA", "PAULI_EIGENSTATES", "PAULI_EIGENSTATE_LABELS",
     "QuadratureRule", "make_quadrature", "state_from_angles",
     "density_from_bloch", "bloch_from_state", "check_density", "fidelity",
     # single meter
     "NonInformativeCouplingError", "probabilities_single", "estimate_sz",
     "fisher_inverse_single", "qttf_single", "max_error_single",
-    "two_design_average",
     # model
-    "MeterModel", "kraus_transfer", "simulate_meter_process",
-    "SingularInformationError", "fisher_from_transfer", "fisher_matrix_form",
-    "delta_from_transfer", "qttf_from_transfer", "OptimizationResult",
+    "MeterModel", "SingularInformationError", "NonInvertibleModelError",
+    "fisher_from_transfer", "delta_from_transfer", "qttf_from_transfer",
+    "OptimizationResult",
     # two-meter model
-    "REFERENCE_COUPLINGS", "TwoMeterModel", "joint_unitary", "qttf_two_meter",
-    "optimize_two_meter",
+    "REFERENCE_COUPLINGS", "TwoMeterModel", "qttf_two_meter", "optimize_two_meter",
     # circuit model
-    "REFERENCE_OPTIMUM", "build_circuit", "circuit_unitary", "qttf_circuit",
-    "optimize_circuit",
+    "REFERENCE_OPTIMUM", "build_circuit", "qttf_circuit", "optimize_circuit",
     # estimators
-    "NonInvertibleModelError", "LinearInversionResult", "linear_inversion",
-    "radial_clip", "MleResult", "saturated_mle", "rho_r_mle", "log_likelihood",
+    "LinearInversionResult", "linear_inversion", "radial_clip", "MleResult",
+    "saturated_mle", "rho_r_mle", "log_likelihood",
     # harness
     "DEFAULT_SEED", "ExperimentReport", "run_single_experiment",
-    "run_full_experiment", "variance_vs_fisher_scan", "IdentityReport",
-    "binomial_variance_identity", "estimator_variance_identity",
+    "run_full_experiment", "variance_vs_fisher_scan",
 }
 
 
 def test_public_surface_is_pinned():
-    assert len(qtomo.__all__) == len(set(qtomo.__all__)) == 54
+    assert len(qtomo.__all__) == len(set(qtomo.__all__)) == 44
     assert set(qtomo.__all__) == PUBLIC_NAMES
 
 
+# Modules on production paths: none may import the oracles, and only the
+# CLI may import the identity suite, the oracles' one runtime reader.
+PRODUCTION_MODULES = (
+    "__init__", "core", "single", "model", "twometer", "circuit", "estimators", "harness", "cli"
+)
+
+
+def _imported_modules(module: str) -> set:
+    """Every module name a source file's import statements could bind.
+
+    `from .x import y` counts as qtomo.x and qtomo.x.y, since y may be a
+    submodule; `import a.b` counts as a.b.
+    """
+    tree = ast.parse(Path(qtomo.__file__).with_name(f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("qtomo" + (f".{node.module}" if node.module else "")
+                    if node.level else node.module)
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_the_import_scan_sees_the_suites_imports():
+    # the scan must see the imports the test below forbids elsewhere
+    assert "qtomo._oracles" in _imported_modules("identities")
+    assert "qtomo.identities" in _imported_modules("cli")
+
+
+@pytest.mark.parametrize("module", PRODUCTION_MODULES)
+def test_production_modules_do_not_import_the_oracles(module):
+    imported = _imported_modules(module)
+    assert "qtomo._oracles" not in imported
+    if module != "cli":
+        assert "qtomo.identities" not in imported
+
+
 def test_qttf_from_transfer_has_one_exact_path():
-    # the quadrature average is the private oracle model._qttf_quadrature
+    # the quadrature average is the private oracle _oracles._qttf_quadrature
     assert list(inspect.signature(qtomo.qttf_from_transfer).parameters) == ["tmat"]
 
 

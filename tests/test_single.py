@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtomo.core import (
+from qtomo._oracles import (
     HADAMARD,
-    PAULI_EIGENSTATES,
     PI_1,
+    _fisher_inverse_angle_form,
+    _qttf_single_quadrature,
+    two_design_average,
+)
+from qtomo.core import (
+    PAULI_EIGENSTATES,
     _ket_bloch,
     bloch_from_state,
     make_quadrature,
@@ -17,14 +22,11 @@ from qtomo.core import (
 )
 from qtomo.single import (
     NonInformativeCouplingError,
-    _fisher_inverse_angle_form,
-    _qttf_single_quadrature,
     estimate_sz,
     fisher_inverse_single,
     max_error_single,
     probabilities_single,
     qttf_single,
-    two_design_average,
 )
 
 angles1 = st.floats(min_value=0.0, max_value=math.pi / 2)

@@ -6,6 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtomo._oracles import (
+    _meter_unitaries,
+    _qttf_quadrature,
+    fisher_matrix_form,
+    joint_unitary,
+    kraus_transfer,
+    simulate_meter_process,
+)
 from qtomo.core import (
     PAULI_EIGENSTATES,
     bloch_from_state,
@@ -17,22 +25,16 @@ from qtomo.estimators import linear_inversion
 from qtomo.model import (
     SIGN_MATRIX,
     SingularInformationError,
-    _qttf_quadrature,
     default_rule,
     delta_from_transfer,
     delta_surface,
     fisher_from_transfer,
-    fisher_matrix_form,
-    kraus_transfer,
     qttf_from_transfer,
-    simulate_meter_process,
 )
 from qtomo.twometer import (
     REFERENCE_COUPLINGS,
     TwoMeterModel,
     _coefficients,
-    _meter_unitaries,
-    joint_unitary,
     optimize_two_meter,
     qttf_two_meter,
     transfer_matrix,
