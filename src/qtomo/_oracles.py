@@ -23,8 +23,18 @@ import math
 import numpy as np
 
 from .core import PAULI_EIGENSTATES, SIGMA, QuadratureRule, check_density
-from .model import SIGN_MATRIX, _live_probabilities, delta_surface
+from .model import _live_probabilities, delta_surface
 from .single import _COUPLING_FLOOR, _sin2_half, fisher_inverse_single
+
+# Outcome sign patterns for the ordering (++, +-, -+, --): row 0 carries the
+# first meter's sign k, row 1 the second meter's sign l, row 2 the product kl.
+SIGN_MATRIX = np.array(
+    [
+        [1.0, 1.0, -1.0, -1.0],
+        [1.0, -1.0, 1.0, -1.0],
+        [1.0, -1.0, -1.0, 1.0],
+    ]
+)
 
 PI_1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 PI_PLUS = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)

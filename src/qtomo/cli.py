@@ -15,6 +15,10 @@ Exit codes: 0 success, 1 invalid input, 2 numerical failure,
 
 This module parses, validates and formats only; the identity suite
 lives in qtomo.identities and is re-exported here as identity_suite.
+Each flag's value is checked where argparse parses it, so a bad value
+exits 1 with "argument --flag: ..."; the commands check only
+combinations of flags, the counts file and the library's numerical
+refusals.
 """
 from __future__ import annotations
 
@@ -61,42 +65,61 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _seed(text: str) -> int:
-    """--seed as a nonnegative integer, the only seeds numpy's streams take.
+# the largest count numpy's multinomial sampler accepts
+_MAX_SHOTS = 2**63 - 1
 
-    argparse reports a refusal as "argument --seed: ..." with exit code 1.
-    """
+
+def _integer(minimum: int, maximum: int | None = None):
+    """An argparse type: an integer of at least `minimum` (at most `maximum`)."""
+    bound = f"at least {minimum}" + ("" if maximum is None else f" and at most {maximum}")
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum or (maximum is not None and value > maximum):
+            raise argparse.ArgumentTypeError(f"must be an integer of {bound}, got {text}")
+        return value
+
+    return parse
+
+
+def _finite(text: str) -> float:
     try:
-        seed = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {seed}")
-    return seed
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite real number, got {text}")
+    return value
 
 
 def _parse_params(text: str) -> tuple[float, ...]:
-    usage = f"--params expects 12 comma-separated reals, got {text!r}"
     try:
         values = tuple(float(x) for x in text.split(","))
     except ValueError:
-        raise ValueError(usage) from None
+        values = ()
     if len(values) != 12:
-        raise ValueError(usage)
+        raise argparse.ArgumentTypeError(f"expected 12 comma-separated reals, got {text!r}")
     if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"--params entries must be finite, got {text}")
+        raise argparse.ArgumentTypeError(f"entries must be finite, got {text}")
     return values
 
 
 def _parse_state(text: str) -> np.ndarray:
     if text in PAULI_EIGENSTATE_LABELS:
         return PAULI_EIGENSTATES[PAULI_EIGENSTATE_LABELS.index(text)]
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(
-            "--state expects a label (z0,z1,x0,x1,y0,y1) or 'alpha1,alpha2'"
-        )
-    return state_from_angles(float(parts[0]), float(parts[1]))
+    try:
+        alpha1, alpha2 = (float(x) for x in text.split(","))
+    except ValueError:
+        labels = ",".join(PAULI_EIGENSTATE_LABELS)
+        message = f"expected a label ({labels}) or 'alpha1,alpha2', got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+    try:
+        return state_from_angles(alpha1, alpha2)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -112,17 +135,6 @@ def _emit(text: str, out: str | None) -> None:
 def _is_count(value) -> bool:
     # JSON true/false load as bool, a subclass of int; neither is a count
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_shots(shots: int) -> None:
-    if shots < 1:
-        raise ValueError(f"--shots must be at least 1, got {shots}")
-
-
-def _check_repeats(repeats: int) -> None:
-    # two repeats are the fewest that give a standard deviation
-    if repeats < 2:
-        raise ValueError(f"--repeats must be at least 2, got {repeats}")
 
 
 def _meta(command: str, seed=None) -> dict:
@@ -154,27 +166,20 @@ def _build_model(args):
         for flag, value in (("--theta-a", args.theta_a), ("--theta-b", args.theta_b)):
             if value is not None:
                 raise ValueError(f"{flag} applies to --model two-meter only")
-        params = REFERENCE_OPTIMUM if args.params is None else _parse_params(args.params)
-        return build_circuit(params)
+        return build_circuit(REFERENCE_OPTIMUM if args.params is None else args.params)
     if args.params is not None:
         raise ValueError("--params applies to --model circuit only")
     theta_a = args.theta_a if args.theta_a is not None else REFERENCE_COUPLINGS[0]
     theta_b = args.theta_b if args.theta_b is not None else REFERENCE_COUPLINGS[1]
-    for flag, value in (("--theta-a", theta_a), ("--theta-b", theta_b)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
     return TwoMeterModel(theta_a, theta_b)
 
 
 def cmd_qttf_sweep(args) -> int:
-    # name the flag before np.linspace turns a bad bound into NaN thetas
-    for flag, value in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
-    if args.theta_max > math.pi:
-        raise ValueError(f"--theta-max must be at most pi, got {args.theta_max}")
-    if args.points < 2 or not (0.0 < args.theta_min <= args.theta_max):
-        raise ValueError("invalid theta grid")
+    if not 0.0 < args.theta_min <= args.theta_max <= math.pi:
+        raise ValueError(
+            "need 0 < --theta-min <= --theta-max <= pi, got "
+            f"--theta-min {args.theta_min} and --theta-max {args.theta_max}"
+        )
     # qttf_single decreases on (0, pi], so only the grid's first point can be inf
     if math.isinf(qttf_single(args.theta_min)):
         raise ValueError(f"--theta-min {args.theta_min} gives the meter no sensitivity")
@@ -263,20 +268,14 @@ def _table_full_rows(model, estimator, shots, repeats, seed):
 
 
 def cmd_reproduce_table(args) -> int:
-    _check_shots(args.shots)
-    _check_repeats(args.repeats)
     if args.table == 1:
         header, rows = _table_1_rows(args.shots, args.repeats, args.seed)
     elif args.table == 2:
         model = TwoMeterModel(*REFERENCE_COUPLINGS)
         header, rows = _table_full_rows(model, "mle", args.shots, args.repeats, args.seed)
-    elif args.table == 3:
-        model = build_circuit(REFERENCE_OPTIMUM)
-        header, rows = _table_full_rows(
-            model, "linear", args.shots, args.repeats, args.seed
-        )
     else:
-        raise ValueError("--table must be 1, 2 or 3")
+        model = build_circuit(REFERENCE_OPTIMUM)
+        header, rows = _table_full_rows(model, "linear", args.shots, args.repeats, args.seed)
     meta = _meta(f"reproduce-table {args.table}", seed=args.seed)
     meta["shots"] = args.shots
     meta["repeats"] = args.repeats
@@ -293,10 +292,9 @@ def cmd_check_identities(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    _check_shots(args.shots)
     model = _build_model(args)
     tmat = model.transfer_matrix()
-    truth = _parse_state(args.state) if args.state else None
+    truth = args.state
 
     if args.counts:
         with open(args.counts, encoding="utf-8") as handle:
@@ -384,15 +382,15 @@ def build_parser() -> _Parser:
     def common(p, *, seed=True):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if seed:
-            p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+            p.add_argument("--seed", type=_integer(0), default=DEFAULT_SEED)
 
     p = sub.add_parser(
         "qttf-sweep",
         help="qTTF and max error vs theta (CSV: theta,qttf,max_error)",
     )
-    p.add_argument("--theta-min", type=float, default=0.1)
-    p.add_argument("--theta-max", type=float, default=math.pi)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--theta-min", type=_finite, default=0.1)
+    p.add_argument("--theta-max", type=_finite, default=math.pi)
+    p.add_argument("--points", type=_integer(2), default=200)
     common(p, seed=False)
     p.set_defaults(func=cmd_qttf_sweep)
 
@@ -400,7 +398,7 @@ def build_parser() -> _Parser:
         "optimize", help="restarted Nelder-Mead over the model couplings"
     )
     p.add_argument("--model", required=True, choices=("two-meter", "circuit"))
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--restarts", type=_integer(1), default=None)
     common(p)
     p.set_defaults(func=cmd_optimize)
 
@@ -408,9 +406,10 @@ def build_parser() -> _Parser:
         "reproduce-table",
         help="seeded sampling reproduction of reference tables 1-3 (CSV)",
     )
-    p.add_argument("--table", type=int, required=True)
-    p.add_argument("--shots", type=int, default=1024)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--table", type=int, required=True, choices=(1, 2, 3))
+    p.add_argument("--shots", type=_integer(1, _MAX_SHOTS), default=1024)
+    # two repeats are the fewest that give a standard deviation
+    p.add_argument("--repeats", type=_integer(2), default=5)
     common(p)
     p.set_defaults(func=cmd_reproduce_table)
 
@@ -429,16 +428,16 @@ def build_parser() -> _Parser:
         "estimate", help="Bloch reconstruction from counts or a sampling spec"
     )
     p.add_argument("--model", default="two-meter", choices=("two-meter", "circuit"))
-    p.add_argument("--theta-a", type=float, default=None)
-    p.add_argument("--theta-b", type=float, default=None)
-    p.add_argument("--params", default=None, help="12 comma-separated reals")
+    p.add_argument("--theta-a", type=_finite, default=None)
+    p.add_argument("--theta-b", type=_finite, default=None)
+    p.add_argument("--params", type=_parse_params, default=None, help="12 comma-separated reals")
     p.add_argument("--counts", default=None, help="JSON counts file")
     p.add_argument(
-        "--state", default=None,
+        "--state", type=_parse_state, default=None,
         help="truth state: label (z0..y1) or 'alpha1,alpha2'",
     )
     p.add_argument("--estimator", default="mle", choices=("mle", "linear"))
-    p.add_argument("--shots", type=int, default=1024)
+    p.add_argument("--shots", type=_integer(1, _MAX_SHOTS), default=1024)
     p.add_argument(
         "--exact", action="store_true",
         help="feed exact probabilities instead of sampling",

@@ -39,7 +39,6 @@ from .core import QuadratureRule, bloch_from_state, make_quadrature
 
 __all__ = [
     "CONDITION_LIMIT",
-    "SIGN_MATRIX",
     "SingularInformationError",
     "NonInvertibleModelError",
     "require_invertible",
@@ -53,16 +52,6 @@ __all__ = [
     "minimize_with_restarts",
     "default_rule",
 ]
-
-# Outcome sign patterns for the ordering (++, +-, -+, --): row 0 carries the
-# first meter's sign k, row 1 the second meter's sign l, row 2 the product kl.
-SIGN_MATRIX = np.array(
-    [
-        [1.0, 1.0, -1.0, -1.0],
-        [1.0, -1.0, 1.0, -1.0],
-        [1.0, -1.0, -1.0, 1.0],
-    ]
-)
 
 # Probabilities at or below this are treated as vanished outcomes.
 PROBABILITY_FLOOR = 1e-12
@@ -138,14 +127,26 @@ def _as_blochs(states: np.ndarray) -> np.ndarray:
     return _as_bloch(states)
 
 
+def _check_live(p: np.ndarray) -> bool:
+    """True when every probability in p is above the floor and finite,
+    False for a vanished outcome; ValueError for a NaN or infinite p."""
+    # a NaN fails both comparisons
+    if p.min() > PROBABILITY_FLOOR and p.max() < math.inf:
+        return True
+    if not np.isfinite(p).all():
+        raise ValueError("outcome probabilities T @ S must be finite")
+    return False
+
+
 def _live_probabilities(tmat: np.ndarray, state: np.ndarray) -> np.ndarray:
     """p = T @ S, (4,) or (n, 4) for a stack of Bloch vectors; raises
-    SingularInformationError naming a vanished outcome.
+    SingularInformationError naming a vanished outcome, and ValueError
+    for a non-finite p.
 
     Each member is the matrix-vector product of its own call, to the bit.
     """
     p = (tmat @ _as_blochs(state)[..., :, None])[..., 0]
-    if p.min() <= PROBABILITY_FLOOR:
+    if not _check_live(p):
         index = int(np.argmin(p))
         raise SingularInformationError(index % 4, float(p.flat[index]))
     return p
@@ -156,8 +157,10 @@ def fisher_from_transfer(tmat: np.ndarray, state: np.ndarray) -> np.ndarray:
 
     F_{mu nu} = sum_q T[q, mu] T[q, nu] / p_q with p = T @ S.  A real
     (n, 4) stack of Bloch vectors gives an (n, 3, 3) stack.  Raises
-    SingularInformationError naming the first vanished outcome.
+    SingularInformationError naming the first vanished outcome, and
+    ValueError for a T or state that is not finite.
     """
+    tmat = _check_transfer(tmat)
     p = _live_probabilities(tmat, state)
     ts = tmat[:, 1:]
     return ts.T @ (ts / p[..., :, None])
@@ -318,6 +321,7 @@ def delta_from_transfer(tmat: np.ndarray, state: np.ndarray) -> float:
 
     Exact: Tr F^-1(s) = sum_q p_q |a_q|^2 - |s|^2 with a_q the columns
     of T^-1[1:, :], the per-shot covariance trace of linear inversion.
+    A state that is not finite raises ValueError.
     """
     s = _as_bloch(state)
     p = tmat @ s
@@ -325,7 +329,7 @@ def delta_from_transfer(tmat: np.ndarray, state: np.ndarray) -> float:
         _, (e0, e1, e2, e3) = _certified_inverse(tmat.tolist())
     except NonInvertibleModelError:
         return math.inf
-    if p.min() <= PROBABILITY_FLOOR:
+    if not _check_live(p):
         return math.inf
     p0, p1, p2, p3 = p.tolist()
     return e0 * p0 + e1 * p1 + e2 * p2 + e3 * p3 - float(s[1:] @ s[1:])

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import bloch_from_state
+from .core import _ket_bloch, bloch_from_state
 
 __all__ = [
     "NonInformativeCouplingError",
@@ -58,8 +58,7 @@ def _s_z(psi: np.ndarray) -> float:
     """s_z of a ket, as _ket_bloch computes it, or of a 2x2 density matrix."""
     state = np.asarray(psi, dtype=complex)
     if state.shape == (2,):
-        a, b = state.tolist()
-        return (a.real * a.real + a.imag * a.imag) - (b.real * b.real + b.imag * b.imag)
+        return _ket_bloch(*state.tolist())[3]
     return float(bloch_from_state(state)[3])
 
 

@@ -45,6 +45,56 @@ def _parse_csv(text):
 
 _ZERO_PARAMS = ["0"] * 12
 
+# (argv, flag): each bad flag value exits 1 through the parser, naming its flag
+REFUSALS = [
+    ("reproduce-table --table 1 --seed -1", "--seed"),
+    ("estimate --state x0 --shots 0", "--shots"),
+    ("estimate --state x0 --shots 9223372036854775808", "--shots"),
+    ("reproduce-table --table 1 --repeats 1", "--repeats"),
+    ("qttf-sweep --points 1", "--points"),
+    ("optimize --model two-meter --restarts 0", "--restarts"),
+    ("estimate --theta-a nan --state x0", "--theta-a"),
+    ("qttf-sweep --theta-min inf", "--theta-min"),
+    ("estimate --model circuit --params 1,2 --state x0", "--params"),
+    ("estimate --state a,b", "--state"),
+    ("estimate --state 3,0", "--state"),
+    ("reproduce-table --table 4", "--table"),
+]
+
+
+def _exits_1(capsys, argv, *, by_parser):
+    """stderr of argv, which must exit 1 with nothing on stdout and no
+    RuntimeWarning: a bad flag value through the parser (SystemExit after
+    the usage line), a bad combination of flags from its command."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if by_parser:
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            code = err.value.code
+        else:
+            code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if by_parser:
+        assert captured.err.startswith(f"usage: qtomo {argv[0]}")
+    return captured.err
+
+
+@pytest.mark.parametrize("argv, flag", REFUSALS, ids=[argv for argv, _ in REFUSALS])
+def test_bad_flag_value_exits_1_naming_the_flag(capsys, argv, flag):
+    err = _exits_1(capsys, argv.split(), by_parser=True)
+    assert f"qtomo {argv.split()[0]}: error: argument {flag}: " in err
+
+
+def test_estimate_takes_the_largest_shot_count(capsys):
+    # 2**63 - 1 is the largest count numpy's multinomial sampler accepts
+    code, out = _run(capsys, ["estimate", "--state", "x0", "--shots", str(2**63 - 1)])
+    assert code == 0
+    assert json.loads(out)["source"]["shots"] == 2**63 - 1
+
 
 def _reject_constant(token):
     raise ValueError(f"non-strict JSON token {token}")
@@ -67,36 +117,36 @@ def test_qttf_sweep_schema_and_values(capsys):
 
 
 def test_qttf_sweep_rejects_bad_grid(capsys):
-    code, _ = _run(capsys, ["qttf-sweep", "--theta-min", "-1.0"])
-    assert code == 1
-    code, _ = _run(capsys, ["qttf-sweep", "--points", "1"])
-    assert code == 1
+    err = _exits_1(capsys, ["qttf-sweep", "--theta-min", "-1.0"], by_parser=False)
+    assert err == (
+        "error: need 0 < --theta-min <= --theta-max <= pi, got --theta-min -1.0 "
+        "and --theta-max 3.141592653589793\n"
+    )
+    err = _exits_1(capsys, ["qttf-sweep", "--points", "1"], by_parser=True)
+    assert "argument --points: must be an integer of at least 2, got 1\n" in err
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, message",
     [
-        (["--theta-max", "inf"], "--theta-max"),
-        (["--theta-max", "nan"], "--theta-max"),
-        (["--theta-max", "4.0"], "--theta-max"),
-        (["--theta-min", "nan"], "--theta-min"),
-        (["--theta-min=-inf"], "--theta-min"),
-        (["--theta-min", "1e-7", "--theta-max", "1e-6"], "--theta-min"),
+        (["--theta-max", "inf"], "argument --theta-max: must be a finite real number, got inf"),
+        (["--theta-max", "nan"], "argument --theta-max: must be a finite real number, got nan"),
+        (["--theta-max", "4.0"], "error: need 0 < --theta-min <= --theta-max <= pi, got "
+                                 "--theta-min 0.1 and --theta-max 4.0"),
+        (["--theta-min", "nan"], "argument --theta-min: must be a finite real number, got nan"),
+        (["--theta-min=-inf"], "argument --theta-min: must be a finite real number, got -inf"),
+        (["--theta-min", "1e-7", "--theta-max", "1e-6"],
+         "error: --theta-min 1e-07 gives the meter no sensitivity"),
     ],
     ids=["max-inf", "max-nan", "max-above-pi", "min-nan", "min-minus-inf", "min-no-sensitivity"],
 )
-def test_qttf_sweep_rejects_bad_bound_naming_its_flag(capsys, argv, flag):
-    # checked before np.linspace, which would warn and hand NaN thetas on;
-    # a theta-min where the qTTF is inf printed inf cells
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["qttf-sweep", *argv, "--points", "3"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {flag} ")
-    assert "RuntimeWarning" not in captured.err
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+def test_qttf_sweep_rejects_bad_bound_naming_its_flag(capsys, argv, message):
+    # a non-finite bound is refused where it is parsed, before np.linspace
+    # could warn and hand NaN thetas on; a theta-min where the qTTF is inf
+    # printed inf cells
+    by_parser = message.startswith("argument")
+    err = _exits_1(capsys, ["qttf-sweep", *argv, "--points", "3"], by_parser=by_parser)
+    assert message in err
 
 
 def test_bad_usage_exits_1():
@@ -226,8 +276,8 @@ def test_check_identities_counts_capped_reference_runs_quietly(capsys):
 
 
 def test_reproduce_table_validates_id(capsys):
-    code, _ = _run(capsys, ["reproduce-table", "--table", "4"])
-    assert code == 1
+    err = _exits_1(capsys, ["reproduce-table", "--table", "4"], by_parser=True)
+    assert "argument --table: invalid choice: 4 (choose from 1, 2, 3)" in err
 
 
 def test_reproduce_table_deterministic(capsys):
@@ -406,11 +456,9 @@ def test_estimate_rejects_malformed_counts(tmp_path, capsys, payload):
 )
 def test_estimate_rejects_malformed_params(capsys, params):
     # an empty --params is bad input, not a silent fall-back to the reference
-    code = main(["estimate", "--model", "circuit", "--params", params, "--state", "x0"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.startswith("error: --params expects 12 comma-separated reals")
+    argv = ["estimate", "--model", "circuit", "--params", params, "--state", "x0"]
+    err = _exits_1(capsys, argv, by_parser=True)
+    assert f"argument --params: expected 12 comma-separated reals, got {params!r}" in err
 
 
 def test_estimate_requires_some_input(capsys):
@@ -446,7 +494,7 @@ def test_estimate_sampling_from_singular_model_exits_2(capsys, estimator):
 @pytest.mark.parametrize(
     "argv, flag, model",
     [
-        (["--model", "two-meter", "--params", "nan,1"], "--params", "circuit"),
+        (["--model", "two-meter", "--params", ",".join(_ZERO_PARAMS)], "--params", "circuit"),
         (["--model", "circuit", "--theta-a", "1"], "--theta-a", "two-meter"),
         (["--model", "circuit", "--theta-b", "1"], "--theta-b", "two-meter"),
     ],
@@ -481,31 +529,20 @@ def test_estimate_rejects_non_finite_model_flags(capsys, argv, flag, estimator, 
     # a NaN or infinite coupling is bad input naming its flag, not a numpy
     # SVD or math-domain failure with RuntimeWarnings on the way
     argv = ["estimate", *argv, "--state", "0.3,0.2", "--estimator", estimator]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(argv + ["--exact"] if exact else argv)
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {flag} ")
-    assert "finite" in captured.err
-    assert "RuntimeWarning" not in captured.err
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = _exits_1(capsys, argv + ["--exact"] if exact else argv, by_parser=True)
+    assert f"argument {flag}: " in err
+    assert "finite" in err
 
 
 def test_estimate_rejects_zero_shots(capsys):
-    code, out = _run(capsys, ["estimate", "--state", "x0", "--shots", "0"])
-    assert code == 1
-    assert out == ""
+    err = _exits_1(capsys, ["estimate", "--state", "x0", "--shots", "0"], by_parser=True)
+    assert "argument --shots: must be an integer of at least 1 and at most " in err
 
 
 @pytest.mark.parametrize("table", [1, 2, 3])
 def test_reproduce_table_rejects_zero_shots(capsys, table):
-    code, out = _run(
-        capsys, ["reproduce-table", "--table", str(table), "--shots", "0"]
-    )
-    assert code == 1
-    assert out == ""
+    argv = ["reproduce-table", "--table", str(table), "--shots", "0"]
+    assert "argument --shots: " in _exits_1(capsys, argv, by_parser=True)
 
 
 @pytest.mark.parametrize(
@@ -519,12 +556,8 @@ def test_reproduce_table_rejects_zero_shots(capsys, table):
 )
 def test_negative_seed_exits_1_naming_the_flag(capsys, argv):
     # numpy refused it later with a bare "expected non-negative integer"
-    with pytest.raises(SystemExit) as err:
-        main([*argv, "--seed", "-1"])
-    assert err.value.code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "argument --seed: must be a nonnegative integer, got -1" in captured.err
+    err = _exits_1(capsys, [*argv, "--seed", "-1"], by_parser=True)
+    assert "argument --seed: must be an integer of at least 0, got -1" in err
 
 
 def test_seed_beyond_32_bits_reproduces_table_1(capsys):
@@ -539,26 +572,22 @@ def test_seed_beyond_32_bits_reproduces_table_1(capsys):
 @pytest.mark.parametrize("table", [1, 2, 3])
 @pytest.mark.parametrize("repeats", ["0", "1"])
 def test_reproduce_table_rejects_too_few_repeats(capsys, table, repeats):
-    code = main(["reproduce-table", "--table", str(table), "--repeats", repeats])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "repeats" in captured.err
+    argv = ["reproduce-table", "--table", str(table), "--repeats", repeats]
+    assert "argument --repeats: " in _exits_1(capsys, argv, by_parser=True)
 
 
 @pytest.mark.parametrize("repeats", ["-3", "0", "1"])
 def test_reproduce_table_names_the_repeats_flag(capsys, repeats):
-    # the CLI's own check, in the form of --shots, not the library's
+    # the parser's check, in the form of --shots, not the library's
     # message naming the harness argument
-    code = main(["reproduce-table", "--table", "1", "--repeats", repeats])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == f"error: --repeats must be at least 2, got {repeats}\n"
-    # --shots is checked first, as before
-    code = main(["reproduce-table", "--table", "2", "--shots", "0", "--repeats", repeats])
-    assert code == 1
-    assert capsys.readouterr().err == "error: --shots must be at least 1, got 0\n"
+    argv = ["reproduce-table", "--table", "1", "--repeats", repeats]
+    err = _exits_1(capsys, argv, by_parser=True)
+    assert err.endswith(
+        f"error: argument --repeats: must be an integer of at least 2, got {repeats}\n"
+    )
+    # the parser names the first bad flag on the command line
+    argv = ["reproduce-table", "--table", "2", "--shots", "0", "--repeats", repeats]
+    assert "error: argument --shots: " in _exits_1(capsys, argv, by_parser=True)
 
 
 def test_optimize_json_schema(tmp_path):

@@ -19,6 +19,7 @@ from qtomo.core import (
     make_quadrature,
     state_from_angles,
 )
+from qtomo.single import fisher_inverse_single, probabilities_single
 
 angles1 = st.floats(min_value=0.0, max_value=math.pi / 2)
 angles2 = st.floats(min_value=0.0, max_value=math.pi)
@@ -152,8 +153,14 @@ def test_bloch_from_state_names_the_accepted_shapes(rho):
          "matrix-inf-and--inf"],
 )
 def test_bloch_from_state_refuses_non_finite_input(rho):
-    with pytest.raises(ValueError, match="must be finite"):
-        bloch_from_state(rho)
+    # the single meter reads s_z through the same test
+    for call in (
+        bloch_from_state,
+        lambda state: probabilities_single(state, 1.0),
+        lambda state: fisher_inverse_single(state, 1.0),
+    ):
+        with pytest.raises(ValueError, match="must be finite"):
+            call(rho)
 
 
 @pytest.mark.parametrize(

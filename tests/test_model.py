@@ -19,6 +19,7 @@ from qtomo.model import (
     _inverse_weights,
     _nelder_mead,
     delta_from_transfer,
+    fisher_from_transfer,
     minimize_with_restarts,
     qttf_from_transfer,
 )
@@ -281,6 +282,32 @@ def test_non_finite_transfer_matrix_is_rejected(call, message):
     # a model's qTTF names the parameter that made T non-finite
     with pytest.raises(ValueError, match=message):
         call()
+
+
+_NAN_T = TwoMeterModel(*REFERENCE_COUPLINGS).transfer_matrix().copy()
+_NAN_T[1, 1] = math.nan
+_NOT_FINITE_P = "outcome probabilities T @ S must be finite"
+
+
+@pytest.mark.parametrize(
+    "tmat, state, message",
+    [
+        (None, [1.0, math.nan, 0.0, 0.0], _NOT_FINITE_P),
+        (None, [1.0, math.inf, 0.0, 0.0], _NOT_FINITE_P),
+        (None, [1.0, 0.0, 0.0, -math.inf], _NOT_FINITE_P),
+        (None, [math.inf, 0.0, 0.0, 0.0], _NOT_FINITE_P),
+        (_NAN_T, [1.0, 0.0, 0.0, 0.5], "transfer matrix must be a finite real 4x4"),
+    ],
+    ids=["state-nan", "state-inf", "state-minus-inf", "state-s0-inf", "tmat-nan"],
+)
+@pytest.mark.parametrize("call", [fisher_from_transfer, delta_from_transfer])
+def test_error_pipeline_refuses_non_finite_input(call, tmat, state, message):
+    # a NaN p fails the floor test and an all-inf p (s0 = inf) its upper
+    # bound, so neither reaches a NaN or zero Fisher matrix or a NaN error
+    if tmat is None:
+        tmat = TwoMeterModel(*REFERENCE_COUPLINGS).transfer_matrix()
+    with pytest.raises(ValueError, match=message):
+        call(tmat, state)
 
 
 def test_transfer_matrix_matches_the_sinc_formula(monkeypatch):

@@ -1,4 +1,5 @@
-"""The README's runnable claims: the Quick tour block and the exit codes."""
+"""The README's checkable claims: the Quick tour block, the exit codes, and
+the test each numerical claim names."""
 import contextlib
 import io
 import re
@@ -8,7 +9,8 @@ import pytest
 
 from qtomo import cli
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 # Expressions the Quick tour comments on: (comment prefix, value, tolerance).
 QUICK_TOUR_CLAIMS = {
@@ -51,3 +53,15 @@ def test_readme_exit_codes_match_the_cli():
     for code, meaning in documented.items():
         assert readme[code].startswith(meaning), code
 
+
+def test_every_cited_test_is_defined_in_its_file():
+    cited = re.findall(r"\b(tests/\w+\.py)::(\w+)", README)
+    assert len(cited) >= 30
+    for path, name in cited:
+        source = (ROOT / path).read_text()
+        assert re.search(rf"^def {name}\(", source, re.M), f"{path}::{name}"
+
+
+def test_readme_quotes_no_timing_figure():
+    # speeds come from the committed BENCH_*.json files, not the README
+    assert re.findall(r"\d\s*(?:us|ms)\b", README) == []

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtomo._oracles import (
+    SIGN_MATRIX,
     _meter_unitaries,
     _qttf_quadrature,
     fisher_matrix_form,
@@ -23,12 +24,12 @@ from qtomo.core import (
 )
 from qtomo.estimators import linear_inversion
 from qtomo.model import (
-    SIGN_MATRIX,
     SingularInformationError,
     default_rule,
     delta_from_transfer,
     delta_surface,
     fisher_from_transfer,
+    minimize_with_restarts,
     qttf_from_transfer,
 )
 from qtomo.twometer import (
@@ -304,6 +305,24 @@ def test_qttf_reference_value_regression():
     assert qttf_two_meter(*REFERENCE_COUPLINGS) == pytest.approx(
         QTTF_AT_REFERENCE, abs=1e-6
     )
+
+
+def test_reference_couplings_are_not_a_stationary_point():
+    # the literature quotes 17.0 as the optimum at REFERENCE_COUPLINGS; in
+    # this model the gradient there is far from zero, and Nelder-Mead
+    # started there descends to 19.497
+    a, b = REFERENCE_COUPLINGS
+    h = 1e-6
+    gradient = (
+        (qttf_two_meter(a + h, b) - qttf_two_meter(a - h, b)) / (2 * h),
+        (qttf_two_meter(a, b + h) - qttf_two_meter(a, b - h)) / (2 * h),
+    )
+    assert gradient == pytest.approx((4.86, -25.63), abs=5e-3)
+    result = minimize_with_restarts(
+        lambda x: qttf_two_meter(*x), [np.array(REFERENCE_COUPLINGS)]
+    )
+    assert result.value == pytest.approx(19.497, abs=5e-4)
+    assert list(result.params) == pytest.approx([3.378, -7.958], abs=5e-4)
 
 
 def test_qttf_quadrature_convergence():
