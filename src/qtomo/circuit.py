@@ -24,6 +24,7 @@ import math
 
 import numpy as np
 
+from .core import _check_integer, _real
 from .model import (
     MeterModel,
     OptimizationResult,
@@ -53,8 +54,8 @@ _PARAM_NAMES = tuple(f"circuit parameter {index}" for index in range(12))
 
 
 def _checked_params(params) -> list[float]:
-    """The twelve parameters as Python floats; ValueError unless shape (12,)."""
-    arr = np.asarray(params, dtype=float)
+    """The twelve parameters as Python floats; ValueError unless real, shape (12,)."""
+    arr = _real(params, "circuit parameters")
     if arr.shape != (12,):
         raise ValueError("expected 12 circuit parameters")
     return arr.tolist()
@@ -108,16 +109,8 @@ def _transfer_rows(params) -> list[list[float]]:
     each entry repeats the float operations of the complex products.
     """
     ta1, pa1, la1, ta2, pa2, la2, tb1, pb1, lb1, tb2, pb2, lb2 = params
-    try:
-        a00r, a00i, a01r, a01i, a10r, a10i, a11r, a11i = _meter_floats(
-            ta1, pa1, la1, ta2, pa2, la2
-        )
-        b00r, b00i, b01r, b01i, b10r, b10i, b11r, b11i = _meter_floats(
-            tb1, pb1, lb1, tb2, pb2, lb2
-        )
-    except ValueError:  # math domain error
-        _refuse_non_finite(_PARAM_NAMES, params)
-        raise
+    a00r, a00i, a01r, a01i, a10r, a10i, a11r, a11i = _meter_floats(ta1, pa1, la1, ta2, pa2, la2)
+    b00r, b00i, b01r, b01i, b10r, b10i, b11r, b11i = _meter_floats(tb1, pb1, lb1, tb2, pb2, lb2)
     # meter B: bNp, bNm = |beta_N[0]|^2 plus and minus |beta_N[1]|^2
     p0 = b00r * b00r + b00i * b00i
     p1 = b01r * b01r + b01i * b01i
@@ -178,8 +171,8 @@ def optimize_circuit(restarts: int = 50, seed: int = 0) -> OptimizationResult:
     Nelder-Mead from uniform starts in [0, 2 pi]^12.  The landscape is
     benign enough that most restarts land on the global value 8.0.
     """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    _check_integer("restarts", restarts, 1)
+    _check_integer("seed", seed)
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, 2.0 * math.pi, size=(restarts, 12))
 

@@ -7,6 +7,7 @@ are pure; nothing caches mutable state.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,9 +70,30 @@ def state_from_angles(alpha1: float, alpha2: float) -> np.ndarray:
     )
 
 
+def _check_integer(name: str, value, minimum: int = 0) -> None:
+    """Raise ValueError naming `name` unless value is an integer >= minimum.
+
+    Python and numpy integers pass.  A bool is not a count, and a float is
+    refused even when integral: numpy truncates a float count, while the
+    caller would divide by the untruncated value.
+    """
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
+def _real(values, name: str) -> np.ndarray:
+    """values as a float array; ValueError naming `name` for a complex one,
+    whose cast to float would drop the imaginary part with only a warning."""
+    values = np.asarray(values)
+    if values.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got {values.tolist()}")
+    return values.astype(float, copy=False)
+
+
 def density_from_bloch(s: np.ndarray) -> np.ndarray:
     """Density matrix (1/2) sum_mu s_mu sigma_mu from a Bloch 4-vector."""
-    s = np.asarray(s, dtype=float)
+    s = _real(s, "Bloch vector")
     if s.shape != (4,):
         raise ValueError("expected a Bloch 4-vector (s0, s1, s2, s3)")
     if not np.isfinite(s).all():
@@ -220,7 +242,7 @@ def make_quadrature(n1: int, n2: int, *, alpha2_limit: float = math.pi) -> Quadr
     Parameters
     ----------
     n1, n2:
-        Node counts for the polar and azimuthal directions (both >= 2).
+        Node counts for the polar and azimuthal directions, integers >= 2.
     alpha2_limit:
         Upper end of the a2 interval.  The default pi covers the sphere
         once; 2*pi covers it twice and, by periodicity of every integrand
@@ -232,8 +254,8 @@ def make_quadrature(n1: int, n2: int, *, alpha2_limit: float = math.pi) -> Quadr
     azimuth uses the midpoint rule, which converges exponentially for
     the periodic integrands encountered here.
     """
-    if n1 < 2 or n2 < 2:
-        raise ValueError("quadrature orders must be at least 2")
+    _check_integer("n1", n1, 2)
+    _check_integer("n2", n2, 2)
     x, w = np.polynomial.legendre.leggauss(n1)
     u = 0.5 * (x + 1.0)
     alpha1 = np.arcsin(np.sqrt(u))

@@ -31,11 +31,11 @@ building a matrix per step.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_integer, _real
 from .model import _check_transfer, require_invertible
 
 __all__ = [
@@ -97,11 +97,7 @@ def _check_frequencies(freqs: np.ndarray) -> np.ndarray:
     and sum to 1 within 1e-9; the sum runs left to right, as numpy sums
     four entries.
     """
-    freqs = np.asarray(freqs)
-    # a cast to float would drop an imaginary part with only a warning
-    if np.iscomplexobj(freqs):
-        raise ValueError(f"frequencies must be real, got {freqs.tolist()}")
-    freqs = freqs.astype(float, copy=False)
+    freqs = _real(freqs, "frequencies")
     if freqs.shape != (4,):
         raise ValueError("expected four outcome frequencies")
     values = freqs.tolist()
@@ -158,10 +154,13 @@ def linear_inversion(freqs: np.ndarray, tmat: np.ndarray) -> LinearInversionResu
 def radial_clip(bloch: np.ndarray) -> np.ndarray:
     """Pull an estimate radially back onto the Bloch sphere if outside.
 
-    ValueError for a NaN or infinite component: a non-finite radius fails
-    the ball test, and only then is the vector tested.
+    ValueError unless bloch is a real (4,) vector, and for a NaN or
+    infinite component: a non-finite radius fails the ball test, and only
+    then is the vector tested.
     """
-    out = np.asarray(bloch, dtype=float).copy()
+    out = _real(bloch, "Bloch vector").copy()
+    if out.shape != (4,):
+        raise ValueError("expected a Bloch 4-vector (s0, s1, s2, s3)")
     norm = np.linalg.norm(out[1:])
     if not norm <= 1.0:
         if not np.isfinite(out[1:]).all():
@@ -176,18 +175,20 @@ def log_likelihood(freqs: np.ndarray, model_probs: np.ndarray) -> float:
     """Multinomial log-likelihood sum_q P_q log p_q (zero-frequency terms drop).
 
     -inf when an outcome with P_q > 0 has p_q = 0; ValueError naming the
-    outcome when its P_q is NaN or negative beyond round-off (below
-    -1e-12, as the estimators allow), or when its p_q is negative or NaN,
-    where no likelihood exists.
+    outcome when its P_q is NaN, +inf or negative beyond round-off (below
+    -1e-12, as the estimators allow), or when its p_q is negative, NaN or
+    +inf, where no likelihood exists; also for complex input or unequal shapes.
     """
-    freqs = np.asarray(freqs, dtype=float)
-    model_probs = np.asarray(model_probs, dtype=float)
-    # np.min keeps a NaN, which fails the test like a negative entry
-    if not freqs.min() >= -_NEGATIVE_ROUNDOFF:
-        q = int(np.argmax(~(freqs >= -_NEGATIVE_ROUNDOFF)))
+    freqs = _real(freqs, "frequencies")
+    model_probs = _real(model_probs, "model probabilities")
+    if freqs.shape != model_probs.shape:
+        raise ValueError(f"shapes differ: frequencies {freqs.shape}, model {model_probs.shape}")
+    # np.min and np.max keep a NaN, which fails the test like a bad entry
+    if not (freqs.min() >= -_NEGATIVE_ROUNDOFF and freqs.max() < math.inf):
+        q = int(np.argmax(~((freqs >= -_NEGATIVE_ROUNDOFF) & (freqs < math.inf))))
         raise ValueError(f"outcome {q} has frequency {freqs[q]}: no log-likelihood")
     mask = freqs > 0.0
-    undefined = mask & ~(model_probs >= 0.0)
+    undefined = mask & ~((model_probs >= 0.0) & (model_probs < math.inf))
     if undefined.any():
         q = int(np.argmax(undefined))
         raise ValueError(
@@ -425,13 +426,7 @@ def rho_r_mle(
     path.  ValueError unless max_iter is a positive integer and gap_tol,
     if given, is positive and finite.
     """
-    # a float max_iter would fail only later, in range()
-    if (
-        isinstance(max_iter, bool)
-        or not isinstance(max_iter, numbers.Integral)
-        or max_iter < 1
-    ):
-        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
+    _check_integer("max_iter", max_iter, 1)
     if gap_tol is not None and not 0.0 < gap_tol < math.inf:
         raise ValueError(f"gap_tol must be positive and finite, got {gap_tol!r}")
     freqs = _check_frequencies(freqs)

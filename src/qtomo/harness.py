@@ -14,12 +14,11 @@ fidelity is the direction fidelity of its mean estimate.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PAULI_EIGENSTATES, PAULI_EIGENSTATE_LABELS, bloch_from_state
+from .core import PAULI_EIGENSTATES, PAULI_EIGENSTATE_LABELS, _check_integer, bloch_from_state
 from .estimators import _saturated_mle, _solve
 from .model import _live_probabilities, delta_from_transfer, require_invertible
 from .single import estimate_sz, fisher_inverse_single, probabilities_single
@@ -65,18 +64,6 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(words)
 
 
-def _check_integer(name: str, value, minimum: int = 0) -> None:
-    """Raise ValueError naming `name` unless value is an integer >= minimum.
-
-    Python and numpy integers pass.  A bool is not a count, and a float is
-    refused even when integral: numpy truncates a float count, while the
-    caller would divide by the untruncated value.
-    """
-    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-            or value < minimum):
-        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
-
-
 def _direction_fidelity(truth_bloch: np.ndarray, est_bloch: np.ndarray) -> float:
     """Fidelity between a pure target and the estimate's direction.
 
@@ -85,10 +72,13 @@ def _direction_fidelity(truth_bloch: np.ndarray, est_bloch: np.ndarray) -> float
     averaging noisy reconstructions does not count against the estimate;
     only pointing error does.  This matches how the reference tables
     score reconstructions whose mean vector sits inside the ball.
+    ValueError for an estimate with a NaN or infinite component.
     """
     v = np.asarray(est_bloch, dtype=float)[1:]
     norm = np.linalg.norm(v)
-    if norm == 0.0:
+    if not 0.0 < norm < math.inf:
+        if not np.isfinite(v).all():
+            raise ValueError(f"estimated Bloch vector must be finite, got {v.tolist()}")
         return 0.5
     t = np.asarray(truth_bloch, dtype=float)[1:]
     return float(0.5 * (1.0 + np.dot(t, v) / norm))

@@ -104,7 +104,7 @@ class MeterModel:
     _tmat: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        tmat = _check_transfer(np.array(self._tmat, dtype=float))
+        tmat = np.array(_check_transfer(self._tmat), dtype=float)
         object.__setattr__(self, "_tmat", tmat)
         self._tmat.flags.writeable = False
 
@@ -145,7 +145,8 @@ def _live_probabilities(tmat: np.ndarray, state: np.ndarray) -> np.ndarray:
 
     Each member is the matrix-vector product of its own call, to the bit.
     """
-    p = (tmat @ _as_blochs(state)[..., :, None])[..., 0]
+    with np.errstate(invalid="ignore"):  # a non-finite state: refused just below
+        p = (tmat @ _as_blochs(state)[..., :, None])[..., 0]
     if not _check_live(p):
         index = int(np.argmin(p))
         raise SingularInformationError(index % 4, float(p.flat[index]))
@@ -264,9 +265,7 @@ def _certified_inverse(rows) -> tuple[list, list[float]]:
     cleared = _inverse_weights(rows)
     if cleared is not None:
         return cleared
-    tmat = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(tmat)):
-        raise ValueError("transfer matrix must be a finite real 4x4 array")
+    tmat = _check_transfer(np.array(rows, dtype=float))
     cond = float(np.linalg.cond(tmat))
     if not cond < CONDITION_LIMIT:
         raise NonInvertibleModelError(cond)
@@ -277,7 +276,7 @@ def _certified_inverse(rows) -> tuple[list, list[float]]:
 def _refuse_non_finite(names, values) -> None:
     """ValueError naming the first non-finite model parameter and its value.
 
-    The model builders call it only once building or reading T has
+    The public model builders call it only once building or reading T has
     failed, so the finite path pays for no test: an infinite parameter
     fails in math.cos, a NaN one in the finiteness check of the NaN rows
     it gives.
@@ -321,15 +320,17 @@ def delta_from_transfer(tmat: np.ndarray, state: np.ndarray) -> float:
 
     Exact: Tr F^-1(s) = sum_q p_q |a_q|^2 - |s|^2 with a_q the columns
     of T^-1[1:, :], the per-shot covariance trace of linear inversion.
-    A state that is not finite raises ValueError.
+    A T or state that is not finite raises ValueError, before either inf.
     """
+    tmat = _check_transfer(tmat)
     s = _as_bloch(state)
-    p = tmat @ s
+    with np.errstate(invalid="ignore"):  # a non-finite state: refused just below
+        p = tmat @ s
+    if not _check_live(p):
+        return math.inf
     try:
         _, (e0, e1, e2, e3) = _certified_inverse(tmat.tolist())
     except NonInvertibleModelError:
-        return math.inf
-    if not _check_live(p):
         return math.inf
     p0, p1, p2, p3 = p.tolist()
     return e0 * p0 + e1 * p1 + e2 * p2 + e3 * p3 - float(s[1:] @ s[1:])
@@ -358,8 +359,10 @@ def qttf_from_transfer(tmat) -> float:
     inf once cond(T) >= CONDITION_LIMIT.  The weights |a_q|^2 come with
     the certified inverse: the float LU clears a well-conditioned T, and
     only T near the limit pays for an SVD and the LAPACK inverse.
+    ValueError for an array that is not a real 4x4, and for a T that is
+    not finite.
     """
-    rows = tmat.tolist() if isinstance(tmat, np.ndarray) else tmat
+    rows = _check_real_4x4(tmat).tolist() if isinstance(tmat, np.ndarray) else tmat
     try:
         _, (e0, e1, e2, e3) = _certified_inverse(rows)
     except NonInvertibleModelError:

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .core import _check_integer
 from .model import (
     MeterModel,
     OptimizationResult,
@@ -90,13 +91,7 @@ def _coefficients(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ..
 
 def _transfer_rows(theta_a: float, theta_b: float) -> list[list[float]]:
     """Rows of T in Python floats: row (k, l) is a k + b l + c kl, plus 1/4 at mu = 0."""
-    try:
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = _coefficients(
-            theta_a, theta_b
-        )
-    except ValueError:  # math domain error
-        _refuse_non_finite(_COUPLING_NAMES, (theta_a, theta_b))
-        raise
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = _coefficients(theta_a, theta_b)
     return [
         [a0 + b0 + c0 + 0.25, a1 + b1 + c1, a2 + b2 + c2, a3 + b3 + c3],
         [a0 - b0 - c0 + 0.25, a1 - b1 - c1, a2 - b2 - c2, a3 - b3 - c3],
@@ -151,8 +146,8 @@ def optimize_two_meter(restarts: int = 20, seed: int = 0) -> OptimizationResult:
     falling as |theta| grows, so an optimum only means something for a
     stated domain.  The objective is the exact qTTF.
     """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    _check_integer("restarts", restarts, 1)
+    _check_integer("seed", seed)
     rng = np.random.default_rng(seed)
     starts = rng.uniform(-3.0 * math.pi, 3.0 * math.pi, size=(restarts, 2))
 

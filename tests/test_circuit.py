@@ -29,6 +29,7 @@ from qtomo.core import (
 )
 from qtomo.estimators import linear_inversion
 from qtomo.model import default_rule, minimize_with_restarts, qttf_from_transfer
+from qtomo.twometer import optimize_two_meter
 
 gate_angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
 
@@ -288,6 +289,21 @@ def test_optimize_circuit_smoke():
     assert result.value <= 9.0
     assert len(result.restarts) == 2
     assert len(result.params) == 12
+
+
+@pytest.mark.parametrize("optimize", [optimize_two_meter, optimize_circuit],
+                         ids=["two-meter", "circuit"])
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"restarts": 0}, "restarts"), ({"restarts": 1.5}, "restarts"),
+     ({"restarts": 1, "seed": 1.5}, "seed"), ({"restarts": 1, "seed": -1}, "seed")],
+    ids=["restarts-0", "restarts-float", "seed-float", "seed-negative"],
+)
+def test_optimizers_refuse_a_bad_count_naming_it(optimize, kwargs, name):
+    # a float count or seed raised TypeError, and a negative seed numpy's
+    # ValueError, which named no argument
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
+        optimize(**kwargs)
 
 
 def test_linear_inversion_roundtrip_through_circuit():

@@ -295,10 +295,13 @@ def test_quadrature_full_azimuth_variant():
 
 
 def test_make_quadrature_validates_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n1 must be an integer of at least 2, got 1$"):
         make_quadrature(1, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n2 must be an integer of at least 2, got 0$"):
         make_quadrature(8, 0)
+    # numpy's Gauss-Legendre rule raised TypeError
+    with pytest.raises(ValueError, match="^n1 must be an integer of at least 2, got 2.5$"):
+        make_quadrature(2.5, 3)
 
 
 @given(

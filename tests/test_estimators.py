@@ -543,17 +543,18 @@ def test_log_likelihood_drops_zero_frequency_terms():
     )
 
 
-@pytest.mark.parametrize("prob", [-0.1, math.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("prob", [-0.1, math.nan, math.inf], ids=["negative", "nan", "inf"])
 def test_log_likelihood_names_a_live_outcome_without_a_likelihood(prob):
-    # it returned NaN with a RuntimeWarning
+    # it returned NaN with a RuntimeWarning, and +inf for an infinite p
     with pytest.raises(ValueError, match="outcome 1 has frequency 0.5 but model probability"):
         log_likelihood([0.5, 0.5, 0.0, 0.0], [1.1, prob, 0.0, 0.0])
 
 
 @pytest.mark.parametrize(
     "freqs, outcome",
-    [([math.nan, 0.5, 0.25, 0.25], 0), ([0.5, 0.5, -0.25, 0.25], 2)],
-    ids=["nan", "negative"],
+    [([math.nan, 0.5, 0.25, 0.25], 0), ([0.5, 0.5, -0.25, 0.25], 2),
+     ([0.5, math.inf, 0.0, 0.0], 1)],
+    ids=["nan", "negative", "inf"],
 )
 def test_log_likelihood_names_an_outcome_without_a_frequency(freqs, outcome):
     # a NaN or negative frequency failed the P_q > 0 mask and was read as

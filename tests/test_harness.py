@@ -53,6 +53,13 @@ def test_direction_fidelity_properties():
     assert _direction_fidelity(truth, np.array([1.0, 0.0, 0.0, 0.0])) == 0.5
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_direction_fidelity_refuses_a_non_finite_estimate(value):
+    # a NaN norm passed the old norm == 0.0 test, so the fidelity was NaN
+    with pytest.raises(ValueError, match="estimated Bloch vector must be finite"):
+        _direction_fidelity(np.array([1.0, 0.0, 0.0, 1.0]), np.array([1.0, value, 0.0, 0.5]))
+
+
 def test_run_single_experiment_deterministic_and_labeled():
     a = run_single_experiment(math.pi / 2, seed=5)
     b = run_single_experiment(math.pi / 2, seed=5)

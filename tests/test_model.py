@@ -297,8 +297,11 @@ _NOT_FINITE_P = "outcome probabilities T @ S must be finite"
         (None, [1.0, 0.0, 0.0, -math.inf], _NOT_FINITE_P),
         (None, [math.inf, 0.0, 0.0, 0.0], _NOT_FINITE_P),
         (_NAN_T, [1.0, 0.0, 0.0, 0.5], "transfer matrix must be a finite real 4x4"),
+        # a singular T's inf does not hide a NaN state
+        (transfer_matrix(0.0, 0.0), [1.0, math.nan, 0.0, 0.0], _NOT_FINITE_P),
     ],
-    ids=["state-nan", "state-inf", "state-minus-inf", "state-s0-inf", "tmat-nan"],
+    ids=["state-nan", "state-inf", "state-minus-inf", "state-s0-inf", "tmat-nan",
+         "singular-tmat-state-nan"],
 )
 @pytest.mark.parametrize("call", [fisher_from_transfer, delta_from_transfer])
 def test_error_pipeline_refuses_non_finite_input(call, tmat, state, message):
@@ -308,6 +311,14 @@ def test_error_pipeline_refuses_non_finite_input(call, tmat, state, message):
         tmat = TwoMeterModel(*REFERENCE_COUPLINGS).transfer_matrix()
     with pytest.raises(ValueError, match=message):
         call(tmat, state)
+
+
+def test_delta_from_transfer_reads_a_list_as_its_array():
+    # a list T raised AttributeError, where fisher_from_transfer and
+    # require_invertible read it as an array
+    tmat = transfer_matrix(*REFERENCE_COUPLINGS)
+    state = [1.0, 0.6, 0.0, 0.8]
+    assert delta_from_transfer(tmat.tolist(), state) == delta_from_transfer(tmat, state)
 
 
 def test_transfer_matrix_matches_the_sinc_formula(monkeypatch):
