@@ -28,9 +28,9 @@ from .core import _check_integer, _real
 from .model import (
     MeterModel,
     OptimizationResult,
+    _qttf_rows,
     _refuse_non_finite,
     minimize_with_restarts,
-    qttf_from_transfer,
 )
 
 __all__ = [
@@ -52,10 +52,18 @@ REFERENCE_OPTIMUM = (
 
 _PARAM_NAMES = tuple(f"circuit parameter {index}" for index in range(12))
 
+_FLOAT64 = np.dtype(float)
+
 
 def _checked_params(params) -> list[float]:
-    """The twelve parameters as Python floats; ValueError unless real, shape (12,)."""
-    arr = _real(params, "circuit parameters")
+    """The twelve parameters as Python floats; ValueError unless real, shape (12,).
+
+    A float64 array is real already, so only other input goes through
+    _real's dtype test and cast.
+    """
+    arr = np.asarray(params)
+    if arr.dtype is not _FLOAT64:
+        arr = _real(arr, "circuit parameters")
     if arr.shape != (12,):
         raise ValueError("expected 12 circuit parameters")
     return arr.tolist()
@@ -159,7 +167,7 @@ def qttf_circuit(params) -> float:
     """
     values = _checked_params(params)
     try:
-        return qttf_from_transfer(_transfer_rows(values))
+        return _qttf_rows(_transfer_rows(values))
     except ValueError:  # T is not finite
         _refuse_non_finite(_PARAM_NAMES, values)
         raise
@@ -177,6 +185,6 @@ def optimize_circuit(restarts: int = 50, seed: int = 0) -> OptimizationResult:
     starts = rng.uniform(0.0, 2.0 * math.pi, size=(restarts, 12))
 
     def objective(x: list[float]) -> float:
-        return qttf_from_transfer(_transfer_rows(x))
+        return _qttf_rows(_transfer_rows(x))
 
     return minimize_with_restarts(objective, list(starts), maxiter=4000)

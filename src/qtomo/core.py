@@ -91,6 +91,15 @@ def _real(values, name: str) -> np.ndarray:
     return values.astype(float, copy=False)
 
 
+def _real_number(value, name: str) -> float:
+    """value as a Python float; ValueError naming `name` unless it is a real
+    number: float() would parse text and drop an imaginary part with only
+    a warning."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def density_from_bloch(s: np.ndarray) -> np.ndarray:
     """Density matrix (1/2) sum_mu s_mu sigma_mu from a Bloch 4-vector."""
     s = _real(s, "Bloch vector")

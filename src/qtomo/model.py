@@ -350,19 +350,26 @@ def delta_surface(tmat: np.ndarray, bloch_nodes: np.ndarray) -> np.ndarray:
     return np.where(bad, np.inf, totals)
 
 
-def qttf_from_transfer(tmat) -> float:
+def qttf_from_transfer(tmat: np.ndarray) -> float:
     """Pure-state average of Tr(F^-1); inf when the model is singular.
 
-    tmat is a 4x4 array or a sequence of four rows of four floats.  The
-    average is exact: Tr F^-1(s) = sum_q p_q |a_q|^2 - |s|^2 is affine in
-    s on pure states, so its average is sum_q |a_q|^2 T[q, 0] - 1, and
-    inf once cond(T) >= CONDITION_LIMIT.  The weights |a_q|^2 come with
-    the certified inverse: the float LU clears a well-conditioned T, and
+    tmat is a real 4x4 array, or nested lists of its rows.  The average
+    is exact: Tr F^-1(s) = sum_q p_q |a_q|^2 - |s|^2 is affine in s on
+    pure states, so its average is sum_q |a_q|^2 T[q, 0] - 1, and inf
+    once cond(T) >= CONDITION_LIMIT.  The weights |a_q|^2 come with the
+    certified inverse: the float LU clears a well-conditioned T, and
     only T near the limit pays for an SVD and the LAPACK inverse.
-    ValueError for an array that is not a real 4x4, and for a T that is
-    not finite.
+    ValueError for a T that is not a finite real 4x4.
     """
-    rows = _check_real_4x4(tmat).tolist() if isinstance(tmat, np.ndarray) else tmat
+    return _qttf_rows(_check_real_4x4(tmat).tolist())
+
+
+def _qttf_rows(rows) -> float:
+    """qttf_from_transfer of T's four rows of four floats, read unchecked.
+
+    The route of the model builders and their optimizers, whose rows are
+    floats by construction; ValueError for a non-finite T.
+    """
     try:
         _, (e0, e1, e2, e3) = _certified_inverse(rows)
     except NonInvertibleModelError:
@@ -401,6 +408,29 @@ class OptimizationResult:
 _NM_TOL = 1e-6
 
 
+def _argsorted(sim: list, fsim: list[float]) -> tuple[list, list[float]]:
+    """The vertices and their values in the order of numpy's argsort of fsim."""
+    order = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _increasing(values: list[float]) -> bool:
+    """True when values are strictly increasing: no tie and no NaN."""
+    for k in range(1, len(values)):
+        if not values[k - 1] < values[k]:
+            return False
+    return True
+
+
+def _vertices_within_tol(sim: list, best: list[float]) -> bool:
+    """True when every coordinate of every vertex is within _NM_TOL of best's."""
+    for vertex in sim:
+        for a, b in zip(vertex, best):
+            if not abs(a - b) <= _NM_TOL:
+                return False
+    return True
+
+
 def _nelder_mead(
     objective: Callable[[list[float]], float], x0, maxiter: int
 ) -> tuple[list[float], float, int, int, bool]:
@@ -413,19 +443,19 @@ def _nelder_mead(
     the same float expressions for reflection (1), expansion (2),
     contraction (0.5) and shrink (0.5), the centroid as a sequential row
     sum divided by N, the same stopping tests (both tolerances 1e-6,
-    success while iterations < maxiter), and the vertices ordered by
-    numpy's argsort, which is not stable: tied values must land where
-    the oracle puts them.  fun is np.min over the vertex values, so a
-    NaN vertex reports NaN.  Each objective call gets a fresh list of
-    floats.
+    success while iterations < maxiter), and the same vertex order.
+    fun is np.min over the vertex values, so a NaN vertex reports NaN.
+    Each objective call gets a fresh list of floats.
+
+    The ordering rule: the oracle orders the vertices by numpy's argsort
+    of their values after every step, and that sort is not stable, so
+    tied values must land where it puts them.  After a step other than a
+    shrink only the worst vertex is new.  When the simplex values, the
+    kept ones and the new one, are strictly increasing with the new one
+    in place, that is the only sorted order, so the new vertex is placed
+    by comparison.  On a tie or a NaN, and after a shrink, numpy's
+    argsort decides as in the oracle.
     """
-    nfev = 0
-
-    def f(x: list[float]) -> float:
-        nonlocal nfev
-        nfev += 1
-        return objective(x[:])
-
     start = np.asarray(x0, dtype=float).ravel().tolist()
     n = len(start)
     sim = [start]
@@ -433,20 +463,17 @@ def _nelder_mead(
         vertex = start[:]
         vertex[k] = (1 + 0.05) * vertex[k] if vertex[k] != 0 else 0.00025
         sim.append(vertex)
-    fsim = [f(vertex) for vertex in sim]
-
-    def ordered(sim, fsim):
-        order = np.array(fsim).argsort().tolist()
-        return [sim[i] for i in order], [fsim[i] for i in order]
-
+    fsim = [objective(vertex[:]) for vertex in sim]
+    nfev = n + 1
     # the oracle sorts the first simplex twice; an unstable sort may move ties
-    sim, fsim = ordered(*ordered(sim, fsim))
+    sim, fsim = _argsorted(*_argsorted(sim, fsim))
+    strict = _increasing(fsim[:-1])
     iterations = 1
     while iterations < maxiter:
         best, f_best = sim[0], fsim[0]
-        if all(
-            abs(a - b) <= _NM_TOL for vertex in sim[1:] for a, b in zip(vertex, best)
-        ) and all(abs(f_best - f) <= _NM_TOL for f in fsim[1:]):
+        # fsim is sorted with any NaN last, so every |f_best - f| is within
+        # the tolerance exactly when the last one is
+        if abs(fsim[-1] - f_best) <= _NM_TOL and _vertices_within_tol(sim[1:], best):
             break
         xbar = []
         for column in zip(*sim[:-1]):
@@ -456,37 +483,50 @@ def _nelder_mead(
             xbar.append(total / n)
         worst = sim[-1]
         xr = [2 * c - w for c, w in zip(xbar, worst)]
-        fxr = f(xr)
-        shrink = False
+        fxr = objective(xr[:])
+        nfev += 1
+        # the new worst vertex and its value; None for a shrink
+        new = None
         if fxr < f_best:
             xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
-            fxe = f(xe)
-            if fxe < fxr:
-                sim[-1], fsim[-1] = xe, fxe
-            else:
-                sim[-1], fsim[-1] = xr, fxr
+            fxe = objective(xe[:])
+            nfev += 1
+            new = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+            new = xr, fxr
         elif fxr < fsim[-1]:
             xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
-            fxc = f(xc)
+            fxc = objective(xc[:])
+            nfev += 1
             if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                shrink = True
+                new = xc, fxc
         else:
             xcc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
-            fxcc = f(xcc)
+            fxcc = objective(xcc[:])
+            nfev += 1
             if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
-            else:
-                shrink = True
-        if shrink:
+                new = xcc, fxcc
+        iterations += 1
+        if new is None:
             for j in range(1, n + 1):
                 sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], best)]
-                fsim[j] = f(sim[j])
-        iterations += 1
-        sim, fsim = ordered(sim, fsim)
+                fsim[j] = objective(sim[j][:])
+            nfev += n
+            sim, fsim = _argsorted(sim, fsim)
+            strict = _increasing(fsim[:-1])
+            continue
+        x_new, f_new = new
+        del sim[-1], fsim[-1]
+        k = n
+        if strict:
+            while k and f_new < fsim[k - 1]:
+                k -= 1
+        if strict and (not k or fsim[k - 1] < f_new):
+            sim.insert(k, x_new)
+            fsim.insert(k, f_new)
+        else:
+            sim, fsim = _argsorted(sim + [x_new], fsim + [f_new])
+            strict = _increasing(fsim[:-1])
     return sim[0], float(np.min(fsim)), iterations, nfev, iterations < maxiter
 
 
@@ -501,12 +541,18 @@ def minimize_with_restarts(
     The search is the library Nelder-Mead reimplemented in Python floats
     (_nelder_mead), and objectives receive each vertex as a list of
     floats.  tol=1e-6 sets both absolute tolerances, on the simplex and
-    on the objective.  Non-finite objective values are fine (the simplex
-    retreats from them).  Each restart reports its end point, value,
-    iterations, evaluations and wall time; one that stops at maxiter
-    reports converged=False and logs one warning on the "qtomo.model"
-    logger.
+    on the objective.  Vertices are ordered as the library orders them:
+    by comparison while the simplex values are strictly increasing, by
+    numpy's argsort on a tie or a NaN (and after a shrink).  Non-finite
+    objective values are fine (the simplex retreats from them).  Each
+    restart reports its end point, value, iterations, evaluations and
+    wall time; one that stops at maxiter reports converged=False and
+    logs one warning on the "qtomo.model" logger.  ValueError for an
+    empty list of starts, before any search runs.
     """
+    starts = list(starts)
+    if not starts:
+        raise ValueError("starts must hold at least one start point, got none")
 
     def run(x0: np.ndarray) -> RestartOutcome:
         started = time.perf_counter()

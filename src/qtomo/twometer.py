@@ -14,13 +14,13 @@ import math
 
 import numpy as np
 
-from .core import _check_integer
+from .core import _check_integer, _real_number
 from .model import (
     MeterModel,
     OptimizationResult,
+    _qttf_rows,
     _refuse_non_finite,
     minimize_with_restarts,
-    qttf_from_transfer,
 )
 
 __all__ = [
@@ -100,6 +100,17 @@ def _transfer_rows(theta_a: float, theta_b: float) -> list[list[float]]:
     ]
 
 
+def _checked_couplings(theta_a, theta_b) -> tuple[float, float]:
+    """The couplings as Python floats; ValueError naming one that is not a
+    real number, such as a complex value or text."""
+    if type(theta_a) is float and type(theta_b) is float:
+        return theta_a, theta_b
+    return (
+        _real_number(theta_a, _COUPLING_NAMES[0]),
+        _real_number(theta_b, _COUPLING_NAMES[1]),
+    )
+
+
 def transfer_matrix(theta_a: float, theta_b: float) -> np.ndarray:
     """4x4 map from Bloch 4-vectors to outcome probabilities (++, +-, -+, --).
 
@@ -108,9 +119,9 @@ def transfer_matrix(theta_a: float, theta_b: float) -> np.ndarray:
     break agreement with the simulated process for every non-trivial
     coupling.  The couplings are read as Python floats, so numpy scalars
     give the same bits at Python-float speed.  ValueError naming a
-    coupling that is not finite.
+    coupling that is not a finite real number.
     """
-    theta_a, theta_b = float(theta_a), float(theta_b)
+    theta_a, theta_b = _checked_couplings(theta_a, theta_b)
     if not (math.isfinite(theta_a) and math.isfinite(theta_b)):
         _refuse_non_finite(_COUPLING_NAMES, (theta_a, theta_b))
     return np.array(_transfer_rows(theta_a, theta_b))
@@ -120,17 +131,18 @@ class TwoMeterModel(MeterModel):
     """The meter model at couplings (theta_A, theta_B), with closed-form T."""
 
     def __init__(self, theta_a: float, theta_b: float) -> None:
-        theta_a, theta_b = float(theta_a), float(theta_b)
+        theta_a, theta_b = _checked_couplings(theta_a, theta_b)
         super().__init__(params=(theta_a, theta_b), _tmat=transfer_matrix(theta_a, theta_b))
 
 
 def qttf_two_meter(theta_a: float, theta_b: float) -> float:
     """Exact pure-state average of Tr(F^-1) at the given couplings.
 
-    ValueError naming a coupling that is not finite.
+    ValueError naming a coupling that is not a finite real number.
     """
+    theta_a, theta_b = _checked_couplings(theta_a, theta_b)
     try:
-        return qttf_from_transfer(_transfer_rows(float(theta_a), float(theta_b)))
+        return _qttf_rows(_transfer_rows(theta_a, theta_b))
     except ValueError:  # T is not finite
         _refuse_non_finite(_COUPLING_NAMES, (theta_a, theta_b))
         raise
@@ -144,7 +156,8 @@ def optimize_two_meter(restarts: int = 20, seed: int = 0) -> OptimizationResult:
     the returned point may lie outside it.  The result is the best local
     minimum reached from the starts, not a global optimum: the qTTF keeps
     falling as |theta| grows, so an optimum only means something for a
-    stated domain.  The objective is the exact qTTF.
+    stated domain.  The objective is the exact qTTF, qttf_two_meter's
+    value without its checks of the couplings, which are floats here.
     """
     _check_integer("restarts", restarts, 1)
     _check_integer("seed", seed)
@@ -152,6 +165,6 @@ def optimize_two_meter(restarts: int = 20, seed: int = 0) -> OptimizationResult:
     starts = rng.uniform(-3.0 * math.pi, 3.0 * math.pi, size=(restarts, 2))
 
     def objective(x: list[float]) -> float:
-        return qttf_two_meter(x[0], x[1])
+        return _qttf_rows(_transfer_rows(x[0], x[1]))
 
     return minimize_with_restarts(objective, list(starts))

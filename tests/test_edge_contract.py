@@ -35,8 +35,10 @@ from qtomo import (
     qttf_from_transfer,
     radial_clip,
     rho_r_mle,
+    qttf_two_meter,
     saturated_mle,
 )
+from qtomo.twometer import transfer_matrix
 
 # ValueError covers NonInvertibleModelError; the other two are documented
 # refusals of a state with a vanished outcome and of a blind coupling
@@ -172,3 +174,45 @@ def test_every_call_refuses_or_returns_no_nan(name, seed, entry):
     for index in array_args:
         for bad in _spoilt(args[index], entry):
             _check(name, func, [*args[:index], bad, *args[index + 1:]])
+
+
+_TWO_METER_CALLS = {
+    "TwoMeterModel": lambda a, b: TwoMeterModel(a, b).transfer_matrix(),
+    "transfer_matrix": transfer_matrix,
+    "qttf_two_meter": qttf_two_meter,
+}
+
+_BAD_COUPLINGS = {
+    "complex": np.complex128(3.45 + 1j),
+    "complex-zero-imag": complex(3.45, 0.0),
+    "text": "3.45",
+    "bytes": b"3.45",
+    "nan": math.nan,
+    "inf": math.inf,
+    "minus-inf": -np.float64(math.inf),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_COUPLINGS))
+@pytest.mark.parametrize("index", [0, 1], ids=["theta_a", "theta_b"])
+@pytest.mark.parametrize("name", list(_TWO_METER_CALLS))
+def test_two_meter_entry_points_refuse_a_coupling_naming_it(name, index, bad):
+    # float() read a complex coupling's real part after a ComplexWarning
+    # and parsed text and bytes
+    couplings = [3.45, -8.42]
+    couplings[index] = _BAD_COUPLINGS[bad]
+    coupling = ("coupling theta_a", "coupling theta_b")[index]
+    with pytest.raises(ValueError, match=f"^{coupling} must be"):
+        _TWO_METER_CALLS[name](*couplings)
+
+
+@pytest.mark.parametrize(
+    "couplings",
+    [(3.45, -8.42), (np.float64(3.45), np.float32(-8.42)), (3, np.int64(-8)), (True, 2)],
+    ids=["float", "numpy-float", "integer", "bool"],
+)
+@pytest.mark.parametrize("name", list(_TWO_METER_CALLS))
+def test_two_meter_entry_points_read_real_numbers(name, couplings):
+    out = _TWO_METER_CALLS[name](*couplings)
+    expected = _TWO_METER_CALLS[name](*map(float, couplings))
+    assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()

@@ -11,7 +11,7 @@ from scipy.optimize import minimize
 
 from qtomo import _oracles, twometer
 from qtomo._oracles import HADAMARD, circuit_unitary, joint_unitary, kraus_transfer
-from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit, qttf_circuit
+from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit, optimize_circuit, qttf_circuit
 from qtomo.core import SIGMA
 from qtomo.model import (
     CONDITION_LIMIT,
@@ -23,7 +23,13 @@ from qtomo.model import (
     minimize_with_restarts,
     qttf_from_transfer,
 )
-from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, qttf_two_meter, transfer_matrix
+from qtomo.twometer import (
+    REFERENCE_COUPLINGS,
+    TwoMeterModel,
+    optimize_two_meter,
+    qttf_two_meter,
+    transfer_matrix,
+)
 
 
 EPS = np.finfo(float).eps
@@ -313,6 +319,26 @@ def test_error_pipeline_refuses_non_finite_input(call, tmat, state, message):
         call(tmat, state)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        transfer_matrix(*REFERENCE_COUPLINGS).astype(complex).tolist(),
+        transfer_matrix(*REFERENCE_COUPLINGS).tolist()[:3],
+    ],
+    ids=["complex", "three-rows"],
+)
+def test_qttf_from_transfer_checks_nested_rows(rows):
+    # nested rows skipped the array check: a complex list raised TypeError
+    # and three rows an unnamed unpacking error
+    with pytest.raises(ValueError, match="^transfer matrix must be a finite real 4x4 array$"):
+        qttf_from_transfer(rows)
+
+
+def test_qttf_from_transfer_reads_nested_rows_as_their_array():
+    tmat = transfer_matrix(*REFERENCE_COUPLINGS)
+    assert qttf_from_transfer(tmat.tolist()).hex() == qttf_from_transfer(tmat).hex()
+
+
 def test_delta_from_transfer_reads_a_list_as_its_array():
     # a list T raised AttributeError, where fisher_from_transfer and
     # require_invertible read it as an array
@@ -541,3 +567,44 @@ def test_capped_restart_warns_once(caplog):
         result = minimize_with_restarts(_two_meter_objective, [start])
     assert result.restarts[0].converged
     assert not [r for r in caplog.records if r.name == "qtomo.model"]
+
+
+def test_minimize_with_restarts_refuses_no_starts():
+    # an empty list raised Python's bare "min() arg is an empty sequence"
+    # after the (zero) searches
+    def objective(x):
+        raise AssertionError("no search may run")
+
+    with pytest.raises(ValueError, match="^starts must hold at least one start point"):
+        minimize_with_restarts(objective, [])
+
+
+def _same_restarts(result, reference):
+    assert len(result.restarts) == len(reference.restarts)
+    for got, ref in zip(result.restarts, reference.restarts):
+        assert got.params.tobytes() == ref.params.tobytes()
+        assert np.float64(got.value).tobytes() == np.float64(ref.value).tobytes()
+        assert (got.iterations, got.evaluations, got.converged) == (
+            ref.iterations, ref.evaluations, ref.converged
+        )
+
+
+def test_two_meter_search_objective_is_the_public_qttf():
+    # along whole searches the optimizer's unchecked objective gives the
+    # public qTTF of the model's T to the bit, so every step is the same
+    starts = np.random.default_rng(0).uniform(-3.0 * math.pi, 3.0 * math.pi, size=(20, 2))
+    reference = minimize_with_restarts(
+        lambda x: qttf_from_transfer(TwoMeterModel(*x).transfer_matrix()), list(starts)
+    )
+    _same_restarts(optimize_two_meter(restarts=20, seed=0), reference)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_circuit_search_objective_is_the_public_qttf(seed):
+    starts = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(3, 12))
+    reference = minimize_with_restarts(
+        lambda x: qttf_from_transfer(build_circuit(x).transfer_matrix()),
+        list(starts),
+        maxiter=4000,
+    )
+    _same_restarts(optimize_circuit(restarts=3, seed=seed), reference)
