@@ -33,9 +33,9 @@ from qtomo import (
     probabilities_single,
     qttf_circuit,
     qttf_from_transfer,
+    qttf_two_meter,
     radial_clip,
     rho_r_mle,
-    qttf_two_meter,
     saturated_mle,
 )
 from qtomo.twometer import transfer_matrix
