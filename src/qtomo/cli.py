@@ -183,7 +183,8 @@ def cmd_qttf_sweep(args) -> int:
     # qttf_single decreases on (0, pi], so only the grid's first point can be inf
     if math.isinf(qttf_single(args.theta_min)):
         raise ValueError(f"--theta-min {args.theta_min} gives the meter no sensitivity")
-    thetas = np.linspace(args.theta_min, args.theta_max, args.points)
+    # Python floats: the same values and printed bytes as numpy's, cheaper per call
+    thetas = np.linspace(args.theta_min, args.theta_max, args.points).tolist()
     rows = []
     for theta in thetas:
         rows.append(

@@ -84,10 +84,15 @@ def _check_integer(name: str, value, minimum: int = 0) -> None:
 
 def _real(values, name: str) -> np.ndarray:
     """values as a float array; ValueError naming `name` for a complex one,
-    whose cast to float would drop the imaginary part with only a warning."""
+    whose cast to float would drop the imaginary part with only a warning,
+    and for text, which the cast would parse: a str or bytes array, or an
+    object array holding a str or bytes entry.  A float array pays for
+    one dtype test."""
     values = np.asarray(values)
-    if values.dtype.kind == "c":
-        raise ValueError(f"{name} must be real, got {values.tolist()}")
+    kind = values.dtype.kind
+    if kind != "f" and (kind in "cSU" or (kind == "O" and any(
+            isinstance(v, (str, bytes)) for v in values.flat))):
+        raise ValueError(f"{name} must be real, got {values.tolist()!r}")
     return values.astype(float, copy=False)
 
 

@@ -21,6 +21,15 @@ most once: inside the check that first reads them.  A later check reads
 the stored result, or, if the oracle raised, fails with an error naming
 it without running it again.
 
+Two kinds of oracle value depend on no seed and on no production code,
+so they are built at most once per process, on first use: the 8x8
+unitaries of the two reference models, and the 16x16 quadrature qTTF
+of each transfer matrix the exact-vs-quadrature check reads, kept in a
+small cache keyed by the matrix's bytes, so the corrupted control's
+matrices get values of their own.  A run therefore reports what a
+fresh process reports.  The production side runs on every call: the
+models' T, the exact qTTF, the row builders and the estimators.
+
 The R-rho-R reference runs stop at the first state whose certified gap
 lambda_max(R) - 1 is at most _REFERENCE_GAP_TOL = 1e-5, or at
 _REFERENCE_MAX_ITER = 300 iterations, far short of 1/n convergence for
@@ -37,6 +46,7 @@ import math
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -47,7 +57,10 @@ from ._oracles import (
     kraus_transfer, simulate_meter_process, two_design_average,
 )
 from .circuit import REFERENCE_OPTIMUM, build_circuit
-from .core import SIGMA, bloch_from_state, density_from_bloch, make_quadrature, state_from_angles
+from .core import (
+    SIGMA, _check_integer, bloch_from_state, density_from_bloch, make_quadrature,
+    state_from_angles,
+)
 from .estimators import _check_frequencies, _solve, log_likelihood, rho_r_mle, saturated_mle
 from .model import _as_blochs, _live_probabilities, fisher_from_transfer
 from .model import qttf_from_transfer, require_invertible
@@ -59,6 +72,27 @@ __all__ = ["identity_suite"]
 # Reference rule for the exact-vs-quadrature check, built once: the suite
 # runs often and the rule costs as much as the check.
 _CHECK_RULE = make_quadrature(16, 16)
+
+
+@lru_cache(maxsize=1)
+def _reference_unitaries() -> tuple[np.ndarray, np.ndarray]:
+    """The oracles' 8x8 unitaries of the two reference models, built on
+    first use and kept read-only: no seed and no production path reaches
+    them."""
+    unitaries = (joint_unitary(*REFERENCE_COUPLINGS), circuit_unitary(REFERENCE_OPTIMUM))
+    for unitary in unitaries:
+        unitary.flags.writeable = False
+    return unitaries
+
+
+# four entries hold both reference models' T, clean and corrupted
+@lru_cache(maxsize=4)
+def _quadrature_qttf(tmat_bytes: bytes) -> float:
+    """_qttf_quadrature(T, _CHECK_RULE) of the 4x4 float T with these
+    bytes: each T's value is built once, and a T whose bytes differ, a
+    corrupted one, gets its own."""
+    return _qttf_quadrature(np.frombuffer(tmat_bytes).reshape(4, 4), _CHECK_RULE)
+
 
 _PAIRS = 200  # cases in coefficients_vs_trace and in binomial_variance
 
@@ -301,7 +335,8 @@ def _qttf_exact_vs_quadrature(tmats) -> float:
     gaps = []
     for tmat in tmats:
         exact = qttf_from_transfer(tmat)
-        gaps.append(abs(exact - _qttf_quadrature(tmat, _CHECK_RULE)) / exact)
+        quadrature = _quadrature_qttf(np.asarray(tmat, dtype=float).tobytes())
+        gaps.append(abs(exact - quadrature) / exact)
     return np.max(gaps)
 
 
@@ -402,11 +437,13 @@ def identity_suite(seed: int = 0, corrupt: bool = False) -> dict:
     log-likelihood can exceed the reference's; both are null if the runs
     raised, and a gap that is not finite is null too.  corrupt=True
     perturbs the transfer matrix used in the model-consistency checks,
-    which must make the suite fail (negative control).
+    which must make the suite fail (negative control).  ValueError, before
+    any draw, unless seed is an integer >= 0 (a numpy integer too; not a
+    bool, float or text).
     """
+    _check_integer("seed", seed)
     models = (TwoMeterModel(*REFERENCE_COUPLINGS), build_circuit(REFERENCE_OPTIMUM))
-    # the oracles' unitaries, built once per run
-    unitaries = (joint_unitary(*REFERENCE_COUPLINGS), circuit_unitary(REFERENCE_OPTIMUM))
+    unitaries = _reference_unitaries()
     # the claimed transfer matrices; the simulators stay truthful, so a
     # corrupted claim must show up wherever claim and simulation meet
     tmats = [m.transfer_matrix() for m in models]

@@ -9,6 +9,7 @@ qTTF and of Delta and the -inf of log_likelihood.
 """
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -216,3 +217,70 @@ def test_two_meter_entry_points_read_real_numbers(name, couplings):
     out = _TWO_METER_CALLS[name](*couplings)
     expected = _TWO_METER_CALLS[name](*map(float, couplings))
     assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()
+
+
+def _freqs_and_tmat():
+    tmat = TwoMeterModel(3.45, -8.42).transfer_matrix()
+    return [tmat @ np.array([1.0, 0.3, -0.5, 0.6]), tmat]
+
+
+# name -> (function, valid arguments, index of the argument read through
+# core._real); the two log_likelihood entries spoil either argument
+_REAL_ARRAY_CALLS = {
+    "density_from_bloch": (density_from_bloch, [[1.0, 0.3, -0.5, 0.6]], 0),
+    "radial_clip": (radial_clip, [[1.0, 0.9, -0.5, 0.6]], 0),
+    "build_circuit": (build_circuit, [_params(np.random.default_rng(5))], 0),
+    "qttf_circuit": (qttf_circuit, [_params(np.random.default_rng(5))], 0),
+    "linear_inversion": (linear_inversion, _freqs_and_tmat(), 0),
+    "saturated_mle": (saturated_mle, _freqs_and_tmat(), 0),
+    "rho_r_mle": (lambda f, t: rho_r_mle(f, t, max_iter=20), _freqs_and_tmat(), 0),
+    "log_likelihood-frequencies": (log_likelihood, [[0.1, 0.2, 0.3, 0.4]] * 2, 0),
+    "log_likelihood-model": (log_likelihood, [[0.1, 0.2, 0.3, 0.4]] * 2, 1),
+}
+
+_TEXT = {
+    "str-list": lambda arr: [str(v) for v in arr.tolist()],
+    "str-array": lambda arr: arr.astype(str),
+    "bytes-array": lambda arr: arr.astype(bytes),
+    "object-str": lambda arr: np.array([*arr.tolist()[:-1], str(arr[-1])], dtype=object),
+    "object-bytes": lambda arr: np.array([*arr.tolist()[:-1], b"0.25"], dtype=object),
+}
+
+
+@pytest.mark.parametrize("text", list(_TEXT))
+@pytest.mark.parametrize("name", list(_REAL_ARRAY_CALLS))
+def test_real_arrays_refuse_text(name, text):
+    # astype(float) parsed every entry of a str or bytes array
+    func, args, index = _REAL_ARRAY_CALLS[name]
+    args = list(args)
+    args[index] = _TEXT[text](np.asarray(args[index], dtype=float))
+    with pytest.raises(ValueError, match=" must be real, got "):
+        func(*args)
+
+
+_NUMBERS = {
+    "list": lambda arr: arr.tolist(),
+    "float32": lambda arr: arr.astype(np.float32),
+    "object-floats": lambda arr: arr.astype(object),
+    "object-mixed": lambda arr: np.array([*arr.tolist()[:-1], np.float64(arr[-1])], dtype=object),
+    "integers": lambda arr: np.round(8.0 * arr).astype(int),
+}
+
+
+@pytest.mark.parametrize("numbers", list(_NUMBERS))
+@pytest.mark.parametrize("name", list(_REAL_ARRAY_CALLS))
+def test_real_arrays_read_numbers_as_their_float_array(name, numbers):
+    # every non-text input reads as its float64 cast, bit for bit
+    func, args, index = _REAL_ARRAY_CALLS[name]
+    args = list(args)
+    given = _NUMBERS[numbers](np.asarray(args[index], dtype=float))
+    args[index] = given
+    expected = list(args)
+    expected[index] = np.asarray(given).astype(float)
+    try:
+        out = func(*args)
+    except REFUSALS as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            func(*expected)
+        return
+    assert _numbers(out).tobytes() == _numbers(func(*expected)).tobytes()

@@ -420,8 +420,9 @@ def test_variance_scan_threads_match_the_serial_loop(switch_interval):
     ids=["helper-first", "helper-last", "caller-first", "caller-last"],
 )
 def test_variance_scan_raises_a_draw_error_and_joins_its_thread(key, drawer, monkeypatch):
-    # draw (k, n_idx) is slot 6 * n_idx + k: the helper thread draws the
-    # odd slots and the calling thread the even ones
+    # draw (k, n_idx) is slot 6 * n_idx + k: in the model scan the helper
+    # thread draws the odd slots and the calling thread the even ones; the
+    # single-meter scan draws every slot on the calling thread
     from qtomo import harness
 
     substream = harness._substream
@@ -440,7 +441,23 @@ def test_variance_scan_raises_a_draw_error_and_joins_its_thread(key, drawer, mon
             variance_vs_fisher_scan(**_SCAN_ARGS[kind], trials=10, seed=2)
         assert threading.active_count() == before
     on_caller = [thread is threading.current_thread() for thread in raised_on]
-    assert on_caller == [drawer == "caller"] * 2
+    # sorted(_SCAN_ARGS): the single meter, then the two-meter model
+    assert on_caller == [True, drawer == "caller"]
+
+
+@pytest.mark.parametrize("kind, threads", [("single", 0), ("two-meter", 1)])
+def test_only_the_model_scan_starts_a_thread(kind, threads, monkeypatch):
+    # the single meter's two-outcome draws are too short to pay for a thread
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    variance_vs_fisher_scan(**_SCAN_ARGS[kind], trials=10, seed=2)
+    assert len(started) == threads
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31, 2**32 - 1, 2**32, 2**40])

@@ -1,6 +1,10 @@
 """The identity suite's seeded draws and its R-rho-R reference runs."""
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,8 @@ from qtomo.identities import (
     _densities,
     _draw,
     _gap_bound,
+    _quadrature_qttf,
+    _reference_unitaries,
     _roundtrip,
     _simulate,
     _stacked_rows,
@@ -31,6 +37,8 @@ from qtomo.identities import (
 )
 from qtomo.model import fisher_from_transfer
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 _UNITARIES = (joint_unitary(*REFERENCE_COUPLINGS), circuit_unitary(REFERENCE_OPTIMUM))
 _TMATS = (
@@ -357,3 +365,41 @@ def test_upper_side_catches_an_exact_mle_above_every_state(monkeypatch):
     assert not checks.pop("mle_exact_vs_rho_r")["pass"]
     assert all(entry["pass"] for entry in checks.values())
     assert main(["check-identities", "--seed", "0"]) == 3
+
+
+def _fresh_process_report(seed, corrupt):
+    # the suite in a new interpreter, which builds every oracle value itself
+    code = (
+        "import sys; from qtomo.identities import identity_suite; "
+        "print(repr(identity_suite(int(sys.argv[1]), corrupt=sys.argv[2] == 'corrupt')))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(_SRC), os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-c", code, str(seed), "corrupt" if corrupt else "clean"]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.strip()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kept_oracle_values_give_a_fresh_process_report(seed):
+    # clean, corrupt, clean in one process: the corrupted control's
+    # matrices get quadrature values of their own, and neither run sees
+    # the other's
+    fresh = {corrupt: _fresh_process_report(seed, corrupt) for corrupt in (False, True)}
+    _reference_unitaries.cache_clear()
+    _quadrature_qttf.cache_clear()
+    for corrupt in (False, True, False):
+        assert repr(identity_suite(seed, corrupt=corrupt)) == fresh[corrupt], corrupt
+    # both reference models' T, clean and corrupted, each built once
+    assert _reference_unitaries.cache_info().misses == 1
+    assert _quadrature_qttf.cache_info()[:2] == (2, 4)  # hits, misses
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "3", -1], ids=["bool", "float", "text", "negative"])
+def test_identity_suite_refuses_a_seed_before_any_draw(seed, monkeypatch):
+    from qtomo import identities
+
+    def no_draw(*args):
+        raise AssertionError("drew before checking the seed")
+
+    monkeypatch.setattr(identities, "_draw", no_draw)
+    with pytest.raises(ValueError, match=r"^seed must be an integer of at least 0, got "):
+        identity_suite(seed)
