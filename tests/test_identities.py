@@ -373,7 +373,8 @@ def _fresh_process_report(seed, corrupt):
         "import sys; from qtomo.identities import identity_suite; "
         "print(repr(identity_suite(int(sys.argv[1]), corrupt=sys.argv[2] == 'corrupt')))"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(_SRC), os.environ.get("PYTHONPATH", "")])}
+    paths = [str(_SRC), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     argv = [sys.executable, "-c", code, str(seed), "corrupt" if corrupt else "clean"]
     return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.strip()
 
