@@ -11,7 +11,12 @@ pieces,
 and the transfer matrix, which is the model, is read off those factors
 in straight-line float arithmetic: each amplitude is a (re, im) pair of
 floats from the gates' cosines and sines, each complex product written
-out as (ac - bd, ad + bc).  The checks compile the 8x8 unitary from
+out as (ac - bd, ad + bc).  In the same factors T[(a, b), (j, c)] =
+A_j[a, c] beta[b, j], with beta = |beta_b[s]|^2 summed (j = p) and
+differenced (j = m) over s, A_p meter A's matching pair and A_m its
+overlap conj(alpha_a[0]) alpha_a[1]; so T^-1 is read from three 2x2
+inverses, on which the qTTF splits into a meter-A times a meter-B sum
+(_qttf_factored).  The checks compile the 8x8 unitary from
 the complex gate entries, as qtomo._oracles.circuit_unitary, and its
 Kraus read is the oracle.  The circuit family contains measurement
 settings whose average error reaches the four-outcome optimum of 8.0, a
@@ -26,6 +31,7 @@ import numpy as np
 
 from .core import _check_integer, _real
 from .model import (
+    _FACTORED_BOUND,
     MeterModel,
     OptimizationResult,
     _qttf_rows,
@@ -104,6 +110,46 @@ def _meter_floats(theta1, phi1, lam1, theta2, phi2, lam2) -> tuple[float, ...]:
     )
 
 
+def _meter_terms(params) -> tuple[float, ...]:
+    """The twelve floats T is read from: (a0p, a0m, x0, y0, a1p, a1m, x1, y1,
+    b0p, b0m, b1p, b1m).
+
+    For meter B, bNp and bNm are |beta_N[0]|^2 plus and minus
+    |beta_N[1]|^2; for meter A, aNp and aNm likewise, and
+    xN + i yN = conj(alpha_N[0]) alpha_N[1].  Every amplitude is a
+    (re, im) pair of floats from _meter_floats, and each term repeats
+    the float operations of the complex products.
+    """
+    ta1, pa1, la1, ta2, pa2, la2, tb1, pb1, lb1, tb2, pb2, lb2 = params
+    a00r, a00i, a01r, a01i, a10r, a10i, a11r, a11i = _meter_floats(ta1, pa1, la1, ta2, pa2, la2)
+    b00r, b00i, b01r, b01i, b10r, b10i, b11r, b11i = _meter_floats(tb1, pb1, lb1, tb2, pb2, lb2)
+    p0 = b00r * b00r + b00i * b00i
+    p1 = b01r * b01r + b01i * b01i
+    b0p, b0m = p0 + p1, p0 - p1
+    p0 = b10r * b10r + b10i * b10i
+    p1 = b11r * b11r + b11i * b11i
+    b1p, b1m = p0 + p1, p0 - p1
+    p0 = a00r * a00r + a00i * a00i
+    p1 = a01r * a01r + a01i * a01i
+    a0p, a0m = p0 + p1, p0 - p1
+    x0, y0 = a00r * a01r + a00i * a01i, a00r * a01i - a00i * a01r
+    p0 = a10r * a10r + a10i * a10i
+    p1 = a11r * a11r + a11i * a11i
+    a1p, a1m = p0 + p1, p0 - p1
+    x1, y1 = a10r * a11r + a10i * a11i, a10r * a11i - a10i * a11r
+    return a0p, a0m, x0, y0, a1p, a1m, x1, y1, b0p, b0m, b1p, b1m
+
+
+def _rows(a0p, a0m, x0, y0, a1p, a1m, x1, y1, b0p, b0m, b1p, b1m) -> list[list[float]]:
+    """T's rows from the meter terms of _meter_terms."""
+    return [
+        [a0p * b0p / 64.0, x0 * b0m / 32.0, -y0 * b0m / 32.0, a0m * b0p / 64.0],
+        [a0p * b1p / 64.0, x0 * b1m / 32.0, -y0 * b1m / 32.0, a0m * b1p / 64.0],
+        [a1p * b0p / 64.0, x1 * b0m / 32.0, -y1 * b0m / 32.0, a1m * b0p / 64.0],
+        [a1p * b1p / 64.0, x1 * b1m / 32.0, -y1 * b1m / 32.0, a1m * b1p / 64.0],
+    ]
+
+
 def _transfer_rows(params) -> list[list[float]]:
     """Rows of T in Python floats, from K_ab = H diag(beta_b) H diag(alpha_a).
 
@@ -113,34 +159,50 @@ def _transfer_rows(params) -> list[list[float]]:
     and off-diagonal conj(alpha_a[0]) alpha_a[1] (|beta_b[0]|^2 - |beta_b[1]|^2)/2;
     T[q, mu] = Tr(E_q sigma_mu)/2 with q = 2a + b, so the sigma_y column
     is -Im E_01.  The amplitudes carry a factor 2 each, hence 1/64 and 1/32.
-    Every amplitude is a (re, im) pair of floats from _meter_floats, and
-    each entry repeats the float operations of the complex products.
     """
-    ta1, pa1, la1, ta2, pa2, la2, tb1, pb1, lb1, tb2, pb2, lb2 = params
-    a00r, a00i, a01r, a01i, a10r, a10i, a11r, a11i = _meter_floats(ta1, pa1, la1, ta2, pa2, la2)
-    b00r, b00i, b01r, b01i, b10r, b10i, b11r, b11i = _meter_floats(tb1, pb1, lb1, tb2, pb2, lb2)
-    # meter B: bNp, bNm = |beta_N[0]|^2 plus and minus |beta_N[1]|^2
-    p0 = b00r * b00r + b00i * b00i
-    p1 = b01r * b01r + b01i * b01i
-    b0p, b0m = p0 + p1, p0 - p1
-    p0 = b10r * b10r + b10i * b10i
-    p1 = b11r * b11r + b11i * b11i
-    b1p, b1m = p0 + p1, p0 - p1
-    # meter A likewise, with xN + i yN = conj(alpha_N[0]) alpha_N[1]
-    p0 = a00r * a00r + a00i * a00i
-    p1 = a01r * a01r + a01i * a01i
-    a0p, a0m = p0 + p1, p0 - p1
-    x0, y0 = a00r * a01r + a00i * a01i, a00r * a01i - a00i * a01r
-    p0 = a10r * a10r + a10i * a10i
-    p1 = a11r * a11r + a11i * a11i
-    a1p, a1m = p0 + p1, p0 - p1
-    x1, y1 = a10r * a11r + a10i * a11i, a10r * a11i - a10i * a11r
-    return [
-        [a0p * b0p / 64.0, x0 * b0m / 32.0, -y0 * b0m / 32.0, a0m * b0p / 64.0],
-        [a0p * b1p / 64.0, x0 * b1m / 32.0, -y0 * b1m / 32.0, a0m * b1p / 64.0],
-        [a1p * b0p / 64.0, x1 * b0m / 32.0, -y1 * b0m / 32.0, a1m * b0p / 64.0],
-        [a1p * b1p / 64.0, x1 * b1m / 32.0, -y1 * b1m / 32.0, a1m * b1p / 64.0],
-    ]
+    return _rows(*_meter_terms(params))
+
+
+def _qttf_factored(params) -> float:
+    """The exact qTTF from the meter factors of T, with no 4x4 inverse.
+
+    With beta = [[b0p, b0m], [b1p, b1m]], A_p = [[a0p, a0m], [a1p, a1m]] / 64
+    and A_m = [[x0, -y0], [x1, -y1]] / 32, T[(a, b), (j, c)] =
+    A_j[a, c] beta[b, j], where (j, c) runs over the Bloch columns
+    (p, 0) = 0, (p, 1) = 3, (m, 0) = 1 and (m, 1) = 2.  So
+    T^-1[(j, c), (a, b)] = A_j^-1[c, a] beta^-1[j, b], and the qTTF
+    sum_q |a_q|^2 T[q, 0] - 1 splits into meter-A times meter-B sums,
+    alpha_p beta_p + alpha_m beta_m - 1, from three 2x2 inverses.  The
+    certificate |T|_F |T^-1|_F comes from the factors' norms:
+    |T|_F^2 = sum_j |A_j|_F^2 |beta[:, j]|^2 and
+    |T^-1|_F^2 = sum_j |A_j^-1|_F^2 |beta^-1[j, :]|^2.  A zero
+    determinant, a non-finite value or a certificate at or above
+    model._FACTORED_BOUND hands T's rows to _qttf_rows, whose bits and
+    inf decisions are the T route's.
+    """
+    terms = _meter_terms(params)
+    a0p, a0m, x0, y0, a1p, a1m, x1, y1, b0p, b0m, b1p, b1m = terms
+    # squared determinants of 64 A_p, 32 A_m and beta
+    dp = a0p * a1m - a0m * a1p
+    dm = x1 * y0 - x0 * y1
+    db = b0p * b1m - b0m * b1p
+    dp, dm, db = dp * dp, dm * dm, db * db
+    n0, n1 = x0 * x0 + y0 * y0, x1 * x1 + y1 * y1
+    sp = a0p * a0p + a0m * a0m + a1p * a1p + a1m * a1m
+    sm = n0 + n1
+    bp, bm = b0p * b0p + b1p * b1p, b0m * b0m + b1m * b1m
+    # the certificate test with the determinants multiplied out: a zero
+    # or underflowing determinant and a non-finite value fail it too
+    if not (sp * bp / 4096.0 + sm * bm / 1024.0) * (
+        4096.0 * sp * bm * dm + 1024.0 * sm * bp * dp
+    ) < _FACTORED_BOUND * _FACTORED_BOUND * dp * dm * db:
+        return _qttf_rows(_rows(*terms))
+    # alpha_p beta_p db + alpha_m beta_m db
+    total = (
+        64.0 * a0p * a1p * (a0p + a1p) * (b1m * b1m * b0p + b0m * b0m * b1p) / dp
+        + 16.0 * (n1 * a0p + n0 * a1p) * b0p * b1p * (b0p + b1p) / dm
+    )
+    return total / db - 1.0
 
 
 def build_circuit(params) -> MeterModel:
@@ -167,7 +229,7 @@ def qttf_circuit(params) -> float:
     """
     values = _checked_params(params)
     try:
-        return _qttf_rows(_transfer_rows(values))
+        return _qttf_factored(values)
     except ValueError:  # T is not finite
         _refuse_non_finite(_PARAM_NAMES, values)
         raise
@@ -185,6 +247,6 @@ def optimize_circuit(restarts: int = 50, seed: int = 0) -> OptimizationResult:
     starts = rng.uniform(0.0, 2.0 * math.pi, size=(restarts, 12))
 
     def objective(x: list[float]) -> float:
-        return _qttf_rows(_transfer_rows(x))
+        return _qttf_factored(x)
 
     return minimize_with_restarts(objective, list(starts), maxiter=4000)

@@ -118,8 +118,9 @@ def density_from_bloch(s: np.ndarray) -> np.ndarray:
 def bloch_from_state(rho: np.ndarray) -> np.ndarray:
     """Bloch 4-vector s_mu = Tr(rho sigma_mu) of a (2, 2) density matrix.
 
-    A ket of shape (2,) is accepted too; any other shape, and a NaN or
-    infinite entry, raises ValueError.
+    A ket of shape (2,) is accepted too; any other shape, a NaN or
+    infinite entry, and text (a non-complex input reads through _real)
+    raise ValueError.
 
     The ket (a, b) gives s = (|a|^2 + |b|^2, 2 Re(a b*), -2 Im(a b*),
     |a|^2 - |b|^2), evaluated in plain floats: at this size numpy's
@@ -127,7 +128,10 @@ def bloch_from_state(rho: np.ndarray) -> np.ndarray:
     agree with the density-matrix path to round-off, and a zero
     component is +0.0.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho)
+    if rho.dtype.kind != "c":
+        rho = _real(rho, "state")
+    rho = rho.astype(complex, copy=False)
     if rho.shape == (2,):
         return np.array(_ket_bloch(*rho.tolist()))
     if rho.shape != (2, 2):

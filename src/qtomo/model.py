@@ -17,7 +17,11 @@ near that limit, so values agree with LAPACK to round-off and inf
 decisions are cond(T)'s.  The qTTF and Delta read its weights |a_q|^2;
 require_invertible returns it as the T^-1 of the estimators, the
 variance scan and the estimator-variance identity, and refuses exactly
-the T whose qTTF is inf.  qttf_from_transfer is exact only.  Fisher
+the T whose qTTF is inf.  The model families' qTTFs (qttf_two_meter,
+qttf_circuit and their optimizers' objectives) read T^-1 from the small
+factors T is built from, under the same Frobenius-norm certificate, and
+hand any setting it does not clear below _FACTORED_BOUND to this route.
+qttf_from_transfer is exact only.  Fisher
 matrices are inverted only by oracles: the quadrature average over
 delta_surface, _oracles._qttf_quadrature, stays as the independent
 reference that the tests and the identity suite compare against.
@@ -35,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import QuadratureRule, bloch_from_state, make_quadrature
+from .core import QuadratureRule, _real, bloch_from_state, make_quadrature
 
 __all__ = [
     "CONDITION_LIMIT",
@@ -63,6 +67,11 @@ EIGENVALUE_FLOOR = 1e-12
 # Transfer matrices at least this ill-conditioned count as singular: the
 # exact qTTF is inf there and require_invertible refuses them.
 CONDITION_LIMIT = 1e12
+
+# The model families' factored qTTFs run only where their certificate
+# |T|_F |T^-1|_F is below this; any other setting goes to _qttf_rows.
+# Below it their gap to the T route stays near 1e-10 relative.
+_FACTORED_BOUND = 1e6
 
 _OUTCOME_LABELS = ("++", "+-", "-+", "--")
 
@@ -113,17 +122,20 @@ class MeterModel:
 
 
 def _as_bloch(state: np.ndarray) -> np.ndarray:
+    """A real (4,) Bloch vector, read through core._real, else
+    bloch_from_state(state); text is refused either way."""
     state = np.asarray(state)
-    if state.shape == (4,) and not np.iscomplexobj(state):
-        return state.astype(float)
+    if state.shape == (4,) and state.dtype.kind != "c":
+        return _real(state, "Bloch vector")
     return bloch_from_state(state)
 
 
 def _as_blochs(states: np.ndarray) -> np.ndarray:
-    """A real (n, 4) stack of Bloch vectors as floats, else _as_bloch(states)."""
+    """A real (n, 4) stack of Bloch vectors, read through core._real, else
+    _as_bloch(states)."""
     states = np.asarray(states)
-    if states.ndim == 2 and states.shape[1] == 4 and not np.iscomplexobj(states):
-        return states.astype(float)
+    if states.ndim == 2 and states.shape[1] == 4 and states.dtype.kind != "c":
+        return _real(states, "Bloch vectors")
     return _as_bloch(states)
 
 

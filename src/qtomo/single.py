@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import _ket_bloch, bloch_from_state
+from .core import _ket_bloch, _real, bloch_from_state
 
 __all__ = [
     "NonInformativeCouplingError",
@@ -55,8 +55,12 @@ def probabilities_single(psi: np.ndarray, theta: float) -> tuple[float, float]:
 
 
 def _s_z(psi: np.ndarray) -> float:
-    """s_z of a ket, as _ket_bloch computes it, or of a 2x2 density matrix."""
-    state = np.asarray(psi, dtype=complex)
+    """s_z of a ket, as _ket_bloch computes it, or of a 2x2 density matrix.
+
+    A non-complex psi reads through core._real, so text is refused."""
+    state = np.asarray(psi)
+    if state.dtype.kind != "c":
+        state = _real(state, "state")
     if state.shape == (2,):
         return _ket_bloch(*state.tolist())[3]
     return float(bloch_from_state(state)[3])

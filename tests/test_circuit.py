@@ -28,7 +28,7 @@ from qtomo.core import (
     state_from_angles,
 )
 from qtomo.estimators import linear_inversion
-from qtomo.model import default_rule, minimize_with_restarts, qttf_from_transfer
+from qtomo.model import _qttf_rows, default_rule, minimize_with_restarts, qttf_from_transfer
 from qtomo.twometer import optimize_two_meter
 
 gate_angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
@@ -190,7 +190,8 @@ def _hex_rows(rows):
 @pytest.mark.parametrize("full_angle", [False, True])
 def test_float_rows_are_the_complex_rows_to_the_bit(full_angle):
     # 1000 draws per convention over magnitudes 1e-4 to 1e4, and the
-    # exact qTTF on every one of them
+    # rows form of the exact qTTF on every one of them; qttf_circuit's
+    # factored form is checked against that form in test_model.py
     rng = np.random.default_rng(14)
     for _ in range(1000):
         params = rng.uniform(-1.0, 1.0, size=12) * 10.0 ** rng.uniform(-4.0, 4.0)
@@ -199,7 +200,7 @@ def test_float_rows_are_the_complex_rows_to_the_bit(full_angle):
         params = params.tolist()
         oracle = _complex_rows(params)
         assert _hex_rows(_transfer_rows(params)) == _hex_rows(oracle)
-        assert qttf_circuit(params).hex() == qttf_from_transfer(oracle).hex()
+        assert _qttf_rows(_transfer_rows(params)).hex() == qttf_from_transfer(oracle).hex()
 
 
 def test_float_rows_on_special_angles_differ_only_in_signed_zeros():

@@ -225,9 +225,19 @@ def _freqs_and_tmat():
 
 
 # name -> (function, valid arguments, index of the argument read through
-# core._real); the two log_likelihood entries spoil either argument
+# core._real); the two log_likelihood entries spoil either argument, and
+# a real ket or Bloch vector is read there before any complex cast
 _REAL_ARRAY_CALLS = {
     "density_from_bloch": (density_from_bloch, [[1.0, 0.3, -0.5, 0.6]], 0),
+    "bloch_from_state": (bloch_from_state, [[0.6, 0.8]], 0),
+    "probabilities_single": (probabilities_single, [[1.0, 0.0], 2.0], 0),
+    "fisher_inverse_single": (fisher_inverse_single, [[0.6, 0.8], 2.0], 0),
+    "fisher_from_transfer": (
+        fisher_from_transfer, [TwoMeterModel(3.45, -8.42).transfer_matrix(), [1.0, 0.3, -0.5, 0.6]], 1
+    ),
+    "delta_from_transfer": (
+        delta_from_transfer, [TwoMeterModel(3.45, -8.42).transfer_matrix(), [1.0, 0.3, -0.5, 0.6]], 1
+    ),
     "radial_clip": (radial_clip, [[1.0, 0.9, -0.5, 0.6]], 0),
     "build_circuit": (build_circuit, [_params(np.random.default_rng(5))], 0),
     "qttf_circuit": (qttf_circuit, [_params(np.random.default_rng(5))], 0),

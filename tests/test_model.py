@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from qtomo import _oracles, twometer
+from qtomo import _oracles, circuit, twometer
 from qtomo._oracles import HADAMARD, circuit_unitary, joint_unitary, kraus_transfer
 from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit, optimize_circuit, qttf_circuit
 from qtomo.core import SIGMA
@@ -250,6 +250,76 @@ def test_well_conditioned_qttf_needs_no_svd(monkeypatch):
     for params in rng.uniform(0.0, 2 * math.pi, size=(200, 12)):
         values.append(qttf_circuit(params))
     assert all(math.isfinite(v) for v in values)
+
+
+def _near_singular_couplings(rng):
+    """theta_A within 1e-6 to 1 of 2 pi k, k in {-1, 0, 1}, and theta_B as
+    small; every other draw swaps the pair."""
+    offsets = rng.choice([-1.0, 1.0], size=2) * 10.0 ** rng.uniform(-6.0, 0.0, size=2)
+    pair = (2.0 * math.pi * int(rng.integers(-1, 2)) + offsets[0], offsets[1])
+    return pair if rng.integers(2) else pair[::-1]
+
+
+def _factored_draws(family):
+    """2500 settings of one family: ordinary, near-singular and at
+    magnitudes 1e-4 to 1e4."""
+    rng = np.random.default_rng(38)
+    if family == "two-meter":
+        draws = rng.uniform(-3.0 * math.pi, 3.0 * math.pi, size=(1000, 2)).tolist()
+        draws += [_near_singular_couplings(rng) for _ in range(750)]
+        draws += (rng.uniform(-1.0, 1.0, size=(750, 2)) * 10.0 ** rng.uniform(-4.0, 4.0, size=(750, 1))).tolist()
+        return draws
+    draws = rng.uniform(0.0, 2.0 * math.pi, size=(1000, 12)).tolist()
+    magnitudes = rng.uniform(-1.0, 1.0, size=(1000, 12)) * 10.0 ** rng.uniform(-4.0, 4.0, size=(1000, 1))
+    magnitudes[::2, 0::3] *= 2.0
+    draws += magnitudes.tolist()
+    # angles where sines and cosines vanish give exactly singular meters
+    grid = [0.0, -0.0, math.pi / 2, math.pi, -math.pi, 1.5 * math.pi, 2 * math.pi, 1e-300]
+    draws += [[grid[k] for k in row] for row in rng.integers(0, len(grid), size=(500, 12)).tolist()]
+    return draws
+
+
+_FAMILIES = {
+    "two-meter": (twometer, lambda x: qttf_two_meter(*x), lambda x: transfer_matrix(*x)),
+    "circuit": (circuit, qttf_circuit, lambda x: build_circuit(x).transfer_matrix()),
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_factored_qttf_is_the_rows_form(family, monkeypatch):
+    # where the factored form runs, the public qTTF is the rows form of
+    # the model's T to 1e-10 relative; where it hands T's rows over, it
+    # is that form to the bit, inf decisions included
+    module, qttf, tmat_of = _FAMILIES[family]
+    handed_over = []
+    rows_form = module._qttf_rows
+    monkeypatch.setattr(module, "_qttf_rows", lambda rows: handed_over.append(rows) or rows_form(rows))
+    paths = {"factored": 0, "rows": 0, "rows-inf": 0}
+    for x in _factored_draws(family):
+        handed_over.clear()
+        value = qttf(x)
+        expected = qttf_from_transfer(tmat_of(x))
+        assert math.isinf(value) == math.isinf(expected), x
+        if handed_over:
+            assert value.hex() == expected.hex(), x
+            paths["rows-inf" if math.isinf(value) else "rows"] += 1
+        else:
+            assert abs(value - expected) <= 1e-10 * expected, x
+            paths["factored"] += 1
+    # every path is taken, a finite hand-over among them
+    assert min(paths.values()) >= 50, paths
+
+
+def test_factored_two_meter_qttf_keeps_the_symmetries():
+    # (a, b) -> (-a, -b), (b, a) and (-b, -a) relabel T's outcomes and turn
+    # its Bloch columns, so the qTTF is unchanged: to 1e-12 relative, plus
+    # cond(T) eps on an ill-conditioned T, which both routes need
+    rng = np.random.default_rng(15)
+    for a, b in rng.uniform(-3.0 * math.pi, 3.0 * math.pi, size=(2000, 2)).tolist():
+        base = qttf_two_meter(a, b)
+        tol = (1e-12 + np.linalg.cond(transfer_matrix(a, b)) * EPS) * base
+        for image in ((-a, -b), (b, a), (-b, -a)):
+            assert abs(qttf_two_meter(*image) - base) <= tol, (a, b, image)
 
 
 def test_qttf_respects_the_four_outcome_bound():
@@ -591,20 +661,14 @@ def _same_restarts(result, reference):
 
 def test_two_meter_search_objective_is_the_public_qttf():
     # along whole searches the optimizer's unchecked objective gives the
-    # public qTTF of the model's T to the bit, so every step is the same
+    # public qTTF to the bit, so every step is the same
     starts = np.random.default_rng(0).uniform(-3.0 * math.pi, 3.0 * math.pi, size=(20, 2))
-    reference = minimize_with_restarts(
-        lambda x: qttf_from_transfer(TwoMeterModel(*x).transfer_matrix()), list(starts)
-    )
+    reference = minimize_with_restarts(lambda x: qttf_two_meter(*x), list(starts))
     _same_restarts(optimize_two_meter(restarts=20, seed=0), reference)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_circuit_search_objective_is_the_public_qttf(seed):
     starts = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(3, 12))
-    reference = minimize_with_restarts(
-        lambda x: qttf_from_transfer(build_circuit(x).transfer_matrix()),
-        list(starts),
-        maxiter=4000,
-    )
+    reference = minimize_with_restarts(qttf_circuit, list(starts), maxiter=4000)
     _same_restarts(optimize_circuit(restarts=3, seed=seed), reference)

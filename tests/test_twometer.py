@@ -32,6 +32,7 @@ from qtomo.model import (
     minimize_with_restarts,
     qttf_from_transfer,
 )
+from qtomo.single import probabilities_single
 from qtomo.twometer import (
     REFERENCE_COUPLINGS,
     TwoMeterModel,
@@ -288,6 +289,20 @@ def test_delta_closed_form_matches_eigenvalue_form():
     reference = delta_surface(tmat, nodes)
     values = [delta_from_transfer(tmat, nodes[:, k]) for k in range(40)]
     np.testing.assert_allclose(values, reference, rtol=1e-9)
+
+
+def test_single_meter_is_the_theta_b_zero_limit():
+    # at theta_B = 0 meter B learns nothing, and meter A's outcome
+    # marginal is the single meter's pair (P0, P1): a check of the
+    # coefficients the factored qTTF reads
+    rng = np.random.default_rng(23)
+    for theta in rng.uniform(0.0, 2.0 * math.pi, size=200).tolist():
+        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+        ket /= np.linalg.norm(ket)
+        p = transfer_matrix(theta, 0.0) @ bloch_from_state(ket)
+        p0, p1 = probabilities_single(ket, theta)
+        assert abs(p[0] + p[1] - p0) <= 1e-15
+        assert abs(p[2] + p[3] - p1) <= 1e-15
 
 
 def test_delta_finite_near_singular_couplings():
