@@ -43,8 +43,8 @@ _EXPORTS = {
         "saturated_mle", "rho_r_mle", "log_likelihood",
     ),
     "harness": (
-        "DEFAULT_SEED", "ExperimentReport", "run_single_experiment",
-        "run_full_experiment", "variance_vs_fisher_scan",
+        "DEFAULT_SEED", "run_single_experiment", "run_full_experiment",
+        "variance_vs_fisher_scan",
     ),
 }
 _SUBMODULES = frozenset({*_EXPORTS, "identities", "cli"})

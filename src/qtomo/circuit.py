@@ -140,16 +140,6 @@ def _meter_terms(params) -> tuple[float, ...]:
     return a0p, a0m, x0, y0, a1p, a1m, x1, y1, b0p, b0m, b1p, b1m
 
 
-def _rows(a0p, a0m, x0, y0, a1p, a1m, x1, y1, b0p, b0m, b1p, b1m) -> list[list[float]]:
-    """T's rows from the meter terms of _meter_terms."""
-    return [
-        [a0p * b0p / 64.0, x0 * b0m / 32.0, -y0 * b0m / 32.0, a0m * b0p / 64.0],
-        [a0p * b1p / 64.0, x0 * b1m / 32.0, -y0 * b1m / 32.0, a0m * b1p / 64.0],
-        [a1p * b0p / 64.0, x1 * b0m / 32.0, -y1 * b0m / 32.0, a1m * b0p / 64.0],
-        [a1p * b1p / 64.0, x1 * b1m / 32.0, -y1 * b1m / 32.0, a1m * b1p / 64.0],
-    ]
-
-
 def _transfer_rows(params) -> list[list[float]]:
     """Rows of T in Python floats, from K_ab = H diag(beta_b) H diag(alpha_a).
 
@@ -160,7 +150,13 @@ def _transfer_rows(params) -> list[list[float]]:
     T[q, mu] = Tr(E_q sigma_mu)/2 with q = 2a + b, so the sigma_y column
     is -Im E_01.  The amplitudes carry a factor 2 each, hence 1/64 and 1/32.
     """
-    return _rows(*_meter_terms(params))
+    a0p, a0m, x0, y0, a1p, a1m, x1, y1, b0p, b0m, b1p, b1m = _meter_terms(params)
+    return [
+        [a0p * b0p / 64.0, x0 * b0m / 32.0, -y0 * b0m / 32.0, a0m * b0p / 64.0],
+        [a0p * b1p / 64.0, x0 * b1m / 32.0, -y0 * b1m / 32.0, a0m * b1p / 64.0],
+        [a1p * b0p / 64.0, x1 * b0m / 32.0, -y1 * b0m / 32.0, a1m * b0p / 64.0],
+        [a1p * b1p / 64.0, x1 * b1m / 32.0, -y1 * b1m / 32.0, a1m * b1p / 64.0],
+    ]
 
 
 def _qttf_factored(params) -> float:
@@ -180,8 +176,7 @@ def _qttf_factored(params) -> float:
     model._FACTORED_BOUND hands T's rows to _qttf_rows, whose bits and
     inf decisions are the T route's.
     """
-    terms = _meter_terms(params)
-    a0p, a0m, x0, y0, a1p, a1m, x1, y1, b0p, b0m, b1p, b1m = terms
+    a0p, a0m, x0, y0, a1p, a1m, x1, y1, b0p, b0m, b1p, b1m = _meter_terms(params)
     # squared determinants of 64 A_p, 32 A_m and beta
     dp = a0p * a1m - a0m * a1p
     dm = x1 * y0 - x0 * y1
@@ -196,7 +191,7 @@ def _qttf_factored(params) -> float:
     if not (sp * bp / 4096.0 + sm * bm / 1024.0) * (
         4096.0 * sp * bm * dm + 1024.0 * sm * bp * dp
     ) < _FACTORED_BOUND * _FACTORED_BOUND * dp * dm * db:
-        return _qttf_rows(_rows(*terms))
+        return _qttf_rows(_transfer_rows(params))
     # alpha_p beta_p db + alpha_m beta_m db
     total = (
         64.0 * a0p * a1p * (a0p + a1p) * (b1m * b1m * b0p + b0m * b0m * b1p) / dp
@@ -245,8 +240,4 @@ def optimize_circuit(restarts: int = 50, seed: int = 0) -> OptimizationResult:
     _check_integer("seed", seed)
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, 2.0 * math.pi, size=(restarts, 12))
-
-    def objective(x: list[float]) -> float:
-        return _qttf_factored(x)
-
-    return minimize_with_restarts(objective, list(starts), maxiter=4000)
+    return minimize_with_restarts(_qttf_factored, list(starts), maxiter=4000)

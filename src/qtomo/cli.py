@@ -229,8 +229,7 @@ def _table_1_rows(shots, repeats, seed):
     header = ["theta", "state", "truth", "mean", "std", "pass"]
     rows = []
     for theta in _TABLE_1_THETAS:
-        report = run_single_experiment(theta, shots=shots, repeats=repeats, seed=seed)
-        for row in report.rows:
+        for row in run_single_experiment(theta, shots=shots, repeats=repeats, seed=seed):
             rows.append(
                 [
                     f"{theta:.12g}",
@@ -253,11 +252,10 @@ def _table_full_rows(model, estimator, shots, repeats, seed):
         "fidelity",
         "pass",
     ]
-    report = run_full_experiment(
-        model, estimator=estimator, shots=shots, repeats=repeats, seed=seed
-    )
     rows = []
-    for row in report.rows:
+    for row in run_full_experiment(
+        model, estimator=estimator, shots=shots, repeats=repeats, seed=seed
+    ):
         rows.append(
             [row.label]
             + [f"{v:.6f}" for v in row.truth[1:]]

@@ -264,7 +264,8 @@ def make_quadrature(n1: int, n2: int, *, alpha2_limit: float = math.pi) -> Quadr
     alpha2_limit:
         Upper end of the a2 interval.  The default pi covers the sphere
         once; 2*pi covers it twice and, by periodicity of every integrand
-        built from Bloch vectors, yields the same averages.
+        built from Bloch vectors, yields the same averages.  ValueError
+        naming it unless it is a positive, finite real.
 
     The polar direction substitutes u = sin^2(a1), which turns the
     sin(2 a1)/pi weight into the flat unit measure on [0, 1]; Gauss
@@ -274,10 +275,13 @@ def make_quadrature(n1: int, n2: int, *, alpha2_limit: float = math.pi) -> Quadr
     """
     _check_integer("n1", n1, 2)
     _check_integer("n2", n2, 2)
+    limit = _real_number(alpha2_limit, "alpha2_limit")
+    if not 0.0 < limit < math.inf:
+        raise ValueError(f"alpha2_limit must be a positive, finite real, got {alpha2_limit!r}")
     x, w = np.polynomial.legendre.leggauss(n1)
     u = 0.5 * (x + 1.0)
     alpha1 = np.arcsin(np.sqrt(u))
-    alpha2 = (np.arange(n2) + 0.5) * (alpha2_limit / n2)
+    alpha2 = (np.arange(n2) + 0.5) * (limit / n2)
     g1, g2 = np.meshgrid(alpha1, alpha2, indexing="ij")
     weights = np.repeat((0.5 * w)[:, None], n2, axis=1) / n2
     return QuadratureRule(

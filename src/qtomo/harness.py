@@ -29,7 +29,6 @@ __all__ = [
     "DEFAULT_SEED",
     "SingleStateRow",
     "FullStateRow",
-    "ExperimentReport",
     "ScanRow",
     "run_single_experiment",
     "run_full_experiment",
@@ -105,25 +104,17 @@ class FullStateRow:
     physical_fraction: float
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    rows: tuple
-    shots: int
-    repeats: int
-    seed: int
-    kind: str
-
-
 def run_single_experiment(
     theta: float,
     shots: int = 1024,
     repeats: int = 5,
     seed: int = DEFAULT_SEED,
-) -> ExperimentReport:
+) -> tuple[SingleStateRow, ...]:
     """Repeated s_z estimation for each Pauli eigenstate at one coupling angle.
 
-    Raises ValueError, before any draw, unless shots >= 1, repeats >= 2
-    and seed >= 0 are integers (numpy integers too; not a bool or float).
+    One row per eigenstate, in PAULI_EIGENSTATE_LABELS order.  Raises
+    ValueError, before any draw, unless shots >= 1, repeats >= 2 and
+    seed >= 0 are integers (numpy integers too; not a bool or float).
     """
     _check_integer("shots", shots, 1)
     _check_integer("repeats", repeats, 2)  # the fewest for a standard deviation
@@ -157,9 +148,7 @@ def run_single_experiment(
                 within_3sigma=abs(mean - truth) <= 3.0 * sigma + 1e-12,
             )
         )
-    return ExperimentReport(
-        rows=tuple(rows), shots=shots, repeats=repeats, seed=seed, kind="single"
-    )
+    return tuple(rows)
 
 
 def run_full_experiment(
@@ -168,7 +157,7 @@ def run_full_experiment(
     shots: int = 1024,
     repeats: int = 5,
     seed: int = DEFAULT_SEED,
-) -> ExperimentReport:
+) -> tuple[FullStateRow, ...]:
     """Full Bloch-vector reconstruction per Pauli eigenstate, mean over repeats.
 
     estimator is "mle" (the exact `saturated_mle`) or "linear".  T^-1 is
@@ -219,13 +208,7 @@ def run_full_experiment(
                 physical_fraction=fractions[k],
             )
         )
-    return ExperimentReport(
-        rows=tuple(rows),
-        shots=shots,
-        repeats=repeats,
-        seed=seed,
-        kind=f"full/{estimator}",
-    )
+    return tuple(rows)
 
 
 @dataclass(frozen=True)

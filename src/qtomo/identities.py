@@ -233,43 +233,41 @@ def _fisher_symmetry_psd(fishers) -> float:
     return max(_max_gap(fishers, fishers.swapaxes(-1, -2)), -min_eig, 0.0)
 
 
-def _rho_r_run(freqs, tmat):
-    trace_ll = []
-    return trace_ll, rho_r_mle(
-        freqs, tmat, max_iter=_REFERENCE_MAX_ITER, gap_tol=_REFERENCE_GAP_TOL,
-        likelihood_trace=trace_ll,
-    )
-
-
 @contextmanager
 def _estimator_records_held_back():
-    """Drop the "qtomo.estimators" records while the block lasts.
+    """Disable the "qtomo.estimators" logger while the block lasts.
 
     Library callers of rho_r_mle and saturated_mle still get their
-    warnings: the filter lives for the block only.
+    warnings: the logger's own disabled flag comes back when the block
+    ends.
     """
     logger = logging.getLogger("qtomo.estimators")
-    logger.addFilter(_drop_record)
+    disabled, logger.disabled = logger.disabled, True
     try:
         yield
     finally:
-        logger.removeFilter(_drop_record)
-
-
-def _drop_record(record: logging.LogRecord) -> bool:
-    return False
+        logger.disabled = disabled
 
 
 def _rho_r_runs(inputs) -> list:
-    """The R-rho-R reference runs, their cap warnings held back.
+    """The R-rho-R reference runs, as (likelihood trace, result) pairs,
+    their cap warnings held back.
 
     The three R-rho-R checks hold for any prefix of iterates, so a run
     stopped at the suite's cap is still a valid reference: the suite
     counts such runs in its report (converged=False) instead of repeating
     it as a warning.
     """
+    runs = []
     with _estimator_records_held_back():
-        return [_rho_r_run(*args) for args in inputs]
+        for freqs, tmat in inputs:
+            trace_ll = []
+            result = rho_r_mle(
+                freqs, tmat, max_iter=_REFERENCE_MAX_ITER, gap_tol=_REFERENCE_GAP_TOL,
+                likelihood_trace=trace_ll,
+            )
+            runs.append((trace_ll, result))
+    return runs
 
 
 def _mle_monotone(runs) -> float:

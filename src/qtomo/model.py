@@ -110,12 +110,21 @@ class MeterModel:
     """
 
     params: tuple[float, ...]
-    _tmat: np.ndarray = field(repr=False, compare=False)
+    _tmat: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         tmat = np.array(_check_transfer(self._tmat), dtype=float)
         object.__setattr__(self, "_tmat", tmat)
         self._tmat.flags.writeable = False
+
+    # T is the model, so equality and the hash read its bytes with params
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self._tmat.tobytes()) == (other.params, other._tmat.tobytes())
+
+    def __hash__(self):
+        return hash((self.params, self._tmat.tobytes()))
 
     def transfer_matrix(self) -> np.ndarray:
         return self._tmat
@@ -260,7 +269,9 @@ def _inverse_weights(rows) -> tuple[list, list[float]] | None:
     weights[q1] = x11 * x11 + x21 * x21 + x31 * x31
     weights[q2] = x12 * x12 + x22 * x22 + x32 * x32
     weights[q3] = v13 * v13 + v23 * v23 + v33 * v33
-    inverse_sq = sum(weights) + x00 * x00 + x01 * x01 + x02 * x02 + v03 * v03
+    # added left to right: the builtin sum is compensated from Python 3.12
+    w0, w1, w2, w3 = weights
+    inverse_sq = w0 + w1 + w2 + w3 + x00 * x00 + x01 * x01 + x02 * x02 + v03 * v03
     bound = math.hypot(*rows[0], *rows[1], *rows[2], *rows[3]) * math.sqrt(inverse_sq)
     if not bound < CONDITION_LIMIT / 2:
         return None
@@ -379,8 +390,9 @@ def qttf_from_transfer(tmat: np.ndarray) -> float:
 def _qttf_rows(rows) -> float:
     """qttf_from_transfer of T's four rows of four floats, read unchecked.
 
-    The route of the model builders and their optimizers, whose rows are
-    floats by construction; ValueError for a non-finite T.
+    The route of qttf_from_transfer and of the two families' factored
+    qTTFs, for the settings their certificate does not clear; ValueError
+    for a non-finite T.
     """
     try:
         _, (e0, e1, e2, e3) = _certified_inverse(rows)

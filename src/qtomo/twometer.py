@@ -97,12 +97,7 @@ def _coefficients(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ..
 
 def _transfer_rows(theta_a: float, theta_b: float) -> list[list[float]]:
     """Rows of T in Python floats: row (k, l) is a k + b l + c kl, plus 1/4 at mu = 0."""
-    return _rows(*_coefficients(theta_a, theta_b))
-
-
-def _rows(a, b, c) -> list[list[float]]:
-    """_transfer_rows from the coefficient blocks (a, b, c)."""
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = a, b, c
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = _coefficients(theta_a, theta_b)
     return [
         [a0 + b0 + c0 + 0.25, a1 + b1 + c1, a2 + b2 + c2, a3 + b3 + c3],
         [a0 - b0 - c0 + 0.25, a1 - b1 - c1, a2 - b2 - c2, a3 - b3 - c3],
@@ -127,8 +122,7 @@ def _qttf_factored(theta_a: float, theta_b: float) -> float:
     fails it, with a certificate at or above model._FACTORED_BOUND, hands
     T's rows to _qttf_rows, whose bits and inf decisions are the T route's.
     """
-    coefficients = _coefficients(theta_a, theta_b)
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = coefficients
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = _coefficients(theta_a, theta_b)
     # U = b x c, V = c x a and W = a x b; det B = a . U
     u1, u2, u3 = b2 * c3 - b3 * c2, b3 * c1 - b1 * c3, b1 * c2 - b2 * c1
     v1, v2, v3 = c2 * a3 - c3 * a2, c3 * a1 - c1 * a3, c1 * a2 - c2 * a1
@@ -152,7 +146,7 @@ def _qttf_factored(theta_a: float, theta_b: float) -> float:
         + w1 * w1 + w2 * w2 + w3 * w3
     )
     if not c_sq * inverse_sq < _FACTORED_BOUND * _FACTORED_BOUND * det_sq:
-        return _qttf_rows(_rows(*coefficients))
+        return _qttf_rows(_transfer_rows(theta_a, theta_b))
     # outcomes (k, l) = (1, +-1) give m +- e, and (-1, +-1) give n +- f
     m1, m2, m3 = u1 - h1, u2 - h2, u3 - h3
     n1, n2, n3 = -u1 - h1, -u2 - h2, -u3 - h3

@@ -211,9 +211,8 @@ def test_criterion_4_single_meter_table(verdict):
     start = time.perf_counter()
     all_rows = []
     for theta in TABLE_THETAS:
-        report = run_single_experiment(theta, seed=DEFAULT_SEED)
-        all_rows.extend(report.rows)
-    z0_pi = run_single_experiment(math.pi, seed=DEFAULT_SEED).rows[0]
+        all_rows.extend(run_single_experiment(theta, seed=DEFAULT_SEED))
+    z0_pi = run_single_experiment(math.pi, seed=DEFAULT_SEED)[0]
     elapsed = time.perf_counter() - start
     n_pass = sum(r.within_3sigma for r in all_rows)
     exact = z0_pi.mean == 1.0 and z0_pi.std == 0.0
@@ -235,8 +234,8 @@ def test_criterion_5_full_model_tables(verdict):
         build_circuit(REFERENCE_OPTIMUM), estimator="linear", seed=DEFAULT_SEED
     )
     elapsed = time.perf_counter() - start
-    min_mle = min(r.fidelity for r in two_meter.rows)
-    min_li = min(r.fidelity for r in circuit.rows)
+    min_mle = min(r.fidelity for r in two_meter)
+    min_li = min(r.fidelity for r in circuit)
     ok = min_mle >= 0.995 and min_li >= 0.995 and elapsed < 60.0
     verdict.update(
         id=5, ok=ok,

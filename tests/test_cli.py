@@ -625,6 +625,19 @@ def test_optimize_reports_gap_to_bound(tmp_path, model):
     assert blob["gap_to_bound"] >= -1e-9
 
 
+def test_optimize_exits_2_when_the_objective_is_singular_everywhere(capsys, monkeypatch):
+    from qtomo.model import OptimizationResult
+
+    def singular(**kwargs):
+        return OptimizationResult(params=np.zeros(2), value=math.inf, restarts=())
+
+    monkeypatch.setattr(cli, "optimize_two_meter", singular)
+    assert main(["optimize", "--model", "two-meter", "--restarts", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "optimization failed: objective singular everywhere\n"
+
+
 def test_optimize_reports_evaluations_and_time(tmp_path):
     out_file = tmp_path / "opt.json"
     code = main(

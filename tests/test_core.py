@@ -294,6 +294,17 @@ def test_quadrature_full_azimuth_variant():
     assert f1 == pytest.approx(f2, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "limit", [math.nan, 0.0, -math.pi, math.inf, 1j, "pi"],
+    ids=["nan", "zero", "negative", "inf", "complex", "text"],
+)
+def test_make_quadrature_refuses_a_bad_alpha2_limit(limit):
+    # nan gave NaN nodes whose weights still summed to 1; 0 put every
+    # azimuth at 0
+    with pytest.raises(ValueError, match="alpha2_limit"):
+        make_quadrature(8, 8, alpha2_limit=limit)
+
+
 def test_make_quadrature_validates_order():
     with pytest.raises(ValueError, match="^n1 must be an integer of at least 2, got 1$"):
         make_quadrature(1, 8)

@@ -63,9 +63,9 @@ def test_direction_fidelity_refuses_a_non_finite_estimate(value):
 def test_run_single_experiment_deterministic_and_labeled():
     a = run_single_experiment(math.pi / 2, seed=5)
     b = run_single_experiment(math.pi / 2, seed=5)
-    for ra, rb in zip(a.rows, b.rows):
+    for ra, rb in zip(a, b):
         assert ra.mean == rb.mean and ra.std == rb.std
-    assert [r.label for r in a.rows] == ["z0", "z1", "x0", "x1", "y0", "y1"]
+    assert [r.label for r in a] == ["z0", "z1", "x0", "x1", "y0", "y1"]
     with pytest.raises(ValueError):
         run_single_experiment(math.pi / 2, repeats=1)
 
@@ -80,13 +80,12 @@ def test_single_experiment_reproduces_reference_rows():
     # 5 x 1024 shots at the three benchmark couplings: every mean lands
     # within 3 sigma of the truth at the shipped seed
     for theta in TABLE_THETAS:
-        report = run_single_experiment(theta, seed=DEFAULT_SEED)
-        assert all(r.within_3sigma for r in report.rows), theta
+        rows = run_single_experiment(theta, seed=DEFAULT_SEED)
+        assert all(r.within_3sigma for r in rows), theta
 
 
 def test_z0_at_pi_is_noiseless():
-    report = run_single_experiment(math.pi, seed=DEFAULT_SEED)
-    row = report.rows[0]
+    row = run_single_experiment(math.pi, seed=DEFAULT_SEED)[0]
     assert row.label == "z0"
     assert row.mean == 1.0
     assert row.std == 0.0
@@ -105,11 +104,11 @@ def test_estimators_recover_pauli_states_from_exact_probabilities():
 
 def test_full_experiment_reproduces_reference_fidelities():
     two_meter = TwoMeterModel(*REFERENCE_COUPLINGS)
-    report = run_full_experiment(two_meter, estimator="mle", seed=DEFAULT_SEED)
-    assert min(r.fidelity for r in report.rows) >= 0.995
+    rows = run_full_experiment(two_meter, estimator="mle", seed=DEFAULT_SEED)
+    assert min(r.fidelity for r in rows) >= 0.995
     circuit = build_circuit(REFERENCE_OPTIMUM)
-    report = run_full_experiment(circuit, estimator="linear", seed=DEFAULT_SEED)
-    assert min(r.fidelity for r in report.rows) >= 0.995
+    rows = run_full_experiment(circuit, estimator="linear", seed=DEFAULT_SEED)
+    assert min(r.fidelity for r in rows) >= 0.995
 
 
 def test_full_experiment_mle_is_the_exact_solver(monkeypatch):
@@ -134,12 +133,9 @@ def test_full_experiment_mle_is_the_exact_solver(monkeypatch):
 
     monkeypatch.setattr(harness, "_saturated_mle", spy)
     monkeypatch.setattr(harness, "require_invertible", counted)
-    report = run_full_experiment(
-        TwoMeterModel(*REFERENCE_COUPLINGS), estimator="mle", repeats=2
-    )
+    run_full_experiment(TwoMeterModel(*REFERENCE_COUPLINGS), estimator="mle", repeats=2)
     assert len(calls) == 12  # six states, two repeats
     assert len(inverses) == 1
-    assert report.kind == "full/mle"
 
 
 def test_full_experiment_linear_is_linear_inversion():
@@ -149,8 +145,8 @@ def test_full_experiment_linear_is_linear_inversion():
 
     model = build_circuit(REFERENCE_OPTIMUM)
     tmat = model.transfer_matrix()
-    report = run_full_experiment(model, estimator="linear", repeats=3, shots=64, seed=5)
-    for k, (psi, row) in enumerate(zip(PAULI_EIGENSTATES, report.rows)):
+    rows = run_full_experiment(model, estimator="linear", repeats=3, shots=64, seed=5)
+    for k, (psi, row) in enumerate(zip(PAULI_EIGENSTATES, rows)):
         probs = tmat @ bloch_from_state(psi)
         results = [
             linear_inversion(_substream(5, 2, k, rep).multinomial(64, probs) / 64, tmat)
@@ -209,23 +205,23 @@ def test_tables_reduce_their_repeats_as_per_row_calls(repeats, shots):
     # row's mean, std and physical fraction keeps the per-row call's bits
     for seed in range(5):
         for theta in TABLE_THETAS:
-            report = run_single_experiment(theta, shots=shots, repeats=repeats, seed=seed)
-            for row, (mean, std) in zip(report.rows, _per_row_single(theta, shots, repeats, seed)):
+            rows = run_single_experiment(theta, shots=shots, repeats=repeats, seed=seed)
+            for row, (mean, std) in zip(rows, _per_row_single(theta, shots, repeats, seed)):
                 assert (repr(row.mean), repr(row.std)) == (repr(mean), repr(std))
         for model, estimator in (
             (TwoMeterModel(*REFERENCE_COUPLINGS), "mle"),
             (build_circuit(REFERENCE_OPTIMUM), "linear"),
         ):
-            report = run_full_experiment(
+            rows = run_full_experiment(
                 model, estimator=estimator, shots=shots, repeats=repeats, seed=seed
             )
             reference = _per_row_full(model, estimator, shots, repeats, seed)
-            for row, (mean, std, fraction) in zip(report.rows, reference):
+            for row, (mean, std, fraction) in zip(rows, reference):
                 assert row.mean.tobytes() == mean.tobytes()
                 assert row.std.tobytes() == std.tobytes()
                 assert repr(row.physical_fraction) == repr(fraction)
             # every row owns its arrays: none is a view of a shared stack
-            arrays = [a for row in report.rows for a in (row.truth, row.mean, row.std)]
+            arrays = [a for row in rows for a in (row.truth, row.mean, row.std)]
             for i, a in enumerate(arrays):
                 assert a.base is None
                 for b in arrays[i + 1:]:
@@ -288,7 +284,7 @@ def test_experiments_reject_non_integer_sampling_before_drawing(
 def test_experiments_accept_numpy_integers(kind):
     plain = _EXPERIMENTS[kind](shots=64, repeats=3, seed=7)
     numpy_ints = _EXPERIMENTS[kind](shots=np.int64(64), repeats=np.int32(3), seed=np.uint8(7))
-    assert repr(numpy_ints.rows) == repr(plain.rows)
+    assert repr(numpy_ints) == repr(plain)
 
 
 def test_variance_scan_single_model():
@@ -307,6 +303,49 @@ def test_variance_scan_full_model():
     # scan itself raises if that happens, so reaching here is the check
     for row in rows:
         assert row.mean_variance > 0
+
+
+class _Sampler:
+    """A stand-in for a substream's generator: `draw(rng, shots, pvals, size)`
+    gives the counts."""
+
+    def __init__(self, rng, draw):
+        self.rng, self.draw = rng, draw
+
+    def multinomial(self, shots, pvals, size=None):
+        return self.draw(self.rng, shots, np.asarray(pvals), size)
+
+
+_SCANS = {
+    "single": lambda: variance_vs_fisher_scan(theta=math.pi / 2, trials=50, seed=0),
+    "model": lambda: variance_vs_fisher_scan(
+        TwoMeterModel(*REFERENCE_COUPLINGS), trials=50, seed=0
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SCANS))
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        # every trial lands the expected counts: no variance at all
+        (lambda rng, shots, p, size: np.broadcast_to(shots * p, (size, p.size)),
+         "beats the Cramer-Rao bound at N=100: ratio 0.0000"),
+        # half the shots, each counted twice: twice the variance
+        (lambda rng, shots, p, size: 2 * rng.multinomial(shots // 2, p, size=size),
+         "at N=100000 is not within 10% of 1"),
+    ],
+    ids=["no-variance", "twice-the-variance"],
+)
+def test_variance_scan_raises_on_a_ratio_off_the_bound(kind, draw, message, monkeypatch):
+    from qtomo import harness
+
+    substream = harness._substream
+    monkeypatch.setattr(
+        harness, "_substream", lambda *key: _Sampler(substream(*key), draw)
+    )
+    with pytest.raises(RuntimeError, match=message):
+        _SCANS[kind]()
 
 
 def _solve_scan(model=None, theta=None, seed=0):

@@ -240,6 +240,7 @@ def test_capped_reference_runs_are_counted_not_logged(caplog):
         assert identity_suite(seed=0)["capped_reference_runs"] == 0
     assert not [r for r in caplog.records if "iteration cap" in r.getMessage()]
     assert not logging.getLogger("qtomo.estimators").filters
+    assert not logging.getLogger("qtomo.estimators").disabled
     tmat = TwoMeterModel(*REFERENCE_COUPLINGS).transfer_matrix()
     with caplog.at_level(logging.WARNING, logger="qtomo.estimators"):
         rho_r_mle(tmat @ np.array([1.0, 0.6, 0.0, 0.8]), tmat, max_iter=5)
@@ -256,6 +257,7 @@ def test_uncertified_exact_mle_fails_the_check_not_logged(caplog):
     assert not suite["checks"]["mle_exact_vs_rho_r"]["pass"]
     assert not caplog.records
     assert not logging.getLogger("qtomo.estimators").filters
+    assert not logging.getLogger("qtomo.estimators").disabled
     freqs = np.array([0.4423828125, 0.091796875, 0.220703125, 0.2451171875])
     with caplog.at_level(logging.WARNING, logger="qtomo.estimators"):
         result = saturated_mle(freqs, _TMATS[0] + 0.01)
@@ -275,6 +277,25 @@ def test_raising_reference_runs_report_no_count(monkeypatch):
     assert suite["reference_gap_bound"] is None
     assert not suite["all_pass"]
     assert not logging.getLogger("qtomo.estimators").filters
+    assert not logging.getLogger("qtomo.estimators").disabled
+
+
+def test_a_non_finite_gap_bound_is_reported_as_null(monkeypatch):
+    # strict JSON has no inf: the suite reports the bound as None
+    from qtomo import identities
+
+    monkeypatch.setattr(identities, "_gap_bound", lambda *args: math.inf)
+    suite = identity_suite(seed=0)
+    assert suite["reference_gap_bound"] is None
+    assert suite["capped_reference_runs"] == 0
+
+
+def test_a_disabled_estimator_logger_stays_disabled(monkeypatch):
+    # the suite restores the flag it found, not a fixed False
+    logger = logging.getLogger("qtomo.estimators")
+    monkeypatch.setattr(logger, "disabled", True)
+    identity_suite(seed=36)
+    assert logger.disabled
 
 
 

@@ -517,6 +517,18 @@ def test_models_are_built_off_the_unitary(monkeypatch):
     assert not any(hasattr(m, "unitary") for m in models)
 
 
+def test_models_with_different_transfer_matrices_differ():
+    # T is the model: equal params with another T is another model, and
+    # the hash follows, so both land in a set
+    two_meter, circuit_model = _reference_models()
+    a = MeterModel((), two_meter.transfer_matrix())
+    b = MeterModel((), circuit_model.transfer_matrix())
+    assert a != b and len({a, b}) == 2
+    assert circuit_model != MeterModel(tuple(REFERENCE_OPTIMUM), two_meter.transfer_matrix())
+    same = MeterModel((), np.array(two_meter.transfer_matrix()))
+    assert a == same and hash(a) == hash(same)
+
+
 @pytest.mark.parametrize("index", [0, 1], ids=["two-meter", "circuit"])
 def test_transfer_matrix_is_read_only(index):
     # T is the model, so writing into the handed-out matrix must not move it

@@ -64,13 +64,13 @@ PUBLIC_NAMES = {
     "LinearInversionResult", "linear_inversion", "radial_clip", "MleResult",
     "saturated_mle", "rho_r_mle", "log_likelihood",
     # harness
-    "DEFAULT_SEED", "ExperimentReport", "run_single_experiment",
-    "run_full_experiment", "variance_vs_fisher_scan",
+    "DEFAULT_SEED", "run_single_experiment", "run_full_experiment",
+    "variance_vs_fisher_scan",
 }
 
 
 def test_public_surface_is_pinned():
-    assert len(qtomo.__all__) == len(set(qtomo.__all__)) == 44
+    assert len(qtomo.__all__) == len(set(qtomo.__all__)) == 43
     assert set(qtomo.__all__) == PUBLIC_NAMES
 
 

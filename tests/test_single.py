@@ -174,6 +174,9 @@ def test_max_error_closed_form_matches_grid_maximum():
 
 def test_max_error_domain():
     assert max_error_single(math.pi) == pytest.approx(1.0, abs=1e-12)
+    # sin^2(theta/2) falls below the coupling floor 1e-12 for theta < 2e-6
+    assert math.isinf(max_error_single(1e-6))
+    assert math.isfinite(max_error_single(3e-6))
     with pytest.raises(ValueError):
         max_error_single(0.0)
     with pytest.raises(ValueError):
