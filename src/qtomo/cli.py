@@ -44,7 +44,7 @@ from .core import (
     state_from_angles,
 )
 from .estimators import linear_inversion, log_likelihood, radial_clip, saturated_mle
-from .harness import DEFAULT_SEED, run_full_experiment, run_single_experiment
+from .harness import DEFAULT_SEED, _single_experiments, run_full_experiment
 from .identities import identity_suite
 from .model import NonInvertibleModelError, SingularInformationError, require_invertible
 from .single import max_error_single, qttf_single
@@ -228,8 +228,10 @@ def cmd_optimize(args) -> int:
 def _table_1_rows(shots, repeats, seed):
     header = ["theta", "state", "truth", "mean", "std", "pass"]
     rows = []
-    for theta in _TABLE_1_THETAS:
-        for row in run_single_experiment(theta, shots=shots, repeats=repeats, seed=seed):
+    # one pass over the couplings: each (state, repeat) substream is built once
+    tables = _single_experiments(_TABLE_1_THETAS, shots, repeats, seed)
+    for theta, table in zip(_TABLE_1_THETAS, tables):
+        for row in table:
             rows.append(
                 [
                     f"{theta:.12g}",

@@ -5,17 +5,21 @@ fidelities) and scans estimator variance against the Fisher bound; the
 two variance identities that tie the sampling statistics to Tr(F^-1)
 are identity-suite checks, in qtomo.identities.  Every draw is tied to
 an explicit integer seed; repeats, states and grid points get
-independent substreams derived from it.  The variance scan of a model
-runs its four-outcome draws on two threads; the single-meter scan draws
-its two-outcome slots on the calling thread, as they are too short to pay
-for a second one.  Each draw has its own substream and slot, so the rows
-are bit for bit those of one thread drawing them in order either way.
+independent substreams derived from it, and table 1's couplings share
+each (state, repeat) substream, its state restored before each further
+coupling.  The variance scan of a model runs its four-outcome draws on
+two threads that take slots from one queue in grid order; the
+single-meter scan draws its two-outcome slots on the calling thread, as
+they are too short to pay for a second one.  Each draw has its own
+substream and slot, so the rows are bit for bit those of one thread
+drawing them in order either way.
 Rows carry only what the tables and their callers read; a full row's
 fidelity is the direction fidelity of its mean estimate.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,40 +119,61 @@ def run_single_experiment(
     One row per eigenstate, in PAULI_EIGENSTATE_LABELS order.  Raises
     ValueError, before any draw, unless shots >= 1, repeats >= 2 and
     seed >= 0 are integers (numpy integers too; not a bool or float).
+    The one-coupling case of `_single_experiments`, which table 1 calls
+    with all its couplings.
+    """
+    return _single_experiments((theta,), shots, repeats, seed)[0]
+
+
+def _single_experiments(thetas, shots, repeats, seed) -> tuple[tuple[SingleStateRow, ...], ...]:
+    """run_single_experiment's rows at each coupling of thetas, in order.
+
+    Every coupling draws each (state, repeat) from the same substream, so
+    the stream is built once and its bit generator's state is saved and
+    restored before each further coupling: the draws are those of one
+    run_single_experiment call per coupling, without rebuilding a stream.
     """
     _check_integer("shots", shots, 1)
     _check_integer("repeats", repeats, 2)  # the fewest for a standard deviation
     _check_integer("seed", seed)
-    # every repeat's estimate in one (6, repeats) array, reduced once below
-    estimates = np.empty((len(PAULI_EIGENSTATES), repeats))
+    # every repeat's estimate in one (couplings, 6, repeats) array, each
+    # coupling's (6, repeats) block reduced once below
+    estimates = np.empty((len(thetas), len(PAULI_EIGENSTATES), repeats))
     for k, psi in enumerate(PAULI_EIGENSTATES):
-        p0, p1 = probabilities_single(psi, theta)
+        probs = [probabilities_single(psi, theta) for theta in thetas]
         for rep in range(repeats):
             rng = _substream(seed, _TAG_SINGLE, k, rep)
-            counts = rng.multinomial(shots, [p0, p1])
-            estimates[k, rep] = estimate_sz(
-                counts[0] / shots, counts[1] / shots, theta
+            start = rng.bit_generator.state
+            for j, (theta, (p0, p1)) in enumerate(zip(thetas, probs)):
+                if j:
+                    rng.bit_generator.state = start
+                counts = rng.multinomial(shots, [p0, p1])
+                estimates[j, k, rep] = estimate_sz(
+                    counts[0] / shots, counts[1] / shots, theta
+                )
+    tables = []
+    for theta, block in zip(thetas, estimates):
+        means = block.mean(axis=1).tolist()
+        stds = block.std(axis=1, ddof=1).tolist()
+        rows = []
+        for k, psi in enumerate(PAULI_EIGENSTATES):
+            truth = bloch_from_state(psi)[3]
+            mean, std = means[k], stds[k]
+            if std > 0.0:
+                sigma = std
+            else:
+                sigma = math.sqrt(fisher_inverse_single(psi, theta) / shots)
+            rows.append(
+                SingleStateRow(
+                    label=PAULI_EIGENSTATE_LABELS[k],
+                    truth=truth,
+                    mean=mean,
+                    std=std,
+                    within_3sigma=abs(mean - truth) <= 3.0 * sigma + 1e-12,
+                )
             )
-    means = estimates.mean(axis=1).tolist()
-    stds = estimates.std(axis=1, ddof=1).tolist()
-    rows = []
-    for k, psi in enumerate(PAULI_EIGENSTATES):
-        truth = bloch_from_state(psi)[3]
-        mean, std = means[k], stds[k]
-        if std > 0.0:
-            sigma = std
-        else:
-            sigma = math.sqrt(fisher_inverse_single(psi, theta) / shots)
-        rows.append(
-            SingleStateRow(
-                label=PAULI_EIGENSTATE_LABELS[k],
-                truth=truth,
-                mean=mean,
-                std=std,
-                within_3sigma=abs(mean - truth) <= 3.0 * sigma + 1e-12,
-            )
-        )
-    return tuple(rows)
+        tables.append(tuple(rows))
+    return tuple(tables)
 
 
 def run_full_experiment(
@@ -242,14 +267,18 @@ def variance_vs_fisher_scan(
     a model (whose bound is delta_from_transfer).  The columns and each
     state's F^-1 are computed once for the whole grid.  Each (shot count,
     state) draw has its own substream and result slot, so the rows are bit
-    for bit those of one thread drawing the grid in order.  A model's
-    draws run on two threads, the caller and one helper started and
-    joined inside the call, which take alternate draws of the grid; the
-    single meter's run on the caller alone.  Right after an identity-suite
+    for bit those of one thread drawing the grid in order.  Each draw's
+    estimates are its counts times the columns over its shot count, built
+    once per shot count, centred on their mean over the trials, taken as
+    a product with a row of ones.  A model's draws run on two threads,
+    the caller and one helper started and joined inside the call, which
+    take the next slot from one queue in grid order; a helper's exception
+    is raised in the caller once the helper has been joined.  The single
+    meter's draws run on the caller alone.  Right after an identity-suite
     call, with the default grid and trials (medians of 40 alternating
     calls, 2-core x86-64 host, Python 3.11.7, numpy 2.4.6), the two-meter
-    reference scan took 8.3 ms on two threads against 11.6 ms on one, and
-    the single-meter scan 4.3 ms on two against 3.1 ms on one.
+    reference scan took 7.7 ms on two threads against 9.4 ms on one, and
+    the single-meter scan 2.5 ms on the caller.
 
     The scan raises RuntimeError if the bound is beaten beyond the
     statistical allowance 3/sqrt(trials), or if the ratio at the largest
@@ -299,34 +328,48 @@ def variance_vs_fisher_scan(
         columns = require_invertible(tmat)[1:].T
 
     # one draw per (shot count, state), flattened in grid order: draw i is
-    # state i % 6 at shot count i // 6, on its own substream, into slot i
+    # state i % 6 at shot count i // 6, on its own substream, into slot i;
+    # both threads take the next slot from one queue
     variances = [0.0] * (len(shot_grid) * len(states))
+    slots = iter(range(len(variances)))
+    # the columns over each shot count, an outcome's estimate per count,
+    # and the row of ones whose product with the estimates sums the trials
+    scaled = [columns / shots for shots in shot_grid]
+    ones = np.ones(trials)
 
-    def draw(flat):
-        for i in flat:
+    def draw():
+        for i in slots:
             n_idx, k = divmod(i, len(states))
-            shots = shot_grid[n_idx]
             rng = _substream(seed, _TAG_SCAN, k, n_idx)
-            ests = rng.multinomial(shots, states[k][0], size=trials) / shots @ columns
+            ests = rng.multinomial(shot_grid[n_idx], states[k][0], size=trials) @ scaled[n_idx]
             # the summed component variances, one centered sum of squares
-            centered = (ests - ests.mean(axis=0)).ravel()
+            centered = (ests - ones @ ests / trials).ravel()
             variances[i] = float(centered @ centered) / (trials - 1)
 
     if theta is not None:
         # two-outcome draws are too short to pay for a thread
-        draw(range(len(variances)))
+        draw()
     else:
-        # multinomial releases the GIL: a helper thread draws the odd
-        # slots while this one draws the even ones, so both see every shot
-        # count; leaving the block joins it, and result() re-raises its
-        # exception.  Imported here, so a process that loads the harness
-        # without a model scan does not load concurrent.futures.
-        from concurrent.futures import ThreadPoolExecutor
+        # multinomial releases the GIL: a helper thread pulls slots from
+        # the queue beside this one, so the slowest draws, the grid's
+        # first, are shared out first; its exception is raised here once
+        # it has been joined
+        errors = []
 
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            odd = helper.submit(draw, range(1, len(variances), 2))
-            draw(range(0, len(variances), 2))
-            odd.result()
+        def helper():
+            try:
+                draw()
+            except BaseException as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=helper)
+        thread.start()
+        try:
+            draw()
+        finally:
+            thread.join()
+        if errors:
+            raise errors[0]
 
     rows = []
     for n_idx, shots in enumerate(shot_grid):

@@ -305,7 +305,11 @@ def _mle_exact_vs_rho_r(inputs, references, bounds) -> float:
     # measured against sum_q |g_q|, the scale of g's round-off; np.max
     # keeps a NaN term, where the builtin max would drop it.  A solve that
     # ends without its KKT certificate is judged by these terms, so its
-    # warning is held back
+    # warning is held back.  A gap bound that is not finite certifies
+    # nothing (gap - inf is -inf, which the max would drop), so it fails
+    for run, bound in enumerate(bounds):
+        if not math.isfinite(bound):
+            raise ValueError(f"certified gap bound of reference run {run} is {bound}")
     with _estimator_records_held_back():
         exacts = [saturated_mle(freqs, tmat) for freqs, tmat in inputs]
     terms = [0.0]

@@ -199,6 +199,34 @@ def _per_row_full(model, estimator, shots, repeats, seed):
     return rows
 
 
+@pytest.mark.parametrize("seed", [0, 2**32], ids=["uint32-key", "list-key"])
+@pytest.mark.parametrize("shots, repeats", [(1024, 5), (7, 3)])
+def test_table_1_couplings_share_each_substream(seed, shots, repeats):
+    # one pass over the couplings builds each (state, repeat) substream
+    # once and restores its state per coupling: every coupling's rows are
+    # those of its own run_single_experiment call, field for field
+    from qtomo.cli import _TABLE_1_THETAS, _table_1_rows
+    from qtomo.harness import _single_experiments
+
+    tables = _single_experiments(_TABLE_1_THETAS, shots, repeats, seed)
+    assert len(tables) == len(_TABLE_1_THETAS)
+    for theta, table in zip(_TABLE_1_THETAS, tables):
+        own = run_single_experiment(theta, shots=shots, repeats=repeats, seed=seed)
+        assert len(table) == len(own) == len(PAULI_EIGENSTATES)
+        for row, reference in zip(table, own):
+            assert repr(row) == repr(reference)
+    # and table 1 is the three per-coupling calls, row for row
+    header, rows = _table_1_rows(shots, repeats, seed)
+    reference = []
+    for theta in _TABLE_1_THETAS:
+        for row in run_single_experiment(theta, shots=shots, repeats=repeats, seed=seed):
+            reference.append([
+                f"{theta:.12g}", row.label, f"{row.truth:.6f}", f"{row.mean:.6f}",
+                f"{row.std:.6f}", str(row.within_3sigma).lower(),
+            ])
+    assert rows == reference
+
+
 @pytest.mark.parametrize("repeats, shots", [(2, 7), (5, 1024), (9, 64)])
 def test_tables_reduce_their_repeats_as_per_row_calls(repeats, shots):
     # each table reduces all its repeats in one call per statistic; every
@@ -420,14 +448,16 @@ def _serial_scan(model=None, theta=None, seed=0):
             probs = _live_probabilities(tmat, truth)
             states.append((probs, delta_from_transfer(tmat, truth)))
         columns = require_invertible(tmat)[1:].T
+    ones = np.ones(trials)
     rows = []
     for n_idx, shots in enumerate((100, 1000, 10000, 100000)):
         variances = []
         bounds = []
+        scaled = columns / shots
         for k, (probs, fisher_inverse) in enumerate(states):
             rng = _substream(seed, _TAG_SCAN, k, n_idx)
-            ests = rng.multinomial(shots, probs, size=trials) / shots @ columns
-            centered = (ests - ests.mean(axis=0)).ravel()
+            ests = rng.multinomial(shots, probs, size=trials) @ scaled
+            centered = (ests - ones @ ests / trials).ravel()
             variances.append(float(centered @ centered) / (trials - 1))
             bounds.append(fisher_inverse / shots)
         mean_var = float(np.mean(variances))
@@ -454,34 +484,36 @@ def test_variance_scan_threads_match_the_serial_loop(switch_interval):
 
 
 @pytest.mark.parametrize(
-    "key, drawer",
-    [((1, 0), "helper"), ((5, 3), "helper"), ((0, 0), "caller"), ((4, 3), "caller")],
-    ids=["helper-first", "helper-last", "caller-first", "caller-last"],
+    "key",
+    [(0, 0), (1, 0), (0, 2), (5, 3)],
+    ids=["first", "second", "middle", "last"],
 )
-def test_variance_scan_raises_a_draw_error_and_joins_its_thread(key, drawer, monkeypatch):
-    # draw (k, n_idx) is slot 6 * n_idx + k: in the model scan the helper
-    # thread draws the odd slots and the calling thread the even ones; the
+def test_variance_scan_raises_a_draw_error_and_joins_its_thread(key, monkeypatch):
+    # draw (k, n_idx) is slot 6 * n_idx + k: in the model scan both threads
+    # take slots from one queue, so either may draw the failing one; the
     # single-meter scan draws every slot on the calling thread
     from qtomo import harness
 
     substream = harness._substream
-    raised_on = []
 
-    def failing_substream(seed, tag, k, n_idx):
-        if (k, n_idx) == key:
-            raised_on.append(threading.current_thread())
-            raise KeyError(key)
-        return substream(seed, tag, k, n_idx)
-
-    monkeypatch.setattr(harness, "_substream", failing_substream)
-    before = threading.active_count()
     for kind in sorted(_SCAN_ARGS):
+        raised_on = []
+
+        def failing_substream(seed, tag, k, n_idx):
+            if (k, n_idx) == key:
+                raised_on.append(threading.current_thread())
+                raise KeyError(key)
+            return substream(seed, tag, k, n_idx)
+
+        monkeypatch.setattr(harness, "_substream", failing_substream)
+        before = threading.active_count()
         with pytest.raises(KeyError):
             variance_vs_fisher_scan(**_SCAN_ARGS[kind], trials=10, seed=2)
+        # the slot was drawn once, by one thread, and no thread outlives the call
+        assert len(raised_on) == 1
         assert threading.active_count() == before
-    on_caller = [thread is threading.current_thread() for thread in raised_on]
-    # sorted(_SCAN_ARGS): the single meter, then the two-meter model
-    assert on_caller == [True, drawer == "caller"]
+        if kind == "single":
+            assert raised_on[0] is threading.current_thread()
 
 
 @pytest.mark.parametrize("kind, threads", [("single", 0), ("two-meter", 1)])

@@ -288,6 +288,13 @@ def test_a_non_finite_gap_bound_is_reported_as_null(monkeypatch):
     suite = identity_suite(seed=0)
     assert suite["reference_gap_bound"] is None
     assert suite["capped_reference_runs"] == 0
+    # and a bound that is not finite certifies nothing: the check that
+    # reads it fails, naming it, where gap - inf used to drop out of the max
+    check = suite["checks"]["mle_exact_vs_rho_r"]
+    assert check["pass"] is False
+    assert check["max_deviation"] is None
+    assert check["error"] == "certified gap bound of reference run 0 is inf"
+    assert suite["all_pass"] is False
 
 
 def test_a_disabled_estimator_logger_stays_disabled(monkeypatch):
