@@ -216,7 +216,7 @@ def test_table_1_couplings_share_each_substream(seed, shots, repeats):
         for row, reference in zip(table, own):
             assert repr(row) == repr(reference)
     # and table 1 is the three per-coupling calls, row for row
-    header, rows = _table_1_rows(shots, repeats, seed)
+    _, rows = _table_1_rows(shots, repeats, seed)
     reference = []
     for theta in _TABLE_1_THETAS:
         for row in run_single_experiment(theta, shots=shots, repeats=repeats, seed=seed):

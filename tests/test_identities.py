@@ -289,7 +289,7 @@ def test_a_non_finite_gap_bound_is_reported_as_null(monkeypatch):
     assert suite["reference_gap_bound"] is None
     assert suite["capped_reference_runs"] == 0
     # and a bound that is not finite certifies nothing: the check that
-    # reads it fails, naming it, where gap - inf used to drop out of the max
+    # reads it fails, naming it, since gap - inf would drop out of the max
     check = suite["checks"]["mle_exact_vs_rho_r"]
     assert check["pass"] is False
     assert check["max_deviation"] is None
