@@ -15,13 +15,21 @@ out as (ac - bd, ad + bc).  In the same factors T[(a, b), (j, c)] =
 A_j[a, c] beta[b, j], with beta = |beta_b[s]|^2 summed (j = p) and
 differenced (j = m) over s, A_p meter A's matching pair and A_m its
 overlap conj(alpha_a[0]) alpha_a[1]; so T^-1 is read from three 2x2
-inverses, on which the qTTF splits into a meter-A times a meter-B sum
-(_qttf_factored).  The checks compile the 8x8 unitary from
-the complex gate entries, as qtomo._oracles.circuit_unitary, and its
-Kraus read is the oracle.  The circuit family contains measurement
-settings whose average error reaches the four-outcome optimum of 8.0, a
-little over twice the best single-shot error of the two-meter coupling
-on a per-component basis.
+inverses, on which the qTTF splits into a meter-A times a meter-B sum.
+
+Completeness fixes half of those entries.  Each meter's outcomes a sum
+|alpha_a[s]|^2 to 1 for each s, so (with the factor 2 each amplitude
+carries) a0p + a1p = b0p + b1p = 8 and a0m + a1m = b0m + b1m = 0; the
+overlaps sum to 4 <+|A1^dag X A1|+> = 4 m_x, m the Bloch vector of
+A1|+>, so y0 + y1 = 0 and x0 + x1 = 4 m_x.  The differences are read
+off n, the Bloch vector of A2^dag|+>, which is the axis that A2 and the
+x read measure.  So the qTTF is a closed form in the four gates' Bloch
+vectors, from 24 cosines and sines and no amplitude (_qttf_factored).
+The checks compile the 8x8 unitary from the complex gate entries, as
+qtomo._oracles.circuit_unitary, and its Kraus read is the oracle.  The
+circuit family contains measurement settings whose average error
+reaches the four-outcome optimum of 8.0, a little over twice the best
+single-shot error of the two-meter coupling on a per-component basis.
 """
 from __future__ import annotations
 
@@ -46,9 +54,12 @@ __all__ = [
     "optimize_circuit",
 ]
 
-# A parameter set that attains the family's optimal average error of 8.0.
-# Layout: one (theta, phi, lambda) triple per gate, ordered A1, A2, B1, B2;
-# build_circuit puts theta/2 in each gate's entries.
+# The published parameter set, to its two decimals: its average error is
+# 8.00063, just above the family's optimum 8.0, which for instance A1 =
+# (-asin(1/sqrt(3)), pi/4, 0), A2 = (0, -pi/2, 0), B1 = (3 pi/2, 0, 0) and
+# B2 = (pi/2, 0, 0) reach to round-off.  Layout: one (theta, phi, lambda)
+# triple per gate, ordered A1, A2, B1, B2; build_circuit puts theta/2 in
+# each gate's entries.
 REFERENCE_OPTIMUM = (
     0.59, 1.58, 2.52,
     2.55, 1.94, 0.31,
@@ -110,15 +121,19 @@ def _meter_floats(theta1, phi1, lam1, theta2, phi2, lam2) -> tuple[float, ...]:
     )
 
 
-def _meter_terms(params) -> tuple[float, ...]:
-    """The twelve floats T is read from: (a0p, a0m, x0, y0, a1p, a1m, x1, y1,
-    b0p, b0m, b1p, b1m).
+def _transfer_rows(params) -> list[list[float]]:
+    """Rows of T in Python floats, from K_ab = H diag(beta_b) H diag(alpha_a).
 
-    For meter B, bNp and bNm are |beta_N[0]|^2 plus and minus
-    |beta_N[1]|^2; for meter A, aNp and aNm likewise, and
-    xN + i yN = conj(alpha_N[0]) alpha_N[1].  Every amplitude is a
-    (re, im) pair of floats from _meter_floats, and each term repeats
-    the float operations of the complex products.
+    params is any sequence of twelve floats.
+
+    E = K^dag K has diagonal |alpha_a[s]|^2 (|beta_b[0]|^2 + |beta_b[1]|^2)/2
+    and off-diagonal conj(alpha_a[0]) alpha_a[1] (|beta_b[0]|^2 - |beta_b[1]|^2)/2;
+    T[q, mu] = Tr(E_q sigma_mu)/2 with q = 2a + b, so the sigma_y column
+    is -Im E_01.  The amplitudes carry a factor 2 each, hence 1/64 and 1/32.
+    Meter B's terms are bNp, bNm = |beta_N[0]|^2 +- |beta_N[1]|^2, meter
+    A's aNp and aNm likewise, and xN + i yN = conj(alpha_N[0]) alpha_N[1];
+    every amplitude is a (re, im) pair of floats from _meter_floats, and
+    each term repeats the float operations of the complex products.
     """
     ta1, pa1, la1, ta2, pa2, la2, tb1, pb1, lb1, tb2, pb2, lb2 = params
     a00r, a00i, a01r, a01i, a10r, a10i, a11r, a11i = _meter_floats(ta1, pa1, la1, ta2, pa2, la2)
@@ -137,20 +152,6 @@ def _meter_terms(params) -> tuple[float, ...]:
     p1 = a11r * a11r + a11i * a11i
     a1p, a1m = p0 + p1, p0 - p1
     x1, y1 = a10r * a11r + a10i * a11i, a10r * a11i - a10i * a11r
-    return a0p, a0m, x0, y0, a1p, a1m, x1, y1, b0p, b0m, b1p, b1m
-
-
-def _transfer_rows(params) -> list[list[float]]:
-    """Rows of T in Python floats, from K_ab = H diag(beta_b) H diag(alpha_a).
-
-    params is any sequence of twelve floats.
-
-    E = K^dag K has diagonal |alpha_a[s]|^2 (|beta_b[0]|^2 + |beta_b[1]|^2)/2
-    and off-diagonal conj(alpha_a[0]) alpha_a[1] (|beta_b[0]|^2 - |beta_b[1]|^2)/2;
-    T[q, mu] = Tr(E_q sigma_mu)/2 with q = 2a + b, so the sigma_y column
-    is -Im E_01.  The amplitudes carry a factor 2 each, hence 1/64 and 1/32.
-    """
-    a0p, a0m, x0, y0, a1p, a1m, x1, y1, b0p, b0m, b1p, b1m = _meter_terms(params)
     return [
         [a0p * b0p / 64.0, x0 * b0m / 32.0, -y0 * b0m / 32.0, a0m * b0p / 64.0],
         [a0p * b1p / 64.0, x0 * b1m / 32.0, -y0 * b1m / 32.0, a0m * b1p / 64.0],
@@ -159,45 +160,85 @@ def _transfer_rows(params) -> list[list[float]]:
     ]
 
 
+def _bloch_of_gate_plus(theta, phi, lam) -> tuple[float, float, float]:
+    """The Bloch vector of G|+>, G = u3(theta/2, phi, lambda): Rz(lambda),
+    then Ry(theta), then Rz(phi) turn the x axis."""
+    ct, st = math.cos(theta), math.sin(theta)
+    cp, sp = math.cos(phi), math.sin(phi)
+    cl, sl = math.cos(lam), math.sin(lam)
+    return ct * cl * cp - sl * sp, ct * cl * sp + sl * cp, -st * cl
+
+
+def _bloch_of_adjoint_plus(theta, phi, lam) -> tuple[float, float, float]:
+    """The Bloch vector of G^dag|+>, G = u3(theta/2, phi, lambda): the axis
+    that G and then an x read measure."""
+    ct, st = math.cos(theta), math.sin(theta)
+    cp, sp = math.cos(phi), math.sin(phi)
+    cl, sl = math.cos(lam), math.sin(lam)
+    return ct * cp * cl - sp * sl, -(ct * cp * sl + sp * cl), st * cp
+
+
 def _qttf_factored(params) -> float:
-    """The exact qTTF from the meter factors of T, with no 4x4 inverse.
+    """The exact qTTF in closed form from the gates' Bloch vectors.
+
+    For meter A, m is the Bloch vector of A1|+> and n that of A2^dag|+>,
+    so |alpha_a[s]|^2 = (1 + (-1)^a n . X^s m)/2, where X^s m is
+    (m_x, (-1)^s m_y, (-1)^s m_z).  With k = m_x n_x,
+    w = m_y n_y + m_z n_z and c = m_y n_z - m_z n_y, that is
+    a0p = 4(1 + k), a1p = 4(1 - k), a0m = -a1m = 4w, and
+    x0 + i y0 = 2(m_x + n_x) + 2ic, x1 + i y1 = 2(m_x - n_x) - 2ic.  These
+    are completeness's sums a0p + a1p = 8, a0m + a1m = 0, y0 + y1 = 0 and
+    x0 + x1 = 4 m_x, with the differences read off.  Meter B gives k' and
+    w' the same way from B1 and B2.
 
     With beta = [[b0p, b0m], [b1p, b1m]], A_p = [[a0p, a0m], [a1p, a1m]] / 64
     and A_m = [[x0, -y0], [x1, -y1]] / 32, T[(a, b), (j, c)] =
-    A_j[a, c] beta[b, j], where (j, c) runs over the Bloch columns
-    (p, 0) = 0, (p, 1) = 3, (m, 0) = 1 and (m, 1) = 2.  So
-    T^-1[(j, c), (a, b)] = A_j^-1[c, a] beta^-1[j, b], and the qTTF
-    sum_q |a_q|^2 T[q, 0] - 1 splits into meter-A times meter-B sums,
-    alpha_p beta_p + alpha_m beta_m - 1, from three 2x2 inverses.  The
-    certificate |T|_F |T^-1|_F comes from the factors' norms:
-    |T|_F^2 = sum_j |A_j|_F^2 |beta[:, j]|^2 and
-    |T^-1|_F^2 = sum_j |A_j^-1|_F^2 |beta^-1[j, :]|^2.  A zero
+    A_j[a, c] beta[b, j], so T^-1 is read from three 2x2 inverses and the
+    qTTF splits into a meter-A times a meter-B sum.  In the terms above,
+    det 64 A_p = -32w, det 32 A_m = 8c m_x and det beta = -32w', and
+
+        qTTF + 1 = (1 - k^2)/w^2
+                   + (c^2 + m_x^2 + n_x^2 - 2k^2)(1 - k'^2)/(c^2 m_x^2 w'^2).
+
+    Meter B's factor (1 - k'^2)/w'^2 is at least 1, since
+    |k'| + |w'| <= |m'| |n'| = 1, with equality iff m'_x = n'_x = 0 and
+    (m'_y, m'_z) = +-(n'_y, n'_z).  Any meter A can be paired with such a
+    meter B, so the four-outcome bound qTTF >= 8 gives meter A's two
+    terms a sum of at least 9; m = (1, 1, 1)/sqrt(3) and n = (0, 1, 0)
+    reach it as 3 + 6.
+
+    The certificate |T|_F |T^-1|_F comes from the factors' norms:
+    4 |T|_F^2 = (1 + k^2 + w^2)(1 + k'^2) + (m_x^2 + n_x^2 + c^2) w'^2 and
+    |T^-1|_F^2 / 4 = (1 + k^2 + w^2)/w^2
+    + (m_x^2 + n_x^2 + c^2)(1 + k'^2)/(c^2 m_x^2 w'^2).  A zero
     determinant, a non-finite value or a certificate at or above
     model._FACTORED_BOUND hands T's rows to _qttf_rows, whose bits and
     inf decisions are the T route's.
     """
-    a0p, a0m, x0, y0, a1p, a1m, x1, y1, b0p, b0m, b1p, b1m = _meter_terms(params)
-    # squared determinants of 64 A_p, 32 A_m and beta
-    dp = a0p * a1m - a0m * a1p
-    dm = x1 * y0 - x0 * y1
-    db = b0p * b1m - b0m * b1p
-    dp, dm, db = dp * dp, dm * dm, db * db
-    n0, n1 = x0 * x0 + y0 * y0, x1 * x1 + y1 * y1
-    sp = a0p * a0p + a0m * a0m + a1p * a1p + a1m * a1m
-    sm = n0 + n1
-    bp, bm = b0p * b0p + b1p * b1p, b0m * b0m + b1m * b1m
+    ta1, pa1, la1, ta2, pa2, la2, tb1, pb1, lb1, tb2, pb2, lb2 = params
+    mx, my, mz = _bloch_of_gate_plus(ta1, pa1, la1)
+    nx, ny, nz = _bloch_of_adjoint_plus(ta2, pa2, la2)
+    mbx, mby, mbz = _bloch_of_gate_plus(tb1, pb1, lb1)
+    nbx, nby, nbz = _bloch_of_adjoint_plus(tb2, pb2, lb2)
+    k = mx * nx
+    w = my * ny + mz * nz
+    c = my * nz - mz * ny
+    kb = mbx * nbx
+    wb = mby * nby + mbz * nbz
+    kk, ww, wwb = k * k, w * w, wb * wb
+    # dm, ww and wwb: the squared determinants of 32 A_m, 64 A_p and beta
+    # over 64, 1024 and 1024
+    dm = c * c * mx * mx
+    sa = 1.0 + kk + ww
+    sb = 1.0 + kb * kb
+    sm = mx * mx + nx * nx + c * c
     # the certificate test with the determinants multiplied out: a zero
     # or underflowing determinant and a non-finite value fail it too
-    if not (sp * bp / 4096.0 + sm * bm / 1024.0) * (
-        4096.0 * sp * bm * dm + 1024.0 * sm * bp * dp
-    ) < _FACTORED_BOUND * _FACTORED_BOUND * dp * dm * db:
+    if not (sa * sb + sm * wwb) * (sa * dm * wwb + sm * sb * ww) < (
+        _FACTORED_BOUND * _FACTORED_BOUND * ww * dm * wwb
+    ):
         return _qttf_rows(_transfer_rows(params))
-    # alpha_p beta_p db + alpha_m beta_m db
-    total = (
-        64.0 * a0p * a1p * (a0p + a1p) * (b1m * b1m * b0p + b0m * b0m * b1p) / dp
-        + 16.0 * (n1 * a0p + n0 * a1p) * b0p * b1p * (b0p + b1p) / dm
-    )
-    return total / db - 1.0
+    return (1.0 - kk) / ww + (sm - 2.0 * kk) * (1.0 - kb * kb) / (dm * wwb) - 1.0
 
 
 def build_circuit(params) -> MeterModel:
@@ -206,8 +247,8 @@ def build_circuit(params) -> MeterModel:
     params are twelve reals, a (theta, phi, lambda) triple for each of the
     gates A1, A2, B1, B2.  Each theta is read as hardware gates read it:
     the gate is u3(theta/2, phi, lambda), with theta/2 inside the matrix
-    entries.  REFERENCE_OPTIMUM reaches the average error 8.0 in this
-    reading.
+    entries.  REFERENCE_OPTIMUM comes within 1e-3 of the average error
+    8.0 in this reading.
     """
     values = _checked_params(params)
     try:

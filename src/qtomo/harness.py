@@ -119,8 +119,12 @@ def run_single_experiment(
     One row per eigenstate, in PAULI_EIGENSTATE_LABELS order.  Raises
     ValueError, before any draw, unless shots >= 1, repeats >= 2 and
     seed >= 0 are integers (numpy integers too; not a bool or float).
-    The one-coupling case of `_single_experiments`, which table 1 calls
-    with all its couplings.
+
+    The public one-coupling entry: the one-coupling case of
+    `_single_experiments`, which table 1 calls with all its couplings, so
+    no production path calls this name.  It stays public because the
+    tests (acceptance 4 among them) and the span in perfbench/spans.py
+    read it.
     """
     return _single_experiments((theta,), shots, repeats, seed)[0]
 

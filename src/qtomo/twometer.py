@@ -11,7 +11,12 @@ checks, as qtomo._oracles.joint_unitary.
 Row (k, l) of T is e0/4 + k a + l b + kl c, so T = W C with W the sign
 matrix of rows (1, k, l, kl), W^T W = 4I, and C = [[1/4, 0], [g, B]],
 g = (a0, b0, c0).  The qTTF reads T^-1 = C^-1 W^T / 4 from one 3x3
-inverse, X = B^-1 (_qttf_factored).
+inverse, X = B^-1, whose columns are the cross products U, V and W of
+B's rows over det B.  Completeness, T's columns summing to (1, 0, 0, 0),
+is sum_q w_q = 0 for the sign rows w_q = (k, l, kl); with their second
+moment 4I and third moment 4|eps_ijk| (kl is k times l), the sum over
+the four outcomes collapses into the Gram matrix of (U, V, W), so the
+qTTF needs no per-outcome vector (_qttf_factored).
 """
 from __future__ import annotations
 
@@ -112,11 +117,20 @@ def _qttf_factored(theta_a: float, theta_b: float) -> float:
     W has rows (1, k, l, kl), so W^T W = 4I, and C has rows (1/4, 0, 0, 0),
     a, b and c: C = [[1/4, 0], [g, B]] with g = (a0, b0, c0).  Then
     a_q = X (w_q - 4g) / 4 with X = B^-1 and w_q = (k, l, kl).  X is
-    (U V W) / det B, its columns the cross products of B's rows, so
-    4 det B a_q = (k - 4 a0) U + (l - 4 b0) V + (kl - 4 c0) W, and the
-    qTTF is sum_q |a_q|^2 T[q, 0] - 1 over those four vectors.  W / 2 is
-    orthogonal, so the certificate |T|_F |T^-1|_F is |C|_F |C^-1|_F, with
-    |C^-1|_F^2 = 16 + 16 |X g|^2 + |X|_F^2.  The certificate test is
+    M / det B, M = (U V W) with the cross products of B's rows as columns,
+    so 4 det B a_q = M (w_q - 4g) and, with G = M^T M and h = 4 M g,
+
+        16 det B^2 (qTTF + 1) = sum_q (1/4 + g . w_q) (w_q - 4g)^T G (w_q - 4g).
+
+    The sign rows' moments, sum_q w_q = 0 (completeness: T's columns sum
+    to (1, 0, 0, 0)), sum_q w_q w_q^T = 4I and sum_q w_qi w_qj w_ql =
+    4|eps_ijl|, collapse the sum to Tr G - |h|^2 + 8 (a0 G_VW + b0 G_UW
+    + c0 G_UV), that is |U|^2 + |V|^2 + |W|^2 - |h|^2
+    + 8 (a0 V.W + b0 U.W + c0 U.V).
+
+    The sign matrix over 2 is orthogonal, so the certificate
+    |T|_F |T^-1|_F is |C|_F |C^-1|_F, with det B^2 |C^-1|_F^2 =
+    16 det B^2 + |h|^2 + |U|^2 + |V|^2 + |W|^2.  The certificate test is
     written with det B^2 multiplied out, so a zero or underflowing
     determinant and a non-finite value fail it too; any setting that
     fails it, with a certificate at or above model._FACTORED_BOUND, hands
@@ -139,28 +153,21 @@ def _qttf_factored(theta_a: float, theta_b: float) -> float:
         + a1 * a1 + a2 * a2 + a3 * a3 + b1 * b1 + b2 * b2 + b3 * b3
         + c1 * c1 + c2 * c2 + c3 * c3
     )
+    uu = u1 * u1 + u2 * u2 + u3 * u3
+    vv = v1 * v1 + v2 * v2 + v3 * v3
+    ww = w1 * w1 + w2 * w2 + w3 * w3
+    hh = h1 * h1 + h2 * h2 + h3 * h3
     # det B^2 |C^-1|_F^2
-    inverse_sq = (
-        16.0 * det_sq + h1 * h1 + h2 * h2 + h3 * h3
-        + u1 * u1 + u2 * u2 + u3 * u3 + v1 * v1 + v2 * v2 + v3 * v3
-        + w1 * w1 + w2 * w2 + w3 * w3
-    )
+    inverse_sq = 16.0 * det_sq + hh + uu + vv + ww
     if not c_sq * inverse_sq < _FACTORED_BOUND * _FACTORED_BOUND * det_sq:
         return _qttf_rows(_transfer_rows(theta_a, theta_b))
-    # outcomes (k, l) = (1, +-1) give m +- e, and (-1, +-1) give n +- f
-    m1, m2, m3 = u1 - h1, u2 - h2, u3 - h3
-    n1, n2, n3 = -u1 - h1, -u2 - h2, -u3 - h3
-    e1, e2, e3 = v1 + w1, v2 + w2, v3 + w3
-    f1, f2, f3 = v1 - w1, v2 - w2, v3 - w3
-    x1, x2, x3 = m1 + e1, m2 + e2, m3 + e3
-    y1, y2, y3 = m1 - e1, m2 - e2, m3 - e3
-    z1, z2, z3 = n1 + f1, n2 + f2, n3 + f3
-    t1, t2, t3 = n1 - f1, n2 - f2, n3 - f3
     total = (
-        (x1 * x1 + x2 * x2 + x3 * x3) * (a0 + b0 + c0 + 0.25)
-        + (y1 * y1 + y2 * y2 + y3 * y3) * (a0 - b0 - c0 + 0.25)
-        + (z1 * z1 + z2 * z2 + z3 * z3) * (-a0 + b0 - c0 + 0.25)
-        + (t1 * t1 + t2 * t2 + t3 * t3) * (-a0 - b0 + c0 + 0.25)
+        uu + vv + ww - hh
+        + 8.0 * (
+            a0 * (v1 * w1 + v2 * w2 + v3 * w3)
+            + b0 * (u1 * w1 + u2 * w2 + u3 * w3)
+            + c0 * (u1 * v1 + u2 * v2 + u3 * v3)
+        )
     )
     return total / (16.0 * det_sq) - 1.0
 

@@ -16,6 +16,8 @@ from qtomo._oracles import (
 )
 from qtomo.circuit import (
     REFERENCE_OPTIMUM,
+    _bloch_of_adjoint_plus,
+    _bloch_of_gate_plus,
     _transfer_rows,
     build_circuit,
     optimize_circuit,
@@ -261,6 +263,54 @@ def test_gate_convention_changes_the_model():
 def test_qttf_circuit_reference_value():
     value = qttf_circuit(REFERENCE_OPTIMUM)
     assert value == pytest.approx(8.0006, abs=5e-3)
+
+
+# Meter A's Bloch vectors m = (1, 1, 1)/sqrt(3) and n = (0, 1, 0), and
+# meter B's m' = n' = (0, 0, 1): the effects form the tetrahedral SIC.
+SIC_SETTING = (
+    -math.asin(1.0 / math.sqrt(3.0)), math.pi / 4, 0.0,
+    0.0, -math.pi / 2, 0.0,
+    1.5 * math.pi, 0.0, 0.0,
+    math.pi / 2, 0.0, 0.0,
+)
+
+
+def test_sic_setting_reaches_the_four_outcome_bound():
+    # the closed form gives 3 + 6 - 1 = 8 there, the bound of
+    # tests/test_model.py::test_qttf_respects_the_four_outcome_bound; the
+    # rows form and the Kraus read of the 8x8 unitary agree
+    tmat = build_circuit(SIC_SETTING).transfer_matrix()
+    np.testing.assert_allclose(tmat[:, 0], 0.25, rtol=0, atol=1e-15)
+    axes = tmat[:, 1:] / tmat[:, :1]
+    np.testing.assert_allclose(axes @ axes.T, (4 * np.eye(4) - 1) / 3, rtol=0, atol=1e-14)
+    for value in (
+        qttf_circuit(SIC_SETTING),
+        _qttf_rows(_transfer_rows(list(SIC_SETTING))),
+        qttf_from_transfer(kraus_transfer(circuit_unitary(SIC_SETTING))),
+    ):
+        assert abs(value - 8.0) <= 1e-12
+
+
+@pytest.mark.parametrize("full_angle", [False, True])
+def test_gate_bloch_vectors_match_the_gate_entries(full_angle):
+    # the closed-form Bloch vectors of G|+> and G^dag|+> against the
+    # states built from the complex entries of u3(theta/2, phi, lambda),
+    # over magnitudes 1e-4 to 1e4: to 1e-14, plus the oracle's own
+    # rounding of phi + lambda in e^{i(phi + lambda)}, which grows with
+    # the angles
+    rng = np.random.default_rng(41)
+    root_half = 1.0 / math.sqrt(2.0)
+    for _ in range(1000):
+        scale = 10.0 ** rng.uniform(-4.0, 4.0)
+        theta, phi, lam = (rng.uniform(-1.0, 1.0, size=3) * scale).tolist()
+        if full_angle:
+            theta *= 2.0
+        gate = np.array(_u3_entries(theta / 2.0, phi, lam), dtype=complex).reshape(2, 2)
+        image = bloch_from_state(gate @ [root_half, root_half])[1:]
+        preimage = bloch_from_state(gate.conj().T @ [root_half, root_half])[1:]
+        tol = 1e-14 + 4.0 * np.finfo(float).eps * abs(phi + lam)
+        np.testing.assert_allclose(_bloch_of_gate_plus(theta, phi, lam), image, rtol=0, atol=tol)
+        np.testing.assert_allclose(_bloch_of_adjoint_plus(theta, phi, lam), preimage, rtol=0, atol=tol)
 
 
 def test_qttf_quadrature_stability():

@@ -14,6 +14,7 @@ from qtomo._oracles import HADAMARD, circuit_unitary, joint_unitary, kraus_trans
 from qtomo.circuit import REFERENCE_OPTIMUM, build_circuit, optimize_circuit, qttf_circuit
 from qtomo.core import SIGMA
 from qtomo.model import (
+    _FACTORED_BOUND,
     CONDITION_LIMIT,
     MeterModel,
     _inverse_weights,
@@ -308,6 +309,32 @@ def test_factored_qttf_is_the_rows_form(family, monkeypatch):
             paths["factored"] += 1
     # every path is taken, a finite hand-over among them
     assert min(paths.values()) >= 50, paths
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_factored_certificate_is_the_norm_product_of_t(family, monkeypatch):
+    # the factored forms hand a setting over exactly when |T|_F |T^-1|_F of
+    # the model's T, from numpy's inverse, is at or above _FACTORED_BOUND;
+    # a setting within 1e-6 of the bound, relative, may go either way
+    module, qttf, tmat_of = _FAMILIES[family]
+    handed_over = []
+    rows_form = module._qttf_rows
+    monkeypatch.setattr(module, "_qttf_rows", lambda rows: handed_over.append(rows) or rows_form(rows))
+    near_bound = 0
+    for x in _factored_draws(family):
+        tmat = tmat_of(x)
+        handed_over.clear()
+        qttf(x)
+        if np.linalg.cond(tmat) >= CONDITION_LIMIT:
+            assert handed_over, x
+            continue
+        ratio = np.linalg.norm(tmat) * np.linalg.norm(np.linalg.inv(tmat)) / _FACTORED_BOUND
+        if abs(ratio - 1.0) > 1e-6:
+            assert bool(handed_over) == (ratio > 1.0), (x, ratio)
+        near_bound += 0.5 <= ratio < 2.0
+    # enough settings near the bound on each side that a certificate off
+    # by a bounded factor hands some of them the wrong way
+    assert near_bound >= 15, near_bound
 
 
 def test_factored_two_meter_qttf_keeps_the_symmetries():
