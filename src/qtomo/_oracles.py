@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .core import PAULI_EIGENSTATES, SIGMA, QuadratureRule, check_density
+from .core import PAULI_EIGENSTATES, SIGMA, QuadratureRule, bloch_from_state, check_density
 from .model import _live_probabilities, delta_surface
 from .single import _COUPLING_FLOOR, _sin2_half, fisher_inverse_single
 
@@ -35,6 +35,11 @@ SIGN_MATRIX = np.array(
         [1.0, -1.0, -1.0, 1.0],
     ]
 )
+
+# The six Pauli eigenstates as density matrices, and their Bloch
+# 4-vectors as the columns of a (4, 6) matrix.
+_PAULI_DENSITIES = np.array([np.outer(psi, psi.conj()) for psi in PAULI_EIGENSTATES])
+_PAULI_BLOCH = np.array([bloch_from_state(psi) for psi in PAULI_EIGENSTATES]).T
 
 PI_1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 PI_PLUS = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
@@ -143,6 +148,39 @@ def simulate_meter_process(rho0: np.ndarray, unitary: np.ndarray) -> np.ndarray:
     diagonal = np.real(np.diagonal(final, axis1=-2, axis2=-1))
     stack = diagonal.shape[:-1]
     return diagonal.reshape(stack + (2, 2, 2)).sum(axis=-2).reshape(stack + (4,))
+
+
+def six_state_transfer(unitary: np.ndarray) -> np.ndarray:
+    """T fitted to 8x8 density-matrix runs of the six Pauli eigenstates.
+
+    simulate_meter_process gives each eigenstate's outcome probabilities
+    P, and T = P B^+ for the (4, 6) matrix B of their Bloch vectors.  A
+    (..., 8, 8) stack of unitaries gives a (..., 4, 4) stack.
+    """
+    probs = simulate_meter_process(_PAULI_DENSITIES, np.asarray(unitary)[..., None, :, :])
+    return probs.swapaxes(-1, -2) @ np.linalg.pinv(_PAULI_BLOCH)
+
+
+def six_state_qttf(tmats: np.ndarray) -> np.ndarray:
+    """Six-Pauli-eigenstate average of Tr(F^-1) for a stack of transfer
+    matrices; inf where an outcome vanishes or F is singular.
+
+    F = A^T A for A = P^-1/2 T[:, 1:], so Tr(F^-1) is the sum of
+    1/sigma^2 over A's singular values: accurate to about eps cond(A)
+    relative, where forming F would give eps cond(A)^2.  The six states
+    form a 2-design, and for a four-outcome model of three parameters
+    Tr(F^-1) is affine in the Bloch vector on pure states, so this
+    average equals the exact pure-state average.  Returns an (n,) array
+    for any stack of n transfer matrices, one 4x4 included.
+    """
+    tmats = np.asarray(tmats, dtype=float).reshape(-1, 4, 4)
+    p = (tmats @ _PAULI_BLOCH).swapaxes(1, 2)  # (n, state, outcome)
+    ok = p.min(axis=(1, 2)) > 0.0
+    scaled = tmats[:, None, :, 1:] / np.sqrt(np.where(ok[:, None, None], p, 1.0))[..., None]
+    sigma = np.linalg.svd(scaled, compute_uv=False)
+    ok &= sigma.min(axis=(1, 2)) > 0.0
+    traces = (1.0 / np.where(ok[:, None, None], sigma, 1.0) ** 2).sum(axis=2)
+    return np.where(ok, traces.mean(axis=1), np.inf)
 
 
 def fisher_matrix_form(tmat: np.ndarray, state: np.ndarray) -> np.ndarray:

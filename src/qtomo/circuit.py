@@ -24,7 +24,9 @@ overlaps sum to 4 <+|A1^dag X A1|+> = 4 m_x, m the Bloch vector of
 A1|+>, so y0 + y1 = 0 and x0 + x1 = 4 m_x.  The differences are read
 off n, the Bloch vector of A2^dag|+>, which is the axis that A2 and the
 x read measure.  So the qTTF is a closed form in the four gates' Bloch
-vectors, from 24 cosines and sines and no amplitude (_qttf_factored).
+vectors, from 24 cosines and sines and no amplitude (_qttf_factored),
+and optimize_circuit's objective, value_and_gradient, runs backwards
+through it for the gradient over the twelve parameters.
 The checks compile the 8x8 unitary from the complex gate entries, as
 qtomo._oracles.circuit_unitary, and its Kraus read is the oracle.  The
 circuit family contains measurement settings whose average error
@@ -43,6 +45,7 @@ from .model import (
     MeterModel,
     OptimizationResult,
     _qttf_rows,
+    _qttf_rows_gradient,
     _refuse_non_finite,
     minimize_with_restarts,
 )
@@ -241,6 +244,112 @@ def _qttf_factored(params) -> float:
     return (1.0 - kk) / ww + (sm - 2.0 * kk) * (1.0 - kb * kb) / (dm * wwb) - 1.0
 
 
+def _gate_plus_jacobian(theta, phi, lam) -> tuple[tuple[float, float, float], ...]:
+    """d/d theta, d/d phi and d/d lambda of _bloch_of_gate_plus."""
+    ct, st = math.cos(theta), math.sin(theta)
+    cp, sp = math.cos(phi), math.sin(phi)
+    cl, sl = math.cos(lam), math.sin(lam)
+    return (
+        (-st * cl * cp, -st * cl * sp, -ct * cl),
+        (-ct * cl * sp - sl * cp, ct * cl * cp - sl * sp, 0.0),
+        (-ct * sl * cp - cl * sp, cl * cp - ct * sl * sp, st * sl),
+    )
+
+
+def _adjoint_plus_jacobian(theta, phi, lam) -> tuple[tuple[float, float, float], ...]:
+    """d/d theta, d/d phi and d/d lambda of _bloch_of_adjoint_plus."""
+    ct, st = math.cos(theta), math.sin(theta)
+    cp, sp = math.cos(phi), math.sin(phi)
+    cl, sl = math.cos(lam), math.sin(lam)
+    return (
+        (-st * cp * cl, st * cp * sl, ct * cp),
+        (-ct * sp * cl - cp * sl, ct * sp * sl - cp * cl, -st * sp),
+        (-ct * cp * sl - sp * cl, sp * sl - ct * cp * cl, 0.0),
+    )
+
+
+def value_and_gradient(settings) -> tuple[float, list[float] | None]:
+    """The qTTF and its gradient over the twelve parameters, plain floats.
+
+    The optimizer's objective: settings are read unchecked.  The value is
+    _qttf_factored's, to the bit, by the same expressions, and the
+    gradient runs backwards through them.  The qTTF is a function of
+    k, w, c, m_x and n_x from meter A and k', w' from meter B, and with
+    t1 = (1 - k^2)/w^2, Q = (1 - k'^2)/(c^2 m_x^2 w'^2) and
+    t2 = (m_x^2 + n_x^2 + c^2 - 2k^2) Q its partial derivatives are
+
+        d/dk = -2k (1/w^2 + 2Q),       d/dw = -2 t1/w,
+        d/dc = 2 (c Q - t2/c),         d/dm_x = 2 (m_x Q - t2/m_x),
+        d/dn_x = 2 n_x Q,              d/dw' = -2 t2/w',
+        d/dk' = -2k' (m_x^2 + n_x^2 + c^2 - 2k^2)/(c^2 m_x^2 w'^2).
+
+    At a setting the certificate hands to the T route, they come from T's
+    rows instead (model._qttf_rows_gradient), through
+    4 T[(a, b)] = ((1 + sa k)(1 + sb k'), sb w' (m_x + sa n_x),
+    -sa sb c w', sa w (1 + sb k')) with sa, sb = +-1 for outcomes 0, 1.
+    Either way k, w and c hand their adjoints to the Bloch vectors m and
+    n (k' and w' to m' and n'), which hand theirs to the gates' angles.
+    The gradient is None only where the value is inf.
+    """
+    ta1, pa1, la1, ta2, pa2, la2, tb1, pb1, lb1, tb2, pb2, lb2 = settings
+    mx, my, mz = _bloch_of_gate_plus(ta1, pa1, la1)
+    nx, ny, nz = _bloch_of_adjoint_plus(ta2, pa2, la2)
+    mbx, mby, mbz = _bloch_of_gate_plus(tb1, pb1, lb1)
+    nbx, nby, nbz = _bloch_of_adjoint_plus(tb2, pb2, lb2)
+    k = mx * nx
+    w = my * ny + mz * nz
+    c = my * nz - mz * ny
+    kb = mbx * nbx
+    wb = mby * nby + mbz * nbz
+    kk, ww, wwb = k * k, w * w, wb * wb
+    dm = c * c * mx * mx
+    sa = 1.0 + kk + ww
+    sb = 1.0 + kb * kb
+    sm = mx * mx + nx * nx + c * c
+    if (sa * sb + sm * wwb) * (sa * dm * wwb + sm * sb * ww) < (
+        _FACTORED_BOUND * _FACTORED_BOUND * ww * dm * wwb
+    ):
+        value = (1.0 - kk) / ww + (sm - 2.0 * kk) * (1.0 - kb * kb) / (dm * wwb) - 1.0
+        t1 = (1.0 - kk) / ww
+        q = (1.0 - kb * kb) / (dm * wwb)
+        t2 = (sm - 2.0 * kk) * q
+        f_k = -2.0 * k * (1.0 / ww + 2.0 * q)
+        f_w = -2.0 * t1 / w
+        f_c = 2.0 * (c * q - t2 / c)
+        f_mx = 2.0 * (mx * q - t2 / mx)
+        f_nx = 2.0 * nx * q
+        f_kb = -2.0 * kb * (sm - 2.0 * kk) / (dm * wwb)
+        f_wb = -2.0 * t2 / wb
+    else:
+        value, dt = _qttf_rows_gradient(_transfer_rows(settings))
+        if dt is None:
+            return value, None
+        f_k = f_w = f_c = f_mx = f_nx = f_kb = f_wb = 0.0
+        for (d0, d1, d2, d3), sign_a, sign_b in zip(dt, (1.0, 1.0, -1.0, -1.0), (1.0, -1.0, 1.0, -1.0)):
+            f_k += sign_a * (1.0 + sign_b * kb) * d0 / 4.0
+            f_kb += sign_b * ((1.0 + sign_a * k) * d0 + sign_a * w * d3) / 4.0
+            f_w += sign_a * (1.0 + sign_b * kb) * d3 / 4.0
+            f_wb += sign_b * ((mx + sign_a * nx) * d1 - sign_a * c * d2) / 4.0
+            f_mx += sign_b * wb * d1 / 4.0
+            f_nx += sign_a * sign_b * wb * d1 / 4.0
+            f_c -= sign_a * sign_b * wb * d2 / 4.0
+    # adjoints of the four Bloch vectors
+    gm = (f_mx + f_k * nx, f_w * ny + f_c * nz, f_w * nz - f_c * ny)
+    gn = (f_nx + f_k * mx, f_w * my - f_c * mz, f_w * mz + f_c * my)
+    gmb = (f_kb * nbx, f_wb * nby, f_wb * nbz)
+    gnb = (f_kb * mbx, f_wb * mby, f_wb * mbz)
+    gradient = []
+    for angles, (g1, g2, g3), jacobian in (
+        ((ta1, pa1, la1), gm, _gate_plus_jacobian),
+        ((ta2, pa2, la2), gn, _adjoint_plus_jacobian),
+        ((tb1, pb1, lb1), gmb, _gate_plus_jacobian),
+        ((tb2, pb2, lb2), gnb, _adjoint_plus_jacobian),
+    ):
+        for d1, d2, d3 in jacobian(*angles):
+            gradient.append(g1 * d1 + g2 * d2 + g3 * d3)
+    return value, gradient
+
+
 def build_circuit(params) -> MeterModel:
     """The circuit's model: T from its gate factors.
 
@@ -274,11 +383,12 @@ def qttf_circuit(params) -> float:
 def optimize_circuit(restarts: int = 50, seed: int = 0) -> OptimizationResult:
     """Minimize the exact circuit qTTF over all twelve parameters.
 
-    Nelder-Mead from uniform starts in [0, 2 pi]^12.  The landscape is
-    benign enough that most restarts land on the global value 8.0.
+    BFGS on value_and_gradient from uniform starts in [0, 2 pi]^12.  The
+    landscape is benign enough that most restarts land on the global
+    value 8.0.
     """
     _check_integer("restarts", restarts, 1)
     _check_integer("seed", seed)
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, 2.0 * math.pi, size=(restarts, 12))
-    return minimize_with_restarts(_qttf_factored, list(starts), maxiter=4000)
+    return minimize_with_restarts(value_and_gradient, list(starts))

@@ -216,6 +216,7 @@ def cmd_optimize(args) -> int:
                 "converged": r.converged,
                 "iterations": r.iterations,
                 "evaluations": r.evaluations,
+                "gradient_norm": r.gradient_norm,
                 "seconds": r.seconds,
             }
             for r in result.restarts
@@ -396,7 +397,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_qttf_sweep)
 
     p = sub.add_parser(
-        "optimize", help="restarted Nelder-Mead over the model couplings"
+        "optimize", help="restarted BFGS over the model settings"
     )
     p.add_argument("--model", required=True, choices=("two-meter", "circuit"))
     p.add_argument("--restarts", type=_integer(1), default=None)

@@ -26,15 +26,18 @@ matrices are inverted only by oracles: the quadrature average over
 delta_surface, _oracles._qttf_quadrature, stays as the independent
 reference that the tests and the identity suite compare against.
 
-minimize_with_restarts runs Nelder-Mead in plain floats (_nelder_mead)
-from each start; the tests check every step against a library
-implementation.
+minimize_with_restarts runs BFGS in plain floats (_bfgs) from each
+start, on an objective that returns the value and its gradient; a
+restart converges only where a relative gradient-norm certificate
+holds.  The families' gradients chain through their factored forms, or
+through T's rows (_qttf_rows_gradient) where they hand over.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -401,6 +404,27 @@ def _qttf_rows(rows) -> float:
     return e0 * rows[0][0] + e1 * rows[1][0] + e2 * rows[2][0] + e3 * rows[3][0] - 1.0
 
 
+def _qttf_rows_gradient(rows) -> tuple[float, list[list[float]] | None]:
+    """_qttf_rows' value, to the bit, and its gradient over T's entries.
+
+    The families' gradients chain through it at the settings their
+    certificate hands to the T route.  With B = T^-1, B_s = B[1:, :] and
+    D = diag(T[:, 0]), d qTTF / dT = -2 (B D B_s^T B_s)^T, with the
+    weights |a_q|^2 added to column 0.  (inf, None) once cond(T) >=
+    CONDITION_LIMIT.
+    """
+    try:
+        columns, (e0, e1, e2, e3) = _certified_inverse(rows)
+    except NonInvertibleModelError:
+        return math.inf, None
+    value = e0 * rows[0][0] + e1 * rows[1][0] + e2 * rows[2][0] + e3 * rows[3][0] - 1.0
+    inverse = np.array(columns).T
+    tail = inverse[1:]
+    grad = -2.0 * (tail.T @ tail) @ (np.array(rows)[:, :1] * inverse.T)
+    grad[:, 0] += (e0, e1, e2, e3)
+    return value, grad.tolist()
+
+
 def default_rule() -> QuadratureRule:
     """The 64x64 rule, the reference order for quadrature cross-checks."""
     return make_quadrature(64, 64)
@@ -410,7 +434,9 @@ def default_rule() -> QuadratureRule:
 class RestartOutcome:
     """One local search: where it ended and what it found.
 
-    evaluations counts objective calls and seconds is the search's wall time.
+    iterations counts accepted steps, evaluations objective calls (each
+    a value and a gradient), seconds is the search's wall time, and
+    gradient_norm is |grad| at params (inf where there is none).
     """
 
     params: np.ndarray
@@ -419,6 +445,7 @@ class RestartOutcome:
     converged: bool
     evaluations: int
     seconds: float
+    gradient_norm: float
 
 
 @dataclass(frozen=True)
@@ -428,151 +455,119 @@ class OptimizationResult:
     restarts: tuple[RestartOutcome, ...]
 
 
-# Nelder-Mead's absolute tolerances on the simplex and on the objective.
-_NM_TOL = 1e-6
+# The search's two constants.  No step moves a coordinate by more than
+# _STEP_CAP, so a restart stays a local search, and a restart has
+# converged once |grad| <= _GRADIENT_TOL * max(1, |value|).
+_STEP_CAP = math.pi
+_GRADIENT_TOL = 1e-6
+
+# Armijo's sufficient-decrease fraction, and the trial points a line
+# search backtracks through before the restart counts as stalled.
+_ARMIJO = 1e-4
+_LINE_SEARCH_TRIALS = 30
 
 
-def _argsorted(sim: list, fsim: list[float]) -> tuple[list, list[float]]:
-    """The vertices and their values in the order of numpy's argsort of fsim."""
-    order = np.array(fsim).argsort().tolist()
-    return [sim[i] for i in order], [fsim[i] for i in order]
+def _usable(value: float, grad: list[float] | None) -> bool:
+    """True for a finite value with a gradient of finite entries."""
+    return abs(value) < math.inf and grad is not None and sum(map(mul, grad, grad)) < math.inf
 
 
-def _increasing(values: list[float]) -> bool:
-    """True when values are strictly increasing: no tie and no NaN."""
-    for k in range(1, len(values)):
-        if not values[k - 1] < values[k]:
-            return False
-    return True
+def _bfgs(
+    objective: Callable[[list[float]], tuple[float, list[float] | None]], x0, maxiter: int
+) -> tuple[list[float], float, float, int, int, str | None]:
+    """BFGS on the inverse Hessian H, in Python floats, from x0.
 
-
-def _vertices_within_tol(sim: list, best: list[float]) -> bool:
-    """True when every coordinate of every vertex is within _NM_TOL of best's."""
-    for vertex in sim:
-        for a, b in zip(vertex, best):
-            if not abs(a - b) <= _NM_TOL:
-                return False
-    return True
-
-
-def _nelder_mead(
-    objective: Callable[[list[float]], float], x0, maxiter: int
-) -> tuple[list[float], float, int, int, bool]:
-    """Nelder-Mead (non-adaptive, unbounded) in Python floats.
-
-    Returns (x, fun, nit, nfev, success).  It is, step for step, the
-    library Nelder-Mead that tests/test_model.py runs as its oracle with
-    tol=1e-6 and the same maxiter, and it matches that run bit for bit:
-    the same initial simplex (a 5% step, 0.00025 for a zero coordinate),
-    the same float expressions for reflection (1), expansion (2),
-    contraction (0.5) and shrink (0.5), the centroid as a sequential row
-    sum divided by N, the same stopping tests (both tolerances 1e-6,
-    success while iterations < maxiter), and the same vertex order.
-    fun is np.min over the vertex values, so a NaN vertex reports NaN.
-    Each objective call gets a fresh list of floats.
-
-    The ordering rule: the oracle orders the vertices by numpy's argsort
-    of their values after every step, and that sort is not stable, so
-    tied values must land where it puts them.  After a step other than a
-    shrink only the worst vertex is new.  When the simplex values, the
-    kept ones and the new one, are strictly increasing with the new one
-    in place, that is the only sorted order, so the new vertex is placed
-    by comparison.  On a tie or a NaN, and after a shrink, numpy's
-    argsort decides as in the oracle.
+    Returns (x, value, gradient norm, iterations, evaluations, failure),
+    failure None once the certificate |grad| <= _GRADIENT_TOL *
+    max(1, |value|) holds, else why the search stopped short.  Each
+    iteration steps along p = -H grad, scaled down so that no coordinate
+    moves more than _STEP_CAP, and backtracks until Armijo's condition
+    holds, each time to the minimum of the quadratic through the value,
+    slope and trial value, kept within [0.1, 0.5] of the last step
+    (Nocedal and Wright, Numerical Optimization, 2nd ed., sec. 3.5).  A
+    trial whose value is not finite, or whose gradient is None or not
+    finite, fails and halves the step; a line search none of whose
+    _LINE_SEARCH_TRIALS trials passes stalls the search.  H starts as the
+    identity; an update with s.y <= 0 is skipped, and a direction that
+    is not finite or not downhill resets H.  Each objective call gets a
+    fresh list of floats.
     """
-    start = np.asarray(x0, dtype=float).ravel().tolist()
-    n = len(start)
-    sim = [start]
-    for k in range(n):
-        vertex = start[:]
-        vertex[k] = (1 + 0.05) * vertex[k] if vertex[k] != 0 else 0.00025
-        sim.append(vertex)
-    fsim = [objective(vertex[:]) for vertex in sim]
-    nfev = n + 1
-    # the oracle sorts the first simplex twice; an unstable sort may move ties
-    sim, fsim = _argsorted(*_argsorted(sim, fsim))
-    strict = _increasing(fsim[:-1])
-    iterations = 1
-    while iterations < maxiter:
-        best, f_best = sim[0], fsim[0]
-        # fsim is sorted with any NaN last, so every |f_best - f| is within
-        # the tolerance exactly when the last one is
-        if abs(fsim[-1] - f_best) <= _NM_TOL and _vertices_within_tol(sim[1:], best):
-            break
-        xbar = []
-        for column in zip(*sim[:-1]):
-            total = column[0]
-            for a in column[1:]:
-                total += a
-            xbar.append(total / n)
-        worst = sim[-1]
-        xr = [2 * c - w for c, w in zip(xbar, worst)]
-        fxr = objective(xr[:])
-        nfev += 1
-        # the new worst vertex and its value; None for a shrink
-        new = None
-        if fxr < f_best:
-            xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
-            fxe = objective(xe[:])
-            nfev += 1
-            new = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            new = xr, fxr
-        elif fxr < fsim[-1]:
-            xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
-            fxc = objective(xc[:])
-            nfev += 1
-            if fxc <= fxr:
-                new = xc, fxc
+    x = np.asarray(x0, dtype=float).ravel().tolist()
+    n = len(x)
+    identity = [[float(i == j) for j in range(n)] for i in range(n)]
+    value, grad = objective(x[:])
+    evaluations = 1
+    if not _usable(value, grad):
+        return x, value, math.inf, 0, evaluations, "found no finite value and gradient at the start"
+    hessian = identity
+    iterations = 0
+    while True:
+        norm = math.sqrt(sum(map(mul, grad, grad)))
+        if norm <= _GRADIENT_TOL * max(1.0, abs(value)):
+            return x, value, norm, iterations, evaluations, None
+        if iterations == maxiter:
+            return x, value, norm, iterations, evaluations, f"stopped at maxiter={maxiter}"
+        step = [-sum(map(mul, row, grad)) for row in hessian]
+        slope = sum(map(mul, step, grad))
+        largest = max(map(abs, step))
+        if not (slope < 0.0 and largest < math.inf):
+            hessian = identity
+            step, slope, largest = [-v for v in grad], -norm * norm, max(map(abs, grad))
+        if largest > _STEP_CAP:
+            scale = _STEP_CAP / largest
+            step = [p * scale for p in step]
+            slope *= scale
+        alpha = 1.0
+        for _ in range(_LINE_SEARCH_TRIALS):
+            trial = [a + alpha * p for a, p in zip(x, step)]
+            trial_value, trial_grad = objective(trial[:])
+            evaluations += 1
+            usable = _usable(trial_value, trial_grad)
+            if usable and trial_value <= value + _ARMIJO * alpha * slope:
+                break
+            if usable:
+                # Armijo failed, so the denominator exceeds -2 (1 - ARMIJO) alpha slope > 0
+                fitted = -slope * alpha * alpha / (2.0 * (trial_value - value - slope * alpha))
+                alpha = min(max(fitted, 0.1 * alpha), 0.5 * alpha)
+            else:
+                alpha *= 0.5
         else:
-            xcc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
-            fxcc = objective(xcc[:])
-            nfev += 1
-            if fxcc < fsim[-1]:
-                new = xcc, fxcc
+            return x, value, norm, iterations, evaluations, "stalled in its line search"
+        s = [alpha * p for p in step]
+        y = [b - a for a, b in zip(grad, trial_grad)]
+        sy = sum(map(mul, s, y))
+        if sy > 0.0:
+            hy = [sum(map(mul, row, y)) for row in hessian]
+            rho = 1.0 / sy
+            # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T
+            c = rho * (1.0 + rho * sum(map(mul, y, hy)))
+            hessian = [
+                [h - rho * (hy_i * s_j + s_i * hy_j) + c * s_i * s_j
+                 for h, hy_j, s_j in zip(row, hy, s)]
+                for row, hy_i, s_i in zip(hessian, hy, s)
+            ]
+        x, value, grad = trial, trial_value, trial_grad
         iterations += 1
-        if new is None:
-            for j in range(1, n + 1):
-                sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], best)]
-                fsim[j] = objective(sim[j][:])
-            nfev += n
-            sim, fsim = _argsorted(sim, fsim)
-            strict = _increasing(fsim[:-1])
-            continue
-        x_new, f_new = new
-        del sim[-1], fsim[-1]
-        k = n
-        if strict:
-            while k and f_new < fsim[k - 1]:
-                k -= 1
-        if strict and (not k or fsim[k - 1] < f_new):
-            sim.insert(k, x_new)
-            fsim.insert(k, f_new)
-        else:
-            sim, fsim = _argsorted(sim + [x_new], fsim + [f_new])
-            strict = _increasing(fsim[:-1])
-    return sim[0], float(np.min(fsim)), iterations, nfev, iterations < maxiter
 
 
 def minimize_with_restarts(
-    objective: Callable[[list[float]], float],
+    objective: Callable[[list[float]], tuple[float, list[float] | None]],
     starts: Sequence[np.ndarray],
     *,
     maxiter: int = 2000,
 ) -> OptimizationResult:
-    """Nelder-Mead from each start; the best end point wins.
+    """A BFGS search from each start; the best end point wins.
 
-    The search is the library Nelder-Mead reimplemented in Python floats
-    (_nelder_mead), and objectives receive each vertex as a list of
-    floats.  tol=1e-6 sets both absolute tolerances, on the simplex and
-    on the objective.  Vertices are ordered as the library orders them:
-    by comparison while the simplex values are strictly increasing, by
-    numpy's argsort on a tie or a NaN (and after a shrink).  Non-finite
-    objective values are fine (the simplex retreats from them).  Each
-    restart reports its end point, value, iterations, evaluations and
-    wall time; one that stops at maxiter reports converged=False and
-    logs one warning on the "qtomo.model" logger.  ValueError for an
-    empty list of starts, before any search runs.
+    objective takes a list of floats and returns the value and its
+    gradient as a list of floats, or None for no gradient there (the
+    search then rejects the point).  Each restart (_bfgs) reports its end
+    point, value, gradient norm, iterations (accepted steps), evaluations
+    (objective calls) and wall time.  It is converged only where
+    |grad| <= 1e-6 max(1, |value|) holds; one that stops short, at
+    maxiter, in a stalled line search or at a start without a finite
+    value and gradient, reports converged=False and logs one warning on
+    the "qtomo.model" logger.  ValueError for an empty list of starts,
+    before any search runs.
     """
     starts = list(starts)
     if not starts:
@@ -580,22 +575,23 @@ def minimize_with_restarts(
 
     def run(x0: np.ndarray) -> RestartOutcome:
         started = time.perf_counter()
-        x, value, iterations, evaluations, converged = _nelder_mead(objective, x0, maxiter)
-        if not converged:
+        x, value, norm, iterations, evaluations, failure = _bfgs(objective, x0, maxiter)
+        if failure is not None:
             import logging  # loaded on this warning path only
 
             logging.getLogger(__name__).warning(
-                "Nelder-Mead stopped at maxiter=%d after %d evaluations without "
-                "meeting tol=%g; value %r at %s",
-                maxiter, evaluations, _NM_TOL, value, x,
+                "BFGS %s after %d evaluations without meeting |grad| <= %g max(1, |value|); "
+                "value %r, |grad| %r at %s",
+                failure, evaluations, _GRADIENT_TOL, value, norm, x,
             )
         return RestartOutcome(
             params=np.array(x),
             value=value,
             iterations=iterations,
-            converged=converged,
+            converged=failure is None,
             evaluations=evaluations,
             seconds=time.perf_counter() - started,
+            gradient_norm=norm,
         )
 
     outcomes = [run(x0) for x0 in starts]

@@ -18,7 +18,6 @@ from qtomo.model import (
     CONDITION_LIMIT,
     MeterModel,
     _inverse_weights,
-    _nelder_mead,
     delta_from_transfer,
     fisher_from_transfer,
     minimize_with_restarts,
@@ -591,81 +590,135 @@ def test_a_model_never_holds_a_non_finite_transfer_matrix(build, message):
         build()
 
 
-def _two_meter_objective(x):
-    return qttf_two_meter(x[0], x[1])
+def _end_points(optimize, restarts):
+    return [(r.params, r.value) for r in optimize(restarts=restarts, seed=0).restarts]
 
 
-def _bowl_with_inf_wall(x):
-    return math.inf if x[0] > 1.0 else (x[0] - 2.0) ** 2 + x[1] ** 2
+@pytest.mark.parametrize(
+    "optimize, restarts, objective",
+    [(optimize_two_meter, 20, twometer.value_and_gradient),
+     (optimize_circuit, 5, circuit.value_and_gradient)],
+    ids=["two-meter", "circuit"],
+)
+def test_no_library_bfgs_step_lowers_an_end_point(optimize, restarts, objective):
+    # the reference library's BFGS, on the same value and gradient, is the
+    # independent oracle: started at each end point of the search, none of
+    # its steps lowers the value by more than 1e-9 relative
+    for params, value in _end_points(optimize, restarts):
+        seen = []
+
+        def fun(x):
+            seen.append(x.copy())
+            return objective(x.tolist())
+
+        ref = minimize(fun, params, jac=True, method="BFGS")
+        lowest = min(objective(x.tolist())[0] for x in seen)
+        assert min(lowest, ref.fun) >= value - 1e-9 * abs(value), (params, value)
 
 
-def _bowl_with_nan_wall(x):
-    return math.nan if x[0] > 1.0 else (x[0] - 2.0) ** 2 + x[1] ** 2
+@pytest.mark.parametrize("optimize, restarts", [(optimize_two_meter, 20), (optimize_circuit, 5)],
+                         ids=["two-meter", "circuit"])
+def test_converged_is_the_gradient_certificate(optimize, restarts):
+    objective = twometer.value_and_gradient if optimize is optimize_two_meter else (
+        circuit.value_and_gradient
+    )
+    for restart in optimize(restarts=restarts, seed=0).restarts:
+        value, gradient = objective(restart.params.tolist())
+        assert value == restart.value
+        assert restart.gradient_norm == math.sqrt(sum(g * g for g in gradient))
+        assert restart.converged
+        assert restart.gradient_norm <= 1e-6 * max(1.0, abs(restart.value))
 
 
-def _terraced_bowl(x):
-    # rounding makes whole faces of the simplex tie, so the vertex order
-    # depends on how the sort breaks ties; numpy's sort is not stable
-    return round(sum(v * v for v in x), 1)
+def _bowl(x):
+    return (x[0] - 0.5) ** 2 + x[1] ** 2, [2.0 * (x[0] - 0.5), 2.0 * x[1]]
 
 
-_SEARCH_CASES = {
-    "two-meter": (
-        _two_meter_objective,
-        np.random.default_rng(40).uniform(-3 * math.pi, 3 * math.pi, size=(50, 2)),
-        2000,
-    ),
-    "circuit": (
-        qttf_circuit,
-        np.random.default_rng(41).uniform(0.0, 2 * math.pi, size=(10, 12)),
-        4000,
-    ),
-    "zero-coordinates": (_two_meter_objective, [[0.0, 2.0], [0.0, -0.0]], 2000),
-    "capped": (_two_meter_objective, [[1.0, 2.0], [3.45, -8.42]], 5),
-    "inf-region": (_bowl_with_inf_wall, [[0.5, 0.3], [1.5, 0.3]], 2000),
-    "nan-region": (_bowl_with_nan_wall, [[0.5, 0.3], [1.5, 0.3]], 50),
-    "ties": (
-        _terraced_bowl,
-        np.random.default_rng(42).uniform(-2.0, 2.0, size=(5, 12)),
-        4000,
-    ),
-}
-
-
-@pytest.mark.parametrize("case", list(_SEARCH_CASES))
-def test_nelder_mead_is_the_reference_search_bit_for_bit(case):
-    # the reference library's Nelder-Mead is the independent oracle: same
-    # end point, value, iteration and evaluation counts, and verdict
-    objective, starts, maxiter = _SEARCH_CASES[case]
-    for x0 in starts:
-        with np.errstate(invalid="ignore"):  # the oracle subtracts inf from inf
-            ref = minimize(
-                objective, x0, method="Nelder-Mead", tol=1e-6, options={"maxiter": maxiter}
-            )
-        x, fun, nit, nfev, success = _nelder_mead(objective, x0, maxiter)
-        assert np.array(x).tobytes() == ref.x.tobytes()
-        assert np.float64(fun).tobytes() == np.float64(ref.fun).tobytes()
-        assert (nit, nfev, success) == (ref.nit, ref.nfev, ref.success)
-
-
-def test_nelder_mead_hands_the_objective_lists_of_floats():
+@pytest.mark.parametrize(
+    "wall",
+    [(math.inf, [0.0, 0.0]), (math.nan, [0.0, 0.0]), (-1.0, None), (-1.0, [math.nan, 0.0])],
+    ids=["inf-value", "nan-value", "no-gradient", "nan-gradient"],
+)
+def test_a_trial_without_finite_value_and_gradient_fails(wall):
+    # a bowl behind a wall at x0 = 1: the first step, capped at pi, lands
+    # behind it, and the line search backtracks to the bowl's side
     seen = []
 
     def objective(x):
         seen.append(x)
-        return (x[0] - 1.0) ** 2 + x[1] ** 2
+        return wall if x[0] > 1.0 else _bowl(x)
 
-    _nelder_mead(objective, np.array([0.3, 0.2]), 2000)
+    result = minimize_with_restarts(objective, [np.array([-2.0, 0.0])])
+    assert seen[1] == [-2.0 + math.pi, 0.0]
+    assert result.restarts[0].converged
+    assert result.params.tolist() == pytest.approx([0.5, 0.0], abs=1e-6)
+    # every call got a fresh list of floats
     assert all(type(x) is list and all(type(v) is float for v in x) for x in seen)
-    # a fresh list per call: an objective cannot disturb the simplex
     assert len({id(x) for x in seen}) == len(seen)
+
+
+def test_the_inverse_hessian_update_gives_quasi_newton_steps():
+    # a quadratic of condition 100 in three variables: the BFGS updates
+    # end it in 4 steps, steepest descent (no update) would take 185
+    curvatures = (1.0, 100.0, 10.0)
+
+    def objective(x):
+        return (
+            0.5 * sum(a * v * v for a, v in zip(curvatures, x)),
+            [a * v for a, v in zip(curvatures, x)],
+        )
+
+    restart = minimize_with_restarts(objective, [np.ones(3)]).restarts[0]
+    assert restart.converged and restart.iterations <= 10
+    assert restart.params.tolist() == pytest.approx([0.0] * 3, abs=1e-10)
+
+
+def test_no_step_moves_a_coordinate_more_than_pi():
+    # a slope with no minimum: each accepted step is the cap, pi along x0
+    def objective(x):
+        return -1e3 * x[0] + x[1], [-1e3, 1.0]
+
+    result = minimize_with_restarts(objective, [np.array([0.0, 0.0])], maxiter=5)
+    restart = result.restarts[0]
+    assert (restart.iterations, restart.evaluations, restart.converged) == (5, 6, False)
+    assert restart.params[0] == pytest.approx(5.0 * math.pi, rel=1e-12)
+    assert restart.params[1] == pytest.approx(-5.0 * math.pi / 1e3, rel=1e-12)
+
+
+def test_a_line_search_that_finds_no_descent_stalls(caplog):
+    # a flat value with a non-zero gradient: no trial passes Armijo's test
+    calls = []
+
+    def objective(x):
+        calls.append(x)
+        return 1.0, [1.0, 0.0]
+
+    with caplog.at_level(logging.WARNING, logger="qtomo.model"):
+        result = minimize_with_restarts(objective, [np.array([0.0, 0.0])])
+    restart = result.restarts[0]
+    assert (restart.iterations, restart.evaluations, restart.converged) == (0, 31, False)
+    assert restart.gradient_norm == 1.0
+    assert restart.params.tolist() == [0.0, 0.0]
+    records = [r for r in caplog.records if r.name == "qtomo.model"]
+    assert len(records) == 1
+    assert "stalled in its line search" in records[0].getMessage()
+
+
+def test_a_start_without_a_gradient_ends_the_restart(caplog):
+    with caplog.at_level(logging.WARNING, logger="qtomo.model"):
+        result = minimize_with_restarts(twometer.value_and_gradient, [np.zeros(2)])
+    restart = result.restarts[0]
+    assert (restart.iterations, restart.evaluations, restart.converged) == (0, 1, False)
+    assert restart.value == restart.gradient_norm == math.inf
+    assert len([r for r in caplog.records if r.name == "qtomo.model"]) == 1
 
 
 def test_capped_restart_warns_once(caplog):
     start = np.array(REFERENCE_COUPLINGS)
     with caplog.at_level(logging.WARNING, logger="qtomo.model"):
-        result = minimize_with_restarts(_two_meter_objective, [start], maxiter=5)
+        result = minimize_with_restarts(twometer.value_and_gradient, [start], maxiter=5)
     assert not result.restarts[0].converged
+    assert result.restarts[0].iterations == 5
     records = [r for r in caplog.records if r.name == "qtomo.model"]
     assert len(records) == 1
     assert records[0].levelno == logging.WARNING
@@ -673,7 +726,7 @@ def test_capped_restart_warns_once(caplog):
 
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="qtomo.model"):
-        result = minimize_with_restarts(_two_meter_objective, [start])
+        result = minimize_with_restarts(twometer.value_and_gradient, [start])
     assert result.restarts[0].converged
     assert not [r for r in caplog.records if r.name == "qtomo.model"]
 
@@ -693,21 +746,27 @@ def _same_restarts(result, reference):
     for got, ref in zip(result.restarts, reference.restarts):
         assert got.params.tobytes() == ref.params.tobytes()
         assert np.float64(got.value).tobytes() == np.float64(ref.value).tobytes()
-        assert (got.iterations, got.evaluations, got.converged) == (
-            ref.iterations, ref.evaluations, ref.converged
+        assert (got.iterations, got.evaluations, got.converged, got.gradient_norm) == (
+            ref.iterations, ref.evaluations, ref.converged, ref.gradient_norm
         )
 
 
 def test_two_meter_search_objective_is_the_public_qttf():
     # along whole searches the optimizer's unchecked objective gives the
     # public qTTF to the bit, so every step is the same
+    def public(x):
+        return qttf_two_meter(*x), twometer.value_and_gradient(x)[1]
+
     starts = np.random.default_rng(0).uniform(-3.0 * math.pi, 3.0 * math.pi, size=(20, 2))
-    reference = minimize_with_restarts(lambda x: qttf_two_meter(*x), list(starts))
+    reference = minimize_with_restarts(public, list(starts))
     _same_restarts(optimize_two_meter(restarts=20, seed=0), reference)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_circuit_search_objective_is_the_public_qttf(seed):
+    def public(x):
+        return qttf_circuit(x), circuit.value_and_gradient(x)[1]
+
     starts = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(3, 12))
-    reference = minimize_with_restarts(qttf_circuit, list(starts), maxiter=4000)
+    reference = minimize_with_restarts(public, list(starts))
     _same_restarts(optimize_circuit(restarts=3, seed=seed), reference)

@@ -136,7 +136,8 @@ def test_rho_r_mle_takes_its_stopping_rules_as_keywords():
          ["label", "truth", "mean", "std", "fidelity", "physical_fraction"]),
         (qtomo.harness.SingleStateRow, ["label", "truth", "mean", "std", "within_3sigma"]),
         (qtomo.model.RestartOutcome,
-         ["params", "value", "iterations", "converged", "evaluations", "seconds"]),
+         ["params", "value", "iterations", "converged", "evaluations", "seconds",
+          "gradient_norm"]),
     ],
     ids=["FullStateRow", "SingleStateRow", "RestartOutcome"],
 )
