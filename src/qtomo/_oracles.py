@@ -272,7 +272,7 @@ def _u3_entries(theta: float, phi: float, lam: float) -> tuple[complex, ...]:
     ct, st = math.cos(theta), math.sin(theta)
     e_phi = cmath.exp(1.0j * phi)
     e_lam = cmath.exp(1.0j * lam)
-    return ct, -e_lam * st, e_phi * st, cmath.exp(1.0j * (phi + lam)) * ct
+    return ct, -e_lam * st, e_phi * st, e_phi * e_lam * ct
 
 
 def _gates(params) -> list[tuple[complex, ...]]:
@@ -297,7 +297,7 @@ def circuit_unitary(params) -> np.ndarray:
     arr = np.asarray(params, dtype=float)
     if arr.ndim == 0 or arr.shape[-1] != 12:
         raise ValueError("expected 12 circuit parameters")
-    # the gate entries in scalar arithmetic, row by row, as build_circuit has them
+    # the gate entries in scalar arithmetic, row by row
     entries = [_gates(row) for row in arr.reshape(-1, 12).tolist()]
     gates = np.array(entries, dtype=complex).reshape(arr.shape[:-1] + (4, 2, 2))
     gate_a1, gate_a2, gate_b1, gate_b2 = (gates[..., k, :, :] for k in range(4))

@@ -8,30 +8,19 @@ pieces,
     K_ab = H diag(beta_b) H diag(alpha_a),
     alpha_a[s] = <a| H A2 X^s A1 |+>,   beta_b[s] = <b| H B2 X^s B1 |+>,
 
-and the transfer matrix, which is the model, is read off those factors
-in straight-line float arithmetic: each amplitude is a (re, im) pair of
-floats from the gates' cosines and sines, each complex product written
-out as (ac - bd, ad + bc).  In the same factors T[(a, b), (j, c)] =
-A_j[a, c] beta[b, j], with beta = |beta_b[s]|^2 summed (j = p) and
-differenced (j = m) over s, A_p meter A's matching pair and A_m its
-overlap conj(alpha_a[0]) alpha_a[1]; so T^-1 is read from three 2x2
-inverses, on which the qTTF splits into a meter-A times a meter-B sum.
-
-Completeness fixes half of those entries.  Each meter's outcomes a sum
-|alpha_a[s]|^2 to 1 for each s, so (with the factor 2 each amplitude
-carries) a0p + a1p = b0p + b1p = 8 and a0m + a1m = b0m + b1m = 0; the
-overlaps sum to 4 <+|A1^dag X A1|+> = 4 m_x, m the Bloch vector of
-A1|+>, so y0 + y1 = 0 and x0 + x1 = 4 m_x.  The differences are read
-off n, the Bloch vector of A2^dag|+>, which is the axis that A2 and the
-x read measure.  So the qTTF is a closed form in the four gates' Bloch
-vectors, from 24 cosines and sines and no amplitude (_qttf_factored),
-and optimize_circuit's objective, value_and_gradient, runs backwards
-through it for the gradient over the twelve parameters.
-The checks compile the 8x8 unitary from the complex gate entries, as
-qtomo._oracles.circuit_unitary, and its Kraus read is the oracle.  The
-circuit family contains measurement settings whose average error
-reaches the four-outcome optimum of 8.0, a little over twice the best
-single-shot error of the two-meter coupling on a per-component basis.
+and each meter enters T only through two Bloch vectors: m, that of
+A1|+>, and n, that of A2^dag|+>, the axis that A2 and the x read
+measure (m' and n' from B1 and B2).  So T, its qTTF and the qTTF's
+gradient over the twelve parameters are closed forms in the four gates'
+Bloch vectors, from 24 cosines and sines and no amplitude: one forward
+pass (_forward) serves qttf_circuit, build_circuit's T and
+optimize_circuit's objective, value_and_gradient, which runs backwards
+through it.  The checks compile the 8x8 unitary from the complex gate
+entries, as qtomo._oracles.circuit_unitary, and its Kraus read is the
+oracle.  The circuit family contains measurement settings whose average
+error reaches the four-outcome optimum of 8.0, a little over twice the
+best single-shot error of the two-meter coupling on a per-component
+basis.
 """
 from __future__ import annotations
 
@@ -89,80 +78,6 @@ def _checked_params(params) -> list[float]:
     return arr.tolist()
 
 
-def _meter_floats(theta1, phi1, lam1, theta2, phi2, lam2) -> tuple[float, ...]:
-    """2 <a| H G2 X^s G1 |+> for one meter's gates G1 then G2, each
-    u3(theta/2, phi, lambda), as the floats (re, im) for [a][s] in order
-    00, 01, 10, 11.
-
-    Each float is the one the complex product of the gate entries gives,
-    up to the sign of an exact zero: e^{i x} is (cos x, sin x), a
-    product (ac - bd, ad + bc).
-    """
-    c1, s1 = math.cos(theta1 / 2.0), math.sin(theta1 / 2.0)
-    c2, s2 = math.cos(theta2 / 2.0), math.sin(theta2 / 2.0)
-    # sqrt(2) G1|+> = (v0, v1)
-    v0r = c1 - math.cos(lam1) * s1
-    v0i = -math.sin(lam1) * s1
-    v1r = math.cos(phi1) * s1 + math.cos(phi1 + lam1) * c1
-    v1i = math.sin(phi1) * s1 + math.sin(phi1 + lam1) * c1
-    # G2 = [[c2, g01], [g10, g11]]
-    g01r, g01i = -math.cos(lam2) * s2, -math.sin(lam2) * s2
-    g10r, g10i = math.cos(phi2) * s2, math.sin(phi2) * s2
-    g11r, g11i = math.cos(phi2 + lam2) * c2, math.sin(phi2 + lam2) * c2
-    # w_ks = (G2 X^s v)_k: the system bit s swaps v0 and v1
-    w00r = c2 * v0r + (g01r * v1r - g01i * v1i)
-    w00i = c2 * v0i + (g01r * v1i + g01i * v1r)
-    w10r = g10r * v0r - g10i * v0i + (g11r * v1r - g11i * v1i)
-    w10i = g10r * v0i + g10i * v0r + (g11r * v1i + g11i * v1r)
-    w01r = c2 * v1r + (g01r * v0r - g01i * v0i)
-    w01i = c2 * v1i + (g01r * v0i + g01i * v0r)
-    w11r = g10r * v1r - g10i * v1i + (g11r * v0r - g11i * v0i)
-    w11i = g10r * v1i + g10i * v1r + (g11r * v0i + g11i * v0r)
-    return (
-        w00r + w10r, w00i + w10i, w01r + w11r, w01i + w11i,
-        w00r - w10r, w00i - w10i, w01r - w11r, w01i - w11i,
-    )
-
-
-def _transfer_rows(params) -> list[list[float]]:
-    """Rows of T in Python floats, from K_ab = H diag(beta_b) H diag(alpha_a).
-
-    params is any sequence of twelve floats.
-
-    E = K^dag K has diagonal |alpha_a[s]|^2 (|beta_b[0]|^2 + |beta_b[1]|^2)/2
-    and off-diagonal conj(alpha_a[0]) alpha_a[1] (|beta_b[0]|^2 - |beta_b[1]|^2)/2;
-    T[q, mu] = Tr(E_q sigma_mu)/2 with q = 2a + b, so the sigma_y column
-    is -Im E_01.  The amplitudes carry a factor 2 each, hence 1/64 and 1/32.
-    Meter B's terms are bNp, bNm = |beta_N[0]|^2 +- |beta_N[1]|^2, meter
-    A's aNp and aNm likewise, and xN + i yN = conj(alpha_N[0]) alpha_N[1];
-    every amplitude is a (re, im) pair of floats from _meter_floats, and
-    each term repeats the float operations of the complex products.
-    """
-    ta1, pa1, la1, ta2, pa2, la2, tb1, pb1, lb1, tb2, pb2, lb2 = params
-    a00r, a00i, a01r, a01i, a10r, a10i, a11r, a11i = _meter_floats(ta1, pa1, la1, ta2, pa2, la2)
-    b00r, b00i, b01r, b01i, b10r, b10i, b11r, b11i = _meter_floats(tb1, pb1, lb1, tb2, pb2, lb2)
-    p0 = b00r * b00r + b00i * b00i
-    p1 = b01r * b01r + b01i * b01i
-    b0p, b0m = p0 + p1, p0 - p1
-    p0 = b10r * b10r + b10i * b10i
-    p1 = b11r * b11r + b11i * b11i
-    b1p, b1m = p0 + p1, p0 - p1
-    p0 = a00r * a00r + a00i * a00i
-    p1 = a01r * a01r + a01i * a01i
-    a0p, a0m = p0 + p1, p0 - p1
-    x0, y0 = a00r * a01r + a00i * a01i, a00r * a01i - a00i * a01r
-    p0 = a10r * a10r + a10i * a10i
-    p1 = a11r * a11r + a11i * a11i
-    a1p, a1m = p0 + p1, p0 - p1
-    x1, y1 = a10r * a11r + a10i * a11i, a10r * a11i - a10i * a11r
-    return [
-        [a0p * b0p / 64.0, x0 * b0m / 32.0, -y0 * b0m / 32.0, a0m * b0p / 64.0],
-        [a0p * b1p / 64.0, x0 * b1m / 32.0, -y0 * b1m / 32.0, a0m * b1p / 64.0],
-        [a1p * b0p / 64.0, x1 * b0m / 32.0, -y1 * b0m / 32.0, a1m * b0p / 64.0],
-        [a1p * b1p / 64.0, x1 * b1m / 32.0, -y1 * b1m / 32.0, a1m * b1p / 64.0],
-    ]
-
-
 def _bloch_of_gate_plus(theta, phi, lam) -> tuple[float, float, float]:
     """The Bloch vector of G|+>, G = u3(theta/2, phi, lambda): Rz(lambda),
     then Ry(theta), then Rz(phi) turn the x axis."""
@@ -181,24 +96,46 @@ def _bloch_of_adjoint_plus(theta, phi, lam) -> tuple[float, float, float]:
     return ct * cp * cl - sp * sl, -(ct * cp * sl + sp * cl), st * cp
 
 
-def _qttf_factored(params) -> float:
-    """The exact qTTF in closed form from the gates' Bloch vectors.
+def _rows(mx, nx, k, w, c, kb, wb) -> list[list[float]]:
+    """Rows of T in Python floats from meter A's m_x, n_x, k, w and c and
+    meter B's k' and w' (_forward's forward[1:8]):
+
+        4 T[(a, b)] = ((1 + sa k)(1 + sb k'), sb w' (m_x + sa n_x),
+                       -sa sb c w', sa w (1 + sb k')),
+
+    sa, sb = +-1 for outcomes 0, 1, row q = 2a + b.
+    """
+    kp, km = 1.0 + kb, 1.0 - kb
+    xp, xm = mx + nx, mx - nx
+    return [
+        [(1.0 + k) * kp / 4.0, wb * xp / 4.0, -c * wb / 4.0, w * kp / 4.0],
+        [(1.0 + k) * km / 4.0, -wb * xp / 4.0, c * wb / 4.0, w * km / 4.0],
+        [(1.0 - k) * kp / 4.0, wb * xm / 4.0, c * wb / 4.0, -w * kp / 4.0],
+        [(1.0 - k) * km / 4.0, -wb * xm / 4.0, -c * wb / 4.0, -w * km / 4.0],
+    ]
+
+
+def _forward(params) -> tuple:
+    """The qTTF from the gates' Bloch vectors, with the factors it reads.
+
+    One flat tuple (value, m_x, n_x, k, w, c, k', w', m_y, m_z, n_y, n_z,
+    m', n', k^2, w^2, w'^2, c^2 m_x^2, m_x^2 + n_x^2 + c^2), the primed
+    vectors as their three components: value is the exact qTTF, or None
+    where the certificate hands the setting to T's rows,
+    _rows(*forward[1:8]).
 
     For meter A, m is the Bloch vector of A1|+> and n that of A2^dag|+>,
     so |alpha_a[s]|^2 = (1 + (-1)^a n . X^s m)/2, where X^s m is
     (m_x, (-1)^s m_y, (-1)^s m_z).  With k = m_x n_x,
-    w = m_y n_y + m_z n_z and c = m_y n_z - m_z n_y, that is
-    a0p = 4(1 + k), a1p = 4(1 - k), a0m = -a1m = 4w, and
-    x0 + i y0 = 2(m_x + n_x) + 2ic, x1 + i y1 = 2(m_x - n_x) - 2ic.  These
-    are completeness's sums a0p + a1p = 8, a0m + a1m = 0, y0 + y1 = 0 and
-    x0 + x1 = 4 m_x, with the differences read off.  Meter B gives k' and
-    w' the same way from B1 and B2.
-
-    With beta = [[b0p, b0m], [b1p, b1m]], A_p = [[a0p, a0m], [a1p, a1m]] / 64
-    and A_m = [[x0, -y0], [x1, -y1]] / 32, T[(a, b), (j, c)] =
-    A_j[a, c] beta[b, j], so T^-1 is read from three 2x2 inverses and the
-    qTTF splits into a meter-A times a meter-B sum.  In the terms above,
-    det 64 A_p = -32w, det 32 A_m = 8c m_x and det beta = -32w', and
+    w = m_y n_y + m_z n_z and c = m_y n_z - m_z n_y, and k' and w' from
+    meter B's m' and n' the same way, T's entries are those of _rows.
+    They factor as 4 T[(a, b), (j, col)] = A_j[a, col] beta[b, j], with
+    j = p on columns 0 and 3 and j = m on columns 1 and 2,
+    A_p = [[1 + k, w], [1 - k, -w]], A_m = [[m_x + n_x, -c],
+    [m_x - n_x, c]] and beta = [[1 + k', w'], [1 - k', -w']], so T^-1 is
+    read from three 2x2 inverses and the qTTF splits into a meter-A times
+    a meter-B sum.  det A_p = -2w, det A_m = 2c m_x and det beta = -2w',
+    and
 
         qTTF + 1 = (1 - k^2)/w^2
                    + (c^2 + m_x^2 + n_x^2 - 2k^2)(1 - k'^2)/(c^2 m_x^2 w'^2).
@@ -215,8 +152,8 @@ def _qttf_factored(params) -> float:
     |T^-1|_F^2 / 4 = (1 + k^2 + w^2)/w^2
     + (m_x^2 + n_x^2 + c^2)(1 + k'^2)/(c^2 m_x^2 w'^2).  A zero
     determinant, a non-finite value or a certificate at or above
-    model._FACTORED_BOUND hands T's rows to _qttf_rows, whose bits and
-    inf decisions are the T route's.
+    model._FACTORED_BOUND hands T's rows to the T route, whose bits and
+    inf decisions are _qttf_rows'.
     """
     ta1, pa1, la1, ta2, pa2, la2, tb1, pb1, lb1, tb2, pb2, lb2 = params
     mx, my, mz = _bloch_of_gate_plus(ta1, pa1, la1)
@@ -229,19 +166,21 @@ def _qttf_factored(params) -> float:
     kb = mbx * nbx
     wb = mby * nby + mbz * nbz
     kk, ww, wwb = k * k, w * w, wb * wb
-    # dm, ww and wwb: the squared determinants of 32 A_m, 64 A_p and beta
-    # over 64, 1024 and 1024
+    # dm, ww and wwb: the squared determinants of A_m, A_p and beta, each
+    # over 4
     dm = c * c * mx * mx
     sa = 1.0 + kk + ww
     sb = 1.0 + kb * kb
     sm = mx * mx + nx * nx + c * c
+    value = None
     # the certificate test with the determinants multiplied out: a zero
     # or underflowing determinant and a non-finite value fail it too
-    if not (sa * sb + sm * wwb) * (sa * dm * wwb + sm * sb * ww) < (
+    if (sa * sb + sm * wwb) * (sa * dm * wwb + sm * sb * ww) < (
         _FACTORED_BOUND * _FACTORED_BOUND * ww * dm * wwb
     ):
-        return _qttf_rows(_transfer_rows(params))
-    return (1.0 - kk) / ww + (sm - 2.0 * kk) * (1.0 - kb * kb) / (dm * wwb) - 1.0
+        value = (1.0 - kk) / ww + (sm - 2.0 * kk) * (1.0 - kb * kb) / (dm * wwb) - 1.0
+    return (value, mx, nx, k, w, c, kb, wb, my, mz, ny, nz,
+            mbx, mby, mbz, nbx, nby, nbz, kk, ww, wwb, dm, sm)
 
 
 def _gate_plus_jacobian(theta, phi, lam) -> tuple[tuple[float, float, float], ...]:
@@ -272,8 +211,8 @@ def value_and_gradient(settings) -> tuple[float, list[float] | None]:
     """The qTTF and its gradient over the twelve parameters, plain floats.
 
     The optimizer's objective: settings are read unchecked.  The value is
-    _qttf_factored's, to the bit, by the same expressions, and the
-    gradient runs backwards through them.  The qTTF is a function of
+    _forward's, so qttf_circuit's to the bit, and the gradient runs
+    backwards through the factors _forward returns.  The qTTF is a function of
     k, w, c, m_x and n_x from meter A and k', w' from meter B, and with
     t1 = (1 - k^2)/w^2, Q = (1 - k'^2)/(c^2 m_x^2 w'^2) and
     t2 = (m_x^2 + n_x^2 + c^2 - 2k^2) Q its partial derivatives are
@@ -284,32 +223,14 @@ def value_and_gradient(settings) -> tuple[float, list[float] | None]:
         d/dk' = -2k' (m_x^2 + n_x^2 + c^2 - 2k^2)/(c^2 m_x^2 w'^2).
 
     At a setting the certificate hands to the T route, they come from T's
-    rows instead (model._qttf_rows_gradient), through
-    4 T[(a, b)] = ((1 + sa k)(1 + sb k'), sb w' (m_x + sa n_x),
-    -sa sb c w', sa w (1 + sb k')) with sa, sb = +-1 for outcomes 0, 1.
+    rows instead (model._qttf_rows_gradient), through _rows' closed form.
     Either way k, w and c hand their adjoints to the Bloch vectors m and
     n (k' and w' to m' and n'), which hand theirs to the gates' angles.
     The gradient is None only where the value is inf.
     """
-    ta1, pa1, la1, ta2, pa2, la2, tb1, pb1, lb1, tb2, pb2, lb2 = settings
-    mx, my, mz = _bloch_of_gate_plus(ta1, pa1, la1)
-    nx, ny, nz = _bloch_of_adjoint_plus(ta2, pa2, la2)
-    mbx, mby, mbz = _bloch_of_gate_plus(tb1, pb1, lb1)
-    nbx, nby, nbz = _bloch_of_adjoint_plus(tb2, pb2, lb2)
-    k = mx * nx
-    w = my * ny + mz * nz
-    c = my * nz - mz * ny
-    kb = mbx * nbx
-    wb = mby * nby + mbz * nbz
-    kk, ww, wwb = k * k, w * w, wb * wb
-    dm = c * c * mx * mx
-    sa = 1.0 + kk + ww
-    sb = 1.0 + kb * kb
-    sm = mx * mx + nx * nx + c * c
-    if (sa * sb + sm * wwb) * (sa * dm * wwb + sm * sb * ww) < (
-        _FACTORED_BOUND * _FACTORED_BOUND * ww * dm * wwb
-    ):
-        value = (1.0 - kk) / ww + (sm - 2.0 * kk) * (1.0 - kb * kb) / (dm * wwb) - 1.0
+    (value, mx, nx, k, w, c, kb, wb, my, mz, ny, nz,
+     mbx, mby, mbz, nbx, nby, nbz, kk, ww, wwb, dm, sm) = _forward(settings)
+    if value is not None:
         t1 = (1.0 - kk) / ww
         q = (1.0 - kb * kb) / (dm * wwb)
         t2 = (sm - 2.0 * kk) * q
@@ -321,7 +242,7 @@ def value_and_gradient(settings) -> tuple[float, list[float] | None]:
         f_kb = -2.0 * kb * (sm - 2.0 * kk) / (dm * wwb)
         f_wb = -2.0 * t2 / wb
     else:
-        value, dt = _qttf_rows_gradient(_transfer_rows(settings))
+        value, dt = _qttf_rows_gradient(_rows(mx, nx, k, w, c, kb, wb))
         if dt is None:
             return value, None
         f_k = f_w = f_c = f_mx = f_nx = f_kb = f_wb = 0.0
@@ -339,6 +260,7 @@ def value_and_gradient(settings) -> tuple[float, list[float] | None]:
     gmb = (f_kb * nbx, f_wb * nby, f_wb * nbz)
     gnb = (f_kb * mbx, f_wb * mby, f_wb * mbz)
     gradient = []
+    ta1, pa1, la1, ta2, pa2, la2, tb1, pb1, lb1, tb2, pb2, lb2 = settings
     for angles, (g1, g2, g3), jacobian in (
         ((ta1, pa1, la1), gm, _gate_plus_jacobian),
         ((ta2, pa2, la2), gn, _adjoint_plus_jacobian),
@@ -350,8 +272,13 @@ def value_and_gradient(settings) -> tuple[float, list[float] | None]:
     return value, gradient
 
 
+def _transfer_rows(params) -> list[list[float]]:
+    """Rows of T in Python floats from any sequence of twelve floats."""
+    return _rows(*_forward(params)[1:8])
+
+
 def build_circuit(params) -> MeterModel:
-    """The circuit's model: T from its gate factors.
+    """The circuit's model: T from its gates' Bloch vectors.
 
     params are twelve reals, a (theta, phi, lambda) triple for each of the
     gates A1, A2, B1, B2.  Each theta is read as hardware gates read it:
@@ -374,7 +301,11 @@ def qttf_circuit(params) -> float:
     """
     values = _checked_params(params)
     try:
-        return _qttf_factored(values)
+        forward = _forward(values)
+        value = forward[0]
+        if value is not None:
+            return value
+        return _qttf_rows(_rows(*forward[1:8]))
     except ValueError:  # T is not finite
         _refuse_non_finite(_PARAM_NAMES, values)
         raise

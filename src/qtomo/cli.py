@@ -209,14 +209,16 @@ def cmd_optimize(args) -> int:
         "best_value": result.value,
         "gap_to_bound": result.value - _FOUR_OUTCOME_BOUND,
         "best_params": list(result.params),
+        # a restart that ended where the qTTF or its gradient is not
+        # finite reports null there, as check-identities' deviations do
         "restarts": [
             {
-                "value": r.value,
+                "value": r.value if math.isfinite(r.value) else None,
                 "params": list(r.params),
                 "converged": r.converged,
                 "iterations": r.iterations,
                 "evaluations": r.evaluations,
-                "gradient_norm": r.gradient_norm,
+                "gradient_norm": r.gradient_norm if math.isfinite(r.gradient_norm) else None,
                 "seconds": r.seconds,
             }
             for r in result.restarts

@@ -343,9 +343,9 @@ def _qttf_exact_vs_quadrature(tmats) -> float:
 
 
 def _circuit_transfer_vs_kraus(circuit_params) -> float:
-    # the circuit's transfer matrix from its gate factors, the production
-    # row builder's floats as one (20, 4, 4) array, against the Kraus read
-    # of its compiled 8x8 unitary: one stacked build, one read
+    # the circuit's transfer matrix from its gates' Bloch vectors, the
+    # production row builder's floats as one (20, 4, 4) array, against the
+    # Kraus read of its compiled 8x8 unitary: one stacked build, one read
     rows = _stacked_rows([circuit._transfer_rows(p) for p in circuit_params.tolist()])
     return _max_gap(rows, kraus_transfer(circuit_unitary(circuit_params)))
 

@@ -17,10 +17,11 @@ near that limit, so values agree with LAPACK to round-off and inf
 decisions are cond(T)'s.  The qTTF and Delta read its weights |a_q|^2;
 require_invertible returns it as the T^-1 of the estimators, the
 variance scan and the estimator-variance identity, and refuses exactly
-the T whose qTTF is inf.  The model families' qTTFs (qttf_two_meter,
-qttf_circuit and their optimizers' objectives) read T^-1 from the small
-factors T is built from, under the same Frobenius-norm certificate, and
-hand any setting it does not clear below _FACTORED_BOUND to this route.
+the T whose qTTF is inf.  Each model family reads its T, its qTTF
+(qttf_two_meter, qttf_circuit) and its optimizer's objective from one
+forward pass over the small factors of T; the qTTF reads T^-1 from those
+factors under the same Frobenius-norm certificate, and hands any setting
+it does not clear below _FACTORED_BOUND to this route.
 qttf_from_transfer is exact only.  Fisher
 matrices are inverted only by oracles: the quadrature average over
 delta_surface, _oracles._qttf_quadrature, stays as the independent

@@ -16,9 +16,10 @@ B's rows over det B.  Completeness, T's columns summing to (1, 0, 0, 0),
 is sum_q w_q = 0 for the sign rows w_q = (k, l, kl); with their second
 moment 4I and third moment 4|eps_ijk| (kl is k times l), the sum over
 the four outcomes collapses into the Gram matrix of (U, V, W), so the
-qTTF needs no per-outcome vector (_qttf_factored).  optimize_two_meter's
-objective, value_and_gradient, runs backwards through the same factors
-for the qTTF's gradient over the couplings.
+qTTF needs no per-outcome vector.  One forward pass (_forward) serves
+qttf_two_meter and optimize_two_meter's objective, value_and_gradient,
+which runs backwards through its factors for the qTTF's gradient over
+the couplings.
 """
 from __future__ import annotations
 
@@ -103,9 +104,10 @@ def _coefficients(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ..
     return a, b, c
 
 
-def _transfer_rows(theta_a: float, theta_b: float) -> list[list[float]]:
-    """Rows of T in Python floats: row (k, l) is a k + b l + c kl, plus 1/4 at mu = 0."""
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = _coefficients(theta_a, theta_b)
+def _rows(a, b, c) -> list[list[float]]:
+    """Rows of T in Python floats from the coefficient triples (a, b, c):
+    row (k, l) is a k + b l + c kl, plus 1/4 at mu = 0."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = a, b, c
     return [
         [a0 + b0 + c0 + 0.25, a1 + b1 + c1, a2 + b2 + c2, a3 + b3 + c3],
         [a0 - b0 - c0 + 0.25, a1 - b1 - c1, a2 - b2 - c2, a3 - b3 - c3],
@@ -114,8 +116,18 @@ def _transfer_rows(theta_a: float, theta_b: float) -> list[list[float]]:
     ]
 
 
-def _qttf_factored(theta_a: float, theta_b: float) -> float:
-    """The exact qTTF from T = W C, with no 4x4 inverse.
+def _transfer_rows(theta_a: float, theta_b: float) -> list[list[float]]:
+    """Rows of T in Python floats at these couplings."""
+    return _rows(*_coefficients(theta_a, theta_b))
+
+
+def _forward(theta_a: float, theta_b: float) -> tuple:
+    """The exact qTTF from T = W C, with no 4x4 inverse, and the factors it reads.
+
+    One flat tuple (value, (a, b, c), U, V, W, det B, det B^2, 4g, h,
+    V.W, U.W, U.V), with U, V, W, 4g and h as their three components:
+    value is the qTTF, or None where the certificate hands the setting to
+    T's rows, _rows(*forward[1]).
 
     W has rows (1, k, l, kl), so W^T W = 4I, and C has rows (1/4, 0, 0, 0),
     a, b and c: C = [[1/4, 0], [g, B]] with g = (a0, b0, c0).  Then
@@ -136,17 +148,18 @@ def _qttf_factored(theta_a: float, theta_b: float) -> float:
     16 det B^2 + |h|^2 + |U|^2 + |V|^2 + |W|^2.  The certificate test is
     written with det B^2 multiplied out, so a zero or underflowing
     determinant and a non-finite value fail it too; any setting that
-    fails it, with a certificate at or above model._FACTORED_BOUND, hands
-    T's rows to _qttf_rows, whose bits and inf decisions are the T route's.
+    fails it, with a certificate at or above model._FACTORED_BOUND, goes
+    to the T route, whose bits and inf decisions are _qttf_rows'.
     """
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = _coefficients(theta_a, theta_b)
+    coefficients = _coefficients(theta_a, theta_b)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = coefficients
     # U = b x c, V = c x a and W = a x b; det B = a . U
     u1, u2, u3 = b2 * c3 - b3 * c2, b3 * c1 - b1 * c3, b1 * c2 - b2 * c1
     v1, v2, v3 = c2 * a3 - c3 * a2, c3 * a1 - c1 * a3, c1 * a2 - c2 * a1
     w1, w2, w3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
     det = a1 * u1 + a2 * u2 + a3 * u3
     det_sq = det * det
-    # H = 4 det B X g, so 4 det B a_q = k U + l V + kl W - H
+    # h = 4 det B X g, so 4 det B a_q = k U + l V + kl W - h
     g0, g1, g2 = 4.0 * a0, 4.0 * b0, 4.0 * c0
     h1 = g0 * u1 + g1 * v1 + g2 * w1
     h2 = g0 * u2 + g1 * v2 + g2 * w2
@@ -160,19 +173,15 @@ def _qttf_factored(theta_a: float, theta_b: float) -> float:
     vv = v1 * v1 + v2 * v2 + v3 * v3
     ww = w1 * w1 + w2 * w2 + w3 * w3
     hh = h1 * h1 + h2 * h2 + h3 * h3
-    # det B^2 |C^-1|_F^2
-    inverse_sq = 16.0 * det_sq + hh + uu + vv + ww
-    if not c_sq * inverse_sq < _FACTORED_BOUND * _FACTORED_BOUND * det_sq:
-        return _qttf_rows(_transfer_rows(theta_a, theta_b))
-    total = (
-        uu + vv + ww - hh
-        + 8.0 * (
-            a0 * (v1 * w1 + v2 * w2 + v3 * w3)
-            + b0 * (u1 * w1 + u2 * w2 + u3 * w3)
-            + c0 * (u1 * v1 + u2 * v2 + u3 * v3)
-        )
-    )
-    return total / (16.0 * det_sq) - 1.0
+    vw = v1 * w1 + v2 * w2 + v3 * w3
+    uw = u1 * w1 + u2 * w2 + u3 * w3
+    uv = u1 * v1 + u2 * v2 + u3 * v3
+    value = None
+    # det B^2 |C^-1|_F^2 = 16 det_sq + hh + uu + vv + ww
+    if c_sq * (16.0 * det_sq + hh + uu + vv + ww) < _FACTORED_BOUND * _FACTORED_BOUND * det_sq:
+        value = (uu + vv + ww - hh + 8.0 * (a0 * vw + b0 * uw + c0 * uv)) / (16.0 * det_sq) - 1.0
+    return (value, coefficients, u1, u2, u3, v1, v2, v3, w1, w2, w3, det, det_sq,
+            g0, g1, g2, h1, h2, h3, vw, uw, uv)
 
 
 def _coefficient_derivatives(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ...]:
@@ -238,9 +247,9 @@ def value_and_gradient(settings) -> tuple[float, list[float] | None]:
     """The qTTF and its gradient at settings = (theta_a, theta_b), plain floats.
 
     The optimizer's objective: the couplings are read unchecked.  The
-    value is _qttf_factored's, to the bit, by the same expressions, and
-    the gradient runs backwards through them.  With S = 16 det B^2 and
-    the total of _qttf_factored, qTTF + 1 = total / S, so
+    value is _forward's, so qttf_two_meter's to the bit, and the gradient
+    runs backwards through the factors _forward returns.  With
+    S = 16 det B^2 and the total of _forward, qTTF + 1 = total / S, so
 
         d qTTF = d total / S - 2 (qTTF + 1) d det B / det B,
 
@@ -255,32 +264,10 @@ def value_and_gradient(settings) -> tuple[float, list[float] | None]:
     only where the value is inf.
     """
     theta_a, theta_b = settings
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = _coefficients(theta_a, theta_b)
-    u1, u2, u3 = b2 * c3 - b3 * c2, b3 * c1 - b1 * c3, b1 * c2 - b2 * c1
-    v1, v2, v3 = c2 * a3 - c3 * a2, c3 * a1 - c1 * a3, c1 * a2 - c2 * a1
-    w1, w2, w3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
-    det = a1 * u1 + a2 * u2 + a3 * u3
-    det_sq = det * det
-    g0, g1, g2 = 4.0 * a0, 4.0 * b0, 4.0 * c0
-    h1 = g0 * u1 + g1 * v1 + g2 * w1
-    h2 = g0 * u2 + g1 * v2 + g2 * w2
-    h3 = g0 * u3 + g1 * v3 + g2 * w3
-    c_sq = (
-        0.0625 + a0 * a0 + b0 * b0 + c0 * c0
-        + a1 * a1 + a2 * a2 + a3 * a3 + b1 * b1 + b2 * b2 + b3 * b3
-        + c1 * c1 + c2 * c2 + c3 * c3
-    )
-    uu = u1 * u1 + u2 * u2 + u3 * u3
-    vv = v1 * v1 + v2 * v2 + v3 * v3
-    ww = w1 * w1 + w2 * w2 + w3 * w3
-    hh = h1 * h1 + h2 * h2 + h3 * h3
-    inverse_sq = 16.0 * det_sq + hh + uu + vv + ww
-    if c_sq * inverse_sq < _FACTORED_BOUND * _FACTORED_BOUND * det_sq:
-        vw = v1 * w1 + v2 * w2 + v3 * w3
-        uw = u1 * w1 + u2 * w2 + u3 * w3
-        uv = u1 * v1 + u2 * v2 + u3 * v3
-        total = uu + vv + ww - hh + 8.0 * (a0 * vw + b0 * uw + c0 * uv)
-        value = total / (16.0 * det_sq) - 1.0
+    (value, coefficients, u1, u2, u3, v1, v2, v3, w1, w2, w3, det, det_sq,
+     g0, g1, g2, h1, h2, h3, vw, uw, uv) = _forward(theta_a, theta_b)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = coefficients
+    if value is not None:
         # adjoints of total with respect to U, V and W
         ub1 = 2.0 * (u1 - g0 * h1) + 8.0 * (b0 * w1 + c0 * v1)
         ub2 = 2.0 * (u2 - g0 * h2) + 8.0 * (b0 * w2 + c0 * v2)
@@ -312,7 +299,7 @@ def value_and_gradient(settings) -> tuple[float, list[float] | None]:
             s * (ub1 * b2 - ub2 * b1 + a1 * vb2 - a2 * vb1) + r * w3,
         )
     else:
-        value, dt = _qttf_rows_gradient(_transfer_rows(theta_a, theta_b))
+        value, dt = _qttf_rows_gradient(_rows(*coefficients))
         if dt is None:
             return value, None
         # rows (k, l) = (+, +), (+, -), (-, +), (-, -)
@@ -371,7 +358,11 @@ def qttf_two_meter(theta_a: float, theta_b: float) -> float:
     """
     theta_a, theta_b = _checked_couplings(theta_a, theta_b)
     try:
-        return _qttf_factored(theta_a, theta_b)
+        forward = _forward(theta_a, theta_b)
+        value = forward[0]
+        if value is not None:
+            return value
+        return _qttf_rows(_rows(*forward[1]))
     except ValueError:  # T is not finite
         _refuse_non_finite(_COUPLING_NAMES, (theta_a, theta_b))
         raise

@@ -638,6 +638,28 @@ def test_optimize_exits_2_when_the_objective_is_singular_everywhere(capsys, monk
     assert captured.err == "optimization failed: objective singular everywhere\n"
 
 
+def test_optimize_reports_a_restart_without_finite_value_as_null(capsys, monkeypatch):
+    # one restart started at (0, 0), where the qTTF is inf, beside one at
+    # the reference couplings: the run still reports its finite best
+    # value, in strict JSON
+    from qtomo import twometer
+    from qtomo.model import minimize_with_restarts
+
+    def two_starts(**kwargs):
+        starts = [np.zeros(2), np.array(REFERENCE_COUPLINGS)]
+        return minimize_with_restarts(twometer.value_and_gradient, starts)
+
+    monkeypatch.setattr(cli, "optimize_two_meter", two_starts)
+    code, out = _run(capsys, ["optimize", "--model", "two-meter"])
+    assert code == 0
+    blob = json.loads(out, parse_constant=_reject_constant)
+    singular, reference = blob["restarts"]
+    assert singular["value"] is None and singular["gradient_norm"] is None
+    assert not singular["converged"]
+    assert blob["best_value"] == reference["value"] < 20.0
+    assert reference["gradient_norm"] <= 1e-6 * reference["value"]
+
+
 def test_optimize_reports_evaluations_and_time(tmp_path):
     out_file = tmp_path / "opt.json"
     code = main(
