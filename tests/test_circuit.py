@@ -185,25 +185,30 @@ def _complex_rows(params):
     return rows
 
 
-def test_bloch_rows_match_the_complex_rows():
+@pytest.mark.parametrize("full_angle", [False, True])
+def test_bloch_rows_match_the_complex_rows(full_angle):
     # T from the gates' Bloch vectors against T from their complex
-    # entries, to a few eps flat: 1000 draws per gate convention over
-    # magnitudes 1e-4 to 1e4, and 2000 draws from angles where sines and
-    # cosines vanish.  Neither route reads a rounded sum of angles, so
-    # the gap does not grow with them
+    # entries, to a few eps flat, on 1000 draws per gate convention over
+    # magnitudes 1e-4 to 1e4.  Neither route reads a rounded sum of
+    # angles, so the gap does not grow with them
     tol = 6.0 * np.finfo(float).eps
     rng = np.random.default_rng(14)
-    draws = []
-    for full_angle in (False, True):
-        for _ in range(1000):
-            params = rng.uniform(-1.0, 1.0, size=12) * 10.0 ** rng.uniform(-4.0, 4.0)
-            if full_angle:
-                params[0::3] *= 2.0
-            draws.append(params.tolist())
+    for _ in range(1000):
+        params = rng.uniform(-1.0, 1.0, size=12) * 10.0 ** rng.uniform(-4.0, 4.0)
+        if full_angle:
+            params[0::3] *= 2.0
+        params = params.tolist()
+        np.testing.assert_allclose(_transfer_rows(params), _complex_rows(params), rtol=0, atol=tol)
+
+
+def test_bloch_rows_match_the_complex_rows_on_special_angles():
+    # the same flat bound on 2000 draws from angles where sines and
+    # cosines vanish
+    tol = 6.0 * np.finfo(float).eps
     grid = [0.0, -0.0, math.pi / 2, math.pi, -math.pi, 1.5 * math.pi, 2 * math.pi, 1e-300]
     rng = np.random.default_rng(19)
-    draws += [[grid[k] for k in rng.integers(0, len(grid), size=12)] for _ in range(2000)]
-    for params in draws:
+    for _ in range(2000):
+        params = [grid[k] for k in rng.integers(0, len(grid), size=12)]
         np.testing.assert_allclose(_transfer_rows(params), _complex_rows(params), rtol=0, atol=tol)
 
 
