@@ -116,12 +116,17 @@ def _check_frequencies(freqs: np.ndarray) -> np.ndarray:
 def _solve(freqs: np.ndarray, inverse: np.ndarray) -> LinearInversionResult:
     """Linear inversion s = T^-1 f from require_invertible's T^-1.
 
-    The product stays numpy's: its BLAS kernel may fuse multiply-adds,
-    which Python floats cannot repeat, so a float sum would move the last
-    bits of s.  The normalization, s0_deviation and the radius are plain
-    floats, and the Bloch vector is one array built at the end.
+    Each component is ((r0 f0 + r1 f1) + r2 f2) + r3 f3 over its row r of
+    T^-1, in plain floats, not numpy's product: a BLAS kernel picks its
+    own summation order and may fuse multiply-adds, so the product's last
+    bits depended on the OpenBLAS kernel the process ran.  The
+    normalization, s0_deviation and the radius are plain floats too, and
+    the Bloch vector is one array built at the end.
     """
-    s0, s1, s2, s3 = (inverse @ freqs).tolist()
+    f0, f1, f2, f3 = freqs.tolist()
+    s0, s1, s2, s3 = [
+        r0 * f0 + r1 * f1 + r2 * f2 + r3 * f3 for r0, r1, r2, r3 in inverse.tolist()
+    ]
     try:
         x, y, z = s1 / s0, s2 / s0, s3 / s0
     except ZeroDivisionError:

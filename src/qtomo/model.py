@@ -468,9 +468,12 @@ _ARMIJO = 1e-4
 _LINE_SEARCH_TRIALS = 30
 
 
-def _usable(value: float, grad: list[float] | None) -> bool:
-    """True for a finite value with a gradient of finite entries."""
-    return abs(value) < math.inf and grad is not None and sum(map(mul, grad, grad)) < math.inf
+def _gradient_square(value: float, grad: list[float] | None) -> float:
+    """grad . grad for a finite value with a gradient, else inf: a point is
+    usable exactly where this is below inf (a NaN entry makes it NaN)."""
+    if abs(value) < math.inf and grad is not None:
+        return sum(map(mul, grad, grad))
+    return math.inf
 
 
 def _bfgs(
@@ -498,12 +501,13 @@ def _bfgs(
     identity = [[float(i == j) for j in range(n)] for i in range(n)]
     value, grad = objective(x[:])
     evaluations = 1
-    if not _usable(value, grad):
+    grad_sq = _gradient_square(value, grad)
+    if not grad_sq < math.inf:
         return x, value, math.inf, 0, evaluations, "found no finite value and gradient at the start"
     hessian = identity
     iterations = 0
     while True:
-        norm = math.sqrt(sum(map(mul, grad, grad)))
+        norm = math.sqrt(grad_sq)
         if norm <= _GRADIENT_TOL * max(1.0, abs(value)):
             return x, value, norm, iterations, evaluations, None
         if iterations == maxiter:
@@ -523,7 +527,8 @@ def _bfgs(
             trial = [a + alpha * p for a, p in zip(x, step)]
             trial_value, trial_grad = objective(trial[:])
             evaluations += 1
-            usable = _usable(trial_value, trial_grad)
+            trial_sq = _gradient_square(trial_value, trial_grad)
+            usable = trial_sq < math.inf
             if usable and trial_value <= value + _ARMIJO * alpha * slope:
                 break
             if usable:
@@ -543,11 +548,11 @@ def _bfgs(
             # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T
             c = rho * (1.0 + rho * sum(map(mul, y, hy)))
             hessian = [
-                [h - rho * (hy_i * s_j + s_i * hy_j) + c * s_i * s_j
+                [h - rho * (hy_i * s_j + s_i * hy_j) + cs_i * s_j
                  for h, hy_j, s_j in zip(row, hy, s)]
-                for row, hy_i, s_i in zip(hessian, hy, s)
+                for row, hy_i, s_i, cs_i in zip(hessian, hy, s, [c * v for v in s])
             ]
-        x, value, grad = trial, trial_value, trial_grad
+        x, value, grad, grad_sq = trial, trial_value, trial_grad, trial_sq
         iterations += 1
 
 

@@ -19,7 +19,8 @@ the four outcomes collapses into the Gram matrix of (U, V, W), so the
 qTTF needs no per-outcome vector.  One forward pass (_forward) serves
 qttf_two_meter and optimize_two_meter's objective, value_and_gradient,
 which runs backwards through its factors for the qTTF's gradient over
-the couplings.
+the couplings and reads the coefficients' derivatives from the same
+pass's sines and cosines.
 """
 from __future__ import annotations
 
@@ -61,12 +62,16 @@ def _half_sinc(tc: float) -> float:
     return 0.5 * (math.sin(x) / x if x else 1.0)
 
 
-def _coefficients(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ...]:
-    """Outcome-probability coefficients (a, b, c), each indexed mu = 0..3.
+def _trig_and_coefficients(theta_a: float, theta_b: float) -> tuple:
+    """(trig, (a, b, c)): _coefficients' value and the trig it reads.
 
-    Outcome (k, l) of Bloch vector s has probability
-    sum_mu (s_mu/4) delta_{mu 0} + (a_mu k + b_mu l + c_mu k l) s_mu;
-    signs are fixed against the Kraus read of _oracles.joint_unitary.
+    trig = (tc, ca, sa, cb, sb, cc, half_sinc, sin_diff, sin_sum,
+    cos_sum) holds tc = hypot(theta_a, theta_b), the cosines and sines of
+    theta_a/2, theta_b/2 and tc/2, _half_sinc(tc), and the sines of
+    (theta_a -+ theta_b)/2 and the cosine of their sum: all the trig that
+    _coefficient_derivatives reads but cos((theta_a - theta_b)/2), which
+    the coefficients do not need.  _forward returns it, so the gradient
+    does not compute it again.
     """
     tc = math.hypot(theta_a, theta_b)
     ca, sa = math.cos(theta_a / 2.0), math.sin(theta_a / 2.0)
@@ -75,6 +80,7 @@ def _coefficients(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ..
     half_sinc = _half_sinc(tc)
     sin_diff = math.sin((theta_a - theta_b) / 2.0)
     sin_sum = math.sin((theta_a + theta_b) / 2.0)
+    cos_sum = math.cos((theta_a + theta_b) / 2.0)
 
     a = (
         ca * (ca + theta_b * sb * half_sinc + cb * cc) / 8.0,
@@ -90,7 +96,7 @@ def _coefficients(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ..
     )
     c = (
         (
-            4.0 * cc * math.cos((theta_a + theta_b) / 2.0)
+            4.0 * cc * cos_sum
             + math.cos(theta_a - theta_b)
             + math.cos(theta_a)
             + math.cos(theta_b)
@@ -101,7 +107,17 @@ def _coefficients(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ..
         sa * sb * sin_diff / 8.0,
         (sa * cb * sin_diff + theta_a * half_sinc * sin_sum) / 8.0,
     )
-    return a, b, c
+    return (tc, ca, sa, cb, sb, cc, half_sinc, sin_diff, sin_sum, cos_sum), (a, b, c)
+
+
+def _coefficients(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ...]:
+    """Outcome-probability coefficients (a, b, c), each indexed mu = 0..3.
+
+    Outcome (k, l) of Bloch vector s has probability
+    sum_mu (s_mu/4) delta_{mu 0} + (a_mu k + b_mu l + c_mu k l) s_mu;
+    signs are fixed against the Kraus read of _oracles.joint_unitary.
+    """
+    return _trig_and_coefficients(theta_a, theta_b)[1]
 
 
 def _rows(a, b, c) -> list[list[float]]:
@@ -118,16 +134,17 @@ def _rows(a, b, c) -> list[list[float]]:
 
 def _transfer_rows(theta_a: float, theta_b: float) -> list[list[float]]:
     """Rows of T in Python floats at these couplings."""
-    return _rows(*_coefficients(theta_a, theta_b))
+    return _rows(*_trig_and_coefficients(theta_a, theta_b)[1])
 
 
 def _forward(theta_a: float, theta_b: float) -> tuple:
     """The exact qTTF from T = W C, with no 4x4 inverse, and the factors it reads.
 
     One flat tuple (value, (a, b, c), U, V, W, det B, det B^2, 4g, h,
-    V.W, U.W, U.V), with U, V, W, 4g and h as their three components:
-    value is the qTTF, or None where the certificate hands the setting to
-    T's rows, _rows(*forward[1]).
+    V.W, U.W, U.V, trig), with U, V, W, 4g and h as their three
+    components and trig _trig_and_coefficients': value is the qTTF, or
+    None where the certificate hands the setting to T's rows,
+    _rows(*forward[1]).
 
     W has rows (1, k, l, kl), so W^T W = 4I, and C has rows (1/4, 0, 0, 0),
     a, b and c: C = [[1/4, 0], [g, B]] with g = (a0, b0, c0).  Then
@@ -151,7 +168,7 @@ def _forward(theta_a: float, theta_b: float) -> tuple:
     fails it, with a certificate at or above model._FACTORED_BOUND, goes
     to the T route, whose bits and inf decisions are _qttf_rows'.
     """
-    coefficients = _coefficients(theta_a, theta_b)
+    trig, coefficients = _trig_and_coefficients(theta_a, theta_b)
     (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = coefficients
     # U = b x c, V = c x a and W = a x b; det B = a . U
     u1, u2, u3 = b2 * c3 - b3 * c2, b3 * c1 - b1 * c3, b1 * c2 - b2 * c1
@@ -181,12 +198,15 @@ def _forward(theta_a: float, theta_b: float) -> tuple:
     if c_sq * (16.0 * det_sq + hh + uu + vv + ww) < _FACTORED_BOUND * _FACTORED_BOUND * det_sq:
         value = (uu + vv + ww - hh + 8.0 * (a0 * vw + b0 * uw + c0 * uv)) / (16.0 * det_sq) - 1.0
     return (value, coefficients, u1, u2, u3, v1, v2, v3, w1, w2, w3, det, det_sq,
-            g0, g1, g2, h1, h2, h3, vw, uw, uv)
+            g0, g1, g2, h1, h2, h3, vw, uw, uv, trig)
 
 
-def _coefficient_derivatives(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ...]:
+def _coefficient_derivatives(
+    theta_a: float, theta_b: float, trig: tuple[float, ...]
+) -> tuple[tuple[float, ...], ...]:
     """d/d theta_a and d/d theta_b of _coefficients' (a, b, c), as two
-    12-tuples in the order a0..a3, b0..b3, c0..c3.
+    12-tuples in the order a0..a3, b0..b3, c0..c3, from the trig that
+    _trig_and_coefficients computed at these couplings.
 
     With half_sinc = sin(tc/2)/tc, d cos(tc/2)/d theta_x = -theta_x
     half_sinc / 2 and d half_sinc/d theta_x = theta_x q with
@@ -197,14 +217,9 @@ def _coefficient_derivatives(theta_a: float, theta_b: float) -> tuple[tuple[floa
     worse than 1e-12 relative.
     """
     ta, tb = theta_a, theta_b
-    tc = math.hypot(ta, tb)
-    ca, sa = math.cos(ta / 2.0), math.sin(ta / 2.0)
-    cb, sb = math.cos(tb / 2.0), math.sin(tb / 2.0)
-    cc = math.cos(tc / 2.0)
-    hs = _half_sinc(tc)
+    tc, ca, sa, cb, sb, cc, hs, sd, ss, cs = trig
     q = (cc / 2.0 - hs) / (tc * tc)
-    sd, cd = math.sin((ta - tb) / 2.0), math.cos((ta - tb) / 2.0)
-    ss, cs = math.sin((ta + tb) / 2.0), math.cos((ta + tb) / 2.0)
+    cd = math.cos((ta - tb) / 2.0)
 
     x = ca + tb * sb * hs + cb * cc
     y = sb * cc - tb * cb * hs
@@ -243,12 +258,13 @@ def _coefficient_derivatives(theta_a: float, theta_b: float) -> tuple[tuple[floa
     return d_a, d_b
 
 
-def value_and_gradient(settings) -> tuple[float, list[float] | None]:
-    """The qTTF and its gradient at settings = (theta_a, theta_b), plain floats.
+def _value_and_adjoint(theta_a: float, theta_b: float) -> tuple:
+    """(value, adjoint, trig): the qTTF, its 12 derivatives over the
+    coefficients a0..a3, b0..b3, c0..c3 (None where the value is inf), and
+    _forward's trig.
 
-    The optimizer's objective: the couplings are read unchecked.  The
-    value is _forward's, so qttf_two_meter's to the bit, and the gradient
-    runs backwards through the factors _forward returns.  With
+    The value is _forward's, so qttf_two_meter's to the bit, and the
+    adjoint runs backwards through the factors _forward returns.  With
     S = 16 det B^2 and the total of _forward, qTTF + 1 = total / S, so
 
         d qTTF = d total / S - 2 (qTTF + 1) d det B / det B,
@@ -259,13 +275,10 @@ def value_and_gradient(settings) -> tuple[float, list[float] | None]:
     b x dc), and d det B / d(a, b, c) = (U, V, W).  At a setting the
     certificate hands to the T route, the gradient chains through T's
     rows instead (model._qttf_rows_gradient): row (k, l) of T is a k +
-    b l + c kl, plus 1/4 at mu = 0.  Either way the 12 coefficient
-    adjoints meet the coefficients' derivatives.  The gradient is None
-    only where the value is inf.
+    b l + c kl, plus 1/4 at mu = 0.
     """
-    theta_a, theta_b = settings
     (value, coefficients, u1, u2, u3, v1, v2, v3, w1, w2, w3, det, det_sq,
-     g0, g1, g2, h1, h2, h3, vw, uw, uv) = _forward(theta_a, theta_b)
+     g0, g1, g2, h1, h2, h3, vw, uw, uv, trig) = _forward(theta_a, theta_b)
     (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = coefficients
     if value is not None:
         # adjoints of total with respect to U, V and W
@@ -301,19 +314,40 @@ def value_and_gradient(settings) -> tuple[float, list[float] | None]:
     else:
         value, dt = _qttf_rows_gradient(_rows(*coefficients))
         if dt is None:
-            return value, None
+            return value, None, trig
         # rows (k, l) = (+, +), (+, -), (-, +), (-, -)
         adjoint = (
             *(t0 + t1 - t2 - t3 for t0, t1, t2, t3 in zip(*dt)),
             *(t0 - t1 + t2 - t3 for t0, t1, t2, t3 in zip(*dt)),
             *(t0 - t1 - t2 + t3 for t0, t1, t2, t3 in zip(*dt)),
         )
-    d_a, d_b = _coefficient_derivatives(theta_a, theta_b)
-    grad_a = grad_b = 0.0
-    for weight, da, db in zip(adjoint, d_a, d_b):
-        grad_a += weight * da
-        grad_b += weight * db
-    return value, [grad_a, grad_b]
+    return value, adjoint, trig
+
+
+def value_and_gradient(settings) -> tuple[float, list[float] | None]:
+    """The qTTF and its gradient at settings = (theta_a, theta_b), plain floats.
+
+    The optimizer's objective: the couplings are read unchecked.  The 12
+    coefficient adjoints of _value_and_adjoint meet the coefficients'
+    derivatives, which read the trig of the same forward pass, in one
+    straight-line sum per coupling.  The gradient is None only where the
+    value is inf.
+    """
+    theta_a, theta_b = settings
+    value, adjoint, trig = _value_and_adjoint(theta_a, theta_b)
+    if adjoint is None:
+        return value, None
+    e0, e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11 = adjoint
+    (da0, da1, da2, da3, da4, da5, da6, da7, da8, da9, da10, da11), (
+        db0, db1, db2, db3, db4, db5, db6, db7, db8, db9, db10, db11
+    ) = _coefficient_derivatives(theta_a, theta_b, trig)
+    # each sum left to right from 0.0, so an all -0.0 one gives +0.0
+    return value, [
+        0.0 + e0 * da0 + e1 * da1 + e2 * da2 + e3 * da3 + e4 * da4 + e5 * da5
+        + e6 * da6 + e7 * da7 + e8 * da8 + e9 * da9 + e10 * da10 + e11 * da11,
+        0.0 + e0 * db0 + e1 * db1 + e2 * db2 + e3 * db3 + e4 * db4 + e5 * db5
+        + e6 * db6 + e7 * db7 + e8 * db8 + e9 * db9 + e10 * db10 + e11 * db11,
+    ]
 
 
 def _checked_couplings(theta_a, theta_b) -> tuple[float, float]:

@@ -37,6 +37,9 @@ from qtomo.twometer import (
     REFERENCE_COUPLINGS,
     TwoMeterModel,
     _coefficients,
+    _forward,
+    _half_sinc,
+    _value_and_adjoint,
     optimize_two_meter,
     qttf_two_meter,
     transfer_matrix,
@@ -435,3 +438,105 @@ def test_exact_qttf_of_tetrahedral_povm_is_eight():
     ) / math.sqrt(3.0)
     tmat = 0.25 * np.hstack([np.ones((4, 1)), normals])
     assert qttf_from_transfer(tmat) == pytest.approx(8.0, abs=1e-12)
+
+
+def _recomputed_coefficient_derivatives(ta, tb):
+    """d/d theta_a and d/d theta_b of (a0..a3, b0..b3, c0..c3) in the form
+    that computed its own hypot, sines and cosines, not the forward pass's."""
+    tc = math.hypot(ta, tb)
+    ca, sa = math.cos(ta / 2.0), math.sin(ta / 2.0)
+    cb, sb = math.cos(tb / 2.0), math.sin(tb / 2.0)
+    cc = math.cos(tc / 2.0)
+    hs = _half_sinc(tc)
+    q = (cc / 2.0 - hs) / (tc * tc)
+    sd, cd = math.sin((ta - tb) / 2.0), math.cos((ta - tb) / 2.0)
+    ss, cs = math.sin((ta + tb) / 2.0), math.cos((ta + tb) / 2.0)
+    x = ca + tb * sb * hs + cb * cc
+    y = sb * cc - tb * cb * hs
+    z = sa + ta * cb * hs
+    xb = cb + ta * sa * hs + ca * cc
+    yb = sb + tb * ca * hs
+    zb = sa * cc - ta * ca * hs
+    d_a = (
+        (-sa / 2.0 * x + ca * (ta * (tb * sb * q - cb * hs / 2.0) - sa / 2.0)) / 8.0,
+        (ca / 2.0 * y - sa * ta * (sb * hs / 2.0 + tb * cb * q)) / 8.0,
+        sb * (sa * hs + ta * (ca / 2.0 * hs + sa * q * ta)) / 8.0,
+        (ca / 2.0 * z + sa * (ca / 2.0 + cb * hs + ta * ta * cb * q)) / 8.0,
+        cb * sa * (hs + ta * ta * q - cc / 2.0) / 8.0,
+        -sb * tb * (ca * q * ta - sa * hs / 2.0) / 8.0,
+        -tb * sb * (ca / 2.0 * hs + sa * q * ta) / 8.0,
+        -sb * ca * (cc / 2.0 - hs - ta * ta * q) / 8.0,
+        (-2.0 * ta * hs * cs - 2.0 * cc * ss - 2.0 * sd * cd - 2.0 * sa * ca) / 32.0,
+        (sb * (ca * cd - sa * sd) / 2.0 - tb * (q * ta * ss + hs * cs / 2.0)) / 8.0,
+        sb * (ca * sd + sa * cd) / 16.0,
+        (cb * (ca * sd + sa * cd) / 2.0 + hs * ss + ta * (q * ta * ss + hs * cs / 2.0)) / 8.0,
+    )
+    d_b = (
+        ca * sb * (hs + tb * tb * q - cc / 2.0) / 8.0,
+        sa * cb * (cc / 2.0 - hs - tb * tb * q) / 8.0,
+        ta * sa * (cb / 2.0 * hs + sb * q * tb) / 8.0,
+        sa * ta * (cb * q * tb - sb * hs / 2.0) / 8.0,
+        (-sb / 2.0 * xb + cb * (tb * (ta * sa * q - ca * hs / 2.0) - sb / 2.0)) / 8.0,
+        -(cb / 2.0 * yb + sb * (cb / 2.0 + ca * hs + tb * tb * ca * q)) / 8.0,
+        -sa * (sb * hs + tb * (cb / 2.0 * hs + sb * q * tb)) / 8.0,
+        -(cb / 2.0 * zb - sb * tb * (sa * hs / 2.0 + ta * ca * q)) / 8.0,
+        (-2.0 * tb * hs * cs - 2.0 * cc * ss + 2.0 * sd * cd - 2.0 * sb * cb) / 32.0,
+        (ca * (cb * sd - sb * cd) / 2.0 - hs * ss - tb * (q * tb * ss + hs * cs / 2.0)) / 8.0,
+        sa * (cb * sd - sb * cd) / 16.0,
+        (sa * (-sb * sd - cb * cd) / 2.0 + ta * (q * tb * ss + hs * cs / 2.0)) / 8.0,
+    )
+    return d_a, d_b
+
+
+def _recomputed_value_and_gradient(theta_a, theta_b):
+    """value_and_gradient with recomputed trig and the adjoint weights
+    added to 0.0 one product at a time."""
+    value, adjoint, _ = _value_and_adjoint(theta_a, theta_b)
+    if adjoint is None:
+        return value, None
+    d_a, d_b = _recomputed_coefficient_derivatives(theta_a, theta_b)
+    grad_a = grad_b = 0.0
+    for weight, da, db in zip(adjoint, d_a, d_b):
+        grad_a += weight * da
+        grad_b += weight * db
+    return value, [grad_a, grad_b]
+
+
+def _hex(value, gradient):
+    return value.hex(), None if gradient is None else [g.hex() for g in gradient]
+
+
+def test_value_and_gradient_is_the_recomputing_form_to_the_bit():
+    # reading the forward pass's trig and summing the 12 weighted
+    # derivatives in one expression keeps every operand and its order
+    rng = np.random.default_rng(45)
+    couplings = np.vstack([
+        rng.uniform(-3.0 * math.pi, 3.0 * math.pi, size=(1500, 2)),
+        rng.uniform(-30.0, 30.0, size=(200, 2)),
+        # both couplings within 1e-6 of 0, where T is singular
+        rng.uniform(-1e-6, 1e-6, size=(100, 2)),
+        # near (2 pi, 0), where the certificate hands T's rows the setting
+        [2.0 * math.pi, 0.0] + rng.uniform(-1e-2, 1e-2, size=(200, 2)),
+        [[0.0, 0.0], [1e-300, 0.0], [0.0, 5.0], [5.0, 0.0], [-0.0, 2.5]],
+    ]).tolist()
+    handed_over = tiny = 0
+    for theta_a, theta_b in couplings:
+        got = value_and_gradient([theta_a, theta_b])
+        assert _hex(*got) == _hex(*_recomputed_value_and_gradient(theta_a, theta_b)), (
+            theta_a, theta_b,
+        )
+        handed_over += _forward(theta_a, theta_b)[0] is None and got[1] is not None
+        tiny += max(abs(theta_a), abs(theta_b)) < 1e-6
+    assert len(couplings) >= 2000 and tiny >= 100
+    # the T route's chain is reached with a finite gradient
+    assert handed_over >= 50
+
+
+def test_optimize_two_meter_keeps_its_seed_0_search():
+    # the design benchmark's solve and the README's 20-restart row; call
+    # counts depend on the platform's libm, as the README says
+    single = optimize_two_meter(restarts=1, seed=0).restarts[0]
+    assert (single.evaluations, single.iterations) == (12, 9)
+    result = optimize_two_meter(restarts=20, seed=0)
+    assert sum(r.evaluations for r in result.restarts) == 334
+    assert result.value == 19.06500736921879
