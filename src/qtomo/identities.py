@@ -69,11 +69,6 @@ from .twometer import REFERENCE_COUPLINGS, TwoMeterModel
 
 __all__ = ["identity_suite"]
 
-# Reference rule for the exact-vs-quadrature check, built once: the suite
-# runs often and the rule costs as much as the check.
-_CHECK_RULE = make_quadrature(16, 16)
-
-
 @lru_cache(maxsize=1)
 def _reference_unitaries() -> tuple[np.ndarray, np.ndarray]:
     """The oracles' 8x8 unitaries of the two reference models, built on
@@ -88,10 +83,10 @@ def _reference_unitaries() -> tuple[np.ndarray, np.ndarray]:
 # four entries hold both reference models' T, clean and corrupted
 @lru_cache(maxsize=4)
 def _quadrature_qttf(tmat_bytes: bytes) -> float:
-    """_qttf_quadrature(T, _CHECK_RULE) of the 4x4 float T with these
-    bytes: each T's value is built once, and a T whose bytes differ, a
-    corrupted one, gets its own."""
-    return _qttf_quadrature(np.frombuffer(tmat_bytes).reshape(4, 4), _CHECK_RULE)
+    """_qttf_quadrature of the 4x4 float T with these bytes on the 16x16
+    reference rule: each T's value is built once, rule included, and a T
+    whose bytes differ, a corrupted one, gets its own."""
+    return _qttf_quadrature(np.frombuffer(tmat_bytes).reshape(4, 4), make_quadrature(16, 16))
 
 
 _PAIRS = 200  # cases in coefficients_vs_trace and in binomial_variance

@@ -63,7 +63,12 @@ def _half_sinc(tc: float) -> float:
 
 
 def _trig_and_coefficients(theta_a: float, theta_b: float) -> tuple:
-    """(trig, (a, b, c)): _coefficients' value and the trig it reads.
+    """(trig, (a, b, c)): the outcome-probability coefficients, each
+    indexed mu = 0..3, and the trig they read.
+
+    Outcome (k, l) of Bloch vector s has probability
+    sum_mu (s_mu/4) delta_{mu 0} + (a_mu k + b_mu l + c_mu k l) s_mu;
+    signs are fixed against the Kraus read of _oracles.joint_unitary.
 
     trig = (tc, ca, sa, cb, sb, cc, half_sinc, sin_diff, sin_sum,
     cos_sum) holds tc = hypot(theta_a, theta_b), the cosines and sines of
@@ -108,16 +113,6 @@ def _trig_and_coefficients(theta_a: float, theta_b: float) -> tuple:
         (sa * cb * sin_diff + theta_a * half_sinc * sin_sum) / 8.0,
     )
     return (tc, ca, sa, cb, sb, cc, half_sinc, sin_diff, sin_sum, cos_sum), (a, b, c)
-
-
-def _coefficients(theta_a: float, theta_b: float) -> tuple[tuple[float, ...], ...]:
-    """Outcome-probability coefficients (a, b, c), each indexed mu = 0..3.
-
-    Outcome (k, l) of Bloch vector s has probability
-    sum_mu (s_mu/4) delta_{mu 0} + (a_mu k + b_mu l + c_mu k l) s_mu;
-    signs are fixed against the Kraus read of _oracles.joint_unitary.
-    """
-    return _trig_and_coefficients(theta_a, theta_b)[1]
 
 
 def _rows(a, b, c) -> list[list[float]]:
@@ -204,7 +199,7 @@ def _forward(theta_a: float, theta_b: float) -> tuple:
 def _coefficient_derivatives(
     theta_a: float, theta_b: float, trig: tuple[float, ...]
 ) -> tuple[tuple[float, ...], ...]:
-    """d/d theta_a and d/d theta_b of _coefficients' (a, b, c), as two
+    """d/d theta_a and d/d theta_b of the coefficients (a, b, c), as two
     12-tuples in the order a0..a3, b0..b3, c0..c3, from the trig that
     _trig_and_coefficients computed at these couplings.
 

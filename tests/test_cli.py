@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -87,6 +88,44 @@ def _exits_1(capsys, argv, *, by_parser):
 def test_bad_flag_value_exits_1_naming_the_flag(capsys, argv, flag):
     err = _exits_1(capsys, argv.split(), by_parser=True)
     assert f"qtomo {argv.split()[0]}: error: argument {flag}: " in err
+
+
+# commands that exit 0 with nothing on stderr and no warning of any kind
+QUIET = [
+    "optimize --model two-meter --restarts 2",
+    "optimize --model circuit --restarts 1",
+    # one of the five R-rho-R reference runs stops at the cap before its
+    # gap reaches the target: counted, not warned
+    "check-identities --seed 36",
+    "reproduce-table --table 1",
+    "reproduce-table --table 2",
+    "reproduce-table --table 3",
+    # 2^32 spans two 32-bit words: the substreams take numpy's list path
+    "reproduce-table --table 1 --seed 4294967296",
+    # the tables reduce their repeats in one stack: the fewest repeats
+    "reproduce-table --table 2 --repeats 2 --shots 7",
+    "qttf-sweep",
+    "estimate --model circuit --estimator linear --state 0.7,0.3",
+    "estimate --state x0",
+    # the largest shot count numpy's multinomial sampler accepts
+    "estimate --state x0 --shots 9223372036854775807",
+    # exact MLEs on the sphere, in 4 and 3 Newton steps: no KKT warning
+    "estimate --state x0 --shots 16",
+    "estimate --model circuit --state z1 --shots 8 --seed 3",
+    # cond(T) = 6.6e11: the float LU does not clear T, the SVD does, and
+    # linear inversion runs on LAPACK's inverse
+    "estimate --theta-a 6.283645307179587 --theta-b 0.00046 --state x0 --estimator linear --exact",
+]
+
+
+@pytest.mark.parametrize("argv", QUIET)
+def test_passing_command_is_quiet(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv.split())
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert [str(w.message) for w in caught] == []
 
 
 def test_estimate_takes_the_largest_shot_count(capsys):
@@ -466,15 +505,18 @@ def test_estimate_requires_some_input(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("estimator", ["linear", "mle"])
-def test_estimate_singular_model_exits_2(capsys, estimator):
-    code, out = _run(
-        capsys,
-        ["estimate", "--theta-a", "0", "--theta-b", "0", "--state", "z0",
-         "--estimator", estimator],
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [["--estimator", "linear"], ["--estimator", "mle"], ["--estimator", "linear", "--exact"]],
+    ids=["linear", "mle", "linear-exact"],
+)
+def test_estimate_singular_model_exits_2(capsys, argv):
+    # the SVD fallback of the invertibility check refuses T, sampled or exact
+    code = main(["estimate", "--theta-a", "0", "--theta-b", "0", "--state", "z0", *argv])
+    captured = capsys.readouterr()
     assert code == 2
-    assert out == ""
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: transfer matrix condition number ")
 
 
 @pytest.mark.parametrize("estimator", ["linear", "mle"])
@@ -511,7 +553,7 @@ def test_estimate_rejects_flags_of_the_other_model(capsys, argv, flag, model):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["--theta-a", "nan", "--theta-b", "1"], "--theta-a"),
+        (["--theta-a", "nan", "--theta-b", "1", "--estimator", "mle", "--exact"], "--theta-a"),
         (["--theta-a", "inf", "--theta-b", "1"], "--theta-a"),
         (["--theta-b=-inf"], "--theta-b"),
         (["--theta-b", "nan"], "--theta-b"),
@@ -523,13 +565,11 @@ def test_estimate_rejects_flags_of_the_other_model(capsys, argv, flag, model):
     ids=["theta-a-nan", "theta-a-inf", "theta-b-minus-inf", "theta-b-nan",
          "params-nan", "params-inf"],
 )
-@pytest.mark.parametrize("estimator", ["linear", "mle"])
-@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
-def test_estimate_rejects_non_finite_model_flags(capsys, argv, flag, estimator, exact):
+def test_estimate_rejects_non_finite_model_flags(capsys, argv, flag):
     # a NaN or infinite coupling is bad input naming its flag, not a numpy
-    # SVD or math-domain failure with RuntimeWarnings on the way
-    argv = ["estimate", *argv, "--state", "0.3,0.2", "--estimator", estimator]
-    err = _exits_1(capsys, argv + ["--exact"] if exact else argv, by_parser=True)
+    # SVD or math-domain failure with RuntimeWarnings on the way; the parser
+    # refuses it whatever --estimator and --exact say
+    err = _exits_1(capsys, ["estimate", *argv, "--state", "0.3,0.2"], by_parser=True)
     assert f"argument {flag}: " in err
     assert "finite" in err
 
@@ -733,14 +773,41 @@ def test_main_reuses_one_parser_per_process(capsys):
     assert run(estimate) == firsts["estimate"]
 
 
+def _src_env():
+    """The environment with SRC first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def _fresh_interpreter(code):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+# (argv, stderr): one launch per exit code of the README's table; the
+# condition number a singular T reports depends on LAPACK's SVD
+LAUNCHES = {
+    0: ("qttf-sweep --points 2", ""),
+    1: ("qttf-sweep --theta-min 1e-7", "error: --theta-min 1e-07 gives the meter no sensitivity\n"),
+    2: ("estimate --theta-a 0 --theta-b 0 --state x0",
+        r"numerical failure: transfer matrix condition number \S+ exceeds 1e\+12\n"),
+    3: ("check-identities --seed 0 --corrupt", ""),
+}
+
+
+def test_module_launch_exits_with_each_documented_code():
+    # `python -m qtomo.cli` hands main's return value to the interpreter
+    # through the __main__ guard; a failing launch writes nothing to stdout
+    for code, (argv, stderr) in LAUNCHES.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "qtomo.cli", *argv.split()],
+            env=_src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert re.fullmatch(stderr, proc.stderr), (argv, proc.stderr)
+        assert bool(proc.stdout) == (code in (0, 3)), argv
 
 
 def test_import_does_not_load_the_identity_suite():
@@ -748,6 +815,20 @@ def test_import_does_not_load_the_identity_suite():
     code = "import sys, qtomo; print('qtomo.identities' in sys.modules)"
     assert _fresh_interpreter(code) == "False"
     assert cli.identity_suite.__module__ == "qtomo.identities"
+
+
+def test_cli_import_builds_no_quadrature_rule():
+    # the identity suite builds its 16x16 reference rule on a cache miss,
+    # so a launch that runs no check builds none
+    code = (
+        "import qtomo.core\n"
+        "calls = []\n"
+        "build = qtomo.core.make_quadrature\n"
+        "qtomo.core.make_quadrature = lambda *a, **k: calls.append(a) or build(*a, **k)\n"
+        "import qtomo.cli\n"
+        "print(len(calls))\n"
+    )
+    assert _fresh_interpreter(code) == "0"
 
 
 def test_production_imports_leave_the_oracles_unloaded():

@@ -28,7 +28,7 @@ from qtomo.model import (
     require_invertible,
 )
 from qtomo.twometer import REFERENCE_COUPLINGS, TwoMeterModel, transfer_matrix
-from test_model import EPS, ROUNDOFF, _conditioned_transfers
+from conditioned_transfers import EPS, ROUNDOFF, _conditioned_transfers
 
 # Pauli basis for the matrix-form oracle, independent of qtomo.core.
 _PAULI = np.array(

@@ -36,9 +36,9 @@ from qtomo.single import probabilities_single
 from qtomo.twometer import (
     REFERENCE_COUPLINGS,
     TwoMeterModel,
-    _coefficients,
     _forward,
     _half_sinc,
+    _trig_and_coefficients,
     _value_and_adjoint,
     optimize_two_meter,
     qttf_two_meter,
@@ -150,8 +150,8 @@ def test_coefficient_swap_relations():
     rng = np.random.default_rng(3)
     for _ in range(30):
         ta, tb = rng.uniform(-3 * math.pi, 3 * math.pi, size=2)
-        a, b, c = _coefficients(ta, tb)
-        a_s, _, c_s = _coefficients(tb, ta)
+        a, b, c = _trig_and_coefficients(ta, tb)[1]
+        a_s, _, c_s = _trig_and_coefficients(tb, ta)[1]
         assert b[0] == pytest.approx(a_s[0], abs=1e-12)
         assert b[1] == pytest.approx(-a_s[3], abs=1e-12)
         assert b[2] == pytest.approx(-a_s[2], abs=1e-12)
@@ -164,7 +164,7 @@ def test_coefficient_swap_relations():
 def test_specific_coefficient_values():
     # at (pi, 0) meter B idles: a0 = 0, a3 = 1/4, b row reduces to the
     # trivial 1/8 cos structure
-    a, b, c = _coefficients(math.pi, 0.0)
+    a, b, c = _trig_and_coefficients(math.pi, 0.0)[1]
     assert a[0] == pytest.approx(0.0, abs=1e-12)
     assert a[3] == pytest.approx(0.25, abs=1e-12)
     assert b[1] == pytest.approx(0.0, abs=1e-12)
@@ -222,7 +222,7 @@ def test_transfer_matrix_is_the_sign_pattern_sum():
     # the same order, so the rows equal the sign-matrix form bit for bit
     rng = np.random.default_rng(4)
     for theta_a, theta_b in [(0.0, 0.0), *rng.uniform(-10.0, 10.0, size=(200, 2))]:
-        a, b, c = _coefficients(theta_a, theta_b)
+        a, b, c = _trig_and_coefficients(theta_a, theta_b)[1]
         expected = np.outer(SIGN_MATRIX[0], a) + np.outer(SIGN_MATRIX[1], b)
         expected += np.outer(SIGN_MATRIX[2], c)
         expected[:, 0] += 0.25
